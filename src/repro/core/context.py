@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.distributions import DistributionSet
-from repro.core.stubs import PacketStubs
+from repro.core.stubs import PacketStubs, StubError
 from repro.core.sync import ScriptSync
 from repro.xkernel.message import Message
 
@@ -76,7 +76,7 @@ class ScriptContext:
         try:
             self.stubs.get_field(self.msg, name)
             return True
-        except Exception:
+        except StubError:
             return False
 
     def log(self, note: str = "") -> None:

@@ -94,7 +94,7 @@ class PacketStubs:
         Headers may be objects (attribute access) or dicts (key access);
         the payload is checked last when it is a dict.
         """
-        for header in reversed(msg.headers):
+        for header in msg.iter_headers():
             if isinstance(header, dict):
                 if name in header:
                     return header[name]
@@ -109,20 +109,37 @@ class PacketStubs:
 
     @staticmethod
     def set_field(msg: Message, name: str, value: Any) -> None:
-        """Modify ``name`` on the outermost header that defines it."""
-        for header in reversed(msg.headers):
+        """Modify ``name`` on the outermost header that defines it.
+
+        The header is looked up read-only and only the one written is
+        made private (``Message.writable_header``), after the write has
+        been found legal -- a rejected write clones nothing.
+        """
+        for depth, header in enumerate(msg.iter_headers()):
             if isinstance(header, dict):
                 if name in header:
-                    header[name] = value
+                    msg.writable_header(depth)[name] = value
                     return
             elif hasattr(header, name):
-                setattr(header, name, value)
+                _require_settable(header, name)
+                setattr(msg.writable_header(depth), name, value)
                 return
-        if isinstance(msg.payload, dict) and name in msg.payload:
-            msg.payload[name] = value
+        payload = msg.payload
+        if isinstance(payload, dict) and name in payload:
+            payload[name] = value
             return
-        if not isinstance(msg.payload, (dict, bytes, str, type(None))) \
-                and hasattr(msg.payload, name):
-            setattr(msg.payload, name, value)
+        if not isinstance(payload, (dict, bytes, str, type(None))) \
+                and hasattr(payload, name):
+            _require_settable(payload, name)
+            setattr(payload, name, value)
             return
         raise StubError(f"message has no header field {name!r}")
+
+
+def _require_settable(header: Any, name: str) -> None:
+    """Refuse a write to a computed (setter-less property) attribute."""
+    attr = getattr(type(header), name, None)
+    if isinstance(attr, property) and attr.fset is None:
+        raise StubError(
+            f"header field {name!r} of {type(header).__name__} is computed "
+            f"and cannot be set")

@@ -48,6 +48,7 @@ CODES: Dict[str, tuple] = {
     "SC104": (ERROR, "unseeded module-level random"),
     "SC105": (WARNING, "unordered set iteration feeds trace records"),
     "SC106": (WARNING, "id() in a hash or fingerprint"),
+    "SC107": (ERROR, "write to a read-only (possibly aliased) header"),
     "SC201": (ERROR, "subscription to a never-emitted trace kind"),
     "SC202": (INFO, "emitted trace kind has no oracle coverage"),
     "SC203": (ERROR, "registry kind no emit site produces"),

@@ -14,13 +14,14 @@ SC103     wall-clock time (``time.time`` etc.) in simulation code
 SC104     module-level ``random.*`` outside a seeded stream
 SC105     iteration over an unordered set feeds trace records
 SC106     ``id()`` used in a hash or fingerprint
+SC107     write to a header obtained through a read-only accessor
 ========  ========================================================
 
 Three entry points:
 
 - :func:`check_source` / :func:`check_file` lint Python source and are
   what ``repro check`` runs over ``src/repro/experiments``, ``gmp`` and
-  ``tcp``;
+  ``tcp`` (and, for SC107 alone, over the rest of ``src/repro``);
 - :func:`precheck_body` lints just the functions reachable from one
   campaign body, for :class:`~repro.core.orchestrator.Campaign` /
   ``run_fuzz`` / ``repro explore`` pre-flight;
@@ -68,6 +69,12 @@ _RANDOM_OK = {"Random", "SystemRandom", "seed", "getstate", "setstate"}
 #: function-name fragments that mark an identity/fingerprint context
 #: for SC106
 _FINGERPRINT_NAMES = ("fingerprint", "identity", "digest", "__hash__")
+
+#: ``Message`` accessors whose result may be aliased with the message's
+#: copy-on-write siblings and is therefore read-only (SC107)
+_READONLY_HEADER_CALLS = ("pop_header", "find_header")
+_READONLY_HEADER_ATTR = "top_header"
+_READONLY_HEADER_ITER = "iter_headers"
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
@@ -136,6 +143,8 @@ class _Scope:
         self.local_funcs: Dict[str, ast.AST] = {}
         #: names known to be bound to sets in this scope
         self.set_names: Set[str] = set()
+        #: names bound from a read-only header accessor in this scope
+        self.header_names: Set[str] = set()
 
 
 class _DeterminismVisitor(ast.NodeVisitor):
@@ -246,6 +255,21 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 self._scope.set_names.add(node.targets[0].id)
             else:
                 self._scope.set_names.discard(node.targets[0].id)
+        for target in node.targets:
+            self._check_header_write(target)
+            if isinstance(target, ast.Name):
+                if _is_readonly_header_expr(node.value):
+                    self._scope.header_names.add(target.id)
+                else:
+                    self._scope.header_names.discard(target.id)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_header_write(node.target)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_header_write(node.target)
         self.generic_visit(node)
 
     # -- the checks -----------------------------------------------------
@@ -256,10 +280,15 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self._check_wall_clock(node)
         self._check_random(node)
         self._check_id_in_hash(node)
+        self._check_header_setattr(node)
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
         self._check_set_iteration(node)
+        if _iterates_headers(node.iter):
+            self._scope.header_names.update(
+                name.id for name in ast.walk(node.target)
+                if isinstance(name, ast.Name))
         self.generic_visit(node)
 
     def _record_callgraph_edge(self, node: ast.Call) -> None:
@@ -429,6 +458,39 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     hint="hash stable identifiers (names, seeds, "
                          "positions) instead")
 
+    def _readonly_header(self, node: ast.expr) -> Optional[str]:
+        """Describe ``node`` if it denotes a read-only header, else None."""
+        if isinstance(node, ast.Name):
+            if any(node.id in scope.header_names for scope in self._scopes):
+                return repr(node.id)
+            return None
+        if _is_readonly_header_expr(node):
+            return "the accessor's result"
+        return None
+
+    def _check_header_write(self, target: ast.expr) -> None:
+        if not isinstance(target, (ast.Attribute, ast.Subscript)):
+            return
+        what = self._readonly_header(target.value)
+        if what is not None:
+            self._report_header_write(target, what)
+
+    def _check_header_setattr(self, node: ast.Call) -> None:
+        if (isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                and node.args):
+            what = self._readonly_header(node.args[0])
+            if what is not None:
+                self._report_header_write(node, what)
+
+    def _report_header_write(self, node: ast.AST, what: str) -> None:
+        self._report(
+            "SC107", node,
+            f"write to {what}, a header obtained through a read-only "
+            f"Message accessor; the object may be aliased with the "
+            f"message's copies",
+            hint="build a new header, or write through "
+                 "PacketStubs.set_field / Message.writable_header")
+
     def _flag_id_calls_in(self, fn: ast.AST) -> None:
         for node in ast.walk(fn):
             if (isinstance(node, ast.Call)
@@ -440,6 +502,21 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     f"a stable identity",
                     hint="derive identities from names, seeds or trace "
                          "positions")
+
+
+def _is_readonly_header_expr(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in _READONLY_HEADER_CALLS
+    return (isinstance(node, ast.Attribute)
+            and node.attr == _READONLY_HEADER_ATTR)
+
+
+def _iterates_headers(node: ast.expr) -> bool:
+    """Is this ``for`` iterable built on ``.iter_headers()``?"""
+    return any(isinstance(sub, ast.Call)
+               and isinstance(sub.func, ast.Attribute)
+               and sub.func.attr == _READONLY_HEADER_ITER
+               for sub in ast.walk(node))
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -483,9 +560,9 @@ def _name_suggests_fingerprint(name: str) -> bool:
 # entry points
 # ----------------------------------------------------------------------
 
-def check_source(source: str, source_name: str = "<module>"
-                 ) -> LintReport:
-    """Lint Python source for SC1xx hazards."""
+def check_source(source: str, source_name: str = "<module>", *,
+                 codes: Optional[Sequence[str]] = None) -> LintReport:
+    """Lint Python source for SC1xx hazards (``codes``: only these)."""
     report = LintReport(source_name=source_name)
     try:
         tree = ast.parse(source, filename=source_name)
@@ -495,14 +572,16 @@ def check_source(source: str, source_name: str = "<module>"
         return report
     visitor = _DeterminismVisitor(tree)
     visitor.visit(tree)
-    report.extend(diag for _fn, diag in visitor.findings)
+    report.extend(diag for _fn, diag in visitor.findings
+                  if codes is None or diag.code in codes)
     return report
 
 
-def check_file(path: str) -> LintReport:
-    """Lint one Python file for SC1xx hazards."""
+def check_file(path: str, *,
+               codes: Optional[Sequence[str]] = None) -> LintReport:
+    """Lint one Python file for SC1xx hazards (``codes``: only these)."""
     with open(path, encoding="utf-8") as fp:
-        return check_source(fp.read(), source_name=path)
+        return check_source(fp.read(), source_name=path, codes=codes)
 
 
 #: (path, mtime_ns, size) -> (tagged findings, callgraph)

@@ -3,7 +3,8 @@
 Pass 1 (scriptlint with dataflow, SL0xx) covers the tclish corpus:
 ``.tcl``/``.tclish`` files plus the fault scripts embedded in the
 regression-corpus JSON artifacts.  Pass 2 (determinism, SC1xx) covers
-the simulation Python (``experiments``, ``gmp``, ``tcp``).  Pass 3
+the simulation Python (``experiments``, ``gmp``, ``tcp``), and holds its
+read-only-header rule (SC107) over the rest of ``src/repro``.  Pass 3
 (trace-schema drift, SC2xx) is whole-program over ``src/repro``.
 
 Exit-code contract (shared with ``repro lint``):
@@ -33,6 +34,9 @@ DEFAULT_TCL_DIRS = ("examples/filters",)
 DEFAULT_CORPUS_DIRS = ("tests/regressions",)
 DEFAULT_PY_DIRS = ("src/repro/experiments", "src/repro/gmp",
                    "src/repro/tcp")
+#: SC107 alone is held package-wide: ``core`` and ``xkernel`` handle
+#: message headers too, but legitimately read the wall clock (telemetry)
+DEFAULT_HEADER_RULE_DIRS = ("src/repro",)
 DEFAULT_DRIFT_DIRS = ("src/repro",)
 
 
@@ -146,12 +150,18 @@ def _check_corpus(paths: Sequence[str], result: SuiteResult) -> None:
             source_name=f"{path}[{script.name}]"))
 
 
-def _check_python(paths: Sequence[str], result: SuiteResult) -> None:
+def _check_python(paths: Sequence[str], header_rule_paths: Sequence[str],
+                  result: SuiteResult) -> None:
     files = [p for p in _walk_suffix(paths, (".py",))]
     result.checked["python modules"] = len(files)
-    for path in files:
+    checks = [(path, None) for path in files]
+    covered = set(files)
+    checks += [(path, ("SC107",))
+               for path in _walk_suffix(header_rule_paths, (".py",))
+               if path not in covered]
+    for path, codes in checks:
         try:
-            result.reports.append(determinism.check_file(path))
+            result.reports.append(determinism.check_file(path, codes=codes))
         except OSError as err:
             result.internal_errors.append(f"{path}: {err}")
 
@@ -187,8 +197,11 @@ def run_suite(*, root: Optional[str] = None,
                else tcl_paths, result)
     _check_corpus(defaults(DEFAULT_CORPUS_DIRS) if corpus_paths is None
                   else corpus_paths, result)
-    _check_python(defaults(DEFAULT_PY_DIRS) if py_paths is None
-                  else py_paths, result)
+    if py_paths is None:
+        _check_python(defaults(DEFAULT_PY_DIRS),
+                      defaults(DEFAULT_HEADER_RULE_DIRS), result)
+    else:
+        _check_python(py_paths, (), result)
     if drift_enabled:
         _check_drift(defaults(DEFAULT_DRIFT_DIRS) if drift_paths is None
                      else drift_paths, result)

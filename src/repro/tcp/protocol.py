@@ -184,10 +184,8 @@ def tcp_stubs() -> PacketStubs:
     stubs = PacketStubs()
 
     def recognize(msg: Message) -> Optional[str]:
-        for header in reversed(msg.headers):
-            if isinstance(header, Segment):
-                return classify(header)
-        return None
+        seg = msg.find_header(Segment)
+        return classify(seg) if seg is not None else None
 
     stubs.register_recognizer(recognize)
 

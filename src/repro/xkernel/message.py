@@ -12,22 +12,41 @@ not part of the wire format -- e.g. the PFI layer stamps injected messages,
 and experiments tag messages for later trace correlation.  ``meta`` is
 copied shallowly by :meth:`copy`.
 
-Copying is copy-on-write over the header stack: :meth:`copy` shares the
-original's header list and defers duplication until either side next
-touches its headers, so duplicate-then-drop fault injection never pays for
-a copy at all.  When a stack does materialize, each header is duplicated
-through the ``clone()`` protocol -- any header exposing a ``clone()``
-method (TCP segments, GMP wire messages, the UDP/IP/reliable-delivery
-headers) is copied by that method instead of ``copy.deepcopy``, which
-keeps the duplicate path free of the deepcopy machinery for every header
-type the simulator ships.
+Copying is copy-on-write over the header *objects*, in two levels of
+ownership:
+
+- The stack *shape* (the list) is private to each message: :meth:`copy`
+  gives the copy a shallow copy of the list, so pushes and pops on one
+  side never show on the other.
+- The header *objects* stay aliased between the original and all its
+  copies for as long as they are only read.  A header is duplicated only
+  when someone asks for a writable one: :meth:`writable_header` clones
+  that single header, the public :attr:`headers` list clones whatever is
+  still aliased (so everything it returns is safe to mutate).
+
+Consequently the read accessors -- :attr:`top_header`,
+:meth:`find_header`, :meth:`iter_headers` and the value returned by
+:meth:`pop_header` -- hand out headers that other messages (a pending
+retransmission, a held duplicate, an in-flight wire copy) may be looking
+at too.  They are **read-only by contract**: a protocol layer that wants
+to change a header it received builds a new one, and a filter goes
+through ``PacketStubs.set_field``.  ``repro check`` rule SC107 flags
+assignments through those accessors.
+
+Headers are duplicated through the ``clone()`` protocol -- any header
+exposing a ``clone()`` method (TCP segments, GMP wire messages, the
+UDP/IP/reliable-delivery headers) is copied by that method instead of
+``copy.deepcopy``.  Ownership is one bitmask per message, without
+reference counts, so it survives ``copy.deepcopy`` of a world holding several
+siblings (the checkpoint engine) and pickling of a single message: the
+worst a stale "aliased" mark can cost is one redundant clone on a write.
 """
 
 from __future__ import annotations
 
 import copy as _copy
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 _message_ids = itertools.count(1)
 
@@ -46,13 +65,14 @@ def _clone_header(header: Any) -> Any:
 class Message:
     """A payload with a header stack, travelling through protocol layers."""
 
-    __slots__ = ("payload", "_headers", "_share", "meta", "uid")
+    __slots__ = ("payload", "_headers", "_aliased", "meta", "uid")
 
     def __init__(self, payload: Any = b"", headers: Optional[List[Any]] = None,
                  meta: Optional[Dict[str, Any]] = None):
         self.payload = payload
         self._headers: List[Any] = list(headers) if headers else []
-        self._share: Optional[List[int]] = None
+        #: bit i set: ``_headers[i]`` may be referenced by a sibling too
+        self._aliased = 0
         self.meta: Dict[str, Any] = dict(meta) if meta else {}
         self.uid = next(_message_ids)
 
@@ -62,49 +82,72 @@ class Message:
 
     @property
     def headers(self) -> List[Any]:
-        """The header stack (innermost first).
+        """The header stack (innermost first), safe to mutate.
 
-        Accessing it on a message whose stack is still shared with a
-        copy-on-write sibling materializes a private stack first, so the
-        returned list (and the headers in it) are always safe to mutate.
+        Every header still aliased with a copy-on-write sibling is cloned
+        first, so neither the returned list nor the headers in it are
+        visible to any other message.  Code that only reads should use
+        :attr:`top_header`, :meth:`find_header` or :meth:`iter_headers`,
+        which never copy.
         """
-        if self._share is not None:
-            self._materialize()
+        aliased = self._aliased
+        if aliased:
+            headers = self._headers
+            for index, header in enumerate(headers):
+                if aliased >> index & 1:
+                    headers[index] = _clone_header(header)
+            self._aliased = 0
         return self._headers
 
-    def _materialize(self) -> None:
-        # leave the share group; the last member keeps the pristine list,
-        # earlier leavers clone so the remaining members stay unaffected
-        share = self._share
-        self._share = None
-        share[0] -= 1
-        if share[0] > 0:
-            self._headers = [_clone_header(h) for h in self._headers]
+    def writable_header(self, depth: int = 0) -> Any:
+        """The header ``depth`` levels below the outermost, safe to mutate.
+
+        ``depth`` counts the way :meth:`iter_headers` enumerates.  Only
+        this one header is cloned, and only if it is still aliased.
+        """
+        headers = self._headers
+        index = len(headers) - 1 - depth
+        if depth < 0 or index < 0:
+            raise IndexError(f"message has no header at depth {depth}")
+        bit = 1 << index
+        if self._aliased & bit:
+            headers[index] = _clone_header(headers[index])
+            self._aliased ^= bit
+        return headers[index]
 
     def push_header(self, header: Any) -> "Message":
         """Add a header on the way down the stack.  Returns self."""
-        self.headers.append(header)
+        self._headers.append(header)
         return self
 
     def pop_header(self) -> Any:
-        """Remove and return the outermost header on the way up the stack."""
-        headers = self.headers
-        if not headers:
+        """Remove and return the outermost header on the way up the stack.
+
+        The returned header is read-only (see the module docstring).
+        """
+        if not self._headers:
             raise IndexError("message has no headers to pop")
-        return headers.pop()
+        header = self._headers.pop()
+        # whatever is pushed into the freed slot later is private
+        self._aliased &= (1 << len(self._headers)) - 1
+        return header
 
     @property
     def top_header(self) -> Any:
-        """The outermost header (most recently pushed), or None."""
-        headers = self.headers
+        """The outermost header (most recently pushed), or None.  Read-only."""
+        headers = self._headers
         return headers[-1] if headers else None
 
     def find_header(self, header_type: type) -> Optional[Any]:
-        """The innermost-to-outermost search for a header of a given type."""
-        for header in reversed(self.headers):
+        """The outermost header of a given type, or None.  Read-only."""
+        for header in reversed(self._headers):
             if isinstance(header, header_type):
                 return header
         return None
+
+    def iter_headers(self) -> Iterator[Any]:
+        """The headers outermost first.  Read-only; never copies."""
+        return reversed(self._headers)
 
     # ------------------------------------------------------------------
     # copying / size
@@ -113,8 +156,9 @@ class Message:
     def copy(self) -> "Message":
         """Deep-enough copy for duplicate/modify fault injection.
 
-        The header stack is shared copy-on-write (see the module
-        docstring); mutating either side's headers never leaks into the
+        The header objects are shared copy-on-write (see the module
+        docstring): none is duplicated here, and a write through either
+        side's ``headers`` / ``writable_header`` never leaks into the
         other.  Bytes and other immutable payloads are shared; payloads
         exposing ``clone()`` use it; anything else is deep-copied.  The
         copy receives a fresh uid.
@@ -124,15 +168,12 @@ class Message:
             clone_fn = getattr(payload, "clone", None)
             payload = clone_fn() if clone_fn is not None \
                 else _copy.deepcopy(payload)
-        share = self._share
-        if share is None:
-            share = [1]
-            self._share = share
-        share[0] += 1
+        headers = self._headers
+        self._aliased = aliased = (1 << len(headers)) - 1
         clone = Message.__new__(Message)
         clone.payload = payload
-        clone._headers = self._headers
-        clone._share = share
+        clone._headers = headers[:]
+        clone._aliased = aliased
         clone.meta = dict(self.meta)
         clone.uid = next(_message_ids)
         clone.meta["copied_from"] = self.uid

@@ -111,3 +111,99 @@ class TestFieldAccess:
     def test_bytes_payload_not_probed(self, stubs):
         with pytest.raises(StubError):
             stubs.get_field(Message(b"raw"), "decode")
+
+
+class TestComputedFields:
+    """Writes to setter-less properties are refused by name, up front."""
+
+    @staticmethod
+    def _segment_message():
+        from repro.tcp.segment import SYN, Segment
+        seg = Segment(src_port=1, dst_port=2, seq=100, ack=0, flags=SYN,
+                      window=4096)
+        return Message(payload=b"", headers=[seg])
+
+    @pytest.mark.parametrize("name", ["end_seq", "is_syn"])
+    def test_property_write_raises_stub_error(self, stubs, name):
+        msg = self._segment_message()
+        with pytest.raises(StubError) as excinfo:
+            stubs.set_field(msg, name, 5)
+        assert name in str(excinfo.value)
+        assert "Segment" in str(excinfo.value)
+
+    def test_rejected_write_clones_nothing(self, stubs):
+        msg = self._segment_message()
+        sibling = msg.copy()
+        with pytest.raises(StubError):
+            stubs.set_field(sibling, "end_seq", 5)
+        assert sibling.top_header is msg.top_header
+
+    def test_property_on_object_payload_refused(self, stubs):
+        msg = self._segment_message()
+        with pytest.raises(StubError, match="is_syn"):
+            stubs.set_field(Message(payload=msg.top_header), "is_syn", True)
+
+    def test_property_write_through_tclish_filter(self, harness):
+        # through the whole filter path the failure is still a StubError
+        from repro.core import TclishFilter
+        from repro.tcp.protocol import tcp_stubs
+        harness.pfi.stubs = tcp_stubs()
+        harness.pfi.set_send_filter(TclishFilter("msg_set_field end_seq 5"))
+        with pytest.raises(StubError, match="end_seq"):
+            harness.pfi.push(self._segment_message())
+
+
+class TestAliasedWrites:
+    """set_field writes a private clone; get_field never copies."""
+
+    def test_set_field_invisible_to_sibling(self, stubs):
+        msg = Message()
+        msg.push_header(ObjHeader(seq=1))
+        msg.push_header({"seq": 2, "ttl": 3})
+        sibling = msg.copy()
+        stubs.set_field(sibling, "ttl", 0)
+        stubs.set_field(sibling, "seq", 9)
+        assert stubs.get_field(msg, "ttl") == 3
+        assert stubs.get_field(msg, "seq") == 2
+        assert stubs.get_field(sibling, "ttl") == 0
+        assert stubs.get_field(sibling, "seq") == 9
+        # only the written header was cloned
+        assert sibling.find_header(ObjHeader) is msg.find_header(ObjHeader)
+
+    def test_get_field_keeps_headers_aliased(self, stubs):
+        msg = Message()
+        msg.push_header(ObjHeader(seq=1))
+        sibling = msg.copy()
+        assert stubs.get_field(sibling, "seq") == 1
+        assert sibling.top_header is msg.top_header
+
+
+class TestHasField:
+    def _context(self, msg, stubs):
+        from repro.core.context import ScriptContext
+        from repro.core.distributions import DistributionSet
+        from repro.core.sync import ScriptSync
+        return ScriptContext(msg=msg, direction="send", now=0.0, state={},
+                             peer_state={}, stubs=stubs,
+                             dist=DistributionSet(seed=0), sync=ScriptSync(),
+                             node="n", pfi=None)
+
+    def test_absent_field_is_false(self, stubs):
+        ctx = self._context(Message(), stubs)
+        assert ctx.has_field("ghost") is False
+
+    def test_present_field_is_true(self, stubs):
+        msg = Message()
+        msg.push_header({"seq": 1})
+        assert self._context(msg, stubs).has_field("seq") is True
+
+    def test_broken_header_property_propagates(self, stubs):
+        class Broken:
+            @property
+            def seq(self):
+                raise RuntimeError("bug in header property")
+
+        msg = Message()
+        msg.push_header(Broken())
+        with pytest.raises(RuntimeError, match="bug in header property"):
+            self._context(msg, stubs).has_field("seq")

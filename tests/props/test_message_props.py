@@ -1,0 +1,192 @@
+"""Model-based properties of the two-level copy-on-write ``Message``.
+
+A share group of up to five messages is driven through random
+interleavings of every operation that touches the header stack -- ``copy``,
+``push_header``, ``pop_header``, the read accessors, ``PacketStubs``
+field writes, mutation through the public ``headers`` list, a
+``copy.deepcopy`` of the whole group (what ``Checkpoint.capture/fork``
+does to a world) and a pickle round trip -- and compared after every step
+with a reference model that copies eagerly and deeply, so it cannot alias
+anything.  Two properties:
+
+- no write is ever visible to another member of the group;
+- a read never changes the ``is``-identity of any member's headers (reads
+  do not clone).
+"""
+
+import copy
+import dataclasses
+import pickle
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.stubs import PacketStubs, StubError
+from repro.gmp.reliable import RelHeader
+from repro.gmp.udp import UDPHeader
+from repro.tcp.ip import IPHeader
+from repro.tcp.segment import Segment
+from repro.xkernel.message import Message
+
+MAX_GROUP = 5
+
+HEADER_BUILDERS = (
+    lambda a, b: Segment(src_port=a, dst_port=b, seq=a * 7, ack=b, flags=a % 64,
+                         window=b, payload=b"x" * (a % 4)),
+    lambda a, b: IPHeader(src=a, dst=b),
+    lambda a, b: UDPHeader(src_port=a, dst_port=b),
+    lambda a, b: RelHeader(seq=a, is_ack=bool(b % 2)),
+    lambda a, b: {"seq": a, "ttl": b},
+)
+HEADER_TYPES = (Segment, IPHeader, UDPHeader, RelHeader, dict)
+
+#: fields ``set_field`` is aimed at: shared by several header types, owned
+#: by one, absent everywhere, and computed (a setter-less property)
+FIELDS = ("seq", "dst_port", "ttl", "src", "window", "ghost", "end_seq")
+
+small = st.integers(min_value=0, max_value=99)
+header_specs = st.tuples(st.integers(0, len(HEADER_BUILDERS) - 1), small, small)
+member = st.integers(min_value=0, max_value=MAX_GROUP - 1)
+
+operations = st.one_of(
+    st.tuples(st.just("copy"), member),
+    st.tuples(st.just("push"), member, header_specs),
+    st.tuples(st.just("pop"), member),
+    st.tuples(st.just("read"), member, st.integers(0, len(HEADER_TYPES) - 1)),
+    st.tuples(st.just("set_field"), member, st.sampled_from(FIELDS), small),
+    st.tuples(st.just("scribble"), member, small, small),
+    st.tuples(st.just("deepcopy_group")),
+    st.tuples(st.just("pickle"), member),
+)
+
+
+def _build(spec):
+    kind, a, b = spec
+    return HEADER_BUILDERS[kind](a, b)
+
+
+def _scribble(header, value):
+    """Overwrite something in a header obtained from ``msg.headers``."""
+    if isinstance(header, dict):
+        header["scribbled"] = value
+    else:
+        setattr(header, dataclasses.fields(header)[0].name, value)
+
+
+def _model_set_field(stack, name, value):
+    """``PacketStubs.set_field`` restated over a plain list (innermost first)."""
+    for header in reversed(stack):
+        if isinstance(header, dict):
+            if name in header:
+                header[name] = value
+                return
+        elif hasattr(header, name):
+            if isinstance(getattr(type(header), name, None), property):
+                raise StubError(name)
+            setattr(header, name, value)
+            return
+    raise StubError(name)
+
+
+def _view(msg):
+    return [repr(h) for h in msg.iter_headers()]
+
+
+def _identities(group):
+    return [[id(h) for h in msg.iter_headers()] for msg in group]
+
+
+def _check(group, model):
+    for msg, stack in zip(group, model):
+        assert _view(msg) == [repr(h) for h in reversed(stack)]
+
+
+@given(st.lists(header_specs, max_size=3), st.lists(operations, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_share_group_matches_eager_deep_copy_model(initial, ops):
+    first = Message(payload=b"")
+    stack = []
+    for spec in initial:
+        first.push_header(_build(spec))
+        stack.append(_build(spec))
+    group, model = [first], [stack]
+
+    for op in ops:
+        name = op[0]
+        index = op[1] % len(group) if len(op) > 1 else 0
+        msg, stack = group[index], model[index]
+        if name == "copy":
+            if len(group) < MAX_GROUP:
+                group.append(msg.copy())
+                model.append(copy.deepcopy(stack))
+        elif name == "push":
+            msg.push_header(_build(op[2]))
+            stack.append(_build(op[2]))
+        elif name == "pop":
+            if stack:
+                assert repr(msg.pop_header()) == repr(stack.pop())
+        elif name == "read":
+            before = _identities(group)
+            wanted = HEADER_TYPES[op[2]]
+            top = msg.top_header
+            assert repr(top) == (repr(stack[-1]) if stack else "None")
+            found = msg.find_header(wanted)
+            expected = next((h for h in reversed(stack)
+                             if isinstance(h, wanted)), None)
+            assert repr(found) == repr(expected)
+            for field in FIELDS:
+                try:
+                    PacketStubs.get_field(msg, field)
+                except StubError:
+                    pass
+            assert _identities(group) == before
+        elif name == "set_field":
+            outcomes = []
+            for target, args in ((PacketStubs.set_field, (msg, op[2], op[3])),
+                                 (_model_set_field, (stack, op[2], op[3]))):
+                try:
+                    target(*args)
+                    outcomes.append("ok")
+                except StubError:
+                    outcomes.append("refused")
+            assert outcomes[0] == outcomes[1]
+        elif name == "scribble":
+            headers = msg.headers
+            if headers:
+                position = op[2] % len(headers)
+                _scribble(headers[position], op[3])
+                _scribble(stack[position], op[3])
+        elif name == "deepcopy_group":
+            # one deepcopy over a container of siblings, as a checkpoint
+            # does to a world: the copies must diverge independently of
+            # each other (and the originals are simply dropped)
+            group = copy.deepcopy(group)
+        elif name == "pickle":
+            group[index] = pickle.loads(pickle.dumps(msg))
+        _check(group, model)
+
+    # the public list agrees with the model too, and is private
+    for msg, stack in zip(group, model):
+        assert [repr(h) for h in msg.headers] == [repr(h) for h in stack]
+    for a_index, a in enumerate(group):
+        for b in group[a_index + 1:]:
+            assert not {id(h) for h in a.headers} & {id(h) for h in b.headers}
+
+
+@given(st.lists(header_specs, min_size=1, max_size=3), small)
+@settings(max_examples=100, deadline=None)
+def test_deepcopied_world_forks_diverge(initial, value):
+    # a "world" with a pending original, a held duplicate and an in-flight
+    # wire copy; two forks of it must not see each other's writes
+    original = Message(payload=b"")
+    for spec in initial:
+        original.push_header(_build(spec))
+    world = {"pending": original, "held": original.copy(),
+             "wire": original.copy()}
+    fork_a, fork_b = copy.deepcopy(world), copy.deepcopy(world)
+    baseline = {key: _view(msg) for key, msg in world.items()}
+    _scribble(fork_a["wire"].writable_header(), value + 1000)
+    _scribble(fork_a["held"].headers[0], value + 2000)
+    for other in (world, fork_b):
+        assert {key: _view(msg) for key, msg in other.items()} == baseline
+    assert _view(fork_a["pending"]) == baseline["pending"]

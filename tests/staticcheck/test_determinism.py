@@ -237,6 +237,94 @@ class TestSC106IdInHash:
         assert report.ok(severity="info")
 
 
+class TestSC107ReadOnlyHeaders:
+    """Headers from the non-copying Message accessors may be aliased."""
+
+    @pytest.mark.parametrize("binding", [
+        "header = msg.pop_header()",
+        "header = msg.top_header",
+        "header = msg.find_header(Segment)",
+    ])
+    def test_attribute_write_through_each_accessor(self, binding):
+        report = check(f"""
+            def pop(self, msg):
+                {binding}
+                header.seq = 0
+        """)
+        assert codes(report) == ["SC107"]
+
+    def test_iteration_subscript_and_augmented_writes(self):
+        report = check("""
+            def scrub(msg):
+                for depth, header in enumerate(msg.iter_headers()):
+                    header["ttl"] = 0
+                    header.hops += 1
+        """)
+        assert codes(report) == ["SC107", "SC107"]
+
+    def test_setattr_and_direct_accessor_write(self):
+        report = check("""
+            def corrupt(msg, name):
+                seg = msg.top_header
+                setattr(seg, name, 0)
+                msg.top_header.window = 0
+        """)
+        assert codes(report) == ["SC107", "SC107"]
+
+    def test_message_names_the_header_and_the_fix(self):
+        report = check("""
+            def pop(self, msg):
+                seg = msg.pop_header()
+                seg.ack = 1
+        """)
+        d = report.sorted()[0]
+        assert d.line == 4
+        assert "'seg'" in d.message
+        assert "writable_header" in d.hint
+
+    def test_reads_and_sanctioned_writes_are_clean(self):
+        report = check("""
+            def pop(self, msg, stubs):
+                header = msg.top_header
+                if header.dst != self.local_address:
+                    return
+                seg = msg.pop_header()
+                self.seen = seg.seq
+                for depth, each in enumerate(msg.iter_headers()):
+                    if each.ttl == 0:
+                        msg.writable_header(depth).ttl = 64
+                msg.headers[0].ttl = 1
+                stubs.set_field(msg, "seq", 0)
+                reply = replace(seg, ack=seg.seq)
+                reply.window = 0
+        """)
+        assert report.ok(severity="info")
+
+    def test_rebinding_clears_the_mark(self):
+        report = check("""
+            def pop(self, msg):
+                header = msg.top_header
+                header = header.clone()
+                header.seq = 0
+        """)
+        assert report.ok(severity="info")
+
+    def test_package_is_clean(self):
+        # the rule is held over all of src/repro, not only the pass-2 dirs
+        import os
+        import repro
+        from repro.staticcheck.determinism import check_file
+        package = os.path.dirname(os.path.abspath(repro.__file__))
+        found = []
+        for root, _dirs, files in os.walk(package):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    found += [(path, d.line) for d in
+                              check_file(path, codes=("SC107",)).diagnostics]
+        assert found == []
+
+
 class TestSyntaxAndShape:
     def test_python_syntax_error_is_sl000(self):
         report = check("def broken(:\n    pass")

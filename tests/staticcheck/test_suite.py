@@ -30,6 +30,23 @@ class TestSuiteOverRealRepo:
         assert text.splitlines()[-1].startswith("repro check: clean")
 
 
+class TestHeaderRuleCoverage:
+    def test_sc107_held_outside_the_simulation_dirs(self, tmp_path):
+        # core/ is exempt from the wall-clock rules but not from SC107
+        core = tmp_path / "src" / "repro" / "core"
+        core.mkdir(parents=True)
+        (core / "layer.py").write_text(
+            "import time\n"
+            "def pop(msg):\n"
+            "    started = time.perf_counter()\n"
+            "    header = msg.pop_header()\n"
+            "    header.seq = 0\n"
+            "    return started\n")
+        result = run_suite(root=str(tmp_path), drift_enabled=False)
+        assert [d.code for _src, d in result.findings()] == ["SC107"]
+        assert result.exit_code() == 1
+
+
 class TestExitCodes:
     def test_clean_is_zero(self, capsys):
         assert main(["check"]) == 0

@@ -225,7 +225,7 @@ class TestReporting:
         # keep them in sync (SL0xx scriptlint, SC1xx determinism, SC2xx
         # trace-schema drift)
         expected = {f"SL{i:03d}" for i in range(14)}
-        expected |= {f"SC10{i}" for i in range(1, 7)}
+        expected |= {f"SC10{i}" for i in range(1, 8)}
         expected |= {f"SC20{i}" for i in range(1, 5)}
         assert set(CODES) == expected
 
