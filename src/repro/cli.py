@@ -677,15 +677,10 @@ def cmd_sweep(args) -> int:
 
     workers = args.workers if args.workers == "auto" else int(args.workers)
     try:
-        if args.backend == "sockets":
-            campaign.run(configs, workers=workers, telemetry=telemetry,
-                         oracle=oracle, group=group, backend="sockets",
-                         fabric_dir=fabric_dir,
-                         fabric_options=fabric_options or None)
-        else:
-            campaign.run(configs, workers=workers, telemetry=telemetry,
-                         oracle=oracle, group=group,
-                         fabric_dir=fabric_dir)
+        campaign.run(configs, workers=workers, telemetry=telemetry,
+                     oracle=oracle, group=group, backend=args.backend,
+                     fabric_dir=fabric_dir,
+                     fabric_options=fabric_options or None)
     except FabricError as exc:
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 3

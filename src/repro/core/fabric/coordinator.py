@@ -34,14 +34,14 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.fabric.protocol import (ProtocolError, recv_message,
                                         send_message)
 from repro.core.fabric.shards import LeaseBoard, partition_shards
 from repro.core.fabric.spec import SweepSpec
 from repro.core.fabric.store import ResultStore
-from repro.core.orchestrator import RunResult, _run_end_payload
+from repro.core.orchestrator import PREFIX_STATS, RunResult, ShardSink
 from repro.netsim import kinds as K
 from repro.obs.journal import Journal
 
@@ -83,6 +83,26 @@ def _worker_env() -> Dict[str, str]:
     return env
 
 
+def persist_spec(spec: SweepSpec, fabric_dir: Union[str, Path]) -> None:
+    """Pin ``fabric_dir`` to ``spec``: write ``spec.pkl`` on first use,
+    refuse (``spec_mismatch``) a directory that holds a different sweep.
+
+    Every backend calls this before touching the directory, so ``repro
+    sweep --resume`` finds a spec -- and the store never mixes two
+    sweeps' rows under one scorecard -- however the sweep was started.
+    """
+    spec_path = Path(fabric_dir) / "spec.pkl"
+    if not spec_path.exists():
+        spec.save(spec_path)
+        return
+    existing = SweepSpec.load(spec_path).digest()
+    if existing != spec.digest():
+        raise FabricError(
+            f"{fabric_dir} holds a different sweep (spec {existing}, "
+            f"ours {spec.digest()}); refusing to mix results",
+            status="spec_mismatch")
+
+
 class FabricCoordinator:
     """One sweep attempt over the sockets backend."""
 
@@ -111,23 +131,12 @@ class FabricCoordinator:
         self._worker_pids: Dict[str, int] = {}
         self._aborted = False
         self._port: Optional[int] = None
+        #: prefix-sharing counters summed from workers' ``done`` messages
+        self._prefix_stats: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # directory state
     # ------------------------------------------------------------------
-
-    def _persist_spec(self) -> None:
-        spec_path = self._dir / "spec.pkl"
-        if spec_path.exists():
-            existing = SweepSpec.load(spec_path)
-            if existing.digest() != self._spec.digest():
-                raise FabricError(
-                    f"{self._dir} holds a different sweep "
-                    f"(spec {existing.digest()}, ours "
-                    f"{self._spec.digest()}); refusing to mix results",
-                    status="spec_mismatch")
-        else:
-            self._spec.save(spec_path)
 
     def _write_state(self, status: str) -> None:
         board = self._board
@@ -187,6 +196,11 @@ class FabricCoordinator:
                 journal.record(K.CAMPAIGN_WORKER_ERROR, shard=shard_id,
                                worker=worker,
                                error=str(message["error"]))
+            for name in PREFIX_STATS:
+                if name in message:
+                    self._prefix_stats[name] = (
+                        self._prefix_stats.get(name, 0)
+                        + int(message[name]))
             if board is not None:
                 board.complete(worker, shard_id)
             self._write_state("running")
@@ -273,63 +287,54 @@ class FabricCoordinator:
     def run(self) -> List[RunResult]:
         """Execute (or resume) the sweep; returns results in input order."""
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._persist_spec()
+        persist_spec(self._spec, self._dir)
         spec = self._spec
+        total = len(spec.configs)
         store = ResultStore(self._dir / "store")
-        keys = spec.store_keys(store)
-        todo = store.missing(keys)
         journal = Journal(self._dir / "journals" / "coordinator.jsonl")
         self._journal = journal
-        failed: Optional[BaseException] = None
+        sink = ShardSink(spec, store, journal)
+        todo: List[int] = []
         status = "ok"
         findings: Optional[int] = None
-        todo_set = set(todo)
         try:
             journal.start(
                 "campaign", backend="sockets", seed=spec.seed,
-                configs=len(spec.configs), workers=self._workers,
+                configs=total, workers=self._workers,
                 telemetry=spec.telemetry, lint=spec.lint,
                 oracle=getattr(spec.oracle, "__qualname__", None),
-                body=spec.body_label(), resumed=len(todo) < len(spec.configs),
+                body=spec.body_label(),
                 **{k: v for k, v in spec.meta.items()
                    if k not in ("backend", "seed", "configs", "workers")})
-            # re-journal completed rows so this attempt's record (the
-            # last campaign.start segment) is a full flight on its own
-            for index, key in enumerate(keys):
-                if index in todo_set:
-                    continue
-                cached = store.get(key)
-                if cached is not None:
-                    journal.record(K.CAMPAIGN_RUN_END,
-                                   **_run_end_payload(index, cached,
-                                                      cached_hit=True))
+            # the plan re-journals completed rows, so this attempt's
+            # record (the last campaign.start segment) is a full flight
+            held, todo = sink.plan(range(total))
             if todo:
-                self._run_leased(spec, store, keys, todo, journal)
-            remaining = store.missing(keys)
+                self._run_leased(spec, todo, journal)
+            fresh, remaining = store.probe([sink.keys[i] for i in todo])
             if remaining:
-                status = "workers_lost"
                 raise FabricError(
                     f"all workers lost with {len(remaining)} of "
-                    f"{len(spec.configs)} configurations incomplete; "
+                    f"{total} configurations incomplete; "
                     f"resume with: repro sweep --resume {self._dir}",
                     status="workers_lost")
-            results = store.load_all(keys)
+            slots = dict(held)
+            slots.update(zip(todo, fresh))
+            results = [slots[index] for index in range(total)]
             findings = sum(1 for result in results if not result.ok())
             return results
         except BaseException as err:
-            failed = err
+            status = getattr(err, "status", "failed")
             raise
         finally:
-            if failed is not None and status == "ok":
-                status = getattr(failed, "status", "failed")
-            executed = len(todo) - len(store.missing(keys))
+            board = self._board
             payload: Dict[str, Any] = {
-                "status": status, "executed": executed,
-                "cached": len(spec.configs) - len(todo),
-                "stolen": (self._board.stolen
-                           if self._board is not None else 0),
-                "expired": (self._board.expired
-                            if self._board is not None else 0),
+                "status": status,
+                "executed": sum(1 for i in todo if store.has(sink.keys[i])),
+                "cached": total - len(todo),
+                "stolen": board.stolen if board is not None else 0,
+                "expired": board.expired if board is not None else 0,
+                **self._prefix_stats,
             }
             if findings is not None:
                 payload["findings"] = findings
@@ -337,14 +342,11 @@ class FabricCoordinator:
             journal.close()
             self._write_state(status)
 
-    def _run_leased(self, spec: SweepSpec, store: ResultStore,
-                    keys: List[str], todo: List[int],
+    def _run_leased(self, spec: SweepSpec, todo: List[int],
                     journal: Journal) -> None:
         """Shard the remainder, serve leases, wait for the board."""
-        exec_keys = spec.execution_prefix_keys()
         shards = partition_shards(
-            todo, exec_keys if exec_keys is not None
-            else [None] * len(spec.configs),
+            todo, spec.execution_prefix_keys(),
             workers=self._workers, shard_size=self._shard_size)
         self._board = LeaseBoard(shards, ttl=self._ttl)
         self._listener = socket.create_server((self._host, 0),
@@ -386,14 +388,3 @@ class FabricCoordinator:
                     if proc.poll() is None:
                         proc.kill()
                         proc.wait()
-
-
-def run_sockets(spec: SweepSpec, fabric_dir: Union[str, Path], *,
-                workers: int = 2, ttl: float = DEFAULT_TTL_S,
-                poll: float = DEFAULT_POLL_S, spawn: bool = True,
-                shard_size: Optional[int] = None) -> List[RunResult]:
-    """One sockets-backend sweep attempt (see :class:`FabricCoordinator`)."""
-    coordinator = FabricCoordinator(
-        spec, fabric_dir, workers=workers, ttl=ttl, poll=poll,
-        spawn=spawn, shard_size=shard_size)
-    return coordinator.run()

@@ -9,13 +9,13 @@ picklability rule as parallel :meth:`Campaign.run
 <repro.core.orchestrator.Campaign.run>` applies: body and oracle must be
 module-level callables.
 
-The spec also owns key derivation: :meth:`store_keys` reproduces the
-exact :meth:`RunCache.key <repro.core.orchestrator.RunCache.key>` the
-in-process campaign engine computes (including the static prefix digest
-for split bodies), which is what makes the fabric's
-:class:`~repro.core.fabric.store.ResultStore` interoperable with local
-``cache=`` sweeps -- a serial run that warmed a store resumes a fabric
-run incrementally, and vice versa.
+The spec also owns every derivation a sweep is planned from, on every
+backend -- ``Campaign.run`` builds one in memory even for a bare serial
+sweep: :meth:`store_keys` (the content address of each row, including
+the static prefix digest for split bodies), the prefix keys grouped
+execution runs on, and the :meth:`digest` a campaign directory is pinned
+to.  One derivation is what makes a store warmed by a serial run resume
+a fabric run incrementally, and vice versa.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.core.orchestrator import (PrefixedBody, RunCache, _hash_code,
+from repro.core.orchestrator import (PrefixedBody, ResultStore, _hash_code,
                                      _prefix_digest)
 
 
@@ -64,33 +64,32 @@ class SweepSpec:
         """Per-config prefix keys (all ``None`` for unsplit bodies).
 
         Derived regardless of :attr:`group` -- store keys mix the prefix
-        digest in whenever the body is split, exactly as the in-process
-        cache pre-pass does, so grouped and ungrouped runs share one
-        store address space.
+        digest in whenever the body is split, so grouped and ungrouped
+        runs share one store address space.
         """
         if not self.split:
             return [None] * len(self.configs)
         return [self.body.prefix_key(config) for config in self.configs]
 
-    def execution_prefix_keys(self) -> Optional[List[Optional[Any]]]:
-        """Prefix keys for grouped execution, or ``None`` to run cold."""
-        if not self.split or not self.group:
-            return None
-        keys = self.prefix_keys()
-        return keys if any(key is not None for key in keys) else None
+    def execution_prefix_keys(self) -> List[Optional[Any]]:
+        """The keys shards are partitioned on: :meth:`prefix_keys` under
+        :attr:`group`, all ``None`` (every row runs cold) otherwise."""
+        if not self.group:
+            return [None] * len(self.configs)
+        return self.prefix_keys()
 
-    def store_keys(self, store: RunCache) -> List[str]:
-        """The content address of every configuration's result."""
-        prefix_keys = self.prefix_keys()
-        keys = []
-        for index, config in enumerate(self.configs):
-            keys.append(store.key(
-                self.body, self.seed, config,
-                telemetry=self.telemetry, oracle=self.oracle,
-                checkpoint=(_prefix_digest(self.body, prefix_keys[index])
-                            if self.split and prefix_keys[index] is not None
-                            else None)))
-        return keys
+    def store_keys(self, store: ResultStore) -> List[str]:
+        """The content address of every configuration's result.
+
+        Split bodies mix the static prefix digest in, so a stored row
+        never needs a capture to be found, yet a changed prefix function
+        or key can never alias a stale result.
+        """
+        return [store.key(self.body, self.seed, config,
+                          telemetry=self.telemetry, oracle=self.oracle,
+                          checkpoint=(None if key is None
+                                      else _prefix_digest(self.body, key)))
+                for config, key in zip(self.configs, self.prefix_keys())]
 
     def body_label(self) -> str:
         return getattr(self.body, "__qualname__", repr(self.body))
@@ -99,7 +98,7 @@ class SweepSpec:
         """Content identity of this spec (collision => same sweep).
 
         Hashes canonical components -- body/oracle code the way
-        :meth:`RunCache.key <repro.core.orchestrator.RunCache.key>`
+        :meth:`ResultStore.key <repro.core.orchestrator.ResultStore.key>`
         does, plus seed, options and config contents -- rather than the
         spec's pickle bytes, whose memoization layout depends on string
         object identity and therefore differs between a freshly built
@@ -129,19 +128,16 @@ class SweepSpec:
     # persistence
     # ------------------------------------------------------------------
 
-    def _dumps(self) -> bytes:
+    def save(self, path: Union[str, Path]) -> Path:
+        """Atomically write the spec; safe against a concurrent reader."""
         try:
-            return pickle.dumps(self)
+            blob = pickle.dumps(self)
         except Exception as err:
             raise SpecError(
                 f"sweep spec is not picklable (body and oracle must be "
                 f"module-level): {err}") from err
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Atomically write the spec; safe against a concurrent reader."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = self._dumps()
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_bytes(blob)
         os.replace(tmp, path)

@@ -1,80 +1,11 @@
-"""The shared result store: ``RunCache`` promoted to a fabric-wide sink.
+"""The fabric's shared result store.
 
-A :class:`ResultStore` is a :class:`~repro.core.orchestrator.RunCache`
-directory that many processes -- fabric workers, the coordinator, and
-plain in-process ``Campaign.run(cache=...)`` sweeps -- read and write
-concurrently.  Content addressing does the heavy lifting: a key fully
-determines its value (the body's bytecode, seed, config and options are
-all hashed in), so two workers racing to store the same key write
-byte-identical pickles and either winner is correct.  The store only has
-to make each write atomic and collision-free, which it does with
-per-writer temp names and ``os.replace``.
-
-Resume semantics fall out for free: a completed row exists under its
-key, an incomplete one does not.  The coordinator derives a sweep's
-remaining work by probing :meth:`has` for every configuration -- no
-progress ledger to keep consistent, no way for a SIGKILL to leave the
-store claiming work it does not hold.
+The class lives in :mod:`repro.core.orchestrator` -- there is one store,
+used alike by ``Campaign.run(cache=...)`` sweeps, in-process
+``fabric_dir`` sweeps, fabric workers and the coordinator -- and is
+re-exported here under the path fabric code has always imported it from.
 """
 
-from __future__ import annotations
+from repro.core.orchestrator import ResultStore
 
-import itertools
-import os
-import pickle
-from pathlib import Path
-from typing import List, Union
-
-from repro.core.orchestrator import RunCache, RunResult
-
-
-class ResultStore(RunCache):
-    """A multi-writer, crash-safe, content-addressed result directory."""
-
-    def __init__(self, root: Union[str, Path]):
-        super().__init__(root)
-        # distinct temp names per writer *and* per write: concurrent
-        # workers (and a worker respawned with a recycled pid) can never
-        # clobber each other's in-flight temp file
-        self._tmp_seq = itertools.count()
-
-    def has(self, key: str) -> bool:
-        """True when a completed result exists (no hit/miss accounting)."""
-        return self._path(key).exists()
-
-    def put(self, key: str, result: RunResult) -> bool:
-        """Store one result; atomic and safe against concurrent writers."""
-        try:
-            blob = pickle.dumps(result)
-        except Exception:
-            return False
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{next(self._tmp_seq)}.tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-        return True
-
-    def missing(self, keys: List[str]) -> List[int]:
-        """Indices of ``keys`` with no stored result (the sweep's todo)."""
-        return [index for index, key in enumerate(keys)
-                if not self.has(key)]
-
-    def load_all(self, keys: List[str]) -> List[RunResult]:
-        """Every key's result, in order; raises if any is missing.
-
-        The coordinator calls this only after the lease board reports
-        every shard done, so a miss here means a worker acknowledged a
-        shard without having persisted all its rows -- corruption worth
-        failing loudly on, not papering over.
-        """
-        results = []
-        for index, key in enumerate(keys):
-            result = self.get(key)
-            if result is None:
-                raise RuntimeError(
-                    f"result store {self.root} is missing row {index} "
-                    f"(key {key[:12]}...) after all shards completed")
-            results.append(result)
-        return results
+__all__ = ["ResultStore"]

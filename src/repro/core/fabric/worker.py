@@ -2,11 +2,14 @@
 
 ``python -m repro.core.fabric.worker --connect HOST:PORT --dir DIR
 --worker NAME`` connects to a coordinator, loads the sweep spec from the
-campaign directory, and loops: request a lease, execute the granted
-shard one configuration at a time, ``put`` each result into the shared
-:class:`~repro.core.fabric.store.ResultStore` *before* journaling its
-``run_end`` and heartbeating -- so a SIGKILL at any byte offset loses at
-most the configuration in flight, never a row the journal claims done.
+campaign directory, and loops: request a lease, run the granted shard
+through the orchestrator's :func:`~repro.core.orchestrator.execute_shard`
+and publish each row through a
+:class:`~repro.core.orchestrator.ShardSink` -- ``put`` into the shared
+store *before* journaling ``run_end`` -- then heartbeat.  A SIGKILL at
+any byte offset loses at most the configuration in flight, never a row
+the journal claims done.  The worker is that pipeline's sockets
+transport and adds exactly one step of its own: the heartbeat.
 
 Each lease gets its own journal file
 (``journals/shard-NNNN-tryA-WORKER.jsonl``): per-shard journals never
@@ -29,15 +32,13 @@ import socket
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.fabric.protocol import (ProtocolError, recv_message,
                                         request, send_message)
 from repro.core.fabric.spec import SweepSpec
 from repro.core.fabric.store import ResultStore
-from repro.core.orchestrator import (_capture_payload, _capture_prefix,
-                                     _config_label, _execute_config,
-                                     _execute_forked, _run_end_payload)
+from repro.core.orchestrator import ShardSink, execute_shard
 from repro.netsim import kinds as K
 from repro.obs.journal import Journal
 
@@ -74,92 +75,6 @@ class _LeaseLost(Exception):
     """The coordinator declined our heartbeat: the shard was stolen."""
 
 
-def _execute_shard(spec: SweepSpec, store: ResultStore,
-                   store_keys: List[str],
-                   prefix_keys: Optional[List[Optional[Any]]],
-                   indices: List[int], journal: Journal,
-                   sock: socket.socket, shard: int) -> Tuple[int, int]:
-    """Run one leased shard config by config; returns (executed, cached).
-
-    Mirrors the orchestrator's grouped chunk executor
-    (:func:`repro.core.orchestrator._execute_chunk`) but persists and
-    journals after *every* configuration instead of after the chunk:
-    crash granularity is one config, and each completed row heartbeats
-    the lease so slow shards do not expire under a live worker.
-    """
-    from repro.core.checkpoint import CheckpointError
-    executed = cached = 0
-    checkpoint = None
-    current_key: Optional[Any] = None
-    for position, index in enumerate(indices):
-        config = spec.configs[index]
-        if store.has(store_keys[index]):
-            # another attempt (or a concurrent local run) already
-            # published this row; count it and keep the lease warm
-            cached += 1
-            result = store.get(store_keys[index])
-            if result is not None:
-                journal.record(K.CAMPAIGN_RUN_END,
-                               **_run_end_payload(index, result,
-                                                  cached_hit=True))
-            _heartbeat(sock, shard)
-            continue
-        key = prefix_keys[index] if prefix_keys is not None else None
-        journal.record(K.CAMPAIGN_RUN_START, index=index,
-                       label=_config_label(config))
-        try:
-            forked = False
-            if key is None:
-                checkpoint, current_key = None, None
-                result = _execute_config(
-                    spec.body, spec.seed, config,
-                    telemetry=spec.telemetry, oracle=spec.oracle)
-            else:
-                if key != current_key:
-                    current_key = key
-                    checkpoint = None
-                    group_size = sum(
-                        1 for i in indices[position:]
-                        if prefix_keys[i] == key
-                        and not store.has(store_keys[i]))
-                    if group_size > 1:
-                        try:
-                            checkpoint = _capture_prefix(spec.body,
-                                                         config, key)
-                        except CheckpointError:
-                            checkpoint = None
-                        else:
-                            journal.record(
-                                K.CAMPAIGN_CHECKPOINT_CAPTURE,
-                                **_capture_payload(key, checkpoint,
-                                                   group_size))
-                if checkpoint is not None:
-                    try:
-                        result = _execute_forked(
-                            spec.body, spec.seed, config, checkpoint,
-                            telemetry=spec.telemetry, oracle=spec.oracle)
-                        forked = True
-                    except CheckpointError:
-                        checkpoint = None
-                if not forked:
-                    result = _execute_config(
-                        spec.body, spec.seed, config,
-                        telemetry=spec.telemetry, oracle=spec.oracle)
-        except _LeaseLost:
-            raise
-        except Exception as err:
-            journal.record(K.CAMPAIGN_WORKER_ERROR, index=index,
-                           error=repr(err))
-            raise
-        store.put(store_keys[index], result)
-        journal.record(K.CAMPAIGN_RUN_END,
-                       **_run_end_payload(index, result, prefix=key,
-                                          forked=forked))
-        executed += 1
-        _heartbeat(sock, shard)
-    return executed, cached
-
-
 def _heartbeat(sock: socket.socket, shard: int) -> None:
     reply = request(sock, {"type": "heartbeat", "shard": shard})
     if not reply.get("ok", False):
@@ -173,7 +88,6 @@ def run_worker(endpoint: Tuple[str, int], fabric_dir: Path,
     spec = SweepSpec.load(fabric_dir / "spec.pkl")
     store = ResultStore(fabric_dir / "store")
     store_keys = spec.store_keys(store)
-    prefix_keys = spec.execution_prefix_keys()
     try:
         sock = _connect(endpoint)
     except ConnectionError as err:
@@ -205,11 +119,16 @@ def run_worker(endpoint: Tuple[str, int], fabric_dir: Path,
             attempt = int(reply.get("attempt", 1))
             journal = Journal(_shard_journal_path(fabric_dir, shard,
                                                   attempt, worker))
+            sink = ShardSink(spec, store, journal, keys=store_keys)
             try:
                 try:
-                    executed, cached = _execute_shard(
-                        spec, store, store_keys, prefix_keys, indices,
-                        journal, sock, shard)
+                    # rows another attempt (or a concurrent local run)
+                    # already published are journaled as cached, not
+                    # re-run; every fresh row renews the lease, so a
+                    # slow shard does not expire under a live worker
+                    _held, todo = sink.plan(indices)
+                    for _row in sink.drain(execute_shard(spec, todo)):
+                        _heartbeat(sock, shard)
                 except _LeaseLost:
                     journal.record(K.CAMPAIGN_WORKER_ERROR, shard=shard,
                                    worker=worker, reason="lease_lost")
@@ -222,7 +141,8 @@ def run_worker(endpoint: Tuple[str, int], fabric_dir: Path,
             finally:
                 journal.close()
             request(sock, {"type": "done", "shard": shard,
-                           "executed": executed, "cached": cached})
+                           "executed": sink.executed,
+                           "cached": sink.cached, **sink.prefix_stats()})
     except (ProtocolError, OSError) as err:
         # the coordinator vanished (SIGKILL, abort); exit distinctly so
         # the chaos rig can tell orphaning from worker bugs

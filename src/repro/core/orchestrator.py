@@ -10,30 +10,58 @@ protocol machinery, install filter scripts, run, query the trace.
 results, which is how each paper table with one row per vendor is
 produced.
 
-Sweep-scale layout: parallel campaigns dispatch *chunks* of configurations
-to a persistent :class:`~concurrent.futures.ProcessPoolExecutor` (one pool
-per process, grown on demand, torn down at interpreter exit), so a
-thousand-point sweep pays worker startup once and pickles one task per
-chunk instead of one per configuration.  ``workers="auto"`` sizes the pool
-from ``os.cpu_count()`` and falls back to serial execution when the sweep
-is too small to amortize the pool.  An optional :class:`RunCache` keyed on
-the body's code, the campaign seed, and the configuration makes repeated
-sweeps (bench reruns, notebook iterations) skip already-computed points.
+Every sweep, on every backend, is the same three steps:
+
+**plan** -- ``Campaign.run`` folds its arguments into one
+:class:`~repro.core.fabric.spec.SweepSpec` (in memory; pickled only when
+a ``fabric_dir`` is given), which derives what the sweep is addressed by:
+store keys, prefix keys, digest.  A store probe (:meth:`ShardSink.plan`)
+splits the configurations into rows already held and the *todo*.
+
+**execute** -- :func:`execute_shard` is the only loop that runs
+configurations: group a shard's indices by prefix key, capture a group's
+warm prefix once when two or more members need it, fork it per member,
+fall back cold on ``CheckpointError`` -- on top of :func:`run_one`, the
+only place a run seed is derived.  It yields events and knows nothing of
+stores, journals or sockets.
+
+**sink** -- :class:`ShardSink` publishes each row in crash-safe order,
+``store.put`` -> journal ``run_end`` -> tally, so a row the journal claims
+is a row the store holds and prefix-sharing statistics mean one thing.
+
+A *transport* only decides where :func:`execute_shard` runs and what it
+adds per published row.  In-process (serial is "one shard, here"): result
+slot and progress line.  Process pool: :func:`_prefix_chunks` cuts the
+todo into chunks, workers return their events, the parent drains them
+through the same sink.  Sockets fabric (:mod:`repro.core.fabric`):
+:func:`~repro.core.fabric.shards.partition_shards` cuts it into leases,
+each worker sinks into the shared store and its own shard journal and
+heartbeats after every row.  The two partitioners stay apart on purpose:
+a pool chunk may split a group that exceeds a worker's fair share (one
+duplicate capture beats an idle core), a lease never does (it is the unit
+of stealing and of the fabric's one-capture-per-attempt contract).
+
+The pool is persistent (one per process, grown on demand, torn down at
+interpreter exit), so a large sweep pays worker startup once and pickles
+one task per chunk; ``workers="auto"`` sizes it from ``os.cpu_count()``
+and stays serial when the sweep is too small to amortize it.
 """
 
 from __future__ import annotations
 
 import atexit
 import hashlib
+import itertools
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field as dataclass_field
+from contextlib import closing, nullcontext
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 from time import perf_counter
 from types import CodeType
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.core.distributions import DistributionSet, derive_seed
 from repro.core.sync import ScriptSync
@@ -57,6 +85,12 @@ _INIT_KEYS = {"script": "init_script", "tclish": "tclish_init",
 #: sweeps smaller than this run serially even under ``workers="auto"``;
 #: pool startup + pickling dominates below it
 _AUTO_SERIAL_THRESHOLD = 4
+
+#: transports ``Campaign.run(backend=...)`` can execute a sweep on
+BACKENDS = ("local", "sockets")
+
+#: the prefix-sharing counters of a ``campaign.end`` payload
+PREFIX_STATS = ("prefix_captures", "prefix_forks", "prefix_fallbacks")
 
 #: chunks submitted per worker slot -- small enough to amortize dispatch,
 #: large enough that one slow chunk cannot serialize the whole sweep
@@ -173,32 +207,44 @@ def _hash_code(digest, code) -> None:
             digest.update(repr(const).encode())
 
 
-class RunCache:
-    """Content-addressed store of pickled :class:`RunResult` objects.
+class ResultStore:
+    """Content-addressed, multi-writer store of pickled :class:`RunResult`.
 
-    The cache key hashes everything that determines a configuration's
-    outcome: the body's module, qualname and compiled bytecode, the
-    campaign seed, the configuration contents, and the telemetry flag.
-    Editing the body function, changing the seed, or touching the config
-    therefore all miss naturally -- no explicit invalidation step exists or
-    is needed; stale entries are simply never addressed again (delete the
-    cache directory to reclaim the space).
+    One directory that fabric workers, the coordinator and in-process
+    ``Campaign.run(cache=...)`` sweeps read and write concurrently
+    (``RunCache`` is the same class under its older name).  The key
+    hashes everything that determines a configuration's outcome: the
+    body's module, qualname and compiled bytecode, the campaign seed,
+    the configuration contents, and the telemetry flag.  Editing the
+    body, changing the seed, or touching the config therefore all miss
+    naturally -- there is no invalidation step; stale entries are simply
+    never addressed again (delete the directory to reclaim the space).
 
-    Configurations whose values cannot be pickled deterministically fall
-    back to ``repr``; a value whose repr embeds an object id (the default
-    ``<Foo object at 0x...>`` form) yields a fresh key every process, which
-    degrades to a guaranteed miss -- never to a wrong hit.
+    Because a key fully determines its value, two writers racing on one
+    key write byte-identical pickles and either winner is correct;
+    :meth:`put` only has to make each write atomic and collision-free
+    (per-writer temp names, ``os.replace``).  Resume falls out for free:
+    a completed row loads under its key, and anything else -- absent,
+    truncated, corrupt, foreign -- is a counted miss that is re-executed
+    and overwritten.  :meth:`probe` is both the resume ledger and the
+    loader, so "is it done?" and "give it to me" cannot disagree.
 
-    The cache is opt-in (``Campaign.run(..., cache=RunCache(path))``)
-    because a cached sweep skips the body entirely: wall-time telemetry of
-    a hit reflects the original run, and side effects the body may have
-    (prints, file output) do not reoccur.
+    Configuration values that cannot be pickled deterministically fall
+    back to ``repr``; a repr that embeds an object id yields a fresh key
+    every process -- a guaranteed miss, never a wrong hit.  The store is
+    opt-in (``cache=`` or a ``fabric_dir``) because a stored row skips
+    the body entirely: a hit's wall-time telemetry is the original
+    run's, and the body's side effects (prints, files) do not reoccur.
     """
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
+        # distinct temp names per writer *and* per write: concurrent
+        # workers (and a worker respawned with a recycled pid) can never
+        # clobber each other's in-flight temp file
+        self._tmp_seq = itertools.count()
 
     def key(self, body: Callable, seed: int, config: Dict[str, Any], *,
             telemetry: bool, oracle: Optional[Callable] = None,
@@ -239,29 +285,61 @@ class RunCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
+    def has(self, key: str) -> bool:
+        """True when an entry file exists (unvalidated, no accounting)."""
+        return self._path(key).exists()
+
     def get(self, key: str) -> Optional[RunResult]:
-        path = self._path(key)
+        """The stored result, or ``None`` -- a counted miss -- for anything
+        that does not unpickle to a :class:`RunResult`."""
         try:
-            with open(path, "rb") as fh:
+            with open(self._path(key), "rb") as fh:
                 result = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except Exception:
+            result = None
+        if not isinstance(result, RunResult):
             self.misses += 1
             return None
         self.hits += 1
         return result
 
     def put(self, key: str, result: RunResult) -> bool:
-        """Store one result; returns False if it is not picklable."""
+        """Store one result atomically; False if it is not picklable."""
         try:
             blob = pickle.dumps(result)
         except Exception:
             return False
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{next(self._tmp_seq)}.tmp")
         tmp.write_bytes(blob)
         os.replace(tmp, path)
         return True
+
+    def probe(self, keys: Sequence[str]
+              ) -> Tuple[List[Optional[RunResult]], List[int]]:
+        """Load every key once: ``(results-or-None, indices of the Nones)``."""
+        slots = [self.get(key) for key in keys]
+        return slots, [index for index, result in enumerate(slots)
+                       if result is None]
+
+    def missing(self, keys: Sequence[str]) -> List[int]:
+        """Indices of ``keys`` with no loadable result (the sweep's todo)."""
+        return self.probe(keys)[1]
+
+    def load_all(self, keys: Sequence[str]) -> List[RunResult]:
+        """Every key's result, in order; raises if any is missing."""
+        slots, todo = self.probe(keys)
+        if todo:
+            raise RuntimeError(
+                f"result store {self.root} is missing row {todo[0]} "
+                f"(key {keys[todo[0]][:12]}...)")
+        return slots
+
+
+#: the store's pre-fabric name, kept for ``cache=RunCache(path)`` callers
+RunCache = ResultStore
 
 
 class CampaignScriptError(ValueError):
@@ -339,19 +417,6 @@ def _shutdown_pool() -> None:
 
 
 atexit.register(_shutdown_pool)
-
-
-def _chunk_ranges(total: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous ``(start, stop)`` chunks covering ``range(total)``.
-
-    Aims for :data:`_CHUNKS_PER_WORKER` chunks per worker slot so uneven
-    per-config workloads still load-balance, while never creating more
-    chunks than configs.
-    """
-    target = min(total, workers * _CHUNKS_PER_WORKER)
-    size = -(-total // target)  # ceil division
-    return [(start, min(start + size, total))
-            for start in range(0, total, size)]
 
 
 #: roots key a non-dict prefix state travels under through a checkpoint
@@ -435,14 +500,15 @@ def _prefix_digest(body: PrefixedBody, key: Any) -> str:
     return digest.hexdigest()[:16]
 
 
-def _prefix_groups(todo: List[int], keys: List[Optional[Any]]
+def _prefix_groups(todo: Iterable[int], keys: Sequence[Optional[Any]]
                    ) -> List[Tuple[Optional[Any], List[int]]]:
     """Group sweep indices by prefix key, in first-appearance order.
 
     ``None``-keyed configurations stay singleton groups (they always run
     cold); every other key collects all its indices into one group even
     when they are scattered through the input, which is what lets one
-    capture serve the whole group.
+    capture serve the whole group.  ``keys`` lists the prefix key of
+    every configuration of the sweep, by index.
     """
     groups: List[Tuple[Optional[Any], List[int]]] = []
     by_key: Dict[Any, List[int]] = {}
@@ -461,16 +527,18 @@ def _prefix_groups(todo: List[int], keys: List[Optional[Any]]
 
 def _prefix_chunks(todo: List[int], keys: List[Optional[Any]],
                    workers: int) -> List[List[int]]:
-    """Worker chunks that keep prefix groups whole.
+    """Pool-worker chunks that keep prefix groups whole.
 
-    Contiguous chunking (:func:`_chunk_ranges`) can land one group's
+    Cutting the todo into equal contiguous slices can land one group's
     configurations in two workers' chunks, paying the prefix capture
     twice.  This packs whole groups into chunks instead, under two
     budgets: small groups pack up to the fine-grained load-balancing
     size (:data:`_CHUNKS_PER_WORKER` chunks per worker), but a group is
     only *split* -- duplicating its capture -- when it alone exceeds a
-    worker's fair share of the sweep.  Result assembly stays input-
-    ordered regardless, because results land in slots by global index.
+    worker's fair share of the sweep.  An unsplit body's keys are all
+    ``None`` (singleton groups), for which this degenerates to exactly
+    those equal contiguous slices.  Result assembly stays input-ordered
+    regardless, because results land in slots by global index.
     """
     groups = _prefix_groups(todo, keys)
     target = min(len(todo), workers * _CHUNKS_PER_WORKER)
@@ -495,535 +563,160 @@ def _prefix_chunks(todo: List[int], keys: List[Optional[Any]],
     return chunks
 
 
-class Campaign:
-    """Run an experiment body across a sweep of configurations.
+# ----------------------------------------------------------------------
+# execute: one configuration, one shard
+# ----------------------------------------------------------------------
 
-    The body receives a fresh :class:`ExperimentEnv` plus the configuration
-    dict and returns any result object.  Determinism note: each
-    configuration derives its own seed from the campaign seed and the
-    configuration repr, so adding a configuration does not perturb others.
+def _oracle_violations(trace: TraceRecorder,
+                       oracle: Optional[Callable]) -> Optional[List[Any]]:
+    """Evaluate a fresh pack from ``oracle`` over ``trace`` (None: skip)."""
+    if oracle is None:
+        return None
+    from repro.oracle import evaluate
+    return evaluate(trace, oracle()).violations
 
-    Because every configuration is an independent seeded simulation, the
-    sweep is embarrassingly parallel: ``run(configs, workers=N)`` fans the
-    configurations out over ``N`` worker processes (``workers="auto"``
-    sizes the pool from the machine).  Serial and parallel execution share
-    :func:`_execute_config`, so parallel results are identical to serial
-    ones and are returned in input order.  Requirements for parallel runs:
-    the body must be a module-level (picklable) callable, and its result
-    values must be picklable too.  Each worker builds its own
-    :class:`ExperimentEnv` -- in particular each process gets its own
-    ``ScriptSync``, so cross-configuration coordination is impossible by
-    construction (it would break determinism anyway).
+
+def run_one(body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
+            seed: int, config: Dict[str, Any],
+            checkpoint: Optional[Any] = None, *, telemetry: bool = True,
+            oracle: Optional[Callable] = None) -> RunResult:
+    """Run one configuration, cold or as a fork of its prefix checkpoint.
+
+    The run seed derives from the campaign seed and the configuration
+    repr -- here and nowhere else -- so adding a configuration never
+    perturbs another, and a forked run (``checkpoint`` given, ``body`` a
+    :class:`PrefixedBody`: the fork is re-seeded to that same run seed
+    and only the continuation executes) is byte-identical to the cold
+    one.  Telemetry's event and trace counts carry the prefix's share
+    too (the forked scheduler and recorder resume from the captured
+    counters, matching a cold run's totals); only ``wall_s`` reflects
+    the saved simulation.  Raises ``CheckpointError`` when the
+    checkpoint cannot be re-seeded -- callers fall back cold.
     """
+    run_seed = derive_seed(seed, repr(sorted(config.items())))
+    if checkpoint is None:
+        env = make_env(seed=run_seed)
+        start = perf_counter()
+        result = body(env, dict(config))
+    else:
+        forked = checkpoint.fork(seed=run_seed)
+        env = forked.env
+        state = (forked.roots[_STATE_ROOT]
+                 if set(forked.roots) == {_STATE_ROOT} else forked.roots)
+        start = perf_counter()
+        result = body.continuation(env, state, dict(config))
+    wall_s = perf_counter() - start
+    return RunResult(
+        config=dict(config), result=result, trace=env.trace,
+        telemetry=RunTelemetry(
+            wall_s=wall_s, events=env.scheduler.dispatched_count,
+            virtual_s=env.scheduler.now, trace_entries=len(env.trace))
+        if telemetry else None,
+        violations=_oracle_violations(env.trace, oracle))
 
-    def __init__(self, body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
-                 *, seed: int = 0, lint: str = "error"):
-        if lint not in ("error", "off"):
-            raise ValueError(f'Campaign lint mode must be "error" or '
-                             f'"off", got {lint!r}')
-        self._body = body
-        self._seed = seed
-        self._lint = lint
 
-    def validate_scripts(self, configs: Iterable[Dict[str, Any]]):
-        """Lint every tclish script found in the configs.
+def _capture_prefix(body: PrefixedBody, config: Dict[str, Any],
+                    key: Any) -> Any:
+    """Simulate one group's warm prefix and capture it as a checkpoint.
 
-        Returns the list of failing
-        :class:`~repro.core.tclish.lint.LintReport` objects (empty when
-        everything is clean).  ``run`` calls this before starting any
-        worker and raises :class:`CampaignScriptError` with *all*
-        diagnostics, so one campaign launch surfaces every broken config
-        at once instead of failing minutes in on the first.
-        """
-        from repro.core.tclish.lint import lint_source
-        failing = []
-        for index, config in enumerate(configs):
-            for label, source, init in _config_scripts(config, index):
-                report = lint_source(source, init_script=init,
-                                     source_name=label)
-                if not report.ok():
-                    failing.append(report)
-        return failing
+    The capture env is built at seed 0; forks re-seed to each member's
+    run seed, which the checkpoint layer only permits for zero-draw
+    prefixes (the grouping contract).  Raises ``CheckpointError`` when
+    the world cannot be captured soundly -- callers fall back cold.
+    """
+    from repro.core.checkpoint import Checkpoint
+    env = make_env(seed=0)
+    state = body.prefix(env, dict(config))
+    roots = state if isinstance(state, dict) else {_STATE_ROOT: state}
+    return Checkpoint.capture(env, roots, label=f"campaign/{key}")
 
-    def precheck_body(self):
-        """Statically vet the campaign body for determinism hazards.
 
-        Runs the SC1xx pass (:func:`repro.staticcheck.precheck_body`)
-        over the functions reachable from the body in its own module --
-        closures scheduled as callbacks, wall-clock time, unseeded
-        randomness -- and returns the failing
-        :class:`~repro.core.tclish.lint.LintReport` objects (empty when
-        clean, and for bodies whose source cannot be retrieved).
-        ``run`` calls this alongside :meth:`validate_scripts` so a
-        body that would poison determinism or checkpoint capture is
-        refused before any worker starts.  A :class:`PrefixedBody` is
-        vetted part by part (prefix and continuation), since the
-        wrapper instance itself carries no retrievable source.
-        """
-        from repro.staticcheck import precheck_body
-        parts = (self._body.cache_parts()
-                 if isinstance(self._body, PrefixedBody) else (self._body,))
-        failing = []
-        for part in parts:
-            report = precheck_body(part)
-            if not report.ok():
-                failing.append(report)
-        return failing
+class ShardStart(NamedTuple):
+    """:func:`execute_shard` is about to run configuration ``index``."""
+    index: int
 
-    def _resolve_workers(self, workers: Union[int, str], jobs: int) -> int:
-        if workers == "auto":
-            cpus = os.cpu_count() or 1
-            if cpus < 2 or jobs < _AUTO_SERIAL_THRESHOLD:
-                return 1
-            return min(cpus, jobs)
-        if not isinstance(workers, int):
-            raise ValueError(f'workers must be an int or "auto", '
-                             f"got {workers!r}")
-        return workers
 
-    def run(self, configs: Iterable[Dict[str, Any]], *,
-            workers: Union[int, str] = 1, telemetry: bool = True,
-            scorecard: bool = False,
-            cache: Optional[RunCache] = None,
-            oracle: Optional[Callable[[], List[Any]]] = None,
-            journal: Union[None, str, Path, Journal] = None,
-            progress: Optional[Callable[[str], None]] = None,
-            group: bool = True,
-            prefix_pool: Optional[Any] = None,
-            backend: str = "local",
-            fabric_dir: Union[None, str, Path] = None,
-            fabric_options: Optional[Dict[str, Any]] = None
-            ) -> List[RunResult]:
-        """Execute the body once per configuration.
+class ShardCapture(NamedTuple):
+    """A prefix group was captured (``campaign.checkpoint_capture``)."""
+    payload: Dict[str, Any]
 
-        With ``workers > 1`` the configurations run chunked over a
-        persistent process pool; results are byte-identical to serial
-        execution and come back in input order.  ``workers="auto"`` picks
-        ``os.cpu_count()`` workers, staying serial on single-CPU machines
-        and for sweeps too small to amortize the pool.  The default stays
-        serial so existing sweeps are untouched.  Configs carrying tclish
-        scripts (see :data:`SCRIPT_KEYS`) are statically analyzed first;
-        any error-level diagnostic aborts the whole campaign before any
-        worker runs (``Campaign(..., lint="off")`` skips this).
 
-        ``telemetry`` (default on) records per-configuration wall time,
-        dispatched-event count, final virtual time and trace volume onto
-        ``RunResult.telemetry``; ``telemetry=False`` restores the bare
-        execution path.  ``scorecard=True`` additionally prints the
-        campaign scorecard (:func:`repro.obs.telemetry.render_scorecard`)
-        after the sweep completes.
+class ShardRow(NamedTuple):
+    """One completed configuration: its prefix key (``None`` when it is
+    not grouped) and whether a fork of the captured prefix served it."""
+    index: int
+    result: RunResult
+    prefix: Optional[Any]
+    forked: bool
 
-        ``cache`` (a :class:`RunCache`, default off) returns stored
-        results for configurations this body+seed has already computed
-        and stores fresh ones; see the class docstring for the
-        invalidation rules.
 
-        ``oracle`` (default off) is an invariant-pack factory -- a
-        zero-argument callable returning fresh
-        :class:`~repro.oracle.Invariant` instances, e.g.
-        :func:`repro.oracle.tcp_pack`.  When given, every configuration's
-        trace is evaluated against a fresh pack *in the worker that ran
-        it* (the trace is already hot there), and the resulting violation
-        list lands on ``RunResult.violations``.  Parallel runs need the
-        factory picklable, i.e. module-level -- the same rule as the body.
+def execute_shard(spec: Any, indices: Iterable[int],
+                  pool: Optional[Any] = None
+                  ) -> Iterator[Union[ShardStart, ShardCapture, ShardRow]]:
+    """Run ``spec.configs[i]`` for every ``i`` in ``indices``; yield events.
 
-        ``journal`` (default off) attaches the campaign flight recorder
-        (:class:`repro.obs.journal.Journal`, or a path one is opened at):
-        the sweep's lifecycle -- start, lint preflight, every
-        configuration's ``run_end`` with telemetry and oracle verdicts,
-        worker errors, dispatch/merge phases, end -- is appended as
-        crash-safe JSONL the parent process owns, so a killed sweep
-        still reproduces its partial scorecard via ``repro report
-        --campaign``.  ``progress`` is a line sink (e.g. ``print``) fed
-        by the shared renderer as configurations complete.
+    The one place the per-configuration decision lives.  For a split
+    body (and ``spec.group``) the indices are regrouped by prefix key
+    (:func:`_prefix_groups`: results are independent of execution
+    order, so scattered members may run together); a group whose
+    checkpoint is not in ``pool`` already is captured when at least two
+    of its members are in this shard -- at most once per call -- and
+    every member then runs as a re-seeded fork.  A prefix that cannot be
+    captured, or whose forks cannot be re-seeded (it drew from an RNG
+    stream), sends its members down the cold path instead: results never
+    depend on whether sharing worked, only speed does.
 
-        ``group`` (default on) enables **prefix-grouped scheduling**
-        when the body is a :class:`PrefixedBody`: configurations
-        sharing a prefix key have their warm prefix simulated once per
-        worker process (a :class:`~repro.core.checkpoint.Checkpoint`
-        capture) and are each run as a re-seeded fork of it -- byte-
-        identical to the cold path, just without re-simulating the
-        shared prefix per configuration.  ``group=False`` forces every
-        configuration cold (the reference path benches and byte-
-        identity tests compare against).  ``prefix_pool`` (a
-        :class:`~repro.core.checkpoint.CheckpointPool`) carries
-        captured prefixes across ``run`` calls in this process;
-        omitted, each sweep uses a private pool.
-
-        ``backend`` selects the execution fabric
-        (:mod:`repro.core.fabric.backends`).  ``"local"`` -- the
-        default -- is everything described above, unchanged.
-        ``"sockets"`` runs the sweep as a coordinator plus worker
-        *processes* over the fabric protocol: it requires
-        ``fabric_dir`` (the campaign directory holding the sweep spec,
-        the shared result store and per-shard journals) and owns
-        caching and journaling itself, so ``cache=``/``journal=`` must
-        stay unset and ``progress`` is not served live.  Re-running the
-        same sweep against the same ``fabric_dir`` resumes it: only
-        configurations the store does not hold yet execute.
-        ``fabric_dir`` with the local backend joins the same resume
-        protocol in-process (the store becomes the cache, the journal
-        lands at the coordinator path), so serial runs and fabric runs
-        share completed rows.  ``fabric_options`` passes coordinator
-        tuning through (``ttl``, ``poll``, ``shard_size``, ...).
-        """
-        from repro.core.fabric.backends import (resolve_backend,
-                                                run_sockets_campaign)
-        resolve_backend(backend)
-        config_list = [dict(config) for config in configs]
-        if backend == "sockets":
-            if fabric_dir is None:
-                raise ValueError(
-                    'backend="sockets" needs fabric_dir= (the campaign '
-                    "directory shared by coordinator and workers)")
-            if cache is not None or journal is not None:
-                raise ValueError(
-                    'backend="sockets" owns caching and journaling '
-                    "(the result store and per-shard journals live in "
-                    "fabric_dir); pass fabric_dir= only")
-            results = run_sockets_campaign(
-                self, config_list, fabric_dir=fabric_dir,
-                workers=workers, telemetry=telemetry, oracle=oracle,
-                group=group, fabric_options=fabric_options)
-            if scorecard:
-                print(render_scorecard(results))
-            return results
-        if fabric_dir is not None:
-            from repro.core.fabric.store import ResultStore
-            fabric_path = Path(fabric_dir)
-            if cache is None:
-                cache = ResultStore(fabric_path / "store")
-            if journal is None:
-                journal = fabric_path / "journals" / "coordinator.jsonl"
-        journal_obj, journal_owned = Journal.ensure(journal)
-        try:
-            return self._run_journaled(
-                config_list, journal_obj, workers=workers,
-                telemetry=telemetry, scorecard=scorecard, cache=cache,
-                oracle=oracle, progress=progress, group=group,
-                prefix_pool=prefix_pool)
-        finally:
-            if journal_owned:
-                journal_obj.close()
-
-    def _run_journaled(self, config_list: List[Dict[str, Any]],
-                       journal: Optional[Journal], *,
-                       workers: Union[int, str], telemetry: bool,
-                       scorecard: bool, cache: Optional[RunCache],
-                       oracle: Optional[Callable],
-                       progress: Optional[Callable[[str], None]],
-                       group: bool = True,
-                       prefix_pool: Optional[Any] = None
-                       ) -> List[RunResult]:
-        if journal is not None:
-            journal.start("campaign", seed=self._seed,
-                          configs=len(config_list), workers=str(workers),
-                          telemetry=telemetry, lint=self._lint,
-                          oracle=getattr(oracle, "__qualname__", None),
-                          body=getattr(self._body, "__qualname__",
-                                       repr(self._body)))
-        renderer = (ProgressRenderer("campaign", total=len(config_list),
-                                     unit="configs", sink=progress)
-                    if progress is not None else None)
-        if self._lint != "off":
-            if journal is not None:
-                with journal.phase("preflight"):
-                    failing = self.precheck_body()
-                    failing += self.validate_scripts(config_list)
-                    journal.record(K.CAMPAIGN_PREFLIGHT,
-                                   ok=not failing, failing=len(failing))
-            else:
-                failing = self.precheck_body()
-                failing += self.validate_scripts(config_list)
-            if failing:
-                if journal is not None:
-                    journal.record(K.CAMPAIGN_END, status="preflight_failed",
-                                   executed=0, cached=0)
-                raise CampaignScriptError(failing)
-        elif journal is not None:
-            journal.record(K.CAMPAIGN_PREFLIGHT, ok=True, skipped=True)
-
-        split = isinstance(self._body, PrefixedBody)
-        prefix_keys: List[Optional[Any]] = (
-            [self._body.prefix_key(config) for config in config_list]
-            if split else [None] * len(config_list))
-        grouped = (group and split
-                   and any(key is not None for key in prefix_keys))
-        stats = {"captures": 0, "forks": 0, "fallbacks": 0}
-
-        slots: List[Optional[RunResult]] = [None] * len(config_list)
-        keys: List[Optional[str]] = [None] * len(config_list)
-        todo: List[int] = []
-        if cache is not None:
-            for index, config in enumerate(config_list):
-                # mix the static prefix digest in for split bodies so a
-                # cached hit never needs a capture, yet a changed
-                # prefix function or key can never alias a stale result
-                key = cache.key(
-                    self._body, self._seed, config,
-                    telemetry=telemetry, oracle=oracle,
-                    checkpoint=(_prefix_digest(self._body,
-                                               prefix_keys[index])
-                                if split and prefix_keys[index] is not None
-                                else None))
-                keys[index] = key
-                cached = cache.get(key)
-                if cached is not None:
-                    slots[index] = cached
-                    if journal is not None:
-                        journal.record(K.CAMPAIGN_RUN_END,
-                                       **_run_end_payload(index, cached,
-                                                          cached_hit=True))
-                else:
-                    todo.append(index)
-            done = len(config_list) - len(todo)
-            if renderer is not None and done:
-                renderer.update(done, cached=done)
-        else:
-            todo = list(range(len(config_list)))
-
-        pool_size = self._resolve_workers(workers, len(todo))
-        failed: Optional[BaseException] = None
-        try:
-            if todo:
-                if pool_size <= 1 or len(todo) <= 1:
-                    if grouped:
-                        self._run_serial_grouped(
-                            todo, config_list, slots, journal, renderer,
-                            telemetry=telemetry, oracle=oracle,
-                            prefix_keys=prefix_keys, pool=prefix_pool,
-                            stats=stats)
-                    else:
-                        self._run_serial(todo, config_list, slots, journal,
-                                         renderer, telemetry=telemetry,
-                                         oracle=oracle)
-                else:
-                    self._run_parallel(
-                        todo, config_list, slots, journal, renderer,
-                        pool_size=pool_size, telemetry=telemetry,
-                        oracle=oracle,
-                        prefix_keys=prefix_keys if grouped else None,
-                        stats=stats)
-                if cache is not None:
-                    for index in todo:
-                        if slots[index] is not None:
-                            cache.put(keys[index], slots[index])
-        except BaseException as err:
-            failed = err
-            raise
-        finally:
-            if journal is not None:
-                executed = sum(1 for i in todo if slots[i] is not None)
-                payload: Dict[str, Any] = {
-                    "status": "failed" if failed is not None else "ok",
-                    "executed": executed,
-                    "cached": len(config_list) - len(todo),
-                    "findings": sum(1 for r in slots
-                                    if r is not None and not r.ok()),
-                }
-                if grouped:
-                    payload["prefix_captures"] = stats["captures"]
-                    payload["prefix_forks"] = stats["forks"]
-                    payload["prefix_fallbacks"] = stats["fallbacks"]
-                journal.record(K.CAMPAIGN_END, **payload)
-
-        results = [result for result in slots if result is not None]
-        if scorecard:
-            print(render_scorecard(results))
-        return results
-
-    def _run_serial(self, todo: List[int],
-                    config_list: List[Dict[str, Any]],
-                    slots: List[Optional[RunResult]],
-                    journal: Optional[Journal],
-                    renderer: Optional[ProgressRenderer], *,
-                    telemetry: bool, oracle: Optional[Callable]) -> None:
-        done = len(config_list) - len(todo)
-        with _maybe_phase(journal, "dispatch"):
-            for index in todo:
-                if journal is not None:
-                    journal.record(K.CAMPAIGN_RUN_START, index=index,
-                                   label=_config_label(config_list[index]))
+    ``pool`` (a :class:`~repro.core.checkpoint.CheckpointPool`) carries
+    captures across calls; without one only the current group's
+    checkpoint is kept alive, so memory stays flat however long the
+    shard is.  A body exception propagates from the ``next()`` that ran
+    it, after the :class:`ShardStart` naming its index.
+    """
+    from repro.core.checkpoint import CheckpointError, CheckpointPool
+    body, configs = spec.body, spec.configs
+    options = {"telemetry": spec.telemetry, "oracle": spec.oracle}
+    if pool is None:
+        pool = CheckpointPool(max_items=1)
+    for key, members in _prefix_groups(indices,
+                                       spec.execution_prefix_keys()):
+        checkpoint = None
+        if key is not None:
+            pool_key = _prefix_digest(body, key)
+            checkpoint = pool.get(pool_key)
+            if checkpoint is None and len(members) > 1:
                 try:
-                    slots[index] = _execute_config(
-                        self._body, self._seed, config_list[index],
-                        telemetry=telemetry, oracle=oracle)
-                except Exception as err:
-                    if journal is not None:
-                        journal.record(K.CAMPAIGN_WORKER_ERROR, index=index,
-                                       error=repr(err))
-                    raise
-                if journal is not None:
-                    journal.record(K.CAMPAIGN_RUN_END,
-                                   **_run_end_payload(index, slots[index]))
-                done += 1
-                if renderer is not None:
-                    renderer.update(done, findings=sum(
-                        1 for r in slots if r is not None and not r.ok())
-                        or None)
-
-    def _run_serial_grouped(self, todo: List[int],
-                            config_list: List[Dict[str, Any]],
-                            slots: List[Optional[RunResult]],
-                            journal: Optional[Journal],
-                            renderer: Optional[ProgressRenderer], *,
-                            telemetry: bool, oracle: Optional[Callable],
-                            prefix_keys: List[Optional[Any]],
-                            pool: Optional[Any],
-                            stats: Dict[str, int]) -> None:
-        """Serial sweep with one prefix capture per group, one fork per run.
-
-        Execution happens group by group (results still land in input
-        order via ``slots``).  A group whose prefix cannot be captured
-        or re-seeded (:class:`~repro.core.checkpoint.CheckpointError`:
-        the prefix drew from an RNG stream, or holds an uncopyable
-        callback) falls back to the cold path for every member -- the
-        sweep's results never depend on whether sharing worked, only
-        its speed does.
-        """
-        from repro.core.checkpoint import CheckpointError, CheckpointPool
-        if pool is None:
-            pool = CheckpointPool(max_items=4)
-        body: PrefixedBody = self._body
-        done = len(config_list) - len(todo)
-        with _maybe_phase(journal, "dispatch"):
-            for key, indices in _prefix_groups(todo, prefix_keys):
-                checkpoint = None
-                if key is not None:
-                    pool_key = _prefix_digest(body, key)
-                    checkpoint = pool.get(pool_key)
-                    if checkpoint is None and len(indices) > 1:
-                        try:
-                            checkpoint = _capture_prefix(
-                                body, config_list[indices[0]], key)
-                        except CheckpointError:
-                            stats["fallbacks"] += len(indices)
-                        else:
-                            pool.put(pool_key, checkpoint)
-                            stats["captures"] += 1
-                            if journal is not None:
-                                journal.record(
-                                    K.CAMPAIGN_CHECKPOINT_CAPTURE,
-                                    **_capture_payload(key, checkpoint,
-                                                       len(indices)))
-                for index in indices:
-                    if journal is not None:
-                        journal.record(
-                            K.CAMPAIGN_RUN_START, index=index,
-                            label=_config_label(config_list[index]))
-                    try:
-                        forked = checkpoint is not None
-                        if forked:
-                            try:
-                                slots[index] = _execute_forked(
-                                    body, self._seed, config_list[index],
-                                    checkpoint, telemetry=telemetry,
-                                    oracle=oracle)
-                                stats["forks"] += 1
-                            except CheckpointError:
-                                # prefix is not seed-portable: run this
-                                # and the rest of the group cold
-                                checkpoint = None
-                                forked = False
-                                stats["fallbacks"] += 1
-                        if not forked:
-                            slots[index] = _execute_config(
-                                body, self._seed, config_list[index],
-                                telemetry=telemetry, oracle=oracle)
-                    except Exception as err:
-                        if journal is not None:
-                            journal.record(K.CAMPAIGN_WORKER_ERROR,
-                                           index=index, error=repr(err))
-                        raise
-                    if journal is not None:
-                        journal.record(
-                            K.CAMPAIGN_RUN_END,
-                            **_run_end_payload(index, slots[index],
-                                               prefix=key, forked=forked))
-                    done += 1
-                    if renderer is not None:
-                        renderer.update(done, findings=sum(
-                            1 for r in slots
-                            if r is not None and not r.ok()) or None)
-
-    def _run_parallel(self, todo: List[int],
-                      config_list: List[Dict[str, Any]],
-                      slots: List[Optional[RunResult]],
-                      journal: Optional[Journal],
-                      renderer: Optional[ProgressRenderer], *,
-                      pool_size: int, telemetry: bool,
-                      oracle: Optional[Callable],
-                      prefix_keys: Optional[List[Optional[Any]]] = None,
-                      stats: Optional[Dict[str, int]] = None) -> None:
-        try:
-            pickle.dumps((self._body, oracle))
-        except Exception as err:
-            raise TypeError(
-                "Campaign.run(workers>1) needs a picklable "
-                "(module-level) body and oracle, got "
-                f"{self._body!r} / {oracle!r}: {err}") from err
-        pool = _get_pool(min(pool_size, len(todo)))
-        if prefix_keys is not None:
-            chunk_indices = _prefix_chunks(todo, prefix_keys, pool_size)
-        else:
-            chunk_indices = [todo[start:stop]
-                             for start, stop in _chunk_ranges(len(todo),
-                                                              pool_size)]
-        with _maybe_phase(journal, "dispatch"):
-            futures = []
-            for indices in chunk_indices:
-                futures.append((indices, pool.submit(
-                    _execute_chunk, self._body, self._seed,
-                    [config_list[i] for i in indices], indices,
-                    telemetry=telemetry, oracle=oracle,
-                    prefix_keys=([prefix_keys[i] for i in indices]
-                                 if prefix_keys is not None else None))))
-        done = len(config_list) - len(todo)
-        with _maybe_phase(journal, "merge"):
-            for indices, future in futures:
+                    checkpoint = _capture_prefix(body, configs[members[0]],
+                                                 key)
+                except CheckpointError:
+                    pass  # uncapturable world: the whole group runs cold
+                else:
+                    pool.put(pool_key, checkpoint)
+                    yield ShardCapture({
+                        "prefix": str(key), "label": checkpoint.label,
+                        "identity": checkpoint.identity,
+                        "time": checkpoint.time,
+                        "entries": checkpoint.position,
+                        "configs": len(members)})
+        for index in members:
+            yield ShardStart(index)
+            result = None
+            if checkpoint is not None:
                 try:
-                    chunk_results, chunk_stats = future.result()
-                except Exception as err:
-                    if journal is not None:
-                        journal.record(K.CAMPAIGN_WORKER_ERROR,
-                                       indices=indices, error=repr(err))
-                    raise
-                if stats is not None:
-                    for capture in chunk_stats.get("captured", ()):
-                        stats["captures"] += 1
-                        if journal is not None:
-                            journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
-                                           **capture)
-                    stats["forks"] += chunk_stats.get("forks", 0)
-                    stats["fallbacks"] += chunk_stats.get("fallbacks", 0)
-                forked_flags = chunk_stats.get("forked", [])
-                for position, (index, run_result) in enumerate(
-                        zip(indices, chunk_results)):
-                    slots[index] = run_result
-                    if journal is not None:
-                        journal.record(K.CAMPAIGN_RUN_END,
-                                       **_run_end_payload(
-                                           index, run_result,
-                                           prefix=(prefix_keys[index]
-                                                   if prefix_keys is not None
-                                                   else None),
-                                           forked=(forked_flags[position]
-                                                   if position
-                                                   < len(forked_flags)
-                                                   else False)))
-                done += len(indices)
-                if renderer is not None:
-                    renderer.update(done, findings=sum(
-                        1 for r in slots if r is not None and not r.ok())
-                        or None)
+                    result = run_one(body, spec.seed, configs[index],
+                                     checkpoint, **options)
+                except CheckpointError:
+                    # not seed-portable: this member and the rest of
+                    # the group run cold
+                    checkpoint = None
+            forked = result is not None
+            if not forked:
+                result = run_one(body, spec.seed, configs[index], **options)
+            yield ShardRow(index, result, key, forked)
 
 
-def _maybe_phase(journal: Optional[Journal], name: str, **payload: Any):
-    """``journal.phase(name)`` when journaling, a no-op span otherwise."""
-    if journal is None:
-        return nullcontext()
-    return journal.phase(name, **payload)
-
+# ----------------------------------------------------------------------
+# sink: store.put -> journal -> tally
+# ----------------------------------------------------------------------
 
 def _run_end_payload(index: int, result: RunResult, *,
                      cached_hit: bool = False,
@@ -1055,158 +748,486 @@ def _run_end_payload(index: int, result: RunResult, *,
     return payload
 
 
-def _capture_payload(key: Any, checkpoint: Any,
-                     group_size: int) -> Dict[str, Any]:
-    """The ``campaign.checkpoint_capture`` payload for one prefix group."""
-    return {"prefix": str(key), "label": checkpoint.label,
-            "identity": checkpoint.identity, "time": checkpoint.time,
-            "entries": checkpoint.position, "configs": group_size}
+class ShardSink:
+    """Where every transport publishes :func:`execute_shard`'s events.
 
+    A completed row goes ``store.put`` -> journal ``run_end`` -> tally,
+    in that order, the moment it arrives: a crash loses at most the
+    configuration in flight, never a row the journal claims done, and a
+    sweep that dies at configuration *k* leaves its first *k* rows
+    resumable.  ``store`` and ``journal`` are each optional (a bare
+    ``Campaign.run`` has neither and only tallies).
 
-def _capture_prefix(body: PrefixedBody, config: Dict[str, Any],
-                    key: Any) -> Any:
-    """Simulate one group's warm prefix and capture it as a checkpoint.
-
-    The capture env is built at seed 0; forks re-seed to each member's
-    run seed, which the checkpoint layer only permits for zero-draw
-    prefixes (the grouping contract).  Raises ``CheckpointError`` when
-    the world cannot be captured soundly -- callers fall back cold.
+    The tally defines the prefix-sharing statistics once for every
+    transport: a *capture* is a :class:`ShardCapture`, a *fork* is a
+    keyed row served by a fork, a *fallback* is a keyed row that ran
+    cold -- a singleton group, a group whose prefix could not be
+    captured, or the tail of one whose fork could not be re-seeded.
     """
-    from repro.core.checkpoint import Checkpoint
-    env = make_env(seed=0)
-    state = body.prefix(env, dict(config))
-    roots = state if isinstance(state, dict) else {_STATE_ROOT: state}
-    return Checkpoint.capture(env, roots, label=f"campaign/{key}")
 
+    def __init__(self, spec: Any, store: Optional[ResultStore] = None,
+                 journal: Optional[Journal] = None, *,
+                 keys: Optional[List[str]] = None):
+        self.spec = spec
+        self.store = store
+        self.journal = journal
+        #: content address per configuration (``None`` without a store)
+        self.keys = (keys if keys is not None or store is None
+                     else spec.store_keys(store))
+        self.cached = self.executed = self.findings = 0
+        self.captures = self.forks = self.fallbacks = 0
 
-def _execute_forked(body: PrefixedBody, seed: int, config: Dict[str, Any],
-                    checkpoint: Any, *, telemetry: bool = True,
-                    oracle: Optional[Callable] = None) -> RunResult:
-    """Run one configuration as a re-seeded fork of its prefix checkpoint.
+    def plan(self, indices: Iterable[int]
+             ) -> Tuple[List[Tuple[int, RunResult]], List[int]]:
+        """Split ``indices`` into rows the store holds and the todo.
 
-    Derives the run seed exactly as :func:`_execute_config` does, so the
-    forked run is byte-identical to the cold one; telemetry's event and
-    trace counts carry the prefix's share too (the forked scheduler and
-    recorder resume from the captured counters, matching a cold run's
-    totals), only ``wall_s`` reflects the saved simulation.
-    """
-    run_seed = derive_seed(seed, repr(sorted(config.items())))
-    forked = checkpoint.fork(seed=run_seed)
-    env = forked.env
-    state = (forked.roots[_STATE_ROOT] if set(forked.roots) == {_STATE_ROOT}
-             else forked.roots)
-    if not telemetry:
-        result = body.continuation(env, state, dict(config))
-        return RunResult(config=dict(config), result=result, trace=env.trace,
-                         violations=_oracle_violations(env.trace, oracle))
-    start = perf_counter()
-    result = body.continuation(env, state, dict(config))
-    wall_s = perf_counter() - start
-    run_telemetry = RunTelemetry(
-        wall_s=wall_s, events=env.scheduler.dispatched_count,
-        virtual_s=env.scheduler.now, trace_entries=len(env.trace))
-    return RunResult(config=dict(config), result=result, trace=env.trace,
-                     telemetry=run_telemetry,
-                     violations=_oracle_violations(env.trace, oracle))
+        Held rows are journaled as cached ``run_end`` events, so every
+        attempt's record is a full flight on its own; what is left is
+        what must execute.  The probe *is* the load (see
+        :meth:`ResultStore.probe`): an entry that does not load is todo.
+        """
+        indices = list(indices)
+        if self.store is None:
+            return [], indices
+        found, missing = self.store.probe([self.keys[i] for i in indices])
+        held = [(index, result) for index, result in zip(indices, found)
+                if result is not None]
+        for index, result in held:
+            self.findings += not result.ok()
+            if self.journal is not None:
+                self.journal.record(
+                    K.CAMPAIGN_RUN_END,
+                    **_run_end_payload(index, result, cached_hit=True))
+        self.cached += len(held)
+        return held, [indices[position] for position in missing]
 
-
-def _execute_config(body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
-                    seed: int, config: Dict[str, Any], *,
-                    telemetry: bool = True,
-                    oracle: Optional[Callable] = None) -> RunResult:
-    """Run one configuration: the shared serial/parallel execution path."""
-    run_seed = derive_seed(seed, repr(sorted(config.items())))
-    env = make_env(seed=run_seed)
-    if not telemetry:
-        result = body(env, dict(config))
-        return RunResult(config=dict(config), result=result, trace=env.trace,
-                         violations=_oracle_violations(env.trace, oracle))
-    start = perf_counter()
-    result = body(env, dict(config))
-    wall_s = perf_counter() - start
-    run_telemetry = RunTelemetry(
-        wall_s=wall_s, events=env.scheduler.dispatched_count,
-        virtual_s=env.scheduler.now, trace_entries=len(env.trace))
-    return RunResult(config=dict(config), result=result, trace=env.trace,
-                     telemetry=run_telemetry,
-                     violations=_oracle_violations(env.trace, oracle))
-
-
-def _oracle_violations(trace: TraceRecorder,
-                       oracle: Optional[Callable]) -> Optional[List[Any]]:
-    """Evaluate a fresh pack from ``oracle`` over ``trace`` (None: skip)."""
-    if oracle is None:
-        return None
-    from repro.oracle import evaluate
-    return evaluate(trace, oracle()).violations
-
-
-def _execute_chunk(body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
-                   seed: int, configs: List[Dict[str, Any]],
-                   indices: List[int], *,
-                   telemetry: bool = True,
-                   oracle: Optional[Callable] = None,
-                   prefix_keys: Optional[List[Optional[Any]]] = None
-                   ) -> Tuple[List[RunResult], Dict[str, Any]]:
-    """Worker-side loop over one chunk of configurations.
-
-    With ``prefix_keys`` given (prefix-grouped dispatch), contiguous
-    same-key runs share one locally captured prefix checkpoint; the
-    returned stats dict reports each capture (for the parent's journal)
-    plus fork/fallback counts.  Only the current group's checkpoint is
-    kept alive, so worker memory stays flat however long the chunk is.
-
-    A failure is annotated with the *global* sweep index before it
-    propagates (exception notes survive pickling back to the parent), so
-    a bare pool traceback still names which sweep point died.
-    """
-    stats: Dict[str, Any] = {"captured": [], "forks": 0, "fallbacks": 0,
-                             "forked": []}
-    results: List[RunResult] = []
-    checkpoint = None
-    current_key: Optional[Any] = None
-    for position, (index, config) in enumerate(zip(indices, configs)):
-        key = prefix_keys[position] if prefix_keys is not None else None
+    def drain(self, events: Iterable[Any]) -> Iterator[ShardRow]:
+        """Publish ``events`` as they arrive; yield each row once it is
+        durable, so the transport can add its own step (result slot and
+        progress line, or lease heartbeat).  An error raised by the
+        executor is journaled against the configuration in flight."""
+        journal = self.journal
+        index = None
         try:
-            if key is None:
-                checkpoint, current_key = None, None
-                results.append(_execute_config(body, seed, config,
-                                               telemetry=telemetry,
-                                               oracle=oracle))
-                stats["forked"].append(False)
-                continue
-            if key != current_key:
-                from repro.core.checkpoint import CheckpointError
-                current_key = key
-                checkpoint = None
-                group_size = sum(1 for k in prefix_keys[position:]
-                                 if k == key)
-                if group_size > 1:
-                    try:
-                        checkpoint = _capture_prefix(body, config, key)
-                    except CheckpointError:
-                        checkpoint = None
-                    else:
-                        stats["captured"].append(
-                            _capture_payload(key, checkpoint, group_size))
-            if checkpoint is not None:
-                from repro.core.checkpoint import CheckpointError
-                try:
-                    results.append(_execute_forked(
-                        body, seed, config, checkpoint,
-                        telemetry=telemetry, oracle=oracle))
-                    stats["forks"] += 1
-                    stats["forked"].append(True)
-                    continue
-                except CheckpointError:
-                    checkpoint = None
-                    stats["fallbacks"] += 1
-            results.append(_execute_config(body, seed, config,
-                                           telemetry=telemetry,
-                                           oracle=oracle))
-            stats["forked"].append(False)
+            for event in events:
+                kind = type(event)
+                if kind is ShardRow:
+                    self._publish(event)
+                    yield event
+                elif kind is ShardCapture:
+                    self.captures += 1
+                    if journal is not None:
+                        journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
+                                       **event.payload)
+                else:
+                    index = event.index
+                    if journal is not None:
+                        journal.record(
+                            K.CAMPAIGN_RUN_START, index=index,
+                            label=_config_label(self.spec.configs[index]))
         except Exception as err:
-            err.add_note(
-                f"campaign config [{index}] failed: {config!r}")
+            if journal is not None:
+                journal.record(K.CAMPAIGN_WORKER_ERROR, index=index,
+                               error=repr(err))
             raise
-    return results, stats
+
+    def _publish(self, row: ShardRow) -> None:
+        if self.store is not None:
+            self.store.put(self.keys[row.index], row.result)
+        if self.journal is not None:
+            self.journal.record(
+                K.CAMPAIGN_RUN_END,
+                **_run_end_payload(row.index, row.result,
+                                   prefix=row.prefix, forked=row.forked))
+        self.executed += 1
+        self.findings += not row.result.ok()
+        if row.prefix is not None:
+            if row.forked:
+                self.forks += 1
+            else:
+                self.fallbacks += 1
+
+    def prefix_stats(self) -> Dict[str, int]:
+        """``prefix_*`` counters for ``campaign.end`` (and the fabric's
+        ``done`` message); empty when no keyed configuration executed."""
+        if not (self.forks or self.fallbacks):
+            return {}
+        return dict(zip(PREFIX_STATS,
+                        (self.captures, self.forks, self.fallbacks)))
+
+
+def _maybe_phase(journal: Optional[Journal], name: str, **payload: Any):
+    """``journal.phase(name)`` when journaling, a no-op span otherwise."""
+    if journal is None:
+        return nullcontext()
+    return journal.phase(name, **payload)
+
+
+def _run_chunk(spec: Any, indices: List[int]) -> List[Any]:
+    """Pool-worker transport: execute one chunk, return its events.
+
+    ``spec`` carries only this chunk's configurations (the parent does
+    not pickle the whole sweep per task); ``indices`` are their sweep
+    positions, restored on the rows sent back.  A failure is annotated
+    with the *global* sweep index before it propagates (exception notes
+    survive pickling back to the parent), so a bare pool traceback still
+    names which sweep point died.
+    """
+    events: List[Any] = []
+    local = 0
+    try:
+        for event in execute_shard(spec, range(len(indices))):
+            if type(event) is ShardStart:
+                local = event.index
+            elif type(event) is ShardRow:
+                events.append(event._replace(index=indices[event.index]))
+            else:
+                events.append(event)
+    except Exception as err:
+        err.add_note(f"campaign config [{indices[local]}] failed: "
+                     f"{spec.configs[local]!r}")
+        raise
+    return events
+
+
+# ----------------------------------------------------------------------
+# plan + transports: Campaign
+# ----------------------------------------------------------------------
+
+class Campaign:
+    """Run an experiment body across a sweep of configurations.
+
+    The body receives a fresh :class:`ExperimentEnv` plus the configuration
+    dict and returns any result object.  Determinism note: each
+    configuration derives its own seed from the campaign seed and the
+    configuration repr, so adding a configuration does not perturb others.
+
+    Because every configuration is an independent seeded simulation, the
+    sweep is embarrassingly parallel: ``run(configs, workers=N)`` fans the
+    configurations out over ``N`` worker processes (``workers="auto"``
+    sizes the pool from the machine).  Every transport runs
+    :func:`execute_shard`, so parallel results are identical to serial
+    ones and are returned in input order.  Requirements for parallel runs:
+    the body must be a module-level (picklable) callable, and its result
+    values must be picklable too.  Each worker builds its own
+    :class:`ExperimentEnv` -- in particular each process gets its own
+    ``ScriptSync``, so cross-configuration coordination is impossible by
+    construction (it would break determinism anyway).
+    """
+
+    def __init__(self, body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
+                 *, seed: int = 0, lint: str = "error"):
+        if lint not in ("error", "off"):
+            raise ValueError(f'Campaign lint mode must be "error" or '
+                             f'"off", got {lint!r}')
+        self._body = body
+        self._seed = seed
+        self._lint = lint
+
+    def validate_scripts(self, configs: Iterable[Dict[str, Any]]):
+        """Lint every tclish script found in the configs.
+
+        Returns the list of failing
+        :class:`~repro.core.tclish.lint.LintReport` objects (empty when
+        everything is clean).  :meth:`preflight` raises
+        :class:`CampaignScriptError` with *all* diagnostics, so one
+        campaign launch surfaces every broken config at once instead of
+        failing minutes in on the first.
+        """
+        from repro.core.tclish.lint import lint_source
+        failing = []
+        for index, config in enumerate(configs):
+            for label, source, init in _config_scripts(config, index):
+                report = lint_source(source, init_script=init,
+                                     source_name=label)
+                if not report.ok():
+                    failing.append(report)
+        return failing
+
+    def precheck_body(self):
+        """Statically vet the campaign body for determinism hazards.
+
+        Runs the SC1xx pass (:func:`repro.staticcheck.precheck_body`)
+        over the functions reachable from the body in its own module --
+        closures scheduled as callbacks, wall-clock time, unseeded
+        randomness -- and returns the failing
+        :class:`~repro.core.tclish.lint.LintReport` objects (empty when
+        clean, and for bodies whose source cannot be retrieved).  A
+        :class:`PrefixedBody` is vetted part by part (prefix and
+        continuation), since the wrapper instance itself carries no
+        retrievable source.
+        """
+        from repro.staticcheck import precheck_body
+        parts = (self._body.cache_parts()
+                 if isinstance(self._body, PrefixedBody) else (self._body,))
+        failing = []
+        for part in parts:
+            report = precheck_body(part)
+            if not report.ok():
+                failing.append(report)
+        return failing
+
+    def preflight(self, configs: Iterable[Dict[str, Any]],
+                  journal: Optional[Journal] = None, *,
+                  body: bool = True) -> None:
+        """The one gate every engine passes before anything executes.
+
+        :meth:`precheck_body` (skipped with ``body=False``, for callers
+        that vet one body across many batches) plus
+        :meth:`validate_scripts`; any failing report raises
+        :class:`CampaignScriptError`, so a body that would poison
+        determinism or checkpoint capture, or a script that cannot parse,
+        is refused before any worker starts.  ``Campaign(...,
+        lint="off")`` turns the gate off.  The verdict is journaled as
+        ``campaign.preflight`` when a journal is given.
+        """
+        if self._lint == "off":
+            if journal is not None:
+                journal.record(K.CAMPAIGN_PREFLIGHT, ok=True, skipped=True)
+            return
+        failing = self.precheck_body() if body else []
+        failing += self.validate_scripts(configs)
+        if journal is not None:
+            journal.record(K.CAMPAIGN_PREFLIGHT, ok=not failing,
+                           failing=len(failing))
+        if failing:
+            raise CampaignScriptError(failing)
+
+    def _resolve_workers(self, workers: Union[int, str], jobs: int) -> int:
+        if workers == "auto":
+            cpus = os.cpu_count() or 1
+            if cpus < 2 or jobs < _AUTO_SERIAL_THRESHOLD:
+                return 1
+            return min(cpus, jobs)
+        if not isinstance(workers, int):
+            raise ValueError(f'workers must be an int or "auto", '
+                             f"got {workers!r}")
+        return workers
+
+    def run(self, configs: Iterable[Dict[str, Any]], *,
+            workers: Union[int, str] = 1, telemetry: bool = True,
+            scorecard: bool = False,
+            cache: Optional[ResultStore] = None,
+            oracle: Optional[Callable[[], List[Any]]] = None,
+            journal: Union[None, str, Path, Journal] = None,
+            progress: Optional[Callable[[str], None]] = None,
+            group: bool = True,
+            prefix_pool: Optional[Any] = None,
+            backend: str = "local",
+            fabric_dir: Union[None, str, Path] = None,
+            fabric_options: Optional[Dict[str, Any]] = None
+            ) -> List[RunResult]:
+        """Execute the body once per configuration.
+
+        With ``workers > 1`` the configurations run chunked over a
+        persistent process pool; results are byte-identical to serial
+        execution and come back in input order.  ``workers="auto"`` picks
+        ``os.cpu_count()`` workers, staying serial on single-CPU machines
+        and for sweeps too small to amortize the pool.  The default stays
+        serial so existing sweeps are untouched.  Configs carrying tclish
+        scripts (see :data:`SCRIPT_KEYS`) are statically analyzed first;
+        any error-level diagnostic aborts the whole campaign before any
+        worker runs (``Campaign(..., lint="off")`` skips this).
+
+        ``telemetry`` (default on) records per-configuration wall time,
+        dispatched-event count, final virtual time and trace volume onto
+        ``RunResult.telemetry``; ``telemetry=False`` leaves it ``None``.
+        ``scorecard=True`` additionally prints the campaign scorecard
+        (:func:`repro.obs.telemetry.render_scorecard`) after the sweep
+        completes.
+
+        ``cache`` (a :class:`ResultStore`, default off) returns stored
+        results for configurations this body+seed has already computed
+        and stores each fresh one the moment it completes, so an
+        interrupted sweep resumes from where it died; see the class
+        docstring for the invalidation rules.
+
+        ``oracle`` (default off) is an invariant-pack factory -- a
+        zero-argument callable returning fresh
+        :class:`~repro.oracle.Invariant` instances, e.g.
+        :func:`repro.oracle.tcp_pack`.  When given, every configuration's
+        trace is evaluated against a fresh pack *in the worker that ran
+        it* (the trace is already hot there), and the resulting violation
+        list lands on ``RunResult.violations``.  Parallel runs need the
+        factory picklable, i.e. module-level -- the same rule as the body.
+
+        ``journal`` (default off) attaches the campaign flight recorder
+        (:class:`repro.obs.journal.Journal`, or a path one is opened at):
+        the sweep's lifecycle -- start, lint preflight, every
+        configuration's ``run_end`` with telemetry and oracle verdicts,
+        worker errors, dispatch/merge phases, end -- is appended as
+        crash-safe JSONL the parent process owns, so a killed sweep
+        still reproduces its partial scorecard via ``repro report
+        --campaign``.  ``progress`` is a line sink (e.g. ``print``) fed
+        by the shared renderer as configurations complete.
+
+        ``group`` (default on) enables **prefix-grouped scheduling**
+        when the body is a :class:`PrefixedBody`: configurations
+        sharing a prefix key have their warm prefix simulated once per
+        shard (a :class:`~repro.core.checkpoint.Checkpoint` capture)
+        and are each run as a re-seeded fork of it -- byte-identical to
+        the cold path, just without re-simulating the shared prefix per
+        configuration.  ``group=False`` forces every configuration cold
+        (the reference path benches and byte-identity tests compare
+        against).  ``prefix_pool`` (a
+        :class:`~repro.core.checkpoint.CheckpointPool`) carries captured
+        prefixes across in-process ``run`` calls; omitted, only the
+        group being executed is kept.
+
+        ``backend`` selects the transport (:data:`BACKENDS`).
+        ``"local"`` -- the default -- runs in this process or its
+        process pool.  ``"sockets"`` runs the sweep as a coordinator
+        plus worker *processes* over the fabric protocol
+        (:mod:`repro.core.fabric`): it requires ``fabric_dir`` (the
+        campaign directory holding the sweep spec, the shared result
+        store and per-shard journals) and owns caching and journaling
+        itself, so ``cache=``/``journal=`` must stay unset and
+        ``progress`` is not served live.  ``fabric_dir`` with the local
+        backend lays out the same directory in-process (spec pinned,
+        the store is the cache, the journal lands at the coordinator
+        path).  Either way, re-running the same sweep against the same
+        ``fabric_dir`` -- on either backend -- resumes it: only
+        configurations the store does not hold yet execute, and a
+        directory that holds a different sweep is refused.
+        ``fabric_options`` passes coordinator tuning through (``ttl``,
+        ``poll``, ``shard_size``, ...).
+        """
+        from repro.core.fabric.spec import SweepSpec
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown campaign backend {backend!r}; choose from "
+                f"{', '.join(BACKENDS)}")
+        spec = SweepSpec(body=self._body, seed=self._seed, configs=configs,
+                         telemetry=telemetry, oracle=oracle,
+                         lint=self._lint, group=group)
+        if backend == "sockets":
+            if fabric_dir is None:
+                raise ValueError(
+                    'backend="sockets" needs fabric_dir= (the campaign '
+                    "directory shared by coordinator and workers)")
+            if cache is not None or journal is not None:
+                raise ValueError(
+                    'backend="sockets" owns caching and journaling '
+                    "(the result store and per-shard journals live in "
+                    "fabric_dir); pass fabric_dir= only")
+            from repro.core.fabric.coordinator import FabricCoordinator
+            self.preflight(spec.configs)
+            if workers == "auto":
+                workers = max(2, min(os.cpu_count() or 2, 8))
+            results = FabricCoordinator(
+                spec, fabric_dir, workers=workers,
+                **dict(fabric_options or {})).run()
+        else:
+            if fabric_dir is not None:
+                from repro.core.fabric.coordinator import persist_spec
+                persist_spec(spec, fabric_dir)
+                if cache is None:
+                    cache = ResultStore(Path(fabric_dir) / "store")
+                if journal is None:
+                    journal = (Path(fabric_dir) / "journals"
+                               / "coordinator.jsonl")
+            journal_obj, journal_owned = Journal.ensure(journal)
+            try:
+                results = self._run_local(
+                    spec, ShardSink(spec, cache, journal_obj),
+                    workers=workers, progress=progress,
+                    prefix_pool=prefix_pool)
+            finally:
+                if journal_owned:
+                    journal_obj.close()
+        if scorecard:
+            print(render_scorecard(results))
+        return results
+
+    def _run_local(self, spec: Any, sink: ShardSink, *,
+                   workers: Union[int, str],
+                   progress: Optional[Callable[[str], None]],
+                   prefix_pool: Optional[Any]) -> List[RunResult]:
+        """Plan against the sink's store, execute the todo in this
+        process or its pool, publish every row through the sink."""
+        journal = sink.journal
+        total = len(spec.configs)
+        if journal is not None:
+            journal.start("campaign", seed=spec.seed, configs=total,
+                          workers=str(workers), telemetry=spec.telemetry,
+                          lint=spec.lint,
+                          oracle=getattr(spec.oracle, "__qualname__", None),
+                          body=spec.body_label())
+        renderer = (ProgressRenderer("campaign", total=total,
+                                     unit="configs", sink=progress)
+                    if progress is not None else None)
+        slots: List[Optional[RunResult]] = [None] * total
+        status = "preflight_failed"
+        try:
+            with _maybe_phase(journal, "preflight"):
+                self.preflight(spec.configs, journal)
+            status = "failed"
+            held, todo = sink.plan(range(total))
+            for index, result in held:
+                slots[index] = result
+            if renderer is not None and held:
+                renderer.update(len(held), cached=len(held))
+            pool_size = self._resolve_workers(workers, len(todo))
+            if pool_size <= 1 or len(todo) <= 1:
+                rows = self._inprocess_rows(spec, todo, sink, prefix_pool)
+            else:
+                rows = self._pool_rows(spec, todo, sink, pool_size)
+            # closing: the transport's journal phase ends before
+            # campaign.end even when this loop is what raises
+            with closing(rows):
+                for row in rows:
+                    slots[row.index] = row.result
+                    if renderer is not None:
+                        renderer.update(sink.cached + sink.executed,
+                                        findings=sink.findings or None)
+            status = "ok"
+        finally:
+            if journal is not None:
+                journal.record(K.CAMPAIGN_END, status=status,
+                               executed=sink.executed, cached=sink.cached,
+                               findings=sink.findings,
+                               **sink.prefix_stats())
+        return [result for result in slots if result is not None]
+
+    @staticmethod
+    def _inprocess_rows(spec: Any, todo: List[int], sink: ShardSink,
+                        prefix_pool: Optional[Any]) -> Iterator[ShardRow]:
+        """In-process transport: the whole todo is one shard, run here."""
+        if todo:
+            with _maybe_phase(sink.journal, "dispatch"):
+                yield from sink.drain(
+                    execute_shard(spec, todo, prefix_pool))
+
+    @staticmethod
+    def _pool_rows(spec: Any, todo: List[int], sink: ShardSink,
+                   pool_size: int) -> Iterator[ShardRow]:
+        """Pool transport: one :func:`_run_chunk` task per chunk, drained
+        through the parent's sink in submission order."""
+        try:
+            pickle.dumps((spec.body, spec.oracle))
+        except Exception as err:
+            raise TypeError(
+                "Campaign.run(workers>1) needs a picklable "
+                "(module-level) body and oracle, got "
+                f"{spec.body!r} / {spec.oracle!r}: {err}") from err
+        journal = sink.journal
+        pool = _get_pool(min(pool_size, len(todo)))
+        keys = spec.execution_prefix_keys()
+        with _maybe_phase(journal, "dispatch"):
+            futures = [
+                (indices, pool.submit(
+                    _run_chunk,
+                    replace(spec, configs=[spec.configs[i]
+                                           for i in indices]),
+                    indices))
+                for indices in _prefix_chunks(todo, keys, pool_size)]
+        with _maybe_phase(journal, "merge"):
+            for indices, future in futures:
+                try:
+                    events = future.result()
+                except Exception as err:
+                    if journal is not None:
+                        journal.record(K.CAMPAIGN_WORKER_ERROR,
+                                       indices=indices, error=repr(err))
+                    raise
+                yield from sink.drain(events)

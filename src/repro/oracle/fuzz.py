@@ -30,8 +30,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional,
                     Tuple)
 
 from repro.core.distributions import derive_seed
-from repro.core.orchestrator import (Campaign, CampaignScriptError,
-                                     PrefixedBody, RunResult)
+from repro.core.orchestrator import (Campaign, PrefixedBody, RunResult,
+                                     _capture_prefix, run_one)
 from repro.netsim import kinds as K
 from repro.obs.journal import Journal
 from repro.obs.progress import ProgressRenderer
@@ -75,10 +75,11 @@ DEFAULT_DEPTHS = {"tcp": 0.0, "gmp": GMP_INSTALL_AT}
 # filter script arms: rig construction plus the script-free warmup) and
 # a *continuation* (install the script, run the workload to the
 # horizon).  The cold path runs prefix+continuation back to back; the
-# checkpointed path (:class:`ForkEngine`) captures one prefix per
-# target and re-runs only continuations.  Keeping both paths on the
-# same two functions is what makes forked trials byte-identical to cold
-# ones by construction.
+# checkpointed paths (a grouped ``Campaign.run`` and :class:`ForkEngine`,
+# both through :data:`prefixed_fuzz_body`) capture one prefix per target
+# and re-run only continuations.  Keeping both paths on the same two
+# functions is what makes forked trials byte-identical to cold ones by
+# construction.
 # ----------------------------------------------------------------------
 
 def _gmp_bug_flags(variant: str):
@@ -113,13 +114,7 @@ def fuzz_body(env, config):
     absent, the protocol's :data:`DEFAULT_DEPTHS` entry applies and the
     run is identical to what this body always produced.
     """
-    protocol = config["protocol"]
-    depth = config.get("install_at", DEFAULT_DEPTHS[protocol])
-    if protocol == "tcp":
-        state = _tcp_prefix(env, config, depth)
-        return _tcp_continue(env, state, config)
-    state = _gmp_prefix(env, config, depth)
-    return _gmp_continue(env, state, config)
+    return _continue_body(env, _fuzz_prefix(env, config), config)
 
 
 def _tcp_prefix(env, config, depth):
@@ -354,21 +349,26 @@ class FuzzReport:
 # ----------------------------------------------------------------------
 
 class ForkEngine:
-    """Executes fuzz cases by forking per-target prefix checkpoints.
+    """A per-target pool of prefix checkpoints over the shared executor.
 
     One warmed-up, script-free prefix is captured per fuzz target
     (vendor profile / bug variant) at the configured depth; every trial
-    against that target then forks the checkpoint, re-seeds the fork to
-    the trial's run seed, and runs only the continuation.  Because the
-    cold path (:func:`fuzz_body`) is built from the same
-    prefix/continuation functions, a forked trial is byte-identical to
-    the cold run of the same configuration -- the property suite pins
-    this, and it is why engine results are interchangeable with
-    :class:`~repro.core.orchestrator.Campaign` results.
+    against that target then runs as a fork of it.  The engine owns only
+    the bookkeeping -- which checkpoint serves which target, how often
+    one was reused -- and hands capture and execution to the campaign
+    executor (:func:`~repro.core.orchestrator._capture_prefix`,
+    :func:`~repro.core.orchestrator.run_one`) through
+    :data:`prefixed_fuzz_body`.  A forked trial is therefore
+    byte-identical to the cold run of the same configuration for the
+    same reason a prefix-grouped ``Campaign.run`` is -- the property
+    suite pins both -- and engine results are interchangeable with
+    :class:`~repro.core.orchestrator.Campaign` results.  Unlike a
+    campaign sweep the engine serves trials one at a time, as the fuzz
+    loop and the shrinker's ddmin probes draw them.
 
     ``depth`` defaults to the protocol's stock install time
     (:data:`DEFAULT_DEPTHS`), in which case engine configs carry no
-    ``install_at`` key and run seeds match the legacy path exactly.  A
+    ``install_at`` key and run seeds match the cold path exactly.  A
     non-default depth is recorded in each config (changing its run
     seed): those are *different* experiments, not cheaper replays of
     the stock ones.
@@ -415,72 +415,35 @@ class ForkEngine:
             config["install_at"] = self.depth
         return config
 
-    def checkpoint_for(self, target: str) -> "Checkpoint":
-        """The (lazily captured, pooled) prefix checkpoint for one target."""
-        key = (self.protocol, target, self.depth)
+    def checkpoint_for(self, config: Dict[str, object]) -> "Checkpoint":
+        """The (lazily captured, pooled) prefix checkpoint ``config``
+        forks from, keyed like its campaign prefix group."""
+        key = _fuzz_prefix_key(config)
         checkpoint = self.pool.get(key)
         if checkpoint is None:
-            from repro.core.checkpoint import Checkpoint
-            from repro.core.orchestrator import make_env
-            env = make_env(seed=0)
-            config = {"protocol": self.protocol, "target": target}
-            if self.protocol == "tcp":
-                roots = _tcp_prefix(env, config, self.depth)
-            else:
-                roots = _gmp_prefix(env, config, self.depth)
-            checkpoint = Checkpoint.capture(
-                env, roots,
-                label=f"{self.protocol}/{target}@{self.depth:g}")
+            checkpoint = _capture_prefix(prefixed_fuzz_body, config, key)
             self.pool.put(key, checkpoint)
             self.captures += 1
             if self.journal is not None:
                 self.journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
-                                    target=target, depth=self.depth,
+                                    target=config["target"], depth=key[2],
                                     label=checkpoint.label,
                                     identity=checkpoint.identity)
         return checkpoint
 
-    def run_config(self, config: Dict[str, object], *, oracle=None,
-                   cache=None) -> RunResult:
-        """Execute one configuration from its prefix checkpoint.
-
-        Matches :func:`~repro.core.orchestrator._execute_config`'s
-        seeding exactly: the fork is re-seeded to the run seed a cold
-        campaign would derive for this config.  ``cache`` (a
-        :class:`~repro.core.orchestrator.RunCache`) keys entries with
-        the checkpoint identity mixed in, so results from a different
-        prefix can never be returned for this one.
-        """
-        checkpoint = self.checkpoint_for(config["target"])
-        key = None
-        if cache is not None:
-            key = cache.key(fuzz_body, self.campaign_seed, config,
-                            telemetry=False, oracle=oracle,
-                            checkpoint=checkpoint.identity)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        run_seed = derive_seed(self.campaign_seed,
-                               repr(sorted(config.items())))
-        forked = checkpoint.fork(seed=run_seed)
+    def run_config(self, config: Dict[str, object], *,
+                   oracle=None) -> RunResult:
+        """Execute one configuration as a fork of its prefix checkpoint
+        (re-seeded to the run seed a cold campaign derives for it)."""
+        result = run_one(prefixed_fuzz_body, self.campaign_seed, config,
+                         self.checkpoint_for(config), telemetry=False,
+                         oracle=oracle)
         self.forks += 1
-        env = forked.env
-        result = _continue_body(env, forked.roots, dict(config))
-        violations = None
-        if oracle is not None:
-            from repro.oracle import evaluate
-            violations = evaluate(env.trace, oracle()).violations
-        run_result = RunResult(config=dict(config), result=result,
-                               trace=env.trace, violations=violations)
-        if cache is not None:
-            cache.put(key, run_result)
-        return run_result
+        return result
 
-    def run_case(self, case: FuzzCase, *, oracle=None,
-                 cache=None) -> RunResult:
+    def run_case(self, case: FuzzCase, *, oracle=None) -> RunResult:
         """Convenience: :meth:`config_for` + :meth:`run_config`."""
-        return self.run_config(self.config_for(case), oracle=oracle,
-                               cache=cache)
+        return self.run_config(self.config_for(case), oracle=oracle)
 
 
 # ----------------------------------------------------------------------
@@ -592,16 +555,12 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
                                 report.executed + i, seed)
                      for i in range(count)]
             if engine is not None:
-                # the engine path bypasses Campaign.run, so it repeats the
-                # same pre-flight: body precheck once, script lint per batch
+                # trials fork one at a time, outside Campaign.run, but
+                # pass the same gate: body vetted once, scripts per batch
                 configs = [engine.config_for(case) for case in cases]
-                failing = campaign.precheck_body() if batch_index == 0 else []
-                failing += campaign.validate_scripts(configs)
-                if journal is not None and batch_index == 0:
-                    journal.record(K.CAMPAIGN_PREFLIGHT, ok=not failing,
-                                   failing=len(failing))
-                if failing:
-                    raise CampaignScriptError(failing)
+                campaign.preflight(
+                    configs, journal if batch_index == 0 else None,
+                    body=batch_index == 0)
                 oracle = pack_for(protocol)
                 results = [engine.run_config(config, oracle=oracle)
                            for config in configs]

@@ -7,12 +7,14 @@ deterministic on stable keys.  :func:`chaos_body` burns a configurable
 amount of real time per configuration (invisible to stable keys, which
 are wall-clock-free) around a tiny simulated workload.
 
-``python -m tests.fabric.rig --dir D --count N ...`` runs one sockets
-sweep attempt over that body in a subprocess, which is what makes the
-coordinator itself killable; rerunning the identical command is a
-resume (the spec digest matches, the store already holds the completed
-rows).  Exit status: 0 completed, 3 aborted resumable
-(``workers_lost``), 1 anything else.
+``python -m tests.fabric.rig --dir D --count N --backend B ...`` runs
+one sweep attempt over that body in a subprocess -- ``sockets``
+(coordinator + workers, the default) or ``local`` (the in-process engine
+writing through the same campaign directory) -- which is what makes the
+coordinator, or the serial sweep itself, killable; rerunning the
+identical command is a resume (the spec digest matches, the store
+already holds the completed rows).  Exit status: 0 completed, 3 aborted
+resumable (``workers_lost``), 1 anything else.
 
 The helpers here are the rig's observation surface: ``state.json``
 (written atomically by the coordinator) names the victims to SIGKILL,
@@ -122,8 +124,10 @@ def spawn_sweep(fabric_dir: Path, count: int, *, workers: int = 2,
                 work_ms: float = DEFAULT_WORK_MS,
                 ttl: Optional[float] = None,
                 seed: int = DEFAULT_SEED,
-                resume: bool = False) -> subprocess.Popen:
-    """Launch one sweep attempt (coordinator + workers) as a subprocess.
+                resume: bool = False,
+                backend: str = "sockets") -> subprocess.Popen:
+    """Launch one sweep attempt on ``backend`` as a subprocess
+    (``sockets``: coordinator + workers; ``local``: one serial process).
 
     ``work_ms`` rides in the environment (``RIG_WORK_MS``), which the
     coordinator re-exports to its workers -- the sweep's configs stay
@@ -132,7 +136,8 @@ def spawn_sweep(fabric_dir: Path, count: int, *, workers: int = 2,
     argv = [sys.executable, "-m", "tests.fabric.rig",
             "--dir", str(Path(fabric_dir).resolve()),
             "--count", str(count),
-            "--workers", str(workers), "--seed", str(seed)]
+            "--workers", str(workers), "--seed", str(seed),
+            "--backend", backend]
     if ttl is not None:
         argv += ["--ttl", str(ttl)]
     if resume:
@@ -230,7 +235,7 @@ def pid_alive(pid: int) -> bool:
 def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
-    from repro.core.fabric import FabricError, run_sockets
+    from repro.core.fabric import FabricCoordinator, FabricError
 
     parser = argparse.ArgumentParser(
         prog="tests.fabric.rig",
@@ -240,6 +245,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--ttl", type=float, default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--backend", choices=["sockets", "local"],
+                        default="sockets")
     parser.add_argument("--resume", action="store_true",
                         help="load the spec from --dir instead of "
                              "rebuilding it")
@@ -253,7 +260,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.ttl is not None:
         options["ttl"] = args.ttl
     try:
-        run_sockets(spec, args.dir, **options)
+        if args.backend == "local":
+            # serial, in-process, same directory layout; --workers and
+            # --ttl do not apply
+            Campaign(spec.body, seed=spec.seed, lint=spec.lint).run(
+                spec.configs, fabric_dir=args.dir)
+        else:
+            FabricCoordinator(spec, args.dir, **options).run()
     except FabricError as err:
         print(f"rig: {err}", file=sys.stderr)
         return 3 if err.status == "workers_lost" else 1

@@ -183,3 +183,35 @@ def test_resume_refuses_a_different_sweep(tmp_path):
     clash = rig.spawn_sweep(fabric_dir, 5, workers=2, work_ms=1.0)
     assert _finish(clash) == 1
     assert len(rig.merged_stable_keys(fabric_dir)) == 4
+
+
+def test_kill_local_sweep_resume_executes_only_the_remainder(tmp_path):
+    # the local backend's twin of the coordinator kill: one serial
+    # process writing through the same directory layout, murdered at a
+    # durable run_end offset, resumed from its own spec.pkl
+    fuzz = random.Random(0xFAB4)
+    threshold = fuzz.randint(2, COUNT // 2)
+    fabric_dir = tmp_path / "fabric"
+    proc = rig.spawn_sweep(fabric_dir, COUNT, backend="local",
+                           work_ms=WORK_MS)
+    try:
+        _wait_for_progress(fabric_dir, threshold, proc)
+        rig.sigkill(proc.pid)
+        proc.wait()
+    finally:
+        _finish(proc)
+    journaled = rig.run_end_count(fabric_dir)
+    stored = len(list((fabric_dir / "store").rglob("*.pkl")))
+    # store.put precedes the journal's run_end: a row the journal claims
+    # is a row the store holds, and at most the one in flight is ahead
+    assert threshold <= journaled <= stored <= journaled + 1 < COUNT
+    assert not rig.campaign_ends(fabric_dir)  # SIGKILL: no end record
+
+    resumed = rig.spawn_sweep(fabric_dir, COUNT, backend="local",
+                              work_ms=1.0, resume=True)
+    assert _finish(resumed) == 0
+    _assert_serial_scorecard(fabric_dir, tmp_path)
+    [end] = rig.campaign_ends(fabric_dir)
+    assert end["status"] == "ok"
+    assert end["cached"] == stored
+    assert end["executed"] == COUNT - stored

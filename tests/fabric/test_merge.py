@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.fabric import campaign_journals, merge_campaign_dir
-from repro.core.orchestrator import (Campaign, _execute_config,
-                                     _run_end_payload)
+from repro.core.orchestrator import (Campaign, _run_end_payload,
+                                     run_one)
 from repro.netsim import kinds as K
 from repro.obs.campaign_report import summarize_journal
 from repro.obs.journal import Journal
@@ -21,7 +21,7 @@ def _serial_rows(tmp_path, count):
 def _write_shard(path, indices, configs):
     journal = Journal(path)
     for index in indices:
-        result = _execute_config(chaos_body, 1995, configs[index])
+        result = run_one(chaos_body, 1995, configs[index])
         journal.record(K.CAMPAIGN_RUN_START, index=index,
                        label=f"item={configs[index]['item']}")
         journal.record(K.CAMPAIGN_RUN_END,

@@ -5,12 +5,12 @@ import pickle
 import pytest
 
 from repro.core.fabric import ResultStore, SweepSpec
-from repro.core.orchestrator import RunCache, _execute_config
+from repro.core.orchestrator import RunCache, run_one
 from tests.fabric.rig import chaos_body, make_spec
 
 
 def _result(item=0):
-    return _execute_config(chaos_body, 1, {"item": item, "ticks": 2})
+    return run_one(chaos_body, 1, {"item": item, "ticks": 2})
 
 
 def test_put_has_get_roundtrip(tmp_path):

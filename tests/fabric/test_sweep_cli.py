@@ -75,3 +75,32 @@ def test_resume_nonexistent_directory_fails_cleanly(tmp_path):
                   "--backend", "sockets")
     assert gone.returncode == 2
     assert "resume" in gone.stderr
+
+
+def test_local_sweep_directory_is_resumable_and_pinned(tmp_path):
+    # a --backend local campaign directory carries its spec like a
+    # sockets one: --resume finds it, re-runs nothing, and a different
+    # sweep aimed at the directory is refused instead of mixed in
+    local_dir = tmp_path / "local"
+    first = _sweep(local_dir, "--backend", "local")
+    assert first.returncode == 0, first.stderr
+    assert (local_dir / "spec.pkl").is_file()
+
+    resumed = _repro("sweep", "--resume", str(local_dir), "--stable")
+    assert resumed.returncode == 0, resumed.stderr
+    assert _stable_section(resumed.stdout) == _stable_section(first.stdout)
+    end = campaign_ends(local_dir)[-1]
+    assert end["executed"] == 0 and end["cached"] == 2
+
+    # the same directory finishes on the other backend too
+    sockets = _repro("sweep", "--resume", str(local_dir), "--backend",
+                     "sockets", "--workers", "2", "--stable")
+    assert sockets.returncode == 0, sockets.stderr
+    assert _stable_section(sockets.stdout) == _stable_section(first.stdout)
+
+    clash = _repro("sweep", "--protocol", "gmp", "--targets", "fixed",
+                   "--count", "3", "--seed", "7", "--journal-dir",
+                   str(local_dir), "--backend", "local")
+    assert clash.returncode == 3
+    assert "different sweep" in clash.stderr
+    assert len(list((local_dir / "store").rglob("*.pkl"))) == 2

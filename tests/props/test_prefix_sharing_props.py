@@ -1,7 +1,7 @@
 """Prefix-grouped sweeps and checkpoint-tree exploration change nothing
 but the clock.
 
-Two contracts, pinned over the real protocol rigs:
+Three contracts, the first two pinned over the real protocol rigs:
 
 - a prefix-grouped ``Campaign.run`` of the split fuzz body is
   byte-identical -- results, canonical traces, oracle fingerprints --
@@ -10,15 +10,24 @@ Two contracts, pinned over the real protocol rigs:
 - :func:`~repro.oracle.explore.explore` with nested re-checkpointing
   reaches exactly the flat exploration's outcomes while dispatching
   strictly fewer simulated events (deep branches refork a warm
-  ancestor instead of replaying their prefix).
+  ancestor instead of replaying their prefix);
+- :func:`~repro.core.orchestrator.execute_shard` itself, over drawn key
+  layouts (scattered groups, singletons, ``None`` keys, rows the store
+  already holds, prefixes that cannot be captured or re-seeded): one row
+  per index, stable-equal to the ``group=False`` cold run, each group
+  captured at most once.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.export import VOLATILE_ATTRS, dump_trace
-from repro.core.orchestrator import Campaign
+from repro.core.fabric import SweepSpec
+from repro.core.orchestrator import (Campaign, PrefixedBody, ShardCapture,
+                                     ShardRow, ShardStart, execute_shard)
 from repro.oracle.explore import explore
 from repro.oracle.fuzz import (DEFAULT_DEPTHS, GMP_VARIANTS, fuzz_body,
                                pack_for, prefixed_fuzz_body)
@@ -121,3 +130,112 @@ def test_explore_nested_matches_flat_with_fewer_events(target):
     assert nested.simulated_events < flat.simulated_events
     assert nested.nested_captures > 0
     assert flat.nested_captures == 0 and flat.ancestor_forks == 0
+
+
+# ----------------------------------------------------------------------
+# execute_shard over drawn key layouts == cold, one capture per group
+# ----------------------------------------------------------------------
+
+class _Beat:
+    """Self-rescheduling callable class (SC101-clean, deep-copyable)."""
+
+    def __init__(self, env, period):
+        self.env = env
+        self.period = period
+        self.fired = 0
+
+    def __call__(self):
+        self.fired += 1
+        self.env.trace.record("beat", n=self.fired)
+        self.env.scheduler.schedule(self.period, self)
+
+
+def _layout_prefix(env, config):
+    kind = config["grp"]
+    if kind == "draws":
+        # capturable, but no fork can be re-seeded: a stream was drawn
+        env.dist("early").dst_uniform(0.0, 1.0)
+    beat = _Beat(env, 0.5 + 0.25 * (len(kind) % 3))
+    env.scheduler.schedule(0.5, beat)
+    if kind == "closure":
+        # uncapturable: a pending closure fails the capture audit
+        env.scheduler.schedule(50.0, lambda: env.trace.record("late"))
+    env.run_until(3.0)
+    return {"beat": beat}
+
+
+def _layout_continue(env, state, config):
+    draw = env.dist("tail", config["grp"]).dst_uniform(0.0, 1.0)
+    env.run_until(3.0 + config["extra"])
+    env.trace.record("tail.done", fired=state["beat"].fired)
+    return {"fired": state["beat"].fired, "draw": round(draw, 9)}
+
+
+def _layout_key(config):
+    return None if config["grp"] == "loose" else config["grp"]
+
+
+_layout_body = PrefixedBody(_layout_prefix, _layout_continue,
+                            key=_layout_key)
+
+_groups = st.sampled_from(["a", "b", "c", "loose", "draws", "closure"])
+_layouts = st.lists(st.tuples(_groups, st.booleans()), min_size=1,
+                    max_size=9)
+
+
+def _row_stable(result):
+    return (result.config, result.result, list(result.trace),
+            (result.telemetry.events, result.telemetry.virtual_s,
+             result.telemetry.trace_entries))
+
+
+@given(_layouts, st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_execute_shard_matches_cold_and_captures_each_group_once(layout,
+                                                                 rnd):
+    # (group, stored): stored rows are ones a store probe already took
+    # out of the shard, so groups arrive with holes; the shard's indices
+    # arrive in any order, so groups arrive scattered
+    configs = [{"grp": grp, "extra": float(n % 3), "n": n}
+               for n, (grp, _stored) in enumerate(layout)]
+    indices = [n for n, (_grp, stored) in enumerate(layout) if not stored]
+    rnd.shuffle(indices)
+    spec = SweepSpec(body=_layout_body, seed=13, configs=configs)
+    cold = Campaign(_layout_body, seed=13, lint="off").run(configs,
+                                                           group=False)
+
+    events = list(execute_shard(spec, indices))
+    rows = [e for e in events if type(e) is ShardRow]
+    starts = [e.index for e in events if type(e) is ShardStart]
+    captures = [e.payload["prefix"] for e in events
+                if type(e) is ShardCapture]
+
+    # one start and one row per index, each start right before its row
+    assert sorted(starts) == sorted(indices)
+    assert [row.index for row in rows] == starts
+    for row in rows:
+        assert _row_stable(row.result) == _row_stable(cold[row.index])
+        assert row.prefix == _layout_key(configs[row.index])
+
+    in_shard = {}
+    for index in indices:
+        in_shard.setdefault(_layout_key(configs[index]), []).append(index)
+    # at most one capture per group, only for groups of two or more, and
+    # never for a world that cannot be captured
+    assert len(captures) == len(set(captures))
+    assert set(captures) == {key for key, members in in_shard.items()
+                             if key not in (None, "closure")
+                             and len(members) > 1}
+    for row in rows:
+        shareable = (row.prefix in captures and row.prefix != "draws")
+        assert row.forked == shareable
+
+    # group=False: the same rows, nothing captured, nothing forked
+    flat = list(execute_shard(
+        SweepSpec(body=_layout_body, seed=13, configs=configs,
+                  group=False), indices))
+    assert not any(type(e) is ShardCapture for e in flat)
+    assert [(e.index, _row_stable(e.result), e.prefix, e.forked)
+            for e in flat if type(e) is ShardRow] \
+        == [(index, _row_stable(cold[index]), None, False)
+            for index in indices]
