@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, Optional, Union
+from typing import IO, Any, Container, Dict, Iterable, Optional, Union
 
 from repro.netsim.trace import TraceEntry, TraceRecorder
 
@@ -50,13 +50,35 @@ def _from_jsonable(value: Any) -> Any:
 VOLATILE_ATTRS = ("uid", "original", "parent")
 
 
-def entry_to_dict(entry: TraceEntry, *,
-                  exclude_attrs: Iterable[str] = ()) -> Dict[str, Any]:
-    """One trace entry as a plain JSON-compatible dict."""
-    excluded = set(exclude_attrs)
+def _entry_dict(entry: TraceEntry,
+                excluded: Container[str]) -> Dict[str, Any]:
     return {"t": entry.time, "kind": entry.kind,
             "attrs": {k: _jsonable(v) for k, v in entry.attrs.items()
                       if k not in excluded}}
+
+
+def entry_to_dict(entry: TraceEntry, *,
+                  exclude_attrs: Iterable[str] = ()) -> Dict[str, Any]:
+    """One trace entry as a plain JSON-compatible dict."""
+    return _entry_dict(entry, frozenset(exclude_attrs))
+
+
+#: one encoder for every line (``json.dumps`` with options builds a new
+#: one per call); ``sort_keys`` is what makes a line canonical
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+
+
+def entry_line(entry: TraceEntry, excluded: Container[str] = ()) -> str:
+    """One trace entry as its canonical JSON line.
+
+    The only renderer of the JSON-lines format: :func:`dump_trace`,
+    :func:`stream_trace`, :func:`traces_equal` and the explorer's
+    incremental outcome digest all go through it, so their bytes cannot
+    drift apart.  ``excluded`` is tested per attribute -- callers with
+    a whole trace to render build one ``frozenset`` and pass it to
+    every call.
+    """
+    return _encode_line(_entry_dict(entry, excluded))
 
 
 def dump_trace(trace: Iterable[TraceEntry],
@@ -68,10 +90,8 @@ def dump_trace(trace: Iterable[TraceEntry],
     ``exclude_attrs`` drops named attributes from every entry; pass
     :data:`VOLATILE_ATTRS` when the dump is for run-to-run comparison.
     """
-    exclude = tuple(exclude_attrs)
-    lines = [json.dumps(entry_to_dict(entry, exclude_attrs=exclude),
-                        sort_keys=True)
-             for entry in trace]
+    excluded = frozenset(exclude_attrs)
+    lines = [entry_line(entry, excluded) for entry in trace]
     text = "\n".join(lines)
     if fp is not None:
         fp.write(text)
@@ -91,12 +111,11 @@ def stream_trace(trace: Iterable[TraceEntry], fp: IO[str], *,
     everything because it also returns the text).  The byte output is
     identical to ``dump_trace(trace, fp)``.  Returns the entry count.
     """
-    exclude = tuple(exclude_attrs)
+    excluded = frozenset(exclude_attrs)
     buffer: list = []
     count = 0
     for entry in trace:
-        buffer.append(json.dumps(entry_to_dict(entry, exclude_attrs=exclude),
-                                 sort_keys=True))
+        buffer.append(entry_line(entry, excluded))
         count += 1
         if len(buffer) >= buffer_lines:
             fp.write("\n".join(buffer))
@@ -139,6 +158,4 @@ def traces_equal(a: Iterable[TraceEntry], b: Iterable[TraceEntry]) -> bool:
     Useful for regression pinning: run an experiment twice (or across
     versions) and assert the traces match exactly.
     """
-    norm_a = [json.dumps(entry_to_dict(e), sort_keys=True) for e in a]
-    norm_b = [json.dumps(entry_to_dict(e), sort_keys=True) for e in b]
-    return norm_a == norm_b
+    return [entry_line(e) for e in a] == [entry_line(e) for e in b]

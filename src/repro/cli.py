@@ -699,18 +699,23 @@ def cmd_explore(args) -> int:
     deferring in-flight deliveries and protocol timers -- with every
     schedule forked from the same checkpoint and judged by the
     protocol's oracle pack.  Exit status 1 when any schedule violates
-    an invariant the baseline does not.
+    an invariant the baseline does not, 2 when the world at ``--depth``
+    has not started (nothing to explore).
     """
-    from repro.oracle.explore import explore
-    report = explore(args.protocol, args.target, seed=args.seed,
-                     depth=args.depth, window=args.window,
-                     horizon=args.horizon,
-                     max_schedules=args.max_schedules,
-                     max_perturbations=args.max_perturbations,
-                     defer_delta=args.defer_delta,
-                     recheckpoint_every=args.recheckpoint_every,
-                     progress=print if args.progress else None,
-                     journal=args.journal or None)
+    from repro.oracle.explore import ExploreError, explore
+    try:
+        report = explore(args.protocol, args.target, seed=args.seed,
+                         depth=args.depth, window=args.window,
+                         horizon=args.horizon,
+                         max_schedules=args.max_schedules,
+                         max_perturbations=args.max_perturbations,
+                         defer_delta=args.defer_delta,
+                         recheckpoint_every=args.recheckpoint_every,
+                         progress=print if args.progress else None,
+                         journal=args.journal or None)
+    except ExploreError as err:
+        print(f"repro explore: {err}", file=sys.stderr)
+        return 2
     print(report.render())
     return 1 if report.findings else 0
 

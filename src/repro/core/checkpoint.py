@@ -304,6 +304,11 @@ class CheckpointPool:
             self.evictions += 1
         return checkpoint
 
+    def discard(self, key: Hashable) -> None:
+        """Release ``key``'s snapshot if pooled (not an eviction: the
+        holder is done with it)."""
+        self._items.pop(key, None)
+
     def clear(self) -> None:
         """Drop every pooled snapshot (budget counters are kept)."""
         self._items.clear()

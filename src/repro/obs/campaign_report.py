@@ -333,6 +333,19 @@ def _telemetry_table(summary: CampaignSummary) -> List[str]:
          for label, telemetry in rows])]
 
 
+def plans_line(census) -> str:
+    """An exploration's plan census: ``plans: 47 of 54 singles, 0 of
+    1,404 pairs`` from ``(run, existed)`` per plan size.
+
+    Rendered here for both the live ``ExploreReport`` and the replayed
+    ``campaign.end`` payload, so the two cannot disagree.
+    """
+    sizes = ("singles", "pairs")
+    return "plans: " + ", ".join(
+        f"{run:,} of {existed:,} {sizes[size]}"
+        for size, (run, existed) in enumerate(census))
+
+
 def render_text(summary: CampaignSummary, *, rank: int = 10) -> str:
     """The flight-record scorecard, faithful to the journal's last event."""
     header = f"campaign flight record: {summary.engine}"
@@ -372,6 +385,8 @@ def render_text(summary: CampaignSummary, *, rank: int = 10) -> str:
             f"  simulated {end['simulated_events']} events "
             f"({end.get('ancestor_forks', 0)} ancestor forks, "
             f"{end.get('nested_captures', 0)} nested checkpoints)")
+    if end.get("plans"):
+        lines.append(f"  {plans_line(end['plans'])}")
     if summary.shrink_steps:
         lines.append(f"  shrink probes: {summary.shrink_steps}")
     if summary.phases:

@@ -25,30 +25,41 @@ shift what later indices refer to.  That is standard for bounded
 schedule fuzzing -- every executed schedule is still a real, legal
 event order, which is all the oracle verdict needs.
 
-Reforking is **tree-shaped**: while a schedule executes, the explorer
-re-checkpoints its branch every ``recheckpoint_every`` steps (a nested
-:meth:`Checkpoint.capture` on the running fork), and every later
-schedule forks from the *nearest ancestor* whose applied-perturbation
-prefix matches its plan instead of from the flat root -- so a branch
-that diverges at step d costs one fork plus the steps past d, not d
-re-simulated events.  The per-schedule event counts are tracked
-(``ExploreReport.simulated_events``) and the nested tree is bounded by
-an LRU :class:`CheckpointPool`.
+Reforking is **tree-shaped** and **plan-aware**: the whole plan list
+is fixed before the first schedule runs, so the explorer knows which
+branch positions (every ``recheckpoint_every`` steps) a later schedule
+will fork from.  A running schedule re-checkpoints its branch (a nested
+:meth:`Checkpoint.capture` on the running fork) only at a position a
+not-yet-run plan is waiting for, every later schedule forks that
+*nearest ancestor* instead of the flat root -- a branch that diverges
+at step d costs one fork plus the steps past d, not d re-simulated
+events -- and a snapshot is released as soon as its last consumer has
+forked it.  ``_TREE_ITEMS`` is only the hard cap on live snapshots.
+The per-schedule event counts are tracked
+(``ExploreReport.simulated_events``).
+
+The outcome hash is **prefix-shared** the same way: a fork's trace
+below its checkpoint is the same entry objects in every fork, so each
+checkpoint carries a running digest of that prefix and a schedule
+serialises only the entries past the ancestor it forked from.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from math import comb
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.export import VOLATILE_ATTRS, dump_trace
+from repro.analysis.export import VOLATILE_ATTRS, entry_line
 from repro.core.checkpoint import Checkpoint, CheckpointPool
 from repro.core.orchestrator import make_env
 from repro.netsim import kinds as K
 from repro.netsim.link import Link
 from repro.netsim.scheduler import Event
 from repro.netsim.timer import Timer
+from repro.netsim.trace import TraceRecorder
+from repro.obs.campaign_report import plans_line
 from repro.obs.journal import Journal
 from repro.obs.progress import ProgressRenderer
 from repro.oracle.fuzz import (DEFAULT_DEPTHS, HORIZONS, _gmp_prefix,
@@ -58,8 +69,16 @@ from repro.oracle.fuzz import (DEFAULT_DEPTHS, HORIZONS, _gmp_prefix,
 #: always legal and never counts as a perturbation
 ACTIONS = {"delivery": ("drop", "defer"), "timer": ("drop", "defer")}
 
-#: nested-checkpoint tree budget: snapshots kept live at once
+#: hard cap on nested snapshots live at once; when it binds, the nodes
+#: whose next use comes soonest in plan order are the ones kept
 _TREE_ITEMS = 32
+
+_VOLATILE = frozenset(VOLATILE_ATTRS)
+
+
+class ExploreError(ValueError):
+    """The world to explore has not started: nothing recorded, nothing
+    perturbable in the window."""
 
 
 def classify_event(event: Event) -> str:
@@ -143,6 +162,9 @@ class ExploreReport:
     ancestor_forks: int = 0
     #: the re-checkpoint interval this exploration ran with (0: flat)
     recheckpoint_every: int = 0
+    #: ``(run, existed)`` per plan size -- singles, then pairs -- so a
+    #: budget that never reached a pair plan is visible
+    plans: List[Tuple[int, int]] = field(default_factory=list)
 
     def render(self) -> str:
         lines = [f"explore {self.protocol}/{self.target}: "
@@ -154,6 +176,8 @@ class ExploreReport:
                      + (f" ({self.ancestor_forks} ancestor forks, "
                         f"{self.nested_captures} nested checkpoints)"
                         if self.recheckpoint_every else ""))
+        if self.plans:
+            lines.append(f"  {plans_line(self.plans)}")
         if self.baseline_codes:
             lines.append(f"  baseline already violates: "
                          f"{','.join(self.baseline_codes)}")
@@ -192,61 +216,191 @@ def _prefix_checkpoint(protocol: str, target: str, depth: float,
         env, roots, label=f"explore/{protocol}/{target}@{depth:g}")
 
 
+class _TraceDigest:
+    """A running sha256 over a trace's canonical JSON lines.
+
+    After absorbing entries ``[0, n)`` it holds exactly
+    ``sha256(dump_trace(entries[:n], exclude_attrs=VOLATILE_ATTRS))``,
+    and a :meth:`copy` continues from there independently -- which is
+    what lets every fork of a checkpoint start from the prefix's digest
+    instead of serialising the shared prefix again.
+    """
+
+    __slots__ = ("_sha", "position")
+
+    def __init__(self, sha=None, position: int = 0):
+        self._sha = hashlib.sha256() if sha is None else sha
+        #: trace entries absorbed so far
+        self.position = position
+
+    def copy(self) -> "_TraceDigest":
+        return _TraceDigest(self._sha.copy(), self.position)
+
+    def absorb(self, trace: TraceRecorder) -> None:
+        """Serialise and hash the entries of ``trace`` past ``position``."""
+        fresh = trace.entries()[self.position:]
+        if not fresh:
+            return
+        text = "\n".join(entry_line(entry, _VOLATILE) for entry in fresh)
+        if self.position:
+            text = "\n" + text
+        self._sha.update(text.encode())
+        self.position += len(fresh)
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+@dataclass
+class _Node:
+    """One forkable moment of an exploration: the root or a snapshot."""
+
+    checkpoint: Checkpoint
+    #: baseline-window iterations the captured branch had run
+    step: int
+    #: the perturbations that branch had actually applied
+    applied: Tuple[Perturbation, ...]
+    #: digest of trace entries ``[0, checkpoint.position)``, the prefix
+    #: every fork of ``checkpoint`` shares
+    digest: _TraceDigest
+
+    @property
+    def position(self) -> int:
+        """Retained trace entries (``CheckpointPool``'s size proxy)."""
+        return self.checkpoint.position
+
+
 class _Tree:
     """The nested-checkpoint tree one exploration grows and reforks from.
 
     Nodes are keyed ``(applied_pairs, step)``: the world after ``step``
     baseline-window iterations with exactly the perturbations in
-    ``applied_pairs`` applied.  A later plan reforks from the deepest
-    live node whose applied prefix equals the plan's own entries below
-    that step -- never from a node that applied something the plan does
-    not want, because keys record what a branch *actually* did, not
-    what its plan asked for.  Nodes are captured only along branches a
-    longer plan could still extend (fewer than ``max_prefix``
-    perturbations applied) and live in an LRU-bounded
-    :class:`CheckpointPool`.
+    ``applied_pairs`` applied.  Keys record what a branch *actually*
+    did, not what its plan asked for, and a plan only ever forks a node
+    whose pairs equal its own entries below that step.
+
+    The tree is plan-aware.  ``plans`` is the exploration's whole
+    future, so each plan is counted, up front, against the one node it
+    will fork: the last ``every``-step mark at or below its final
+    perturbation, on the branch that applied the rest of it
+    (:meth:`_wanted`).  A running branch is snapshotted at a mark only
+    while some not-yet-run plan is counted against that key, the count
+    is retired as each plan starts, and the node leaves the pool when
+    its last consumer has forked it.  Each node carries the digest of
+    the trace prefix its forks share.
     """
 
-    def __init__(self, root: Checkpoint, *, every: int, max_prefix: int,
+    def __init__(self, root: Checkpoint, root_digest: _TraceDigest,
+                 plans: List[Dict[int, str]], *, every: int,
                  journal: Optional[Journal] = None):
-        self.root = root
+        self.root = _Node(root, 0, (), root_digest)
         self.every = every
-        self.max_prefix = max_prefix
-        self.pool = CheckpointPool(max_items=_TREE_ITEMS)
-        self._applied: Dict[Any, Tuple[Perturbation, ...]] = {}
+        self.pool = CheckpointPool()
         self.journal = journal
         self.captures = 0
+        self.ancestor_forks = 0
+        self.simulated_events = 0
+        #: node key -> indices of the not-yet-run plans that will fork
+        #: it, soonest last (so ``[-1]`` is the next use, ``pop()``
+        #: retires it)
+        self._uses: Dict[Any, List[int]] = {}
+        #: keys of marks a branch never reached -> the key their plans
+        #: were re-counted against (see :meth:`window_closed`)
+        self._moved: Dict[Any, Any] = {}
+        for index in reversed(range(len(plans))):
+            key = self._wanted(plans[index])
+            if key is not None:
+                self._uses.setdefault(key, []).append(index)
 
-    def start_for(self, plan: Dict[int, str]
-                  ) -> Tuple[Checkpoint, int, Tuple[Perturbation, ...]]:
-        """The nearest ancestor to fork for ``plan``: deepest match wins."""
-        best = (self.root, 0, ())
-        for key in self.pool.keys():
-            pairs, step = key
-            if step <= best[1]:
-                continue
-            prefix = {s: a for s, a in plan.items() if s < step}
-            if len(pairs) == len(prefix) and dict(pairs) == prefix:
-                checkpoint = self.pool.get(key)
-                if checkpoint is not None:
-                    best = (checkpoint, step, self._applied.get(key, ()))
-        return best
+    def _wanted(self, plan: Dict[int, str]) -> Optional[Any]:
+        """The key of the deepest node ``plan`` can fork (None: root).
 
-    def maybe_capture(self, forked, step: int,
+        A mark past the plan's last perturbation is no use -- only the
+        plan's own run reaches it with exactly these pairs applied.
+        """
+        if not plan or self.every <= 0:
+            return None
+        mark = max(plan) // self.every * self.every
+        if mark == 0:
+            return None
+        return (tuple(sorted(pair for pair in plan.items()
+                             if pair[0] < mark)), mark)
+
+    def start_for(self, plan: Dict[int, str]) -> _Node:
+        """The nearest live ancestor to fork for ``plan``, retiring the
+        plan's claim on the node it was counted against.
+
+        That node is normally there; when the cap evicted it, or the
+        branch it was due on ended early, shallower marks are tried
+        before the root.
+        """
+        wanted = self._wanted(plan)
+        if wanted is None:
+            return self.root
+        wanted = self._moved.get(wanted, wanted)
+        start = self.root
+        pairs, deepest = wanted
+        for mark in range(deepest, 0, -self.every):
+            node = self.pool.get(
+                (tuple(pair for pair in pairs if pair[0] < mark), mark))
+            if node is not None:
+                start = node
+                break
+        uses = self._uses[wanted]
+        uses.pop()
+        if not uses:
+            del self._uses[wanted]
+            self.pool.discard(wanted)
+        return start
+
+    def window_closed(self, step: int,
                       applied: List[Perturbation]) -> None:
-        """Re-checkpoint a running branch at its ``every``-step marks."""
-        if self.every <= 0 or step <= 0 or step % self.every:
+        """The running branch's window ended after ``step`` steps.
+
+        A perturbation can empty the window early, and plans counted
+        against marks the branch never reached would find nothing and
+        fall back to the root.  They are re-counted against the
+        branch's last snapshot instead, which so outlives its own
+        consumers until they too have forked it.
+        """
+        pairs = tuple((p.step, p.action) for p in applied)
+        stranded = [key for key in self._uses
+                    if key[0] == pairs and key[1] > step]
+        if not stranded:
             return
-        if len(applied) >= self.max_prefix:
-            return  # no longer plan can extend this branch
+        last = (pairs, step // self.every * self.every)
+        if last not in self.pool:
+            return
+        for key in stranded:
+            self._moved[key] = last
+            self._uses[last] = sorted(self._uses[last] + self._uses.pop(key),
+                                      reverse=True)
+
+    def maybe_capture(self, forked, step: int, applied: List[Perturbation],
+                      digest: _TraceDigest) -> None:
+        """Snapshot a running branch where a later plan will fork it.
+
+        Only ``every``-step marks are ever counted against, so any
+        other step falls through the demand lookup.  At the cap the
+        nodes used soonest in plan order stay: the one needed last is
+        evicted, or this capture is skipped when that is the new node.
+        """
         key = (tuple((p.step, p.action) for p in applied), step)
-        if key in self.pool:
+        uses = self._uses.get(key)
+        if not uses or key in self.pool:
             return
+        if len(self.pool) >= _TREE_ITEMS:
+            last = max(self.pool.keys(), key=lambda k: self._uses[k][-1])
+            if self._uses[last][-1] < uses[-1]:
+                return
+            self.pool.discard(last)
         checkpoint = Checkpoint.capture(
-            forked, label=f"{self.root.label}+{len(applied)}p@{step}",
+            forked, label=f"{self.root.checkpoint.label}"
+                          f"+{len(applied)}p@{step}",
             audit=False)
-        self.pool.put(key, checkpoint)
-        self._applied[key] = tuple(applied)
+        digest.absorb(forked.env.trace)
+        self.pool.put(key, _Node(checkpoint, step, tuple(applied),
+                                 digest.copy()))
         self.captures += 1
         if self.journal is not None:
             self.journal.record(
@@ -256,31 +410,27 @@ class _Tree:
                 parent=checkpoint.parent.identity)
 
 
-def _run_schedule(checkpoint: Checkpoint, plan: Dict[int, str], *,
-                  window: float, horizon: float, defer_delta: float,
-                  oracle, tree: Optional[_Tree] = None,
-                  counters: Optional[Dict[str, int]] = None
+def _run_schedule(tree: _Tree, plan: Dict[int, str], *, window: float,
+                  horizon: float, defer_delta: float, oracle
                   ) -> Tuple[Tuple[Perturbation, ...], List, str]:
     """Execute one schedule; returns (applied plan, violations, hash).
 
-    With a ``tree``, the schedule starts from its nearest ancestor
-    checkpoint (skipping every event that ancestor already simulated)
-    and leaves new nested checkpoints along its own branch for later
-    schedules; the result is byte-identical to a flat root fork, only
-    the number of re-simulated events changes (tracked in
-    ``counters``).
+    The schedule starts from its nearest ancestor checkpoint (skipping
+    every event that ancestor already simulated) and leaves a nested
+    checkpoint where a later plan will fork its branch; the result is
+    byte-identical to a flat root fork, only the number of re-simulated
+    events (``tree.simulated_events``) and of re-serialised trace
+    entries changes.
     """
-    if tree is not None:
-        start, start_step, prefix_applied = tree.start_for(plan)
-    else:
-        start, start_step, prefix_applied = checkpoint, 0, ()
-    forked = start.fork()
+    start = tree.start_for(plan)
+    forked = start.checkpoint.fork()
+    digest = start.digest.copy()
     env = forked.env
     scheduler = env.scheduler
     dispatched_before = scheduler.dispatched_count
-    end = checkpoint.time + window
-    step = start_step
-    applied: List[Perturbation] = list(prefix_applied)
+    end = tree.root.checkpoint.time + window
+    step = start.step
+    applied: List[Perturbation] = list(start.applied)
     while True:
         event = scheduler.peek_entry()
         if event is None or event.time > end:
@@ -296,26 +446,27 @@ def _run_schedule(checkpoint: Checkpoint, plan: Dict[int, str], *,
         else:
             scheduler.step()
         step += 1
-        if tree is not None:
-            tree.maybe_capture(forked, step, applied)
+        tree.maybe_capture(forked, step, applied, digest)
+    tree.window_closed(step, applied)
     env.run_until(horizon)
-    if counters is not None:
-        counters["events"] += scheduler.dispatched_count - dispatched_before
-        if start_step > 0:
-            counters["ancestor_forks"] += 1
+    tree.simulated_events += scheduler.dispatched_count - dispatched_before
+    if start is not tree.root:
+        tree.ancestor_forks += 1
     from repro.oracle import evaluate
     violations = evaluate(env.trace, oracle()).violations
-    digest = hashlib.sha256(
-        dump_trace(env.trace,
-                   exclude_attrs=VOLATILE_ATTRS).encode()).hexdigest()
-    return tuple(applied), violations, digest[:16]
+    digest.absorb(env.trace)
+    return tuple(applied), violations, digest.hexdigest()[:16]
 
 
 def _survey(checkpoint: Checkpoint, *, window: float
-            ) -> List[Tuple[str, str]]:
+            ) -> Tuple[List[Tuple[str, str]], _TraceDigest]:
     """The baseline event order inside the window: (class, label) per
-    step, observed by single-stepping a throwaway fork."""
+    step, observed by single-stepping a throwaway fork -- plus the
+    digest of the trace prefix that fork (like every other) starts
+    with."""
     forked = checkpoint.fork()
+    digest = _TraceDigest()
+    digest.absorb(forked.env.trace)
     scheduler = forked.env.scheduler
     end = checkpoint.time + window
     steps: List[Tuple[str, str]] = []
@@ -325,7 +476,7 @@ def _survey(checkpoint: Checkpoint, *, window: float
             break
         steps.append((classify_event(event), describe_event(event)))
         scheduler.step()
-    return steps
+    return steps, digest
 
 
 def _plans(steps: List[Tuple[str, str]], *, max_perturbations: int,
@@ -355,6 +506,28 @@ def _plans(steps: List[Tuple[str, str]], *, max_perturbations: int,
     return plans
 
 
+def _plan_census(steps: List[Tuple[str, str]], *, max_perturbations: int,
+                 executed: int) -> List[Tuple[int, int]]:
+    """``(run, existed)`` per plan size -- singles, then pairs.
+
+    Arithmetic over the survey, not a count of :func:`_plans` (which
+    stops at the budget): two actions on one step never pair up, the
+    baseline schedule is no perturbation plan, and plans run in size
+    order.
+    """
+    per_step = [len(ACTIONS.get(kind, ())) for kind, _label in steps]
+    existed = [sum(per_step)]
+    if max_perturbations >= 2:
+        existed.append(comb(existed[0], 2)
+                       - sum(comb(count, 2) for count in per_step))
+    census = []
+    left = max(0, executed - 1)
+    for total in existed:
+        census.append((min(left, total), total))
+        left -= census[-1][0]
+    return census
+
+
 def explore(protocol: str = "gmp", target: str = "self_death", *,
             seed: int = 0, depth: Optional[float] = None,
             window: float = 1.5, horizon: Optional[float] = None,
@@ -370,14 +543,19 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
     dropped or deferred by ``defer_delta`` seconds; the run then
     continues undisturbed to ``horizon`` and the protocol's oracle pack
     judges the trace.  Deterministic in all arguments: the same call
-    always explores the same schedules.
+    always explores the same schedules.  A world that has recorded
+    nothing and holds no delivery or timer in the window (TCP at its
+    default depth 0: the rig is built, no traffic has started) raises
+    :class:`ExploreError` before the first schedule instead of
+    reporting one vacuous baseline.
 
     ``recheckpoint_every`` (default 8, ``0`` disables) grows a
-    checkpoint *tree*: executing schedules re-checkpoint their branch
-    every that many steps, and later schedules refork from the nearest
-    matching ancestor instead of the root -- same outcomes (the
-    reported hashes are byte-identical to the flat path's), strictly
-    fewer re-simulated events (``ExploreReport.simulated_events``).
+    checkpoint *tree*: an executing schedule re-checkpoints its branch
+    at every that-many-th step a later plan will fork from, and later
+    schedules refork from the nearest matching ancestor instead of the
+    root -- same outcomes (the reported hashes are byte-identical to
+    the flat path's), strictly fewer re-simulated events
+    (``ExploreReport.simulated_events``).
 
     ``journal`` (a :class:`~repro.obs.journal.Journal` or a path)
     attaches the campaign flight recorder: preflight, the prefix
@@ -436,14 +614,26 @@ def _explore_journaled(protocol: str, target: str,
     else:
         checkpoint = _prefix_checkpoint(protocol, target, depth, seed)
     oracle = pack_for(protocol)
-    steps = _survey(checkpoint, window=window)
+    steps, root_digest = _survey(checkpoint, window=window)
+    if checkpoint.position == 0 and not any(
+            kind in ACTIONS for kind, _label in steps):
+        if journal is not None:
+            journal.record(K.CAMPAIGN_END, status="preflight_failed",
+                           executed=0)
+        raise ExploreError(
+            f"explore {protocol}/{target}: the world at depth {depth:g} "
+            f"has recorded nothing and holds no delivery or timer in "
+            f"the window [{depth:g}, {depth + window:g}] -- the rig is "
+            f"built but no traffic has started, so there is nothing to "
+            f"perturb; pass --depth (depth=) to warm it into traffic "
+            f"first")
     report = ExploreReport(protocol=protocol, target=target, depth=depth,
                            window=window, horizon=horizon, seed=seed,
                            recheckpoint_every=max(0, recheckpoint_every))
-    tree = (_Tree(checkpoint, every=recheckpoint_every,
-                  max_prefix=max_perturbations, journal=journal)
-            if recheckpoint_every > 0 else None)
-    counters = {"events": 0, "ancestor_forks": 0}
+    plans = _plans(steps, max_perturbations=max_perturbations,
+                   max_schedules=max_schedules)
+    tree = _Tree(checkpoint, root_digest, plans,
+                 every=recheckpoint_every, journal=journal)
     renderer = (ProgressRenderer(f"explore {protocol}/{target}",
                                  total=None, unit="schedules",
                                  sink=progress)
@@ -452,12 +642,10 @@ def _explore_journaled(protocol: str, target: str,
     seen_findings: set = set()
     status = "ok"
     try:
-        for plan in _plans(steps, max_perturbations=max_perturbations,
-                           max_schedules=max_schedules):
+        for plan in plans:
             applied, violations, outcome_hash = _run_schedule(
-                checkpoint, plan, window=window, horizon=horizon,
-                defer_delta=defer_delta, oracle=oracle, tree=tree,
-                counters=counters)
+                tree, plan, window=window, horizon=horizon,
+                defer_delta=defer_delta, oracle=oracle)
             codes = sorted({v.code for v in violations})
             novel = outcome_hash not in seen_hashes
             seen_hashes.setdefault(outcome_hash, report.schedules)
@@ -492,9 +680,12 @@ def _explore_journaled(protocol: str, target: str,
         raise
     finally:
         report.distinct_outcomes = len(seen_hashes)
-        report.simulated_events = counters["events"]
-        report.ancestor_forks = counters["ancestor_forks"]
-        report.nested_captures = tree.captures if tree is not None else 0
+        report.simulated_events = tree.simulated_events
+        report.ancestor_forks = tree.ancestor_forks
+        report.nested_captures = tree.captures
+        report.plans = _plan_census(steps,
+                                    max_perturbations=max_perturbations,
+                                    executed=report.schedules)
         if journal is not None:
             journal.record(K.CAMPAIGN_END, status=status,
                            executed=report.schedules,
@@ -502,5 +693,6 @@ def _explore_journaled(protocol: str, target: str,
                            findings=len(report.findings),
                            simulated_events=report.simulated_events,
                            ancestor_forks=report.ancestor_forks,
-                           nested_captures=report.nested_captures)
+                           nested_captures=report.nested_captures,
+                           plans=report.plans)
     return report

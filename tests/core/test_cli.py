@@ -192,6 +192,22 @@ class TestExploreCommand:
                      "--max-schedules", "8"]) == 0
         assert "findings 0" in capsys.readouterr().out
 
+    def test_explore_unstarted_world_exits_two_with_one_line(self, capsys):
+        # tcp's default depth is 0.0: rig built, no traffic yet
+        assert main(["explore", "--protocol", "tcp",
+                     "--target", "SunOS 4.1.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro explore: explore tcp/SunOS 4.1.3")
+        assert "--depth" in line
+
+    def test_explore_prints_the_plan_census(self, capsys):
+        main(["explore", "--target", "fixed", "--max-schedules", "8",
+              "--max-perturbations", "2"])
+        assert ("  plans: 7 of 54 singles, 0 of 1,404 pairs"
+                in capsys.readouterr().out.splitlines())
+
     def test_explore_flags_parse(self):
         args = build_parser().parse_args(
             ["explore", "--protocol", "tcp", "--target", "SunOS 4.1.3",

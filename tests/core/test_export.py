@@ -1,6 +1,7 @@
 """Tests for trace export/import and run-to-run determinism pinning."""
 
 import io
+import json
 
 from repro.analysis.export import (VOLATILE_ATTRS, dump_trace,
                                    entry_to_dict, load_trace, traces_equal)
@@ -93,6 +94,24 @@ def test_stream_trace_bytes_match_dump_trace():
     count = stream_trace(trace, streamed, buffer_lines=2)  # force flushes
     assert streamed.getvalue() == whole.getvalue()
     assert count == len(trace)
+
+
+def test_stream_trace_bytes_match_dump_trace_without_volatile_attrs():
+    from repro.analysis.export import entry_line, stream_trace
+    trace = make_trace()
+    trace.record("tcp.send", t=6.0, uid=9, original=4, parent=2, seq=7)
+    whole = io.StringIO()
+    text = dump_trace(trace, whole, exclude_attrs=VOLATILE_ATTRS)
+    streamed = io.StringIO()
+    stream_trace(trace, streamed, exclude_attrs=VOLATILE_ATTRS,
+                 buffer_lines=2)
+    assert streamed.getvalue() == whole.getvalue() == text + "\n"
+    assert "uid" not in text and '"seq": 7' in text
+    # one renderer: a dump is its lines, one per entry
+    assert text.split("\n") == [entry_line(entry, frozenset(VOLATILE_ATTRS))
+                                for entry in trace]
+    assert entry_line(trace.entries()[-1]) == json.dumps(
+        entry_to_dict(trace.entries()[-1]), sort_keys=True)
 
 
 def test_stream_trace_excludes_attrs():

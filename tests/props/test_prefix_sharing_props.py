@@ -1,7 +1,7 @@
 """Prefix-grouped sweeps and checkpoint-tree exploration change nothing
 but the clock.
 
-Three contracts, the first two pinned over the real protocol rigs:
+Four contracts, the first three pinned over the real protocol rigs:
 
 - a prefix-grouped ``Campaign.run`` of the split fuzz body is
   byte-identical -- results, canonical traces, oracle fingerprints --
@@ -11,6 +11,10 @@ Three contracts, the first two pinned over the real protocol rigs:
   reaches exactly the flat exploration's outcomes while dispatching
   strictly fewer simulated events (deep branches refork a warm
   ancestor instead of replaying their prefix);
+- over drawn budgets and re-checkpoint intervals, the explorer's
+  prefix-shared incremental digest of every schedule equals the digest
+  of a full ``dump_trace`` of that schedule's final trace, and every
+  nested snapshot the plan-aware tree takes is forked;
 - :func:`~repro.core.orchestrator.execute_shard` itself, over drawn key
   layouts (scattered groups, singletons, ``None`` keys, rows the store
   already holds, prefixes that cannot be captured or re-seeded): one row
@@ -18,6 +22,7 @@ Three contracts, the first two pinned over the real protocol rigs:
   captured at most once.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -130,6 +135,60 @@ def test_explore_nested_matches_flat_with_fewer_events(target):
     assert nested.simulated_events < flat.simulated_events
     assert nested.nested_captures > 0
     assert flat.nested_captures == 0 and flat.ancestor_forks == 0
+
+
+# ----------------------------------------------------------------------
+# incremental digest == full dump, for drawn budgets and intervals
+# ----------------------------------------------------------------------
+
+#: a 0.5 s window holds 15 steps -> 30 singles, so budgets past 31
+#: reach pair plans without exploring hundreds of schedules
+_NARROW = dict(seed=0, window=0.5)
+
+
+@pytest.fixture(scope="module")
+def flat_hashes():
+    """Flat-path outcome hashes of the longest drawn exploration; the
+    plan order is fixed, so shorter budgets are prefixes of it."""
+    report = explore("gmp", "self_death", max_schedules=70,
+                     max_perturbations=2, recheckpoint_every=0, **_NARROW)
+    return [o.outcome_hash for o in report.outcomes]
+
+
+@given(max_schedules=st.integers(1, 70),
+       max_perturbations=st.integers(1, 3),
+       recheckpoint_every=st.sampled_from([0, 2, 4, 8]))
+@settings(max_examples=12, deadline=None)
+def test_incremental_digest_equals_full_dump(flat_hashes, max_schedules,
+                                             max_perturbations,
+                                             recheckpoint_every):
+    import repro.oracle
+    evaluate = repro.oracle.evaluate
+    full = []
+
+    def dumping_evaluate(trace, pack):
+        # called once per schedule with its final trace: the reference
+        # is the whole-trace hash the explorer used to compute
+        full.append(hashlib.sha256(canon(trace).encode()).hexdigest()[:16])
+        return evaluate(trace, pack)
+
+    repro.oracle.evaluate = dumping_evaluate
+    try:
+        report = explore("gmp", "self_death", max_schedules=max_schedules,
+                         max_perturbations=max_perturbations,
+                         recheckpoint_every=recheckpoint_every, **_NARROW)
+    finally:
+        repro.oracle.evaluate = evaluate
+    hashes = [o.outcome_hash for o in report.outcomes]
+    assert hashes == full
+    # nested == flat: one perturbation per schedule stops at the singles
+    budget = max_schedules if max_perturbations > 1 \
+        else min(max_schedules, 31)
+    assert hashes == flat_hashes[:budget]
+    # every snapshot taken is forked at least once (the cap is far off)
+    assert report.nested_captures <= report.ancestor_forks
+    if recheckpoint_every == 0:
+        assert report.nested_captures == 0
 
 
 # ----------------------------------------------------------------------
