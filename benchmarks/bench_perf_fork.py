@@ -7,7 +7,7 @@ standard rig: a five-machine GMP group warmed almost to the fuzz
 horizon, each trial installing a heartbeat-dropping tclish filter and
 running the last stretch with the GMP invariant pack as the verdict --
 script install and oracle evaluation are inside the timed region for
-both paths, so the speedup is end-to-end, not fork-vs-deepcopy.
+both paths, so the speedup is end-to-end, not fork-vs-copy.
 
 Correctness is asserted, not assumed: every forked continuation's
 canonical trace dump (volatile message uids excluded, see
@@ -68,8 +68,8 @@ def run_bench(trials: int = 30, verbose: bool = True) -> dict:
     """Measure cold vs capture-once-fork-N; returns the JSON payload."""
     oracle = pack_for("gmp")
 
-    # warm up both paths untimed (imports, deepcopy dispatch caches,
-    # tclish compile cache); the first capture otherwise pays ~10x
+    # warm up both paths untimed (imports, tclish compile cache); the
+    # first capture otherwise pays ~10x
     env, cluster = _prefix()
     warm = Checkpoint.capture(env, {"cluster": cluster}, label="warmup")
     forked = warm.fork()
@@ -185,7 +185,7 @@ def run_campaign_bench(configs: int = 20, verbose: bool = True) -> dict:
     oracle = pack_for("gmp")
     sweep = [{"case": case} for case in range(configs)]
 
-    # untimed warmup (imports, deepcopy dispatch, tclish compile cache)
+    # untimed warmup (imports, tclish compile cache)
     Campaign(campaign_body, seed=0).run(sweep[:1], group=False,
                                         telemetry=False)
 

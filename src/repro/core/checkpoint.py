@@ -11,21 +11,39 @@ scripts with their tclish interpreter state, PFI hold queues, the trace
 position and the seeded RNG streams -- and every :meth:`Checkpoint.fork`
 yields an independent continuation of that exact moment.
 
-The mechanics are a :func:`copy.deepcopy` of the *world graph* rooted at
-the environment, which is only sound because the simulator schedules
-**bound methods and callable-class instances, never closures**:
-``deepcopy`` treats functions as atomic values, so a lambda stored in a
-heap entry would keep pointing into the original world and the fork
-would silently cross-talk with it.  :func:`audit_scheduler` enforces
-that rule at capture time by walking the pending heap and rejecting any
-callback whose identity cannot survive the copy.
+The mechanics are a deep copy of the *world graph* rooted at the
+environment, made by a :class:`~repro.core.cloneplan.ClonePlan`: the
+graph is walked once per checkpoint, in ``copy.deepcopy``'s own order,
+and compiled into a flat recipe (one slot per object: pre-filled
+container templates, ``cls.__new__`` shells, ``(key -> slot)`` patches,
+rebuilt tuples and bound methods) that every fork replays -- no
+``__reduce_ex__``, type dispatch or memo lookup per object per fork.
+``capture`` makes its pristine snapshot by compiling and cloning the
+live world, then compiles the snapshot for the forks.  On the stock
+fuzz prefixes a fork costs about a tenth of what ``deepcopy`` cost
+(GMP: 281 objects, 2.6 -> 0.24 ms; TCP: 62 objects, 0.35 -> 0.04 ms;
+``docs/performance.md``); an object the compiler does not positively
+recognise (a ``__deepcopy__``, ``__setstate__`` or custom ``__reduce__``
+hook) is a *fallback*, copied per fork by ``copy.deepcopy`` with a memo
+that holds every planned clone -- correct, but paid per fork: with nine
+``Link`` and three ``DistributionSet`` objects behind hooks the GMP
+figure was x3-4.5, not x11.  :attr:`Checkpoint.plan_stats` says which
+classes fell back.
+
+The copy is only sound because the simulator schedules **bound methods
+and callable-class instances, never closures**: functions are atomic
+values to the plan exactly as they are to ``deepcopy``, so a lambda
+stored in a heap entry would keep pointing into the original world and
+the fork would silently cross-talk with it.  :func:`audit_scheduler`
+enforces that rule at capture time by walking the pending heap and
+rejecting any callback whose identity cannot survive the copy.
 
 Two further pieces make forks cheap and correct:
 
-- the trace prefix is **shared, not copied**: the deepcopy memo is
-  pre-seeded with :meth:`TraceRecorder.fork`, which reuses the
-  write-once entry objects of the prefix, so a million-entry warmup is
-  O(1) per fork instead of O(entries);
+- the trace prefix is **shared, not copied**: the recorder's slot in
+  the plan is :meth:`TraceRecorder.fork`, which reuses the write-once
+  entry objects of the prefix, so a million-entry warmup is one list
+  slice per fork instead of a copy of every entry;
 - forks can be **re-seeded** to a different run seed
   (``fork(seed=...)``), re-deriving the network link streams and every
   ``env.dist(...)`` stream exactly as a cold run under that seed would
@@ -54,19 +72,19 @@ proxy for a snapshot, since worlds are never pickled).
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import inspect
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Union
 
+from repro.core.cloneplan import ClonePlan
 from repro.core.orchestrator import ExperimentEnv
 from repro.netsim.scheduler import Scheduler, SchedulerClock
 
 #: default-argument types a plain scheduled function may carry without
-#: smuggling world state past the deepcopy
+#: smuggling world state past the copy
 _ATOMIC_DEFAULTS = (int, float, str, bytes, bool, frozenset, type(None))
 
 
@@ -75,17 +93,17 @@ class CheckpointError(RuntimeError):
 
 
 def _callable_issue(fn: Any, where: str) -> Optional[str]:
-    """Why ``fn`` would not survive a world deepcopy, or None if it would.
+    """Why ``fn`` would not survive a world copy, or None if it would.
 
-    Bound methods and callable-class instances follow the deepcopy memo
-    into the fork; plain functions are atomic, which is fine only when
+    Bound methods and callable-class instances are rebuilt around the
+    fork's own objects; plain functions are atomic, which is fine only when
     they are genuinely stateless (no closure cells, no mutable/world
     defaults).
     """
     if isinstance(fn, functools.partial):
         return _callable_issue(fn.func, where)
     if inspect.ismethod(fn):
-        return None  # bound method: __self__ is deep-copied via the memo
+        return None  # bound method: rebuilt around the copy of __self__
     if inspect.isfunction(fn):
         if fn.__closure__:
             return (f"{where}: closure {fn.__qualname__} would keep "
@@ -97,7 +115,7 @@ def _callable_issue(fn: Any, where: str) -> Optional[str]:
                         f"argument; pass it via scheduler args instead")
         return None
     if callable(fn):
-        return None  # callable instance: deep-copied via the memo
+        return None  # callable instance: copied like any world object
     return f"{where}: {fn!r} is not callable"
 
 
@@ -133,19 +151,19 @@ class Forked:
 class Checkpoint:
     """A frozen moment of one simulation, forkable any number of times.
 
-    ``capture`` deep-copies the live world once into a pristine
-    snapshot (so the caller may keep running the original); each
-    ``fork`` deep-copies the snapshot again.  ``roots`` carries the rig
-    objects a continuation needs back out of the copy -- a testbed, a
-    cluster, a client connection -- anything reachable from them is
-    copied consistently with the environment because everything goes
-    through one shared deepcopy memo.
+    ``capture`` copies the live world once into a pristine snapshot (so
+    the caller may keep running the original) and compiles the snapshot
+    into a clone plan; each ``fork`` replays the plan.  ``roots``
+    carries the rig objects a continuation needs back out of the copy
+    -- a testbed, a cluster, a client connection -- anything reachable
+    from them is copied consistently with the environment because it is
+    all one graph under one plan.
     """
 
-    def __init__(self, snapshot: Dict[str, Any], *, label: str,
+    def __init__(self, plan: ClonePlan, *, label: str,
                  identity: str, time: float, position: int,
                  parent: Optional["Checkpoint"] = None):
-        self._snapshot = snapshot
+        self._plan = plan
         self.label = label
         self.identity = identity
         #: virtual time at capture
@@ -156,6 +174,15 @@ class Checkpoint:
         self.forks = 0
         #: the checkpoint this one's branch was forked from (None: root)
         self.parent = parent
+
+    @property
+    def plan_stats(self) -> Dict[str, Any]:
+        """What a fork is made of: ``objects`` created per fork and the
+        class name of every ``fallback`` object (copied by
+        ``copy.deepcopy`` per fork instead of replayed; empty on the
+        stock rigs, and where to look when a fork is slow)."""
+        return {"objects": self._plan.objects,
+                "fallback": list(self._plan.fallback)}
 
     @property
     def depth(self) -> int:
@@ -212,9 +239,10 @@ class Checkpoint:
                     + "\n  ".join(issues))
         env.scheduler.compact()
         world = {"env": env, "roots": dict(roots or {})}
-        snapshot = _copy_world(world)
+        snapshot = _world_plan(world).clone()
         identity = _identity(env, world["roots"], label, parent=parent)
-        return cls(snapshot, label=label or f"t={env.scheduler.now:g}",
+        return cls(_world_plan(snapshot),
+                   label=label or f"t={env.scheduler.now:g}",
                    identity=identity, time=env.scheduler.now,
                    position=env.trace.position, parent=parent)
 
@@ -226,8 +254,10 @@ class Checkpoint:
         would have derived them -- sound only for zero-draw prefixes,
         enforced by the stream draw counters.
         """
-        world = _copy_world(self._snapshot)
+        world = self._plan.clone()
         env: ExperimentEnv = world["env"]
+        # the recorder's clone is TraceRecorder.fork(), which has no clock
+        env.trace.bind_clock(SchedulerClock(env.scheduler))
         if seed is not None and seed != env.seed:
             try:
                 env.reseed(seed)
@@ -240,8 +270,12 @@ class Checkpoint:
 
     def __repr__(self) -> str:
         lineage = f", depth={self.depth}" if self.parent is not None else ""
+        plan = self._plan
+        fallback = (f", fallback={_tally(plan.fallback)}"
+                    if plan.fallback else "")
         return (f"Checkpoint({self.label}, t={self.time:g}, "
-                f"entries={self.position}, forks={self.forks}{lineage})")
+                f"entries={self.position}, forks={self.forks}{lineage}, "
+                f"objects={plan.objects}{fallback})")
 
 
 class CheckpointPool:
@@ -331,21 +365,22 @@ class CheckpointPool:
                 f"misses={self.misses}, evictions={self.evictions})")
 
 
-def _copy_world(world: Dict[str, Any]) -> Dict[str, Any]:
-    """Deep-copy a world graph, sharing the trace prefix.
+def _world_plan(world: Dict[str, Any]) -> ClonePlan:
+    """Compile a world graph, sharing the trace prefix.
 
-    The memo is pre-seeded so every reference to the environment's
-    recorder lands on a shallow fork that reuses the prefix's write-once
-    entry objects; afterwards the copy's recorder is re-bound to the
-    copy's scheduler (deepcopy routes :class:`TraceRecorder` through its
-    ``__getstate__``, which deliberately drops the clock).
+    Every reference to the environment's recorder lands on a shallow
+    :meth:`TraceRecorder.fork` that reuses the prefix's write-once entry
+    objects.  The fork has no clock; :meth:`Checkpoint.fork` binds the
+    copy's scheduler (a snapshot is never run, so it needs none).
     """
-    env: ExperimentEnv = world["env"]
-    memo: Dict[int, Any] = {id(env.trace): env.trace.fork()}
-    copied = copy.deepcopy(world, memo)
-    new_env: ExperimentEnv = copied["env"]
-    new_env.trace.bind_clock(SchedulerClock(new_env.scheduler))
-    return copied
+    trace = world["env"].trace
+    return ClonePlan(world, {id(trace): trace.fork})
+
+
+def _tally(names: List[str]) -> str:
+    """``["Link", "Link", "Timer"]`` -> ``"Link×2 Timer×1"``."""
+    counts = Counter(names)
+    return " ".join(f"{name}×{counts[name]}" for name in sorted(counts))
 
 
 def _identity(env: ExperimentEnv, roots: Dict[str, Any],

@@ -55,20 +55,6 @@ class DistributionSet:
         self._rng = random.Random(seed)
         self.draws = 0
 
-    def __deepcopy__(self, memo):
-        # a Mersenne state is a 625-int tuple that generic deepcopy walks
-        # element by element; it is immutable, so a forked world can
-        # share it through getstate/setstate -- this one trick is most of
-        # the difference between a ~5ms and a ~1ms checkpoint fork
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        clone._seed = self._seed
-        clone.labels = self.labels
-        clone.draws = self.draws
-        clone._rng = random.Random.__new__(random.Random)
-        clone._rng.setstate(self._rng.getstate())
-        return clone
-
     def dst_normal(self, mean: float, var: float) -> float:
         """Normal draw with the paper's (mean, variance) signature."""
         if var < 0:

@@ -696,7 +696,8 @@ def execute_shard(spec: Any, indices: Iterable[int],
                         "identity": checkpoint.identity,
                         "time": checkpoint.time,
                         "entries": checkpoint.position,
-                        "configs": len(members)})
+                        "configs": len(members),
+                        **checkpoint.plan_stats})
         for index in members:
             yield ShardStart(index)
             result = None

@@ -113,6 +113,11 @@ ABP_DUPLICATE_SUPPRESSED = "abp.duplicate_suppressed"
 CAMPAIGN_START = "campaign.start"
 CAMPAIGN_PREFLIGHT = "campaign.preflight"
 CAMPAIGN_CHECKPOINT_CAPTURE = "campaign.checkpoint_capture"
+#: payload fields every ``campaign.checkpoint_capture`` event takes from
+#: :attr:`repro.core.checkpoint.Checkpoint.plan_stats`: objects created
+#: per fork, and the class of each one copied by ``copy.deepcopy``
+#: instead of replayed (a tuple: :func:`all_kinds` collects only strings)
+CHECKPOINT_PLAN_FIELDS = ("objects", "fallback")
 CAMPAIGN_PHASE_START = "campaign.phase_start"
 CAMPAIGN_PHASE_END = "campaign.phase_end"
 CAMPAIGN_RUN_START = "campaign.run_start"

@@ -77,23 +77,6 @@ class Link:
         self._rng = rng
         self.rng_draws = 0
 
-    def __deepcopy__(self, memo):
-        # everything follows the shared memo (the in-flight Events must
-        # land on the forked scheduler's heap entries) except the RNG:
-        # its immutable 625-int state tuple is shared via getstate/
-        # setstate instead of being walked element by element, which is
-        # the bulk of a naive fork's cost
-        import copy as _copy
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        state = dict(self.__dict__)
-        rng = state.pop("_rng")
-        for key, value in state.items():
-            setattr(clone, key, _copy.deepcopy(value, memo))
-        clone._rng = random.Random.__new__(random.Random)
-        clone._rng.setstate(rng.getstate())
-        return clone
-
     @property
     def is_up(self) -> bool:
         """Whether the link is currently carrying traffic."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import html as _html
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -364,6 +365,12 @@ def render_text(summary: CampaignSummary, *, rank: int = 10) -> str:
         labels = ", ".join(str(c.get("label", "?"))
                            for c in summary.checkpoints)
         lines.append(f"  checkpoints captured: {labels}")
+        fallback = Counter(name for c in summary.checkpoints
+                           for name in c.get("fallback") or ())
+        if fallback:
+            # classes the clone plan copies with copy.deepcopy per fork
+            lines.append("  fallback: " + " ".join(
+                f"{name}×{fallback[name]}" for name in sorted(fallback)))
     sharing = summary.prefix_sharing()
     if sharing is not None:
         lines.append(f"  prefix sharing: {sharing['captures']} captures, "

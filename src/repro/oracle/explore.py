@@ -407,7 +407,7 @@ class _Tree:
                 K.CAMPAIGN_CHECKPOINT_CAPTURE, nested=True, step=step,
                 prefix_perturbations=len(applied),
                 label=checkpoint.label, identity=checkpoint.identity,
-                parent=checkpoint.parent.identity)
+                parent=checkpoint.parent.identity, **checkpoint.plan_stats)
 
 
 def _run_schedule(tree: _Tree, plan: Dict[int, str], *, window: float,
@@ -610,7 +610,8 @@ def _explore_journaled(protocol: str, target: str,
             checkpoint = _prefix_checkpoint(protocol, target, depth, seed)
         journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE, target=target,
                        depth=depth, label=checkpoint.label,
-                       identity=checkpoint.identity)
+                       identity=checkpoint.identity,
+                       **checkpoint.plan_stats)
     else:
         checkpoint = _prefix_checkpoint(protocol, target, depth, seed)
     oracle = pack_for(protocol)

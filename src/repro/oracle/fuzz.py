@@ -38,8 +38,8 @@ from repro.obs.progress import ProgressRenderer
 
 if TYPE_CHECKING:
     from repro.core.checkpoint import Checkpoint, CheckpointPool
-from repro.oracle.grammar import (FuzzScript, generate_script, mutate_script,
-                                  trial_seed)
+from repro.oracle.grammar import (FuzzScript, GrammarLintError,
+                                  generate_script, mutate_script, trial_seed)
 from repro.oracle.invariants import Violation
 
 #: virtual-time horizon of one fuzz run, per protocol
@@ -321,12 +321,16 @@ class FuzzReport:
     checkpoint_depth: Optional[float] = None
     #: fraction of trials served by forking an existing checkpoint
     checkpoint_hit_rate: Optional[float] = None
+    #: draws thrown away because the grammar's own lint rejected them
+    discarded_draws: int = 0
 
     def render(self) -> str:
         lines = [f"fuzz {self.protocol}: {self.executed}/{self.budget} "
                  f"cases, coverage {len(self.coverage)} keys, "
                  f"corpus {len(self.corpus)}, "
                  f"findings {len(self.findings)}"]
+        if self.discarded_draws:
+            lines[0] += f", {self.discarded_draws} draws discarded"
         if self.trials_per_sec:
             speed = f"  {self.trials_per_sec:.1f} trials/s"
             if self.checkpoint_depth is not None:
@@ -428,7 +432,8 @@ class ForkEngine:
                 self.journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
                                     target=config["target"], depth=key[2],
                                     label=checkpoint.label,
-                                    identity=checkpoint.identity)
+                                    identity=checkpoint.identity,
+                                    **checkpoint.plan_stats)
         return checkpoint
 
     def run_config(self, config: Dict[str, object], *,
@@ -457,17 +462,39 @@ def _targets(protocol: str) -> Tuple[str, ...]:
     return GMP_VARIANTS
 
 
-def _draw_case(rng: random.Random, protocol: str, corpus: List[FuzzCase],
-               index: int, campaign_seed: int) -> FuzzCase:
-    if corpus and rng.random() < 0.5:
-        parent = corpus[rng.randrange(len(corpus))]
-        script = mutate_script(rng, parent.script, index=index)
-        target = parent.target
-    else:
-        script = generate_script(rng, protocol, index=index)
-        target = rng.choice(_targets(protocol))
-    return FuzzCase(script=script, target=target,
-                    case_seed=trial_seed(campaign_seed, script.name))
+#: consecutive lint-rejected draws after which the grammar is taken to
+#: be broken rather than unlucky (the stock sessions checked reject
+#: zero or one draw in 48)
+MAX_REDRAWS = 50
+
+
+def _draw_case(rng: random.Random, report: FuzzReport, index: int
+               ) -> FuzzCase:
+    """Draw case ``index`` of ``report``'s session from ``rng``.
+
+    A draw the grammar's self-check rejects (:class:`GrammarLintError`:
+    e.g. two ``xDrop cur_msg`` in a row, SL005) is discarded, counted on
+    ``report.discarded_draws`` and redrawn from the same stream, so a
+    session that never hits one draws exactly the cases it always drew.
+    """
+    protocol, corpus = report.protocol, report.corpus
+    for _attempt in range(MAX_REDRAWS):
+        try:
+            if corpus and rng.random() < 0.5:
+                parent = corpus[rng.randrange(len(corpus))]
+                script = mutate_script(rng, parent.script, index=index)
+                target = parent.target
+            else:
+                script = generate_script(rng, protocol, index=index)
+                target = rng.choice(_targets(protocol))
+        except GrammarLintError:
+            report.discarded_draws += 1
+            continue
+        return FuzzCase(script=script, target=target,
+                        case_seed=trial_seed(report.seed, script.name))
+    raise GrammarLintError(
+        f"{MAX_REDRAWS} consecutive draws for case {index} failed the "
+        f"grammar's lint; the grammar is broken, not unlucky")
 
 
 def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
@@ -551,8 +578,7 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
         while report.executed < budget:
             count = min(batch, budget - report.executed)
             rng = random.Random(derive_seed(seed, "fuzz-batch", batch_index))
-            cases = [_draw_case(rng, protocol, report.corpus,
-                                report.executed + i, seed)
+            cases = [_draw_case(rng, report, report.executed + i)
                      for i in range(count)]
             if engine is not None:
                 # trials fork one at a time, outside Campaign.run, but
@@ -620,7 +646,8 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
                 findings=len(report.findings), coverage=len(coverage),
                 corpus=len(report.corpus),
                 trials_per_sec=round(report.trials_per_sec, 3),
-                checkpoint_hit_rate=report.checkpoint_hit_rate)
+                checkpoint_hit_rate=report.checkpoint_hit_rate,
+                discarded_draws=report.discarded_draws)
     report.coverage = frozenset(coverage)
     return report
 

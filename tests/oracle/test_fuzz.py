@@ -111,3 +111,71 @@ def test_run_result_ok_reflects_violations():
     assert RunResult(config={}, result=None, trace=None, violations=[]).ok()
     assert not RunResult(config={}, result=None, trace=None,
                          violations=["v"]).ok()
+
+
+# ----------------------------------------------------------------------
+# lint-rejected draws are redrawn, not fatal
+# ----------------------------------------------------------------------
+
+def test_lint_rejected_draw_is_redrawn_from_the_same_stream(monkeypatch):
+    import random
+
+    from repro.oracle import fuzz, grammar
+
+    def draws(rng, budget, rejected=()):
+        report = fuzz.FuzzReport(protocol="gmp", seed=3, budget=budget)
+        calls = {"n": 0}
+        real = grammar.generate_script
+
+        def picky(rng, protocol, **kwargs):
+            script = real(rng, protocol, **kwargs)
+            calls["n"] += 1
+            if calls["n"] in rejected:
+                raise grammar.GrammarLintError("planted")
+            return script
+
+        monkeypatch.setattr(fuzz, "generate_script", picky)
+        cases = [fuzz._draw_case(rng, report, index)
+                 for index in range(budget)]
+        return report, cases
+
+    clean_report, clean = draws(random.Random(9), 3)
+    assert clean_report.discarded_draws == 0
+    report, cases = draws(random.Random(9), 3, rejected={2})
+    assert report.discarded_draws == 1
+    # the draw before the rejected one is untouched, the rejected one is
+    # replaced by the next thing the same stream yields, under its index
+    assert cases[0] == clean[0]
+    assert cases[1].script.source != clean[1].script.source
+    assert [c.script.name for c in cases] == [c.script.name for c in clean]
+    assert draws(random.Random(9), 3, rejected={2})[1] == cases
+
+
+def test_a_grammar_that_only_fails_lint_is_reported_not_spun_on(monkeypatch):
+    import random
+
+    import pytest
+
+    from repro.oracle import fuzz, grammar
+
+    def broken(rng, protocol, **kwargs):
+        raise grammar.GrammarLintError("always")
+
+    monkeypatch.setattr(fuzz, "generate_script", broken)
+    report = fuzz.FuzzReport(protocol="tcp", seed=0, budget=1)
+    with pytest.raises(grammar.GrammarLintError, match="consecutive"):
+        fuzz._draw_case(random.Random(0), report, 0)
+    assert report.discarded_draws == fuzz.MAX_REDRAWS
+
+
+def test_budget_48_survives_the_draw_the_grammar_rejects(tmp_path):
+    # gmp seed 0 draws `...; xDrop cur_msg; xDrop cur_msg` (SL005) at
+    # case 43: a traceback before the fuzz loop redrew it
+    journal = tmp_path / "fuzz.jsonl"
+    report = run_fuzz("gmp", seed=0, budget=48, journal=journal)
+    assert report.executed == 48 and report.discarded_draws == 1
+    assert "1 draws discarded" in report.render()
+    import json
+    events = [json.loads(line) for line in journal.read_text().splitlines()]
+    [end] = [e["data"] for e in events if e["kind"] == "campaign.end"]
+    assert end["status"] == "ok" and end["discarded_draws"] == 1

@@ -109,7 +109,22 @@ def test_fork_determinism_fork_vs_fork():
         _continue_body(forked.env, forked.roots, dict(config))
         return canon(forked.env.trace)
 
-    assert run_one() == run_one()
+    def wreck_one():
+        # a fork may do anything to its own world
+        forked = checkpoint.fork()
+        for event in forked.env.scheduler.pending_events():
+            event.cancel()
+        forked.env.trace.clear()
+        forked.env.dists.clear()
+        forked.env.network.__dict__.clear()
+        for daemon in forked["cluster"].daemons.values():
+            daemon.__dict__.clear()
+        forked["cluster"].__dict__.clear()
+
+    first = run_one()
+    for _ in range(19):
+        wreck_one()
+        assert run_one() == first
 
 
 # ----------------------------------------------------------------------
