@@ -10,7 +10,7 @@ work; this CLI is that tool's headless form.  Usage::
     python -m repro campaign gmp      # auto-generated script battery
     python -m repro campaign tcp --tclish   # show the tclish sources
     python -m repro fuzz --protocol gmp --seed 0   # oracle-guided fuzzing
-    python -m repro fuzz --checkpoint-depth 8      # fork trials from a prefix
+    python -m repro fuzz --checkpoint-depth 4      # install the filter at t=4
     python -m repro explore --target self_death    # delivery-order exploration
 
 Each table command runs the live experiment (nothing is cached) and
@@ -20,7 +20,9 @@ prints the paper-shaped rows.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import nullcontext
 from typing import Callable, Dict
 
 from repro.analysis.tables import render_table
@@ -250,7 +252,6 @@ def cmd_lint(args) -> int:
     syntax errors (SL000), 1 for error-level findings, 0 when clean.
     """
     import json
-    import os
 
     from repro.core.tclish.lint import (lint_source, render_json,
                                         render_text)
@@ -411,7 +412,6 @@ def _cmd_report_campaign(args) -> int:
     replayed as the single journal it always was.
     """
     import json
-    import os
 
     from repro.obs.campaign_report import (render_html, render_text,
                                            summarize_journal,
@@ -453,8 +453,6 @@ def cmd_tail(args) -> int:
     until ``campaign.end`` arrives or ``--timeout`` elapses, which is
     how a second terminal watches a running sweep live.
     """
-    import os
-
     from repro.obs.journal import follow_journal, replay_journal
     if not args.follow and not os.path.exists(args.journal):
         print(f"repro tail: no such journal: {args.journal}",
@@ -565,41 +563,44 @@ def cmd_fuzz(args) -> int:
     """Coverage-guided fault-scenario fuzzing (docs/conformance.md).
 
     Draws tclish fault scripts from the PFI-command grammar, runs them
-    through the parallel campaign engine with the protocol's invariant
+    through the campaign's shard executor with the protocol's invariant
     pack as the oracle, and keeps coverage-novel cases as mutation
     parents.  ``--save-repro`` shrinks every finding (delta debugging
     over script clauses, then seed minimization) and writes a
     deterministic JSON repro artifact into the regression corpus.
-    One checkpoint pool is shared between the sweep and the shrinkers,
-    so a finding's probe prefix is only ever simulated once.
+    The sweep and the shrinkers share one checkpoint pool and one
+    journal: a probe's prefix is simulated once, the shrink trail rides
+    in the sweep's flight record.
     """
-    from repro.core.checkpoint import CheckpointPool
-    from repro.oracle.fuzz import run_fuzz
-    pool = CheckpointPool(max_items=8)
-    report = run_fuzz(args.protocol, seed=args.seed, budget=args.budget,
-                      workers=args.workers,
-                      checkpoint_depth=args.checkpoint_depth,
-                      pool=pool,
-                      progress=print if args.progress else None,
-                      journal=args.journal or None)
-    print(report.render())
-    if not args.save_repro:
-        return 0
-    if not report.findings:
-        print("no findings to shrink")
-        return 0
     from pathlib import Path
 
+    from repro.core.checkpoint import CheckpointPool
+    from repro.obs.journal import Journal
+    from repro.oracle.fuzz import run_fuzz
     from repro.oracle.shrink import artifact_name, shrink_finding
-    out_dir = Path(args.save_repro)
-    for finding in report.findings:
-        artifact, stats = shrink_finding(finding, campaign_seed=args.seed,
-                                         pool=pool)
-        path = artifact.save(out_dir / artifact_name(artifact))
-        print(f"  shrunk {finding.case.script.name}: "
-              f"{stats.clauses_before}->{stats.clauses_after} clause(s), "
-              f"seed {stats.seed_before}->{stats.seed_after} "
-              f"({stats.runs} runs) -> {path}")
+    pool = CheckpointPool(max_items=8)
+    with (Journal(args.journal) if args.journal
+          else nullcontext()) as journal:
+        report = run_fuzz(args.protocol, seed=args.seed, budget=args.budget,
+                          workers=args.workers,
+                          checkpoint_depth=args.checkpoint_depth,
+                          pool=pool,
+                          progress=print if args.progress else None,
+                          journal=journal)
+        print(report.render())
+        if not args.save_repro:
+            return 0
+        if not report.findings:
+            print("no findings to shrink")
+        for finding in report.findings:
+            artifact, stats = shrink_finding(
+                finding, campaign_seed=args.seed, pool=pool, journal=journal)
+            path = artifact.save(Path(args.save_repro)
+                                 / artifact_name(artifact))
+            print(f"  shrunk {finding.case.script.name}: "
+                  f"{stats.clauses_before}->{stats.clauses_after} "
+                  f"clause(s), seed {stats.seed_before}->"
+                  f"{stats.seed_after} ({stats.runs} runs) -> {path}")
     return 0
 
 
@@ -617,8 +618,6 @@ def cmd_sweep(args) -> int:
     ``repro report --campaign <dir>`` then renders the merged scorecard,
     byte-identical on stable keys to an uninterrupted serial run.
     """
-    import os
-
     from repro.core.fabric import FabricError, merge_campaign_dir
     from repro.core.fabric.spec import SpecError, SweepSpec
     from repro.core.orchestrator import Campaign
@@ -633,54 +632,31 @@ def cmd_sweep(args) -> int:
     if args.resume:
         fabric_dir = args.resume
         try:
-            spec = SweepSpec.load(
-                os.path.join(fabric_dir, "spec.pkl"))
+            spec = SweepSpec.load(os.path.join(fabric_dir, "spec.pkl"))
         except SpecError as exc:
             print(f"repro sweep: {exc}", file=sys.stderr)
             return 2
-        configs = spec.configs
-        campaign = Campaign(spec.body, seed=spec.seed, lint=spec.lint)
-        telemetry, oracle, group = (spec.telemetry, spec.oracle,
-                                    spec.group)
     else:
         if not args.journal_dir:
             print("repro sweep: give --journal-dir DIR (the campaign "
                   "directory) or --resume DIR", file=sys.stderr)
             return 2
         fabric_dir = args.journal_dir
-        from repro.oracle.fuzz import (GMP_VARIANTS, pack_for,
-                                       prefixed_fuzz_body)
-        from repro.oracle.grammar import generate_script
-        if args.targets:
-            targets = [t.strip() for t in args.targets.split(",")
-                       if t.strip()]
-        elif args.protocol == "tcp":
-            from repro.tcp import VENDORS
-            targets = sorted(VENDORS)
-        else:
-            targets = list(GMP_VARIANTS) + ["fixed"]
-        import random as _random
-        configs = []
-        for target in targets:
-            for index in range(args.count):
-                script = generate_script(_random.Random(index),
-                                         args.protocol, index=index)
-                config = {"protocol": args.protocol, "target": target,
-                          "script": script.source,
-                          "init_script": script.init,
-                          "direction": script.direction}
-                if args.depth is not None:
-                    config["install_at"] = args.depth
-                configs.append(config)
-        campaign = Campaign(prefixed_fuzz_body, seed=args.seed)
-        telemetry, oracle, group = True, pack_for(args.protocol), True
+        from repro.oracle.fuzz import (pack_for, prefixed_fuzz_body,
+                                       sweep_battery)
+        targets = [t.strip() for t in args.targets.split(",") if t.strip()]
+        spec = SweepSpec(
+            body=prefixed_fuzz_body, seed=args.seed,
+            configs=sweep_battery(args.protocol, targets, args.count,
+                                  depth=args.depth),
+            oracle=pack_for(args.protocol))
 
     workers = args.workers if args.workers == "auto" else int(args.workers)
     try:
-        campaign.run(configs, workers=workers, telemetry=telemetry,
-                     oracle=oracle, group=group, backend=args.backend,
-                     fabric_dir=fabric_dir,
-                     fabric_options=fabric_options or None)
+        Campaign(spec.body, seed=spec.seed, lint=spec.lint).run(
+            spec.configs, workers=workers, telemetry=spec.telemetry,
+            oracle=spec.oracle, group=spec.group, backend=args.backend,
+            fabric_dir=fabric_dir, fabric_options=fabric_options or None)
     except FabricError as exc:
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 3
@@ -735,7 +711,8 @@ def cmd_campaign(args) -> None:
     print()
 
 
-COMMANDS: Dict[str, Callable] = {
+#: the paper's tables and figures: ``repro <name>`` regenerates one
+PAPER_COMMANDS: Dict[str, Callable] = {
     "table1": cmd_table1, "table2": cmd_table2, "table3": cmd_table3,
     "table4": cmd_table4, "exp5": cmd_exp5, "figure4": cmd_figure4,
     "table5": cmd_table5, "table6": cmd_table6, "table7": cmd_table7,
@@ -748,21 +725,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Regenerate the tables and figures of Dawson & "
                     "Jahanian, ICDCS 1995.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=f"regenerate {name}")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, handler: Callable, **kwargs):
+        """A subcommand whose parsed args carry the function to run."""
+        sub = subparsers.add_parser(name, **kwargs)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    for name, handler in PAPER_COMMANDS.items():
+        cmd = command(name, handler, help=f"regenerate {name}")
         if name == "table2":
             cmd.add_argument("--delay", type=float, default=3.0,
                              help="ACK delay in seconds (default 3)")
-    campaign = sub.add_parser(
-        "campaign", help="auto-generate a test-script battery from a "
-                         "protocol spec (paper §6 future work)")
+    campaign = command("campaign", cmd_campaign, help=(
+        "auto-generate a test-script battery from a "
+        "protocol spec (paper §6 future work)"))
     campaign.add_argument("protocol", choices=["tcp", "gmp"])
     campaign.add_argument("--tclish", action="store_true",
                           help="print the generated tclish sources")
-    runner = sub.add_parser(
-        "run-script", help="run a tclish filter file against a standard "
-                           "TCP or GMP workload")
+    runner = command("run-script", cmd_run_script, help=(
+        "run a tclish filter file against a standard "
+        "TCP or GMP workload"))
     runner.add_argument("script_file", help="path to the tclish source")
     runner.add_argument("--protocol", choices=["tcp", "gmp"],
                         default="tcp")
@@ -774,9 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="virtual seconds to run")
     runner.add_argument("--init", default="",
                         help="init script (e.g. 'set n 0')")
-    lint = sub.add_parser(
-        "lint", help="statically analyze tclish filter scripts "
-                     "(scriptlint; see docs/scriptlint.md)")
+    lint = command("lint", cmd_lint, help=(
+        "statically analyze tclish filter scripts "
+        "(scriptlint; see docs/scriptlint.md)"))
     lint.add_argument("paths", nargs="*",
                       help="script files or directories to walk for "
                            ".tcl/.tclish files")
@@ -792,10 +776,10 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--gen", default="",
                       help="also lint the auto-generated batteries "
                            "(comma list of tcp,gmp)")
-    check = sub.add_parser(
-        "check", help="run the three-pass static correctness suite "
-                      "(scriptlint dataflow, determinism, trace-schema "
-                      "drift; see docs/staticcheck.md)")
+    check = command("check", cmd_check, help=(
+        "run the three-pass static correctness suite "
+        "(scriptlint dataflow, determinism, trace-schema "
+        "drift; see docs/staticcheck.md)"))
     check.add_argument("paths", nargs="*",
                        help="files or directories to check (default: "
                             "the standard repo layout)")
@@ -808,17 +792,17 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("-v", "--verbose", action="store_true",
                        help="also print info-level diagnostics "
                             "(e.g. SC202 oracle-coverage gaps)")
-    sequence = sub.add_parser(
-        "sequence", help="render a message-sequence ladder for a "
-                         "standard TCP or GMP run")
+    sequence = command("sequence", cmd_sequence, help=(
+        "render a message-sequence ladder for a "
+        "standard TCP or GMP run"))
     sequence.add_argument("--protocol", choices=["tcp", "gmp"],
                           default="gmp")
     sequence.add_argument("--vendor", default="SunOS 4.1.3")
     sequence.add_argument("--duration", type=float, default=5.0)
     sequence.add_argument("--max-events", type=int, default=30)
-    report = sub.add_parser(
-        "report", help="summarize an exported JSON-lines trace: metrics, "
-                       "message lineage, timeline (docs/observability.md)")
+    report = command("report", cmd_report, help=(
+        "summarize an exported JSON-lines trace: metrics, "
+        "message lineage, timeline (docs/observability.md)"))
     report.add_argument("trace_file", nargs="?", default="",
                         help="JSON-lines trace "
                              "(analysis.export.dump_trace)")
@@ -843,9 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--html", default="", metavar="FILE",
                         help="also write a self-contained HTML campaign "
                              "report to FILE")
-    tail = sub.add_parser(
-        "tail", help="follow or replay a campaign journal "
-                     "(docs/campaign-journal.md)")
+    tail = command("tail", cmd_tail, help=(
+        "follow or replay a campaign journal "
+        "(docs/campaign-journal.md)"))
     tail.add_argument("journal", help="journal file (from any --journal "
                                       "sweep)")
     tail.add_argument("--follow", action="store_true",
@@ -856,9 +840,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 0.2)")
     tail.add_argument("--timeout", type=float, default=None,
                       help="stop following after this many wall seconds")
-    history = sub.add_parser(
-        "history", help="cross-run history: record campaign journals, "
-                        "show per-sweep deltas (docs/campaign-journal.md)")
+    history = command("history", cmd_history, help=(
+        "cross-run history: record campaign journals, "
+        "show per-sweep deltas (docs/campaign-journal.md)"))
     history.add_argument("dir", help="history store directory")
     history.add_argument("--record", action="append", default=[],
                          metavar="JOURNAL",
@@ -870,9 +854,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(repeatable)")
     history.add_argument("--json", action="store_true",
                          help="machine-readable output")
-    fuzz = sub.add_parser(
-        "fuzz", help="coverage-guided fault-scenario fuzzing with the "
-                     "conformance oracle as verdict (docs/conformance.md)")
+    fuzz = command("fuzz", cmd_fuzz, help=(
+        "coverage-guided fault-scenario fuzzing with the "
+        "conformance oracle as verdict (docs/conformance.md)"))
     fuzz.add_argument("--protocol", choices=["tcp", "gmp"], default="gmp")
     fuzz.add_argument("--seed", type=int, default=0,
                       help="campaign seed; the whole session is "
@@ -887,10 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "artifacts into DIR (e.g. tests/regressions)")
     fuzz.add_argument("--checkpoint-depth", type=float, default=None,
                       metavar="T",
-                      help="fork every trial from a prefix checkpoint "
-                           "captured at virtual time T instead of cold-"
-                           "starting (docs/checkpointing.md); results "
-                           "are identical at the stock install depth")
+                      help="install the fuzzed filter at virtual time T: "
+                           "the depth of the prefix checkpoint every "
+                           "trial forks (docs/checkpointing.md; default: "
+                           "the protocol's stock install time)")
     fuzz.add_argument("--progress", action="store_true",
                       help="print a progress line per batch "
                            "(trials/sec, checkpoint hit-rate)")
@@ -898,9 +882,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="append a crash-safe JSONL flight record of "
                            "the sweep to FILE (repro tail / repro report "
                            "--campaign; docs/campaign-journal.md)")
-    sweep = sub.add_parser(
-        "sweep", help="distributed, resumable campaign sweeps over the "
-                      "fabric backends (docs/fabric.md)")
+    sweep = command("sweep", cmd_sweep, help=(
+        "distributed, resumable campaign sweeps over the "
+        "fabric backends (docs/fabric.md)"))
     sweep.add_argument("--protocol", choices=["tcp", "gmp"],
                        default="gmp")
     sweep.add_argument("--targets", default="",
@@ -934,10 +918,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--stable", action="store_true",
                        help="also print the wall-clock-free stable "
                             "scorecard (the chaos-test oracle)")
-    explore = sub.add_parser(
-        "explore", help="bounded delivery-order exploration from a "
-                        "prefix checkpoint, oracle packs as verdict "
-                        "(docs/checkpointing.md)")
+    explore = command("explore", cmd_explore, help=(
+        "bounded delivery-order exploration from a "
+        "prefix checkpoint, oracle packs as verdict "
+        "(docs/checkpointing.md)"))
     explore.add_argument("--protocol", choices=["tcp", "gmp"],
                          default="gmp")
     explore.add_argument("--target", default="self_death",
@@ -976,9 +960,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append a crash-safe JSONL flight record "
                               "of the exploration to FILE "
                               "(docs/campaign-journal.md)")
-    chrome = sub.add_parser(
-        "trace", help="convert a JSON-lines trace to Chrome-trace/"
-                      "Perfetto JSON")
+    chrome = command("trace", cmd_trace, help=(
+        "convert a JSON-lines trace to Chrome-trace/"
+        "Perfetto JSON"))
     chrome.add_argument("trace_file", nargs="?", default="",
                         help="JSON-lines trace "
                              "(analysis.export.dump_trace)")
@@ -992,33 +976,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "campaign":
-        cmd_campaign(args)
-    elif args.command == "lint":
-        return cmd_lint(args)
-    elif args.command == "check":
-        return cmd_check(args)
-    elif args.command == "run-script":
-        cmd_run_script(args)
-    elif args.command == "sequence":
-        cmd_sequence(args)
-    elif args.command == "report":
-        return cmd_report(args)
-    elif args.command == "tail":
-        return cmd_tail(args)
-    elif args.command == "history":
-        return cmd_history(args)
-    elif args.command == "trace":
-        return cmd_trace(args)
-    elif args.command == "fuzz":
-        return cmd_fuzz(args)
-    elif args.command == "sweep":
-        return cmd_sweep(args)
-    elif args.command == "explore":
-        return cmd_explore(args)
-    else:
-        COMMANDS[args.command](args)
-    return 0
+    try:
+        status = args.handler(args) or 0
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed early (``repro fuzz | head -1``); stdout goes
+        # to devnull so the exit-time flush cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -291,8 +291,10 @@ class CheckpointPool:
     never evicted, so a single oversized checkpoint still pools.
 
     ``get`` refreshes recency and counts a hit; a miss (including a
-    previously evicted key) counts against ``misses`` so consumers such
-    as :class:`repro.oracle.fuzz.ForkEngine` can report reuse rates.
+    previously evicted key) counts against ``misses``.  A pool is also
+    how a caller shares prefixes across :func:`~repro.core.orchestrator
+    .execute_shard` calls: the fuzz loop and the shrinker keep one per
+    session, which is what makes a group of one worth capturing there.
     """
 
     def __init__(self, max_items: Optional[int] = None,

@@ -20,8 +20,9 @@ splits the configurations into rows already held and the *todo*.
 
 **execute** -- :func:`execute_shard` is the only loop that runs
 configurations: group a shard's indices by prefix key, capture a group's
-warm prefix once when two or more members need it, fork it per member,
-fall back cold on ``CheckpointError`` -- on top of :func:`run_one`, the
+warm prefix once when two or more members need it (one, when the caller
+keeps the pool), fork it per member, fall back cold on
+``CheckpointError`` -- on top of :func:`run_one`, the
 only place a run seed is derived.  It yields events and knows nothing of
 stores, journals or sockets.
 
@@ -659,31 +660,37 @@ def execute_shard(spec: Any, indices: Iterable[int],
     body (and ``spec.group``) the indices are regrouped by prefix key
     (:func:`_prefix_groups`: results are independent of execution
     order, so scattered members may run together); a group whose
-    checkpoint is not in ``pool`` already is captured when at least two
-    of its members are in this shard -- at most once per call -- and
-    every member then runs as a re-seeded fork.  A prefix that cannot be
+    checkpoint is not in ``pool`` already is captured when the capture
+    will be forked more than once -- at most once per call -- and every
+    member then runs as a re-seeded fork.  A prefix that cannot be
     captured, or whose forks cannot be re-seeded (it drew from an RNG
     stream), sends its members down the cold path instead: results never
     depend on whether sharing worked, only speed does.
 
     ``pool`` (a :class:`~repro.core.checkpoint.CheckpointPool`) carries
-    captures across calls; without one only the current group's
-    checkpoint is kept alive, so memory stays flat however long the
-    shard is.  A body exception propagates from the ``next()`` that ran
-    it, after the :class:`ShardStart` naming its index.
+    captures across calls.  A caller that keeps one is saying later
+    calls will fork what this one captures -- the fuzz loop's batches,
+    the shrinker's one-config probes -- so even a group of one is
+    captured.  Without a pool only the current group's checkpoint is
+    kept alive (memory stays flat however long the shard is) and a
+    capture pays only for a group of two or more.  A body exception
+    propagates from the ``next()`` that ran it, after the
+    :class:`ShardStart` naming its index.
     """
     from repro.core.checkpoint import CheckpointError, CheckpointPool
     body, configs = spec.body, spec.configs
     options = {"telemetry": spec.telemetry, "oracle": spec.oracle}
     if pool is None:
-        pool = CheckpointPool(max_items=1)
+        pool, worth_capturing = CheckpointPool(max_items=1), 2
+    else:
+        worth_capturing = 1
     for key, members in _prefix_groups(indices,
                                        spec.execution_prefix_keys()):
         checkpoint = None
         if key is not None:
             pool_key = _prefix_digest(body, key)
             checkpoint = pool.get(pool_key)
-            if checkpoint is None and len(members) > 1:
+            if checkpoint is None and len(members) >= worth_capturing:
                 try:
                     checkpoint = _capture_prefix(body, configs[members[0]],
                                                  key)
@@ -762,8 +769,9 @@ class ShardSink:
     The tally defines the prefix-sharing statistics once for every
     transport: a *capture* is a :class:`ShardCapture`, a *fork* is a
     keyed row served by a fork, a *fallback* is a keyed row that ran
-    cold -- a singleton group, a group whose prefix could not be
-    captured, or the tail of one whose fork could not be re-seeded.
+    cold -- a singleton group outside a caller-kept pool, a group whose
+    prefix could not be captured, or the tail of one whose fork could
+    not be re-seeded.
     """
 
     def __init__(self, spec: Any, store: Optional[ResultStore] = None,
@@ -1072,7 +1080,8 @@ class Campaign:
         (the reference path benches and byte-identity tests compare
         against).  ``prefix_pool`` (a
         :class:`~repro.core.checkpoint.CheckpointPool`) carries captured
-        prefixes across in-process ``run`` calls; omitted, only the
+        prefixes across in-process ``run`` calls (so a group of one is
+        captured too: a later call may fork it); omitted, only the
         group being executed is kept.
 
         ``backend`` selects the transport (:data:`BACKENDS`).

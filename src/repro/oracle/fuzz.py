@@ -4,9 +4,10 @@ The loop is classic greybox fuzzing, transplanted to fault injection:
 
 1. draw fault scripts from the grammar (:mod:`repro.oracle.grammar`),
    or mutate scripts already in the corpus;
-2. run each case through the parallel :class:`~repro.core.orchestrator
-   .Campaign` engine with the protocol's invariant pack installed as the
-   campaign oracle;
+2. run each batch of cases through the campaign's shard executor
+   (:func:`~repro.core.orchestrator.execute_shard`, or ``Campaign.run``
+   on the process pool) with the protocol's invariant pack as the
+   oracle, every case a fork of its target's pooled warm prefix;
 3. keep a case in the corpus when its trace reaches coverage (trace
    kinds, TCP state transitions, GMP message kinds) no earlier case
    reached;
@@ -24,20 +25,21 @@ observable, exactly the paper's probing workflow.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional,
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple)
 
+from repro.core.checkpoint import CheckpointPool
 from repro.core.distributions import derive_seed
-from repro.core.orchestrator import (Campaign, PrefixedBody, RunResult,
-                                     _capture_prefix, run_one)
+from repro.core.fabric.spec import SweepSpec
+from repro.core.orchestrator import (PREFIX_STATS, Campaign, PrefixedBody,
+                                     RunResult, ShardCapture, ShardRow,
+                                     execute_shard)
 from repro.netsim import kinds as K
 from repro.obs.journal import Journal
 from repro.obs.progress import ProgressRenderer
-
-if TYPE_CHECKING:
-    from repro.core.checkpoint import Checkpoint, CheckpointPool
 from repro.oracle.grammar import (FuzzScript, GrammarLintError,
                                   generate_script, mutate_script, trial_seed)
 from repro.oracle.invariants import Violation
@@ -74,12 +76,11 @@ DEFAULT_DEPTHS = {"tcp": 0.0, "gmp": GMP_INSTALL_AT}
 # Each body is split into a *prefix* (everything before the fuzzed
 # filter script arms: rig construction plus the script-free warmup) and
 # a *continuation* (install the script, run the workload to the
-# horizon).  The cold path runs prefix+continuation back to back; the
-# checkpointed paths (a grouped ``Campaign.run`` and :class:`ForkEngine`,
-# both through :data:`prefixed_fuzz_body`) capture one prefix per target
-# and re-run only continuations.  Keeping both paths on the same two
-# functions is what makes forked trials byte-identical to cold ones by
-# construction.
+# horizon).  A cold run (:func:`fuzz_body`, :func:`run_case`) is
+# prefix+continuation back to back; the shard executor, through
+# :data:`prefixed_fuzz_body`, captures one prefix per target and re-runs
+# only continuations.  Keeping both on the same two functions is what
+# makes forked trials byte-identical to cold ones by construction.
 # ----------------------------------------------------------------------
 
 def _gmp_bug_flags(variant: str):
@@ -317,9 +318,9 @@ class FuzzReport:
     coverage: FrozenSet[Tuple] = frozenset()
     #: overall execution rate (virtual trials per wall second)
     trials_per_sec: float = 0.0
-    #: prefix depth when the checkpointed engine ran; None = cold path
+    #: virtual time the filter was installed at (the shared prefix depth)
     checkpoint_depth: Optional[float] = None
-    #: fraction of trials served by forking an existing checkpoint
+    #: share of trials forking a pooled prefix an earlier one captured
     checkpoint_hit_rate: Optional[float] = None
     #: draws thrown away because the grammar's own lint rejected them
     discarded_draws: int = 0
@@ -332,12 +333,9 @@ class FuzzReport:
         if self.discarded_draws:
             lines[0] += f", {self.discarded_draws} draws discarded"
         if self.trials_per_sec:
-            speed = f"  {self.trials_per_sec:.1f} trials/s"
-            if self.checkpoint_depth is not None:
-                speed += (f" (checkpointed @ depth "
-                          f"{self.checkpoint_depth:g}, hit-rate "
-                          f"{self.checkpoint_hit_rate:.0%})")
-            lines.append(speed)
+            lines.append(f"  {self.trials_per_sec:.1f} trials/s "
+                         f"(checkpointed @ depth {self.checkpoint_depth:g}, "
+                         f"hit-rate {self.checkpoint_hit_rate:.0%})")
         for finding in self.findings:
             lines.append(
                 f"  {finding.case.script.name} "
@@ -349,106 +347,50 @@ class FuzzReport:
 
 
 # ----------------------------------------------------------------------
-# checkpointed execution
+# execution: the campaign's shard executor over a session-owned pool
 # ----------------------------------------------------------------------
 
-class ForkEngine:
-    """A per-target pool of prefix checkpoints over the shared executor.
+def execute_configs(configs: Sequence[Dict[str, object]], *, seed: int,
+                    pool: CheckpointPool, journal: Optional[Journal] = None,
+                    workers: int = 1) -> Tuple[List[ShardRow], int]:
+    """Run fuzz configurations through the campaign's one executor.
 
-    One warmed-up, script-free prefix is captured per fuzz target
-    (vendor profile / bug variant) at the configured depth; every trial
-    against that target then runs as a fork of it.  The engine owns only
-    the bookkeeping -- which checkpoint serves which target, how often
-    one was reused -- and hands capture and execution to the campaign
-    executor (:func:`~repro.core.orchestrator._capture_prefix`,
-    :func:`~repro.core.orchestrator.run_one`) through
-    :data:`prefixed_fuzz_body`.  A forked trial is therefore
-    byte-identical to the cold run of the same configuration for the
-    same reason a prefix-grouped ``Campaign.run`` is -- the property
-    suite pins both -- and engine results are interchangeable with
-    :class:`~repro.core.orchestrator.Campaign` results.  Unlike a
-    campaign sweep the engine serves trials one at a time, as the fuzz
-    loop and the shrinker's ddmin probes draw them.
-
-    ``depth`` defaults to the protocol's stock install time
-    (:data:`DEFAULT_DEPTHS`), in which case engine configs carry no
-    ``install_at`` key and run seeds match the cold path exactly.  A
-    non-default depth is recorded in each config (changing its run
-    seed): those are *different* experiments, not cheaper replays of
-    the stock ones.
+    Returns ``(rows, captures)``: one :class:`~repro.core.orchestrator
+    .ShardRow` per configuration, in input order, and how many prefixes
+    were simulated for them.  The configurations go, as a sweep over
+    :data:`prefixed_fuzz_body`, to :func:`~repro.core.orchestrator
+    .execute_shard` with ``pool`` -- the one thing a fuzz session or a
+    shrink owns.  Because the caller keeps it, the first configuration
+    against a target captures that target's warm prefix and every later
+    one, in this call or the next, forks it.  Captures are journaled as
+    ``campaign.checkpoint_capture`` (the campaign sink's payload plus
+    ``target`` and ``depth``).  Nothing is linted here: callers pass
+    ``Campaign.preflight`` first.  ``workers > 1`` takes the sweep
+    through ``Campaign.run`` and the process pool instead; that
+    transport returns results only, so its rows carry no prefix key and
+    the session pool is not consulted.
     """
-
-    def __init__(self, protocol: str, *, campaign_seed: int = 0,
-                 depth: Optional[float] = None,
-                 journal: Optional[Journal] = None,
-                 pool: Optional["CheckpointPool"] = None):
-        if protocol not in DEFAULT_DEPTHS:
-            raise ValueError(f"unknown protocol {protocol!r}")
-        from repro.core.checkpoint import CheckpointPool
-        self.protocol = protocol
-        self.campaign_seed = campaign_seed
-        self.depth = (DEFAULT_DEPTHS[protocol] if depth is None
-                      else float(depth))
-        #: prefix snapshots, keyed ``(protocol, target, depth)`` --
-        #: pass a shared :class:`CheckpointPool` to let several engines
-        #: (fuzz loop, per-finding shrinkers) reuse one another's
-        #: captures instead of re-simulating the same warmup
-        self.pool = pool if pool is not None else CheckpointPool()
-        #: flight recorder each prefix capture is reported to (optional)
-        self.journal = journal
-        #: trials served by forking (every trial is one fork)
-        self.forks = 0
-        #: prefix simulations actually run (one per distinct target)
-        self.captures = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of trials that reused an already-captured prefix."""
-        if not self.forks:
-            return 0.0
-        return (self.forks - self.captures) / self.forks
-
-    def config_for(self, case: FuzzCase) -> Dict[str, object]:
-        """The campaign config this engine runs ``case`` as.
-
-        Adds ``install_at`` only at non-default depths, so default-depth
-        engine runs share run seeds (and results) with the cold path.
-        """
-        config = case.config()
-        if self.depth != DEFAULT_DEPTHS[self.protocol]:
-            config["install_at"] = self.depth
-        return config
-
-    def checkpoint_for(self, config: Dict[str, object]) -> "Checkpoint":
-        """The (lazily captured, pooled) prefix checkpoint ``config``
-        forks from, keyed like its campaign prefix group."""
-        key = _fuzz_prefix_key(config)
-        checkpoint = self.pool.get(key)
-        if checkpoint is None:
-            checkpoint = _capture_prefix(prefixed_fuzz_body, config, key)
-            self.pool.put(key, checkpoint)
-            self.captures += 1
-            if self.journal is not None:
-                self.journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
-                                    target=config["target"], depth=key[2],
-                                    label=checkpoint.label,
-                                    identity=checkpoint.identity,
-                                    **checkpoint.plan_stats)
-        return checkpoint
-
-    def run_config(self, config: Dict[str, object], *,
-                   oracle=None) -> RunResult:
-        """Execute one configuration as a fork of its prefix checkpoint
-        (re-seeded to the run seed a cold campaign derives for it)."""
-        result = run_one(prefixed_fuzz_body, self.campaign_seed, config,
-                         self.checkpoint_for(config), telemetry=False,
-                         oracle=oracle)
-        self.forks += 1
-        return result
-
-    def run_case(self, case: FuzzCase, *, oracle=None) -> RunResult:
-        """Convenience: :meth:`config_for` + :meth:`run_config`."""
-        return self.run_config(self.config_for(case), oracle=oracle)
+    oracle = pack_for(configs[0]["protocol"])
+    if workers > 1:
+        results = Campaign(prefixed_fuzz_body, seed=seed, lint="off").run(
+            configs, workers=workers, telemetry=False, oracle=oracle)
+        return [ShardRow(index, result, None, False)
+                for index, result in enumerate(results)], 0
+    spec = SweepSpec(body=prefixed_fuzz_body, seed=seed, configs=configs,
+                     telemetry=False, oracle=oracle)
+    groups = {str(key): key for key in spec.prefix_keys()}
+    rows: List[Optional[ShardRow]] = [None] * len(spec.configs)
+    captures = 0
+    for event in execute_shard(spec, range(len(rows)), pool):
+        if type(event) is ShardRow:
+            rows[event.index] = event
+        elif type(event) is ShardCapture:
+            captures += 1
+            if journal is not None:
+                _protocol, target, depth = groups[event.payload["prefix"]]
+                journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE, target=target,
+                               depth=depth, **event.payload)
+    return rows, captures
 
 
 # ----------------------------------------------------------------------
@@ -468,145 +410,153 @@ def _targets(protocol: str) -> Tuple[str, ...]:
 MAX_REDRAWS = 50
 
 
-def _draw_case(rng: random.Random, report: FuzzReport, index: int
-               ) -> FuzzCase:
-    """Draw case ``index`` of ``report``'s session from ``rng``.
+def _draw_clean(rng: random.Random, draw: Callable[[random.Random], object],
+                what: str, report: Optional[FuzzReport] = None):
+    """``draw(rng)``, redrawn until the grammar's own lint accepts it.
 
-    A draw the grammar's self-check rejects (:class:`GrammarLintError`:
-    e.g. two ``xDrop cur_msg`` in a row, SL005) is discarded, counted on
+    A draw the self-check rejects (:class:`GrammarLintError`: e.g. two
+    ``xDrop cur_msg`` in a row, SL005) is discarded, counted on
     ``report.discarded_draws`` and redrawn from the same stream, so a
-    session that never hits one draws exactly the cases it always drew.
+    stream that never hits one yields exactly what it always yielded.
     """
-    protocol, corpus = report.protocol, report.corpus
     for _attempt in range(MAX_REDRAWS):
         try:
-            if corpus and rng.random() < 0.5:
-                parent = corpus[rng.randrange(len(corpus))]
-                script = mutate_script(rng, parent.script, index=index)
-                target = parent.target
-            else:
-                script = generate_script(rng, protocol, index=index)
-                target = rng.choice(_targets(protocol))
+            return draw(rng)
         except GrammarLintError:
-            report.discarded_draws += 1
-            continue
-        return FuzzCase(script=script, target=target,
-                        case_seed=trial_seed(report.seed, script.name))
+            if report is not None:
+                report.discarded_draws += 1
     raise GrammarLintError(
-        f"{MAX_REDRAWS} consecutive draws for case {index} failed the "
+        f"{MAX_REDRAWS} consecutive draws for {what} failed the "
         f"grammar's lint; the grammar is broken, not unlucky")
 
 
+def _draw_case(rng: random.Random, report: FuzzReport, index: int
+               ) -> FuzzCase:
+    """Draw case ``index`` of ``report``'s session from ``rng``: a
+    mutation of a corpus member, or a fresh script and target."""
+    protocol, corpus = report.protocol, report.corpus
+
+    def draw(rng: random.Random) -> Tuple[FuzzScript, str]:
+        if corpus and rng.random() < 0.5:
+            parent = corpus[rng.randrange(len(corpus))]
+            return (mutate_script(rng, parent.script, index=index),
+                    parent.target)
+        script = generate_script(rng, protocol, index=index)
+        return script, rng.choice(_targets(protocol))
+
+    script, target = _draw_clean(rng, draw, f"case {index}", report)
+    return FuzzCase(script=script, target=target,
+                    case_seed=trial_seed(report.seed, script.name))
+
+
+def sweep_battery(protocol: str, targets: Sequence[str], count: int, *,
+                  depth: Optional[float] = None) -> List[Dict[str, object]]:
+    """The generated battery ``repro sweep`` runs: ``count`` grammar
+    scripts -- script *i* drawn lint-clean from ``random.Random(i)`` --
+    against every target (none given: every fuzz target, plus the fixed
+    GMP build), each installed at ``depth`` when one is given."""
+    if not targets:
+        targets = (sorted(_targets("tcp")) if protocol == "tcp"
+                   else [*GMP_VARIANTS, "fixed"])
+    scripts = [
+        _draw_clean(random.Random(index),
+                    lambda rng: generate_script(rng, protocol, index=index),
+                    f"sweep script {index}")
+        for index in range(count)]
+    placement = {} if depth is None else {"install_at": depth}
+    return [{"protocol": protocol, "target": target,
+             "script": script.source, "init_script": script.init,
+             "direction": script.direction, **placement}
+            for target in targets for script in scripts]
+
+
+#: cases drawn, executed and folded into the corpus together.  The size
+#: feeds the per-batch RNG stream and the corpus-feedback cadence, so
+#: sizing it from ``workers`` would make the session depend on them.
+BATCH = 4
+
+
 def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
-             workers: int = 1, batch: int = 0,
-             checkpoint_depth: Optional[float] = None,
-             pool: Optional["CheckpointPool"] = None,
+             workers: int = 1, checkpoint_depth: Optional[float] = None,
+             pool: Optional[CheckpointPool] = None,
              progress: Optional[Callable[[str], None]] = None,
              journal=None) -> FuzzReport:
     """Fuzz one protocol's rig for ``budget`` cases.
 
     Fully deterministic in ``seed``: case generation, per-case seeds,
-    and the simulations themselves all derive from it, and the parallel
-    campaign path returns results in input order, so ``workers`` does
-    not perturb the outcome.
+    and the simulations themselves all derive from it, batches are
+    :data:`BATCH` cases however they execute, and a forked trial is
+    byte-identical to the cold run of its configuration, so neither
+    ``workers`` nor what ``pool`` already holds perturbs the outcome.
 
-    ``checkpoint_depth`` switches execution to the :class:`ForkEngine`:
-    one script-free prefix per target is simulated once, every trial
-    forks it.  Passing the protocol's stock install time
-    (:data:`DEFAULT_DEPTHS`) -- or any value at the default-depth rigs'
-    defaults -- produces the *same* report the cold path produces, just
-    faster; other depths are distinct experiments (the ``install_at``
-    config key changes every run seed).  ``progress`` (e.g. ``print``)
+    Every batch runs through :func:`execute_configs`: one script-free
+    prefix per target is simulated once, every trial forks it.
+    ``checkpoint_depth`` is *where the filter is installed* -- the depth
+    of that prefix: ``None`` is the protocol's stock install time
+    (:data:`DEFAULT_DEPTHS`), any other depth a distinct experiment (its
+    configs carry ``install_at``, which changes every run seed).
+    ``pool`` (a :class:`~repro.core.checkpoint.CheckpointPool`) holds
+    the prefixes; share one with the finding shrinkers (``repro fuzz
+    --save-repro`` does) and each warmup is simulated once for the
+    whole session, not once per consumer.  ``progress`` (e.g. ``print``)
     receives one status line per batch (shared renderer format) with
-    the trial rate, coverage, findings and, on the engine path, the
-    checkpoint hit-rate.
+    the trial rate, coverage, findings and checkpoint hit-rate.
 
     ``journal`` (a :class:`~repro.obs.journal.Journal` or a path)
     attaches the campaign flight recorder: every executed case appends
-    a crash-safe ``campaign.run_end`` event carrying its verdict codes
-    and coverage delta, so a sweep killed mid-run still reproduces its
-    exact partial scorecard from the journal (``repro report
-    --campaign``).  Off by default; the hook is a single ``is not
-    None`` guard per case.
-
-    ``pool`` (a :class:`~repro.core.checkpoint.CheckpointPool`) backs
-    the engine path's prefix snapshots; share one pool across sweeps
-    and the subsequent finding shrinkers (``repro fuzz --save-repro``
-    does) and the warmup is simulated once per target for the whole
-    session, not once per consumer.
+    a crash-safe ``campaign.run_end`` event carrying its verdict codes,
+    coverage delta and prefix group, so a sweep killed mid-run still
+    reproduces its exact partial scorecard from the journal (``repro
+    report --campaign``).  Off by default; the hook is a single ``is
+    not None`` guard per case.
     """
-    if batch <= 0:
-        batch = max(4, workers * 2)
-    journal_obj, journal_owned = Journal.ensure(journal)
-    try:
-        return _run_fuzz_journaled(
-            protocol, journal_obj, seed=seed, budget=budget,
-            workers=workers, batch=batch,
-            checkpoint_depth=checkpoint_depth, pool=pool,
-            progress=progress)
-    finally:
-        if journal_owned:
-            journal_obj.close()
-
-
-def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
-                        seed: int, budget: int, workers: int, batch: int,
-                        checkpoint_depth: Optional[float],
-                        pool: Optional["CheckpointPool"],
-                        progress: Optional[Callable[[str], None]]
-                        ) -> FuzzReport:
-    report = FuzzReport(protocol=protocol, seed=seed, budget=budget)
+    pack_for(protocol)  # ValueError on an unknown protocol
+    depth = (DEFAULT_DEPTHS[protocol] if checkpoint_depth is None
+             else float(checkpoint_depth))
+    placement = ({} if depth == DEFAULT_DEPTHS[protocol]
+                 else {"install_at": depth})
+    report = FuzzReport(protocol=protocol, seed=seed, budget=budget,
+                        checkpoint_depth=depth)
     coverage: set = set()
-    campaign = Campaign(fuzz_body, seed=seed, lint="error")
-    engine = None
-    if checkpoint_depth is not None:
-        engine = ForkEngine(protocol, campaign_seed=seed,
-                            depth=checkpoint_depth, journal=journal,
-                            pool=pool)
-        report.checkpoint_depth = engine.depth
-    if journal is not None:
-        journal.start("fuzz", protocol=protocol, seed=seed, budget=budget,
-                      workers=workers, batch=batch,
-                      checkpoint_depth=report.checkpoint_depth)
+    sharing = dict.fromkeys(PREFIX_STATS, 0)
+    campaign = Campaign(prefixed_fuzz_body, seed=seed)
+    if pool is None:
+        pool = CheckpointPool()
     renderer = (ProgressRenderer(f"fuzz {protocol}", total=budget,
                                  unit="trials", sink=progress)
                 if progress is not None else None)
+    journal, journal_owned = Journal.ensure(journal)
     batch_index = 0
     started = perf_counter()
-    status = "ok"
+    status = "failed"
     try:
+        if journal is not None:
+            journal.start("fuzz", protocol=protocol, seed=seed,
+                          budget=budget, workers=workers, batch=BATCH,
+                          checkpoint_depth=depth)
         while report.executed < budget:
-            count = min(batch, budget - report.executed)
+            count = min(BATCH, budget - report.executed)
             rng = random.Random(derive_seed(seed, "fuzz-batch", batch_index))
             cases = [_draw_case(rng, report, report.executed + i)
                      for i in range(count)]
-            if engine is not None:
-                # trials fork one at a time, outside Campaign.run, but
-                # pass the same gate: body vetted once, scripts per batch
-                configs = [engine.config_for(case) for case in cases]
-                campaign.preflight(
-                    configs, journal if batch_index == 0 else None,
-                    body=batch_index == 0)
-                oracle = pack_for(protocol)
-                results = [engine.run_config(config, oracle=oracle)
-                           for config in configs]
-            else:
-                results = campaign.run([case.config() for case in cases],
-                                       workers=workers, telemetry=False,
-                                       oracle=pack_for(protocol))
-                if journal is not None and batch_index == 0:
-                    journal.record(K.CAMPAIGN_PREFLIGHT, ok=True,
-                                   failing=0)
-            for case, result in zip(cases, results):
+            configs = [{**case.config(), **placement} for case in cases]
+            # the campaign's gate: body vetted once, scripts per batch
+            campaign.preflight(configs,
+                               journal if batch_index == 0 else None,
+                               body=batch_index == 0)
+            rows, captures = execute_configs(
+                configs, seed=seed, pool=pool, journal=journal,
+                workers=workers)
+            sharing["prefix_captures"] += captures
+            for case, row in zip(cases, rows):
+                result = row.result
                 index = report.executed
                 report.executed += 1
                 keys = coverage_keys(result.trace)
                 fresh = len(keys - coverage)
-                in_corpus = False
                 if fresh:
                     coverage |= keys
                     report.corpus.append(case)
-                    in_corpus = True
                 codes: List[str] = []
                 if result.violations:
                     codes = sorted({v.code for v in result.violations})
@@ -614,6 +564,12 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
                         case=case, codes=codes,
                         violation_count=len(result.violations),
                         example=result.violations[0]))
+                group = {}
+                if row.prefix is not None:
+                    group = {"prefix": str(row.prefix),
+                             "forked": row.forked}
+                    sharing["prefix_forks" if row.forked
+                            else "prefix_fallbacks"] += 1
                 if journal is not None:
                     journal.record(
                         K.CAMPAIGN_RUN_END, index=index,
@@ -622,32 +578,34 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
                         ok=not codes, codes=codes,
                         violations=len(result.violations or ()),
                         new_coverage=fresh, coverage_total=len(coverage),
-                        corpus=in_corpus)
+                        corpus=bool(fresh), **group)
             batch_index += 1
             elapsed = perf_counter() - started
             report.trials_per_sec = (report.executed / elapsed if elapsed
                                      else 0.0)
-            if engine is not None:
-                report.checkpoint_hit_rate = engine.hit_rate
+            # a trial is a hit when it forked a prefix it did not pay for
+            report.checkpoint_hit_rate = (
+                sharing["prefix_forks"] - sharing["prefix_captures"]
+            ) / report.executed
             if renderer is not None:
                 renderer.update(
-                    report.executed,
-                    coverage=len(coverage),
+                    report.executed, coverage=len(coverage),
                     findings=len(report.findings),
-                    checkpoint_hit_rate=(f"{engine.hit_rate:.0%}"
-                                         if engine is not None else None))
-    except BaseException:
-        status = "failed"
-        raise
+                    checkpoint_hit_rate=f"{report.checkpoint_hit_rate:.0%}")
+        status = "ok"
     finally:
-        if journal is not None:
-            journal.record(
-                K.CAMPAIGN_END, status=status, executed=report.executed,
-                findings=len(report.findings), coverage=len(coverage),
-                corpus=len(report.corpus),
-                trials_per_sec=round(report.trials_per_sec, 3),
-                checkpoint_hit_rate=report.checkpoint_hit_rate,
-                discarded_draws=report.discarded_draws)
+        # a journal this call opened closes once its last event is in
+        with journal if journal_owned else nullcontext():
+            if journal is not None:
+                journal.record(
+                    K.CAMPAIGN_END, status=status,
+                    executed=report.executed,
+                    findings=len(report.findings), coverage=len(coverage),
+                    corpus=len(report.corpus),
+                    trials_per_sec=round(report.trials_per_sec, 3),
+                    checkpoint_hit_rate=report.checkpoint_hit_rate,
+                    discarded_draws=report.discarded_draws,
+                    **(sharing if any(sharing.values()) else {}))
     report.coverage = frozenset(coverage)
     return report
 

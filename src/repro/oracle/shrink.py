@@ -12,6 +12,10 @@ it while preserving the verdict:
 
 The predicate throughout is "the run still reports the target violation
 code", so shrinking can never trade one bug for another unnoticed.
+Every probe is a one-configuration sweep through the campaign's shard
+executor (:func:`repro.oracle.fuzz.execute_configs`) that forks the
+case's pooled warm prefix -- byte-identical to the cold :func:`~repro
+.oracle.fuzz.run_case` replay, so the predicate is the replayer's own.
 
 The shrunk case is frozen into a JSON **reproduction artifact** carrying
 the exact campaign configuration plus the expected violation
@@ -30,10 +34,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.core.checkpoint import CheckpointPool
 from repro.netsim import kinds as K
 from repro.obs.journal import Journal
-from repro.oracle.fuzz import (Finding, ForkEngine, FuzzCase, pack_for,
-                               run_case)
+from repro.oracle.fuzz import Finding, FuzzCase, execute_configs, run_case
 from repro.oracle.grammar import Clause
 
 ARTIFACT_VERSION = 1
@@ -44,33 +48,6 @@ MAX_FINGERPRINTS = 50
 
 #: candidate replacement seeds, smallest first
 SEED_CANDIDATES = (0, 1, 2)
-
-
-def _probe_engine(case: FuzzCase, campaign_seed: int,
-                  pool=None) -> Optional[ForkEngine]:
-    """A checkpointed probe engine for shrinking ``case``, or None.
-
-    ddmin probes share the case's script-free prefix (same protocol,
-    same target, stock install depth), so one captured checkpoint
-    serves every probe.  Engine results at the default depth are
-    byte-identical to :func:`~repro.oracle.fuzz.run_case` -- the
-    property suite pins it -- which keeps the shrink predicate exactly
-    the predicate the cold replayer applies.  ``pool`` (a
-    :class:`~repro.core.checkpoint.CheckpointPool`) lets the engine
-    reuse a prefix an earlier consumer -- the fuzz sweep itself, or a
-    sibling finding's shrinker -- already captured.
-    """
-    return ForkEngine(case.protocol, campaign_seed=campaign_seed,
-                      pool=pool)
-
-
-def _codes_of(case: FuzzCase, campaign_seed: int, *,
-              engine: Optional[ForkEngine] = None) -> set:
-    if engine is not None:
-        result = engine.run_case(case, oracle=pack_for(case.protocol))
-    else:
-        result = run_case(case, campaign_seed=campaign_seed)
-    return {v.code for v in (result.violations or ())}
 
 
 @dataclass
@@ -111,14 +88,9 @@ def ddmin(items: Sequence, test) -> List:
 
 
 def shrink_case(case: FuzzCase, code: str, *, campaign_seed: int = 0,
-                checkpoint: bool = True, pool=None, journal=None
+                pool: Optional[CheckpointPool] = None, journal=None
                 ) -> "tuple[FuzzCase, ShrinkStats]":
     """Reduce ``case`` while it still reports ``code``.
-
-    With ``checkpoint`` (the default) every ddmin probe forks the
-    case's warmed prefix checkpoint instead of cold-starting; probe
-    verdicts are identical either way, the forked path just reaches
-    them faster.  ``checkpoint=False`` keeps the historical cold path.
 
     ``journal`` (a :class:`~repro.obs.journal.Journal` or a path)
     records one ``campaign.shrink_step`` per ddmin/seed probe -- clause
@@ -126,12 +98,13 @@ def shrink_case(case: FuzzCase, code: str, *, campaign_seed: int = 0,
     shows how far it got.  Pass the fuzz sweep's own journal to append
     the shrink trail to the same flight record.  ``pool`` (a shared
     :class:`~repro.core.checkpoint.CheckpointPool`) lets this shrink
-    fork a prefix the fuzz sweep or a sibling shrink already captured.
+    fork a prefix the fuzz sweep or a sibling shrink already captured;
+    without one the first probe captures it for the rest.
     """
     stats = ShrinkStats(clauses_before=len(case.script.clauses),
                         seed_before=case.case_seed)
-    engine = (_probe_engine(case, campaign_seed, pool=pool)
-              if checkpoint else None)
+    if pool is None:
+        pool = CheckpointPool()
     journal_obj, journal_owned = Journal.ensure(journal)
     if journal_owned:
         journal_obj.start("shrink", code=code, case=case.script.name,
@@ -140,7 +113,10 @@ def shrink_case(case: FuzzCase, code: str, *, campaign_seed: int = 0,
 
     def still_violates(candidate: FuzzCase) -> bool:
         stats.runs += 1
-        verdict = code in _codes_of(candidate, campaign_seed, engine=engine)
+        [row], _captures = execute_configs(
+            [candidate.config()], seed=campaign_seed, pool=pool,
+            journal=journal_obj)
+        verdict = code in {v.code for v in row.result.violations}
         if journal_obj is not None:
             journal_obj.record(
                 K.CAMPAIGN_SHRINK_STEP, probe=stats.runs,
@@ -285,11 +261,11 @@ def replay_artifact(artifact: Union[ReproArtifact, str, Path]
 
 
 def shrink_finding(finding: Finding, *, campaign_seed: int = 0,
-                   checkpoint: bool = True, pool=None, journal=None
+                   pool: Optional[CheckpointPool] = None, journal=None
                    ) -> "tuple[ReproArtifact, ShrinkStats]":
     """Shrink one fuzz finding and freeze the result.
 
-    Probes may run checkpointed (see :func:`shrink_case`); the final
+    Probes fork a pooled prefix (see :func:`shrink_case`); the final
     artifact is always frozen from a cold :func:`~repro.oracle.fuzz
     .run_case` replay, so a committed artifact never depends on the
     checkpoint layer to reproduce.  ``pool`` and ``journal`` are
@@ -297,8 +273,7 @@ def shrink_finding(finding: Finding, *, campaign_seed: int = 0,
     """
     code = finding.codes[0]
     shrunk, stats = shrink_case(finding.case, code,
-                                campaign_seed=campaign_seed,
-                                checkpoint=checkpoint, pool=pool,
+                                campaign_seed=campaign_seed, pool=pool,
                                 journal=journal)
     return make_artifact(shrunk, code, campaign_seed=campaign_seed), stats
 

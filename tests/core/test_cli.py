@@ -165,9 +165,27 @@ class TestFuzzCheckpointFlags:
         assert args.checkpoint_depth == 8.0
         assert args.progress is False
 
-    def test_checkpoint_depth_defaults_to_cold_path(self):
-        args = build_parser().parse_args(["fuzz"])
-        assert args.checkpoint_depth is None
+    def test_default_session_forks_at_the_stock_install_depth(
+            self, tmp_path):
+        from repro.obs.journal import replay_journal
+        from repro.oracle.fuzz import DEFAULT_DEPTHS
+        assert build_parser().parse_args(["fuzz"]).checkpoint_depth is None
+        for protocol, depth in DEFAULT_DEPTHS.items():
+            journal = tmp_path / f"{protocol}.jsonl"
+            assert main(["fuzz", "--protocol", protocol, "--budget", "8",
+                         "--journal", str(journal)]) == 0
+            replay = replay_journal(journal)
+            assert replay.of("campaign.start")[0].get(
+                "checkpoint_depth") == depth
+            assert all(e.get("depth") == depth and e.get("target")
+                       for e in replay.of("campaign.checkpoint_capture"))
+            end = replay.last("campaign.end")
+            assert end.get("prefix_forks") == 8
+            assert end.get("checkpoint_hit_rate") == \
+                1 - end.get("prefix_captures") / 8
+            # every trial forked its target's prefix at the stock depth
+            assert all(e.get("forked") and str(depth) in e.get("prefix")
+                       for e in replay.of("campaign.run_end"))
 
     def test_fuzz_checkpointed_run(self, capsys):
         assert main(["fuzz", "--protocol", "gmp", "--seed", "3",
@@ -177,6 +195,50 @@ class TestFuzzCheckpointFlags:
         assert "checkpointed @ depth 8" in out
         assert "hit-rate" in out
         assert "[fuzz gmp]" in out  # the --progress lines
+
+
+    def test_save_repro_journals_every_shrink_probe(self, tmp_path,
+                                                    capsys):
+        import re
+
+        from repro.obs.campaign_report import summarize_journal
+        journal = tmp_path / "fuzz.jsonl"
+        assert main(["fuzz", "--protocol", "gmp", "--seed", "0",
+                     "--budget", "8", "--journal", str(journal),
+                     "--save-repro", str(tmp_path / "repro")]) == 0
+        runs = [int(n) for n in
+                re.findall(r"\((\d+) runs\)", capsys.readouterr().out)]
+        summary = summarize_journal(journal)
+        assert runs and summary.shrink_steps == sum(runs)
+        # one flight record; the shrinkers fork the sweep's pooled
+        # prefixes, so every capture is one the sweep journaled
+        assert summary.engine == "fuzz" and summary.executed == 8
+        assert len(summary.checkpoints) == summary.end["prefix_captures"]
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_reader_closing_early_is_not_a_traceback(self, unbuffered):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fuzz", "--budget", "12",
+             "--progress"],
+            env=dict(os.environ, PYTHONPATH=str(src),
+                     PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        if unbuffered:
+            # `| head -1`: one progress line per batch, two batches to go
+            assert proc.stdout.readline().startswith(b"[fuzz gmp] 4/12")
+        # else `| head -0`: a block-buffered stdout writes only on exit
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert stderr == b""
 
 
 class TestExploreCommand:

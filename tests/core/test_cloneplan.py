@@ -25,9 +25,8 @@ from repro.netsim.link import Link
 from repro.netsim.scheduler import Event, SchedulerClock
 from repro.netsim.trace import TraceEntry
 from repro.obs.campaign_report import render_text, summarize_journal
-from repro.obs.journal import Journal
-from repro.oracle.fuzz import (GMP_VARIANTS, HORIZONS, ForkEngine,
-                               _continue_body, _gmp_prefix, _tcp_prefix)
+from repro.oracle.fuzz import (GMP_VARIANTS, HORIZONS, _continue_body,
+                               _gmp_prefix, _tcp_prefix, run_fuzz)
 from repro.tcp import VENDORS
 from repro.xkernel.message import Message
 from tests.props.test_checkpoint_props import _config, canon
@@ -327,11 +326,10 @@ def test_two_forks_share_nothing_mutable():
 
 def test_capture_event_carries_plan_stats(tmp_path):
     path = tmp_path / "fuzz.jsonl"
-    with Journal(path) as journal:
-        journal.start("fuzz", protocol="gmp", seed=0, budget=1)
-        engine = ForkEngine("gmp", journal=journal, pool=CheckpointPool())
-        checkpoint = engine.checkpoint_for(
-            {"protocol": "gmp", "target": "self_death"})
+    pool = CheckpointPool()
+    run_fuzz("gmp", seed=0, budget=1, pool=pool, journal=path)
+    [key] = pool.keys()
+    checkpoint = pool.get(key)
     assert tuple(checkpoint.plan_stats) == K.CHECKPOINT_PLAN_FIELDS
     summary = summarize_journal(path)
     [capture] = summary.checkpoints

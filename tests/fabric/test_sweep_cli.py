@@ -70,6 +70,17 @@ def test_sweep_requires_a_campaign_directory(tmp_path):
     assert "--journal-dir" in missing.stderr
 
 
+def test_sweep_survives_the_scripts_the_grammar_rejects(tmp_path):
+    # script 24 fails the grammar's own lint when drawn bare; the sweep
+    # used to die on it with a traceback before running anything (tcp:
+    # gmp script 20 dies in the body on the separate StubError bug)
+    sweep = _repro("sweep", "--protocol", "tcp", "--targets", "SunOS 4.1.3",
+                   "--count", "25", "--journal-dir", str(tmp_path / "d"))
+    assert sweep.returncode == 0, sweep.stderr
+    end = campaign_ends(tmp_path / "d")[-1]
+    assert end["status"] == "ok" and end["executed"] == 25
+
+
 def test_resume_nonexistent_directory_fails_cleanly(tmp_path):
     gone = _repro("sweep", "--resume", str(tmp_path / "nowhere"),
                   "--backend", "sockets")

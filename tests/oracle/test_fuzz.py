@@ -83,6 +83,14 @@ def test_parallel_workers_do_not_perturb_the_verdict():
     serial = run_fuzz("gmp", seed=0, budget=4, workers=1)
     parallel = run_fuzz("gmp", seed=0, budget=4, workers=2)
     assert _snapshot(serial) == _snapshot(parallel)
+    # several batches, and more workers than a batch of max(4, 2 *
+    # workers) -- what the batch once was -- would have left alone
+    serial = run_fuzz("tcp", seed=1, budget=16, workers=1)
+    wide = run_fuzz("tcp", seed=1, budget=16, workers=4)
+    assert _snapshot(serial) == _snapshot(wide)
+    assert len(serial.coverage) == 17
+    assert [case.script.name[-4:] for case in serial.corpus] == [
+        "0000", "0001", "0002", "0006", "0012"]
 
 
 def test_fuzz_case_config_excludes_the_display_name():
@@ -179,3 +187,50 @@ def test_budget_48_survives_the_draw_the_grammar_rejects(tmp_path):
     events = [json.loads(line) for line in journal.read_text().splitlines()]
     [end] = [e["data"] for e in events if e["kind"] == "campaign.end"]
     assert end["status"] == "ok" and end["discarded_draws"] == 1
+
+
+# ----------------------------------------------------------------------
+# the `repro sweep` battery
+# ----------------------------------------------------------------------
+
+def test_sweep_battery_redraws_the_scripts_the_grammar_rejects():
+    import random
+
+    import pytest
+
+    from repro.oracle.fuzz import sweep_battery
+    from repro.oracle.grammar import GrammarLintError, generate_script
+    for protocol in ("gmp", "tcp"):
+        # random.Random(24) draws a script the grammar's own lint
+        # refuses; `repro sweep --count 25` died on it before running
+        with pytest.raises(GrammarLintError):
+            generate_script(random.Random(24), protocol, index=24)
+        battery = sweep_battery(protocol, ["fixed"], 25)
+        assert len(battery) == 25
+        assert not Campaign(fuzz_body).validate_scripts(battery)
+        # every index that draws clean yields the config it always did
+        for index in range(24):
+            script = generate_script(random.Random(index), protocol,
+                                     index=index)
+            assert battery[index] == {
+                "protocol": protocol, "target": "fixed",
+                "script": script.source, "init_script": script.init,
+                "direction": script.direction}
+
+
+def test_sweep_battery_keeps_existing_campaign_directories_addressable():
+    import hashlib
+
+    from repro.oracle.fuzz import sweep_battery
+
+    # `repro sweep --count 3`, default targets, as drawn at bd80511:
+    # store keys and the spec digest derive from these configs
+    for protocol, digest in (("gmp", "869c94819f4de9bf"),
+                             ("tcp", "e6936c484920a2c5")):
+        battery = sweep_battery(protocol, [], 3)
+        assert len(battery) == 12
+        assert hashlib.sha256(
+            repr(battery).encode()).hexdigest()[:16] == digest
+    assert [c["install_at"]
+            for c in sweep_battery("gmp", ["fixed"], 2, depth=4.0)] \
+        == [4.0, 4.0]

@@ -12,6 +12,7 @@ the old behavior, reached faster.
 """
 
 import copy
+import hashlib
 import random
 
 import pytest
@@ -21,8 +22,11 @@ from repro.core.checkpoint import Checkpoint
 from repro.core.distributions import DistributionSet
 from repro.core.orchestrator import make_env
 from repro.oracle import evaluate
-from repro.oracle.fuzz import (GMP_VARIANTS, _continue_body, _gmp_prefix,
-                               _tcp_prefix, fuzz_body, pack_for, run_fuzz)
+from repro.core.checkpoint import CheckpointPool
+from repro.oracle.fuzz import (DEFAULT_DEPTHS, GMP_VARIANTS, FuzzCase,
+                               _continue_body, _gmp_prefix, _tcp_prefix,
+                               execute_configs, fuzz_body, pack_for,
+                               run_case, run_fuzz)
 from repro.oracle.grammar import generate_script
 from repro.tcp import VENDORS
 
@@ -170,45 +174,119 @@ def test_link_deepcopy_shares_rng_state():
 # consumer equivalence: fuzzing and shrinking
 # ----------------------------------------------------------------------
 
+#: what the *cold* ``run_fuzz`` reported at bd80511, the last commit
+#: that had one (``Campaign(fuzz_body).run`` per batch, nothing forked):
+#: (protocol, seed, budget) -> executed, coverage keys, coverage digest,
+#: corpus names, (name, codes, violation count) per finding.  gmp seeds
+#: 2 and 3 die at larger budgets on the ``StubError ... 'group_id'`` bug.
+COLD_SESSIONS = {
+    ("gmp", 0, 24): (
+        24, 34, "9a17525cc1d2573e",
+        ["fuzz_gmp_0000", "fuzz_gmp_0002", "fuzz_gmp_0004", "fuzz_gmp_0005",
+         "fuzz_gmp_0013", "fuzz_gmp_0016"],
+        [("fuzz_gmp_0002", ["GMP-SELF-DEATH"], 20),
+         ("fuzz_gmp_0010", ["GMP-SELF-DEATH"], 20),
+         ("fuzz_gmp_0013", ["GMP-TIMER"], 2),
+         ("fuzz_gmp_0015", ["GMP-SELF-DEATH"], 38),
+         ("fuzz_gmp_0017", ["GMP-SELF-DEATH"], 44),
+         ("fuzz_gmp_0023", ["GMP-TIMER"], 2)]),
+    ("gmp", 1, 24): (
+        24, 35, "9e6cbad63fedd4a8",
+        ["fuzz_gmp_0000", "fuzz_gmp_0002", "fuzz_gmp_0004", "fuzz_gmp_0005",
+         "fuzz_gmp_0007", "fuzz_gmp_0012", "fuzz_gmp_0016"],
+        [("fuzz_gmp_0012", ["GMP-TIMER"], 2),
+         ("fuzz_gmp_0016", ["GMP-VIEW-ORDER"], 1),
+         ("fuzz_gmp_0018", ["GMP-TIMER"], 2)]),
+    ("gmp", 3, 12): (
+        12, 33, "ae2ebe5059e2d051",
+        ["fuzz_gmp_0000", "fuzz_gmp_0001", "fuzz_gmp_0007", "fuzz_gmp_0008"],
+        [("fuzz_gmp_0000", ["GMP-TIMER"], 3),
+         ("fuzz_gmp_0007", ["GMP-SELF-DEATH"], 50)]),
+    ("tcp", 0, 24): (
+        24, 20, "a24bbc3fe33b7ecd",
+        ["fuzz_tcp_0000", "fuzz_tcp_0003", "fuzz_tcp_0004", "fuzz_tcp_0020",
+         "fuzz_tcp_0022"],
+        []),
+    ("tcp", 1, 24): (
+        24, 18, "416e85854d78471f",
+        ["fuzz_tcp_0000", "fuzz_tcp_0001", "fuzz_tcp_0002", "fuzz_tcp_0006",
+         "fuzz_tcp_0012", "fuzz_tcp_0016"],
+        []),
+}
+
+
+def _coverage_digest(coverage) -> str:
+    text = "\n".join(sorted(map(repr, coverage)))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.fixture(scope="module")
-def fuzz_pair():
-    legacy = run_fuzz("gmp", seed=3, budget=12)
-    engine = run_fuzz("gmp", seed=3, budget=12, checkpoint_depth=8.0)
-    return legacy, engine
+def sessions():
+    return {(protocol, seed, budget): run_fuzz(protocol, seed=seed,
+                                                budget=budget)
+            for protocol, seed, budget in COLD_SESSIONS}
 
 
-def test_run_fuzz_engine_reports_match_legacy(fuzz_pair):
-    legacy, engine = fuzz_pair
-    assert engine.executed == legacy.executed
-    assert engine.coverage == legacy.coverage
-    assert [c.script.name for c in engine.corpus] \
-        == [c.script.name for c in legacy.corpus]
-    assert [(f.case.script.name, f.codes, f.violation_count)
-            for f in engine.findings] \
-        == [(f.case.script.name, f.codes, f.violation_count)
-            for f in legacy.findings]
+def test_run_fuzz_engine_reports_match_legacy(sessions):
+    for session, report in sessions.items():
+        assert (report.executed, len(report.coverage),
+                _coverage_digest(report.coverage),
+                [c.script.name for c in report.corpus],
+                [(f.case.script.name, f.codes, f.violation_count)
+                 for f in report.findings]) == COLD_SESSIONS[session]
+        # and what the session saw forked is what a cold replay of the
+        # finding (the path artifacts are frozen and replayed on) sees
+        _protocol, seed, _budget = session
+        pool = CheckpointPool()
+        for finding in report.findings:
+            cold = run_case(finding.case, campaign_seed=seed).violations
+            assert len(cold) == finding.violation_count
+            assert cold[0].fingerprint() == finding.example.fingerprint()
+            [row], _captures = execute_configs(
+                [finding.case.config()], seed=seed, pool=pool)
+            assert row.forked
+            assert ([v.fingerprint() for v in row.result.violations]
+                    == [v.fingerprint() for v in cold])
 
 
-def test_run_fuzz_engine_reports_speed_and_hit_rate(fuzz_pair):
-    _legacy, engine = fuzz_pair
-    assert engine.checkpoint_depth == 8.0
-    assert engine.trials_per_sec > 0
-    # 12 trials over at most 4 targets: most trials reuse a capture
-    assert engine.checkpoint_hit_rate is not None
-    assert engine.checkpoint_hit_rate >= 0.5
-    assert "checkpointed @ depth 8" in engine.render()
+def test_run_fuzz_engine_reports_speed_and_hit_rate(sessions):
+    for (protocol, _seed, _budget), report in sessions.items():
+        depth = DEFAULT_DEPTHS[protocol]
+        assert report.checkpoint_depth == depth
+        assert report.trials_per_sec > 0
+        # at most 4 targets: most trials reuse a capture
+        assert report.checkpoint_hit_rate >= 0.5
+        assert f"checkpointed @ depth {depth:g}" in report.render()
 
 
-def test_shrink_probes_checkpointed_equals_cold(fuzz_pair):
-    from repro.oracle.shrink import shrink_case
-    legacy, _engine = fuzz_pair
-    finding = legacy.findings[0]
+def test_shrink_probes_checkpointed_equals_cold(sessions):
+    """``shrink_case`` (every probe a fork) against the same reduction
+    driven here by a predicate on the cold ``run_case``."""
+    from repro.oracle.shrink import SEED_CANDIDATES, ddmin, shrink_case
+    finding = sessions["gmp", 3, 12].findings[0]
     code = finding.codes[0]
-    warm, warm_stats = shrink_case(finding.case, code, campaign_seed=3,
-                                   checkpoint=True)
-    cold, cold_stats = shrink_case(finding.case, code, campaign_seed=3,
-                                   checkpoint=False)
-    assert warm.script.source == cold.script.source
-    assert warm.case_seed == cold.case_seed
-    assert warm_stats.runs == cold_stats.runs
-    assert warm_stats.clauses_after == cold_stats.clauses_after
+    warm, stats = shrink_case(finding.case, code, campaign_seed=3)
+
+    runs = 0
+
+    def violates(script, case_seed=finding.case.case_seed):
+        nonlocal runs
+        runs += 1
+        case = FuzzCase(script=script, target=finding.case.target,
+                        case_seed=case_seed)
+        return code in {v.code for v in
+                        run_case(case, campaign_seed=3).violations}
+
+    def shrunk_to(clauses):
+        return finding.case.script.with_clauses(
+            clauses, name=f"{finding.case.script.name}_min")
+
+    assert violates(finding.case.script)
+    cold = shrunk_to(ddmin(finding.case.script.clauses,
+                           lambda clauses: violates(shrunk_to(clauses))))
+    cold_seed = next((seed for seed in SEED_CANDIDATES
+                      if violates(cold, seed)), finding.case.case_seed)
+    assert warm.script.source == cold.source
+    assert warm.case_seed == cold_seed
+    assert stats.runs == runs
+    assert stats.clauses_after == len(cold.clauses)

@@ -19,7 +19,8 @@ Four contracts, the first three pinned over the real protocol rigs:
   layouts (scattered groups, singletons, ``None`` keys, rows the store
   already holds, prefixes that cannot be captured or re-seeded): one row
   per index, stable-equal to the ``group=False`` cold run, each group
-  captured at most once.
+  captured at most once -- and a group of one only for a caller that
+  keeps the pool (the fuzz loop, the shrinker), whose next call forks it.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.export import VOLATILE_ATTRS, dump_trace
+from repro.core.checkpoint import CheckpointPool
 from repro.core.fabric import SweepSpec
 from repro.core.orchestrator import (Campaign, PrefixedBody, ShardCapture,
                                      ShardRow, ShardStart, execute_shard)
@@ -298,3 +300,27 @@ def test_execute_shard_matches_cold_and_captures_each_group_once(layout,
             for e in flat if type(e) is ShardRow] \
         == [(index, _row_stable(cold[index]), None, False)
             for index in indices]
+
+
+def test_caller_pool_captures_a_singleton_and_the_next_call_forks_it():
+    configs = [{"grp": "a", "extra": 1.0, "n": 0},
+               {"grp": "a", "extra": 2.0, "n": 1}]
+    spec = SweepSpec(body=_layout_body, seed=13, configs=configs)
+    cold = Campaign(_layout_body, seed=13, lint="off").run(configs,
+                                                           group=False)
+    pool = CheckpointPool()
+    first = list(execute_shard(spec, [0], pool))
+    second = list(execute_shard(spec, [1], pool))
+    # without a pool nobody could fork the capture: the row runs cold
+    alone = list(execute_shard(spec, [0]))
+
+    assert [type(e) for e in first] == [ShardCapture, ShardStart, ShardRow]
+    assert [type(e) for e in second] == [ShardStart, ShardRow]
+    assert [type(e) for e in alone] == [ShardStart, ShardRow]
+    assert first[0].payload["configs"] == 1 and len(pool) == 1
+    assert [(e[-1].index, e[-1].prefix, e[-1].forked)
+            for e in (first, second, alone)] \
+        == [(0, "a", True), (1, "a", True), (0, "a", False)]
+    for events in (first, second, alone):
+        row = events[-1]
+        assert _row_stable(row.result) == _row_stable(cold[row.index])

@@ -47,8 +47,7 @@ def test_corpus_reshrinks_identically_through_checkpoints(path):
     from repro.oracle.shrink import artifact_name, make_artifact, shrink_case
     artifact = ReproArtifact.load(path)
     shrunk, stats = shrink_case(artifact.case, artifact.code,
-                                campaign_seed=artifact.campaign_seed,
-                                checkpoint=True)
+                                campaign_seed=artifact.campaign_seed)
     assert [c.text for c in shrunk.script.clauses] \
         == [c.text for c in artifact.case.script.clauses]
     assert shrunk.case_seed == artifact.case.case_seed
