@@ -659,7 +659,9 @@ def cmd_sweep(args) -> int:
             fabric_dir=fabric_dir, fabric_options=fabric_options or None)
     except FabricError as exc:
         print(f"repro sweep: {exc}", file=sys.stderr)
-        return 3
+        # a body that raised would raise again on --resume: not the
+        # "resumable" status
+        return 1 if exc.status == "worker_error" else 3
     summary = merge_campaign_dir(fabric_dir)
     print(render_text(summary))
     if args.stable:

@@ -1,6 +1,6 @@
-"""The fabric coordinator: leases, heartbeats, spawning, and the merge.
+"""The fabric coordinator: leases, heartbeats, starting workers, the merge.
 
-One coordinator process owns a sweep attempt: it binds a socket, spawns
+One coordinator process owns a sweep attempt: it binds a socket, starts
 (or admits) workers, serves the lease protocol from a
 :class:`~repro.core.fabric.shards.LeaseBoard`, and watches for loss --
 a disconnected worker's leases return to the pending queue immediately,
@@ -9,6 +9,28 @@ coordinator (the spec, the content-addressed store, append-only
 journals), so SIGKILLing the coordinator loses nothing: the next
 ``--resume`` probes the store for completed rows and only the remainder
 is re-sharded.
+
+Its own workers start warm: each is a :mod:`multiprocessing` child of
+the coordinator running :func:`~repro.core.fabric.worker.run_worker`,
+forked where the platform can fork, so it inherits every imported
+module, ``sys.path``, ``os.environ`` and ``__main__`` instead of booting
+an interpreter and importing the program again.  The fork happens after
+the listener is bound and *before* the coordinator's first thread
+exists; the child closes the listener and the coordinator journal it
+inherited and leaves through ``multiprocessing``'s ``os._exit``, so no
+``atexit`` handler or stream buffer of the parent is replayed.  Workers
+the coordinator did not start (``spawn=False``, late joiners, other
+hosts) attach through ``python -m repro.core.fabric.worker``; both run
+the one worker loop.
+
+Service is event-driven: one :class:`threading.Condition` on the
+coordinator lock is notified whenever a shard completes, a worker
+disconnects or the attempt aborts.  The dispatch loop waits on it (at
+most ``poll`` seconds, so TTL expiry is still served), and a ``lease``
+request that finds nothing pending is held on it for up to ``poll``
+seconds and answered ``grant`` / ``drain`` the moment a shard frees up
+or the board completes; ``wait`` is what a request still unserved after
+``poll`` gets.
 
 ``state.json`` in the campaign directory is advisory observability --
 endpoint, coordinator pid, known worker pids, lease board snapshot --
@@ -21,16 +43,17 @@ attempt with :class:`FabricError` (``status="workers_lost"``) after
 journaling a ``campaign.end`` that says so -- it does not silently hang,
 and it does not respawn: the decision to retry belongs to the caller
 (``repro sweep --resume``), which is the resumability story, not a
-supervision tree.
+supervision tree.  A body that raises in a worker aborts the attempt
+too, as ``status="worker_error"`` carrying the worker's error: a resume
+would only raise it again.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import socket
-import subprocess
-import sys
 import threading
 import time
 from pathlib import Path
@@ -55,8 +78,9 @@ class FabricError(RuntimeError):
 
     ``status`` mirrors the ``campaign.end`` journal payload --
     ``"workers_lost"`` when every worker died mid-sweep (the remainder
-    is resumable), ``"spec_mismatch"`` when a resume directory holds a
-    different sweep.
+    is resumable), ``"worker_error"`` when the body raised in a worker
+    (a resume raises it again), ``"spec_mismatch"`` when a resume
+    directory holds a different sweep.
     """
 
     def __init__(self, message: str, *, status: str = "failed"):
@@ -69,18 +93,6 @@ def _write_json(path: Path, payload: Dict[str, Any]) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)
-
-
-def _worker_env() -> Dict[str, str]:
-    """Child env whose PYTHONPATH reproduces this process's sys.path.
-
-    Workers must unpickle the spec's body, which may live in a module
-    only importable through the parent's path entries (e.g. a test rig
-    under the repository root).
-    """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    return env
 
 
 def persist_spec(spec: SweepSpec, fabric_dir: Union[str, Path]) -> None:
@@ -123,13 +135,18 @@ class FabricCoordinator:
         self._host = host
         self._shard_size = shard_size
         self._lock = threading.Lock()
+        #: notified (lock held) when a shard completes, a worker
+        #: disconnects or the attempt aborts
+        self._wake = threading.Condition(self._lock)
         self._board: Optional[LeaseBoard] = None
         self._journal: Optional[Journal] = None
         self._listener: Optional[socket.socket] = None
-        self._procs: List[subprocess.Popen] = []
+        self._procs: List[multiprocessing.process.BaseProcess] = []
         self._connections = 0
         self._worker_pids: Dict[str, int] = {}
         self._aborted = False
+        #: the first ``done{error}``: ``{shard, worker, error}``
+        self._worker_error: Optional[Dict[str, Any]] = None
         self._port: Optional[int] = None
         #: prefix-sharing counters summed from workers' ``done`` messages
         self._prefix_stats: Dict[str, int] = {}
@@ -156,7 +173,8 @@ class FabricCoordinator:
 
     def _handle(self, state: Dict[str, Any],
                 message: Dict[str, Any]) -> Dict[str, Any]:
-        """One request → one reply, under the coordinator lock."""
+        """One request → one reply, under the coordinator lock (which
+        a ``lease`` with nothing to grant releases while it waits)."""
         kind = message.get("type")
         board = self._board
         journal = self._journal
@@ -177,25 +195,41 @@ class FabricCoordinator:
         if worker is None:
             raise ProtocolError(f"{kind!r} before hello")
         if kind == "lease":
-            if self._aborted or board is None or board.done():
-                return {"type": "drain"}
-            shard = board.lease(worker, now)
-            if shard is None:
-                return {"type": "wait", "poll": self._poll}
-            self._write_state("running")
-            return {"type": "grant", "shard": shard.shard_id,
-                    "indices": list(shard.indices),
-                    "attempt": shard.attempts, "ttl": self._ttl}
+            deadline = now + self._poll
+            while True:
+                if self._aborted or board is None or board.done():
+                    return {"type": "drain"}
+                shard = board.lease(worker, now)
+                if shard is not None:
+                    self._write_state("running")
+                    return {"type": "grant", "shard": shard.shard_id,
+                            "indices": list(shard.indices),
+                            "attempt": shard.attempts, "ttl": self._ttl}
+                if now >= deadline:
+                    return {"type": "wait", "poll": self._poll}
+                self._wake.wait(deadline - now)
+                now = time.monotonic()
         if kind == "heartbeat":
             ok = (board is not None
                   and board.heartbeat(worker, int(message["shard"]), now))
             return {"type": "ack", "ok": ok}
         if kind == "done":
             shard_id = int(message["shard"])
-            if message.get("error") is not None and journal is not None:
-                journal.record(K.CAMPAIGN_WORKER_ERROR, shard=shard_id,
-                               worker=worker,
-                               error=str(message["error"]))
+            if message.get("error") is not None:
+                # the shard is handed back, not done, and nobody else
+                # should try it: the body is deterministic, so the
+                # attempt ends here
+                failure = {"shard": shard_id, "worker": worker,
+                           "error": str(message["error"])}
+                if journal is not None:
+                    journal.record(K.CAMPAIGN_WORKER_ERROR, **failure)
+                if board is not None:
+                    board.release_worker(worker)
+                if self._worker_error is None:
+                    self._worker_error = failure
+                self._aborted = True
+                self._wake.notify_all()
+                return {"type": "ack", "ok": True}
             for name in PREFIX_STATS:
                 if name in message:
                     self._prefix_stats[name] = (
@@ -203,6 +237,7 @@ class FabricCoordinator:
                         + int(message[name]))
             if board is not None:
                 board.complete(worker, shard_id)
+            self._wake.notify_all()
             self._write_state("running")
             return {"type": "ack", "ok": True}
         raise ProtocolError(f"unknown message type {kind!r}")
@@ -232,6 +267,7 @@ class FabricCoordinator:
                             K.CAMPAIGN_WORKER_ERROR, worker=worker,
                             reason="worker_disconnect",
                             shards=[s.shard_id for s in reclaimed])
+                self._wake.notify_all()
             try:
                 conn.close()
             except OSError:
@@ -252,24 +288,34 @@ class FabricCoordinator:
     # ------------------------------------------------------------------
 
     def _spawn_workers(self) -> None:
+        """Start this attempt's workers as children of this process.
+
+        Must run before the accept thread starts: a forked child keeps
+        only the forking thread, so a lock some other thread of ours
+        held at that instant would stay locked in the child for good.
+        """
+        # imported here, once, for every child to inherit: ``python -m
+        # repro.core.fabric.worker`` imports this package first and
+        # must not find its own module already loaded
+        from repro.core.fabric.worker import child_main
+        forking = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if forking else None)
+        inherited = (self._listener, self._journal) if forking else ()
         for number in range(1, self._workers + 1):
-            name = f"w{number}"
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.core.fabric.worker",
-                 "--connect", f"{self._host}:{self._port}",
-                 "--dir", str(self._dir), "--worker", name],
-                env=_worker_env())
+            proc = context.Process(
+                target=child_main,
+                args=((self._host, self._port), self._dir, f"w{number}",
+                      inherited))
+            proc.start()
             self._procs.append(proc)
 
     def _reap_workers(self) -> None:
         deadline = time.monotonic() + DRAIN_TIMEOUT_S
         for proc in self._procs:
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
+            proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.exitcode is None:
                 proc.kill()
-                proc.wait()
+                proc.join()
 
     def _workers_lost(self) -> bool:
         """True when no worker can ever lease again this attempt."""
@@ -277,7 +323,7 @@ class FabricCoordinator:
             return False
         if self._spawn:
             return bool(self._procs) and all(
-                proc.poll() is not None for proc in self._procs)
+                proc.exitcode is not None for proc in self._procs)
         return False
 
     # ------------------------------------------------------------------
@@ -311,6 +357,10 @@ class FabricCoordinator:
             held, todo = sink.plan(range(total))
             if todo:
                 self._run_leased(spec, todo, journal)
+            if self._worker_error is not None:
+                raise FabricError(
+                    "worker {worker} raised in shard {shard}: {error}"
+                    .format(**self._worker_error), status="worker_error")
             fresh, remaining = store.probe([sink.keys[i] for i in todo])
             if remaining:
                 raise FabricError(
@@ -327,6 +377,10 @@ class FabricCoordinator:
             status = getattr(err, "status", "failed")
             raise
         finally:
+            with self._lock:
+                # connection threads outlive the attempt (a straggler's
+                # EOF may still be on its way); they stop journaling here
+                self._journal = None
             board = self._board
             payload: Dict[str, Any] = {
                 "status": status,
@@ -353,38 +407,33 @@ class FabricCoordinator:
                                               backlog=self._workers * 2)
         self._port = self._listener.getsockname()[1]
         self._write_state("running")
-        accept = threading.Thread(target=self._accept_loop, daemon=True)
-        accept.start()
         if self._spawn:
             self._spawn_workers()
+        accept = threading.Thread(target=self._accept_loop, daemon=True)
+        accept.start()
         try:
             with journal.phase("dispatch", shards=len(shards),
-                               workers=self._workers):
-                while True:
-                    with self._lock:
-                        if self._board.done():
-                            break
-                        expired = self._board.expire(time.monotonic())
-                        for shard in expired:
-                            journal.record(
-                                K.CAMPAIGN_WORKER_ERROR,
-                                shard=shard.shard_id,
-                                reason="lease_expired")
-                        if self._workers_lost():
-                            self._aborted = True
-                            break
-                    time.sleep(self._poll)
+                               workers=self._workers), self._wake:
+                while not (self._board.done() or self._aborted):
+                    for shard in self._board.expire(time.monotonic()):
+                        journal.record(K.CAMPAIGN_WORKER_ERROR,
+                                       shard=shard.shard_id,
+                                       reason="lease_expired")
+                    if self._workers_lost():
+                        # no connection is left, so nobody waits on us
+                        self._aborted = True
+                        break
+                    self._wake.wait(self._poll)
         finally:
-            if not self._aborted:
-                self._reap_workers()
+            self._reap_workers()
             listener, self._listener = self._listener, None
-            if listener is not None:
-                try:
-                    listener.close()
-                except OSError:
-                    pass
-            if self._aborted:
-                for proc in self._procs:
-                    if proc.poll() is None:
-                        proc.kill()
-                        proc.wait()
+            try:
+                # close() alone leaves accept() blocked on a socket
+                # that still takes one more connection
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            listener.close()
+            # immediate where shutdown() wakes accept(); not worth a
+            # stall where it does not
+            accept.join(self._poll)

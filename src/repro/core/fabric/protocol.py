@@ -13,12 +13,12 @@ Message vocabulary (``type`` field):
 
 ==============  =========  =================================================
 worker → coord  hello      ``{worker, pid}`` once per connection
-worker → coord  lease      ask for a shard lease
+worker → coord  lease      ask for a shard lease (held up to ``poll`` s)
 worker → coord  heartbeat  ``{shard}`` renew a held lease
 worker → coord  done       ``{shard, executed, cached}`` shard completed
 coord → worker  welcome    handshake reply, carries ``lease_ttl``
 coord → worker  grant      ``{shard, indices, attempt, ttl}`` a lease
-coord → worker  wait       no shard free now; poll again in ``poll`` s
+coord → worker  wait       none freed up in ``poll`` s; ask again at once
 coord → worker  drain      sweep finished (or aborted): exit cleanly
 coord → worker  ack        heartbeat / done acknowledged
 ==============  =========  =================================================

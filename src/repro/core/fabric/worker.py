@@ -1,7 +1,14 @@
 """The fabric worker: lease a shard, execute it, publish, repeat.
 
-``python -m repro.core.fabric.worker --connect HOST:PORT --dir DIR
---worker NAME`` connects to a coordinator, loads the sweep spec from the
+:func:`run_worker` is the one worker loop.  A coordinator starts its own
+workers warm, as :mod:`multiprocessing` children that call it directly
+(see :mod:`repro.core.fabric.coordinator`); ``python -m
+repro.core.fabric.worker --connect HOST:PORT --dir DIR [--worker NAME]``
+is the cold entry to the same loop for a worker nobody forked -- one on
+another host, or one joining a sweep already under way -- and needs the
+sweep's body importable from its own ``sys.path``.
+
+The worker connects to a coordinator, loads the sweep spec from the
 campaign directory, and loops: request a lease, run the granted shard
 through the orchestrator's :func:`~repro.core.orchestrator.execute_shard`
 and publish each row through a
@@ -18,9 +25,12 @@ the merge step (:mod:`repro.core.fabric.merge`) folds them by config
 index where duplicate rows from a stolen-but-finished shard are
 harmless -- determinism makes them byte-identical on stable keys.
 
-A heartbeat answered ``ok: false`` means the lease expired and was
-stolen; the worker abandons the rest of the shard immediately (the new
-holder owns it) and asks for fresh work.  A dead coordinator socket
+A ``lease`` with nothing pending is held by the coordinator until a
+shard frees up, so the worker never sleeps between shards: ``wait``
+only says the request timed out unserved, and the worker asks again at
+once.  A heartbeat answered ``ok: false`` means the lease expired and
+was stolen; the worker abandons the rest of the shard immediately (the
+new holder owns it) and asks for fresh work.  A dead coordinator socket
 exits the worker with status 3 -- orphaned workers never spin.
 """
 
@@ -32,11 +42,11 @@ import socket
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.core.fabric.protocol import (ProtocolError, recv_message,
                                         request, send_message)
-from repro.core.fabric.spec import SweepSpec
+from repro.core.fabric.spec import SpecError, SweepSpec
 from repro.core.fabric.store import ResultStore
 from repro.core.orchestrator import ShardSink, execute_shard
 from repro.netsim import kinds as K
@@ -85,7 +95,12 @@ def run_worker(endpoint: Tuple[str, int], fabric_dir: Path,
                worker: str) -> int:
     """The worker main loop; returns a process exit status."""
     fabric_dir = Path(fabric_dir)
-    spec = SweepSpec.load(fabric_dir / "spec.pkl")
+    try:
+        spec = SweepSpec.load(fabric_dir / "spec.pkl")
+    except SpecError as err:
+        print(f"fabric worker {worker}: cannot load spec: {err}",
+              file=sys.stderr)
+        return EXIT_ERROR
     store = ResultStore(fabric_dir / "store")
     store_keys = spec.store_keys(store)
     try:
@@ -101,14 +116,13 @@ def run_worker(endpoint: Tuple[str, int], fabric_dir: Path,
             print(f"fabric worker {worker}: unexpected handshake reply "
                   f"{welcome!r}", file=sys.stderr)
             return EXIT_ERROR
-        poll_s = float(welcome.get("poll", 0.05))
         while True:
             reply = request(sock, {"type": "lease"})
             kind = reply.get("type")
             if kind == "drain":
                 return EXIT_DRAINED
             if kind == "wait":
-                time.sleep(float(reply.get("poll", poll_s)))
+                # the coordinator already held the request for ``poll``
                 continue
             if kind != "grant":
                 print(f"fabric worker {worker}: unexpected lease reply "
@@ -156,11 +170,25 @@ def run_worker(endpoint: Tuple[str, int], fabric_dir: Path,
             pass
 
 
+def child_main(endpoint: Tuple[str, int], fabric_dir: Path, worker: str,
+               inherited: Tuple[Any, ...]) -> None:
+    """What a worker its coordinator started runs, in the child process.
+
+    ``inherited`` holds the coordinator's open handles a forked child
+    got a copy of and has no use for (a child started any other way
+    gets none): held open, the listener would keep the endpoint
+    connectable after the coordinator closed it.
+    """
+    for handle in inherited:
+        handle.close()
+    sys.exit(run_worker(endpoint, fabric_dir, worker))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-fabric-worker",
-        description="one fabric sweep worker (spawned by the "
-                    "coordinator; standalone for chaos tests)")
+        description="one fabric sweep worker, attached to a running "
+                    "coordinator (which forks its own)")
     parser.add_argument("--connect", required=True,
                         metavar="HOST:PORT")
     parser.add_argument("--dir", required=True,

@@ -1088,7 +1088,12 @@ class Campaign:
         ``"local"`` -- the default -- runs in this process or its
         process pool.  ``"sockets"`` runs the sweep as a coordinator
         plus worker *processes* over the fabric protocol
-        (:mod:`repro.core.fabric`): it requires ``fabric_dir`` (the
+        (:mod:`repro.core.fabric`).  The coordinator forks its workers
+        from this process, so they start with everything it has
+        imported -- the calling script's ``__main__`` included -- and
+        a body that raises in one ends the sweep with
+        :class:`~repro.core.fabric.FabricError`
+        (``status="worker_error"``).  It requires ``fabric_dir`` (the
         campaign directory holding the sweep spec, the shared result
         store and per-shard journals) and owns caching and journaling
         itself, so ``cache=``/``journal=`` must stay unset and
