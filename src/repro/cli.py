@@ -607,7 +607,7 @@ def cmd_fuzz(args) -> int:
 def cmd_sweep(args) -> int:
     """Distributed, resumable campaign sweeps (docs/fabric.md).
 
-    Runs a generated fault-script battery through ``Campaign.run`` on a
+    Runs a generated fault-script battery through ``run_sweep`` on a
     chosen backend.  ``--backend local`` is the in-process engine;
     ``--backend sockets`` is the fabric: a coordinator plus
     ``--workers`` worker processes over the lease protocol, every
@@ -620,14 +620,10 @@ def cmd_sweep(args) -> int:
     """
     from repro.core.fabric import FabricError, merge_campaign_dir
     from repro.core.fabric.spec import SpecError, SweepSpec
-    from repro.core.orchestrator import Campaign
+    from repro.core.orchestrator import run_sweep
     from repro.obs.campaign_report import render_stable, render_text
 
-    fabric_options = {}
-    if args.ttl is not None:
-        fabric_options["ttl"] = args.ttl
-    if args.shard_size is not None:
-        fabric_options["shard_size"] = args.shard_size
+    fabric_options = {} if args.ttl is None else {"ttl": args.ttl}
 
     if args.resume:
         fabric_dir = args.resume
@@ -653,10 +649,8 @@ def cmd_sweep(args) -> int:
 
     workers = args.workers if args.workers == "auto" else int(args.workers)
     try:
-        Campaign(spec.body, seed=spec.seed, lint=spec.lint).run(
-            spec.configs, workers=workers, telemetry=spec.telemetry,
-            oracle=spec.oracle, group=spec.group, backend=args.backend,
-            fabric_dir=fabric_dir, fabric_options=fabric_options or None)
+        run_sweep(spec, workers=workers, backend=args.backend,
+                  fabric_dir=fabric_dir, fabric_options=fabric_options)
     except FabricError as exc:
         print(f"repro sweep: {exc}", file=sys.stderr)
         # a body that raised would raise again on --resume: not the
@@ -914,9 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--ttl", type=float, default=None,
                        help="lease heartbeat TTL in seconds "
                             "(sockets backend; default 15)")
-    sweep.add_argument("--shard-size", type=int, default=None,
-                       help="configs per shard lease (default: sized "
-                            "from --workers)")
     sweep.add_argument("--stable", action="store_true",
                        help="also print the wall-clock-free stable "
                             "scorecard (the chaos-test oracle)")

@@ -1,14 +1,19 @@
-"""The fabric coordinator: leases, heartbeats, starting workers, the merge.
+"""The fabric coordinator: the sockets backend's lease service.
 
-One coordinator process owns a sweep attempt: it binds a socket, starts
-(or admits) workers, serves the lease protocol from a
-:class:`~repro.core.fabric.shards.LeaseBoard`, and watches for loss --
-a disconnected worker's leases return to the pending queue immediately,
-a zombie's by TTL expiry.  All durable state lives *outside* the
+:func:`~repro.core.orchestrator.run_sweep` owns a sweep attempt -- spec,
+store, journal, ``campaign.start``, preflight, plan, result slots,
+progress, ``campaign.end`` -- on every backend.  On ``backend="sockets"``
+its rows come from here: :meth:`FabricCoordinator.rows` cuts the todo
+into leases (with the orchestrator's one partitioner), binds a socket,
+starts (or admits) workers, serves the lease protocol from a
+:class:`~repro.core.fabric.shards.LeaseBoard`, and hands each completed
+shard's rows back as they load from the store.  It watches for loss -- a
+disconnected worker's leases return to the pending queue immediately, a
+zombie's by TTL expiry.  All durable state lives *outside* the
 coordinator (the spec, the content-addressed store, append-only
 journals), so SIGKILLing the coordinator loses nothing: the next
 ``--resume`` probes the store for completed rows and only the remainder
-is re-sharded.
+is leased out again.
 
 Its own workers start warm: each is a :mod:`multiprocessing` child of
 the coordinator running :func:`~repro.core.fabric.worker.run_worker`,
@@ -38,14 +43,16 @@ refreshed atomically; the chaos rig reads it to find victims to SIGKILL,
 and operators read it to see who holds what.  Nothing consumes it for
 correctness.
 
-When every worker is gone and shards remain, the coordinator aborts the
-attempt with :class:`FabricError` (``status="workers_lost"``) after
-journaling a ``campaign.end`` that says so -- it does not silently hang,
+When every worker is gone and shards remain, :meth:`~FabricCoordinator
+.rows` raises :class:`FabricError` (``status="workers_lost"``), which the
+lifecycle journals as ``campaign.end`` -- it does not silently hang,
 and it does not respawn: the decision to retry belongs to the caller
 (``repro sweep --resume``), which is the resumability story, not a
 supervision tree.  A body that raises in a worker aborts the attempt
 too, as ``status="worker_error"`` carrying the worker's error: a resume
-would only raise it again.
+would only raise it again.  Either way the rows the workers did publish
+are loaded first, so ``campaign.end{executed}`` is what the attempt
+produced.
 """
 
 from __future__ import annotations
@@ -57,14 +64,14 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Union
 
 from repro.core.fabric.protocol import (ProtocolError, recv_message,
                                         send_message)
-from repro.core.fabric.shards import LeaseBoard, partition_shards
+from repro.core.fabric.shards import DONE, LeaseBoard, Shard
 from repro.core.fabric.spec import SweepSpec
-from repro.core.fabric.store import ResultStore
-from repro.core.orchestrator import PREFIX_STATS, RunResult, ShardSink
+from repro.core.orchestrator import (PREFIX_STATS, ShardRow, ShardSink,
+                                     _prefix_chunks)
 from repro.netsim import kinds as K
 from repro.obs.journal import Journal
 
@@ -116,13 +123,12 @@ def persist_spec(spec: SweepSpec, fabric_dir: Union[str, Path]) -> None:
 
 
 class FabricCoordinator:
-    """One sweep attempt over the sockets backend."""
+    """The lease service behind one sockets sweep attempt."""
 
     def __init__(self, spec: SweepSpec, fabric_dir: Union[str, Path], *,
                  workers: int = 2, ttl: float = DEFAULT_TTL_S,
                  poll: float = DEFAULT_POLL_S, spawn: bool = True,
-                 host: str = "127.0.0.1",
-                 shard_size: Optional[int] = None):
+                 host: str = "127.0.0.1"):
         if workers < 1:
             raise ValueError(f"sockets backend needs workers >= 1, "
                              f"got {workers}")
@@ -133,7 +139,6 @@ class FabricCoordinator:
         self._poll = poll
         self._spawn = spawn
         self._host = host
-        self._shard_size = shard_size
         self._lock = threading.Lock()
         #: notified (lock held) when a shard completes, a worker
         #: disconnects or the attempt aborts
@@ -309,8 +314,9 @@ class FabricCoordinator:
             proc.start()
             self._procs.append(proc)
 
-    def _reap_workers(self) -> None:
-        deadline = time.monotonic() + DRAIN_TIMEOUT_S
+    def _reap_workers(self, drain_s: float) -> None:
+        """Join our children, killing any still alive after ``drain_s``."""
+        deadline = time.monotonic() + drain_s
         for proc in self._procs:
             proc.join(max(0.0, deadline - time.monotonic()))
             if proc.exitcode is None:
@@ -327,105 +333,92 @@ class FabricCoordinator:
         return False
 
     # ------------------------------------------------------------------
-    # the attempt
+    # the row transport
     # ------------------------------------------------------------------
 
-    def run(self) -> List[RunResult]:
-        """Execute (or resume) the sweep; returns results in input order."""
-        self._dir.mkdir(parents=True, exist_ok=True)
-        persist_spec(self._spec, self._dir)
-        spec = self._spec
-        total = len(spec.configs)
-        store = ResultStore(self._dir / "store")
-        journal = Journal(self._dir / "journals" / "coordinator.jsonl")
-        self._journal = journal
-        sink = ShardSink(spec, store, journal)
-        todo: List[int] = []
-        status = "ok"
-        findings: Optional[int] = None
+    def rows(self, todo: List[int], sink: ShardSink) -> Iterator[ShardRow]:
+        """Lease ``todo`` out; yield every row the workers published.
+
+        Workers publish for themselves (``store.put`` -> shard-journal
+        ``run_end`` -> heartbeat); this side loads what they put and
+        only tallies it into ``sink``: a shard's rows when it completes,
+        then -- every worker reaped -- whatever the unfinished shards
+        left in the store.  So even an attempt that ends in
+        :class:`FabricError` counts exactly the rows it produced.
+        """
+        status = "failed"
+        self._journal = sink.journal
         try:
-            journal.start(
-                "campaign", backend="sockets", seed=spec.seed,
-                configs=total, workers=self._workers,
-                telemetry=spec.telemetry, lint=spec.lint,
-                oracle=getattr(spec.oracle, "__qualname__", None),
-                body=spec.body_label(),
-                **{k: v for k, v in spec.meta.items()
-                   if k not in ("backend", "seed", "configs", "workers")})
-            # the plan re-journals completed rows, so this attempt's
-            # record (the last campaign.start segment) is a full flight
-            held, todo = sink.plan(range(total))
             if todo:
-                self._run_leased(spec, todo, journal)
-            if self._worker_error is not None:
-                raise FabricError(
-                    "worker {worker} raised in shard {shard}: {error}"
-                    .format(**self._worker_error), status="worker_error")
-            fresh, remaining = store.probe([sink.keys[i] for i in todo])
-            if remaining:
-                raise FabricError(
-                    f"all workers lost with {len(remaining)} of "
-                    f"{total} configurations incomplete; "
-                    f"resume with: repro sweep --resume {self._dir}",
-                    status="workers_lost")
-            slots = dict(held)
-            slots.update(zip(todo, fresh))
-            results = [slots[index] for index in range(total)]
-            findings = sum(1 for result in results if not result.ok())
-            return results
-        except BaseException as err:
-            status = getattr(err, "status", "failed")
+                yield from self._serve(todo, sink)
+            status = "ok"
+        except FabricError as err:
+            status = err.status
             raise
         finally:
             with self._lock:
                 # connection threads outlive the attempt (a straggler's
-                # EOF may still be on its way); they stop journaling here
+                # EOF may still be on its way); they stop journaling
+                # here, before the lifecycle closes the journal
                 self._journal = None
-            board = self._board
-            payload: Dict[str, Any] = {
-                "status": status,
-                "executed": sum(1 for i in todo if store.has(sink.keys[i])),
-                "cached": total - len(todo),
-                "stolen": board.stolen if board is not None else 0,
-                "expired": board.expired if board is not None else 0,
-                **self._prefix_stats,
-            }
-            if findings is not None:
-                payload["findings"] = findings
-            journal.record(K.CAMPAIGN_END, **payload)
-            journal.close()
             self._write_state(status)
 
-    def _run_leased(self, spec: SweepSpec, todo: List[int],
-                    journal: Journal) -> None:
-        """Shard the remainder, serve leases, wait for the board."""
-        shards = partition_shards(
-            todo, spec.execution_prefix_keys(),
-            workers=self._workers, shard_size=self._shard_size)
-        self._board = LeaseBoard(shards, ttl=self._ttl)
+    def end_stats(self) -> Dict[str, int]:
+        """What ``campaign.end`` can only learn from the lease service:
+        steals, expiries, and the prefix-sharing counters the workers'
+        sinks tallied (ours sees their rows, not how each was served)."""
+        board = self._board
+        return {"stolen": board.stolen if board is not None else 0,
+                "expired": board.expired if board is not None else 0,
+                **self._prefix_stats}
+
+    def _load(self, indices: List[int], sink: ShardSink
+              ) -> Iterator[ShardRow]:
+        """The rows of ``indices`` the store holds, tallied as executed."""
+        found, _absent = sink.store.probe([sink.keys[i] for i in indices])
+        for index, result in zip(indices, found):
+            if result is not None:
+                row = ShardRow(index, result, None, False)
+                sink.tally(row)
+                yield row
+
+    def _serve(self, todo: List[int], sink: ShardSink) -> Iterator[ShardRow]:
+        """Shard ``todo``, serve leases until the board is done or the
+        attempt aborts, tear down, load the stragglers' rows."""
+        journal = sink.journal
+        chunks = _prefix_chunks(todo, self._spec.execution_prefix_keys(),
+                                self._workers)
+        board = self._board = LeaseBoard(
+            [Shard(shard_id, indices)
+             for shard_id, indices in enumerate(chunks)], ttl=self._ttl)
         self._listener = socket.create_server((self._host, 0),
                                               backlog=self._workers * 2)
         self._port = self._listener.getsockname()[1]
         self._write_state("running")
-        if self._spawn:
-            self._spawn_workers()
         accept = threading.Thread(target=self._accept_loop, daemon=True)
-        accept.start()
+        executed_before = sink.executed
+        loaded: Set[int] = set()
         try:
-            with journal.phase("dispatch", shards=len(shards),
-                               workers=self._workers), self._wake:
-                while not (self._board.done() or self._aborted):
-                    for shard in self._board.expire(time.monotonic()):
-                        journal.record(K.CAMPAIGN_WORKER_ERROR,
-                                       shard=shard.shard_id,
-                                       reason="lease_expired")
-                    if self._workers_lost():
-                        # no connection is left, so nobody waits on us
-                        self._aborted = True
-                        break
-                    self._wake.wait(self._poll)
+            if self._spawn:
+                self._spawn_workers()
+            accept.start()
+            with journal.phase("dispatch", shards=len(chunks),
+                               workers=self._workers):
+                over = False
+                while not over:
+                    with self._wake:
+                        ready = self._await_shards(loaded)
+                        over = self._aborted or board.done()
+                    # loading happens outside the lock: workers keep
+                    # being served while this side unpickles
+                    for shard in ready:
+                        loaded.add(shard.shard_id)
+                        yield from self._load(shard.indices, sink)
         finally:
-            self._reap_workers()
+            # children of a spawn that failed part-way were never
+            # served and never will be: no point waiting for a drain
+            self._reap_workers(DRAIN_TIMEOUT_S if accept.is_alive()
+                               else 0.0)
             listener, self._listener = self._listener, None
             try:
                 # close() alone leaves accept() blocked on a socket
@@ -434,6 +427,44 @@ class FabricCoordinator:
             except OSError:
                 pass
             listener.close()
-            # immediate where shutdown() wakes accept(); not worth a
-            # stall where it does not
-            accept.join(self._poll)
+            if accept.is_alive():
+                # immediate where shutdown() wakes accept(); not worth
+                # a stall where it does not
+                accept.join(self._poll)
+        # no worker is left to write: what the shards nobody reported
+        # done left in the store is final
+        yield from self._load(
+            [index for shard in board.shards
+             if shard.shard_id not in loaded for index in shard.indices],
+            sink)
+        if self._worker_error is not None:
+            raise FabricError(
+                "worker {worker} raised in shard {shard}: {error}"
+                .format(**self._worker_error), status="worker_error")
+        missing = len(todo) - (sink.executed - executed_before)
+        if missing:
+            raise FabricError(
+                f"all workers lost with {missing} of "
+                f"{len(self._spec.configs)} configurations incomplete; "
+                f"resume with: repro sweep --resume {self._dir}",
+                status="workers_lost")
+
+    def _await_shards(self, loaded: Set[int]) -> List[Shard]:
+        """Wait (``_wake`` held) for completed shards not yet loaded;
+        empty once the attempt has aborted with none outstanding."""
+        board = self._board
+        while True:
+            ready = [shard for shard in board.shards
+                     if shard.state == DONE
+                     and shard.shard_id not in loaded]
+            if ready or self._aborted:
+                return ready
+            for shard in board.expire(time.monotonic()):
+                self._journal.record(K.CAMPAIGN_WORKER_ERROR,
+                                     shard=shard.shard_id,
+                                     reason="lease_expired")
+            if self._workers_lost():
+                # no connection is left, so nobody waits on us
+                self._aborted = True
+                return []
+            self._wake.wait(self._poll)

@@ -1,13 +1,10 @@
-"""Shard partitioning and the work-stealing lease board.
+"""Shards and the work-stealing lease board.
 
-A sweep's remaining configurations are partitioned into *shards* --
-contiguous-enough slices sized so every worker sees several leases per
-sweep (load balancing) while each lease is big enough to amortize the
-per-shard journal and prefix capture.  Prefix groups
-(:class:`~repro.core.orchestrator.PrefixedBody` keys) are **never split
-across shards**: one lease owns the whole group, so its warm prefix is
-captured exactly once per attempt, the same contract PR 9's in-process
-chunker keeps per worker chunk.
+A *shard* is one leasable slice of a sweep's remaining configurations.
+The coordinator cuts them with the orchestrator's one partitioner
+(:func:`~repro.core.orchestrator._prefix_chunks`, which also cuts the
+process pool's chunks): several leases per worker, a prefix group kept
+whole unless it alone exceeds a worker's fair share of the sweep.
 
 The :class:`LeaseBoard` is the coordinator's single source of truth for
 who is doing what.  It is deliberately pure -- callers inject ``now``
@@ -30,15 +27,7 @@ wall time:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.core.orchestrator import _prefix_groups
-
-#: aim for this many shards per worker, like the in-process chunker's
-#: :data:`~repro.core.orchestrator._CHUNKS_PER_WORKER` -- enough slack
-#: that losing a worker strands at most ``1/(workers*4)`` of the sweep
-#: behind one lease
-SHARDS_PER_WORKER = 4
+from typing import Any, Dict, List, Optional
 
 PENDING = "pending"
 LEASED = "leased"
@@ -61,36 +50,6 @@ class Shard:
         return {"shard": self.shard_id, "indices": list(self.indices),
                 "state": self.state, "worker": self.worker,
                 "attempts": self.attempts}
-
-
-def partition_shards(todo: List[int], prefix_keys: List[Optional[Any]],
-                     *, workers: int,
-                     shard_size: Optional[int] = None) -> List[Shard]:
-    """Pack the remaining configurations into shards, groups whole.
-
-    ``prefix_keys`` is indexed by *global* config index (like the
-    orchestrator's).  Groups are packed first-appearance-ordered into
-    shards of about ``shard_size`` configs (derived from ``workers``
-    when not given); a group larger than the target still lands in one
-    shard -- the never-split contract outranks balance, and stealing
-    rebalances at lease granularity anyway.
-    """
-    if not todo:
-        return []
-    if shard_size is None:
-        target = min(len(todo), max(1, workers) * SHARDS_PER_WORKER)
-        shard_size = -(-len(todo) // target)  # ceil division
-    shard_size = max(1, shard_size)
-    shards: List[Shard] = []
-    current: List[int] = []
-    for _key, indices in _prefix_groups(todo, prefix_keys):
-        if current and len(current) + len(indices) > shard_size:
-            shards.append(Shard(shard_id=len(shards), indices=current))
-            current = []
-        current.extend(indices)
-    if current:
-        shards.append(Shard(shard_id=len(shards), indices=current))
-    return shards
 
 
 @dataclass

@@ -10,13 +10,18 @@ protocol machinery, install filter scripts, run, query the trace.
 results, which is how each paper table with one row per vendor is
 produced.
 
-Every sweep, on every backend, is the same three steps:
+Every sweep, on every backend, is one lifecycle, :func:`run_sweep`:
+``campaign.start`` -> journaled preflight -> plan -> rows from a
+transport -> result slots and progress -> ``campaign.end``.
+``Campaign.run`` only folds its arguments into the
+:class:`~repro.core.fabric.spec.SweepSpec` that function takes; ``repro
+sweep`` and the chaos rig hand it the spec they already hold.  Three
+steps do the work:
 
-**plan** -- ``Campaign.run`` folds its arguments into one
-:class:`~repro.core.fabric.spec.SweepSpec` (in memory; pickled only when
-a ``fabric_dir`` is given), which derives what the sweep is addressed by:
-store keys, prefix keys, digest.  A store probe (:meth:`ShardSink.plan`)
-splits the configurations into rows already held and the *todo*.
+**plan** -- the spec (in memory; pickled only when a ``fabric_dir`` is
+given) derives what the sweep is addressed by: store keys, prefix keys,
+digest.  A store probe (:meth:`ShardSink.plan`) splits the
+configurations into rows already held and the *todo*.
 
 **execute** -- :func:`execute_shard` is the only loop that runs
 configurations: group a shard's indices by prefix key, capture a group's
@@ -30,17 +35,15 @@ stores, journals or sockets.
 ``store.put`` -> journal ``run_end`` -> tally, so a row the journal claims
 is a row the store holds and prefix-sharing statistics mean one thing.
 
-A *transport* only decides where :func:`execute_shard` runs and what it
-adds per published row.  In-process (serial is "one shard, here"): result
-slot and progress line.  Process pool: :func:`_prefix_chunks` cuts the
-todo into chunks, workers return their events, the parent drains them
-through the same sink.  Sockets fabric (:mod:`repro.core.fabric`):
-:func:`~repro.core.fabric.shards.partition_shards` cuts it into leases,
-each worker sinks into the shared store and its own shard journal and
-heartbeats after every row.  The two partitioners stay apart on purpose:
-a pool chunk may split a group that exceeds a worker's fair share (one
-duplicate capture beats an idle core), a lease never does (it is the unit
-of stealing and of the fabric's one-capture-per-attempt contract).
+A *transport* only decides where :func:`execute_shard` runs and how its
+rows reach the lifecycle.  In-process (serial is "one shard, here"): the
+todo is drained through the sink on the spot.  Process pool: workers
+return their chunk's events, the parent drains them through the same
+sink.  Sockets fabric (:mod:`repro.core.fabric`): each worker sinks its
+lease into the shared store and its own shard journal and heartbeats
+after every row; the coordinator loads a completed shard's rows back
+from the store and only tallies them.  Pool chunks and fabric leases are
+cut by the one partitioner, :func:`_prefix_chunks`.
 
 The pool is persistent (one per process, grown on demand, torn down at
 interpreter exit), so a large sweep pays worker startup once and pickles
@@ -93,8 +96,9 @@ BACKENDS = ("local", "sockets")
 #: the prefix-sharing counters of a ``campaign.end`` payload
 PREFIX_STATS = ("prefix_captures", "prefix_forks", "prefix_fallbacks")
 
-#: chunks submitted per worker slot -- small enough to amortize dispatch,
-#: large enough that one slow chunk cannot serialize the whole sweep
+#: shards (pool chunks, fabric leases) cut per worker -- small enough to
+#: amortize dispatch, large enough that one slow shard cannot serialize
+#: the whole sweep
 _CHUNKS_PER_WORKER = 4
 
 
@@ -528,21 +532,25 @@ def _prefix_groups(todo: Iterable[int], keys: Sequence[Optional[Any]]
 
 def _prefix_chunks(todo: List[int], keys: List[Optional[Any]],
                    workers: int) -> List[List[int]]:
-    """Pool-worker chunks that keep prefix groups whole.
+    """Cut the todo into shards -- pool chunks, fabric leases -- that
+    keep prefix groups whole.
 
     Cutting the todo into equal contiguous slices can land one group's
-    configurations in two workers' chunks, paying the prefix capture
-    twice.  This packs whole groups into chunks instead, under two
+    configurations in two workers' shards, paying the prefix capture
+    twice.  This packs whole groups into shards instead, under two
     budgets: small groups pack up to the fine-grained load-balancing
-    size (:data:`_CHUNKS_PER_WORKER` chunks per worker), but a group is
-    only *split* -- duplicating its capture -- when it alone exceeds a
-    worker's fair share of the sweep.  An unsplit body's keys are all
-    ``None`` (singleton groups), for which this degenerates to exactly
-    those equal contiguous slices.  Result assembly stays input-ordered
-    regardless, because results land in slots by global index.
+    size (:data:`_CHUNKS_PER_WORKER` shards per worker -- losing a
+    fabric worker strands at most that fraction of the sweep behind one
+    lease), but a group is only *split* -- duplicating its capture --
+    when it alone exceeds a worker's fair share of the sweep: one
+    duplicate capture beats an idle core, on the fabric exactly as on
+    the pool.  An unsplit body's keys are all ``None`` (singleton
+    groups), for which this degenerates to exactly those equal
+    contiguous slices.  Result assembly stays input-ordered regardless,
+    because results land in slots by global index.
     """
     groups = _prefix_groups(todo, keys)
-    target = min(len(todo), workers * _CHUNKS_PER_WORKER)
+    target = max(1, min(len(todo), workers * _CHUNKS_PER_WORKER))
     pack_size = -(-len(todo) // target)  # ceil division
     split_size = -(-len(todo) // max(1, workers))
     chunks: List[List[int]] = []
@@ -848,6 +856,12 @@ class ShardSink:
                 K.CAMPAIGN_RUN_END,
                 **_run_end_payload(row.index, row.result,
                                    prefix=row.prefix, forked=row.forked))
+        self.tally(row)
+
+    def tally(self, row: ShardRow) -> None:
+        """Count one durable row: the last step of publishing it, and
+        all that is left to do for a row some other sink published (the
+        fabric coordinator, loading back what its workers put)."""
         self.executed += 1
         self.findings += not row.result.ok()
         if row.prefix is not None:
@@ -900,7 +914,7 @@ def _run_chunk(spec: Any, indices: List[int]) -> List[Any]:
 
 
 # ----------------------------------------------------------------------
-# plan + transports: Campaign
+# the lifecycle: Campaign -> run_sweep -> a transport's rows
 # ----------------------------------------------------------------------
 
 class Campaign:
@@ -1002,17 +1016,6 @@ class Campaign:
         if failing:
             raise CampaignScriptError(failing)
 
-    def _resolve_workers(self, workers: Union[int, str], jobs: int) -> int:
-        if workers == "auto":
-            cpus = os.cpu_count() or 1
-            if cpus < 2 or jobs < _AUTO_SERIAL_THRESHOLD:
-                return 1
-            return min(cpus, jobs)
-        if not isinstance(workers, int):
-            raise ValueError(f'workers must be an int or "auto", '
-                             f"got {workers!r}")
-        return workers
-
     def run(self, configs: Iterable[Dict[str, Any]], *,
             workers: Union[int, str] = 1, telemetry: bool = True,
             scorecard: bool = False,
@@ -1095,9 +1098,12 @@ class Campaign:
         :class:`~repro.core.fabric.FabricError`
         (``status="worker_error"``).  It requires ``fabric_dir`` (the
         campaign directory holding the sweep spec, the shared result
-        store and per-shard journals) and owns caching and journaling
-        itself, so ``cache=``/``journal=`` must stay unset and
-        ``progress`` is not served live.  ``fabric_dir`` with the local
+        store and per-shard journals), and ``cache=``/``journal=`` must
+        stay unset: workers can only write the directory's own store
+        and journals.  Everything else is the one lifecycle
+        (:func:`run_sweep`): the preflight verdict is journaled before
+        any worker is forked, and ``progress`` is fed as each completed
+        shard's rows are loaded back.  ``fabric_dir`` with the local
         backend lays out the same directory in-process (spec pinned,
         the store is the cache, the journal lands at the coordinator
         path).  Either way, re-running the same sweep against the same
@@ -1105,69 +1111,98 @@ class Campaign:
         configurations the store does not hold yet execute, and a
         directory that holds a different sweep is refused.
         ``fabric_options`` passes coordinator tuning through (``ttl``,
-        ``poll``, ``shard_size``, ...).
+        ``poll``, ``spawn``, ``host``).
         """
         from repro.core.fabric.spec import SweepSpec
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown campaign backend {backend!r}; choose from "
-                f"{', '.join(BACKENDS)}")
         spec = SweepSpec(body=self._body, seed=self._seed, configs=configs,
                          telemetry=telemetry, oracle=oracle,
                          lint=self._lint, group=group)
-        if backend == "sockets":
-            if fabric_dir is None:
-                raise ValueError(
-                    'backend="sockets" needs fabric_dir= (the campaign '
-                    "directory shared by coordinator and workers)")
-            if cache is not None or journal is not None:
-                raise ValueError(
-                    'backend="sockets" owns caching and journaling '
-                    "(the result store and per-shard journals live in "
-                    "fabric_dir); pass fabric_dir= only")
-            from repro.core.fabric.coordinator import FabricCoordinator
-            self.preflight(spec.configs)
-            if workers == "auto":
-                workers = max(2, min(os.cpu_count() or 2, 8))
-            results = FabricCoordinator(
-                spec, fabric_dir, workers=workers,
-                **dict(fabric_options or {})).run()
-        else:
-            if fabric_dir is not None:
-                from repro.core.fabric.coordinator import persist_spec
-                persist_spec(spec, fabric_dir)
-                if cache is None:
-                    cache = ResultStore(Path(fabric_dir) / "store")
-                if journal is None:
-                    journal = (Path(fabric_dir) / "journals"
-                               / "coordinator.jsonl")
-            journal_obj, journal_owned = Journal.ensure(journal)
-            try:
-                results = self._run_local(
-                    spec, ShardSink(spec, cache, journal_obj),
-                    workers=workers, progress=progress,
-                    prefix_pool=prefix_pool)
-            finally:
-                if journal_owned:
-                    journal_obj.close()
+        results = run_sweep(spec, workers=workers, store=cache,
+                            journal=journal, progress=progress,
+                            prefix_pool=prefix_pool, backend=backend,
+                            fabric_dir=fabric_dir,
+                            fabric_options=fabric_options)
         if scorecard:
             print(render_scorecard(results))
         return results
 
-    def _run_local(self, spec: Any, sink: ShardSink, *,
-                   workers: Union[int, str],
-                   progress: Optional[Callable[[str], None]],
-                   prefix_pool: Optional[Any]) -> List[RunResult]:
-        """Plan against the sink's store, execute the todo in this
-        process or its pool, publish every row through the sink."""
-        journal = sink.journal
+
+def _resolve_workers(workers: Union[int, str], jobs: int) -> int:
+    if workers == "auto":
+        cpus = os.cpu_count() or 1
+        if cpus < 2 or jobs < _AUTO_SERIAL_THRESHOLD:
+            return 1
+        return min(cpus, jobs)
+    if not isinstance(workers, int):
+        raise ValueError(f'workers must be an int or "auto", '
+                         f"got {workers!r}")
+    return workers
+
+
+def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
+              store: Optional[ResultStore] = None,
+              journal: Union[None, str, Path, Journal] = None,
+              progress: Optional[Callable[[str], None]] = None,
+              prefix_pool: Optional[Any] = None,
+              backend: str = "local",
+              fabric_dir: Union[None, str, Path] = None,
+              fabric_options: Optional[Dict[str, Any]] = None
+              ) -> List[RunResult]:
+    """Run (or resume) the sweep ``spec`` describes: the one lifecycle.
+
+    Whatever the backend, an attempt is ``campaign.start`` -> journaled
+    preflight -> :meth:`ShardSink.plan` -> rows from a transport ->
+    result slots and progress lines -> ``campaign.end``, so every
+    backend's flight record is written by the same code and reads the
+    same.  The transport -- in this process, its process pool, or the
+    sockets fabric's leased workers -- is the only thing ``workers`` and
+    ``backend`` choose.  ``fabric_dir`` makes the attempt resumable:
+    the directory is pinned to ``spec`` (``spec.pkl``; a different sweep
+    is refused), its ``store/`` is the store and
+    ``journals/coordinator.jsonl`` the journal unless the caller passed
+    its own.  The arguments mean what :meth:`Campaign.run` documents
+    (``store`` is its ``cache``); results come back in input order.
+    """
+    from repro.core.fabric.coordinator import (FabricCoordinator,
+                                               FabricError, persist_spec)
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown campaign backend {backend!r}; choose from "
+            f"{', '.join(BACKENDS)}")
+    coordinator = None
+    if backend == "sockets":
+        if fabric_dir is None:
+            raise ValueError(
+                'backend="sockets" needs fabric_dir= (the campaign '
+                "directory shared by coordinator and workers)")
+        if store is not None or journal is not None:
+            raise ValueError(
+                'backend="sockets" workers can only write the campaign '
+                "directory's own result store and journals; pass "
+                "fabric_dir= only")
+        if workers == "auto":
+            workers = max(2, min(os.cpu_count() or 2, 8))
+        coordinator = FabricCoordinator(spec, fabric_dir, workers=workers,
+                                        **(fabric_options or {}))
+    if fabric_dir is not None:
+        persist_spec(spec, fabric_dir)
+        if store is None:
+            store = ResultStore(Path(fabric_dir) / "store")
+        if journal is None:
+            journal = Path(fabric_dir) / "journals" / "coordinator.jsonl"
+    journal, journal_owned = Journal.ensure(journal)
+    try:
+        sink = ShardSink(spec, store, journal)
         total = len(spec.configs)
         if journal is not None:
-            journal.start("campaign", seed=spec.seed, configs=total,
-                          workers=str(workers), telemetry=spec.telemetry,
-                          lint=spec.lint,
-                          oracle=getattr(spec.oracle, "__qualname__", None),
-                          body=spec.body_label())
+            start = {**spec.meta, "seed": spec.seed, "configs": total,
+                     "workers": str(workers), "telemetry": spec.telemetry,
+                     "lint": spec.lint,
+                     "oracle": getattr(spec.oracle, "__qualname__", None),
+                     "body": spec.body_label()}
+            if coordinator is not None:
+                start["backend"] = backend
+            journal.start("campaign", **start)
         renderer = (ProgressRenderer("campaign", total=total,
                                      unit="configs", sink=progress)
                     if progress is not None else None)
@@ -1175,18 +1210,24 @@ class Campaign:
         status = "preflight_failed"
         try:
             with _maybe_phase(journal, "preflight"):
-                self.preflight(spec.configs, journal)
+                Campaign(spec.body, seed=spec.seed,
+                         lint=spec.lint).preflight(spec.configs, journal)
             status = "failed"
+            # the plan re-journals held rows, so this attempt's record
+            # (the last campaign.start segment) is a full flight
             held, todo = sink.plan(range(total))
             for index, result in held:
                 slots[index] = result
             if renderer is not None and held:
                 renderer.update(len(held), cached=len(held))
-            pool_size = self._resolve_workers(workers, len(todo))
-            if pool_size <= 1 or len(todo) <= 1:
-                rows = self._inprocess_rows(spec, todo, sink, prefix_pool)
+            if coordinator is not None:
+                rows = coordinator.rows(todo, sink)
             else:
-                rows = self._pool_rows(spec, todo, sink, pool_size)
+                pool_size = _resolve_workers(workers, len(todo))
+                if pool_size <= 1 or len(todo) <= 1:
+                    rows = _inprocess_rows(spec, todo, sink, prefix_pool)
+                else:
+                    rows = _pool_rows(spec, todo, sink, pool_size)
             # closing: the transport's journal phase ends before
             # campaign.end even when this loop is what raises
             with closing(rows):
@@ -1196,53 +1237,59 @@ class Campaign:
                         renderer.update(sink.cached + sink.executed,
                                         findings=sink.findings or None)
             status = "ok"
+        except FabricError as err:
+            status = err.status
+            raise
         finally:
             if journal is not None:
-                journal.record(K.CAMPAIGN_END, status=status,
-                               executed=sink.executed, cached=sink.cached,
-                               findings=sink.findings,
-                               **sink.prefix_stats())
-        return [result for result in slots if result is not None]
+                end = {"status": status, "executed": sink.executed,
+                       "cached": sink.cached, "findings": sink.findings,
+                       **sink.prefix_stats()}
+                if coordinator is not None:
+                    end.update(coordinator.end_stats())
+                journal.record(K.CAMPAIGN_END, **end)
+    finally:
+        if journal_owned:
+            journal.close()
+    return [result for result in slots if result is not None]
 
-    @staticmethod
-    def _inprocess_rows(spec: Any, todo: List[int], sink: ShardSink,
-                        prefix_pool: Optional[Any]) -> Iterator[ShardRow]:
-        """In-process transport: the whole todo is one shard, run here."""
-        if todo:
-            with _maybe_phase(sink.journal, "dispatch"):
-                yield from sink.drain(
-                    execute_shard(spec, todo, prefix_pool))
 
-    @staticmethod
-    def _pool_rows(spec: Any, todo: List[int], sink: ShardSink,
-                   pool_size: int) -> Iterator[ShardRow]:
-        """Pool transport: one :func:`_run_chunk` task per chunk, drained
-        through the parent's sink in submission order."""
-        try:
-            pickle.dumps((spec.body, spec.oracle))
-        except Exception as err:
-            raise TypeError(
-                "Campaign.run(workers>1) needs a picklable "
-                "(module-level) body and oracle, got "
-                f"{spec.body!r} / {spec.oracle!r}: {err}") from err
-        journal = sink.journal
-        pool = _get_pool(min(pool_size, len(todo)))
-        keys = spec.execution_prefix_keys()
-        with _maybe_phase(journal, "dispatch"):
-            futures = [
-                (indices, pool.submit(
-                    _run_chunk,
-                    replace(spec, configs=[spec.configs[i]
-                                           for i in indices]),
-                    indices))
-                for indices in _prefix_chunks(todo, keys, pool_size)]
-        with _maybe_phase(journal, "merge"):
-            for indices, future in futures:
-                try:
-                    events = future.result()
-                except Exception as err:
-                    if journal is not None:
-                        journal.record(K.CAMPAIGN_WORKER_ERROR,
-                                       indices=indices, error=repr(err))
-                    raise
-                yield from sink.drain(events)
+def _inprocess_rows(spec: Any, todo: List[int], sink: ShardSink,
+                    prefix_pool: Optional[Any]) -> Iterator[ShardRow]:
+    """In-process transport: the whole todo is one shard, run here."""
+    if todo:
+        with _maybe_phase(sink.journal, "dispatch"):
+            yield from sink.drain(execute_shard(spec, todo, prefix_pool))
+
+
+def _pool_rows(spec: Any, todo: List[int], sink: ShardSink,
+               pool_size: int) -> Iterator[ShardRow]:
+    """Pool transport: one :func:`_run_chunk` task per chunk, drained
+    through the parent's sink in submission order."""
+    try:
+        pickle.dumps((spec.body, spec.oracle))
+    except Exception as err:
+        raise TypeError(
+            "Campaign.run(workers>1) needs a picklable "
+            "(module-level) body and oracle, got "
+            f"{spec.body!r} / {spec.oracle!r}: {err}") from err
+    journal = sink.journal
+    pool = _get_pool(min(pool_size, len(todo)))
+    keys = spec.execution_prefix_keys()
+    with _maybe_phase(journal, "dispatch"):
+        futures = [
+            (indices, pool.submit(
+                _run_chunk,
+                replace(spec, configs=[spec.configs[i] for i in indices]),
+                indices))
+            for indices in _prefix_chunks(todo, keys, pool_size)]
+    with _maybe_phase(journal, "merge"):
+        for indices, future in futures:
+            try:
+                events = future.result()
+            except Exception as err:
+                if journal is not None:
+                    journal.record(K.CAMPAIGN_WORKER_ERROR,
+                                   indices=indices, error=repr(err))
+                raise
+            yield from sink.drain(events)

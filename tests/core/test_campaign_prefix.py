@@ -9,6 +9,8 @@ cold path produces; only wall time may differ.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.checkpoint import CheckpointPool
 from repro.core.orchestrator import (Campaign, PrefixedBody, RunCache,
@@ -139,6 +141,39 @@ class TestGrouping:
         todo = list(range(7))
         chunks = _prefix_chunks(todo, keys, workers=2)
         assert sorted(i for c in chunks for i in c) == todo
+
+    @given(keys=st.lists(st.sampled_from([None, "a", "b", "c"]),
+                         max_size=40),
+           data=st.data(), workers=st.integers(1, 6))
+    def test_one_partitioner_over_any_layout(self, keys, data, workers):
+        # a resumed sweep's todo has gaps; pool chunks and fabric leases
+        # are both cut by this function
+        todo = [index for index in range(len(keys))
+                if data.draw(st.booleans())]
+        chunks = _prefix_chunks(todo, keys, workers)
+        assert all(chunks)  # no empty shard
+        assert sorted(i for c in chunks for i in c) == todo
+        fair_share = -(-len(todo) // workers)
+        for key in {keys[i] for i in todo} - {None}:
+            group = [i for i in todo if keys[i] == key]
+            holding = [[i for i in c if keys[i] == key] for c in chunks]
+            holding = [part for part in holding if part]
+            # order-preserving within the group, split only past the
+            # fair share (and then into fair shares)
+            assert [i for part in holding for i in part] == group
+            if len(group) <= fair_share:
+                assert len(holding) == 1
+            else:
+                assert all(len(part) <= fair_share for part in holding)
+
+    @given(count=st.integers(0, 60), workers=st.integers(1, 6))
+    def test_unkeyed_todo_is_cut_into_equal_contiguous_slices(self, count,
+                                                              workers):
+        todo = list(range(0, 2 * count, 2))
+        chunks = _prefix_chunks(todo, [None] * (2 * count), workers)
+        size = -(-count // max(1, min(count, workers * 4)))
+        assert chunks == [todo[start:start + size]
+                          for start in range(0, count, size or 1)]
 
 
 # ----------------------------------------------------------------------

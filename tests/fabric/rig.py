@@ -34,8 +34,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.fabric import SweepSpec, merge_campaign_dir
-from repro.core.orchestrator import Campaign
+from repro.core.fabric import FabricError, SweepSpec, merge_campaign_dir
+from repro.core.orchestrator import Campaign, run_sweep
 from repro.netsim import kinds as K
 from repro.obs.campaign_report import summarize_journal
 
@@ -235,8 +235,6 @@ def pid_alive(pid: int) -> bool:
 def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
-    from repro.core.fabric import FabricCoordinator, FabricError
-
     parser = argparse.ArgumentParser(
         prog="tests.fabric.rig",
         description="one killable chaos-rig sweep attempt")
@@ -256,17 +254,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec = SweepSpec.load(Path(args.dir) / "spec.pkl")
     else:
         spec = make_spec(args.count, seed=args.seed)
-    options: Dict[str, Any] = {"workers": args.workers}
-    if args.ttl is not None:
-        options["ttl"] = args.ttl
     try:
-        if args.backend == "local":
-            # serial, in-process, same directory layout; --workers and
-            # --ttl do not apply
-            Campaign(spec.body, seed=spec.seed, lint=spec.lint).run(
-                spec.configs, fabric_dir=args.dir)
-        else:
-            FabricCoordinator(spec, args.dir, **options).run()
+        # local is serial and in-process, same directory layout;
+        # --workers and --ttl do not apply
+        run_sweep(spec, backend=args.backend, fabric_dir=args.dir,
+                  workers=args.workers if args.backend == "sockets" else 1,
+                  fabric_options={} if args.ttl is None
+                  else {"ttl": args.ttl})
     except FabricError as err:
         print(f"rig: {err}", file=sys.stderr)
         return 3 if err.status == "workers_lost" else 1

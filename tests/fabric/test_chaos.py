@@ -185,6 +185,29 @@ def test_resume_refuses_a_different_sweep(tmp_path):
     assert len(rig.merged_stable_keys(fabric_dir)) == 4
 
 
+@pytest.mark.parametrize("started_on, finished_on",
+                         [("sockets", "local"), ("local", "sockets")])
+def test_one_backend_finishes_what_the_other_started(tmp_path, started_on,
+                                                     finished_on):
+    # the rig's spec carries meta; a resume that rebuilt the spec from
+    # its parts dropped it and was refused as a different sweep
+    fabric_dir = tmp_path / "fabric"
+    proc = rig.spawn_sweep(fabric_dir, COUNT, backend=started_on,
+                           work_ms=1.0)
+    assert _finish(proc) == 0
+    unfinished = sorted((fabric_dir / "store").rglob("*.pkl"))[::3]
+    for entry in unfinished:
+        entry.unlink()
+
+    resumed = rig.spawn_sweep(fabric_dir, COUNT, backend=finished_on,
+                              work_ms=1.0, resume=True)
+    assert _finish(resumed) == 0
+    _assert_serial_scorecard(fabric_dir, tmp_path)
+    end = rig.campaign_ends(fabric_dir)[-1]
+    assert (end["status"], end["executed"], end["cached"]) \
+        == ("ok", len(unfinished), COUNT - len(unfinished))
+
+
 def test_kill_local_sweep_resume_executes_only_the_remainder(tmp_path):
     # the local backend's twin of the coordinator kill: one serial
     # process writing through the same directory layout, murdered at a

@@ -11,6 +11,7 @@ pending is answered the moment a shard frees up or the board completes,
 and a body that raises ends the attempt as ``worker_error``.
 """
 
+import multiprocessing.process
 import os
 import socket
 import subprocess
@@ -24,7 +25,7 @@ from repro.core.fabric import (FabricCoordinator, FabricError, LeaseBoard,
                                Shard, merge_campaign_dir, recv_message,
                                request, send_message)
 from repro.core.fabric.worker import EXIT_DRAINED, EXIT_ERROR
-from repro.core.orchestrator import Campaign
+from repro.core.orchestrator import Campaign, run_sweep
 from repro.netsim import kinds as K
 from repro.obs.campaign_report import render_stable, summarize_journal
 from repro.obs.journal import replay_journal
@@ -101,6 +102,30 @@ def test_workers_are_children_and_keep_no_listener(tmp_path):
     # it inherited, the endpoint would still accept
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection(tuple(state["endpoint"]), timeout=5.0)
+
+
+def test_spawn_failing_part_way_leaves_no_listener_and_no_child(
+        tmp_path, monkeypatch):
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def start(proc):
+        if started:
+            raise OSError("no process for the second worker")
+        real_start(proc)
+        started.append(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    fabric_dir = tmp_path / "fabric"
+    with pytest.raises(OSError, match="second worker"):
+        _sockets(fabric_dir, 8)
+    [first] = started
+    assert first.exitcode is not None
+    state = rig.read_state(fabric_dir)
+    assert state["status"] == "failed"
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(tuple(state["endpoint"]), timeout=5.0)
+    assert rig.campaign_ends(fabric_dir)[-1]["status"] == "failed"
 
 
 MAIN_SCRIPT = '''\
@@ -203,17 +228,18 @@ def test_without_fork_the_default_start_method_serves(tmp_path):
 # ----------------------------------------------------------------------
 
 class _Attempt(threading.Thread):
-    """A coordinator's ``run()`` on a thread of this process."""
+    """One sockets ``run_sweep`` on a thread of this process."""
 
-    def __init__(self, coordinator):
+    def __init__(self, spec, fabric_dir, **sweep):
         super().__init__(daemon=True)
-        self.coordinator = coordinator
+        self.sweep = dict(sweep, backend="sockets", fabric_dir=fabric_dir)
+        self.spec = spec
         self.results = None
         self.error = None
 
     def run(self):
         try:
-            self.results = self.coordinator.run()
+            self.results = run_sweep(self.spec, **self.sweep)
         except Exception as err:
             self.error = err
 
@@ -248,8 +274,8 @@ def _leases_of(fabric_dir, worker):
 
 def test_cold_worker_serves_an_unspawned_coordinator(tmp_path):
     fabric_dir = tmp_path / "fabric"
-    attempt = _Attempt(FabricCoordinator(
-        rig.make_spec(8, seed=SEED), fabric_dir, workers=1, spawn=False))
+    attempt = _Attempt(rig.make_spec(8, seed=SEED), fabric_dir, workers=1,
+                       fabric_options={"spawn": False})
     attempt.start()
     with _cold_worker(fabric_dir, "cold") as worker:
         try:
@@ -267,8 +293,7 @@ def test_late_joiner_works_next_to_forked_workers(tmp_path, monkeypatch):
     work_ms = 100.0
     monkeypatch.setenv("RIG_WORK_MS", str(work_ms))
     fabric_dir = tmp_path / "fabric"
-    attempt = _Attempt(FabricCoordinator(
-        rig.make_spec(24, seed=SEED), fabric_dir, workers=2))
+    attempt = _Attempt(rig.make_spec(24, seed=SEED), fabric_dir, workers=2)
     attempt.start()
     with _cold_worker(fabric_dir, "late", work_ms=work_ms) as late:
         try:

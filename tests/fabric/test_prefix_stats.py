@@ -9,8 +9,10 @@ two-worker pool and through the sockets fabric.  All three
 configuration that ran cold".
 """
 
+from repro.core.fabric import merge_campaign_dir
 from repro.core.orchestrator import PREFIX_STATS, Campaign, PrefixedBody
 from repro.netsim import kinds as K
+from repro.obs.campaign_report import render_stable, summarize_journal
 from repro.obs.journal import replay_journal
 from tests.fabric import rig
 
@@ -93,3 +95,30 @@ def test_ungrouped_sweeps_report_no_prefix_statistics(tmp_path):
     campaign.run(CONFIGS, group=False, journal=tmp_path / "cold.jsonl")
     end = replay_journal(tmp_path / "cold.jsonl").last(K.CAMPAIGN_END)
     assert _stats(end) == dict.fromkeys(PREFIX_STATS)
+
+
+def test_single_group_sweep_is_leased_to_every_worker(tmp_path):
+    # one target, many scripts -- the CLI's most natural sweep -- is one
+    # prefix group: it is split at a worker's fair share (a duplicate
+    # capture beats an idle core), on sockets as on the pool
+    configs = [{"grp": "warm", "extra": float(n)} for n in range(8)]
+    campaign = Campaign(mixed_body, seed=9)
+    serial = campaign.run(configs, journal=tmp_path / "serial.jsonl")
+    fabric_dir = tmp_path / "fabric"
+    sockets = campaign.run(configs, workers=2, backend="sockets",
+                           fabric_dir=fabric_dir)
+    assert [(r.config, r.result, list(r.trace)) for r in sockets] \
+        == [(r.config, r.result, list(r.trace)) for r in serial]
+    assert render_stable(merge_campaign_dir(fabric_dir)) \
+        == render_stable(summarize_journal(tmp_path / "serial.jsonl"))
+
+    shards = rig.read_state(fabric_dir)["board"]["shards"]
+    assert [len(shard["indices"]) for shard in shards] == [4, 4]
+    forking = [journal for journal
+               in (fabric_dir / "journals").glob("shard-*.jsonl")
+               if any(event.get("forked") for event
+                      in replay_journal(journal).of(K.CAMPAIGN_RUN_END))]
+    assert _stats(rig.campaign_ends(fabric_dir)[-1]) == {
+        "prefix_captures": len(forking), "prefix_forks": 8,
+        "prefix_fallbacks": 0}
+    assert len(forking) == len(shards)

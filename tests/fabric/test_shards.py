@@ -3,20 +3,21 @@
 The :class:`~repro.core.fabric.shards.LeaseBoard` is pure (callers
 inject ``now``), so every lease/steal/expiry property here runs without
 sockets, threads, or wall time -- including the acceptance bullets:
-an expired lease is handed to a live worker *exactly once*, prefix
-groups are never split across leases, and 1-config shards drain
-starvation-free.
+an expired lease is handed to a live worker *exactly once*, and
+1-config shards drain starvation-free.  Leases are cut by the
+orchestrator's one partitioner, ``_prefix_chunks`` (the pool's chunks
+come from it too; its split-at-fair-share cases and the property over
+arbitrary layouts live in ``tests/core/test_campaign_prefix.py``); the
+cases here pin what a lease board needs of it.
 """
 
-from repro.core.fabric import LeaseBoard, Shard, partition_shards
+from repro.core.fabric import LeaseBoard, Shard
 from repro.core.fabric.shards import DONE, LEASED, PENDING
+from repro.core.orchestrator import _prefix_chunks
 
 
-def _flat(shards):
-    out = []
-    for shard in shards:
-        out.extend(shard.indices)
-    return out
+def _flat(chunks):
+    return [index for chunk in chunks for index in chunk]
 
 
 # ----------------------------------------------------------------------
@@ -25,53 +26,38 @@ def _flat(shards):
 
 def test_partition_covers_todo_exactly_once_in_order():
     todo = list(range(0, 40, 2))
-    shards = partition_shards(todo, [None] * 40, workers=3)
-    assert _flat(shards) == todo
-    assert [s.shard_id for s in shards] == list(range(len(shards)))
-    assert all(s.state == PENDING and s.attempts == 0 for s in shards)
+    assert _flat(_prefix_chunks(todo, [None] * 40, workers=3)) == todo
 
 
 def test_partition_empty_todo_is_empty():
-    assert partition_shards([], [], workers=4) == []
+    assert _prefix_chunks([], [], workers=4) == []
 
 
 def test_partition_target_shard_count_scales_with_workers():
-    todo = list(range(96))
-    shards = partition_shards(todo, [None] * 96, workers=3)
-    # aim: workers * SHARDS_PER_WORKER = 12 shards of 8
-    assert len(shards) == 12
-    assert all(len(s.indices) == 8 for s in shards)
+    chunks = _prefix_chunks(list(range(96)), [None] * 96, workers=3)
+    # aim: workers * _CHUNKS_PER_WORKER = 12 shards of 8
+    assert [len(chunk) for chunk in chunks] == [8] * 12
 
 
-def test_partition_never_splits_a_prefix_group():
-    # groups of 5 across 20 configs; force tiny shards so a naive
-    # size-based cut would slice every group
+def test_partition_keeps_a_group_within_fair_share_whole():
+    # groups of 5 across 20 configs, 2 workers: the load-balancing size
+    # is 3, so a naive size-based cut would slice every group -- but
+    # none exceeds a worker's fair share (10), so none is split
     keys = [f"g{i // 5}" for i in range(20)]
-    shards = partition_shards(list(range(20)), keys, workers=2,
-                              shard_size=2)
-    assert _flat(shards) == list(range(20))
-    for shard in shards:
-        groups = {keys[i] for i in shard.indices}
-        for group in groups:
+    chunks = _prefix_chunks(list(range(20)), keys, workers=2)
+    assert _flat(chunks) == list(range(20))
+    for chunk in chunks:
+        for group in {keys[i] for i in chunk}:
             members = [i for i in range(20) if keys[i] == group]
-            assert set(members) <= set(shard.indices), (
+            assert set(members) <= set(chunk), (
                 f"group {group} split across shards")
-
-
-def test_partition_group_larger_than_shard_stays_whole():
-    keys = ["big"] * 10 + [None] * 2
-    shards = partition_shards(list(range(12)), keys, workers=4,
-                              shard_size=3)
-    assert shards[0].indices == list(range(10))
-    assert _flat(shards) == list(range(12))
 
 
 def test_partition_respects_sparse_todo_indices():
     # resumed sweeps hand in global indices with gaps
-    keys = [None] * 10
     todo = [1, 3, 4, 8, 9]
-    shards = partition_shards(todo, keys, workers=1, shard_size=2)
-    assert _flat(shards) == todo
+    chunks = _prefix_chunks(todo, [None] * 10, workers=1)
+    assert _flat(chunks) == todo and len(chunks) > 1
 
 
 # ----------------------------------------------------------------------

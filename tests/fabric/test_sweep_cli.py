@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from tests.fabric.rig import REPO_ROOT, campaign_ends, rig_env
+from tests.fabric.rig import REPO_ROOT, campaign_ends, make_spec, rig_env
 
 
 def _repro(*argv, timeout=180):
@@ -115,3 +115,21 @@ def test_local_sweep_directory_is_resumable_and_pinned(tmp_path):
     assert clash.returncode == 3
     assert "different sweep" in clash.stderr
     assert len(list((local_dir / "store").rglob("*.pkl"))) == 2
+
+
+def test_resume_keeps_the_meta_of_the_spec_it_loaded(tmp_path):
+    # spec.pkl is the sweep: --resume hands it on whole, so a spec
+    # carrying meta (the chaos rig's does) is its own directory's match
+    # instead of a spec_mismatch
+    fabric_dir = tmp_path / "fabric"
+    make_spec(6).save(fabric_dir / "spec.pkl")
+    first = _repro("sweep", "--resume", str(fabric_dir))
+    assert first.returncode == 0, first.stderr
+    assert campaign_ends(fabric_dir)[-1]["executed"] == 6
+    for backend in ("local", "sockets"):
+        again = _repro("sweep", "--resume", str(fabric_dir), "--backend",
+                       backend, "--workers", "2")
+        assert again.returncode == 0, again.stderr
+        end = campaign_ends(fabric_dir)[-1]
+        assert (end["status"], end["executed"], end["cached"]) \
+            == ("ok", 0, 6)
