@@ -73,7 +73,7 @@ from repro.core.fabric.spec import SweepSpec
 from repro.core.orchestrator import (PREFIX_STATS, ShardRow, ShardSink,
                                      _prefix_chunks)
 from repro.netsim import kinds as K
-from repro.obs.journal import Journal
+from repro.obs.journal import NULL_JOURNAL, Journal, NullJournal
 
 DEFAULT_TTL_S = 15.0
 DEFAULT_POLL_S = 0.05
@@ -144,7 +144,8 @@ class FabricCoordinator:
         #: disconnects or the attempt aborts
         self._wake = threading.Condition(self._lock)
         self._board: Optional[LeaseBoard] = None
-        self._journal: Optional[Journal] = None
+        #: the attempt's journal while :meth:`rows` serves it
+        self._journal: Union[Journal, NullJournal] = NULL_JOURNAL
         self._listener: Optional[socket.socket] = None
         self._procs: List[multiprocessing.process.BaseProcess] = []
         self._connections = 0
@@ -226,8 +227,7 @@ class FabricCoordinator:
                 # attempt ends here
                 failure = {"shard": shard_id, "worker": worker,
                            "error": str(message["error"])}
-                if journal is not None:
-                    journal.record(K.CAMPAIGN_WORKER_ERROR, **failure)
+                journal.record(K.CAMPAIGN_WORKER_ERROR, **failure)
                 if board is not None:
                     board.release_worker(worker)
                 if self._worker_error is None:
@@ -267,7 +267,7 @@ class FabricCoordinator:
                 worker = state.get("worker")
                 if worker is not None and self._board is not None:
                     reclaimed = self._board.release_worker(worker)
-                    if reclaimed and self._journal is not None:
+                    if reclaimed:
                         self._journal.record(
                             K.CAMPAIGN_WORKER_ERROR, worker=worker,
                             reason="worker_disconnect",
@@ -360,7 +360,7 @@ class FabricCoordinator:
                 # connection threads outlive the attempt (a straggler's
                 # EOF may still be on its way); they stop journaling
                 # here, before the lifecycle closes the journal
-                self._journal = None
+                self._journal = NULL_JOURNAL
             self._write_state(status)
 
     def end_stats(self) -> Dict[str, int]:

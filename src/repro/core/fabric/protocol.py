@@ -12,7 +12,9 @@ corruption.
 Message vocabulary (``type`` field):
 
 ==============  =========  =================================================
-worker → coord  hello      ``{worker, pid}`` once per connection
+worker → coord  hello      ``{worker, pid, spec}`` once per connection; a
+                           ``spec`` digest that is not the sweep's is
+                           answered ``drain``
 worker → coord  lease      ask for a shard lease (held up to ``poll`` s)
 worker → coord  heartbeat  ``{shard}`` renew a held lease
 worker → coord  done       ``{shard, executed, cached}`` shard completed

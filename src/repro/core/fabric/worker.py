@@ -15,8 +15,11 @@ and publish each row through a
 :class:`~repro.core.orchestrator.ShardSink` -- ``put`` into the shared
 store *before* journaling ``run_end`` -- then heartbeat.  A SIGKILL at
 any byte offset loses at most the configuration in flight, never a row
-the journal claims done.  The worker is that pipeline's sockets
-transport and adds exactly one step of its own: the heartbeat.
+the journal claims done; a result the store cannot hold (it does not
+pickle) ends the shard as ``done{error}`` for the same reason -- the
+store is how this worker's rows reach the sweep.  The worker is that
+pipeline's sockets transport and adds exactly one step of its own: the
+heartbeat.
 
 Each lease gets its own journal file
 (``journals/shard-NNNN-tryA-WORKER.jsonl``): per-shard journals never
@@ -133,7 +136,8 @@ def run_worker(endpoint: Tuple[str, int], fabric_dir: Path,
             attempt = int(reply.get("attempt", 1))
             journal = Journal(_shard_journal_path(fabric_dir, shard,
                                                   attempt, worker))
-            sink = ShardSink(spec, store, journal, keys=store_keys)
+            sink = ShardSink(spec, store, journal, keys=store_keys,
+                             carrier=True)
             try:
                 try:
                     # rows another attempt (or a concurrent local run)

@@ -7,12 +7,14 @@ protocol machinery, install filter scripts, run, query the trace.
 
 :class:`Campaign` runs the same experiment body across a parameter sweep
 (e.g. the four TCP vendor profiles) and collects per-configuration
-results, which is how each paper table with one row per vendor is
-produced.
+results -- the engine under ``repro sweep``, the fuzzer's batches and the
+shrinker's probes.  (The paper-table modules in :mod:`repro.experiments`
+do not go through it: they loop over ``VENDORS`` themselves.)
 
-Every sweep, on every backend, is one lifecycle, :func:`run_sweep`:
-``campaign.start`` -> journaled preflight -> plan -> rows from a
-transport -> result slots and progress -> ``campaign.end``.
+Every sweep, on every backend, is one lifecycle, :func:`run_sweep`,
+inside one :class:`~repro.obs.journal.Flight`: ``campaign.start`` ->
+journaled preflight -> plan -> rows from a transport -> result slots
+and progress -> ``campaign.end``.
 ``Campaign.run`` only folds its arguments into the
 :class:`~repro.core.fabric.spec.SweepSpec` that function takes; ``repro
 sweep`` and the chaos rig hand it the spec they already hold.  Three
@@ -59,7 +61,7 @@ import itertools
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 from time import perf_counter
@@ -73,8 +75,7 @@ from repro.netsim import kinds as K
 from repro.netsim.network import Network
 from repro.netsim.scheduler import Scheduler, SchedulerClock, SchedulerError
 from repro.netsim.trace import TraceRecorder
-from repro.obs.journal import Journal
-from repro.obs.progress import ProgressRenderer
+from repro.obs.journal import NULL_JOURNAL, Flight, Journal, NullJournal
 from repro.obs.telemetry import RunTelemetry, _config_label, render_scorecard
 
 #: config keys whose string values are treated as tclish script sources
@@ -734,6 +735,16 @@ def execute_shard(spec: Any, indices: Iterable[int],
 # sink: store.put -> journal -> tally
 # ----------------------------------------------------------------------
 
+def _pickle_error(value: Any) -> str:
+    """Why ``value`` does not pickle (:meth:`ResultStore.put` only says
+    that it does not)."""
+    try:
+        pickle.dumps(value)
+    except Exception as err:
+        return repr(err)
+    return "no error on a second attempt"
+
+
 def _run_end_payload(index: int, result: RunResult, *,
                      cached_hit: bool = False,
                      prefix: Optional[Any] = None,
@@ -772,7 +783,11 @@ class ShardSink:
     configuration in flight, never a row the journal claims done, and a
     sweep that dies at configuration *k* leaves its first *k* rows
     resumable.  ``store`` and ``journal`` are each optional (a bare
-    ``Campaign.run`` has neither and only tallies).
+    ``Campaign.run`` has neither and only tallies).  ``carrier`` says
+    the store is how a row reaches the sweep at all (the fabric worker):
+    there a result the store refuses -- it does not pickle -- is an
+    error, raised before the journal can claim the row; anywhere else
+    it is merely a row nobody cached.
 
     The tally defines the prefix-sharing statistics once for every
     transport: a *capture* is a :class:`ShardCapture`, a *fork* is a
@@ -783,11 +798,12 @@ class ShardSink:
     """
 
     def __init__(self, spec: Any, store: Optional[ResultStore] = None,
-                 journal: Optional[Journal] = None, *,
-                 keys: Optional[List[str]] = None):
+                 journal: Union[Journal, NullJournal] = NULL_JOURNAL, *,
+                 keys: Optional[List[str]] = None, carrier: bool = False):
         self.spec = spec
         self.store = store
         self.journal = journal
+        self.carrier = carrier
         #: content address per configuration (``None`` without a store)
         self.keys = (keys if keys is not None or store is None
                      else spec.store_keys(store))
@@ -811,10 +827,9 @@ class ShardSink:
                 if result is not None]
         for index, result in held:
             self.findings += not result.ok()
-            if self.journal is not None:
-                self.journal.record(
-                    K.CAMPAIGN_RUN_END,
-                    **_run_end_payload(index, result, cached_hit=True))
+            self.journal.record(
+                K.CAMPAIGN_RUN_END,
+                **_run_end_payload(index, result, cached_hit=True))
         self.cached += len(held)
         return held, [indices[position] for position in missing]
 
@@ -833,29 +848,30 @@ class ShardSink:
                     yield event
                 elif kind is ShardCapture:
                     self.captures += 1
-                    if journal is not None:
-                        journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
-                                       **event.payload)
+                    journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
+                                   **event.payload)
                 else:
                     index = event.index
-                    if journal is not None:
-                        journal.record(
-                            K.CAMPAIGN_RUN_START, index=index,
-                            label=_config_label(self.spec.configs[index]))
+                    journal.record(
+                        K.CAMPAIGN_RUN_START, index=index,
+                        label=_config_label(self.spec.configs[index]))
         except Exception as err:
-            if journal is not None:
-                journal.record(K.CAMPAIGN_WORKER_ERROR, index=index,
-                               error=repr(err))
+            journal.record(K.CAMPAIGN_WORKER_ERROR, index=index,
+                           error=repr(err))
             raise
 
     def _publish(self, row: ShardRow) -> None:
-        if self.store is not None:
-            self.store.put(self.keys[row.index], row.result)
-        if self.journal is not None:
-            self.journal.record(
-                K.CAMPAIGN_RUN_END,
-                **_run_end_payload(row.index, row.result,
-                                   prefix=row.prefix, forked=row.forked))
+        if (self.store is not None
+                and not self.store.put(self.keys[row.index], row.result)
+                and self.carrier):
+            raise TypeError(
+                f"campaign config [{row.index}]: the result does not "
+                f"pickle, so the store cannot carry it: "
+                f"{_pickle_error(row.result)}")
+        self.journal.record(
+            K.CAMPAIGN_RUN_END,
+            **_run_end_payload(row.index, row.result,
+                               prefix=row.prefix, forked=row.forked))
         self.tally(row)
 
     def tally(self, row: ShardRow) -> None:
@@ -877,13 +893,6 @@ class ShardSink:
             return {}
         return dict(zip(PREFIX_STATS,
                         (self.captures, self.forks, self.fallbacks)))
-
-
-def _maybe_phase(journal: Optional[Journal], name: str, **payload: Any):
-    """``journal.phase(name)`` when journaling, a no-op span otherwise."""
-    if journal is None:
-        return nullcontext()
-    return journal.phase(name, **payload)
 
 
 def _run_chunk(spec: Any, indices: List[int]) -> List[Any]:
@@ -991,7 +1000,7 @@ class Campaign:
         return failing
 
     def preflight(self, configs: Iterable[Dict[str, Any]],
-                  journal: Optional[Journal] = None, *,
+                  journal: Union[Journal, NullJournal] = NULL_JOURNAL, *,
                   body: bool = True) -> None:
         """The one gate every engine passes before anything executes.
 
@@ -1002,15 +1011,17 @@ class Campaign:
         determinism or checkpoint capture, or a script that cannot parse,
         is refused before any worker starts.  ``Campaign(...,
         lint="off")`` turns the gate off.  The verdict is journaled as
-        ``campaign.preflight`` when a journal is given.
+        ``campaign.preflight`` -- here and nowhere else, so every
+        engine's verdict carries ``failing``; a ``body=False`` pass (a
+        later batch of a flight whose verdict is already on record)
+        journals only a refusal.
         """
         if self._lint == "off":
-            if journal is not None:
-                journal.record(K.CAMPAIGN_PREFLIGHT, ok=True, skipped=True)
+            journal.record(K.CAMPAIGN_PREFLIGHT, ok=True, skipped=True)
             return
         failing = self.precheck_body() if body else []
         failing += self.validate_scripts(configs)
-        if journal is not None:
+        if body or failing:
             journal.record(K.CAMPAIGN_PREFLIGHT, ok=not failing,
                            failing=len(failing))
         if failing:
@@ -1164,7 +1175,7 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
     (``store`` is its ``cache``); results come back in input order.
     """
     from repro.core.fabric.coordinator import (FabricCoordinator,
-                                               FabricError, persist_spec)
+                                               persist_spec)
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown campaign backend {backend!r}; choose from "
@@ -1175,7 +1186,7 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
             raise ValueError(
                 'backend="sockets" needs fabric_dir= (the campaign '
                 "directory shared by coordinator and workers)")
-        if store is not None or journal is not None:
+        if not (store is None and journal is None):
             raise ValueError(
                 'backend="sockets" workers can only write the campaign '
                 "directory's own result store and journals; pass "
@@ -1190,67 +1201,46 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
             store = ResultStore(Path(fabric_dir) / "store")
         if journal is None:
             journal = Path(fabric_dir) / "journals" / "coordinator.jsonl"
-    journal, journal_owned = Journal.ensure(journal)
-    try:
-        sink = ShardSink(spec, store, journal)
-        total = len(spec.configs)
-        if journal is not None:
-            start = {**spec.meta, "seed": spec.seed, "configs": total,
-                     "workers": str(workers), "telemetry": spec.telemetry,
-                     "lint": spec.lint,
-                     "oracle": getattr(spec.oracle, "__qualname__", None),
-                     "body": spec.body_label()}
-            if coordinator is not None:
-                start["backend"] = backend
-            journal.start("campaign", **start)
-        renderer = (ProgressRenderer("campaign", total=total,
-                                     unit="configs", sink=progress)
-                    if progress is not None else None)
-        slots: List[Optional[RunResult]] = [None] * total
-        status = "preflight_failed"
-        try:
-            with _maybe_phase(journal, "preflight"):
-                Campaign(spec.body, seed=spec.seed,
-                         lint=spec.lint).preflight(spec.configs, journal)
-            status = "failed"
-            # the plan re-journals held rows, so this attempt's record
-            # (the last campaign.start segment) is a full flight
-            held, todo = sink.plan(range(total))
-            for index, result in held:
-                slots[index] = result
-            if renderer is not None and held:
-                renderer.update(len(held), cached=len(held))
-            if coordinator is not None:
-                rows = coordinator.rows(todo, sink)
+    total = len(spec.configs)
+    start = {**spec.meta, "seed": spec.seed, "configs": total,
+             "workers": str(workers), "telemetry": spec.telemetry,
+             "lint": spec.lint,
+             "oracle": getattr(spec.oracle, "__qualname__", None),
+             "body": spec.body_label()}
+    if coordinator is not None:
+        start["backend"] = backend
+    slots: List[Optional[RunResult]] = [None] * total
+    with Flight(journal, "campaign", start, progress=progress, total=total,
+                unit="configs") as flight:
+        sink = ShardSink(spec, store, flight.journal)
+        flight.counters = lambda: {
+            "executed": sink.executed, "cached": sink.cached,
+            "findings": sink.findings, **sink.prefix_stats(),
+            **(coordinator.end_stats() if coordinator is not None else {})}
+        flight.gate(Campaign(spec.body, seed=spec.seed,
+                             lint=spec.lint).preflight, spec.configs)
+        # the plan re-journals held rows, so this attempt's record
+        # (the last campaign.start segment) is a full flight
+        held, todo = sink.plan(range(total))
+        for index, result in held:
+            slots[index] = result
+        if held:
+            flight.progress.update(len(held), cached=len(held))
+        if coordinator is not None:
+            rows = coordinator.rows(todo, sink)
+        else:
+            pool_size = _resolve_workers(workers, len(todo))
+            if pool_size <= 1 or len(todo) <= 1:
+                rows = _inprocess_rows(spec, todo, sink, prefix_pool)
             else:
-                pool_size = _resolve_workers(workers, len(todo))
-                if pool_size <= 1 or len(todo) <= 1:
-                    rows = _inprocess_rows(spec, todo, sink, prefix_pool)
-                else:
-                    rows = _pool_rows(spec, todo, sink, pool_size)
-            # closing: the transport's journal phase ends before
-            # campaign.end even when this loop is what raises
-            with closing(rows):
-                for row in rows:
-                    slots[row.index] = row.result
-                    if renderer is not None:
-                        renderer.update(sink.cached + sink.executed,
-                                        findings=sink.findings or None)
-            status = "ok"
-        except FabricError as err:
-            status = err.status
-            raise
-        finally:
-            if journal is not None:
-                end = {"status": status, "executed": sink.executed,
-                       "cached": sink.cached, "findings": sink.findings,
-                       **sink.prefix_stats()}
-                if coordinator is not None:
-                    end.update(coordinator.end_stats())
-                journal.record(K.CAMPAIGN_END, **end)
-    finally:
-        if journal_owned:
-            journal.close()
+                rows = _pool_rows(spec, todo, sink, pool_size)
+        # closing: the transport's journal phase ends before
+        # campaign.end even when this loop is what raises
+        with closing(rows):
+            for row in rows:
+                slots[row.index] = row.result
+                flight.progress.update(sink.cached + sink.executed,
+                                       findings=sink.findings or None)
     return [result for result in slots if result is not None]
 
 
@@ -1258,7 +1248,7 @@ def _inprocess_rows(spec: Any, todo: List[int], sink: ShardSink,
                     prefix_pool: Optional[Any]) -> Iterator[ShardRow]:
     """In-process transport: the whole todo is one shard, run here."""
     if todo:
-        with _maybe_phase(sink.journal, "dispatch"):
+        with sink.journal.phase("dispatch"):
             yield from sink.drain(execute_shard(spec, todo, prefix_pool))
 
 
@@ -1276,20 +1266,19 @@ def _pool_rows(spec: Any, todo: List[int], sink: ShardSink,
     journal = sink.journal
     pool = _get_pool(min(pool_size, len(todo)))
     keys = spec.execution_prefix_keys()
-    with _maybe_phase(journal, "dispatch"):
+    with journal.phase("dispatch"):
         futures = [
             (indices, pool.submit(
                 _run_chunk,
                 replace(spec, configs=[spec.configs[i] for i in indices]),
                 indices))
             for indices in _prefix_chunks(todo, keys, pool_size)]
-    with _maybe_phase(journal, "merge"):
+    with journal.phase("merge"):
         for indices, future in futures:
             try:
                 events = future.result()
             except Exception as err:
-                if journal is not None:
-                    journal.record(K.CAMPAIGN_WORKER_ERROR,
-                                   indices=indices, error=repr(err))
+                journal.record(K.CAMPAIGN_WORKER_ERROR,
+                               indices=indices, error=repr(err))
                 raise
             yield from sink.drain(events)

@@ -32,9 +32,11 @@ capabilities through every layer of the toolchain:
   Chrome-trace/Perfetto JSON (simulator traces and campaign journals)
   and the ``repro report`` text rendering.
 
-Everything here is read-side or explicitly opt-in: with no trace bound,
-no journal attached and no profiler attached the instrumented hot paths
-stay guard-only (one ``is not None`` test, no allocation).
+Everything here is read-side or explicitly opt-in: with no trace bound
+and no profiler attached the instrumented hot paths stay guard-only (one
+``is not None`` test, no allocation), and an engine with no journal
+attached records into a no-op one (:data:`~repro.obs.journal
+.NULL_JOURNAL`).
 """
 
 from repro.obs.campaign_report import (CampaignSummary, rank_scenarios,
@@ -43,9 +45,9 @@ from repro.obs.campaign_report import (CampaignSummary, rank_scenarios,
 from repro.obs.chrometrace import (chrome_trace, dump_chrome_trace,
                                    journal_chrome_trace)
 from repro.obs.history import HistoryRow, HistoryStore
-from repro.obs.journal import (JOURNAL_KINDS, SCHEMA_VERSION, Journal,
-                               JournalEvent, JournalReplay, follow_journal,
-                               replay_journal)
+from repro.obs.journal import (JOURNAL_KINDS, NULL_JOURNAL, SCHEMA_VERSION,
+                               Flight, Journal, JournalEvent, JournalReplay,
+                               follow_journal, replay_journal)
 from repro.obs.lineage import Lineage, LineageNode
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiler import ScriptProfiler
@@ -56,9 +58,11 @@ from repro.obs.telemetry import (RunTelemetry, render_scorecard,
 
 __all__ = [
     "JOURNAL_KINDS",
+    "NULL_JOURNAL",
     "SCHEMA_VERSION",
     "CampaignSummary",
     "Counter",
+    "Flight",
     "Gauge",
     "Histogram",
     "HistoryRow",

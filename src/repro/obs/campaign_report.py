@@ -95,8 +95,16 @@ class CampaignSummary:
     # -- derived ---------------------------------------------------------
 
     @property
+    def status(self) -> Optional[str]:
+        """How the flight ended -- its ``campaign.end`` status -- or
+        ``None`` when it never did (killed: no ``campaign.end``)."""
+        return None if self.end is None else str(self.end.get("status", "ok"))
+
+    @property
     def completed(self) -> bool:
-        return self.end is not None
+        """True only for a flight that ended ``ok``: one that was
+        refused, raised or lost its workers ended, but did not complete."""
+        return self.status == "ok"
 
     @property
     def executed(self) -> int:
@@ -290,15 +298,31 @@ def rank_scenarios(summary: CampaignSummary,
 # renderers
 # ----------------------------------------------------------------------
 
+#: what each unsuccessful ``campaign.end`` status means for the operator
+#: (docs/campaign-journal.md has the full table)
+_STATUS_NOTES = {
+    "preflight_failed": "refused before anything ran",
+    "failed": "the engine raised; see worker errors",
+    "worker_error": "the body raised in a worker; a resume raises it again",
+    "workers_lost": "resumable: repro sweep --resume DIR",
+    "spec_mismatch": "the directory holds a different sweep",
+}
+
+
 def _status_line(summary: CampaignSummary) -> str:
-    if summary.completed:
-        status = "completed"
-    elif summary.torn_tail_bytes:
-        status = (f"INTERRUPTED (torn tail: {summary.torn_tail_bytes} "
-                  f"bytes cut mid-append)")
-    else:
-        status = "INTERRUPTED (no campaign.end recorded)"
-    return status
+    """``completed`` for a flight that ended ``ok``, the status (and
+    what it means) for one that ended any other way, ``INTERRUPTED``
+    for one that never ended."""
+    status = summary.status
+    if status == "ok":
+        return "completed"
+    if status is not None:
+        note = _STATUS_NOTES.get(status)
+        return f"ended {status}" + (f" ({note})" if note else "")
+    if summary.torn_tail_bytes:
+        return (f"INTERRUPTED (torn tail: {summary.torn_tail_bytes} "
+                f"bytes cut mid-append)")
+    return "INTERRUPTED (no campaign.end recorded)"
 
 
 def _scorecard_lines(summary: CampaignSummary) -> List[str]:
@@ -456,6 +480,7 @@ def summary_to_json(summary: CampaignSummary, *, rank: int = 10
         "start": summary.start,
         "fingerprint": summary.fingerprint(),
         "completed": summary.completed,
+        "status": summary.status,
         "torn_tail_bytes": summary.torn_tail_bytes,
         "duration_s": summary.duration_s,
         "executed": summary.executed,
@@ -501,6 +526,7 @@ th { background: #f5f5f5; } tr:hover td { background: #fafafa; }
 .banner { padding: 0.5rem 0.8rem; border-radius: 4px; margin: 1rem 0; }
 .banner.completed { background: #e8f5e9; }
 .banner.interrupted { background: #fff3e0; }
+.banner.failed { background: #ffebee; }
 """
 
 
@@ -509,7 +535,9 @@ def render_html(summary: CampaignSummary, *, rank: int = 20) -> str:
     esc = _html.escape
     title = f"campaign flight record: {summary.engine}"
     status = _status_line(summary)
-    banner_class = "completed" if summary.completed else "interrupted"
+    banner_class = ("completed" if summary.completed
+                    else "interrupted" if summary.status is None
+                    else "failed")
     rows: List[str] = []
     for place, scenario in enumerate(rank_scenarios(summary, limit=rank), 1):
         row = scenario.row

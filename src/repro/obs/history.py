@@ -29,7 +29,7 @@ from repro.obs.campaign_report import (CampaignSummary, summarize_journal,
                                        summary_to_json)
 
 #: fields a history row carries; bump when the row shape changes
-ROW_VERSION = 1
+ROW_VERSION = 2
 
 #: headline metrics deltas are computed over, with render precision
 _DELTA_FIELDS = (("findings", 0), ("coverage_total", 0), ("executed", 0),
@@ -113,6 +113,7 @@ class HistoryStore:
             "fingerprint": full["fingerprint"],
             "start": full["start"],
             "completed": full["completed"],
+            "status": full["status"],
             "executed": full["executed"],
             "total": full["total"],
             "findings": full["findings"],
@@ -219,7 +220,8 @@ class HistoryStore:
                 parts.append(f"findings {row.data.get('findings', 0)}")
                 parts.append(f"coverage {row.data.get('coverage_total', 0)}")
                 if not row.data.get("completed", True):
-                    parts.append("INTERRUPTED")
+                    # a flight that ended, but not ok, names how
+                    parts.append(row.data.get("status") or "INTERRUPTED")
             delta = entry["delta"]
             if delta:
                 shifts = []

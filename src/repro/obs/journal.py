@@ -31,23 +31,32 @@ journal schema the same way it covers simulator traces; the journal
 additionally carries :data:`SCHEMA_VERSION` in every ``campaign.start``
 payload, drift-guarded by a pinned-fingerprint test.
 
-Like the rest of :mod:`repro.obs`, journaling is off by default and the
-``journal=`` hooks are single ``is not None`` guards; the enabled cost
-is CI-gated at <=3% by ``benchmarks/bench_obs_overhead.py``.
+Every engine opens, gates and ends its record through one context
+manager, :class:`Flight`, so a flight means one thing whoever wrote it:
+``campaign.start`` -> the gate inside a ``preflight`` phase -> the
+engine's own events -> exactly one ``campaign.end`` naming how it ended.
+
+Like the rest of :mod:`repro.obs`, journaling is off by default: a
+flight opened with ``journal=None`` records into :data:`NULL_JOURNAL`,
+whose hooks are no-op calls, so no engine tests whether anybody keeps
+the record.  The enabled cost is CI-gated at <=3% by
+``benchmarks/bench_obs_overhead.py``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter, sleep
-from typing import (Any, Dict, Iterator, List, Optional, Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Union)
 
 from repro.analysis.export import _jsonable
 from repro.netsim import kinds as K
+from repro.obs.progress import ProgressRenderer
 
 #: version of the journal event schema; bump on any change to the event
 #: kind set or to the meaning of a recorded payload field (the pinned
@@ -102,26 +111,6 @@ class Journal:
             str(self.path), os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
         self._seq = 0
         self._t0 = perf_counter()
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def ensure(cls, journal: Union[None, str, Path, "Journal"]
-               ) -> "Tuple[Optional[Journal], bool]":
-        """Normalize a ``journal=`` argument to ``(journal, owned)``.
-
-        Engines accept ``None`` (journaling off), a path (the engine
-        opens and closes the journal), or an existing :class:`Journal`
-        (the caller keeps ownership -- several engines can share one
-        file, e.g. a fuzz sweep followed by shrinking).
-        """
-        if journal is None:
-            return None, False
-        if isinstance(journal, Journal):
-            return journal, False
-        return cls(journal), True
 
     # ------------------------------------------------------------------
     # recording
@@ -182,6 +171,125 @@ class Journal:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class NullJournal:
+    """What a flight nobody keeps records into: nothing.
+
+    Answers the recording half of :class:`Journal` with no-ops, so an
+    engine hook is one unconditional call whether or not a record is
+    kept.  Deliberately not a :class:`Journal`: it opens no descriptor,
+    has no path, and nothing it is handed reaches
+    :meth:`Journal.record`.
+    """
+
+    __slots__ = ()
+
+    def record(self, kind: str, **payload: Any) -> None:
+        return None
+
+    start = record
+
+    def phase(self, name: str, **payload: Any):
+        return nullcontext()
+
+    def close(self) -> None:
+        pass
+
+
+#: the one :class:`NullJournal` (it has no state to tell two apart)
+NULL_JOURNAL = NullJournal()
+
+
+class Flight:
+    """One engine run's flight record: opened, gated and ended here.
+
+    ``with Flight(journal, engine, start, progress=...) as flight`` is
+    the skeleton every engine's record shares (``start`` is the
+    ``campaign.start`` payload)::
+
+        campaign.start
+        campaign.phase_start {preflight}     -- flight.gate(...)
+        campaign.preflight {ok, failing}
+        campaign.phase_end {preflight}
+        ...                                  -- the engine's own events
+        campaign.end {status, executed, <the engine's counters>}
+
+    ``journal`` is the engine's ``journal=`` argument: ``None`` (nobody
+    keeps the record: :data:`NULL_JOURNAL`), a path (opened here, closed
+    on every exit) or an open :class:`Journal` the caller owns (left
+    open -- several flights can share one file).  ``flight.journal`` is
+    where the engine records its own events; ``flight.progress`` is the
+    one :class:`~repro.obs.progress.ProgressRenderer` over the engine's
+    ``progress=`` sink (``label``/``total``/``unit`` are its arguments).
+
+    Exactly one ``campaign.end`` is written, on every exit, with
+    ``status`` ``ok``, ``preflight_failed`` when the gate raised,
+    ``failed`` for any other exception -- or the exception's own
+    ``status`` when it carries one (:class:`~repro.core.fabric
+    .FabricError`: ``workers_lost``, ``worker_error``...) -- plus
+    whatever ``flight.counters()`` returns at that moment; an engine
+    assigns ``counters`` once it has something to count.
+
+    ``join=True`` is for an engine that rides in another's record (a
+    shrink handed the fuzz session's open journal): a borrowed journal
+    then receives the engine's events but no skeleton of its own.
+    """
+
+    def __init__(self, journal: Union[None, str, Path, Journal, NullJournal],
+                 engine: str, start: Dict[str, Any], *,
+                 progress: Optional[Callable[[str], None]] = None,
+                 label: Optional[str] = None, total: Optional[int] = None,
+                 unit: str = "trials", join: bool = False):
+        if journal is None:
+            journal = NULL_JOURNAL
+        self._owned = not isinstance(journal, (Journal, NullJournal))
+        self.journal = Journal(journal) if self._owned else journal
+        #: where start, gate and end go: nowhere, for a joined flight
+        self._skeleton = (NULL_JOURNAL if join and not self._owned
+                          else self.journal)
+        self.progress = ProgressRenderer(label or engine, total=total,
+                                         unit=unit, sink=progress)
+        self.status = "ok"
+        self.counters: Callable[[], Dict[str, Any]] = lambda: {"executed": 0}
+        self._engine, self._start = engine, start
+        self._gated = False
+
+    def __enter__(self) -> "Flight":
+        self._skeleton.start(self._engine, **self._start)
+        return self
+
+    def gate(self, preflight: Callable[..., None],
+             configs: Iterable[Dict[str, Any]], **options: Any) -> None:
+        """Pass the engine's gate: ``preflight(configs, journal,
+        **options)``, :meth:`Campaign.preflight <repro.core.orchestrator
+        .Campaign.preflight>` for every engine.
+
+        The first gate is the flight's ``preflight`` phase; a flight
+        that gates again (a fuzz session, every batch) spans no further
+        phase.  Whatever a gate raises ends the flight
+        ``preflight_failed``.
+        """
+        span = (nullcontext() if self._gated
+                else self._skeleton.phase("preflight"))
+        self._gated = True
+        try:
+            with span:
+                preflight(configs, self._skeleton, **options)
+        except BaseException:
+            self.status = "preflight_failed"
+            raise
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc is not None and self.status == "ok":
+            status = getattr(exc, "status", None)
+            self.status = status if isinstance(status, str) else "failed"
+        try:
+            self._skeleton.record(K.CAMPAIGN_END, status=self.status,
+                                  **self.counters())
+        finally:
+            if self._owned:
+                self.journal.close()
 
 
 # ----------------------------------------------------------------------

@@ -88,9 +88,12 @@ class ProgressRenderer:
                      for key, value in stats.items() if value is not None)
         return ", ".join(parts)
 
-    def update(self, done: int, **stats: Any) -> str:
-        """Format one line and push it to the sink (if any)."""
-        text = self.line(done, **stats)
+    def emit(self, text: str) -> str:
+        """Push one ready-made line to the sink (if any)."""
         if self.sink is not None:
             self.sink(text)
         return text
+
+    def update(self, done: int, **stats: Any) -> str:
+        """Format one progress line and :meth:`emit` it."""
+        return self.emit(self.line(done, **stats))

@@ -49,19 +49,18 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from math import comb
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.export import VOLATILE_ATTRS, entry_line
 from repro.core.checkpoint import Checkpoint, CheckpointPool
-from repro.core.orchestrator import make_env
+from repro.core.orchestrator import Campaign, make_env
 from repro.netsim import kinds as K
 from repro.netsim.link import Link
 from repro.netsim.scheduler import Event
 from repro.netsim.timer import Timer
 from repro.netsim.trace import TraceRecorder
 from repro.obs.campaign_report import plans_line
-from repro.obs.journal import Journal
-from repro.obs.progress import ProgressRenderer
+from repro.obs.journal import NULL_JOURNAL, Flight, Journal, NullJournal
 from repro.oracle.fuzz import (DEFAULT_DEPTHS, HORIZONS, _gmp_prefix,
                                _targets, _tcp_prefix, pack_for)
 
@@ -79,6 +78,9 @@ _VOLATILE = frozenset(VOLATILE_ATTRS)
 class ExploreError(ValueError):
     """The world to explore has not started: nothing recorded, nothing
     perturbable in the window."""
+
+    #: how the flight that raises this ends: refused, not broken
+    status = "preflight_failed"
 
 
 def classify_event(event: Event) -> str:
@@ -186,32 +188,16 @@ class ExploreReport:
         return "\n".join(lines)
 
 
-def _preflight(protocol: str) -> None:
-    """Statically vet the prefix builder before warming anything up.
-
-    The prefix body is about to be simulated to ``depth`` and
-    checkpointed; a determinism hazard in it (closure callback,
-    wall-clock read) would only surface at capture time, after the
-    warm-up is paid for.  Running the SC1xx precheck here moves that
-    failure to t=0 with a source position attached.
-    """
-    from repro.core.orchestrator import CampaignScriptError
-    from repro.staticcheck import precheck_body
-    prefix = _tcp_prefix if protocol == "tcp" else _gmp_prefix
-    report = precheck_body(prefix)
-    if not report.ok():
-        raise CampaignScriptError([report])
+#: the script-free prefix builder an exploration warms up, per protocol
+_PREFIXES = {"tcp": _tcp_prefix, "gmp": _gmp_prefix}
 
 
 def _prefix_checkpoint(protocol: str, target: str, depth: float,
                        seed: int) -> Checkpoint:
     """Capture the script-free prefix the exploration forks from."""
     env = make_env(seed=seed)
-    config = {"protocol": protocol, "target": target}
-    if protocol == "tcp":
-        roots = _tcp_prefix(env, config, depth)
-    else:
-        roots = _gmp_prefix(env, config, depth)
+    roots = _PREFIXES[protocol](
+        env, {"protocol": protocol, "target": target}, depth)
     return Checkpoint.capture(
         env, roots, label=f"explore/{protocol}/{target}@{depth:g}")
 
@@ -292,7 +278,7 @@ class _Tree:
 
     def __init__(self, root: Checkpoint, root_digest: _TraceDigest,
                  plans: List[Dict[int, str]], *, every: int,
-                 journal: Optional[Journal] = None):
+                 journal: Union[Journal, NullJournal] = NULL_JOURNAL):
         self.root = _Node(root, 0, (), root_digest)
         self.every = every
         self.pool = CheckpointPool()
@@ -402,12 +388,11 @@ class _Tree:
         self.pool.put(key, _Node(checkpoint, step, tuple(applied),
                                  digest.copy()))
         self.captures += 1
-        if self.journal is not None:
-            self.journal.record(
-                K.CAMPAIGN_CHECKPOINT_CAPTURE, nested=True, step=step,
-                prefix_perturbations=len(applied),
-                label=checkpoint.label, identity=checkpoint.identity,
-                parent=checkpoint.parent.identity, **checkpoint.plan_stats)
+        self.journal.record(
+            K.CAMPAIGN_CHECKPOINT_CAPTURE, nested=True, step=step,
+            prefix_perturbations=len(applied),
+            label=checkpoint.label, identity=checkpoint.identity,
+            parent=checkpoint.parent.identity, **checkpoint.plan_stats)
 
 
 def _run_schedule(tree: _Tree, plan: Dict[int, str], *, window: float,
@@ -568,81 +553,64 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
     if target not in valid:
         raise ValueError(f"unknown {protocol} target {target!r}; "
                          f"expected one of {valid}")
-    journal_obj, journal_owned = Journal.ensure(journal)
-    try:
-        return _explore_journaled(
-            protocol, target, journal_obj, seed=seed, depth=depth,
-            window=window, horizon=horizon, max_schedules=max_schedules,
-            max_perturbations=max_perturbations, defer_delta=defer_delta,
-            recheckpoint_every=recheckpoint_every, progress=progress)
-    finally:
-        if journal_owned:
-            journal_obj.close()
-
-
-def _explore_journaled(protocol: str, target: str,
-                       journal: Optional[Journal], *, seed: int,
-                       depth: Optional[float], window: float,
-                       horizon: Optional[float], max_schedules: int,
-                       max_perturbations: int, defer_delta: float,
-                       recheckpoint_every: int,
-                       progress: Optional[Callable[[str], None]]
-                       ) -> ExploreReport:
     depth = DEFAULT_DEPTHS[protocol] if depth is None else float(depth)
     horizon = HORIZONS[protocol] if horizon is None else float(horizon)
-    if journal is not None:
-        journal.start("explore", protocol=protocol, target=target,
-                      seed=seed, depth=depth, window=window,
-                      horizon=horizon, max_schedules=max_schedules,
-                      max_perturbations=max_perturbations,
-                      defer_delta=defer_delta)
-    try:
-        _preflight(protocol)
-    except Exception:
-        if journal is not None:
-            journal.record(K.CAMPAIGN_PREFLIGHT, ok=False)
-            journal.record(K.CAMPAIGN_END, status="preflight_failed",
-                           executed=0)
-        raise
-    if journal is not None:
-        journal.record(K.CAMPAIGN_PREFLIGHT, ok=True)
+    report = ExploreReport(protocol=protocol, target=target, depth=depth,
+                           window=window, horizon=horizon, seed=seed,
+                           recheckpoint_every=max(0, recheckpoint_every))
+    with Flight(journal, "explore",
+                {"protocol": protocol, "target": target, "seed": seed,
+                 "depth": depth, "window": window, "horizon": horizon,
+                 "max_schedules": max_schedules,
+                 "max_perturbations": max_perturbations,
+                 "defer_delta": defer_delta},
+                progress=progress, label=f"explore {protocol}/{target}",
+                unit="schedules") as flight:
+        journal = flight.journal
+        # the prefix builder is about to be simulated to ``depth`` and
+        # checkpointed; a determinism hazard in it (closure callback,
+        # wall-clock read) would only surface at capture time, after
+        # the warm-up is paid for -- the gate's SC1xx precheck moves
+        # that failure to t=0 with a source position attached
+        flight.gate(Campaign(_PREFIXES[protocol], seed=seed).preflight, ())
         with journal.phase("capture"):
             checkpoint = _prefix_checkpoint(protocol, target, depth, seed)
         journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE, target=target,
                        depth=depth, label=checkpoint.label,
                        identity=checkpoint.identity,
                        **checkpoint.plan_stats)
-    else:
-        checkpoint = _prefix_checkpoint(protocol, target, depth, seed)
-    oracle = pack_for(protocol)
-    steps, root_digest = _survey(checkpoint, window=window)
-    if checkpoint.position == 0 and not any(
-            kind in ACTIONS for kind, _label in steps):
-        if journal is not None:
-            journal.record(K.CAMPAIGN_END, status="preflight_failed",
-                           executed=0)
-        raise ExploreError(
-            f"explore {protocol}/{target}: the world at depth {depth:g} "
-            f"has recorded nothing and holds no delivery or timer in "
-            f"the window [{depth:g}, {depth + window:g}] -- the rig is "
-            f"built but no traffic has started, so there is nothing to "
-            f"perturb; pass --depth (depth=) to warm it into traffic "
-            f"first")
-    report = ExploreReport(protocol=protocol, target=target, depth=depth,
-                           window=window, horizon=horizon, seed=seed,
-                           recheckpoint_every=max(0, recheckpoint_every))
-    plans = _plans(steps, max_perturbations=max_perturbations,
-                   max_schedules=max_schedules)
-    tree = _Tree(checkpoint, root_digest, plans,
-                 every=recheckpoint_every, journal=journal)
-    renderer = (ProgressRenderer(f"explore {protocol}/{target}",
-                                 total=None, unit="schedules",
-                                 sink=progress)
-                if progress is not None else None)
-    seen_hashes: Dict[str, int] = {}
-    seen_findings: set = set()
-    status = "ok"
-    try:
+        oracle = pack_for(protocol)
+        steps, root_digest = _survey(checkpoint, window=window)
+        if checkpoint.position == 0 and not any(
+                kind in ACTIONS for kind, _label in steps):
+            raise ExploreError(
+                f"explore {protocol}/{target}: the world at depth "
+                f"{depth:g} has recorded nothing and holds no delivery or "
+                f"timer in the window [{depth:g}, {depth + window:g}] -- "
+                f"the rig is built but no traffic has started, so there "
+                f"is nothing to perturb; pass --depth (depth=) to warm it "
+                f"into traffic first")
+        plans = _plans(steps, max_perturbations=max_perturbations,
+                       max_schedules=max_schedules)
+        tree = _Tree(checkpoint, root_digest, plans,
+                     every=recheckpoint_every, journal=journal)
+        seen_hashes: Dict[str, int] = {}
+        seen_findings: set = set()
+
+        def census() -> Dict[str, Any]:
+            """The exploration's totals so far -- what the report closes
+            with, and what ``campaign.end`` carries however it ends."""
+            return {"distinct_outcomes": len(seen_hashes),
+                    "simulated_events": tree.simulated_events,
+                    "ancestor_forks": tree.ancestor_forks,
+                    "nested_captures": tree.captures,
+                    "plans": _plan_census(
+                        steps, max_perturbations=max_perturbations,
+                        executed=report.schedules)}
+
+        flight.counters = lambda: {"executed": report.schedules,
+                                   "findings": len(report.findings),
+                                   **census()}
         for plan in plans:
             applied, violations, outcome_hash = _run_schedule(
                 tree, plan, window=window, horizon=horizon,
@@ -654,15 +622,13 @@ def _explore_journaled(protocol: str, target: str,
                                       violation_count=len(violations),
                                       outcome_hash=outcome_hash,
                                       novel=novel)
-            if journal is not None:
-                plan_label = (", ".join(p.render() for p in applied)
-                              or "baseline")
-                journal.record(
-                    K.CAMPAIGN_RUN_END, index=report.schedules,
-                    label=plan_label, target=target, ok=not codes,
-                    codes=codes, violations=len(violations),
-                    outcome=outcome_hash, new_coverage=int(novel),
-                    coverage_total=len(seen_hashes))
+            journal.record(
+                K.CAMPAIGN_RUN_END, index=report.schedules,
+                label=(", ".join(p.render() for p in applied)
+                       or "baseline"),
+                target=target, ok=not codes, codes=codes,
+                violations=len(violations), outcome=outcome_hash,
+                new_coverage=int(novel), coverage_total=len(seen_hashes))
             report.schedules += 1
             report.outcomes.append(outcome)
             if not applied:
@@ -670,30 +636,10 @@ def _explore_journaled(protocol: str, target: str,
             if codes and novel and tuple(codes) not in seen_findings:
                 seen_findings.add(tuple(codes))
                 report.findings.append(outcome)
-                if progress is not None:
-                    progress(f"[explore] {outcome.render()}")
-            if renderer is not None and report.schedules % 16 == 0:
-                renderer.update(report.schedules,
-                                distinct_outcomes=len(seen_hashes),
-                                findings=len(report.findings))
-    except BaseException:
-        status = "failed"
-        raise
-    finally:
-        report.distinct_outcomes = len(seen_hashes)
-        report.simulated_events = tree.simulated_events
-        report.ancestor_forks = tree.ancestor_forks
-        report.nested_captures = tree.captures
-        report.plans = _plan_census(steps,
-                                    max_perturbations=max_perturbations,
-                                    executed=report.schedules)
-        if journal is not None:
-            journal.record(K.CAMPAIGN_END, status=status,
-                           executed=report.schedules,
-                           distinct_outcomes=report.distinct_outcomes,
-                           findings=len(report.findings),
-                           simulated_events=report.simulated_events,
-                           ancestor_forks=report.ancestor_forks,
-                           nested_captures=report.nested_captures,
-                           plans=report.plans)
+                flight.progress.emit(f"[explore] {outcome.render()}")
+            if report.schedules % 16 == 0:
+                flight.progress.update(report.schedules,
+                                       distinct_outcomes=len(seen_hashes),
+                                       findings=len(report.findings))
+        vars(report).update(census())
     return report

@@ -25,11 +25,10 @@ observable, exactly the paper's probing workflow.
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from repro.core.checkpoint import CheckpointPool
 from repro.core.distributions import derive_seed
@@ -38,8 +37,7 @@ from repro.core.orchestrator import (PREFIX_STATS, Campaign, PrefixedBody,
                                      RunResult, ShardCapture, ShardRow,
                                      execute_shard)
 from repro.netsim import kinds as K
-from repro.obs.journal import Journal
-from repro.obs.progress import ProgressRenderer
+from repro.obs.journal import NULL_JOURNAL, Flight, Journal, NullJournal
 from repro.oracle.grammar import (FuzzScript, GrammarLintError,
                                   generate_script, mutate_script, trial_seed)
 from repro.oracle.invariants import Violation
@@ -351,7 +349,8 @@ class FuzzReport:
 # ----------------------------------------------------------------------
 
 def execute_configs(configs: Sequence[Dict[str, object]], *, seed: int,
-                    pool: CheckpointPool, journal: Optional[Journal] = None,
+                    pool: CheckpointPool,
+                    journal: Union[Journal, NullJournal] = NULL_JOURNAL,
                     workers: int = 1) -> Tuple[List[ShardRow], int]:
     """Run fuzz configurations through the campaign's one executor.
 
@@ -386,10 +385,9 @@ def execute_configs(configs: Sequence[Dict[str, object]], *, seed: int,
             rows[event.index] = event
         elif type(event) is ShardCapture:
             captures += 1
-            if journal is not None:
-                _protocol, target, depth = groups[event.payload["prefix"]]
-                journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE, target=target,
-                               depth=depth, **event.payload)
+            _protocol, target, depth = groups[event.payload["prefix"]]
+            journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE, target=target,
+                           depth=depth, **event.payload)
     return rows, captures
 
 
@@ -507,8 +505,9 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
     a crash-safe ``campaign.run_end`` event carrying its verdict codes,
     coverage delta and prefix group, so a sweep killed mid-run still
     reproduces its exact partial scorecard from the journal (``repro
-    report --campaign``).  Off by default; the hook is a single ``is
-    not None`` guard per case.
+    report --campaign``).  The session is one
+    :class:`~repro.obs.journal.Flight`: off by default, its hooks then
+    land in the no-op journal.
     """
     pack_for(protocol)  # ValueError on an unknown protocol
     depth = (DEFAULT_DEPTHS[protocol] if checkpoint_depth is None
@@ -522,18 +521,22 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
     campaign = Campaign(prefixed_fuzz_body, seed=seed)
     if pool is None:
         pool = CheckpointPool()
-    renderer = (ProgressRenderer(f"fuzz {protocol}", total=budget,
-                                 unit="trials", sink=progress)
-                if progress is not None else None)
-    journal, journal_owned = Journal.ensure(journal)
     batch_index = 0
     started = perf_counter()
-    status = "failed"
-    try:
-        if journal is not None:
-            journal.start("fuzz", protocol=protocol, seed=seed,
-                          budget=budget, workers=workers, batch=BATCH,
-                          checkpoint_depth=depth)
+    with Flight(journal, "fuzz",
+                {"protocol": protocol, "seed": seed, "budget": budget,
+                 "workers": workers, "batch": BATCH,
+                 "checkpoint_depth": depth},
+                progress=progress, label=f"fuzz {protocol}",
+                total=budget) as flight:
+        journal = flight.journal
+        flight.counters = lambda: {
+            "executed": report.executed, "findings": len(report.findings),
+            "coverage": len(coverage), "corpus": len(report.corpus),
+            "trials_per_sec": round(report.trials_per_sec, 3),
+            "checkpoint_hit_rate": report.checkpoint_hit_rate,
+            "discarded_draws": report.discarded_draws,
+            **(sharing if any(sharing.values()) else {})}
         while report.executed < budget:
             count = min(BATCH, budget - report.executed)
             rng = random.Random(derive_seed(seed, "fuzz-batch", batch_index))
@@ -541,9 +544,7 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
                      for i in range(count)]
             configs = [{**case.config(), **placement} for case in cases]
             # the campaign's gate: body vetted once, scripts per batch
-            campaign.preflight(configs,
-                               journal if batch_index == 0 else None,
-                               body=batch_index == 0)
+            flight.gate(campaign.preflight, configs, body=batch_index == 0)
             rows, captures = execute_configs(
                 configs, seed=seed, pool=pool, journal=journal,
                 workers=workers)
@@ -570,15 +571,14 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
                              "forked": row.forked}
                     sharing["prefix_forks" if row.forked
                             else "prefix_fallbacks"] += 1
-                if journal is not None:
-                    journal.record(
-                        K.CAMPAIGN_RUN_END, index=index,
-                        label=case.script.name, case=case.script.name,
-                        target=case.target, case_seed=case.case_seed,
-                        ok=not codes, codes=codes,
-                        violations=len(result.violations or ()),
-                        new_coverage=fresh, coverage_total=len(coverage),
-                        corpus=bool(fresh), **group)
+                journal.record(
+                    K.CAMPAIGN_RUN_END, index=index,
+                    label=case.script.name, case=case.script.name,
+                    target=case.target, case_seed=case.case_seed,
+                    ok=not codes, codes=codes,
+                    violations=len(result.violations or ()),
+                    new_coverage=fresh, coverage_total=len(coverage),
+                    corpus=bool(fresh), **group)
             batch_index += 1
             elapsed = perf_counter() - started
             report.trials_per_sec = (report.executed / elapsed if elapsed
@@ -587,25 +587,10 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
             report.checkpoint_hit_rate = (
                 sharing["prefix_forks"] - sharing["prefix_captures"]
             ) / report.executed
-            if renderer is not None:
-                renderer.update(
-                    report.executed, coverage=len(coverage),
-                    findings=len(report.findings),
-                    checkpoint_hit_rate=f"{report.checkpoint_hit_rate:.0%}")
-        status = "ok"
-    finally:
-        # a journal this call opened closes once its last event is in
-        with journal if journal_owned else nullcontext():
-            if journal is not None:
-                journal.record(
-                    K.CAMPAIGN_END, status=status,
-                    executed=report.executed,
-                    findings=len(report.findings), coverage=len(coverage),
-                    corpus=len(report.corpus),
-                    trials_per_sec=round(report.trials_per_sec, 3),
-                    checkpoint_hit_rate=report.checkpoint_hit_rate,
-                    discarded_draws=report.discarded_draws,
-                    **(sharing if any(sharing.values()) else {}))
+            flight.progress.update(
+                report.executed, coverage=len(coverage),
+                findings=len(report.findings),
+                checkpoint_hit_rate=f"{report.checkpoint_hit_rate:.0%}")
     report.coverage = frozenset(coverage)
     return report
 

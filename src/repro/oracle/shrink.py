@@ -35,9 +35,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.checkpoint import CheckpointPool
+from repro.core.orchestrator import Campaign
 from repro.netsim import kinds as K
-from repro.obs.journal import Journal
-from repro.oracle.fuzz import Finding, FuzzCase, execute_configs, run_case
+from repro.obs.journal import Flight
+from repro.oracle.fuzz import (Finding, FuzzCase, execute_configs,
+                               prefixed_fuzz_body, run_case)
 from repro.oracle.grammar import Clause
 
 ARTIFACT_VERSION = 1
@@ -95,38 +97,47 @@ def shrink_case(case: FuzzCase, code: str, *, campaign_seed: int = 0,
     ``journal`` (a :class:`~repro.obs.journal.Journal` or a path)
     records one ``campaign.shrink_step`` per ddmin/seed probe -- clause
     count, whether the probe still violated -- so an interrupted shrink
-    shows how far it got.  Pass the fuzz sweep's own journal to append
-    the shrink trail to the same flight record.  ``pool`` (a shared
+    shows how far it got.  A path gets a flight of its own (start, gate,
+    trail, end); pass the fuzz sweep's own open journal to append just
+    the trail to that flight record.  ``pool`` (a shared
     :class:`~repro.core.checkpoint.CheckpointPool`) lets this shrink
     fork a prefix the fuzz sweep or a sibling shrink already captured;
     without one the first probe captures it for the rest.
+
+    The case passes the campaign's gate first (``CampaignScriptError``
+    for a script that does not lint); the probes, subsequences of a
+    script that did, are not gated again.
     """
     stats = ShrinkStats(clauses_before=len(case.script.clauses),
                         seed_before=case.case_seed)
     if pool is None:
         pool = CheckpointPool()
-    journal_obj, journal_owned = Journal.ensure(journal)
-    if journal_owned:
-        journal_obj.start("shrink", code=code, case=case.script.name,
-                          target=case.target, campaign_seed=campaign_seed,
-                          clauses=len(case.script.clauses))
+    with Flight(journal, "shrink",
+                {"code": code, "case": case.script.name,
+                 "target": case.target, "campaign_seed": campaign_seed,
+                 "clauses": len(case.script.clauses)},
+                join=True) as flight:
+        flight.counters = lambda: {
+            "executed": stats.runs, "clauses_before": stats.clauses_before,
+            "clauses_after": stats.clauses_after,
+            "seed_after": stats.seed_after}
+        flight.gate(Campaign(prefixed_fuzz_body, seed=campaign_seed).preflight,
+                    [case.config()])
 
-    def still_violates(candidate: FuzzCase) -> bool:
-        stats.runs += 1
-        [row], _captures = execute_configs(
-            [candidate.config()], seed=campaign_seed, pool=pool,
-            journal=journal_obj)
-        verdict = code in {v.code for v in row.result.violations}
-        if journal_obj is not None:
-            journal_obj.record(
+        def still_violates(candidate: FuzzCase) -> bool:
+            stats.runs += 1
+            [row], _captures = execute_configs(
+                [candidate.config()], seed=campaign_seed, pool=pool,
+                journal=flight.journal)
+            verdict = code in {v.code for v in row.result.violations}
+            flight.journal.record(
                 K.CAMPAIGN_SHRINK_STEP, probe=stats.runs,
                 case=candidate.script.name,
                 clauses=len(candidate.script.clauses),
                 case_seed=candidate.case_seed, code=code,
                 still_violates=verdict)
-        return verdict
+            return verdict
 
-    try:
         if not still_violates(case):
             raise ValueError(
                 f"case {case.script.name} does not reproduce {code} under "
@@ -153,16 +164,7 @@ def shrink_case(case: FuzzCase, code: str, *, campaign_seed: int = 0,
 
         stats.clauses_after = len(shrunk.script.clauses)
         stats.seed_after = shrunk.case_seed
-        if journal_owned:
-            journal_obj.record(
-                K.CAMPAIGN_END, status="ok", executed=stats.runs,
-                clauses_before=stats.clauses_before,
-                clauses_after=stats.clauses_after,
-                seed_after=stats.seed_after)
-        return shrunk, stats
-    finally:
-        if journal_owned:
-            journal_obj.close()
+    return shrunk, stats
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,11 @@ def boom_body(env, config):
     return rig.chaos_body(env, config)
 
 
+def lambda_body(env, config):
+    """A module-level body whose result does not pickle."""
+    return {"item": config["item"], "f": lambda: 0}
+
+
 def _stable(results):
     return [(r.config, r.result, list(r.trace)) for r in results]
 
@@ -400,6 +405,52 @@ def test_body_exception_ends_the_attempt_as_worker_error(tmp_path):
     ).of(K.CAMPAIGN_WORKER_ERROR)
     assert error.data == {"shard": 3, "worker": error.get("worker"),
                           "error": "ValueError('boom at 3')"}
+
+
+def test_a_result_that_does_not_pickle_is_a_worker_error(tmp_path):
+    """The store is how a fabric row travels: a ``put`` it refuses ends
+    the shard as ``done{error}``, before any journal claims the row --
+    not as a full set of ``run_end`` claims over an empty store that
+    the coordinator can only read as lost workers (and a resume as
+    work to redo, forever)."""
+    fabric_dir = tmp_path / "fabric"
+    with pytest.raises(FabricError) as raised:
+        _sockets(fabric_dir, 4, body=lambda_body)
+    assert raised.value.status == "worker_error"
+    message = str(raised.value)
+    assert "campaign config [" in message and "does not pickle" in message
+    assert "lambda" in message  # the pickling error itself
+    end = rig.campaign_ends(fabric_dir)[-1]
+    assert end["status"] == "worker_error" and end["executed"] == 0
+    assert list((fabric_dir / "store").rglob("*.pkl")) == []
+    # a row the journal claims is a row the store holds
+    for journal in (fabric_dir / "journals").glob("shard-*.jsonl"):
+        replay = replay_journal(journal)
+        assert replay.of(K.CAMPAIGN_RUN_END) == []
+        [error] = replay.of(K.CAMPAIGN_WORKER_ERROR)
+        assert f"campaign config [{error.get('index')}]" \
+            in error.get("error")
+    # in-process, the row travels in memory: nothing is cached, nothing
+    # is wrong
+    from repro.core.orchestrator import ResultStore
+    results = Campaign(lambda_body, seed=SEED, lint="off").run(
+        rig.make_configs(2), cache=ResultStore(tmp_path / "cache"))
+    assert [r.result["item"] for r in results] == [0, 1]
+
+
+def test_sweep_cli_exits_1_on_a_result_that_does_not_pickle(tmp_path):
+    from repro.core.fabric import SweepSpec
+    fabric_dir = tmp_path / "fabric"
+    SweepSpec(body=lambda_body, seed=SEED, configs=rig.make_configs(4),
+              lint="off").save(fabric_dir / "spec.pkl")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "--resume",
+         str(fabric_dir), "--backend", "sockets", "--workers", "2"],
+        cwd=str(rig.REPO_ROOT), env=rig.rig_env(), capture_output=True,
+        text=True, timeout=JOIN_S)
+    assert done.returncode == 1, done.stderr
+    assert "does not pickle" in done.stderr
+    assert "--resume" not in done.stderr
 
 
 def test_sweep_cli_exits_1_on_a_body_exception(tmp_path):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.netsim import kinds as K
 from repro.obs.campaign_report import (CampaignSummary, rank_scenarios,
                                        render_html, render_text,
@@ -10,7 +12,7 @@ from repro.obs.journal import Journal, SCHEMA_VERSION, replay_journal
 from repro.obs.telemetry import RunTelemetry
 
 
-def _write_sweep(path, *, budget=6, end=True):
+def _write_sweep(path, *, budget=6, end=True, status="ok"):
     """A fuzz-shaped journal: one finding, one corpus promotion."""
     with Journal(path) as journal:
         journal.start("fuzz", protocol="gmp", seed=0, budget=budget,
@@ -36,7 +38,7 @@ def _write_sweep(path, *, budget=6, end=True):
                            outcome=outcome)
         if end:  # a killed sweep never closes its phase span
             journal.record(K.CAMPAIGN_PHASE_END, name="dispatch")
-            journal.record(K.CAMPAIGN_END, status="ok",
+            journal.record(K.CAMPAIGN_END, status=status,
                            executed=min(budget, len(rows)), findings=1)
     return path
 
@@ -129,6 +131,43 @@ class TestRenderers:
         assert "GMP-SELF-DEATH" in text
         assert "top scenarios by bug yield:" in text
         assert "checkpoints captured: gmp@8" in text
+
+    @pytest.mark.parametrize("status, says", [
+        ("preflight_failed", "refused"),
+        ("failed", "raised"),
+        ("worker_error", "a resume raises it again"),
+        ("workers_lost", "resumable: repro sweep --resume"),
+        ("spec_mismatch", "different sweep"),
+    ])
+    def test_a_flight_that_did_not_end_ok_is_not_completed(
+            self, tmp_path, status, says):
+        """Every reader names how the flight ended; ``completed`` is
+        ``status == "ok"`` only, ``INTERRUPTED`` is "no campaign.end"."""
+        summary = summarize_journal(
+            _write_sweep(tmp_path / "j.jsonl", status=status))
+        assert summary.status == status and not summary.completed
+        [line] = [line for line in render_text(summary).splitlines()
+                  if line.startswith("  schema ")]
+        assert f"ended {status}" in line and says in line
+        assert "completed" not in line and "INTERRUPTED" not in line
+        doc = summary_to_json(summary)
+        assert doc["completed"] is False and doc["status"] == status
+        html = render_html(summary)
+        assert '<div class="banner failed">' in html
+        assert f"ended {status}" in html
+
+    def test_ok_and_killed_flights_keep_their_words(self, tmp_path):
+        ok = summarize_journal(_write_sweep(tmp_path / "ok.jsonl"))
+        assert ok.status == "ok" and ok.completed
+        assert "  schema 1, completed" in render_text(ok).splitlines()
+        assert summary_to_json(ok)["status"] == "ok"
+        assert '<div class="banner completed">' in render_html(ok)
+        killed = summarize_journal(
+            _write_sweep(tmp_path / "killed.jsonl", end=False))
+        assert killed.status is None and not killed.completed
+        assert "INTERRUPTED (no campaign.end recorded)" in render_text(killed)
+        assert summary_to_json(killed)["status"] is None
+        assert '<div class="banner interrupted">' in render_html(killed)
 
     def test_text_marks_interruption(self, tmp_path):
         path = _write_sweep(tmp_path / "j.jsonl", end=False)

@@ -67,6 +67,13 @@ class TestDeltas:
         assert "delta vs previous" in rendered
         assert "executed +1" in rendered
 
+    def test_a_failed_flight_is_named_not_called_interrupted(self, tmp_path):
+        store = HistoryStore(tmp_path / "hist")
+        store.record_journal(_write_sweep(tmp_path / "lost.jsonl",
+                                          status="workers_lost"))
+        rendered = store.render()
+        assert "workers_lost" in rendered and "INTERRUPTED" not in rendered
+
     def test_different_experiments_do_not_pair(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
         store.record_journal(_write_sweep(tmp_path / "a.jsonl", budget=6))

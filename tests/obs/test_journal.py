@@ -12,8 +12,9 @@ import threading
 import pytest
 
 from repro.netsim import kinds as K
-from repro.obs.journal import (JOURNAL_KINDS, SCHEMA_VERSION, Journal,
-                               follow_journal, replay_journal)
+from repro.obs.journal import (JOURNAL_KINDS, NULL_JOURNAL, SCHEMA_VERSION,
+                               Flight, Journal, follow_journal,
+                               replay_journal)
 
 
 def _sample_journal(path):
@@ -95,19 +96,31 @@ class TestJournalRecording:
 
 
 class TestEnsure:
-    def test_none_stays_off(self):
-        journal, owned = Journal.ensure(None)
-        assert journal is None and owned is False
+    """What a flight makes of the three ``journal=`` arguments."""
+
+    def test_none_stays_off(self, tmp_path):
+        with Flight(None, "fuzz", {"seed": 0}) as flight:
+            assert flight.journal is NULL_JOURNAL
+            assert not isinstance(flight.journal, Journal)
+            assert flight.journal.record(K.CAMPAIGN_RUN_END, index=0) is None
+            with flight.journal.phase("dispatch"):
+                pass
+        assert list(tmp_path.iterdir()) == []
 
     def test_path_is_opened_and_owned(self, tmp_path):
-        journal, owned = Journal.ensure(tmp_path / "j.jsonl")
-        assert isinstance(journal, Journal) and owned is True
-        journal.close()
+        with Flight(tmp_path / "j.jsonl", "fuzz", {"seed": 0}) as flight:
+            assert isinstance(flight.journal, Journal)
+        with pytest.raises(RuntimeError, match="closed"):
+            flight.journal.record(K.CAMPAIGN_RUN_END, index=0)
+        kinds = [e.kind for e in replay_journal(tmp_path / "j.jsonl").events]
+        assert kinds == [K.CAMPAIGN_START, K.CAMPAIGN_END]
 
     def test_existing_journal_is_borrowed(self, tmp_path):
         with Journal(tmp_path / "j.jsonl") as original:
-            journal, owned = Journal.ensure(original)
-            assert journal is original and owned is False
+            with Flight(original, "fuzz", {"seed": 0}) as flight:
+                assert flight.journal is original
+            # left open: the caller's next flight appends to it
+            original.record(K.CAMPAIGN_RUN_END, index=0)
 
 
 class TestTornTailRecovery:

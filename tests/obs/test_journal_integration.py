@@ -175,7 +175,8 @@ class TestExploreJournal:
         assert len(nested) == report.nested_captures
         assert summary.end.get("simulated_events") == \
             report.simulated_events
-        assert [name for name, _, _ in summary.phases] == ["capture"]
+        assert [name for name, _, _ in summary.phases] == ["preflight",
+                                                           "capture"]
         assert summary.end.get("distinct_outcomes") == \
             report.distinct_outcomes
 
