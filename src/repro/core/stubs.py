@@ -113,7 +113,9 @@ class PacketStubs:
 
         The header is looked up read-only and only the one written is
         made private (``Message.writable_header``), after the write has
-        been found legal -- a rejected write clones nothing.
+        been found legal -- a rejected write clones nothing.  A payload
+        field is written through ``Message.writable_payload`` the same
+        way (a dict payload is never aliased and is written in place).
         """
         for depth, header in enumerate(msg.iter_headers()):
             if isinstance(header, dict):
@@ -131,7 +133,7 @@ class PacketStubs:
         if not isinstance(payload, (dict, bytes, str, type(None))) \
                 and hasattr(payload, name):
             _require_settable(payload, name)
-            setattr(payload, name, value)
+            setattr(msg.writable_payload(), name, value)
             return
         raise StubError(f"message has no header field {name!r}")
 

@@ -235,9 +235,11 @@ class Daemon(Protocol):
         msg.meta["src"] = self.address
         msg.meta["reliable"] = reliable and kind != m.HEARTBEAT
         self.sent_counts[kind] = self.sent_counts.get(kind, 0) + 1
-        self._record(K.GMP_SEND, msg_kind=kind, dst=dst,
-                     originator=gmsg.originator, subject=subject,
-                     group_id=group_id)
+        trace = self.trace
+        if trace is not None:   # _record, without re-packing the keywords
+            trace.record(K.GMP_SEND, t=self.scheduler.now, node=self.address,
+                         msg_kind=kind, dst=dst, originator=gmsg.originator,
+                         subject=subject, group_id=group_id)
         self.send_down(msg)
 
     def _send_proclaims(self) -> None:
@@ -616,8 +618,12 @@ class Daemon(Protocol):
             return
         if self._suspended or not self._started:
             return  # a stopped process reads nothing
-        self._record(K.GMP_RECEIVE, msg_kind=gmsg.kind, src=gmsg.sender,
-                     originator=gmsg.originator, group_id=gmsg.group_id)
+        trace = self.trace
+        if trace is not None:   # _record, without re-packing the keywords
+            trace.record(K.GMP_RECEIVE, t=self.scheduler.now,
+                         node=self.address, msg_kind=gmsg.kind,
+                         src=gmsg.sender, originator=gmsg.originator,
+                         group_id=gmsg.group_id)
         self._note_gid(gmsg.group_id)
         if gmsg.sender != self.address:
             self._known.add(gmsg.sender)
@@ -626,17 +632,9 @@ class Daemon(Protocol):
                 self.suspected.discard(gmsg.sender)
                 self._arm_expect(gmsg.sender)
             return
-        handler = {
-            m.PROCLAIM: self._on_proclaim,
-            m.JOIN: self._on_join,
-            m.MEMBERSHIP_CHANGE: self._on_membership_change,
-            m.ACK: self._on_ack,
-            m.NACK: self._on_nack,
-            m.COMMIT: self._on_commit,
-            m.DEAD_REPORT: self._on_dead_report,
-        }.get(gmsg.kind)
+        handler = _HANDLERS.get(gmsg.kind)
         if handler is not None:
-            handler(gmsg)
+            handler(self, gmsg)
 
     def _record(self, kind: str, **attrs) -> None:
         if self.trace is not None:
@@ -646,6 +644,19 @@ class Daemon(Protocol):
     def __repr__(self) -> str:
         return (f"Daemon(addr={self.address}, {self.status}, "
                 f"view={list(self.view.members)}, gid={self.view.group_id})")
+
+
+#: control-message dispatch for :meth:`Daemon.pop` (heartbeats are
+#: handled inline)
+_HANDLERS = {
+    m.PROCLAIM: Daemon._on_proclaim,
+    m.JOIN: Daemon._on_join,
+    m.MEMBERSHIP_CHANGE: Daemon._on_membership_change,
+    m.ACK: Daemon._on_ack,
+    m.NACK: Daemon._on_nack,
+    m.COMMIT: Daemon._on_commit,
+    m.DEAD_REPORT: Daemon._on_dead_report,
+}
 
 
 def gmp_stubs() -> PacketStubs:

@@ -21,7 +21,6 @@ The strong group membership protocol exchanges seven message kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 HEARTBEAT = "HEARTBEAT"
@@ -37,33 +36,50 @@ ALL_KINDS = (HEARTBEAT, PROCLAIM, JOIN, MEMBERSHIP_CHANGE, ACK, NACK,
              COMMIT, DEAD_REPORT)
 
 
-@dataclass
 class GmpMessage:
-    """One GMP protocol message."""
+    """One GMP protocol message.
 
-    kind: str
-    sender: int
-    originator: int = -1
-    subject: int = -1          # DEAD_REPORT: who is being reported dead
-    group_id: int = 0          # incarnation of the group being formed/run
-    members: Tuple[int, ...] = ()
-    down: bool = False         # buggy self-death daemons mark themselves down
+    One is built per protocol message sent, so it carries no instance
+    ``__dict__``.  The ``__slots__`` are hand-written (here and on the
+    UDP / reliable-layer headers) because ``@dataclass(slots=True)``
+    needs Python 3.10 and adds a ``__setstate__``, which would push every
+    checkpoint holding one onto ``ClonePlan``'s deepcopy fallback.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise ValueError(f"unknown GMP message kind {self.kind!r}")
-        if self.originator < 0:
-            self.originator = self.sender
+    __slots__ = ("kind", "sender", "originator", "subject", "group_id",
+                 "members", "down")
+    __hash__ = None  # mutable value object, compared by field
+
+    def __init__(self, kind: str, sender: int, originator: int = -1,
+                 subject: int = -1, group_id: int = 0,
+                 members: Tuple[int, ...] = (), down: bool = False):
+        if kind not in ALL_KINDS:
+            raise ValueError(f"unknown GMP message kind {kind!r}")
+        self.kind = kind
+        self.sender = sender
+        self.originator = sender if originator < 0 else originator
+        self.subject = subject      # DEAD_REPORT: who is being reported dead
+        self.group_id = group_id    # incarnation of the group formed/run
+        self.members = members
+        self.down = down    # buggy self-death daemons mark themselves down
 
     def copy(self) -> "GmpMessage":
-        return GmpMessage(kind=self.kind, sender=self.sender,
-                          originator=self.originator, subject=self.subject,
-                          group_id=self.group_id, members=tuple(self.members),
-                          down=self.down)
+        return GmpMessage(self.kind, self.sender, self.originator,
+                          self.subject, self.group_id, tuple(self.members),
+                          self.down)
 
     #: opt-in to the Message ``clone()`` protocol so duplicating a wrapped
     #: GMP wire message never reaches ``copy.deepcopy``
     clone = copy
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.sender, self.originator, self.subject,
+                self.group_id, self.members, self.down)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
 
     def __repr__(self) -> str:
         extra = ""

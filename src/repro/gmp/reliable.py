@@ -21,8 +21,7 @@ retransmissions as distinct wire messages to drop or delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Set, Tuple
 
 from repro.netsim.scheduler import Scheduler
 from repro.netsim.timer import Timer
@@ -32,26 +31,51 @@ from repro.xkernel.protocol import Protocol
 from repro.netsim import kinds as K
 
 
-@dataclass
 class RelHeader:
-    """Reliable-layer header."""
+    """Reliable-layer header (slotted: one per datagram)."""
 
-    seq: int
-    is_ack: bool = False
-    reliable: bool = True
+    __slots__ = ("seq", "is_ack", "reliable")
+    __hash__ = None  # mutable value object, compared by field
+
+    def __init__(self, seq: int, is_ack: bool = False, reliable: bool = True):
+        self.seq = seq
+        self.is_ack = is_ack
+        self.reliable = reliable
 
     def clone(self) -> "RelHeader":
-        """Message header ``clone()`` protocol: cheap dataclass replace."""
-        return replace(self)
+        """Message header ``clone()`` protocol."""
+        return RelHeader(self.seq, self.is_ack, self.reliable)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return ((self.seq, self.is_ack, self.reliable)
+                    == (other.seq, other.is_ack, other.reliable))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"RelHeader(seq={self.seq!r}, is_ack={self.is_ack!r}, "
+                f"reliable={self.reliable!r})")
 
 
-@dataclass
 class _Pending:
-    msg: Message
-    dst: int
-    seq: int
-    retries: int = 0
-    timer: Optional[Timer] = None
+    """One unacknowledged message and its retransmission timer.
+
+    The timer is armed with the ``(dst, seq)`` key, never with this
+    object: a pending entry that referenced itself through its timer's
+    arguments would be a cycle, alive after the ack until the next full
+    garbage collection.
+    """
+
+    __slots__ = ("msg", "retries", "timer")
+
+    def __init__(self, msg: Message, timer: Timer):
+        self.msg = msg
+        self.retries = 0
+        self.timer = timer
+
+    def __repr__(self) -> str:
+        return (f"_Pending(msg={self.msg!r}, retries={self.retries!r}, "
+                f"timer={self.timer!r})")
 
 
 class ReliableChannel(Protocol):
@@ -86,26 +110,24 @@ class ReliableChannel(Protocol):
         self._next_seq[dst] = seq + 1
         msg.push_header(RelHeader(seq=seq, reliable=reliable))
         if reliable:
-            pending = _Pending(msg=msg, dst=dst, seq=seq)
-            pending.timer = Timer(self.scheduler, self._retry,
-                                  args=(pending,),
-                                  name=f"rel/{self.local_address}->{dst}/{seq}")
-            pending.timer.start(self.retry_interval)
-            self._pending[(dst, seq)] = pending
+            timer = Timer(self.scheduler, self._retry, args=(dst, seq),
+                          name=f"rel/{self.local_address}->{dst}/{seq}")
+            timer.start(self.retry_interval)
+            self._pending[(dst, seq)] = _Pending(msg, timer)
         self.send_down(self._wire_copy(msg))
 
-    def _retry(self, pending: _Pending) -> None:
-        key = (pending.dst, pending.seq)
-        if key not in self._pending:
+    def _retry(self, dst: int, seq: int) -> None:
+        pending = self._pending.get((dst, seq))
+        if pending is None:
             return
         if pending.retries >= self.max_retries:
-            del self._pending[key]
+            del self._pending[(dst, seq)]
             self.abandoned_count += 1
-            self._record(K.REL_ABANDON, dst=pending.dst, seq=pending.seq)
+            self._record(K.REL_ABANDON, dst=dst, seq=seq)
             return
         pending.retries += 1
         wire = self._wire_copy(pending.msg)
-        self._record(K.REL_RETRANSMIT, dst=pending.dst, seq=pending.seq,
+        self._record(K.REL_RETRANSMIT, dst=dst, seq=seq,
                      attempt=pending.retries, uid=wire.uid,
                      parent=pending.msg.uid, relation="retransmit")
         self.send_down(wire)
@@ -130,7 +152,7 @@ class ReliableChannel(Protocol):
         src = msg.meta.get("src")
         if header.is_ack:
             pending = self._pending.pop((src, header.seq), None)
-            if pending is not None and pending.timer is not None:
+            if pending is not None:
                 pending.timer.stop()
             return
         if header.reliable:

@@ -50,16 +50,11 @@ class GmpTimerTable:
         *created*, not the most recently re-armed -- matching a timer
         table that updates entries in place.
         """
-        existing = self._timers.get((kind, key))
-        if existing is not None:
-            existing.stop()
+        timer = self._timers.get((kind, key))
+        if timer is None or not timer.rearm(delay, callback):
             timer = Timer(self._scheduler, callback, name=f"{kind}/{key}")
             self._timers[(kind, key)] = timer  # same slot, same order
             timer.start(delay)
-            return timer
-        timer = Timer(self._scheduler, callback, name=f"{kind}/{key}")
-        self._timers[(kind, key)] = timer
-        timer.start(delay)
         return timer
 
     def unregister(self, kind: str, key: Optional[Hashable] = None) -> int:

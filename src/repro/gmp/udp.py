@@ -10,22 +10,33 @@ business, not UDP's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from repro.xkernel.message import Message
 from repro.xkernel.protocol import Protocol
 
 
-@dataclass
 class UDPHeader:
-    """Ports for one datagram."""
+    """Ports for one datagram (slotted: one per datagram)."""
 
-    src_port: int
-    dst_port: int
+    __slots__ = ("src_port", "dst_port")
+    __hash__ = None  # mutable value object, compared by field
+
+    def __init__(self, src_port: int, dst_port: int):
+        self.src_port = src_port
+        self.dst_port = dst_port
 
     def clone(self) -> "UDPHeader":
-        """Message header ``clone()`` protocol: cheap dataclass replace."""
-        return replace(self)
+        """Message header ``clone()`` protocol."""
+        return UDPHeader(self.src_port, self.dst_port)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return ((self.src_port, self.dst_port)
+                    == (other.src_port, other.dst_port))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"UDPHeader(src_port={self.src_port!r}, "
+                f"dst_port={self.dst_port!r})")
 
 
 class UDPProtocol(Protocol):

@@ -27,6 +27,9 @@ class Timer:
     world after a checkpoint fork.
     """
 
+    __slots__ = ("_scheduler", "_callback", "_args", "name", "_event",
+                 "expiry_count")
+
     def __init__(self, scheduler: Scheduler, callback: Callable[..., Any],
                  name: str = "timer", *, args: Tuple = ()):
         self._scheduler = scheduler
@@ -58,6 +61,26 @@ class Timer:
         if self._event is not None:
             self._event.cancel()
             self._event = None
+
+    def rearm(self, delay: float, callback: Callable[[], Any]) -> bool:
+        """Stop, then :meth:`start` with a new callback -- a table entry
+        updated in place instead of replaced by a new timer.
+
+        Returns False, with the timer stopped and not re-armed, when its
+        pending event was cancelled behind its back: the schedule
+        explorer defers an expiry by cancelling the event and scheduling
+        ``_fire`` again, and that expiry still belongs to this timer, so
+        the caller has to arm a new one.
+        """
+        event = self._event
+        if event is not None:
+            self._event = None
+            if event.cancelled:
+                return False
+            event.cancel()
+        self._callback = callback
+        self._event = self._scheduler.schedule(delay, self._fire)
+        return True
 
     def _fire(self) -> None:
         self._event = None

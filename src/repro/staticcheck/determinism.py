@@ -14,7 +14,7 @@ SC103     wall-clock time (``time.time`` etc.) in simulation code
 SC104     module-level ``random.*`` outside a seeded stream
 SC105     iteration over an unordered set feeds trace records
 SC106     ``id()`` used in a hash or fingerprint
-SC107     write to a header obtained through a read-only accessor
+SC107     write to a header or payload obtained through a read-only accessor
 ========  ========================================================
 
 Three entry points:
@@ -75,6 +75,11 @@ _FINGERPRINT_NAMES = ("fingerprint", "identity", "digest", "__hash__")
 _READONLY_HEADER_CALLS = ("pop_header", "find_header")
 _READONLY_HEADER_ATTR = "top_header"
 _READONLY_HEADER_ITER = "iter_headers"
+#: ``<expr>.payload`` is read-only the same way: ``Message.copy`` aliases
+#: a ``clone()``-protocol payload.  Only the attribute path is matched,
+#: never a local that happens to be called ``payload``.
+_READONLY_PAYLOAD_ATTR = "payload"
+_HEADER_VIA_ACCESSOR = "a header obtained through a read-only Message accessor"
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
@@ -459,13 +464,17 @@ class _DeterminismVisitor(ast.NodeVisitor):
                          "positions) instead")
 
     def _readonly_header(self, node: ast.expr) -> Optional[str]:
-        """Describe ``node`` if it denotes a read-only header, else None."""
+        """Describe ``node`` if it denotes a read-only header or payload,
+        else None."""
         if isinstance(node, ast.Name):
             if any(node.id in scope.header_names for scope in self._scopes):
-                return repr(node.id)
+                return f"{node.id!r}, {_HEADER_VIA_ACCESSOR}"
             return None
         if _is_readonly_header_expr(node):
-            return "the accessor's result"
+            return f"the accessor's result, {_HEADER_VIA_ACCESSOR}"
+        if (isinstance(node, ast.Attribute)
+                and node.attr == _READONLY_PAYLOAD_ATTR):
+            return "a message payload, which Message.copy() does not duplicate"
         return None
 
     def _check_header_write(self, target: ast.expr) -> None:
@@ -485,11 +494,11 @@ class _DeterminismVisitor(ast.NodeVisitor):
     def _report_header_write(self, node: ast.AST, what: str) -> None:
         self._report(
             "SC107", node,
-            f"write to {what}, a header obtained through a read-only "
-            f"Message accessor; the object may be aliased with the "
+            f"write to {what}; the object may be aliased with the "
             f"message's copies",
             hint="build a new header, or write through "
-                 "PacketStubs.set_field / Message.writable_header")
+                 "PacketStubs.set_field / Message.writable_header / "
+                 "Message.writable_payload")
 
     def _flag_id_calls_in(self, fn: ast.AST) -> None:
         for node in ast.walk(fn):

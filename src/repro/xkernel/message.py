@@ -33,13 +33,24 @@ to change a header it received builds a new one, and a filter goes
 through ``PacketStubs.set_field``.  ``repro check`` rule SC107 flags
 assignments through those accessors.
 
+The *payload* follows the same rule when it implements the ``clone()``
+protocol (a GMP wire message, a TCP segment carried as a payload):
+:meth:`copy` aliases it, both sides are marked, and :attr:`payload` is
+**read-only by contract** from then on -- a write goes through
+:meth:`writable_payload`, which clones on demand, or through
+``PacketStubs.set_field``.  SC107 flags assignments through
+``<expr>.payload`` as well.  Immutable payloads are shared as they always
+were; any other payload (a dict, an object without ``clone()``) is
+deep-copied by :meth:`copy` and therefore private and writable in place.
+
 Headers are duplicated through the ``clone()`` protocol -- any header
 exposing a ``clone()`` method (TCP segments, GMP wire messages, the
 UDP/IP/reliable-delivery headers) is copied by that method instead of
-``copy.deepcopy``.  Ownership is one bitmask per message, without
-reference counts, so it survives ``copy.deepcopy`` of a world holding several
-siblings (the checkpoint engine) and pickling of a single message: the
-worst a stale "aliased" mark can cost is one redundant clone on a write.
+``copy.deepcopy``.  Ownership is one bitmask per message (plus one flag
+for the payload), without reference counts, so it survives
+``copy.deepcopy`` of a world holding several siblings (the checkpoint
+engine) and pickling of a single message: the worst a stale "aliased"
+mark can cost is one redundant clone on a write.
 """
 
 from __future__ import annotations
@@ -65,7 +76,8 @@ def _clone_header(header: Any) -> Any:
 class Message:
     """A payload with a header stack, travelling through protocol layers."""
 
-    __slots__ = ("payload", "_headers", "_aliased", "meta", "uid")
+    __slots__ = ("payload", "_headers", "_aliased", "_payload_aliased",
+                 "meta", "uid")
 
     def __init__(self, payload: Any = b"", headers: Optional[List[Any]] = None,
                  meta: Optional[Dict[str, Any]] = None):
@@ -73,6 +85,8 @@ class Message:
         self._headers: List[Any] = list(headers) if headers else []
         #: bit i set: ``_headers[i]`` may be referenced by a sibling too
         self._aliased = 0
+        #: the payload object may be referenced by a sibling too
+        self._payload_aliased = False
         self.meta: Dict[str, Any] = dict(meta) if meta else {}
         self.uid = next(_message_ids)
 
@@ -150,6 +164,22 @@ class Message:
         return reversed(self._headers)
 
     # ------------------------------------------------------------------
+    # payload
+    # ------------------------------------------------------------------
+
+    def writable_payload(self) -> Any:
+        """The payload, safe to mutate.
+
+        A payload still aliased with a copy-on-write sibling is cloned
+        first (and becomes this message's ``payload``); a private one is
+        returned as it is.
+        """
+        if self._payload_aliased:
+            self.payload = self.payload.clone()
+            self._payload_aliased = False
+        return self.payload
+
+    # ------------------------------------------------------------------
     # copying / size
     # ------------------------------------------------------------------
 
@@ -159,21 +189,25 @@ class Message:
         The header objects are shared copy-on-write (see the module
         docstring): none is duplicated here, and a write through either
         side's ``headers`` / ``writable_header`` never leaks into the
-        other.  Bytes and other immutable payloads are shared; payloads
-        exposing ``clone()`` use it; anything else is deep-copied.  The
-        copy receives a fresh uid.
+        other.  Bytes and other immutable payloads are shared; a payload
+        exposing ``clone()`` is aliased the same copy-on-write way
+        (:meth:`writable_payload` clones it); anything else is
+        deep-copied.  The copy receives a fresh uid.
         """
         payload = self.payload
+        payload_aliased = False
         if not isinstance(payload, _IMMUTABLE):
-            clone_fn = getattr(payload, "clone", None)
-            payload = clone_fn() if clone_fn is not None \
-                else _copy.deepcopy(payload)
+            if hasattr(payload, "clone"):
+                self._payload_aliased = payload_aliased = True
+            else:
+                payload = _copy.deepcopy(payload)
         headers = self._headers
         self._aliased = aliased = (1 << len(headers)) - 1
         clone = Message.__new__(Message)
         clone.payload = payload
         clone._headers = headers[:]
         clone._aliased = aliased
+        clone._payload_aliased = payload_aliased
         clone.meta = dict(self.meta)
         clone.uid = next(_message_ids)
         clone.meta["copied_from"] = self.uid

@@ -96,3 +96,32 @@ class TestQueries:
         table.register("t", "k", 1.0, lambda: fired.append("new"))
         sched.run()
         assert fired == ["new"]
+
+    def test_reregister_rearms_the_same_timer_in_place(self, sched):
+        table = GmpTimerTable(sched)
+        fired = []
+        first = table.register("t", "k", 1.0, lambda: fired.append("old"))
+        again = table.register("t", "k", 2.0, lambda: fired.append("new"))
+        assert again is first                   # no new Timer
+        assert sched.pending_count == 1         # the old deadline is cancelled
+        sched.run()
+        assert fired == ["new"]
+        assert table.register("t", "k", 1.0, lambda: None) is first  # idle too
+
+    def test_deferred_expiry_keeps_its_timer_and_callback(self, sched):
+        # what `repro explore`'s defer does: cancel the pending event and
+        # schedule the same bound `_fire` later.  That expiry belongs to
+        # the timer it was armed on, so a re-register meanwhile must arm
+        # a new timer (and stay cancellable) instead of adopting the old
+        table = GmpTimerTable(sched)
+        fired = []
+        first = table.register("t", "k", 1.0, lambda: fired.append("old"))
+        event = sched.peek_entry()
+        event.cancel()
+        sched.schedule_at(3.0, event.callback, *event.args)
+        second = table.register("t", "k", 1.0, lambda: fired.append("new"))
+        assert second is not first
+        third = table.register("t", "k", 4.0, lambda: fired.append("newer"))
+        assert third is second
+        sched.run()
+        assert fired == ["old", "newer"]

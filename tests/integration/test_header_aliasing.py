@@ -12,6 +12,11 @@ one tclish-filtered fuzz configuration whose script writes a header field:
 - *Pins.*  The sha256 of each run's full trace (message uids and lineage
   edges included, rebased to the run's first uid) equals the digest the
   parent commit -- clone-on-touch -- produced for the same run.
+
+Payloads that implement ``clone()`` are aliased the same way, so the
+tripwire snapshots them too, and a fourth run (tripwire only, no pin)
+writes a *payload* field -- ``group_id`` -- on wire copies whose original
+is waiting to be retransmitted.
 """
 
 import hashlib
@@ -22,6 +27,7 @@ import pytest
 from repro.analysis.export import VOLATILE_ATTRS, entry_to_dict
 from repro.core.orchestrator import make_env
 from repro.experiments import gmp_packet_interruption, tcp_retransmission
+from repro.gmp.messages import GmpMessage
 from repro.oracle.fuzz import fuzz_body
 from repro.tcp import VENDORS
 from repro.xkernel import message as message_module
@@ -47,6 +53,27 @@ if {$type eq "HEARTBEAT"} {
 
 FUZZ_CONFIG = {"protocol": "gmp", "target": "fixed", "direction": "send",
                "script": SET_FIELD_SCRIPT, "init_script": "set n 0"}
+
+#: the same reconfiguration, but every second outgoing protocol message
+#: has its *payload's* ``group_id`` overwritten and is then dropped, so
+#: the reliable layer retransmits from the pending original -- which
+#: shares its GmpMessage with the corrupted wire copy until the write.
+#: Each message is logged as it reaches the PFI layer, before any write.
+BOGUS_GID = 4242
+SET_PAYLOAD_SCRIPT = """
+set type [msg_type cur_msg]
+if {$type eq "HEARTBEAT"} {
+    if {[now] < 16.0} { xDrop cur_msg }
+} elseif {$type ne "REL_ACK"} {
+    msg_log cur_msg seen
+    incr n
+    if {$n % 2 == 0} {
+        msg_set_field group_id 4242
+        msg_log cur_msg corrupted
+        xDrop cur_msg
+    }
+}
+"""
 
 
 def _table1():
@@ -92,26 +119,37 @@ def _trace_digest(run) -> str:
 
 
 class _AliasWatch:
-    """Wraps ``Message.copy`` and remembers each header it aliases."""
+    """Wraps ``Message.copy`` and remembers each header and each
+    ``clone()``-protocol payload it aliases."""
 
     def __init__(self, monkeypatch):
-        self.snapshots = {}     # id(header) -> (header, repr at aliasing)
+        self.snapshots = {}     # id(object) -> (object, repr at aliasing)
         self.clones = 0
+        self.payload_clones = 0
         real_copy = Message.copy
         real_clone = message_module._clone_header
+        real_payload_clone = GmpMessage.clone
         watch = self
 
         def copy(msg):
-            for header in msg.iter_headers():
-                watch.snapshots.setdefault(id(header), (header, repr(header)))
+            aliased = list(msg.iter_headers())
+            if hasattr(msg.payload, "clone"):
+                aliased.append(msg.payload)
+            for each in aliased:
+                watch.snapshots.setdefault(id(each), (each, repr(each)))
             return real_copy(msg)
 
         def clone_header(header):
             watch.clones += 1
             return real_clone(header)
 
+        def clone_payload(payload):
+            watch.payload_clones += 1
+            return real_payload_clone(payload)
+
         monkeypatch.setattr(Message, "copy", copy)
         monkeypatch.setattr(message_module, "_clone_header", clone_header)
+        monkeypatch.setattr(GmpMessage, "clone", clone_payload)
 
     def changed(self):
         return [(before, repr(header))
@@ -133,6 +171,33 @@ def test_no_aliased_header_is_written_in_place(name, monkeypatch):
         assert watch.clones == writes
     else:
         assert watch.clones == 0
+    assert watch.payload_clones == 0    # these runs only read payloads
+
+
+def test_payload_write_on_wire_copy_spares_the_pending_original(monkeypatch):
+    watch = _AliasWatch(monkeypatch)
+    env = make_env(seed=7)
+    fuzz_body(env, dict(FUZZ_CONFIG, script=SET_PAYLOAD_SCRIPT))
+    assert watch.changed() == []
+
+    logs = list(env.trace.entries("pfi.log"))
+    corrupted = [e for e in logs if e.attrs["note"] == "corrupted"]
+    assert corrupted
+    assert {e.attrs["group_id"] for e in corrupted} == {BOGUS_GID}
+    # one payload clone per write, none for the reads, no header touched
+    assert watch.payload_clones == len(corrupted)
+    assert watch.clones == 0
+
+    # every corrupted copy was dropped, so its original was retransmitted:
+    # the retransmitted copies reach the PFI layer with the value the
+    # daemon sent, never the one written onto their sibling
+    retransmitted = {e.attrs["uid"] for e in env.trace.entries("rel.retransmit")}
+    seen_again = [e for e in logs if e.attrs["note"] == "seen"
+                  and e.attrs["uid"] in retransmitted]
+    assert len(seen_again) >= len(corrupted)
+    sent_gids = {e.attrs["group_id"] for e in env.trace.entries("gmp.send")}
+    assert BOGUS_GID not in sent_gids
+    assert {e.attrs["group_id"] for e in seen_again} <= sent_gids
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -1,27 +1,33 @@
 """Model-based properties of the two-level copy-on-write ``Message``.
 
 A share group of up to five messages is driven through random
-interleavings of every operation that touches the header stack -- ``copy``,
-``push_header``, ``pop_header``, the read accessors, ``PacketStubs``
-field writes, mutation through the public ``headers`` list, a
+interleavings of every operation that touches the header stack or the
+payload -- ``copy``, ``push_header``, ``pop_header``, the read accessors,
+``PacketStubs`` field writes (header and payload fields), mutation
+through the public ``headers`` list and through ``writable_payload()``, a
 ``copy.deepcopy`` of the whole group (what ``Checkpoint.capture/fork``
 does to a world) and a pickle round trip -- and compared after every step
 with a reference model that copies eagerly and deeply, so it cannot alias
 anything.  Two properties:
 
 - no write is ever visible to another member of the group;
-- a read never changes the ``is``-identity of any member's headers (reads
-  do not clone).
+- a read never changes the ``is``-identity of any member's headers or
+  payload (reads do not clone).
+
+One seeded mutant -- ``set_field`` writing the aliased payload in place --
+is run against the same property and must be killed.
 """
 
 import copy
 import dataclasses
 import pickle
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core.stubs import PacketStubs, StubError
+from repro.gmp.messages import GmpMessage, PROCLAIM
 from repro.gmp.reliable import RelHeader
 from repro.gmp.udp import UDPHeader
 from repro.tcp.ip import IPHeader
@@ -40,12 +46,25 @@ HEADER_BUILDERS = (
 )
 HEADER_TYPES = (Segment, IPHeader, UDPHeader, RelHeader, dict)
 
+#: payloads: immutable (shared), two ``clone()``-protocol objects (aliased
+#: until written) and a dict (deep-copied by ``copy``)
+PAYLOAD_BUILDERS = (
+    lambda a, b: b"wire" * (a % 3),
+    lambda a, b: GmpMessage(PROCLAIM, sender=a, group_id=b, members=(a, b)),
+    HEADER_BUILDERS[0],
+    lambda a, b: {"group_id": a, "fields": [b]},
+)
+
 #: fields ``set_field`` is aimed at: shared by several header types, owned
-#: by one, absent everywhere, and computed (a setter-less property)
-FIELDS = ("seq", "dst_port", "ttl", "src", "window", "ghost", "end_seq")
+#: by one, absent everywhere, computed (a setter-less property), and two
+#: only a payload defines
+FIELDS = ("seq", "dst_port", "ttl", "src", "window", "ghost", "end_seq",
+          "group_id", "sender")
 
 small = st.integers(min_value=0, max_value=99)
 header_specs = st.tuples(st.integers(0, len(HEADER_BUILDERS) - 1), small, small)
+payload_specs = st.tuples(st.integers(0, len(PAYLOAD_BUILDERS) - 1), small,
+                          small)
 member = st.integers(min_value=0, max_value=MAX_GROUP - 1)
 
 operations = st.one_of(
@@ -55,9 +74,28 @@ operations = st.one_of(
     st.tuples(st.just("read"), member, st.integers(0, len(HEADER_TYPES) - 1)),
     st.tuples(st.just("set_field"), member, st.sampled_from(FIELDS), small),
     st.tuples(st.just("scribble"), member, small, small),
+    st.tuples(st.just("read_payload"), member),
+    st.tuples(st.just("write_payload"), member, small),
     st.tuples(st.just("deepcopy_group")),
     st.tuples(st.just("pickle"), member),
 )
+
+
+#: the slice of the mix that only shares, reads and writes payloads, so
+#: a run reaches "written while aliased" often enough to matter
+payload_operations = st.one_of(
+    st.tuples(st.just("copy"), member),
+    st.tuples(st.just("set_field"), member,
+              st.sampled_from(("group_id", "sender", "seq")), small),
+    st.tuples(st.just("read_payload"), member),
+    st.tuples(st.just("write_payload"), member, small),
+    st.tuples(st.just("deepcopy_group")),
+    st.tuples(st.just("pickle"), member),
+)
+
+share_group_runs = (st.lists(header_specs, max_size=3), payload_specs,
+                    st.one_of(st.lists(operations, max_size=40),
+                              st.lists(payload_operations, max_size=20)))
 
 
 def _build(spec):
@@ -66,16 +104,32 @@ def _build(spec):
 
 
 def _scribble(header, value):
-    """Overwrite something in a header obtained from ``msg.headers``."""
+    """Overwrite something in a header obtained from ``msg.headers`` (or
+    in a payload obtained from ``msg.writable_payload()``)."""
     if isinstance(header, dict):
         header["scribbled"] = value
-    else:
+    elif hasattr(header, "seq"):
+        header.seq = value              # Segment, RelHeader: shows in repr
+    elif dataclasses.is_dataclass(header):
         setattr(header, dataclasses.fields(header)[0].name, value)
+    else:                               # UDPHeader.dst_port, GmpMessage.sender
+        setattr(header, type(header).__slots__[1], value)
 
 
-def _model_set_field(stack, name, value):
-    """``PacketStubs.set_field`` restated over a plain list (innermost first)."""
-    for header in reversed(stack):
+class _Modelled:
+    """One member of the reference model: eager, deep, aliasing nothing."""
+
+    def __init__(self, stack, payload):
+        self.stack = stack          # innermost first
+        self.payload = payload
+
+
+def _model_set_field(modelled, name, value):
+    """``PacketStubs.set_field`` restated over a plain list and payload."""
+    candidates = list(reversed(modelled.stack))
+    if not isinstance(modelled.payload, bytes):
+        candidates.append(modelled.payload)
+    for header in candidates:
         if isinstance(header, dict):
             if name in header:
                 header[name] = value
@@ -89,36 +143,38 @@ def _model_set_field(stack, name, value):
 
 
 def _view(msg):
-    return [repr(h) for h in msg.iter_headers()]
+    return [repr(h) for h in msg.iter_headers()] + [repr(msg.payload)]
 
 
 def _identities(group):
-    return [[id(h) for h in msg.iter_headers()] for msg in group]
+    return [[id(h) for h in msg.iter_headers()] + [id(msg.payload)]
+            for msg in group]
 
 
 def _check(group, model):
-    for msg, stack in zip(group, model):
-        assert _view(msg) == [repr(h) for h in reversed(stack)]
+    for msg, modelled in zip(group, model):
+        assert _view(msg) == ([repr(h) for h in reversed(modelled.stack)]
+                              + [repr(modelled.payload)])
 
 
-@given(st.lists(header_specs, max_size=3), st.lists(operations, max_size=40))
-@settings(max_examples=300, deadline=None)
-def test_share_group_matches_eager_deep_copy_model(initial, ops):
-    first = Message(payload=b"")
+def _run_share_group(initial, payload_spec, ops):
+    first = Message(payload=PAYLOAD_BUILDERS[payload_spec[0]](*payload_spec[1:]))
     stack = []
     for spec in initial:
         first.push_header(_build(spec))
         stack.append(_build(spec))
-    group, model = [first], [stack]
+    group = [first]
+    model = [_Modelled(stack, PAYLOAD_BUILDERS[payload_spec[0]](*payload_spec[1:]))]
 
     for op in ops:
         name = op[0]
         index = op[1] % len(group) if len(op) > 1 else 0
-        msg, stack = group[index], model[index]
+        msg, modelled = group[index], model[index]
+        stack = modelled.stack
         if name == "copy":
             if len(group) < MAX_GROUP:
                 group.append(msg.copy())
-                model.append(copy.deepcopy(stack))
+                model.append(copy.deepcopy(modelled))
         elif name == "push":
             msg.push_header(_build(op[2]))
             stack.append(_build(op[2]))
@@ -143,7 +199,7 @@ def test_share_group_matches_eager_deep_copy_model(initial, ops):
         elif name == "set_field":
             outcomes = []
             for target, args in ((PacketStubs.set_field, (msg, op[2], op[3])),
-                                 (_model_set_field, (stack, op[2], op[3]))):
+                                 (_model_set_field, (modelled, op[2], op[3]))):
                 try:
                     target(*args)
                     outcomes.append("ok")
@@ -156,6 +212,19 @@ def test_share_group_matches_eager_deep_copy_model(initial, ops):
                 position = op[2] % len(headers)
                 _scribble(headers[position], op[3])
                 _scribble(stack[position], op[3])
+        elif name == "read_payload":
+            before = _identities(group)
+            assert repr(msg.payload) == repr(modelled.payload)
+            for field in ("group_id", "sender"):
+                try:
+                    PacketStubs.get_field(msg, field)
+                except StubError:
+                    pass
+            assert _identities(group) == before
+        elif name == "write_payload":
+            if not isinstance(modelled.payload, bytes):
+                _scribble(msg.writable_payload(), op[2])
+                _scribble(modelled.payload, op[2])
         elif name == "deepcopy_group":
             # one deepcopy over a container of siblings, as a checkpoint
             # does to a world: the copies must diverge independently of
@@ -165,12 +234,40 @@ def test_share_group_matches_eager_deep_copy_model(initial, ops):
             group[index] = pickle.loads(pickle.dumps(msg))
         _check(group, model)
 
-    # the public list agrees with the model too, and is private
-    for msg, stack in zip(group, model):
-        assert [repr(h) for h in msg.headers] == [repr(h) for h in stack]
+    # the public list agrees with the model too, and is private; so is
+    # every payload once it has been asked for writable
+    for msg, modelled in zip(group, model):
+        assert [repr(h) for h in msg.headers] == [repr(h)
+                                                  for h in modelled.stack]
     for a_index, a in enumerate(group):
         for b in group[a_index + 1:]:
             assert not {id(h) for h in a.headers} & {id(h) for h in b.headers}
+            if not isinstance(a.payload, bytes):
+                assert a.writable_payload() is not b.writable_payload()
+
+
+@given(*share_group_runs)
+@settings(max_examples=300, deadline=None)
+def test_share_group_matches_eager_deep_copy_model(initial, payload_spec, ops):
+    _run_share_group(initial, payload_spec, ops)
+
+
+def test_mutant_set_field_writing_the_aliased_payload_in_place_is_killed(
+        monkeypatch):
+    real_set_field = PacketStubs.set_field
+
+    def set_field(msg, name, value):
+        with monkeypatch.context() as patch:
+            patch.setattr(Message, "writable_payload",
+                          lambda self: self.payload)    # the mutation
+            real_set_field(msg, name, value)
+
+    monkeypatch.setattr(PacketStubs, "set_field", staticmethod(set_field))
+    mutated = given(*share_group_runs)(
+        settings(max_examples=300, deadline=None, derandomize=True,
+                 database=None, phases=[Phase.generate])(_run_share_group))
+    with pytest.raises(AssertionError):
+        mutated()
 
 
 @given(st.lists(header_specs, min_size=1, max_size=3), small)

@@ -309,6 +309,33 @@ class TestSC107ReadOnlyHeaders:
         """)
         assert report.ok(severity="info")
 
+    def test_payload_writes_through_the_attribute_path(self):
+        report = check("""
+            def corrupt(self, msg, name):
+                msg.payload.sender = 7
+                msg.payload["seq"] = 0
+                self.held[0].payload.group_id += 1
+                setattr(msg.payload, name, 0)
+        """)
+        assert codes(report) == ["SC107"] * 4
+        d = report.sorted()[0]
+        assert "payload" in d.message
+        assert "writable_payload" in d.hint
+
+    def test_payload_reads_locals_and_sanctioned_writes_are_clean(self):
+        report = check("""
+            def run_end(msg, stubs, result):
+                payload = {"index": 0}
+                payload["ok"] = result.ok()
+                payload["n"] += 1
+                kind = msg.payload.kind
+                msg.writable_payload().sender = 7
+                msg.payload = msg.payload.clone()
+                stubs.set_field(msg, "group_id", 9)
+                return payload, kind
+        """)
+        assert report.ok(severity="info")
+
     def test_package_is_clean(self):
         # the rule is held over all of src/repro, not only the pass-2 dirs
         import os

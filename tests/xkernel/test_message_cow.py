@@ -121,20 +121,32 @@ class TestCopyAliasing:
 
 class TestPayloadAliasing:
     def test_segment_payload_cloned_not_shared(self):
+        # aliased until written: the write goes through writable_payload()
         msg = _tcp_message()
-        copy = msg.copy()
+        copy, sibling = msg.copy(), msg.copy()
+        assert copy.payload is msg.payload is sibling.payload
+        written = copy.writable_payload()
+        written.seq = 12345
+        written.flags = ACK
+        assert copy.payload is written
         assert copy.payload is not msg.payload
-        copy.payload.seq = 12345
-        copy.payload.flags = ACK
-        assert msg.payload.seq == 100
-        assert msg.payload.flags == SYN
+        assert (copy.payload.seq, copy.payload.flags) == (12345, ACK)
+        for other in (msg, sibling):
+            assert other.payload.seq == 100
+            assert other.payload.flags == SYN
+        assert sibling.payload is msg.payload      # unwritten: still one object
+        assert copy.writable_payload() is written  # private now: no second clone
 
     def test_gmp_payload_cloned_not_shared(self):
         msg = _gmp_message()
-        copy = msg.copy()
-        assert copy.payload is not msg.payload
-        copy.payload.sender = 77
-        assert msg.payload.sender == 3
+        copy, sibling = msg.copy(), msg.copy()
+        assert copy.payload is msg.payload is sibling.payload
+        # the original is marked too: its write must not reach the copies
+        msg.writable_payload().sender = 77
+        assert msg.payload.sender == 77
+        assert copy.payload.sender == 3
+        assert sibling.payload.sender == 3
+        assert copy.payload is sibling.payload
 
     def test_mutable_container_payload_deepcopied(self):
         msg = _mutable_payload_message()
