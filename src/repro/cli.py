@@ -672,7 +672,8 @@ def cmd_explore(args) -> int:
     schedule forked from the same checkpoint and judged by the
     protocol's oracle pack.  Exit status 1 when any schedule violates
     an invariant the baseline does not, 2 when the world at ``--depth``
-    has not started (nothing to explore).
+    has not started (nothing to explore) or an argument is refused
+    (unknown target, ``--max-perturbations`` above 2).
     """
     from repro.oracle.explore import ExploreError, explore
     try:
@@ -685,7 +686,7 @@ def cmd_explore(args) -> int:
                          recheckpoint_every=args.recheckpoint_every,
                          progress=print if args.progress else None,
                          journal=args.journal or None)
-    except ExploreError as err:
+    except (ExploreError, ValueError) as err:
         print(f"repro explore: {err}", file=sys.stderr)
         return 2
     print(report.render())
@@ -936,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--max-schedules", type=int, default=64,
                          help="schedule budget (default 64)")
     explore.add_argument("--max-perturbations", type=int, default=1,
-                         help="perturbations per schedule (default 1)")
+                         help="perturbations per schedule: 1 or 2 (default 1)")
     explore.add_argument("--defer-delta", type=float, default=4.0,
                          help="seconds a deferred event is pushed back "
                               "(default 4)")

@@ -6,26 +6,38 @@ the GMP tables from membership-change events, and so on.  A trace entry is a
 (virtual time, kind, attributes) triple; kinds use dotted names
 ("tcp.retransmit", "gmp.commit", "pfi.drop") so queries can match by prefix.
 
-Capture-path layout: entries are ``__slots__`` objects (no per-entry
-``__dict__``) and kind strings are interned, so a million-entry trace costs
-one small object plus one attrs dict per entry and every ``entry.kind ==
-kind`` comparison short-circuits on pointer identity.  Queries go through a
-lazily built per-kind index that is advanced incrementally as new entries
-arrive, turning exact-kind and kind-prefix scans from O(n) per query into
-O(matches) after the first.
+Layout: a recorder stores no entry objects.  It keeps three parallel
+columns -- times (floats), kinds (interned strings) and attrs (one dict per
+event) -- and :meth:`TraceRecorder.record` is three appends.  A
+:class:`TraceEntry` is a *view* that a query builds on demand over one row
+and that the caller's last reference frees.  An attrs dict of atomic values
+is not tracked by the cyclic collector, so a trace of any length costs the
+collector three lists, and it pickles as floats, memoised strings and dicts
+with no per-entry object.  Queries go through lazily built per-kind and
+per-prefix indexes of integer positions that are advanced incrementally as
+new rows arrive, turning exact-kind and kind-prefix scans from O(n) per
+query into O(matches) after the first.
+
+Two rules for code that records or reads a trace:
+
+- ``record`` returns nothing; read an event back with a query
+  (``trace.last(kind)``).
+- an entry is a value.  Two queries yield equal, not identical, entries, so
+  never keep one to test identity; and never write through ``entry.attrs``
+  -- that dict *is* the recorded row, shared with every fork of the trace.
 """
 
 from __future__ import annotations
 
 import sys
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 
 _intern = sys.intern
 
 
 class TraceEntry:
-    """One recorded event."""
+    """One recorded event: a value-compared view of one trace row."""
 
     __slots__ = ("time", "kind", "attrs")
 
@@ -51,8 +63,8 @@ class TraceEntry:
     __hash__ = None  # type: ignore[assignment]
 
     def __reduce__(self):
-        # compact pickle form: campaign workers ship whole traces back to
-        # the parent process, so per-entry pickle size is an IPC hot path
+        # compact pickle form for an entry that travels on its own (a
+        # recorder ships its columns, never entries)
         return (TraceEntry, (self.time, self.kind, self.attrs))
 
     def __repr__(self) -> str:
@@ -60,123 +72,163 @@ class TraceEntry:
         return f"[{self.time:10.3f}] {self.kind}({attrs})"
 
 
+def _state_shape(state: Any) -> str:
+    """What a rejected pickle state looked like, for the error message."""
+    if isinstance(state, dict):
+        return f"a dict with keys {sorted(map(str, state))}"
+    if isinstance(state, (tuple, list)):
+        parts = ", ".join(
+            f"{type(part).__name__}[{len(part)}]" if hasattr(part, "__len__")
+            else type(part).__name__ for part in state)
+        return f"a {type(state).__name__} of ({parts})"
+    return f"a {type(state).__name__}"
+
+
 class TraceRecorder:
-    """Append-only store of :class:`TraceEntry` objects.
+    """Append-only, columnar store of trace rows.
 
     The recorder is deliberately permissive about attribute payloads; shape
     checking belongs to the analysis layer, not the capture path.  The
-    capture path never touches the query index: :meth:`record` is a bare
-    construct-and-append, and the index catches up lazily on the next
-    indexed query.
+    capture path never touches the query indexes: :meth:`record` is three
+    appends, and the indexes catch up lazily on the next indexed query.
     """
 
-    __slots__ = ("_entries", "_clock", "_kind_index", "_kind_upto",
-                 "_prefix_cache")
+    __slots__ = ("_times", "_kinds", "_attrs", "_clock", "_kind_index",
+                 "_kind_upto", "_prefix_cache")
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._entries: List[TraceEntry] = []
+        self._times: List[float] = []
+        self._kinds: List[str] = []
+        self._attrs: List[Dict[str, Any]] = []
         self._clock = clock
-        self._kind_index: Dict[str, List[TraceEntry]] = {}
+        self._kind_index: Dict[str, List[int]] = {}
         self._kind_upto = 0
-        self._prefix_cache: Dict[str, Tuple[int, List[TraceEntry]]] = {}
+        self._prefix_cache: Dict[str, Tuple[int, List[int]]] = {}
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the time source used when ``record`` is called without t."""
         self._clock = clock
 
-    def __getstate__(self) -> dict:
+    def __getstate__(self) -> tuple:
         # the bound clock usually closes over a live scheduler and is not
-        # picklable, and the query indexes are pure caches; recorded
-        # entries are what travels between campaign worker processes --
-        # rebind a clock after unpickling if needed
-        return {"entries": self._entries}
+        # picklable, and the query indexes are pure caches; the three
+        # columns are what travels between campaign worker processes and
+        # into the result store -- rebind a clock after unpickling if needed
+        return (self._times, self._kinds, self._attrs)
 
-    def __setstate__(self, state: dict) -> None:
-        self._entries = state["entries"]
-        self._clock = None
-        self._kind_index = {}
-        self._kind_upto = 0
-        self._prefix_cache = {}
+    def __setstate__(self, state: Any) -> None:
+        # a store row is outside input: anything but the three columns is
+        # refused here (a counted miss in ``ResultStore.get``), never
+        # half-built into a recorder that fails on its first query
+        if not (isinstance(state, tuple) and len(state) == 3
+                and all(type(column) is list for column in state)
+                and len(state[0]) == len(state[1]) == len(state[2])):
+            raise ValueError(
+                "TraceRecorder state must be three lists of equal length "
+                f"(times, kinds, attrs), got {_state_shape(state)}")
+        self.__init__()
+        self._times, self._kinds, self._attrs = state
 
-    def record(self, kind: str, *, t: Optional[float] = None, **attrs: Any) -> TraceEntry:
-        """Append an entry.  Time defaults to the bound clock."""
+    def record(self, kind: str, *, t: Optional[float] = None,
+               **attrs: Any) -> None:
+        """Append a row.  Time defaults to the bound clock."""
         if t is None:
             clock = self._clock
             if clock is None:
                 raise RuntimeError("TraceRecorder has no clock bound; pass t=")
             t = clock()
-        entry = TraceEntry(t, _intern(kind), attrs)
-        self._entries.append(entry)
-        return entry
+        self._times.append(t)
+        self._kinds.append(_intern(kind))
+        self._attrs.append(attrs)
 
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
 
-    def _kind_lists(self) -> Dict[str, List[TraceEntry]]:
-        """The per-kind index, advanced to cover every entry recorded so
-        far.  Amortized O(1) per recorded entry across all queries."""
-        entries = self._entries
+    def _reset_indexes(self) -> None:
+        self._kind_index.clear()
+        self._kind_upto = 0
+        self._prefix_cache.clear()
+
+    def _kind_positions(self) -> Dict[str, List[int]]:
+        """The per-kind index (kind -> row positions, ascending), advanced
+        to cover every row recorded so far.  Amortized O(1) per recorded
+        row across all queries."""
+        kinds = self._kinds
         upto = self._kind_upto
-        if upto < len(entries):
+        if upto < len(kinds):
             index = self._kind_index
-            for entry in entries[upto:]:
-                bucket = index.get(entry.kind)
-                if bucket is None:
-                    index[entry.kind] = [entry]
-                else:
-                    bucket.append(entry)
-            self._kind_upto = len(entries)
+            for position, kind in enumerate(kinds[upto:], upto):
+                try:
+                    index[kind].append(position)
+                except KeyError:
+                    index[kind] = [position]
+            self._kind_upto = len(kinds)
         return self._kind_index
 
-    def _prefix_list(self, prefix: str) -> List[TraceEntry]:
-        """Capture-ordered entries whose kind starts with ``prefix``,
+    def _prefix_positions(self, prefix: str) -> List[int]:
+        """Ascending positions of rows whose kind starts with ``prefix``,
         memoized per prefix and extended incrementally."""
-        entries = self._entries
+        kinds = self._kinds
         cached = self._prefix_cache.get(prefix)
         if cached is None:
             upto, matches = 0, []
         else:
             upto, matches = cached
-        if upto < len(entries):
-            for entry in entries[upto:]:
-                if entry.kind.startswith(prefix):
-                    matches.append(entry)
-            self._prefix_cache[prefix] = (len(entries), matches)
-        elif cached is None:
-            self._prefix_cache[prefix] = (0, matches)
+        if upto < len(kinds) or cached is None:
+            matches.extend(
+                position
+                for position, kind in enumerate(kinds[upto:], upto)
+                if kind.startswith(prefix))
+            self._prefix_cache[prefix] = (len(kinds), matches)
         return matches
+
+    def _matching(self, positions: Sequence[int],
+                  attr_filter: Dict[str, Any]) -> Sequence[int]:
+        """The subset of ``positions`` whose attrs equal ``attr_filter``."""
+        if not attr_filter:
+            return positions
+        attrs = self._attrs
+        wanted = attr_filter.items()
+        return [position for position in positions
+                if all(attrs[position].get(k) == v for k, v in wanted)]
+
+    def _select(self, kind: Optional[str],
+                attr_filter: Dict[str, Any]) -> Sequence[int]:
+        """Positions of the rows an exact-kind query matches."""
+        if kind is None:
+            positions: Sequence[int] = range(len(self._times))
+        else:
+            positions = self._kind_positions().get(kind, ())
+        return self._matching(positions, attr_filter)
+
+    def _view(self, position: int) -> TraceEntry:
+        return TraceEntry(self._times[position], self._kinds[position],
+                          self._attrs[position])
+
+    def _views(self, positions: Iterable[int]) -> List[TraceEntry]:
+        times, kinds, attrs = self._times, self._kinds, self._attrs
+        return [TraceEntry(times[position], kinds[position], attrs[position])
+                for position in positions]
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self._entries)
+        return map(TraceEntry, self._times, self._kinds, self._attrs)
 
     def entries(self, kind: Optional[str] = None, **attr_filter: Any) -> List[TraceEntry]:
         """Entries matching an exact kind and attribute equality filters."""
-        if kind is None:
-            candidates: List[TraceEntry] = self._entries
-        else:
-            candidates = self._kind_lists().get(kind, [])
-        if not attr_filter:
-            return list(candidates)
-        return [entry for entry in candidates
-                if all(entry.attrs.get(k) == v
-                       for k, v in attr_filter.items())]
+        return self._views(self._select(kind, attr_filter))
 
     def entries_with_prefix(self, prefix: str, **attr_filter: Any) -> List[TraceEntry]:
         """Entries whose kind starts with ``prefix`` ("tcp." etc.)."""
-        candidates = self._prefix_list(prefix)
-        if not attr_filter:
-            return list(candidates)
-        return [entry for entry in candidates
-                if all(entry.attrs.get(k) == v
-                       for k, v in attr_filter.items())]
+        return self._views(
+            self._matching(self._prefix_positions(prefix), attr_filter))
 
     def iter_subscribed(self, kinds: Iterable[str] = (),
                         prefixes: Iterable[str] = ()) -> Iterator[TraceEntry]:
@@ -188,11 +240,11 @@ class TraceRecorder:
         subscribed entry exactly once.  Prefix subscriptions are resolved
         to the concrete kinds recorded so far through the per-kind index,
         so the common cases stay cheap: an unrecorded subscription costs
-        nothing, a single-kind subscription iterates its index bucket
+        nothing, a single-kind subscription walks its index bucket
         directly (O(matches)), and a multi-kind subscription does one
-        interned-set membership test per entry.
+        interned-set membership test per row.
         """
-        index = self._kind_lists()
+        index = self._kind_positions()
         resolved = {kind for kind in (_intern(k) for k in kinds)
                     if kind in index}
         for prefix in prefixes:
@@ -201,15 +253,20 @@ class TraceRecorder:
         if not resolved:
             return
         if len(resolved) == 1:
-            yield from index[next(iter(resolved))]
+            kind, = resolved
+            times, attrs = self._times, self._attrs
+            for position in index[kind]:
+                yield TraceEntry(times[position], kind, attrs[position])
             return
-        for entry in self._entries:
-            if entry.kind in resolved:
-                yield entry
+        for time, kind, attrs in zip(self._times, self._kinds, self._attrs):
+            if kind in resolved:
+                yield TraceEntry(time, kind, attrs)
 
     def times(self, kind: str, **attr_filter: Any) -> List[float]:
         """Timestamps of matching entries, in capture order."""
-        return [entry.time for entry in self.entries(kind, **attr_filter)]
+        times = self._times
+        return [times[position]
+                for position in self._select(kind, attr_filter)]
 
     def intervals(self, kind: str, **attr_filter: Any) -> List[float]:
         """Successive differences between matching entries' timestamps.
@@ -222,19 +279,17 @@ class TraceRecorder:
 
     def count(self, kind: str, **attr_filter: Any) -> int:
         """Number of matching entries."""
-        if not attr_filter:
-            return len(self._kind_lists().get(kind, ()))
-        return len(self.entries(kind, **attr_filter))
+        return len(self._select(kind, attr_filter))
 
     def first(self, kind: str, **attr_filter: Any) -> Optional[TraceEntry]:
         """Earliest matching entry, or None."""
-        matches = self.entries(kind, **attr_filter)
-        return matches[0] if matches else None
+        matches = self._select(kind, attr_filter)
+        return self._view(matches[0]) if matches else None
 
     def last(self, kind: str, **attr_filter: Any) -> Optional[TraceEntry]:
         """Latest matching entry, or None."""
-        matches = self.entries(kind, **attr_filter)
-        return matches[-1] if matches else None
+        matches = self._select(kind, attr_filter)
+        return self._view(matches[-1]) if matches else None
 
     def count_by_kind(self, prefix: str = "") -> Dict[str, int]:
         """``{kind: count}`` over the captured entries.
@@ -244,7 +299,7 @@ class TraceRecorder:
         first-capture order, as they always have.
         """
         return {kind: len(bucket)
-                for kind, bucket in self._kind_lists().items()
+                for kind, bucket in self._kind_positions().items()
                 if not prefix or kind.startswith(prefix)}
 
     def span(self) -> Optional[tuple]:
@@ -253,10 +308,9 @@ class TraceRecorder:
         Entries arrive clock-ordered from a live run, but loaded or
         merged traces may not be sorted, so both ends are scanned.
         """
-        if not self._entries:
+        if not self._times:
             return None
-        times = [e.time for e in self._entries]
-        return (min(times), max(times))
+        return (min(self._times), max(self._times))
 
     def fill_metrics(self, registry, **labels: Any) -> None:
         """Absorb this trace's aggregates into a metrics registry.
@@ -265,8 +319,7 @@ class TraceRecorder:
         a campaign worker's capture volume shows up next to the
         scheduler/interp series in one snapshot.
         """
-        registry.gauge("trace_entries_total", **labels).set(
-            len(self._entries))
+        registry.gauge("trace_entries_total", **labels).set(len(self))
         for kind, count in self.count_by_kind().items():
             registry.gauge("trace_entries", kind=kind, **labels).set(count)
 
@@ -277,7 +330,14 @@ class TraceRecorder:
         Checkpoints store this to know where a captured prefix ends;
         :meth:`truncate` restores it.
         """
-        return len(self._entries)
+        return len(self._times)
+
+    def tail(self, position: int) -> List[TraceEntry]:
+        """Entries recorded at or after ``position``, building no view
+        of the prefix before it -- what a consumer that has already
+        digested ``position`` entries of a forked trace asks for."""
+        return list(map(TraceEntry, self._times[position:],
+                        self._kinds[position:], self._attrs[position:]))
 
     def truncate(self, position: int) -> int:
         """Drop every entry recorded after ``position``; returns #dropped.
@@ -287,42 +347,44 @@ class TraceRecorder:
         recorded must go.  The lazy query indexes are rebuilt from
         scratch on the next query (they only ever grow forward).
         """
-        if position < 0 or position > len(self._entries):
+        if position < 0 or position > len(self):
             raise ValueError(
-                f"truncate position {position} outside [0, "
-                f"{len(self._entries)}]")
-        dropped = len(self._entries) - position
+                f"truncate position {position} outside [0, {len(self)}]")
+        dropped = len(self) - position
         if dropped:
-            del self._entries[position:]
-            self._kind_index.clear()
-            self._kind_upto = 0
-            self._prefix_cache.clear()
+            del self._times[position:]
+            del self._kinds[position:]
+            del self._attrs[position:]
+            self._reset_indexes()
         return dropped
 
     def fork(self, position: Optional[int] = None) -> "TraceRecorder":
         """A new recorder continuing from this one's first ``position``
         entries.
 
-        Entry *objects* are shared -- entries are write-once on the
-        capture path, so a forked continuation appending its own entries
-        never disturbs the parent (and vice versa), while the checkpoint
-        layer avoids deep-copying a potentially long prefix on every
-        fork.  The fork has no clock bound; bind one before recording.
+        The columns are sliced, so the prefix's attrs *dicts* are shared
+        -- rows are write-once on the capture path, so a forked
+        continuation appending its own rows never disturbs the parent
+        (and vice versa), while the checkpoint layer avoids deep-copying
+        a potentially long prefix on every fork.  The fork has no clock
+        bound; bind one before recording.
         """
         if position is None:
-            position = len(self._entries)
+            position = len(self)
         clone = TraceRecorder()
-        clone._entries = self._entries[:position]
+        clone._times = self._times[:position]
+        clone._kinds = self._kinds[:position]
+        clone._attrs = self._attrs[:position]
         return clone
 
     def clear(self) -> None:
         """Drop all captured entries (and the indexes built over them)."""
-        self._entries.clear()
-        self._kind_index.clear()
-        self._kind_upto = 0
-        self._prefix_cache.clear()
+        self._times.clear()
+        self._kinds.clear()
+        self._attrs.clear()
+        self._reset_indexes()
 
     def dump(self, kind_prefix: str = "") -> str:
         """Human-readable rendering, optionally restricted by kind prefix."""
-        lines = [repr(e) for e in self._entries if e.kind.startswith(kind_prefix)]
+        lines = [repr(e) for e in self if e.kind.startswith(kind_prefix)]
         return "\n".join(lines)

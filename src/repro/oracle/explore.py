@@ -224,7 +224,7 @@ class _TraceDigest:
 
     def absorb(self, trace: TraceRecorder) -> None:
         """Serialise and hash the entries of ``trace`` past ``position``."""
-        fresh = trace.entries()[self.position:]
+        fresh = trace.tail(self.position)
         if not fresh:
             return
         text = "\n".join(entry_line(entry, _VOLATILE) for entry in fresh)
@@ -553,6 +553,11 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
     if target not in valid:
         raise ValueError(f"unknown {protocol} target {target!r}; "
                          f"expected one of {valid}")
+    if max_perturbations > 2:
+        raise ValueError(
+            f"max_perturbations > 2 is not implemented (got "
+            f"{max_perturbations}): plans stop at pairs, so a larger bound "
+            f"would explore nothing a bound of 2 does not")
     depth = DEFAULT_DEPTHS[protocol] if depth is None else float(depth)
     horizon = HORIZONS[protocol] if horizon is None else float(horizon)
     report = ExploreReport(protocol=protocol, target=target, depth=depth,

@@ -71,8 +71,9 @@ def test_trace_prefix_is_shared_not_copied():
     cp = Checkpoint.capture(env, {"counter": counter})
     forked = cp.fork()
     prefix = list(env.trace)
-    assert [a is b for a, b in zip(prefix, list(forked.env.trace))] \
-        == [True] * len(prefix)
+    # entries are values; the rows' attrs dicts are what a fork shares
+    assert [a == b and a.attrs is b.attrs
+            for a, b in zip(prefix, forked.env.trace)] == [True] * len(prefix)
     forked.env.run_until(6.0)
     assert len(forked.env.trace) > len(prefix)
     assert list(env.trace) == prefix  # parent undisturbed

@@ -264,6 +264,15 @@ class TestExploreCommand:
         assert line.startswith("repro explore: explore tcp/SunOS 4.1.3")
         assert "--depth" in line
 
+    def test_explore_refuses_three_perturbations_with_one_line(self, capsys):
+        assert main(["explore", "--max-schedules", "4",
+                     "--max-perturbations", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            "repro explore: max_perturbations > 2 is not implemented")
+
     def test_explore_prints_the_plan_census(self, capsys):
         main(["explore", "--target", "fixed", "--max-schedules", "8",
               "--max-perturbations", "2"])

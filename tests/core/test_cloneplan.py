@@ -23,7 +23,7 @@ from repro.experiments.gmp_common import build_gmp_cluster
 from repro.netsim import kinds as K
 from repro.netsim.link import Link
 from repro.netsim.scheduler import Event, SchedulerClock
-from repro.netsim.trace import TraceEntry
+from repro.netsim.trace import TraceRecorder
 from repro.obs.campaign_report import render_text, summarize_journal
 from repro.oracle.fuzz import (GMP_VARIANTS, HORIZONS, _continue_body,
                                _gmp_prefix, _tcp_prefix, run_fuzz)
@@ -295,13 +295,14 @@ def _gmp_checkpoint():
 
 def _mutable_ids(world):
     """id -> object for everything reachable that a run could mutate;
-    trace entries (and their attrs) are write-once and shared by design."""
+    a trace's rows (their attrs dicts) are write-once and shared by
+    design -- the three columns holding them are per-fork lists."""
     found = {}
     skip = set()
     for obj in reachable(world):
-        if isinstance(obj, TraceEntry):
-            skip.add(id(obj.attrs))
-        elif not isinstance(obj, (tuple, frozenset)):
+        if isinstance(obj, TraceRecorder):
+            skip.update(id(entry.attrs) for entry in obj)
+        if not isinstance(obj, (tuple, frozenset)):
             found[id(obj)] = obj
     return {oid: obj for oid, obj in found.items() if oid not in skip}
 

@@ -7,17 +7,20 @@ express them:
   sweep: a sweep that dies at configuration *k* leaves *k* resumable
   rows, and the re-run executes only the remainder;
 - an entry that does not load as a ``RunResult`` -- garbage, truncated,
-  a foreign pickle -- is a counted miss for probe and load alike: it is
-  re-executed and overwritten, never a wedge.
+  a foreign pickle, a row whose trace was written in the pre-columnar
+  ``{"entries": [...]}`` format -- is a counted miss for probe and load
+  alike: it is re-executed and overwritten, never a wedge.
 """
 
 import pickle
+from unittest import mock
 
 import pytest
 
 from repro.core.fabric import ResultStore, merge_campaign_dir
 from repro.core.orchestrator import Campaign
 from repro.netsim import kinds as K
+from repro.netsim.trace import TraceRecorder
 from repro.obs.journal import replay_journal
 from tests.fabric import rig
 
@@ -82,11 +85,21 @@ def test_failed_sweep_leaves_completed_rows_resumable(tmp_path, layout):
         Campaign(fragile_body, seed=5, lint="off").run(configs))
 
 
+def _parent_format(blob):
+    """The real entry as the list-of-entries recorder pickled it."""
+    result = pickle.loads(blob)
+    with mock.patch.object(TraceRecorder, "__getstate__",
+                           lambda self: {"entries": list(self)}):
+        return pickle.dumps(result)
+
+
+#: bytes, or a function of the real entry's bytes
 BAD_ENTRIES = {
     "garbage": b"\x00not a pickle at all",
-    "truncated": None,   # the real entry, cut in half
+    "truncated": lambda blob: blob[:len(blob) // 2],
     "foreign": pickle.dumps({"not": "a RunResult"}),
     "hostile": b"cos\nsystem_that_does_not_exist\n(S'x'\ntR.",
+    "parent_format": _parent_format,
 }
 
 
@@ -96,9 +109,7 @@ def _corrupt(fabric_dir, how):
     store = ResultStore(fabric_dir / "store")
     path = store._path(spec.store_keys(store)[1])
     blob = BAD_ENTRIES[how]
-    if blob is None:
-        blob = path.read_bytes()[:len(path.read_bytes()) // 2]
-    path.write_bytes(blob)
+    path.write_bytes(blob(path.read_bytes()) if callable(blob) else blob)
     return path
 
 
@@ -119,7 +130,7 @@ def test_store_treats_unloadable_entries_as_counted_misses(tmp_path, how):
 
 
 @pytest.mark.parametrize("backend", ["local", "sockets"])
-@pytest.mark.parametrize("how", ["garbage", "truncated"])
+@pytest.mark.parametrize("how", ["garbage", "truncated", "parent_format"])
 def test_resume_reexecutes_and_overwrites_a_bad_entry(tmp_path, backend,
                                                       how):
     configs = rig.make_configs(4)

@@ -14,15 +14,16 @@ def make_trace():
 def test_record_with_bound_clock():
     trace, clock = make_trace()
     clock[0] = 4.2
-    entry = trace.record("tcp.retransmit", seq=7)
+    assert trace.record("tcp.retransmit", seq=7) is None
+    entry = trace.last("tcp.retransmit")
     assert entry.time == 4.2
     assert entry["seq"] == 7
 
 
 def test_record_with_explicit_time():
     trace, _ = make_trace()
-    entry = trace.record("x", t=9.0)
-    assert entry.time == 9.0
+    trace.record("x", t=9.0)
+    assert trace.last("x").time == 9.0
 
 
 def test_record_without_clock_raises():
@@ -119,7 +120,8 @@ def test_pickle_roundtrip_drops_bound_clock():
         clone.record("evt2")
     # rebinding restores clockless recording
     clone.bind_clock(lambda: 9.0)
-    assert clone.record("evt2").time == 9.0
+    clone.record("evt2")
+    assert clone.last("evt2").time == 9.0
 
 
 def test_entries_with_prefix_empty_prefix_matches_all():
@@ -229,11 +231,29 @@ class TestKindIndex:
         assert list(clone) == list(trace)
         assert clone.entries("tcp.send") == trace.entries("tcp.send")
 
+    @pytest.mark.parametrize("state, got", [
+        ({"entries": []}, "a dict with keys ['entries']"),
+        (([0.0], ["x"], []), "a tuple of (list[1], list[1], list[0])"),
+        (([0.0], ("x",), [{}]), "a tuple of (list[1], tuple[1], list[1])"),
+        (([], []), "a tuple of (list[0], list[0])"),
+        ([[], [], []], "a list of (list[0], list[0], list[0])"),
+        (None, "a NoneType"),
+    ])
+    def test_setstate_refuses_anything_but_three_equal_columns(self, state,
+                                                               got):
+        trace = TraceRecorder.__new__(TraceRecorder)
+        with pytest.raises(ValueError) as refused:
+            trace.__setstate__(state)
+        assert str(refused.value) == (
+            "TraceRecorder state must be three lists of equal length "
+            f"(times, kinds, attrs), got {got}")
+
     def test_entries_are_interned_and_slotted(self):
         import sys
         trace = TraceRecorder(clock=lambda: 0.0)
-        a = trace.record("x.y", t=0.0)
-        b = trace.record("x" + ".y", t=1.0)  # distinct source strings
+        trace.record("x.y", t=0.0)
+        trace.record("".join(("x", ".y")), t=1.0)  # a distinct string object
+        a, b = trace.entries("x.y")
         assert a.kind is b.kind  # interned to one object
         assert not hasattr(a, "__dict__")
         assert sys.getsizeof(a) < 100  # slots, not a dict-backed object
@@ -253,6 +273,12 @@ class TestTruncateAndFork:
     def test_position_counts_entries(self):
         trace = self._trace3()
         assert trace.position == 3
+
+    def test_tail_is_the_entries_past_a_position(self):
+        trace = self._trace3()
+        assert [e["n"] for e in trace.tail(1)] == [1, 2]
+        assert trace.tail(0) == list(trace)
+        assert trace.tail(trace.position) == []
 
     def test_truncate_drops_suffix_and_rebuilds_indexes(self):
         trace = self._trace3()
@@ -277,7 +303,8 @@ class TestTruncateAndFork:
         trace = self._trace3()
         clone = trace.fork()
         assert list(clone) == list(trace)
-        assert list(clone)[0] is list(trace)[0]  # shared, not copied
+        # entries are values; what a fork shares is each row's attrs dict
+        assert all(a.attrs is b.attrs for a, b in zip(clone, trace))
 
     def test_fork_diverges_independently(self):
         trace = self._trace3()

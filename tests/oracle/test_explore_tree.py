@@ -264,6 +264,16 @@ def test_report_and_journal_say_what_the_budget_cut_off(tmp_path):
     assert report.plans == [(7, 54)]
 
 
+def test_more_than_two_perturbations_is_refused_not_ignored(tmp_path):
+    # _plans stops at pairs: k=3 used to run exactly k=2's schedules
+    journal = tmp_path / "j.jsonl"
+    with pytest.raises(ValueError, match="max_perturbations > 2 is not "
+                                         "implemented"):
+        explore("gmp", "self_death", max_schedules=4, max_perturbations=3,
+                journal=journal)
+    assert not journal.exists()  # refused before the flight opens
+
+
 # ----------------------------------------------------------------------
 # nothing to explore
 # ----------------------------------------------------------------------

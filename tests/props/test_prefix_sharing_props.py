@@ -158,7 +158,7 @@ def flat_hashes():
 
 
 @given(max_schedules=st.integers(1, 70),
-       max_perturbations=st.integers(1, 3),
+       max_perturbations=st.integers(1, 2),
        recheckpoint_every=st.sampled_from([0, 2, 4, 8]))
 @settings(max_examples=12, deadline=None)
 def test_incremental_digest_equals_full_dump(flat_hashes, max_schedules,
