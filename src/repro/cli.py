@@ -152,7 +152,7 @@ def cmd_all(args) -> None:
         fn(args)
 
 
-def cmd_run_script(args) -> None:
+def cmd_run_script(args) -> int:
     """Run a user-supplied tclish filter file against a standard workload.
 
     The TCP workload is the paper's default rig (vendor -> x-kernel,
@@ -161,11 +161,24 @@ def cmd_run_script(args) -> None:
     machine 3's (GMP).
     """
     from repro.core import TclishFilter
+    from repro.core.tclish import TclError
     with open(args.script_file) as fp:
         source = fp.read()
     script = TclishFilter(source, init_script=args.init or "",
                           name=args.script_file, lint="error")
+    try:
+        _drive_script(args, script)
+    except TclError as err:
+        # a script fault (runaway recursion, a bad field name) is the
+        # user's input failing, not the tool
+        print(f"repro run-script: {args.script_file}: {err}",
+              file=sys.stderr)
+        return 1
+    return 0
 
+
+def _drive_script(args, script) -> None:
+    """Install ``script`` on the standard workload, run it, print stats."""
     if args.protocol == "tcp":
         from repro.experiments.tcp_common import (build_tcp_testbed,
                                                   open_connection,

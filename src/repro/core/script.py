@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.context import ScriptContext
 from repro.core.tclish import Interp, TclError
-from repro.core.tclish.lint.registry import CommandSignature
+from repro.core.tclish.lint.registry import CommandSignature, forget_default
 
 
 class FilterScript:
@@ -212,7 +212,9 @@ def cmd(name: str, min_args: int = 0, max_args: Optional[int] = None,
     counts outside ``[min_args, max_args]`` are rejected before the
     implementation runs, with the declared usage line -- the same bounds
     the static analyzer checks, so a script that lints clean cannot die
-    on arity at runtime.
+    on arity at runtime.  Registering a command empties the analyzer's
+    verdict memo and its built default registry: this decorator is the
+    one place the command surface grows.
     """
     signature = CommandSignature(name, min_args, max_args,
                                  usage or name, doc)
@@ -220,6 +222,7 @@ def cmd(name: str, min_args: int = 0, max_args: Optional[int] = None,
     def decorator(fn):
         PFI_COMMANDS[name] = signature
         _PFI_IMPLS[name] = fn
+        forget_default()
         return fn
     return decorator
 

@@ -31,7 +31,7 @@ the interpreter (see ``Interp.stats()``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.tclish.errors import TclError
 from repro.core.tclish.lexer import split_commands, split_words
@@ -251,6 +251,33 @@ def lookup_substitution(text: str) -> Tuple[Segment, ...]:
     return segments
 
 
+#: scriptlint verdicts, keyed ``(source, init_script, predefined)``.  The
+#: analysis is a pure function of that key and the default command
+#: registry, so the memo lives beside the compile caches (same bound,
+#: same LRU, same ``clear_cache``) and
+#: :func:`~repro.core.tclish.lint.registry.forget_default` empties it
+#: whenever the registry it was judged against changes.
+_LINT_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+
+def lookup_verdict(key: tuple, analyze: Callable[[], tuple]) -> tuple:
+    """Fetch (analyzing on miss) the lint verdict stored under ``key``.
+
+    The compiler knows nothing about lint: ``analyze`` is the caller's
+    thunk and its result -- an immutable tuple of diagnostics -- is what
+    every later call with the same key gets back.
+    """
+    cached = _LINT_CACHE.get(key)
+    if cached is not None:
+        _LINT_CACHE.move_to_end(key)
+        return cached
+    verdict = analyze()
+    _LINT_CACHE[key] = verdict
+    if len(_LINT_CACHE) > CACHE_MAX:
+        _LINT_CACHE.popitem(last=False)
+    return verdict
+
+
 def cache_size() -> int:
     """Number of compiled scripts currently cached."""
     return len(_CACHE)
@@ -260,12 +287,16 @@ def cache_stats() -> dict:
     """Occupancy of every compile-path cache, for metrics snapshots."""
     return {"script_cache": len(_CACHE),
             "substitution_cache": len(_SUBST_CACHE),
+            "lint_cache": len(_LINT_CACHE),
             "cache_max": CACHE_MAX}
 
 
 def clear_cache() -> None:
-    """Drop every cached compilation (tests and long-lived processes)."""
+    """Drop every cached compilation and lint verdict (tests and
+    long-lived processes)."""
     from repro.core.tclish import expr as _expr
+    from repro.core.tclish.lint import registry as _registry
     _CACHE.clear()
     _SUBST_CACHE.clear()
     _expr._EVAL_CACHE.clear()
+    _registry.forget_default()

@@ -36,6 +36,14 @@ from repro.core.tclish.lexer import split_commands, split_words
 
 CommandFn = Callable[["Interp", List[str]], str]
 
+#: Deepest proc-in-proc nesting an interpreter allows.  A runaway
+#: recursion (``proc f {} {f}``) must end as a ``TclError`` the harness
+#: can report, not as Python's ``RecursionError`` from deep inside: one
+#: proc level costs 5 Python frames bare and about 18 through an
+#: ``if`` + ``expr`` + ``[f ...]`` body, so 40 levels stay well inside
+#: the default 1000-frame stack wherever the filter is called from.
+MAX_PROC_DEPTH = 40
+
 
 class Proc:
     """A user-defined procedure created by the ``proc`` command."""
@@ -63,6 +71,8 @@ class Proc:
         if collects_args:
             extra = args[len(fixed):]
             frame["args"] = " ".join(extra)
+        if len(interp._frames) >= MAX_PROC_DEPTH:
+            raise TclError("too many nested evaluations (infinite loop?)")
         interp._frames.append(frame)
         try:
             return interp.eval(self.body)

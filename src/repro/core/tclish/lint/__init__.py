@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.tclish import compiler
 from repro.core.tclish.lint.checks import Analyzer, ScriptSummary
 from repro.core.tclish.lint.diagnostics import (
     CODES,
@@ -80,11 +81,29 @@ def lint_source(source: str, *, init_script: str = "",
     as :class:`~repro.core.script.TclishFilter` evaluates it once before
     the body ever runs.  ``predefined`` names variables the harness sets
     directly on the interpreter.
+
+    Against the default registry the verdict is a pure function of
+    ``(source, init_script, predefined)``, so it is analyzed once per
+    process and remembered in the compile-cache family
+    (:func:`repro.core.tclish.compiler.lookup_verdict`); a campaign that
+    feeds one script to many targets, and its preflight, filter build and
+    forked workers, share that one analysis.  The report is fresh per
+    call -- ``source_name`` is the caller's, and ``report.add`` touches
+    no other caller -- while the :class:`Diagnostic` objects in it are
+    shared and immutable.  A caller-supplied ``registry`` is analyzed
+    every time and never reads or writes the memo.
     """
-    analyzer = Analyzer(registry=registry, predefined=predefined)
-    summary = analyzer.analyze(source, init_script)
+    def analyze() -> tuple:
+        analyzer = Analyzer(registry=registry, predefined=predefined)
+        return tuple(analyzer.analyze(source, init_script).diagnostics)
+
+    if registry is None:
+        verdict = compiler.lookup_verdict(
+            (source, init_script, tuple(predefined)), analyze)
+    else:
+        verdict = analyze()
     report = LintReport(source_name=source_name)
-    report.extend(summary.diagnostics)
+    report.extend(verdict)
     return report
 
 

@@ -102,12 +102,16 @@ class Analyzer:
 
     def __init__(self, *, registry: Optional[CommandRegistry] = None,
                  predefined: Sequence[str] = (), label: str = ""):
-        self.registry = (registry or default_registry()).copy()
+        self.registry = (registry.copy() if registry is not None
+                         else default_registry())
         self.label = label
         self.predefined = set(predefined)
         self.out: List[Diagnostic] = []
         self._linemap = LineMap("")
         self._script_tag = ""
+        # (script tag, offset, text) -> the body's one parse, shared by
+        # the proc pre-pass and the walk
+        self._parsed: Dict[Tuple[str, int, str], List[CommandNode]] = {}
         # hold/release pairing, collected across init + body
         # tag -> (line, col, script_tag) of first occurrence
         self._holds: Dict[str, Tuple[int, int, str]] = {}
@@ -134,7 +138,7 @@ class Analyzer:
             self._linemap = LineMap(text)
             self._script_tag = tag
             try:
-                commands = parse_script(text)
+                commands = self._parse(text)
             except TclError as err:
                 self._report("SL000", 0, str(err),
                              "the script does not parse; run it to see the "
@@ -159,6 +163,20 @@ class Analyzer:
     def _position(self, offset: int) -> Tuple[int, int]:
         return self._linemap.position(offset)
 
+    def _parse(self, text: str, offset: int = 0) -> List[CommandNode]:
+        """Parse a body of the script being walked, once per analysis.
+
+        The proc pre-pass, the walk and ``switch`` all look at the same
+        braced bodies; they share one command list per ``(script tag,
+        offset, text)``.  Raises ``TclError`` as :func:`parse_script`
+        does (a body that does not lex is not remembered).
+        """
+        key = (self._script_tag, offset, text)
+        parsed = self._parsed.get(key)
+        if parsed is None:
+            parsed = self._parsed[key] = parse_script(text, offset)
+        return parsed
+
     # ------------------------------------------------------------------
     # proc pre-pass
     # ------------------------------------------------------------------
@@ -175,8 +193,13 @@ class Analyzer:
                 body = word.braced_body()
                 if body is None:
                     continue
+                text, offset = body
+                # a literal ``proc`` word needs the substring, or a
+                # backslash escape spelling it; most bodies have neither
+                if "proc" not in text and "\\" not in text:
+                    continue
                 try:
-                    nested = parse_script(body[0], body[1])
+                    nested = self._parse(text, offset)
                 except TclError:
                     continue
                 self._collect_procs(nested)
@@ -247,7 +270,7 @@ class Analyzer:
 
     def _walk_nested(self, source: str, offset: int, state: _Scope) -> None:
         try:
-            commands = parse_script(source, offset)
+            commands = self._parse(source, offset)
         except TclError as err:
             self._report("SL000", offset, str(err))
             return
@@ -643,7 +666,7 @@ def _handle_switch(an: Analyzer, command: CommandNode,
     if body is None:
         return
     try:
-        pairs = parse_script(body[0], body[1])
+        pairs = an._parse(body[0], body[1])
     except TclError:
         return
     # the pattern/body list parses as commands: each "command" is one

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
+from repro.core.tclish import compiler
+
 
 @dataclass(frozen=True)
 class CommandSignature:
@@ -121,10 +123,31 @@ def builtin_registry() -> CommandRegistry:
     return CommandRegistry(_BUILTINS)
 
 
+#: stdlib + PFI bridge, built on first use and handed out as copies
+_DEFAULT: Optional[CommandRegistry] = None
+
+
 def default_registry() -> CommandRegistry:
-    """Stdlib plus the PFI bridge commands -- what a filter script sees."""
-    from repro.core.script import PFI_COMMANDS
-    registry = builtin_registry()
-    for signature in PFI_COMMANDS.values():
-        registry.add(signature)
-    return registry
+    """Stdlib plus the PFI bridge commands -- what a filter script sees.
+
+    Built once per process; every call returns its own copy, so callers
+    (and each :class:`~repro.core.tclish.lint.checks.Analyzer`, which adds
+    the script's procs) may mutate what they get.
+    """
+    global _DEFAULT
+    if _DEFAULT is None:
+        from repro.core.script import PFI_COMMANDS
+        _DEFAULT = CommandRegistry(_BUILTINS + tuple(PFI_COMMANDS.values()))
+    return _DEFAULT.copy()
+
+
+def forget_default() -> None:
+    """Drop the built default registry and every verdict judged against it.
+
+    Called by the one place the command surface grows -- the ``@cmd``
+    decorator in :mod:`repro.core.script` -- and by
+    :func:`repro.core.tclish.compiler.clear_cache`.
+    """
+    global _DEFAULT
+    _DEFAULT = None
+    compiler._LINT_CACHE.clear()

@@ -120,6 +120,22 @@ class TestProcs:
         """)
         assert interp.eval("fib 10") == "55"
 
+    def test_runaway_recursion_is_a_tcl_error(self, interp):
+        # never Python's RecursionError from deep inside the interpreter,
+        # bare or through an if + expr + [f ...] body (18 frames a level)
+        for script in ("proc f {} {f}; f",
+                       "proc g {n} { if {$n > 0} "
+                       "{ return [expr {[g [expr {$n + 1}]] + 1}] } }; g 1"):
+            with pytest.raises(TclError, match="too many nested evaluations "
+                                               r"\(infinite loop\?\)"):
+                interp.eval(script)
+        # the frames unwound: the interpreter is usable afterwards, and a
+        # script can catch the error like any other
+        assert interp.eval("catch {f} msg; set msg").startswith("too many")
+        assert interp.eval(
+            "proc down {n} { if {$n > 0} { down [expr {$n - 1}] } "
+            "else { return bottom } }; down 39") == "bottom"
+
     def test_return_value(self, interp):
         interp.eval("proc f {} { return early; set never 1 }")
         assert interp.eval("f") == "early"

@@ -115,6 +115,60 @@ class TestUseBeforeSet:
         assert lint_source("puts $vendor", predefined=("vendor",)).ok()
 
 
+class TestSwitch:
+    """A braced pattern/body list: every arm is walked as a branch."""
+
+    def test_bogus_command_in_an_arm_is_sl001_at_its_own_position(self):
+        report = lint_source(
+            "set x 1\nswitch $x {\n 1 { xDrop cur_msg }\n"
+            " default { xBogus }\n}")
+        d = only(report, "SL001")
+        assert (d.line, d.col) == (4, 12)
+        assert "xBogus" in d.message
+        assert codes(report) == ["SL001"]
+
+    def test_set_in_every_arm_or_in_one_arm_is_maybe_assigned(self):
+        # a switch has no "all paths covered" join: either way the
+        # variable is only maybe-assigned afterwards, so no SL003
+        every = lint_source(
+            "set x 1\nswitch $x {\n 1 { set y a }\n"
+            " default { set y b }\n}\nputs $y")
+        one = lint_source(
+            "set x 1\nswitch $x {\n 1 { set y a }\n"
+            " default { xDrop }\n}\nputs $y")
+        assert codes(every) == [] and codes(one) == []
+
+    def test_read_of_a_never_set_variable_inside_an_arm_is_sl003(self):
+        report = lint_source("set x 1\nswitch $x {\n 1 { puts $nope }\n}")
+        d = only(report, "SL003")
+        assert (d.line, d.col) == (3, 11)
+
+    def test_option_forms_reach_the_body(self):
+        for options, col in (("-exact -- ", 6), ("-glob ", 6), ("-- ", 6)):
+            report = lint_source(
+                f"set x 1\nswitch {options}$x {{\n 1 {{ xBogus }}\n}}")
+            d = only(report, "SL001")
+            assert (d.line, d.col) == (3, col), options
+
+    def test_unparsable_pattern_body_list_does_not_raise(self):
+        # the braces balance, so the script parses; the list inside has
+        # an unterminated quote and is skipped, silently, as at runtime
+        # the error would only surface when the switch executes
+        report = lint_source('set x 1\nswitch $x { 1 "xDrop }')
+        assert codes(report) == []
+
+    def test_proc_defined_inside_an_arm_is_known_outside(self):
+        report = lint_source(
+            "set x 1\nswitch $x { 1 { proc helper {} { xDrop } } }\nhelper")
+        assert codes(report) == []
+
+    def test_proc_spelled_with_a_backslash_in_a_body_is_still_found(self):
+        # `pr\\oc` substitutes to the literal word `proc`
+        report = lint_source(
+            "set x 1\nif {$x} { pr\\oc helper {} { xDrop } }\nhelper")
+        assert codes(report) == []
+
+
 class TestDeadAndConflicting:
     def test_code_after_return_is_sl004(self):
         report = lint_source("return ok\nset x 1")
