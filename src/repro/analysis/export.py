@@ -8,13 +8,22 @@ external tooling, and loads them back for offline queries.
 Non-JSON-native attribute values (tuples, sets, bytes) are converted to
 JSON-friendly forms on export; tuples come back as lists, which the
 comparison helpers normalize.
+
+:func:`render_rows` renders every line.  A row whose time, kind and
+attribute values are exact JSON scalars (``str``, ``int``, ``float``,
+``bool``, ``None``; no subclasses) goes to the encoder unconverted, in one
+list with its scalar neighbours, split back into lines at the row
+boundary ``}, {"attrs": {``.  No scalar row contains it: outside strings
+its only braces are its own and its attrs', and inside one the encoder
+escapes every quote.  Any other row is converted and encoded alone.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
-from typing import IO, Any, Container, Dict, Iterable, Optional, Union
+from typing import IO, Any, Dict, Iterable, Iterator, Optional, Union
 
 from repro.netsim.trace import TraceEntry, TraceRecorder
 
@@ -50,35 +59,66 @@ def _from_jsonable(value: Any) -> Any:
 VOLATILE_ATTRS = ("uid", "original", "parent")
 
 
-def _entry_dict(entry: TraceEntry,
-                excluded: Container[str]) -> Dict[str, Any]:
-    return {"t": entry.time, "kind": entry.kind,
-            "attrs": {k: _jsonable(v) for k, v in entry.attrs.items()
+def _entry_dict(time: float, kind: str, attrs: Dict[str, Any],
+                excluded: frozenset) -> Dict[str, Any]:
+    return {"t": time, "kind": kind,
+            "attrs": {k: _jsonable(v) for k, v in attrs.items()
                       if k not in excluded}}
 
 
 def entry_to_dict(entry: TraceEntry, *,
                   exclude_attrs: Iterable[str] = ()) -> Dict[str, Any]:
     """One trace entry as a plain JSON-compatible dict."""
-    return _entry_dict(entry, frozenset(exclude_attrs))
+    return _entry_dict(entry.time, entry.kind, entry.attrs,
+                       frozenset(exclude_attrs))
 
 
-#: one encoder for every line (``json.dumps`` with options builds a new
-#: one per call); ``sort_keys`` is what makes a line canonical
-_encode_line = json.JSONEncoder(sort_keys=True).encode
+#: value types rendered alike with and without ``_jsonable``, and never
+#: as the row boundary, which ``sort_keys`` puts before ``attrs``
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_ROW_BREAK, _LINE_BREAK = '}, {"attrs": {', '}\n{"attrs": {'
+
+#: one encoder for every line; ``sort_keys`` makes a line canonical, and
+#: rows are acyclic (``_jsonable`` builds fresh values), so no cycle check
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
-def entry_line(entry: TraceEntry, excluded: Container[str] = ()) -> str:
-    """One trace entry as its canonical JSON line.
+def render_rows(rows: Iterable[tuple], excluded: Iterable[str] = ()) -> str:
+    """``(time, kind, attrs)`` rows as canonical JSON lines joined by
+    newlines: the one renderer behind :func:`entry_line`, :func:`dump_trace`,
+    :func:`stream_trace`, :func:`traces_equal` and the explorer's outcome
+    digest, so their bytes cannot drift apart."""
+    excluded = frozenset(excluded)
+    # runs of scalar rows (lists) and converted rows (dicts), in order
+    pieces: list = []
+    run = None
+    for time, kind, attrs in rows:
+        if (type(time) in _SCALARS and type(kind) in _SCALARS
+                and _SCALARS.issuperset(map(type, attrs.values()))):
+            if excluded and not excluded.isdisjoint(attrs):
+                attrs = {k: v for k, v in attrs.items() if k not in excluded}
+            if run is None:
+                run = []
+                pieces.append(run)
+            run.append({"t": time, "kind": kind, "attrs": attrs})
+        else:
+            run = None
+            pieces.append(_entry_dict(time, kind, attrs, excluded))
+    return "\n".join(
+        _encode(piece)[1:-1].replace(_ROW_BREAK, _LINE_BREAK)
+        if type(piece) is list else _encode(piece)
+        for piece in pieces)
 
-    The only renderer of the JSON-lines format: :func:`dump_trace`,
-    :func:`stream_trace`, :func:`traces_equal` and the explorer's
-    incremental outcome digest all go through it, so their bytes cannot
-    drift apart.  ``excluded`` is tested per attribute -- callers with
-    a whole trace to render build one ``frozenset`` and pass it to
-    every call.
-    """
-    return _encode_line(_entry_dict(entry, excluded))
+
+def _rows(trace: Iterable[TraceEntry]) -> Iterator[tuple]:
+    if isinstance(trace, TraceRecorder):
+        return trace.rows()
+    return ((entry.time, entry.kind, entry.attrs) for entry in trace)
+
+
+def entry_line(entry: TraceEntry, excluded: Iterable[str] = ()) -> str:
+    """One trace entry as its canonical JSON line."""
+    return render_rows(((entry.time, entry.kind, entry.attrs),), excluded)
 
 
 def dump_trace(trace: Iterable[TraceEntry],
@@ -90,12 +130,10 @@ def dump_trace(trace: Iterable[TraceEntry],
     ``exclude_attrs`` drops named attributes from every entry; pass
     :data:`VOLATILE_ATTRS` when the dump is for run-to-run comparison.
     """
-    excluded = frozenset(exclude_attrs)
-    lines = [entry_line(entry, excluded) for entry in trace]
-    text = "\n".join(lines)
+    text = render_rows(_rows(trace), exclude_attrs)
     if fp is not None:
         fp.write(text)
-        if lines:
+        if text:
             fp.write("\n")
     return text
 
@@ -112,19 +150,15 @@ def stream_trace(trace: Iterable[TraceEntry], fp: IO[str], *,
     identical to ``dump_trace(trace, fp)``.  Returns the entry count.
     """
     excluded = frozenset(exclude_attrs)
-    buffer: list = []
+    rows = _rows(trace)
     count = 0
-    for entry in trace:
-        buffer.append(entry_line(entry, excluded))
-        count += 1
-        if len(buffer) >= buffer_lines:
-            fp.write("\n".join(buffer))
-            fp.write("\n")
-            buffer.clear()
-    if buffer:
-        fp.write("\n".join(buffer))
+    while True:
+        batch = list(islice(rows, max(buffer_lines, 1)))
+        if not batch:
+            return count
+        fp.write(render_rows(batch, excluded))
         fp.write("\n")
-    return count
+        count += len(batch)
 
 
 def export_trace(trace: Iterable[TraceEntry], path: Union[str, Path], *,
@@ -158,4 +192,4 @@ def traces_equal(a: Iterable[TraceEntry], b: Iterable[TraceEntry]) -> bool:
     Useful for regression pinning: run an experiment twice (or across
     versions) and assert the traces match exactly.
     """
-    return [entry_line(e) for e in a] == [entry_line(e) for e in b]
+    return render_rows(_rows(a)) == render_rows(_rows(b))

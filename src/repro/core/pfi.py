@@ -185,6 +185,10 @@ class PFILayer(Protocol):
                          tag=ctx.hold_tag)
             return
 
+        # a duplicate is the message as the filter saw it: copied before
+        # forwarding, which lets the next layer push or pop a header on it
+        copies = ([(ctx.msg.copy(), delay) for delay in ctx.duplicate_delays]
+                  if ctx.duplicate_delays else ())
         if ctx.delay_s > 0:
             self._counters["delayed"].inc()
             self._record(K.PFI_DELAY, direction=direction, uid=ctx.msg.uid,
@@ -193,9 +197,8 @@ class PFILayer(Protocol):
         else:
             self._forward(ctx.msg, direction)
 
-        for extra_delay in ctx.duplicate_delays:
+        for copy, extra_delay in copies:
             self._counters["duplicated"].inc()
-            copy = ctx.msg.copy()
             self._record(K.PFI_DUPLICATE, direction=direction, uid=copy.uid,
                          original=ctx.msg.uid)
             if extra_delay > 0:

@@ -332,12 +332,12 @@ class TraceRecorder:
         """
         return len(self._times)
 
-    def tail(self, position: int) -> List[TraceEntry]:
-        """Entries recorded at or after ``position``, building no view
-        of the prefix before it -- what a consumer that has already
-        digested ``position`` entries of a forked trace asks for."""
-        return list(map(TraceEntry, self._times[position:],
-                        self._kinds[position:], self._attrs[position:]))
+    def rows(self, position: int = 0) -> Iterator[Tuple[float, str, dict]]:
+        """``(time, kind, attrs)`` of each row at or after ``position``,
+        straight from the columns as they stand now: no entry view is
+        built (what a renderer, or a digest of a forked prefix, reads)."""
+        return zip(self._times[position:], self._kinds[position:],
+                   self._attrs[position:])
 
     def truncate(self, position: int) -> int:
         """Drop every entry recorded after ``position``; returns #dropped.

@@ -39,9 +39,9 @@ The per-schedule event counts are tracked
 (``ExploreReport.simulated_events``).
 
 The outcome hash is **prefix-shared** the same way: a fork's trace
-below its checkpoint is the same entry objects in every fork, so each
-checkpoint carries a running digest of that prefix and a schedule
-serialises only the entries past the ancestor it forked from.
+below its checkpoint is the same rows in every fork, so each checkpoint
+carries a running digest of that prefix and a schedule renders only the
+rows past the ancestor it forked from (read with ``TraceRecorder.rows``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.analysis.export import VOLATILE_ATTRS, entry_line
+from repro.analysis.export import VOLATILE_ATTRS, render_rows
 from repro.core.checkpoint import Checkpoint, CheckpointPool
 from repro.core.orchestrator import Campaign, make_env
 from repro.netsim import kinds as K
@@ -223,15 +223,15 @@ class _TraceDigest:
         return _TraceDigest(self._sha.copy(), self.position)
 
     def absorb(self, trace: TraceRecorder) -> None:
-        """Serialise and hash the entries of ``trace`` past ``position``."""
-        fresh = trace.tail(self.position)
-        if not fresh:
+        """Serialise and hash the rows of ``trace`` past ``position``."""
+        position = self.position
+        if position >= len(trace):
             return
-        text = "\n".join(entry_line(entry, _VOLATILE) for entry in fresh)
-        if self.position:
+        text = render_rows(trace.rows(position), _VOLATILE)
+        if position:
             text = "\n" + text
         self._sha.update(text.encode())
-        self.position += len(fresh)
+        self.position = len(trace)
 
     def hexdigest(self) -> str:
         return self._sha.hexdigest()

@@ -274,11 +274,15 @@ class TestTruncateAndFork:
         trace = self._trace3()
         assert trace.position == 3
 
-    def test_tail_is_the_entries_past_a_position(self):
+    def test_rows_are_the_columns_past_a_position(self):
         trace = self._trace3()
-        assert [e["n"] for e in trace.tail(1)] == [1, 2]
-        assert trace.tail(0) == list(trace)
-        assert trace.tail(trace.position) == []
+        assert [attrs["n"] for _t, _k, attrs in trace.rows(1)] == [1, 2]
+        assert [TraceEntry(*row) for row in trace.rows()] == list(trace)
+        assert list(trace.rows(trace.position)) == []
+        # a snapshot: rows recorded after the call are not yielded
+        rows = trace.rows(2)
+        trace.record("x.tick", t=3.0, n=3)
+        assert [attrs["n"] for _t, _k, attrs in rows] == [2]
 
     def test_truncate_drops_suffix_and_rebuilds_indexes(self):
         trace = self._trace3()

@@ -82,7 +82,7 @@ def _check(trace, model):
     assert list(trace) == _entries(model)
     assert trace.entries() == _entries(model)
     for position in {0, len(model) // 2, len(model)}:
-        assert trace.tail(position) == _entries(model[position:])
+        assert list(trace.rows(position)) == model[position:]
     assert trace.span() == ((min(t for t, _k, _a in model),
                              max(t for t, _k, _a in model))
                             if model else None)

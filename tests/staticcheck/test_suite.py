@@ -10,23 +10,28 @@ from repro.core.tclish.lint.diagnostics import CODES
 from repro.staticcheck import render_sarif, run_suite
 
 
+@pytest.fixture(scope="module")
+def repo_suite():
+    """One whole-repo run, shared by the read-only tests below
+    (``test_clean_is_zero`` keeps its own run, through the CLI)."""
+    return run_suite()
+
+
 class TestSuiteOverRealRepo:
-    def test_whole_repo_is_clean(self):
+    def test_whole_repo_is_clean(self, repo_suite):
         # acceptance criterion: zero findings, zero suppressions
-        result = run_suite()
-        assert result.internal_errors == []
-        assert result.findings() == []
-        assert result.exit_code() == 0
+        assert repo_suite.internal_errors == []
+        assert repo_suite.findings() == []
+        assert repo_suite.exit_code() == 0
 
-    def test_all_passes_actually_ran(self):
-        result = run_suite()
-        assert result.checked["tclish scripts"] >= 5
-        assert result.checked["corpus scripts"] >= 5
-        assert result.checked["python modules"] >= 30
-        assert result.checked["trace kinds"] >= 60
+    def test_all_passes_actually_ran(self, repo_suite):
+        assert repo_suite.checked["tclish scripts"] >= 5
+        assert repo_suite.checked["corpus scripts"] >= 5
+        assert repo_suite.checked["python modules"] >= 30
+        assert repo_suite.checked["trace kinds"] >= 60
 
-    def test_render_text_verdict_line(self):
-        text = run_suite().render_text()
+    def test_render_text_verdict_line(self, repo_suite):
+        text = repo_suite.render_text()
         assert text.splitlines()[-1].startswith("repro check: clean")
 
 
@@ -153,9 +158,8 @@ class TestSarifDocument:
 
 
 class TestCorpusExtraction:
-    def test_embedded_scripts_are_linted(self):
-        result = run_suite()
-        corpus_reports = [r for r in result.reports
+    def test_embedded_scripts_are_linted(self, repo_suite):
+        corpus_reports = [r for r in repo_suite.reports
                           if ".json[" in r.source_name]
         assert len(corpus_reports) >= 5
         for report in corpus_reports:
