@@ -13,9 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.checkpoint import CheckpointPool
+from repro.core.fabric.spec import SweepSpec
 from repro.core.orchestrator import (Campaign, PrefixedBody, RunCache,
-                                     _prefix_chunks, _prefix_digest,
-                                     _prefix_groups)
+                                     ShardCapture, ShardRow, _prefix_chunks,
+                                     _prefix_digest, _prefix_groups,
+                                     execute_shard)
 from repro.netsim import kinds as K
 from repro.obs.journal import replay_journal
 
@@ -77,6 +79,16 @@ def _stable(results):
              (r.telemetry.events, r.telemetry.virtual_s,
               r.telemetry.trace_entries))
             for r in results]
+
+
+def _shard(configs, pool):
+    """Run ``configs`` as one in-process shard over ``pool``, the way
+    fuzz batches and shrink probes do; returns (captures, rows)."""
+    spec = SweepSpec(body=split_body, seed=11, configs=configs)
+    events = list(execute_shard(spec, range(len(configs)), pool))
+    rows = sorted((e for e in events if type(e) is ShardRow),
+                  key=lambda row: row.index)
+    return sum(type(e) is ShardCapture for e in events), rows
 
 
 # ----------------------------------------------------------------------
@@ -256,29 +268,22 @@ class TestAmortization:
         assert not replay.of(K.CAMPAIGN_CHECKPOINT_CAPTURE)
         assert replay.last(K.CAMPAIGN_END).get("prefix_captures") == 0
 
-    def test_shared_pool_reuses_captures_across_sweeps(self, tmp_path):
+    def test_shared_pool_reuses_captures_across_sweeps(self):
         pool = CheckpointPool(max_items=4)
-        campaign = Campaign(split_body, seed=11)
-        campaign.run(_configs(), prefix_pool=pool)
-        assert len(pool) == 2
-        path = tmp_path / "second.jsonl"
-        second = campaign.run(_configs(), prefix_pool=pool, journal=path)
-        replay = replay_journal(path)
-        assert not replay.of(K.CAMPAIGN_CHECKPOINT_CAPTURE)
-        assert replay.last(K.CAMPAIGN_END).get("prefix_forks") == 6
-        assert _stable(second) == _stable(campaign.run(_configs(),
-                                                       group=False))
+        captures, _rows = _shard(_configs(), pool)
+        assert (captures, len(pool)) == (2, 2)
+        captures, rows = _shard(_configs(), pool)
+        assert captures == 0
+        assert sum(row.forked for row in rows) == 6
+        cold = Campaign(split_body, seed=11).run(_configs(), group=False)
+        assert _stable([row.result for row in rows]) == _stable(cold)
 
-    def test_pooled_prefix_serves_singleton_groups(self, tmp_path):
+    def test_pooled_prefix_serves_singleton_groups(self):
         pool = CheckpointPool(max_items=4)
-        campaign = Campaign(split_body, seed=11)
-        campaign.run(_configs(groups=("g1",)), prefix_pool=pool)
-        path = tmp_path / "j.jsonl"
-        campaign.run([{"grp": "g1", "extra": 9.0}], prefix_pool=pool,
-                     journal=path)
-        replay = replay_journal(path)
-        assert not replay.of(K.CAMPAIGN_CHECKPOINT_CAPTURE)
-        assert replay.last(K.CAMPAIGN_END).get("prefix_forks") == 1
+        _shard(_configs(groups=("g1",)), pool)
+        captures, rows = _shard([{"grp": "g1", "extra": 9.0}], pool)
+        assert captures == 0
+        assert [row.forked for row in rows] == [True]
 
     def test_cached_sweep_skips_capture_entirely(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
