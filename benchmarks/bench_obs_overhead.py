@@ -6,13 +6,13 @@ the tclish compiled executor, telemetry capture around ``Campaign.run``.
 The design contract is *zero cost when disabled*: hooks are pre-bound
 handles and ``is not None`` tests, never per-event allocation.
 
-This bench holds the contract numerically.  It runs the same campaign
-workload as ``bench_perf_campaign`` three ways:
+This bench holds the contract numerically.  It runs one timer-chain
+campaign workload three ways:
 
 - **baseline**: ``telemetry=False`` -- the pre-observability execution
   path;
-- **disabled**: defaults -- every hook present, no profiler or scorecard
-  attached (what normal runs pay);
+- **disabled**: defaults -- every hook present, no profiler attached
+  (what normal runs pay);
 - **enabled**: filters installed with PFI tracing active plus an attached
   script profiler (what debugging runs pay).
 
@@ -36,8 +36,7 @@ import json
 import os
 import tempfile
 import time
-
-import perf_common
+from pathlib import Path
 
 from repro.core.orchestrator import Campaign
 
@@ -48,7 +47,7 @@ MAX_DISABLED_OVERHEAD_PCT = 3.0
 #: acceptance bound: journal-enabled sweep over the default path
 MAX_JOURNAL_OVERHEAD_PCT = 3.0
 
-BENCH_OBS_JSON = perf_common.ROOT / "BENCH_OBS.json"
+BENCH_OBS_JSON = Path(__file__).resolve().parent.parent / "BENCH_OBS.json"
 
 
 class _Ticker:
@@ -70,7 +69,7 @@ class _Ticker:
 
 
 def campaign_body(env, config):
-    """The bench_perf_campaign timer-chain workload, PFI-free."""
+    """A seeded timer chain: scheduler and RNG work, PFI-free."""
     dist = env.dist("load", config["profile"])
     ticker = _Ticker(env, dist, config["events"])
     env.scheduler.schedule(0.0, ticker)

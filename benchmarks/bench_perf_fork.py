@@ -14,8 +14,10 @@ canonical trace dump (volatile message uids excluded, see
 ``VOLATILE_ATTRS``) must be byte-identical to the cold run's.
 
 The workload is serial and deterministic -- no worker pools, no
-CPU-count dependence -- so unlike the campaign bench this one gates
-directly in CI (>= 3x).
+CPU-count dependence -- so it gates directly in CI (>= 3x fork vs
+cold, >= 2x grouped sweep vs ungrouped serial) and prints its numbers::
+
+    PYTHONPATH=src python benchmarks/bench_perf_fork.py [--quick]
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import argparse
 import gc
 import time
-
-import perf_common
 
 from repro.analysis.export import VOLATILE_ATTRS, dump_trace
 from repro.core import TclishFilter
@@ -65,7 +65,7 @@ def _continuation(env, cluster, oracle):
 
 
 def run_bench(trials: int = 30, verbose: bool = True) -> dict:
-    """Measure cold vs capture-once-fork-N; returns the JSON payload."""
+    """Measure cold vs capture-once-fork-N; returns the figures."""
     oracle = pack_for("gmp")
 
     # warm up both paths untimed (imports, tclish compile cache); the
@@ -252,7 +252,7 @@ def test_perf_campaign_prefix_quick():
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="fewer trials, no JSON update, no speed gate")
+                        help="fewer trials, no speed gate")
     parser.add_argument("--trials", type=int, default=30)
     parser.add_argument("--configs", type=int, default=20)
     args = parser.parse_args()
@@ -264,5 +264,3 @@ if __name__ == "__main__":
     if not args.quick:
         assert result["speedup"] >= MIN_SPEEDUP, result
         assert sweep_result["speedup"] >= MIN_CAMPAIGN_SPEEDUP, sweep_result
-        perf_common.update_bench_json("fork", result)
-        perf_common.update_bench_json("campaign_prefix", sweep_result)

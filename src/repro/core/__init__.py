@@ -21,7 +21,7 @@ Public surface:
   :class:`~repro.core.orchestrator.Campaign` -- experiment plumbing.
 """
 
-from repro.core import faults, genscripts, randomtest
+from repro.core import faults, genscripts
 from repro.core.context import ScriptContext
 from repro.core.distributions import DistributionSet, derive_seed
 from repro.core.driver import Driver
@@ -54,5 +54,4 @@ __all__ = [
     "faults",
     "genscripts",
     "make_env",
-    "randomtest",
 ]

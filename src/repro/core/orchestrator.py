@@ -76,7 +76,7 @@ from repro.netsim.network import Network
 from repro.netsim.scheduler import Scheduler, SchedulerClock, SchedulerError
 from repro.netsim.trace import TraceRecorder
 from repro.obs.journal import NULL_JOURNAL, Flight, Journal, NullJournal
-from repro.obs.telemetry import RunTelemetry, _config_label, render_scorecard
+from repro.obs.telemetry import RunTelemetry, _config_label
 
 #: config keys whose string values are treated as tclish script sources
 SCRIPT_KEYS = ("script", "tclish", "tclish_source", "send_script",
@@ -1029,13 +1029,11 @@ class Campaign:
 
     def run(self, configs: Iterable[Dict[str, Any]], *,
             workers: Union[int, str] = 1, telemetry: bool = True,
-            scorecard: bool = False,
             cache: Optional[ResultStore] = None,
             oracle: Optional[Callable[[], List[Any]]] = None,
             journal: Union[None, str, Path, Journal] = None,
             progress: Optional[Callable[[str], None]] = None,
             group: bool = True,
-            prefix_pool: Optional[Any] = None,
             backend: str = "local",
             fabric_dir: Union[None, str, Path] = None,
             fabric_options: Optional[Dict[str, Any]] = None
@@ -1054,10 +1052,9 @@ class Campaign:
 
         ``telemetry`` (default on) records per-configuration wall time,
         dispatched-event count, final virtual time and trace volume onto
-        ``RunResult.telemetry``; ``telemetry=False`` leaves it ``None``.
-        ``scorecard=True`` additionally prints the campaign scorecard
-        (:func:`repro.obs.telemetry.render_scorecard`) after the sweep
-        completes.
+        ``RunResult.telemetry``; ``telemetry=False`` leaves it ``None``;
+        :func:`repro.obs.telemetry.render_scorecard` turns the results
+        into the campaign scorecard.
 
         ``cache`` (a :class:`ResultStore`, default off) returns stored
         results for configurations this body+seed has already computed
@@ -1092,11 +1089,10 @@ class Campaign:
         the cold path, just without re-simulating the shared prefix per
         configuration.  ``group=False`` forces every configuration cold
         (the reference path benches and byte-identity tests compare
-        against).  ``prefix_pool`` (a
-        :class:`~repro.core.checkpoint.CheckpointPool`) carries captured
-        prefixes across in-process ``run`` calls (so a group of one is
-        captured too: a later call may fork it); omitted, only the
-        group being executed is kept.
+        against).  Captures live for one ``run`` call; a caller that
+        forks one prefix across many calls (the fuzz loop, the
+        shrinker) keeps a :class:`~repro.core.checkpoint.CheckpointPool`
+        and hands it to :func:`execute_shard` directly.
 
         ``backend`` selects the transport (:data:`BACKENDS`).
         ``"local"`` -- the default -- runs in this process or its
@@ -1128,14 +1124,10 @@ class Campaign:
         spec = SweepSpec(body=self._body, seed=self._seed, configs=configs,
                          telemetry=telemetry, oracle=oracle,
                          lint=self._lint, group=group)
-        results = run_sweep(spec, workers=workers, store=cache,
-                            journal=journal, progress=progress,
-                            prefix_pool=prefix_pool, backend=backend,
-                            fabric_dir=fabric_dir,
-                            fabric_options=fabric_options)
-        if scorecard:
-            print(render_scorecard(results))
-        return results
+        return run_sweep(spec, workers=workers, store=cache,
+                         journal=journal, progress=progress,
+                         backend=backend, fabric_dir=fabric_dir,
+                         fabric_options=fabric_options)
 
 
 def _resolve_workers(workers: Union[int, str], jobs: int) -> int:
@@ -1154,7 +1146,6 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
               store: Optional[ResultStore] = None,
               journal: Union[None, str, Path, Journal] = None,
               progress: Optional[Callable[[str], None]] = None,
-              prefix_pool: Optional[Any] = None,
               backend: str = "local",
               fabric_dir: Union[None, str, Path] = None,
               fabric_options: Optional[Dict[str, Any]] = None
@@ -1231,7 +1222,7 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
         else:
             pool_size = _resolve_workers(workers, len(todo))
             if pool_size <= 1 or len(todo) <= 1:
-                rows = _inprocess_rows(spec, todo, sink, prefix_pool)
+                rows = _inprocess_rows(spec, todo, sink)
             else:
                 rows = _pool_rows(spec, todo, sink, pool_size)
         # closing: the transport's journal phase ends before
@@ -1244,12 +1235,12 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
     return [result for result in slots if result is not None]
 
 
-def _inprocess_rows(spec: Any, todo: List[int], sink: ShardSink,
-                    prefix_pool: Optional[Any]) -> Iterator[ShardRow]:
+def _inprocess_rows(spec: Any, todo: List[int], sink: ShardSink
+                    ) -> Iterator[ShardRow]:
     """In-process transport: the whole todo is one shard, run here."""
     if todo:
         with sink.journal.phase("dispatch"):
-            yield from sink.drain(execute_shard(spec, todo, prefix_pool))
+            yield from sink.drain(execute_shard(spec, todo))
 
 
 def _pool_rows(spec: Any, todo: List[int], sink: ShardSink,

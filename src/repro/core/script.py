@@ -74,8 +74,7 @@ class TclishFilter(FilterScript):
 
     The body is compiled into the shared tclish compile cache at
     construction, so each ``run`` executes the cached command list instead
-    of re-lexing the source per message.  ``compiled=False`` restores the
-    parse-per-message behaviour (equivalence tests, benchmarks).
+    of re-lexing the source per message.
 
     ``lint`` controls construction-time static analysis of the script
     (:mod:`repro.core.tclish.lint`):
@@ -90,7 +89,7 @@ class TclishFilter(FilterScript):
     """
 
     def __init__(self, source: str, init_script: str = "", name: str = "tclish",
-                 *, compiled: bool = True, lint: str = "warn"):
+                 *, lint: str = "warn"):
         if lint not in ("error", "warn", "off"):
             raise ValueError(f'lint mode must be "error", "warn" or "off", '
                              f"got {lint!r}")
@@ -110,12 +109,11 @@ class TclishFilter(FilterScript):
                     f"tclish filter {name!r} has lint errors:\n"
                     f"{render_text(self.lint_report)}",
                     TclishLintWarning, stacklevel=2)
-        self.interp = Interp(compiled=compiled)
+        self.interp = Interp()
         self._ctx_cell: List[Optional[ScriptContext]] = [None]
         self.profiler = None
         _register_bridge(self.interp, self._ctx_cell)
-        if compiled:
-            self.interp.compile(source)
+        self.interp.compile(source)
         if init_script:
             self.interp.eval(init_script)
 

@@ -11,14 +11,16 @@ is a pure function of its source text.
 
 - a braced word is stripped and stored verbatim (``LITERAL``);
 - a quoted or bare word with no ``$``, ``[`` or ``\\`` is stored as its
-  final string (``LITERAL``) -- execution skips the character-by-character
-  ``substitute()`` walk entirely;
+  final string (``LITERAL``) -- execution does no substitution at all;
 - a word that is exactly ``$name`` / ``${name}`` becomes a direct variable
   read (``VARREF``);
 - anything else is pre-tokenised into substitution *segments* -- literal
   text runs (backslash escapes already applied), variable reads, and
   nested command sources -- so runtime substitution is a join over
   resolved segments instead of a character scan (``SEGMENTS``).
+
+:func:`compile_substitution` is the only scanner of the substitution
+grammar; ``Interp.substitute`` replays its segments too.
 
 A bounded LRU cache maps source strings to compiled scripts.  The cache is
 module-level and shared by every :class:`~repro.core.tclish.interp.Interp`
@@ -96,16 +98,41 @@ def _needs_substitution(text: str) -> bool:
     return "$" in text or "[" in text or "\\" in text
 
 
+def _scan_varname(text: str, i: int):
+    """Parse ``$name`` or ``${name}`` starting at index i (the '$')."""
+    n = len(text)
+    if i + 1 >= n:
+        return None, i + 1
+    if text[i + 1] == "{":
+        j = text.find("}", i + 2)
+        if j < 0:
+            raise TclError("unmatched ${")
+        return text[i + 2:j], j + 1
+    j = i + 1
+    while j < n and (text[j].isalnum() or text[j] == "_"):
+        j += 1
+    if j == i + 1:
+        return None, i + 1
+    return text[i + 1:j], j
+
+
+_BACKSLASH_MAP = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"',
+                  "$": "$", "[": "[", "]": "]", "{": "{", "}": "}",
+                  ";": ";", " ": " ", "\n": ""}
+
+
+def _backslash(ch: str) -> str:
+    return _BACKSLASH_MAP.get(ch, ch)
+
+
 def compile_substitution(text: str) -> Tuple[Segment, ...]:
     """Pre-tokenise a substitution string into segments.
 
-    Mirrors ``Interp.substitute`` exactly: backslash escapes, ``$name`` /
-    ``${name}`` variable reads, and ``[script]`` command substitution.
-    Adjacent literal text (including resolved escapes) is merged into one
+    Tcl's substitution rules: backslash escapes, ``$name`` / ``${name}``
+    variable reads, and ``[script]`` command substitution.  Adjacent
+    literal text (including resolved escapes) is merged into one
     ``SEG_TEXT`` run.
     """
-    from repro.core.tclish.interp import _backslash, _scan_varname
-
     segments: List[Segment] = []
     text_run: List[str] = []
     i = 0
@@ -187,7 +214,8 @@ def _analyze_plain(text: str) -> CompiledWord:
 
 
 def analyze_word(raw: str) -> CompiledWord:
-    """Analyse one raw word exactly as ``Interp.substitute_word`` would."""
+    """Analyse one raw word: braces quote verbatim, double quotes (or
+    none) substitute."""
     if len(raw) >= 2 and raw[0] == "{" and raw[-1] == "}":
         return CompiledWord(LITERAL, raw[1:-1])
     if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':

@@ -375,10 +375,8 @@ def evaluate_cached(text: str) -> Value:
 
     Safe because expression evaluation is pure: command and variable
     substitution already happened before the text reached ``expr``, and
-    every operator/function here is deterministic.  Used by the compiled
-    execution engine; the parse-per-eval path keeps calling
-    :func:`evaluate` directly so benchmarks compare against the original
-    behaviour.
+    every operator/function here is deterministic.  ``expr``, ``if``,
+    ``while`` and ``for`` evaluate through it.
     """
     cached = _EVAL_CACHE.get(text, _MISS)
     if cached is not _MISS:

@@ -13,8 +13,9 @@ bare words undergo backslash, variable (``$name``/``${name}``) and command
 Evaluation is compile-once: ``eval`` looks the source up in the shared
 compile cache (:mod:`repro.core.tclish.compiler`) and executes the cached
 command list, so a filter script re-run for every intercepted message is
-lexed exactly once.  ``Interp(compiled=False)`` keeps the original
-parse-per-eval path alive for equivalence testing and benchmarking.
+lexed exactly once.  Substitution over a string that is not a command
+word (``if``/``while`` conditions, ``expr`` bodies) goes through the same
+compiler's segment cache.
 """
 
 from __future__ import annotations
@@ -32,17 +33,19 @@ from repro.core.tclish.compiler import (
     CompiledScript,
 )
 from repro.core.tclish.errors import TclError, TclReturn
-from repro.core.tclish.lexer import split_commands, split_words
 
 CommandFn = Callable[["Interp", List[str]], str]
 
-#: Deepest proc-in-proc nesting an interpreter allows.  A runaway
-#: recursion (``proc f {} {f}``) must end as a ``TclError`` the harness
-#: can report, not as Python's ``RecursionError`` from deep inside: one
-#: proc level costs 5 Python frames bare and about 18 through an
-#: ``if`` + ``expr`` + ``[f ...]`` body, so 40 levels stay well inside
-#: the default 1000-frame stack wherever the filter is called from.
-MAX_PROC_DEPTH = 40
+#: Deepest nesting of :meth:`Interp.eval` calls an interpreter allows.
+#: Every proc body, control-flow body, ``eval`` and ``[...]``
+#: substitution is one level, so one counter covers runaway proc
+#: recursion (``proc f {} {f}``) and runaway ``eval``
+#: (``set s {eval $s}; eval $s``) alike.  Either must end as a
+#: ``TclError`` the harness can report, not as Python's
+#: ``RecursionError`` from deep inside: an eval level costs about 4-6
+#: Python frames, so 100 levels stay well inside the default 1000-frame
+#: stack wherever the filter is called from.
+MAX_EVAL_DEPTH = 100
 
 
 class Proc:
@@ -71,8 +74,6 @@ class Proc:
         if collects_args:
             extra = args[len(fixed):]
             frame["args"] = " ".join(extra)
-        if len(interp._frames) >= MAX_PROC_DEPTH:
-            raise TclError("too many nested evaluations (infinite loop?)")
         interp._frames.append(frame)
         try:
             return interp.eval(self.body)
@@ -85,8 +86,7 @@ class Proc:
 class Interp:
     """A tclish interpreter with persistent state."""
 
-    def __init__(self, output: Optional[Callable[[str], None]] = None,
-                 *, compiled: bool = True):
+    def __init__(self, output: Optional[Callable[[str], None]] = None):
         self.globals: Dict[str, str] = {}
         self.procs: Dict[str, Proc] = {}
         self.commands: Dict[str, CommandFn] = {}
@@ -94,9 +94,8 @@ class Interp:
         self._global_links: List[set] = []
         self.output_lines: List[str] = []
         self._output = output
-        #: when False, every eval re-lexes its source (the pre-compiler
-        #: behaviour); kept for equivalence tests and benchmarks
-        self.compiled = compiled
+        #: eval() calls currently on the stack (see MAX_EVAL_DEPTH)
+        self._depth = 0
         #: number of eval() script evaluations on this interpreter
         self.eval_count = 0
         #: evals answered from the shared compile cache
@@ -199,24 +198,26 @@ class Interp:
 
         Accepts source text or an already-compiled script.  Source text is
         resolved through the shared compile cache (parse once, execute per
-        call) unless the interpreter was built with ``compiled=False``.
+        call).  Nesting deeper than :data:`MAX_EVAL_DEPTH` raises
+        :class:`TclError`.
         """
         self.eval_count += 1
         if type(script) is str:
-            if not self.compiled:
-                result = ""
-                for command in split_commands(script):
-                    result = self.eval_command(command)
-                return result
             script, hit = compiler.lookup(script)
             if hit:
                 self.cache_hits += 1
             else:
                 self.cache_misses += 1
-        result = ""
-        for command in script.commands:
-            result = self._exec_compiled(command)
-        return result
+        if self._depth >= MAX_EVAL_DEPTH:
+            raise TclError("too many nested evaluations (infinite loop?)")
+        self._depth += 1
+        try:
+            result = ""
+            for command in script.commands:
+                result = self._exec_compiled(command)
+            return result
+        finally:
+            self._depth -= 1
 
     def compile(self, source: str) -> CompiledScript:
         """Compile (and cache) a script without evaluating it."""
@@ -277,14 +278,6 @@ class Interp:
                 parts.append(self.eval(payload))
         return "".join(parts)
 
-    def eval_command(self, command: str) -> str:
-        """Evaluate a single command string (parse-per-call path)."""
-        raw_words = split_words(command)
-        if not raw_words:
-            return ""
-        words = [self.substitute_word(w) for w in raw_words]
-        return self.call(words[0], words[1:])
-
     def call(self, name: str, args: List[str]) -> str:
         """Invoke a proc or registered command by name.
 
@@ -313,85 +306,13 @@ class Interp:
     # substitution
     # ------------------------------------------------------------------
 
-    def substitute_word(self, word: str) -> str:
-        """Apply Tcl substitution rules to one raw word."""
-        if len(word) >= 2 and word[0] == "{" and word[-1] == "}":
-            return word[1:-1]
-        if len(word) >= 2 and word[0] == '"' and word[-1] == '"':
-            return self.substitute(word[1:-1])
-        return self.substitute(word)
-
     def substitute(self, text: str) -> str:
         """Backslash, variable, and command substitution over a string."""
         if "$" not in text and "[" not in text and "\\" not in text:
             return text
-        if self.compiled:
-            # stable strings (if/while conditions, expr bodies) tokenise
-            # once and replay as segments on every later call
-            return self._run_segments(compiler.lookup_substitution(text))
-        out: List[str] = []
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch == "\\" and i + 1 < n:
-                out.append(_backslash(text[i + 1]))
-                i += 2
-            elif ch == "$":
-                name, i = _scan_varname(text, i)
-                if name is None:
-                    out.append("$")
-                else:
-                    out.append(self.get_var(name))
-            elif ch == "[":
-                depth = 0
-                j = i
-                while j < n:
-                    if text[j] == "\\" and j + 1 < n:
-                        j += 2
-                        continue
-                    if text[j] == "[":
-                        depth += 1
-                    elif text[j] == "]":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    j += 1
-                if depth != 0:
-                    raise TclError("unmatched open bracket in substitution")
-                out.append(self.eval(text[i + 1:j]))
-                i = j + 1
-            else:
-                out.append(ch)
-                i += 1
-        return "".join(out)
-
-
-def _scan_varname(text: str, i: int):
-    """Parse ``$name`` or ``${name}`` starting at index i (the '$')."""
-    n = len(text)
-    if i + 1 >= n:
-        return None, i + 1
-    if text[i + 1] == "{":
-        j = text.find("}", i + 2)
-        if j < 0:
-            raise TclError("unmatched ${")
-        return text[i + 2:j], j + 1
-    j = i + 1
-    while j < n and (text[j].isalnum() or text[j] == "_"):
-        j += 1
-    if j == i + 1:
-        return None, i + 1
-    return text[i + 1:j], j
-
-
-_BACKSLASH_MAP = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"',
-                  "$": "$", "[": "[", "]": "]", "{": "{", "}": "}",
-                  ";": ";", " ": " ", "\n": ""}
-
-
-def _backslash(ch: str) -> str:
-    return _BACKSLASH_MAP.get(ch, ch)
+        # stable strings (if/while conditions, expr bodies) tokenise
+        # once and replay as segments on every later call
+        return self._run_segments(compiler.lookup_substitution(text))
 
 
 def _to_tcl_string(value: Any) -> str:

@@ -94,23 +94,16 @@ def _cmd_append(interp: "Interp", args: List[str]) -> str:
     return interp.set_var(args[0], current + "".join(args[1:]))
 
 
-def _evaluate(interp: "Interp", text: str):
-    """Expression evaluation, memoised when the compiled engine is active."""
-    if interp.compiled:
-        return _expr.evaluate_cached(text)
-    return _expr.evaluate(text)
-
-
 def _cmd_expr(interp: "Interp", args: List[str]) -> str:
     text = interp.substitute(" ".join(args))
-    return _expr.format_value(_evaluate(interp, text))
+    return _expr.format_value(_expr.evaluate_cached(text))
 
 
 def _cmd_if(interp: "Interp", args: List[str]) -> str:
     i = 0
     while i < len(args):
         condition = interp.substitute(args[i])
-        if _expr.truth(_evaluate(interp, condition)):
+        if _expr.truth(_expr.evaluate_cached(condition)):
             body_index = i + 1
             if body_index < len(args) and args[body_index] == "then":
                 body_index += 1
@@ -136,7 +129,7 @@ def _cmd_while(interp: "Interp", args: List[str]) -> str:
         raise TclError('wrong # args: should be "while test body"')
     test, body = args
     iterations = 0
-    while _expr.truth(_evaluate(interp, interp.substitute(test))):
+    while _expr.truth(_expr.evaluate_cached(interp.substitute(test))):
         iterations += 1
         if iterations > 1_000_000:
             raise TclError("while loop exceeded 1e6 iterations")
@@ -155,7 +148,7 @@ def _cmd_for(interp: "Interp", args: List[str]) -> str:
     start, test, nxt, body = args
     interp.eval(start)
     iterations = 0
-    while _expr.truth(_evaluate(interp, interp.substitute(test))):
+    while _expr.truth(_expr.evaluate_cached(interp.substitute(test))):
         iterations += 1
         if iterations > 1_000_000:
             raise TclError("for loop exceeded 1e6 iterations")

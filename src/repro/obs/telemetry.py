@@ -10,8 +10,8 @@ questions a sweep owner actually asks: *which configuration is slow* and
 time; at a healthy ratio a 2-hour keep-alive run costs well under a
 wall-clock second).
 
-:func:`render_scorecard` turns a result list into the table
-``Campaign.run(..., scorecard=True)`` prints.
+:func:`render_scorecard` turns a result list into the sweep table:
+``print(render_scorecard(campaign.run(configs)))``.
 """
 
 from __future__ import annotations

@@ -318,10 +318,16 @@ class FuzzReport:
     trials_per_sec: float = 0.0
     #: virtual time the filter was installed at (the shared prefix depth)
     checkpoint_depth: Optional[float] = None
-    #: share of trials forking a pooled prefix an earlier one captured
+    #: share of trials forking a pooled prefix an earlier one captured;
+    #: ``None`` when the rows carried no prefix provenance (the process
+    #: pool returns results only)
     checkpoint_hit_rate: Optional[float] = None
     #: draws thrown away because the grammar's own lint rejected them
     discarded_draws: int = 0
+
+    def hit_rate_text(self) -> str:
+        rate = self.checkpoint_hit_rate
+        return "n/a" if rate is None else f"{rate:.0%}"
 
     def render(self) -> str:
         lines = [f"fuzz {self.protocol}: {self.executed}/{self.budget} "
@@ -333,7 +339,7 @@ class FuzzReport:
         if self.trials_per_sec:
             lines.append(f"  {self.trials_per_sec:.1f} trials/s "
                          f"(checkpointed @ depth {self.checkpoint_depth:g}, "
-                         f"hit-rate {self.checkpoint_hit_rate:.0%})")
+                         f"hit-rate {self.hit_rate_text()})")
         for finding in self.findings:
             lines.append(
                 f"  {finding.case.script.name} "
@@ -583,14 +589,16 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
             elapsed = perf_counter() - started
             report.trials_per_sec = (report.executed / elapsed if elapsed
                                      else 0.0)
-            # a trial is a hit when it forked a prefix it did not pay for
+            # a trial is a hit when it forked a prefix it did not pay
+            # for; rows without a prefix key say nothing either way
+            traced = sharing["prefix_forks"] + sharing["prefix_fallbacks"]
             report.checkpoint_hit_rate = (
-                sharing["prefix_forks"] - sharing["prefix_captures"]
-            ) / report.executed
+                (sharing["prefix_forks"] - sharing["prefix_captures"])
+                / report.executed if traced else None)
             flight.progress.update(
                 report.executed, coverage=len(coverage),
                 findings=len(report.findings),
-                checkpoint_hit_rate=f"{report.checkpoint_hit_rate:.0%}")
+                checkpoint_hit_rate=report.hit_rate_text())
     report.coverage = frozenset(coverage)
     return report
 

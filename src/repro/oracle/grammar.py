@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.distributions import derive_seed
 from repro.core.script import PFI_COMMANDS
@@ -243,23 +243,6 @@ def mutate_script(rng: random.Random, script: FuzzScript, *,
         del clauses[rng.randrange(len(clauses))]
     return _self_check(script.with_clauses(
         clauses, name=f"fuzz_{script.protocol}_{index:04d}"))
-
-
-# ----------------------------------------------------------------------
-# shared seeded-selection helpers (also used by repro.core.randomtest)
-# ----------------------------------------------------------------------
-
-def seeded_sample(items: Sequence, count: int, *, seed: int) -> List:
-    """Sample ``count`` items without replacement, deterministically.
-
-    The one place campaign-style runners draw random subsets; both the
-    fuzzer and :func:`repro.core.randomtest.run_campaign` use it so the
-    two sides cannot drift on sampling semantics again.
-    """
-    chosen = list(items)
-    if count >= len(chosen):
-        return chosen
-    return random.Random(seed).sample(chosen, count)
 
 
 def trial_seed(campaign_seed: int, name: str, repetition: int = 0) -> int:

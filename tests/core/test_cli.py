@@ -82,13 +82,14 @@ class TestRunScript:
 
     def test_script_fault_is_one_line_and_exit_1(self, tmp_path, capsys):
         script = tmp_path / "runaway.tcl"
-        script.write_text("proc f {} {f}\nf\n")
-        assert main(["run-script", str(script), "--duration", "5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"repro run-script: {script}: too many nested evaluations "
-            f"(infinite loop?)\n")
-        assert "pfi stats" not in captured.out
+        for source in ("proc f {} {f}\nf\n", "set s {eval $s}\neval $s\n"):
+            script.write_text(source)
+            assert main(["run-script", str(script), "--duration", "5"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"repro run-script: {script}: too many nested evaluations "
+                f"(infinite loop?)\n")
+            assert "pfi stats" not in captured.out
 
     def test_missing_script_file_raises(self):
         import pytest as _pytest

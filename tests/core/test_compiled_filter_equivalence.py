@@ -4,7 +4,7 @@ A generated campaign script run through ``TclishFilter`` against a fixed
 message stream must deliver exactly the pinned message types, hold the
 pinned interpreter state and print the pinned output.  The pins were
 generated while a second, parse-per-message engine still existed and
-both agreed on every case.
+agreed on every case.
 """
 
 import pytest
@@ -22,12 +22,11 @@ def _find_script(name):
     raise AssertionError(f"no generated script named {name}")
 
 
-def _run_stream(script, compiled, kinds):
+def _run_stream(script, kinds):
     """Install the filter on a fresh harness, replay the stream."""
     harness = Harness()
     tclish = TclishFilter(script.tclish_source,
-                          init_script=script.tclish_init,
-                          name=script.name, compiled=compiled)
+                          init_script=script.tclish_init, name=script.name)
     harness.pfi.set_receive_filter(tclish)
     for kind in kinds:
         harness.send_up(kind)
@@ -55,10 +54,7 @@ class TestCompiledFilterEquivalence:
     def test_generated_script_equivalent(self, name):
         script = _find_script(name)
         kinds = (["DATA", "ACK"] * 20) + ["ACK"] * 5
-        delivered, globals_, output = PAPER_SCRIPTS[name]
-        for compiled in (True, False):
-            assert _run_stream(script, compiled, kinds) == (
-                delivered, globals_, output)
+        assert _run_stream(script, kinds) == PAPER_SCRIPTS[name]
 
     def test_stateful_counting_filter_equivalent(self):
         source = (
@@ -71,19 +67,18 @@ class TestCompiledFilterEquivalence:
             'puts "$seen/$acks"')
         init = "set seen 0; set acks 0"
         kinds = ["ACK", "DATA", "ACK", "ACK", "ACK", "DATA", "ACK", "ACK"]
-        for compiled in (True, False):
-            harness = Harness()
-            tclish = TclishFilter(source, init_script=init, compiled=compiled)
-            harness.pfi.set_receive_filter(tclish)
-            for kind in kinds:
-                harness.send_up(kind)
-            # every third ACK is dropped: the 3rd and the 6th
-            assert [m.meta["type"] for m in harness.top.received] == [
-                "ACK", "DATA", "ACK", "ACK", "DATA", "ACK"]
-            assert tclish.interp.globals == {"seen": "8", "acks": "6",
-                                             "type": "ACK"}
-            assert tclish.interp.output_lines == [
-                "1/1", "2/1", "3/2", "4/3", "5/4", "6/4", "7/5", "8/6"]
+        harness = Harness()
+        tclish = TclishFilter(source, init_script=init)
+        harness.pfi.set_receive_filter(tclish)
+        for kind in kinds:
+            harness.send_up(kind)
+        # every third ACK is dropped: the 3rd and the 6th
+        assert [m.meta["type"] for m in harness.top.received] == [
+            "ACK", "DATA", "ACK", "ACK", "DATA", "ACK"]
+        assert tclish.interp.globals == {"seen": "8", "acks": "6",
+                                         "type": "ACK"}
+        assert tclish.interp.output_lines == [
+            "1/1", "2/1", "3/2", "4/3", "5/4", "6/4", "7/5", "8/6"]
 
     def test_compiled_filter_reuses_cache_across_messages(self):
         script = _find_script("crash_after_20_receive")

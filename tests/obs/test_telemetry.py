@@ -97,13 +97,6 @@ class TestScorecard:
         assert "-" in card.splitlines()[2]
         assert "0 config(s)" in card
 
-    def test_scorecard_flag_prints(self, capsys):
-        Campaign(sweep_body, seed=7).run(
-            _sweep_configs(count=2, events=10), scorecard=True)
-        out = capsys.readouterr().out
-        assert "virt/wall" in out
-        assert "2 config(s)" in out
-
 
 class TestWorkerErrorNaming:
     def test_failed_config_is_named_in_notes(self):

@@ -93,6 +93,20 @@ def test_parallel_workers_do_not_perturb_the_verdict():
         "0000", "0001", "0002", "0006", "0012"]
 
 
+def test_pool_rows_leave_the_hit_rate_unknown(tmp_path):
+    # the process pool returns results without prefix provenance, so
+    # its hit rate is unknown -- never a false 0 %
+    from repro.obs.journal import replay_journal
+    assert run_fuzz("gmp", seed=0, budget=8).checkpoint_hit_rate == 0.625
+    journal = tmp_path / "pooled.jsonl"
+    pooled = run_fuzz("gmp", seed=0, budget=8, workers=2, journal=journal)
+    assert pooled.checkpoint_hit_rate is None
+    assert "hit-rate n/a" in pooled.render()
+    end = replay_journal(journal).last("campaign.end")
+    assert "checkpoint_hit_rate" in end.data
+    assert end.get("checkpoint_hit_rate") is None
+
+
 def test_fuzz_case_config_excludes_the_display_name():
     case = FuzzCase(
         script=run_fuzz("gmp", seed=0, budget=1).corpus[0].script,

@@ -8,7 +8,7 @@ from repro.core.script import PFI_COMMANDS
 from repro.core.tclish.lint import lint_source
 from repro.oracle.grammar import (GRAMMAR_COMMANDS, MAX_CLAUSES, Clause,
                                   FuzzScript, generate_script,
-                                  mutate_script, seeded_sample, trial_seed)
+                                  mutate_script, trial_seed)
 
 
 def test_grammar_commands_are_all_registered():
@@ -60,15 +60,6 @@ def test_init_lines_are_deduplicated():
 def test_unknown_protocol_is_rejected():
     with pytest.raises(ValueError, match="unknown protocol"):
         generate_script(random.Random(0), "udp")
-
-
-def test_seeded_sample_matches_stdlib_semantics():
-    items = list(range(20))
-    assert seeded_sample(items, 5, seed=9) == \
-        random.Random(9).sample(items, 5)
-    # asking for everything (or more) returns the list unchanged
-    assert seeded_sample(items, 20, seed=9) == items
-    assert seeded_sample(items, 99, seed=9) == items
 
 
 def test_trial_seed_is_order_insensitive_and_name_keyed():

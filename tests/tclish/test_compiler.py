@@ -130,8 +130,8 @@ class TestCompileCache:
 
 #: scripts covering the tclish surface, each pinned to its literal result,
 #: global variables and ``puts`` output.  The pins were generated while
-#: a second, parse-per-eval engine still existed and both agreed on
-#: every entry; a few are hand-checked Tcl (``incr`` twice from 5 -> 16,
+#: a second, parse-per-eval engine still existed and agreed on every
+#: entry; a few are hand-checked Tcl (``incr`` twice from 5 -> 16,
 #: ``lindex`` of a built list, the 0..9 ``for`` sum).
 EQUIVALENCE_CORPUS = {
     "set a 1": ("1", {"a": "1"}, []),
@@ -195,35 +195,30 @@ ERROR_CORPUS = {
 }
 
 
-def _engines():
-    return Interp(compiled=True), Interp(compiled=False)
-
-
 class TestCompiledEquivalence:
     @pytest.mark.parametrize("source", EQUIVALENCE_CORPUS)
     def test_results_state_and_output_match(self, source):
         result, globals_, output = EQUIVALENCE_CORPUS[source]
-        for interp in _engines():
-            assert interp.eval(source) == result
-            assert interp.globals == globals_
-            assert interp.output_lines == output
+        interp = Interp()
+        assert interp.eval(source) == result
+        assert interp.globals == globals_
+        assert interp.output_lines == output
 
     @pytest.mark.parametrize("source", ERROR_CORPUS)
     def test_errors_match(self, source):
-        for interp in _engines():
-            with pytest.raises(TclError) as err:
-                interp.eval(source)
-            assert str(err.value) == ERROR_CORPUS[source]
+        with pytest.raises(TclError) as err:
+            Interp().eval(source)
+        assert str(err.value) == ERROR_CORPUS[source]
 
     def test_persistent_state_across_evals_matches(self):
-        for interp in _engines():
-            interp.eval("set seen 0; set dropped 0")
-            for kind in ["ACK", "DATA", "ACK", "ACK", "DATA"]:
-                interp.set_var("kind", kind)
-                interp.eval(
-                    'incr seen\n'
-                    'if {$kind eq "ACK"} {incr dropped}\n'
-                    'puts "$seen:$dropped"')
-            assert interp.globals == {"seen": "5", "dropped": "3",
-                                      "kind": "DATA"}
-            assert interp.output_lines == ["1:1", "2:1", "3:2", "4:3", "5:3"]
+        interp = Interp()
+        interp.eval("set seen 0; set dropped 0")
+        for kind in ["ACK", "DATA", "ACK", "ACK", "DATA"]:
+            interp.set_var("kind", kind)
+            interp.eval(
+                'incr seen\n'
+                'if {$kind eq "ACK"} {incr dropped}\n'
+                'puts "$seen:$dropped"')
+        assert interp.globals == {"seen": "5", "dropped": "3",
+                                  "kind": "DATA"}
+        assert interp.output_lines == ["1:1", "2:1", "3:2", "4:3", "5:3"]

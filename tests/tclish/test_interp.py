@@ -122,10 +122,11 @@ class TestProcs:
 
     def test_runaway_recursion_is_a_tcl_error(self, interp):
         # never Python's RecursionError from deep inside the interpreter,
-        # bare or through an if + expr + [f ...] body (18 frames a level)
+        # bare, through an if + expr + [f ...] body, or through eval
         for script in ("proc f {} {f}; f",
                        "proc g {n} { if {$n > 0} "
-                       "{ return [expr {[g [expr {$n + 1}]] + 1}] } }; g 1"):
+                       "{ return [expr {[g [expr {$n + 1}]] + 1}] } }; g 1",
+                       "set s {eval $s}; eval $s"):
             with pytest.raises(TclError, match="too many nested evaluations "
                                                r"\(infinite loop\?\)"):
                 interp.eval(script)

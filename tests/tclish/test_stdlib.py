@@ -86,7 +86,7 @@ class TestControlFlow:
         assert interp.eval("catch {error boom} msg") == "1"
         assert interp.eval("set msg") == "boom"
 
-    def test_eval_command(self, interp):
+    def test_eval_builtin(self, interp):
         assert interp.eval('eval {set x 9}') == "9"
 
 
