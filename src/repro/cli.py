@@ -23,7 +23,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from typing import Callable, Dict
+from typing import Callable, Dict, Union
 
 from repro.analysis.tables import render_table
 
@@ -660,9 +660,8 @@ def cmd_sweep(args) -> int:
                                   depth=args.depth),
             oracle=pack_for(args.protocol))
 
-    workers = args.workers if args.workers == "auto" else int(args.workers)
     try:
-        run_sweep(spec, workers=workers, backend=args.backend,
+        run_sweep(spec, workers=args.workers, backend=args.backend,
                   fabric_dir=fabric_dir, fabric_options=fabric_options)
     except FabricError as exc:
         print(f"repro sweep: {exc}", file=sys.stderr)
@@ -728,6 +727,20 @@ PAPER_COMMANDS: Dict[str, Callable] = {
     "table5": cmd_table5, "table6": cmd_table6, "table7": cmd_table7,
     "table8": cmd_table8, "all": cmd_all,
 }
+
+
+def _workers_arg(text: str) -> Union[int, str]:
+    """``--workers``: a process count of at least 1, or ``auto``."""
+    if text == "auto":
+        return text
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an int >= 1 or 'auto', got {text!r}")
+    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -910,8 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--backend", choices=["local", "sockets"],
                        default="local",
                        help="execution backend (default local)")
-    sweep.add_argument("--workers", default="2",
-                       help="worker processes, or 'auto' (default 2)")
+    sweep.add_argument("--workers", type=_workers_arg, default=2,
+                       help="worker processes (>= 1), or 'auto' (default 2)")
     sweep.add_argument("--journal-dir", default="", metavar="DIR",
                        help="campaign directory: sweep spec, shared "
                             "result store, per-shard journals")

@@ -56,8 +56,8 @@ Two further pieces make forks cheap and correct:
 Invalidation rules (also in ``docs/checkpointing.md``): a checkpoint is
 tied to the exact prefix code, seed-portable only under the zero-draw
 condition above, process-local (never pickled), and its ``identity``
-digest is what consumers mix into cache keys (see
-:meth:`repro.core.orchestrator.RunCache.key`) so results computed from
+digest is what consumers mix into store keys (see
+:meth:`repro.core.orchestrator.ResultStore.key`) so results computed from
 different prefixes can never alias.
 
 Checkpoints form **trees**: ``capture`` also accepts a :class:`Forked`
@@ -279,16 +279,14 @@ class Checkpoint:
 
 
 class CheckpointPool:
-    """LRU store of live checkpoints with a count and entry budget.
+    """LRU store of live checkpoints, optionally bounded by count.
 
-    Checkpoint trees grow one snapshot per explored branch segment, and
-    each snapshot retains a full world graph -- an unbounded tree on a
-    long exploration would exhaust memory before the scheduler does.
-    The pool bounds that: ``put`` evicts least-recently-used snapshots
-    once either ``max_items`` (snapshot count) or ``max_entries`` (sum
-    of retained trace positions, the cheap live-memory proxy for worlds
-    that are never pickled) would be exceeded.  The newest snapshot is
-    never evicted, so a single oversized checkpoint still pools.
+    Each snapshot retains a full world graph, so ``max_items`` caps how
+    many a pool keeps alive: ``put`` evicts the least-recently-used
+    snapshot past it (``execute_shard`` keeps one, ``repro fuzz`` eight).
+    An unbounded pool (the default) is for a holder that releases what
+    it is done with: the explorer, which knows its future, ``discard``\\s
+    each branch checkpoint once no later schedule forks it.
 
     ``get`` refreshes recency and counts a hit; a miss (including a
     previously evicted key) counts against ``misses``.  A pool is also
@@ -297,11 +295,9 @@ class CheckpointPool:
     session, which is what makes a group of one worth capturing there.
     """
 
-    def __init__(self, max_items: Optional[int] = None,
-                 max_entries: Optional[int] = None):
+    def __init__(self, max_items: Optional[int] = None):
         self._items: "OrderedDict[Hashable, Checkpoint]" = OrderedDict()
         self.max_items = max_items
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -332,10 +328,12 @@ class CheckpointPool:
         return checkpoint
 
     def put(self, key: Hashable, checkpoint: Checkpoint) -> Checkpoint:
-        """Pool ``checkpoint`` under ``key``, evicting LRU past budget."""
+        """Pool ``checkpoint`` under ``key``, evicting LRU past
+        ``max_items``."""
         self._items[key] = checkpoint
         self._items.move_to_end(key)
-        while len(self._items) > 1 and self._over_budget():
+        while (self.max_items is not None
+               and len(self._items) > self.max_items):
             self._items.popitem(last=False)
             self.evictions += 1
         return checkpoint
@@ -346,14 +344,8 @@ class CheckpointPool:
         self._items.pop(key, None)
 
     def clear(self) -> None:
-        """Drop every pooled snapshot (budget counters are kept)."""
+        """Drop every pooled snapshot (the counters are kept)."""
         self._items.clear()
-
-    def _over_budget(self) -> bool:
-        if self.max_items is not None and len(self._items) > self.max_items:
-            return True
-        return (self.max_entries is not None
-                and self.entries > self.max_entries)
 
     def stats(self) -> Dict[str, int]:
         """Reuse counters for reports: hits/misses/evictions/size."""

@@ -129,9 +129,6 @@ class FabricCoordinator:
                  workers: int = 2, ttl: float = DEFAULT_TTL_S,
                  poll: float = DEFAULT_POLL_S, spawn: bool = True,
                  host: str = "127.0.0.1"):
-        if workers < 1:
-            raise ValueError(f"sockets backend needs workers >= 1, "
-                             f"got {workers}")
         self._spec = spec
         self._dir = Path(fabric_dir)
         self._workers = workers

@@ -23,12 +23,12 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.core.orchestrator import (PrefixedBody, ResultStore, _hash_code,
-                                     _prefix_digest)
+from repro.core.orchestrator import (PrefixedBody, ResultStore,
+                                     _hash_callable, _prefix_digest)
 
 
 class SpecError(ValueError):
@@ -46,8 +46,6 @@ class SweepSpec:
     oracle: Optional[Callable] = None
     lint: str = "error"
     group: bool = True
-    #: free-form labels carried into journals (protocol, target, ...)
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.configs = [dict(config) for config in self.configs]
@@ -108,18 +106,11 @@ class SweepSpec:
         parts = getattr(self.body, "cache_parts", None)
         for fn in ((*parts(), self.body.key) if callable(parts)
                    else (self.body,)):
-            digest.update(getattr(fn, "__module__", "").encode())
-            digest.update(getattr(fn, "__qualname__", repr(fn)).encode())
-            code = getattr(fn, "__code__", None)
-            if code is not None:
-                _hash_code(digest, code)
+            _hash_callable(digest, fn)
         if self.oracle is not None:
-            digest.update(getattr(self.oracle, "__module__", "").encode())
-            digest.update(getattr(self.oracle, "__qualname__",
-                                  repr(self.oracle)).encode())
+            _hash_callable(digest, self.oracle, code=False)
         digest.update(repr((self.seed, self.telemetry, self.lint,
                             self.group)).encode())
-        digest.update(repr(sorted(self.meta.items())).encode())
         for config in self.configs:
             digest.update(repr(sorted(config.items())).encode())
         return digest.hexdigest()[:16]

@@ -1,7 +1,7 @@
 """The fabric's shared result store.
 
 The class lives in :mod:`repro.core.orchestrator` -- there is one store,
-used alike by ``Campaign.run(cache=...)`` sweeps, in-process
+the ``store/`` of a campaign directory, used alike by in-process
 ``fabric_dir`` sweeps, fabric workers and the coordinator -- and is
 re-exported here under the path fabric code has always imported it from.
 """

@@ -49,8 +49,8 @@ cut by the one partitioner, :func:`_prefix_chunks`.
 
 The pool is persistent (one per process, grown on demand, torn down at
 interpreter exit), so a large sweep pays worker startup once and pickles
-one task per chunk; ``workers="auto"`` sizes it from ``os.cpu_count()``
-and stays serial when the sweep is too small to amortize it.
+one task per chunk.  ``workers`` means one thing on every transport
+(:func:`_resolve_workers`): a process count, or ``"auto"``.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ _INIT_KEYS = {"script": "init_script", "tclish": "tclish_init",
               "tclish_source": "tclish_init", "send_script": "send_init",
               "receive_script": "receive_init"}
 
-#: sweeps smaller than this run serially even under ``workers="auto"``;
-#: pool startup + pickling dominates below it
+#: sweeps smaller than this get one process under ``workers="auto"`` (this
+#: one, or one fabric worker); worker startup + pickling dominates below it
 _AUTO_SERIAL_THRESHOLD = 4
 
 #: transports ``Campaign.run(backend=...)`` can execute a sweep on
@@ -213,11 +213,27 @@ def _hash_code(digest, code) -> None:
             digest.update(repr(const).encode())
 
 
+def _hash_callable(digest, fn, *, code: bool = True) -> None:
+    """Mix a callable's identity into ``digest``: module, qualname and,
+    with ``code``, its compiled bytecode (:func:`_hash_code`).
+
+    The one hasher behind store keys, prefix digests and spec digests,
+    so all three name a body the same way.  Oracles are hashed by name
+    only (``code=False``).
+    """
+    digest.update(getattr(fn, "__module__", "").encode())
+    digest.update(getattr(fn, "__qualname__", repr(fn)).encode())
+    fn_code = getattr(fn, "__code__", None) if code else None
+    if fn_code is not None:
+        _hash_code(digest, fn_code)
+
+
 class ResultStore:
     """Content-addressed, multi-writer store of pickled :class:`RunResult`.
 
-    One directory that fabric workers, the coordinator and in-process
-    ``Campaign.run(cache=...)`` sweeps read and write concurrently
+    The ``store/`` of a campaign directory (``fabric_dir``), which fabric
+    workers, the coordinator and in-process sweeps read and write
+    concurrently; a sweep has a store only through such a directory
     (``RunCache`` is the same class under its older name).  The key
     hashes everything that determines a configuration's outcome: the
     body's module, qualname and compiled bytecode, the campaign seed,
@@ -238,9 +254,9 @@ class ResultStore:
     Configuration values that cannot be pickled deterministically fall
     back to ``repr``; a repr that embeds an object id yields a fresh key
     every process -- a guaranteed miss, never a wrong hit.  The store is
-    opt-in (``cache=`` or a ``fabric_dir``) because a stored row skips
-    the body entirely: a hit's wall-time telemetry is the original
-    run's, and the body's side effects (prints, files) do not reoccur.
+    opt-in (a ``fabric_dir``) because a stored row skips the body
+    entirely: a hit's wall-time telemetry is the original run's, and the
+    body's side effects (prints, files) do not reoccur.
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -261,11 +277,7 @@ class ResultStore:
         # wrapper instance whose repr would churn per process
         parts = getattr(body, "cache_parts", None)
         for fn in (parts() if callable(parts) else (body,)):
-            digest.update(getattr(fn, "__module__", "").encode())
-            digest.update(getattr(fn, "__qualname__", repr(fn)).encode())
-            code = getattr(fn, "__code__", None)
-            if code is not None:
-                _hash_code(digest, code)
+            _hash_callable(digest, fn)
         digest.update(str(seed).encode())
         digest.update(b"telemetry" if telemetry else b"bare")
         if checkpoint is not None:
@@ -276,9 +288,7 @@ class ResultStore:
             digest.update(b"checkpoint:")
             digest.update(str(checkpoint).encode())
         if oracle is not None:
-            digest.update(getattr(oracle, "__module__", "").encode())
-            digest.update(getattr(oracle, "__qualname__",
-                                  repr(oracle)).encode())
+            _hash_callable(digest, oracle, code=False)
         for k in sorted(config):
             digest.update(k.encode())
             value = config[k]
@@ -290,10 +300,6 @@ class ResultStore:
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
-
-    def has(self, key: str) -> bool:
-        """True when an entry file exists (unvalidated, no accounting)."""
-        return self._path(key).exists()
 
     def get(self, key: str) -> Optional[RunResult]:
         """The stored result, or ``None`` -- a counted miss -- for anything
@@ -344,7 +350,7 @@ class ResultStore:
         return slots
 
 
-#: the store's pre-fabric name, kept for ``cache=RunCache(path)`` callers
+#: the store's pre-fabric name (``benchmarks/e2e/tracing.py`` wraps it)
 RunCache = ResultStore
 
 
@@ -444,20 +450,18 @@ class PrefixedBody:
     with equal keys promise byte-identical prefix behaviour (same
     simulated events, zero RNG draws -- the checkpoint reseed contract),
     so :meth:`Campaign.run` may capture the prefix once per group and
-    fork it per configuration.  A config may override the derivation
-    with an explicit ``"prefix_key"`` entry; a key of ``None`` opts the
-    configuration out of grouping (it always runs cold).
+    fork it per configuration.  A key of ``None`` opts the configuration
+    out of grouping (it always runs cold).
 
     Instances are SC101-clean callable objects; with module-level
-    ``prefix``/``continuation`` functions they pickle, so a split body
-    works under parallel campaigns unchanged.
+    ``prefix``/``continuation``/``key`` functions they pickle, so a split
+    body works under parallel campaigns unchanged.
     """
 
     def __init__(self, prefix: Callable[[ExperimentEnv, Dict[str, Any]], Any],
                  continuation: Callable[[ExperimentEnv, Any,
                                          Dict[str, Any]], Any],
-                 key: Optional[Callable[[Dict[str, Any]], Optional[str]]]
-                 = None):
+                 key: Callable[[Dict[str, Any]], Optional[str]]):
         self.prefix = prefix
         self.continuation = continuation
         self.key = key
@@ -473,10 +477,6 @@ class PrefixedBody:
 
     def prefix_key(self, config: Dict[str, Any]) -> Optional[str]:
         """The grouping key for one configuration (None: never group)."""
-        if "prefix_key" in config:
-            return config["prefix_key"]
-        if self.key is None:
-            return None
         return self.key(config)
 
     def cache_parts(self) -> Tuple[Callable, ...]:
@@ -492,16 +492,11 @@ def _prefix_digest(body: PrefixedBody, key: Any) -> str:
 
     Deterministic *before* any capture happens -- unlike a captured
     checkpoint's ``identity`` -- so cache pre-passes can mix it into
-    :meth:`RunCache.key` and let fully-cached groups skip capture
+    :meth:`ResultStore.key` and let fully-stored groups skip capture
     entirely, while a changed prefix function or key still misses.
     """
     digest = hashlib.sha256()
-    fn = body.prefix
-    digest.update(getattr(fn, "__module__", "").encode())
-    digest.update(getattr(fn, "__qualname__", repr(fn)).encode())
-    code = getattr(fn, "__code__", None)
-    if code is not None:
-        _hash_code(digest, code)
+    _hash_callable(digest, body.prefix)
     digest.update(repr(key).encode())
     return digest.hexdigest()[:16]
 
@@ -1029,38 +1024,30 @@ class Campaign:
 
     def run(self, configs: Iterable[Dict[str, Any]], *,
             workers: Union[int, str] = 1, telemetry: bool = True,
-            cache: Optional[ResultStore] = None,
             oracle: Optional[Callable[[], List[Any]]] = None,
             journal: Union[None, str, Path, Journal] = None,
             progress: Optional[Callable[[str], None]] = None,
             group: bool = True,
             backend: str = "local",
-            fabric_dir: Union[None, str, Path] = None,
-            fabric_options: Optional[Dict[str, Any]] = None
+            fabric_dir: Union[None, str, Path] = None
             ) -> List[RunResult]:
-        """Execute the body once per configuration.
+        """Execute the body once per configuration; results in input order.
 
-        With ``workers > 1`` the configurations run chunked over a
-        persistent process pool; results are byte-identical to serial
-        execution and come back in input order.  ``workers="auto"`` picks
-        ``os.cpu_count()`` workers, staying serial on single-CPU machines
-        and for sweeps too small to amortize the pool.  The default stays
-        serial so existing sweeps are untouched.  Configs carrying tclish
-        scripts (see :data:`SCRIPT_KEYS`) are statically analyzed first;
-        any error-level diagnostic aborts the whole campaign before any
-        worker runs (``Campaign(..., lint="off")`` skips this).
+        Builds this campaign's :class:`~repro.core.fabric.spec.SweepSpec`
+        over ``configs`` and hands it to :func:`run_sweep`, which
+        documents the arguments that say how and where the sweep runs:
+        ``workers``, ``journal``, ``progress``, ``backend`` and
+        ``fabric_dir``.  Configs carrying tclish scripts (see
+        :data:`SCRIPT_KEYS`) are statically analyzed first; any
+        error-level diagnostic aborts the whole campaign before any
+        configuration runs (``Campaign(..., lint="off")`` skips this).
+        The remaining arguments say what the sweep computes.
 
         ``telemetry`` (default on) records per-configuration wall time,
         dispatched-event count, final virtual time and trace volume onto
         ``RunResult.telemetry``; ``telemetry=False`` leaves it ``None``;
         :func:`repro.obs.telemetry.render_scorecard` turns the results
         into the campaign scorecard.
-
-        ``cache`` (a :class:`ResultStore`, default off) returns stored
-        results for configurations this body+seed has already computed
-        and stores each fresh one the moment it completes, so an
-        interrupted sweep resumes from where it died; see the class
-        docstring for the invalidation rules.
 
         ``oracle`` (default off) is an invariant-pack factory -- a
         zero-argument callable returning fresh
@@ -1070,16 +1057,6 @@ class Campaign:
         it* (the trace is already hot there), and the resulting violation
         list lands on ``RunResult.violations``.  Parallel runs need the
         factory picklable, i.e. module-level -- the same rule as the body.
-
-        ``journal`` (default off) attaches the campaign flight recorder
-        (:class:`repro.obs.journal.Journal`, or a path one is opened at):
-        the sweep's lifecycle -- start, lint preflight, every
-        configuration's ``run_end`` with telemetry and oracle verdicts,
-        worker errors, dispatch/merge phases, end -- is appended as
-        crash-safe JSONL the parent process owns, so a killed sweep
-        still reproduces its partial scorecard via ``repro report
-        --campaign``.  ``progress`` is a line sink (e.g. ``print``) fed
-        by the shared renderer as configurations complete.
 
         ``group`` (default on) enables **prefix-grouped scheduling**
         when the body is a :class:`PrefixedBody`: configurations
@@ -1093,57 +1070,36 @@ class Campaign:
         forks one prefix across many calls (the fuzz loop, the
         shrinker) keeps a :class:`~repro.core.checkpoint.CheckpointPool`
         and hands it to :func:`execute_shard` directly.
-
-        ``backend`` selects the transport (:data:`BACKENDS`).
-        ``"local"`` -- the default -- runs in this process or its
-        process pool.  ``"sockets"`` runs the sweep as a coordinator
-        plus worker *processes* over the fabric protocol
-        (:mod:`repro.core.fabric`).  The coordinator forks its workers
-        from this process, so they start with everything it has
-        imported -- the calling script's ``__main__`` included -- and
-        a body that raises in one ends the sweep with
-        :class:`~repro.core.fabric.FabricError`
-        (``status="worker_error"``).  It requires ``fabric_dir`` (the
-        campaign directory holding the sweep spec, the shared result
-        store and per-shard journals), and ``cache=``/``journal=`` must
-        stay unset: workers can only write the directory's own store
-        and journals.  Everything else is the one lifecycle
-        (:func:`run_sweep`): the preflight verdict is journaled before
-        any worker is forked, and ``progress`` is fed as each completed
-        shard's rows are loaded back.  ``fabric_dir`` with the local
-        backend lays out the same directory in-process (spec pinned,
-        the store is the cache, the journal lands at the coordinator
-        path).  Either way, re-running the same sweep against the same
-        ``fabric_dir`` -- on either backend -- resumes it: only
-        configurations the store does not hold yet execute, and a
-        directory that holds a different sweep is refused.
-        ``fabric_options`` passes coordinator tuning through (``ttl``,
-        ``poll``, ``spawn``, ``host``).
         """
         from repro.core.fabric.spec import SweepSpec
         spec = SweepSpec(body=self._body, seed=self._seed, configs=configs,
                          telemetry=telemetry, oracle=oracle,
                          lint=self._lint, group=group)
-        return run_sweep(spec, workers=workers, store=cache,
-                         journal=journal, progress=progress,
-                         backend=backend, fabric_dir=fabric_dir,
-                         fabric_options=fabric_options)
+        return run_sweep(spec, workers=workers, journal=journal,
+                         progress=progress, backend=backend,
+                         fabric_dir=fabric_dir)
 
 
 def _resolve_workers(workers: Union[int, str], jobs: int) -> int:
+    """The process count ``workers`` asks for, on every transport.
+
+    An int must be at least 1.  ``"auto"`` is ``os.cpu_count()`` capped
+    at ``jobs`` (the sweep's configurations), and 1 -- in this process,
+    or one fabric worker -- on a single CPU or for a sweep smaller than
+    :data:`_AUTO_SERIAL_THRESHOLD`.
+    """
     if workers == "auto":
         cpus = os.cpu_count() or 1
         if cpus < 2 or jobs < _AUTO_SERIAL_THRESHOLD:
             return 1
         return min(cpus, jobs)
-    if not isinstance(workers, int):
-        raise ValueError(f'workers must be an int or "auto", '
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f'workers must be an int >= 1 or "auto", '
                          f"got {workers!r}")
     return workers
 
 
 def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
-              store: Optional[ResultStore] = None,
               journal: Union[None, str, Path, Journal] = None,
               progress: Optional[Callable[[str], None]] = None,
               backend: str = "local",
@@ -1156,14 +1112,41 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
     preflight -> :meth:`ShardSink.plan` -> rows from a transport ->
     result slots and progress lines -> ``campaign.end``, so every
     backend's flight record is written by the same code and reads the
-    same.  The transport -- in this process, its process pool, or the
-    sockets fabric's leased workers -- is the only thing ``workers`` and
-    ``backend`` choose.  ``fabric_dir`` makes the attempt resumable:
-    the directory is pinned to ``spec`` (``spec.pkl``; a different sweep
-    is refused), its ``store/`` is the store and
-    ``journals/coordinator.jsonl`` the journal unless the caller passed
-    its own.  The arguments mean what :meth:`Campaign.run` documents
-    (``store`` is its ``cache``); results come back in input order.
+    same.  Results come back in input order.
+
+    ``workers`` (:func:`_resolve_workers`) and ``backend``
+    (:data:`BACKENDS`) choose the transport, and nothing else.
+    ``"local"`` -- the default -- runs in this process (``workers=1``)
+    or chunked over a persistent process pool, byte-identical to serial.
+    ``"sockets"`` runs a coordinator plus ``workers`` worker *processes*
+    over the fabric protocol (:mod:`repro.core.fabric`); the coordinator
+    forks them from this process, so they start with everything it has
+    imported -- the calling script's ``__main__`` included -- and a body
+    that raises in one ends the sweep with
+    :class:`~repro.core.fabric.FabricError` (``status="worker_error"``).
+    The preflight verdict is journaled before any worker is forked.
+    ``fabric_options`` passes coordinator tuning through (``ttl``,
+    ``poll``, ``spawn``, ``host``).
+
+    ``fabric_dir`` is the campaign directory, and the only way a sweep
+    gets a result store: it is pinned to ``spec`` (``spec.pkl``; a
+    directory holding a different sweep is refused with
+    ``spec_mismatch``), its ``store/`` takes every row the moment it
+    completes, and ``journals/coordinator.jsonl`` is the journal unless
+    the caller passed its own.  Re-running the same sweep against the
+    same directory -- on either backend -- resumes it: only
+    configurations the store does not hold yet execute.  The sockets
+    backend requires it and refuses ``journal``: its workers write the
+    directory's own store and shard journals.
+
+    ``journal`` (default off) attaches the campaign flight recorder
+    (:class:`repro.obs.journal.Journal`, or a path one is opened at):
+    start, lint preflight, every configuration's ``run_end`` with
+    telemetry and oracle verdicts, worker errors, dispatch/merge
+    phases, end -- crash-safe JSONL the parent process owns, so a
+    killed sweep still reproduces its partial scorecard via ``repro
+    report --campaign``.  ``progress`` is a line sink (e.g. ``print``)
+    fed by the shared renderer as configurations complete.
     """
     from repro.core.fabric.coordinator import (FabricCoordinator,
                                                persist_spec)
@@ -1171,29 +1154,26 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
         raise ValueError(
             f"unknown campaign backend {backend!r}; choose from "
             f"{', '.join(BACKENDS)}")
-    coordinator = None
+    total = len(spec.configs)
+    workers = _resolve_workers(workers, total)
+    coordinator = store = None
     if backend == "sockets":
         if fabric_dir is None:
             raise ValueError(
                 'backend="sockets" needs fabric_dir= (the campaign '
                 "directory shared by coordinator and workers)")
-        if not (store is None and journal is None):
+        if journal is not None:
             raise ValueError(
                 'backend="sockets" workers can only write the campaign '
-                "directory's own result store and journals; pass "
-                "fabric_dir= only")
-        if workers == "auto":
-            workers = max(2, min(os.cpu_count() or 2, 8))
+                "directory's own journals; pass fabric_dir= only")
         coordinator = FabricCoordinator(spec, fabric_dir, workers=workers,
                                         **(fabric_options or {}))
     if fabric_dir is not None:
         persist_spec(spec, fabric_dir)
-        if store is None:
-            store = ResultStore(Path(fabric_dir) / "store")
+        store = ResultStore(Path(fabric_dir) / "store")
         if journal is None:
             journal = Path(fabric_dir) / "journals" / "coordinator.jsonl"
-    total = len(spec.configs)
-    start = {**spec.meta, "seed": spec.seed, "configs": total,
+    start = {"seed": spec.seed, "configs": total,
              "workers": str(workers), "telemetry": spec.telemetry,
              "lint": spec.lint,
              "oracle": getattr(spec.oracle, "__qualname__", None),
@@ -1219,12 +1199,10 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
             flight.progress.update(len(held), cached=len(held))
         if coordinator is not None:
             rows = coordinator.rows(todo, sink)
+        elif workers <= 1 or len(todo) <= 1:
+            rows = _inprocess_rows(spec, todo, sink)
         else:
-            pool_size = _resolve_workers(workers, len(todo))
-            if pool_size <= 1 or len(todo) <= 1:
-                rows = _inprocess_rows(spec, todo, sink)
-            else:
-                rows = _pool_rows(spec, todo, sink, pool_size)
+            rows = _pool_rows(spec, todo, sink, workers)
         # closing: the transport's journal phase ends before
         # campaign.end even when this loop is what raises
         with closing(rows):

@@ -57,19 +57,8 @@ def drop_after_script(pass_count: int = PASS_COUNT):
     return receive_filter
 
 
-DROP_AFTER_TCLISH = """
-# Pass the first $limit packets, then log and drop everything.
-incr seen
-if {$seen > $limit} {
-    msg_log cur_msg
-    xDrop cur_msg
-}
-"""
-
-
 def execute(vendor: VendorProfile, *, seed: int = 0,
-            max_time: float = 2000.0,
-            use_tclish: bool = False) -> TCPTestbed:
+            max_time: float = 2000.0) -> TCPTestbed:
     """Drive Experiment 1 against one vendor; returns the run testbed.
 
     Split from :func:`run_retransmission_experiment` so the conformance
@@ -79,25 +68,15 @@ def execute(vendor: VendorProfile, *, seed: int = 0,
     testbed = build_tcp_testbed(vendor, seed=seed)
     client, _server = open_connection(testbed)
     stream_from_vendor(testbed, client, segments=40, interval=0.5)
-
-    if use_tclish:
-        from repro.core import TclishFilter
-        script = TclishFilter(DROP_AFTER_TCLISH,
-                              init_script=f"set seen 0; set limit {PASS_COUNT}")
-        testbed.pfi.set_receive_filter(script)
-    else:
-        testbed.pfi.set_receive_filter(drop_after_script())
-
+    testbed.pfi.set_receive_filter(drop_after_script())
     testbed.env.run_until(max_time)
     return testbed
 
 
 def run_retransmission_experiment(vendor: VendorProfile, *, seed: int = 0,
-                                  max_time: float = 2000.0,
-                                  use_tclish: bool = False) -> RetransmissionResult:
+                                  max_time: float = 2000.0) -> RetransmissionResult:
     """Run Experiment 1 against one vendor profile."""
-    testbed = execute(vendor, seed=seed, max_time=max_time,
-                      use_tclish=use_tclish)
+    testbed = execute(vendor, seed=seed, max_time=max_time)
     return summarize(testbed, vendor)
 
 

@@ -252,7 +252,7 @@ class _Node:
 
     @property
     def position(self) -> int:
-        """Retained trace entries (``CheckpointPool``'s size proxy)."""
+        """Retained trace entries (what ``CheckpointPool.entries`` sums)."""
         return self.checkpoint.position
 
 

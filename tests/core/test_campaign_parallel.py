@@ -3,12 +3,16 @@
 ``Campaign.run(configs, workers=N)`` fans configurations out to worker
 processes, but per-config seed derivation means each run is independent
 of scheduling: results, traces, and ordering must be exactly what the
-serial path produces.
+serial path produces.  Rows a campaign directory's store already holds
+are not run again, and a key that changes with the seed, the config or
+the body misses.
 """
 
 import pytest
 
-from repro.core.orchestrator import Campaign
+from repro.core.fabric.spec import SweepSpec
+from repro.core.orchestrator import Campaign, ResultStore, run_one
+from tests.fabric.rig import campaign_ends
 
 
 class _Ticker:
@@ -134,65 +138,80 @@ class TestAutoWorkers:
         assert ([r.result for r in campaign.run(configs, workers="auto")]
                 == [r.result for r in campaign.run(configs)])
 
-    def test_bad_workers_value_rejected(self):
+    def test_bad_workers_value_rejected(self, tmp_path):
+        # on every backend, before the campaign directory is touched
         campaign = Campaign(sweep_body, seed=7)
-        with pytest.raises(ValueError, match="auto"):
-            campaign.run(_sweep_configs(count=2), workers="turbo")
+        for backend in ("local", "sockets"):
+            for workers in ("turbo", 0, -1):
+                with pytest.raises(ValueError, match=">= 1 or \"auto\""):
+                    campaign.run(_sweep_configs(count=2), workers=workers,
+                                 backend=backend, fabric_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+def _counts(fabric_dir):
+    """(executed, cached) of a campaign directory's last attempt."""
+    end = campaign_ends(fabric_dir)[-1]
+    return end["executed"], end["cached"]
+
+
+def _stored(fabric_dir, seed, configs):
+    """Sweep ``configs`` through a campaign directory; its store."""
+    Campaign(sweep_body, seed=seed).run(configs, fabric_dir=fabric_dir)
+    return ResultStore(fabric_dir / "store")
+
+
+def _missing(store, body, seed, configs):
+    """Indices of ``configs`` the store holds no row for under ``body``
+    and ``seed`` (what a sweep of them would execute)."""
+    spec = SweepSpec(body=body, seed=seed, configs=configs)
+    return store.missing(spec.store_keys(store))
 
 
 class TestRunCache:
     def test_second_sweep_hits_cache(self, tmp_path):
-        from repro.core.orchestrator import RunCache
-        cache = RunCache(tmp_path / "cache")
         campaign = Campaign(sweep_body, seed=7)
         configs = _sweep_configs(count=3, events=25)
-        first = campaign.run(configs, cache=cache)
-        assert cache.hits == 0 and cache.misses == 3
-        second = campaign.run(configs, cache=cache)
-        assert cache.hits == 3
+        first = campaign.run(configs, fabric_dir=tmp_path)
+        assert _counts(tmp_path) == (3, 0)
+        second = campaign.run(configs, fabric_dir=tmp_path)
+        assert _counts(tmp_path) == (0, 3)
         assert [r.result for r in second] == [r.result for r in first]
         assert ([list(r.trace) for r in second]
                 == [list(r.trace) for r in first])
 
     def test_seed_change_misses(self, tmp_path):
-        from repro.core.orchestrator import RunCache
-        cache = RunCache(tmp_path / "cache")
         configs = _sweep_configs(count=2, events=10)
-        Campaign(sweep_body, seed=7).run(configs, cache=cache)
-        Campaign(sweep_body, seed=8).run(configs, cache=cache)
-        assert cache.hits == 0
-        assert cache.misses == 4
+        store = _stored(tmp_path, 7, configs)
+        assert _missing(store, sweep_body, 7, configs) == []
+        assert _missing(store, sweep_body, 8, configs) == [0, 1]
 
     def test_config_change_misses(self, tmp_path):
-        from repro.core.orchestrator import RunCache
-        cache = RunCache(tmp_path / "cache")
-        campaign = Campaign(sweep_body, seed=7)
-        campaign.run(_sweep_configs(count=1, events=10), cache=cache)
-        campaign.run(_sweep_configs(count=1, events=11), cache=cache)
-        assert cache.hits == 0
+        store = _stored(tmp_path, 7, _sweep_configs(count=1, events=10))
+        assert _missing(store, sweep_body, 7,
+                        _sweep_configs(count=1, events=11)) == [0]
 
     def test_body_identity_in_key(self, tmp_path):
-        from repro.core.orchestrator import RunCache
-        cache = RunCache(tmp_path / "cache")
         configs = _sweep_configs(count=1, events=10)
-        Campaign(sweep_body, seed=7).run(configs, cache=cache)
+        store = _stored(tmp_path, 7, configs)
         # a different body with the same config/seed must not hit
-        Campaign(other_body, seed=7).run(configs, cache=cache)
-        assert cache.hits == 0
+        assert _missing(store, other_body, 7, configs) == [0]
 
     def test_cached_parallel_mixed_with_fresh(self, tmp_path):
-        # half the sweep cached, half fresh, fresh half parallel:
+        # half the sweep stored, half fresh, fresh half parallel:
         # results must still come back complete and in input order
-        from repro.core.orchestrator import RunCache
-        cache = RunCache(tmp_path / "cache")
+        configs = _sweep_configs(count=6, events=15)
+        store = ResultStore(tmp_path / "store")
+        keys = SweepSpec(body=sweep_body, seed=7,
+                         configs=configs).store_keys(store)
+        for index in range(3):
+            store.put(keys[index], run_one(sweep_body, 7, configs[index]))
         campaign = Campaign(sweep_body, seed=7)
-        campaign.run(_sweep_configs(count=3, events=15), cache=cache)
-        results = campaign.run(_sweep_configs(count=6, events=15),
-                               workers=2, cache=cache)
-        assert cache.hits == 3
+        results = campaign.run(configs, workers=2, fabric_dir=tmp_path)
+        assert _counts(tmp_path) == (3, 3)
         assert [r.config["profile"] for r in results] == [
             f"vendor{i}" for i in range(6)]
-        uncached = campaign.run(_sweep_configs(count=6, events=15))
+        uncached = campaign.run(configs)
         assert [r.result for r in results] == [r.result for r in uncached]
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.checkpoint import CheckpointPool
 from repro.core.fabric.spec import SweepSpec
-from repro.core.orchestrator import (Campaign, PrefixedBody, RunCache,
+from repro.core.orchestrator import (Campaign, PrefixedBody, ResultStore,
                                      ShardCapture, ShardRow, _prefix_chunks,
                                      _prefix_digest, _prefix_groups,
                                      execute_shard)
@@ -57,6 +57,11 @@ def group_key(config):
     return f"warm-{config['grp']}"
 
 
+def no_key(config):
+    """Every configuration opts out of grouping."""
+    return None
+
+
 def drawing_prefix(env, config):
     """A prefix that consumes RNG: violates the reseed contract."""
     env.dist("early", config["grp"]).dst_uniform(0.0, 1.0)
@@ -64,6 +69,7 @@ def drawing_prefix(env, config):
 
 
 split_body = PrefixedBody(warm_prefix, noisy_continue, key=group_key)
+loose_body = PrefixedBody(warm_prefix, noisy_continue, key=no_key)
 drawing_body = PrefixedBody(drawing_prefix, noisy_continue, key=group_key)
 
 
@@ -106,14 +112,12 @@ class TestPrefixedBody:
         assert direct == composed
         assert list(env.trace) == list(env2.trace)
 
-    def test_prefix_key_derivation_and_override(self):
+    def test_prefix_key_derivation(self):
         assert split_body.prefix_key({"grp": "g1"}) == "warm-g1"
+        # a config carries no say over its own grouping
         assert split_body.prefix_key(
-            {"grp": "g1", "prefix_key": "forced"}) == "forced"
-        assert split_body.prefix_key(
-            {"grp": "g1", "prefix_key": None}) is None
-        keyless = PrefixedBody(warm_prefix, noisy_continue)
-        assert keyless.prefix_key({"grp": "g1"}) is None
+            {"grp": "g1", "prefix_key": "forced"}) == "warm-g1"
+        assert loose_body.prefix_key({"grp": "g1"}) is None
 
     def test_digest_names_prefix_code_and_key(self):
         base = _prefix_digest(split_body, "warm-g1")
@@ -219,8 +223,8 @@ class TestGroupedByteIdentity:
         assert end.get("prefix_fallbacks") > 0
 
     def test_explicit_prefix_key_none_opts_out(self, tmp_path):
-        campaign = Campaign(split_body, seed=11)
-        configs = [dict(c, prefix_key=None) for c in _configs()]
+        campaign = Campaign(loose_body, seed=11)
+        configs = _configs()
         path = tmp_path / "j.jsonl"
         results = campaign.run(configs, journal=path)
         assert _stable(results) == _stable(campaign.run(configs,
@@ -231,7 +235,7 @@ class TestGroupedByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# capture amortization: journal, pool, cache
+# capture amortization: journal, pool, store
 # ----------------------------------------------------------------------
 
 class TestAmortization:
@@ -286,34 +290,37 @@ class TestAmortization:
         assert [row.forked for row in rows] == [True]
 
     def test_cached_sweep_skips_capture_entirely(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
         campaign = Campaign(split_body, seed=11)
         configs = _configs()
-        campaign.run(configs, cache=cache)
+        fabric_dir = tmp_path / "fabric"
+        campaign.run(configs, fabric_dir=fabric_dir)
         path = tmp_path / "j.jsonl"
-        second = campaign.run(configs, cache=cache, journal=path)
-        assert cache.hits == len(configs)
+        second = campaign.run(configs, fabric_dir=fabric_dir, journal=path)
         replay = replay_journal(path)
         assert not replay.of(K.CAMPAIGN_CHECKPOINT_CAPTURE)
-        assert all(row.get("cached")
-                   for row in replay.of(K.CAMPAIGN_RUN_END))
+        assert [row.get("cached") for row in replay.of(K.CAMPAIGN_RUN_END)] \
+            == [True] * len(configs)
         assert [r.result for r in second] == [
             r.result for r in campaign.run(configs, group=False)]
 
     def test_cache_keys_are_group_flag_independent(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
-        campaign = Campaign(split_body, seed=11)
         configs = _configs(per_group=2)
-        campaign.run(configs, cache=cache, group=False)
-        campaign.run(configs, cache=cache)  # grouped: must hit
-        assert cache.hits == len(configs)
+        Campaign(split_body, seed=11).run(configs, group=False,
+                                          fabric_dir=tmp_path)
+        store = ResultStore(tmp_path / "store")
+        grouped = SweepSpec(body=split_body, seed=11, configs=configs)
+        ungrouped = SweepSpec(body=split_body, seed=11, configs=configs,
+                              group=False)
+        assert grouped.store_keys(store) == ungrouped.store_keys(store)
+        assert store.missing(grouped.store_keys(store)) == []  # must hit
 
     def test_changed_prefix_function_misses_cache(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
         configs = _configs(per_group=2)
-        Campaign(split_body, seed=11).run(configs, cache=cache)
-        Campaign(drawing_body, seed=11).run(configs, cache=cache)
-        assert cache.hits == 0
+        Campaign(split_body, seed=11).run(configs, fabric_dir=tmp_path)
+        store = ResultStore(tmp_path / "store")
+        drawing = SweepSpec(body=drawing_body, seed=11, configs=configs)
+        assert store.missing(drawing.store_keys(store)) \
+            == list(range(len(configs)))
 
 
 class TestOracleAndErrors:

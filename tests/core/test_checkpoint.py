@@ -305,20 +305,6 @@ class TestCheckpointPool:
         pool.put("d", _pooled_checkpoint())
         assert pool.keys() == ["b", "d"]
 
-    def test_max_entries_budget(self):
-        small = _pooled_checkpoint(depth=2.0)
-        big = _pooled_checkpoint(depth=20.0)
-        pool = CheckpointPool(max_entries=small.position + 1)
-        pool.put("small", small)
-        pool.put("big", big)
-        assert pool.keys() == ["big"]  # small evicted to make room
-
-    def test_never_evicts_the_last_item(self):
-        oversized = _pooled_checkpoint(depth=30.0)
-        pool = CheckpointPool(max_items=1, max_entries=1)
-        pool.put("only", oversized)
-        assert pool.get("only") is oversized
-
     def test_clear_keeps_counters(self):
         pool = CheckpointPool()
         pool.put("a", _pooled_checkpoint())

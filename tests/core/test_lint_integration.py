@@ -5,7 +5,7 @@ Layer 2: Campaign refuses to start on any broken config script.
 Layer 3: generate_campaign self-checks its battery.
 
 Plus the corpus guarantee: every tclish script shipped in this
-repository -- generated batteries, experiment scripts, example filters,
+repository -- generated batteries, the Table 1 filter, example filters,
 the quickstart -- lints error-clean.
 """
 
@@ -22,6 +22,17 @@ from repro.core.script import TclishFilter, TclishLintWarning
 from repro.core.tclish.lint import TclishLintError, lint_source
 
 REPO = Path(__file__).resolve().parents[2]
+
+#: the paper's Table 1 receive filter (``tcp_retransmission
+#: .drop_after_script``) written in tclish
+DROP_AFTER_TCLISH = """
+# Pass the first $limit packets, then log and drop everything.
+incr seen
+if {$seen > $limit} {
+    msg_log cur_msg
+    xDrop cur_msg
+}
+"""
 
 
 def _noop_body(env, config):
@@ -141,8 +152,7 @@ class TestGeneratorSelfCheck:
 
 class TestCorpusIsClean:
     def test_experiment_embedded_script(self):
-        from repro.experiments.tcp_retransmission import (DROP_AFTER_TCLISH,
-                                                          PASS_COUNT)
+        from repro.experiments.tcp_retransmission import PASS_COUNT
         report = lint_source(
             DROP_AFTER_TCLISH,
             init_script=f"set seen 0; set limit {PASS_COUNT}")

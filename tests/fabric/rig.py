@@ -76,7 +76,7 @@ def make_configs(count: int) -> List[Dict[str, Any]]:
 def make_spec(count: int, *, seed: int = DEFAULT_SEED) -> SweepSpec:
     return SweepSpec(body=chaos_body, seed=seed,
                      configs=make_configs(count),
-                     lint="off", meta={"rig": "chaos"})
+                     lint="off")
 
 
 # ----------------------------------------------------------------------

@@ -189,8 +189,6 @@ def test_resume_refuses_a_different_sweep(tmp_path):
                          [("sockets", "local"), ("local", "sockets")])
 def test_one_backend_finishes_what_the_other_started(tmp_path, started_on,
                                                      finished_on):
-    # the rig's spec carries meta; a resume that rebuilt the spec from
-    # its parts dropped it and was refused as a different sweep
     fabric_dir = tmp_path / "fabric"
     proc = rig.spawn_sweep(fabric_dir, COUNT, backend=started_on,
                            work_ms=1.0)

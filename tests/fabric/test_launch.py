@@ -430,12 +430,15 @@ def test_a_result_that_does_not_pickle_is_a_worker_error(tmp_path):
         [error] = replay.of(K.CAMPAIGN_WORKER_ERROR)
         assert f"campaign config [{error.get('index')}]" \
             in error.get("error")
-    # in-process, the row travels in memory: nothing is cached, nothing
+    # in-process, the row travels in memory: nothing is stored, nothing
     # is wrong
-    from repro.core.orchestrator import ResultStore
+    local_dir = tmp_path / "local"
     results = Campaign(lambda_body, seed=SEED, lint="off").run(
-        rig.make_configs(2), cache=ResultStore(tmp_path / "cache"))
+        rig.make_configs(2), fabric_dir=local_dir)
     assert [r.result["item"] for r in results] == [0, 1]
+    assert list((local_dir / "store").rglob("*.pkl")) == []
+    end = rig.campaign_ends(local_dir)[-1]
+    assert (end["status"], end["executed"]) == ("ok", 2)
 
 
 def test_sweep_cli_exits_1_on_a_result_that_does_not_pickle(tmp_path):

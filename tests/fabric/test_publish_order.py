@@ -50,32 +50,24 @@ def _end(fabric_dir):
     return rig.campaign_ends(fabric_dir)[-1]
 
 
-@pytest.mark.parametrize("layout", ["cache", "fabric_dir"])
-def test_failed_sweep_leaves_completed_rows_resumable(tmp_path, layout):
+def test_failed_sweep_leaves_completed_rows_resumable(tmp_path):
     configs = rig.make_configs(6)
     campaign = Campaign(fragile_body, seed=5, lint="off")
-    if layout == "cache":
-        store_root = tmp_path / "cache"
-        kwargs = {"cache": ResultStore(store_root)}
-    else:
-        store_root = tmp_path / "fabric" / "store"
-        kwargs = {"fabric_dir": tmp_path / "fabric"}
+    fabric_dir = tmp_path / "fabric"
 
     ARMED["item"] = 4
     journal = tmp_path / "first.jsonl"
     with pytest.raises(RuntimeError, match="planted at item 4"):
-        campaign.run(configs, journal=journal, **kwargs)
+        campaign.run(configs, journal=journal, fabric_dir=fabric_dir)
     first = replay_journal(journal)
     assert [e.get("index") for e in first.of(K.CAMPAIGN_RUN_END)] \
         == [0, 1, 2, 3]
-    assert len(list(store_root.rglob("*.pkl"))) == 4
+    assert len(list((fabric_dir / "store").rglob("*.pkl"))) == 4
     assert first.last(K.CAMPAIGN_END).get("executed") == 4
 
     ARMED["item"] = None
-    if layout == "cache":
-        kwargs = {"cache": ResultStore(store_root)}
     journal = tmp_path / "second.jsonl"
-    results = campaign.run(configs, journal=journal, **kwargs)
+    results = campaign.run(configs, journal=journal, fabric_dir=fabric_dir)
     second = replay_journal(journal)
     end = second.last(K.CAMPAIGN_END)
     assert (end.get("executed"), end.get("cached")) == (2, 4)

@@ -17,10 +17,9 @@ def test_put_has_get_roundtrip(tmp_path):
     store = ResultStore(tmp_path / "store")
     spec = make_spec(3)
     keys = spec.store_keys(store)
-    assert not store.has(keys[0])
+    assert store.get(keys[0]) is None
     result = _result(0)
     assert store.put(keys[0], result)
-    assert store.has(keys[0])
     loaded = store.get(keys[0])
     assert loaded.config == result.config
     assert loaded.result == result.result
@@ -55,7 +54,7 @@ def test_concurrent_writers_never_leave_temp_debris(tmp_path):
     key = make_spec(1).store_keys(a)[0]
     assert a.put(key, _result(0))
     assert b.put(key, _result(0))
-    assert a.has(key) and b.has(key)
+    assert a.missing([key]) == b.missing([key]) == []
     leftovers = [p for p in (tmp_path / "store").rglob("*.tmp")]
     assert leftovers == []
 
@@ -71,12 +70,12 @@ def test_unpicklable_result_refused_not_crashed(tmp_path):
     result = _result(0)
     result.result = Hostile()
     assert store.put(key, result) is False
-    assert not store.has(key)
+    assert store.get(key) is None
 
 
 def test_store_interoperates_with_plain_runcache(tmp_path):
-    # a serial Campaign.run(cache=RunCache(dir)) warms the same
-    # directory a fabric sweep resumes from: keys must agree
+    # RunCache is the store under its older name: a key computed
+    # through it addresses the row a sweep spec's key does
     store = ResultStore(tmp_path / "store")
     cache = RunCache(tmp_path / "store")
     spec = make_spec(2)

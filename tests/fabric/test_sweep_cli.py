@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from repro.cli import build_parser, main
 from tests.fabric.rig import REPO_ROOT, campaign_ends, make_spec, rig_env
 
 
@@ -81,6 +84,31 @@ def test_sweep_survives_the_scripts_the_grammar_rejects(tmp_path):
     assert end["status"] == "ok" and end["executed"] == 25
 
 
+@pytest.mark.parametrize("workers", [
+    ["--workers", "abc"],
+    ["--workers", "0", "--backend", "sockets"],
+    ["--workers", "0"],
+], ids=["not-a-number", "zero-sockets", "zero-local"])
+def test_sweep_workers_is_a_count_or_auto(tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exited:
+        main(["sweep", "--journal-dir", str(tmp_path / "d"), *workers])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = [text for text in err.splitlines()
+              if text.startswith("repro sweep:")]
+    assert "argument --workers: expected an int >= 1 or 'auto'" in line
+    assert not (tmp_path / "d").exists()
+
+
+def test_sweep_workers_parse():
+    parser = build_parser()
+    assert parser.parse_args(["sweep"]).workers == 2
+    assert parser.parse_args(["sweep", "--workers", "3"]).workers == 3
+    assert parser.parse_args(["sweep", "--workers", "auto"]).workers \
+        == "auto"
+
+
 def test_resume_nonexistent_directory_fails_cleanly(tmp_path):
     gone = _repro("sweep", "--resume", str(tmp_path / "nowhere"),
                   "--backend", "sockets")
@@ -117,10 +145,10 @@ def test_local_sweep_directory_is_resumable_and_pinned(tmp_path):
     assert len(list((local_dir / "store").rglob("*.pkl"))) == 2
 
 
-def test_resume_keeps_the_meta_of_the_spec_it_loaded(tmp_path):
-    # spec.pkl is the sweep: --resume hands it on whole, so a spec
-    # carrying meta (the chaos rig's does) is its own directory's match
-    # instead of a spec_mismatch
+def test_resume_hands_on_the_spec_it_loaded(tmp_path):
+    # spec.pkl is the sweep: --resume hands it on whole, so a spec the
+    # CLI did not build (the chaos rig's, over its own body) is its own
+    # directory's match instead of a spec_mismatch
     fabric_dir = tmp_path / "fabric"
     make_spec(6).save(fabric_dir / "spec.pkl")
     first = _repro("sweep", "--resume", str(fabric_dir))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.orchestrator import Campaign, CampaignScriptError, RunCache
+from repro.core.orchestrator import Campaign, CampaignScriptError
 from repro.netsim import kinds as K
 from repro.obs.campaign_report import (render_text, summarize_journal,
                                        summary_to_json)
@@ -67,10 +67,10 @@ class TestCampaignJournal:
 
     def test_cache_hits_record_cached_run_end(self, tmp_path):
         configs = _sweep_configs(count=2, events=50)
-        cache = RunCache(tmp_path / "cache")
         campaign = Campaign(sweep_body, seed=7)
-        campaign.run(configs, cache=cache)
-        campaign.run(configs, cache=cache, journal=tmp_path / "j.jsonl")
+        campaign.run(configs, fabric_dir=tmp_path / "fabric")
+        campaign.run(configs, fabric_dir=tmp_path / "fabric",
+                     journal=tmp_path / "j.jsonl")
         summary = summarize_journal(tmp_path / "j.jsonl")
         assert summary.executed == 2
         assert all(row.cached for row in summary.runs)
