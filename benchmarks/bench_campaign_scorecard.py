@@ -6,13 +6,15 @@ scorecard a testing organization would actually ship: every generated
 fault script runs against a live three-node group, and the safety
 property (view agreement) plus a liveness check (recovery after the fault
 clears) are evaluated per failure model.  The battery is an ordinary
-``Campaign`` sweep, so every run gets its own derived seed and every
-generated tclish form passes the campaign's lint gate first.
+``Campaign`` sweep whose configs carry each generated script's tclish
+source, so every run gets its own derived seed, and the script the
+campaign's lint gate checks is the one the trial installs.
 """
 
 from repro.analysis.tables import render_table
 from repro.core.genscripts import generate_campaign, gmp_spec
 from repro.core.orchestrator import Campaign
+from repro.core.script import TclishFilter
 from repro.experiments.gmp_common import build_gmp_cluster
 
 from conftest import emit
@@ -23,17 +25,18 @@ VICTIM = 3
 def gmp_trial(env, config):
     """One generated script against a three-node group; returns what
     went wrong, or ``""`` when the trial passed."""
-    script = config["script"]
     cluster = build_gmp_cluster([1, 2, 3], env=env)
     cluster.start()
     env.run_until(10.0)
     if not cluster.all_in_one_group():
         return "group never formed"
 
-    if script.direction == "send":
-        cluster.pfis[VICTIM].set_send_filter(script.python_filter)
+    script = TclishFilter(config["script"], init_script=config["init_script"],
+                          name=config["name"])
+    if config["direction"] == "send":
+        cluster.pfis[VICTIM].set_send_filter(script)
     else:
-        cluster.pfis[VICTIM].set_receive_filter(script.python_filter)
+        cluster.pfis[VICTIM].set_receive_filter(script)
     env.run_until(50.0)
 
     # safety: committed views must agree across daemons
@@ -55,17 +58,19 @@ def gmp_trial(env, config):
 def run_scorecard():
     scripts = generate_campaign(gmp_spec(), omission_rates=(0.3,),
                                 crash_after_messages=30)
-    return Campaign(gmp_trial, seed=7).run([{"script": s} for s in scripts])
+    return Campaign(gmp_trial, seed=7).run([
+        {"script": s.tclish_source, "init_script": s.tclish_init,
+         "direction": s.direction, "name": s.name,
+         "model": s.failure_model.value} for s in scripts])
 
 
 def scorecard_table(results, title):
     """Passed/total per failure model, naming every failing script."""
     models = {}
     for run in results:
-        script = run.config["script"]
-        passed, failing = models.setdefault(script.failure_model.value,
-                                            ([], []))
-        (failing if run.result else passed).append(script.name)
+        config = run.config
+        passed, failing = models.setdefault(config["model"], ([], []))
+        (failing if run.result else passed).append(config["name"])
     rows = [[model, f"{len(passed)}/{len(passed) + len(failing)}",
              ", ".join(failing) or "all passed"]
             for model, (passed, failing) in sorted(models.items())]
@@ -83,5 +88,5 @@ def test_gmp_campaign_scorecard(once_benchmark):
     # fault, and recover from the overwhelming majority
     for run in results:
         assert "disagreement" not in run.result, run.config
-    failing = [run.config["script"].name for run in results if run.result]
+    failing = [run.config["name"] for run in results if run.result]
     assert len(failing) <= 0.1 * len(results), failing

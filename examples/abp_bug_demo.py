@@ -57,9 +57,9 @@ def run_under_script(script, *, check_bit):
     # the campaign is written from the receiver's point of view: its send
     # path carries ACKs, its receive path carries DATA
     if script.direction == "send":
-        receiver_pfi.set_send_filter(script.python_filter)
+        receiver_pfi.set_send_filter(script.tclish_filter())
     else:
-        receiver_pfi.set_receive_filter(script.python_filter)
+        receiver_pfi.set_receive_filter(script.tclish_filter())
 
     for payload in PAYLOADS:
         sender.send(payload)

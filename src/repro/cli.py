@@ -315,11 +315,10 @@ def cmd_lint(args) -> int:
               "or --gen)", file=sys.stderr)
         return 2
 
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps([json.loads(render_json(r)) for r in reports],
                          indent=2, sort_keys=True))
-    elif fmt == "sarif":
+    elif args.format == "sarif":
         from repro.staticcheck import render_sarif
         print(render_sarif(reports, tool_name="repro-scriptlint"))
     else:
@@ -589,8 +588,13 @@ def cmd_fuzz(args) -> int:
 
     from repro.core.checkpoint import CheckpointPool
     from repro.obs.journal import Journal
-    from repro.oracle.fuzz import run_fuzz
+    from repro.oracle.fuzz import check_placement, run_fuzz
     from repro.oracle.shrink import artifact_name, shrink_finding
+    try:  # before --journal creates its file
+        check_placement(args.protocol, depth=args.checkpoint_depth)
+    except ValueError as err:
+        print(f"repro fuzz: {err}", file=sys.stderr)
+        return 2
     pool = CheckpointPool(max_items=8)
     with (Journal(args.journal) if args.journal
           else nullcontext()) as journal:
@@ -654,11 +658,14 @@ def cmd_sweep(args) -> int:
         from repro.oracle.fuzz import (pack_for, prefixed_fuzz_body,
                                        sweep_battery)
         targets = [t.strip() for t in args.targets.split(",") if t.strip()]
-        spec = SweepSpec(
-            body=prefixed_fuzz_body, seed=args.seed,
-            configs=sweep_battery(args.protocol, targets, args.count,
-                                  depth=args.depth),
-            oracle=pack_for(args.protocol))
+        try:
+            configs = sweep_battery(args.protocol, targets, args.count,
+                                    depth=args.depth)
+        except ValueError as err:
+            print(f"repro sweep: {err}", file=sys.stderr)
+            return 2
+        spec = SweepSpec(body=prefixed_fuzz_body, seed=args.seed,
+                         configs=configs, oracle=pack_for(args.protocol))
 
     try:
         run_sweep(spec, workers=args.workers, backend=args.backend,
@@ -685,7 +692,8 @@ def cmd_explore(args) -> int:
     protocol's oracle pack.  Exit status 1 when any schedule violates
     an invariant the baseline does not, 2 when the world at ``--depth``
     has not started (nothing to explore) or an argument is refused
-    (unknown target, ``--max-perturbations`` above 2).
+    (unknown target, ``--depth`` / ``--window`` outside the horizon,
+    ``--max-perturbations`` above 2).
     """
     from repro.oracle.explore import ExploreError, explore
     try:
@@ -787,9 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*",
                       help="script files or directories to walk for "
                            ".tcl/.tclish files")
-    lint.add_argument("--json", action="store_true",
-                      help="machine-readable output (alias for "
-                           "--format json)")
     lint.add_argument("--format", choices=("text", "json", "sarif"),
                       default="text",
                       help="output format (sarif for CI annotation)")

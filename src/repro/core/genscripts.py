@@ -14,10 +14,12 @@ systematic battery of filter scripts covering the §2.2 failure models:
 - probabilistic **omission** scripts,
 - a **crash** script (correct prefix, then silence).
 
-Every generated script exists in both backends: a Python
-:class:`~repro.core.script.PythonFilter` ready to install, and equivalent
-tclish source (the paper's "scripts are inputs" form), so the generated
-campaign is inspectable and editable by hand.
+A generated script is tclish source and nothing else -- the paper's
+"scripts are inputs" form -- so the campaign is inspectable and editable by
+hand, and the text :func:`lint_generated` (and a campaign's lint gate)
+checks is the text that runs: :meth:`GeneratedScript.tclish_filter`
+installs it, and a campaign config carries it as ``{"script":
+tclish_source, "init_script": tclish_init}``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.context import ScriptContext
 from repro.core.faults import FailureModel
-from repro.core.script import PythonFilter, TclishFilter
+from repro.core.script import TclishFilter
 
 
 @dataclass(frozen=True)
@@ -56,18 +57,17 @@ class ProtocolSpec:
 
 @dataclass
 class GeneratedScript:
-    """One generated test: metadata plus both script backends."""
+    """One generated test: metadata plus its tclish source."""
 
     name: str
     description: str
     direction: str                  # "send" or "receive"
     failure_model: FailureModel
-    python_filter: PythonFilter
     tclish_source: str
     tclish_init: str = ""
 
     def tclish_filter(self) -> TclishFilter:
-        """Instantiate the tclish form (fresh interpreter per call)."""
+        """The installable filter (a fresh interpreter per call)."""
         return TclishFilter(self.tclish_source, init_script=self.tclish_init,
                             name=self.name)
 
@@ -81,16 +81,12 @@ class GeneratedScript:
 # ----------------------------------------------------------------------
 
 def _drop_type(type_name: str, direction: str) -> GeneratedScript:
-    def fn(ctx: ScriptContext) -> None:
-        if ctx.msg_type() == type_name:
-            ctx.drop()
     model = (FailureModel.SEND_OMISSION if direction == "send"
              else FailureModel.RECEIVE_OMISSION)
     return GeneratedScript(
         name=f"drop_{type_name.lower()}_{direction}",
         description=f"drop every {type_name} on the {direction} path",
         direction=direction, failure_model=model,
-        python_filter=PythonFilter(fn, name=f"drop_{type_name}"),
         tclish_source=(
             f'if {{[msg_type cur_msg] eq "{type_name}"}} '
             f'{{ xDrop cur_msg }}'))
@@ -98,50 +94,32 @@ def _drop_type(type_name: str, direction: str) -> GeneratedScript:
 
 def _delay_type(type_name: str, seconds: float,
                 direction: str) -> GeneratedScript:
-    def fn(ctx: ScriptContext) -> None:
-        if ctx.msg_type() == type_name:
-            ctx.delay(seconds)
     return GeneratedScript(
         name=f"delay_{type_name.lower()}_{direction}",
         description=f"delay every {type_name} by {seconds}s "
                     f"({direction} path)",
         direction=direction, failure_model=FailureModel.TIMING,
-        python_filter=PythonFilter(fn, name=f"delay_{type_name}"),
         tclish_source=(
             f'if {{[msg_type cur_msg] eq "{type_name}"}} '
             f'{{ xDelay {seconds} }}'))
 
 
 def _duplicate_type(type_name: str, direction: str) -> GeneratedScript:
-    def fn(ctx: ScriptContext) -> None:
-        if ctx.msg_type() == type_name:
-            ctx.duplicate()
     return GeneratedScript(
         name=f"duplicate_{type_name.lower()}_{direction}",
         description=f"duplicate every {type_name} ({direction} path)",
         direction=direction, failure_model=FailureModel.BYZANTINE,
-        python_filter=PythonFilter(fn, name=f"duplicate_{type_name}"),
         tclish_source=(
             f'if {{[msg_type cur_msg] eq "{type_name}"}} '
             f'{{ xDuplicate cur_msg 1 }}'))
 
 
 def _reorder_type(type_name: str, direction: str) -> GeneratedScript:
-    def fn(ctx: ScriptContext) -> None:
-        if ctx.msg_type() != type_name:
-            return
-        if not ctx.state.get("holding"):
-            ctx.state["holding"] = True
-            ctx.hold("reorder")
-        else:
-            ctx.state["holding"] = False
-            ctx.release("reorder")
     return GeneratedScript(
         name=f"reorder_{type_name.lower()}_{direction}",
         description=f"swap each consecutive pair of {type_name} messages "
                     f"({direction} path)",
         direction=direction, failure_model=FailureModel.BYZANTINE,
-        python_filter=PythonFilter(fn, name=f"reorder_{type_name}"),
         tclish_source=(
             f'if {{[msg_type cur_msg] eq "{type_name}"}} {{\n'
             f'    if {{!$holding}} {{\n'
@@ -157,24 +135,17 @@ def _reorder_type(type_name: str, direction: str) -> GeneratedScript:
 
 def _corrupt_field(type_name: str, field_name: str, bad_value: Any,
                    direction: str) -> GeneratedScript:
-    def fn(ctx: ScriptContext) -> None:
-        if ctx.msg_type() == type_name:
-            ctx.set_field(field_name, bad_value)
     return GeneratedScript(
         name=f"corrupt_{type_name.lower()}_{field_name}_{direction}",
         description=f"overwrite {type_name}.{field_name} with "
                     f"{bad_value!r} ({direction} path)",
         direction=direction, failure_model=FailureModel.BYZANTINE,
-        python_filter=PythonFilter(fn, name=f"corrupt_{field_name}"),
         tclish_source=(
             f'if {{[msg_type cur_msg] eq "{type_name}"}} '
             f'{{ msg_set_field {field_name} {bad_value} }}'))
 
 
 def _omission(p: float, direction: str) -> GeneratedScript:
-    def fn(ctx: ScriptContext) -> None:
-        if ctx.dist.chance(p):
-            ctx.drop()
     model = (FailureModel.SEND_OMISSION if direction == "send"
              else FailureModel.RECEIVE_OMISSION)
     return GeneratedScript(
@@ -182,22 +153,15 @@ def _omission(p: float, direction: str) -> GeneratedScript:
         description=f"drop each message with probability {p} "
                     f"({direction} path)",
         direction=direction, failure_model=model,
-        python_filter=PythonFilter(fn, name=f"omission_{p}"),
         tclish_source=f'if {{[chance {p}]}} {{ xDrop cur_msg }}')
 
 
 def _crash_after(n: int, direction: str) -> GeneratedScript:
-    def fn(ctx: ScriptContext) -> None:
-        seen = ctx.state.get("seen", 0) + 1
-        ctx.state["seen"] = seen
-        if seen > n:
-            ctx.drop()
     return GeneratedScript(
         name=f"crash_after_{n}_{direction}",
         description=f"behave correctly for {n} messages, then crash "
                     f"({direction} path)",
         direction=direction, failure_model=FailureModel.PROCESS_CRASH,
-        python_filter=PythonFilter(fn, name=f"crash_after_{n}"),
         tclish_source=(
             f'incr seen\n'
             f'if {{$seen > {n}}} {{ xDrop cur_msg }}'),
@@ -289,7 +253,8 @@ def campaign_by_model(scripts: Iterable[GeneratedScript]
 
 
 # ----------------------------------------------------------------------
-# ready-made specs for the bundled protocols
+# ready-made specs for the bundled protocols (the fuzz grammar's
+# message-type vocabulary, too)
 # ----------------------------------------------------------------------
 
 def tcp_spec() -> ProtocolSpec:

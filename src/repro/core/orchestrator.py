@@ -78,15 +78,6 @@ from repro.netsim.trace import TraceRecorder
 from repro.obs.journal import NULL_JOURNAL, Flight, Journal, NullJournal
 from repro.obs.telemetry import RunTelemetry, _config_label
 
-#: config keys whose string values are treated as tclish script sources
-SCRIPT_KEYS = ("script", "tclish", "tclish_source", "send_script",
-               "receive_script")
-
-#: config keys naming the init script for the matching script key
-_INIT_KEYS = {"script": "init_script", "tclish": "tclish_init",
-              "tclish_source": "tclish_init", "send_script": "send_init",
-              "receive_script": "receive_init"}
-
 #: sweeps smaller than this get one process under ``workers="auto"`` (this
 #: one, or one fabric worker); worker startup + pickling dominates below it
 _AUTO_SERIAL_THRESHOLD = 4
@@ -369,31 +360,6 @@ class CampaignScriptError(ValueError):
         super().__init__(
             f"campaign refused to start: {len(self.reports)} "
             f"source(s) failed the static check\n{text}")
-
-
-def _config_scripts(config: Dict[str, Any], index: int
-                    ) -> List[Tuple[str, str, str]]:
-    """Extract ``(label, source, init)`` script triples from one config.
-
-    Recognized forms: string values under :data:`SCRIPT_KEYS` (with an
-    optional companion init key), :class:`~repro.core.script
-    .TclishFilter` instances, and :class:`~repro.core.genscripts
-    .GeneratedScript` instances under any key.
-    """
-    from repro.core.genscripts import GeneratedScript
-    from repro.core.script import TclishFilter
-    scripts: List[Tuple[str, str, str]] = []
-    for key, value in config.items():
-        label = f"config[{index}].{key}"
-        if isinstance(value, str) and key in SCRIPT_KEYS:
-            init = config.get(_INIT_KEYS.get(key, ""), "")
-            scripts.append((label, value, init if isinstance(init, str)
-                            else ""))
-        elif isinstance(value, TclishFilter):
-            scripts.append((label, value.source, ""))
-        elif isinstance(value, GeneratedScript):
-            scripts.append((label, value.tclish_source, value.tclish_init))
-    return scripts
 
 
 # ----------------------------------------------------------------------
@@ -952,11 +918,12 @@ class Campaign:
         self._lint = lint
 
     def validate_scripts(self, configs: Iterable[Dict[str, Any]]):
-        """Lint every tclish script found in the configs.
+        """Lint every config's tclish script.
 
-        Returns the list of failing
-        :class:`~repro.core.tclish.lint.LintReport` objects (empty when
-        everything is clean).  :meth:`preflight` raises
+        A config carries at most one: the string under ``"script"``, with
+        its init script under ``"init_script"``.  Returns the list of
+        failing :class:`~repro.core.tclish.lint.LintReport` objects
+        (empty when everything is clean).  :meth:`preflight` raises
         :class:`CampaignScriptError` with *all* diagnostics, so one
         campaign launch surfaces every broken config at once instead of
         failing minutes in on the first.
@@ -964,11 +931,15 @@ class Campaign:
         from repro.core.tclish.lint import lint_source
         failing = []
         for index, config in enumerate(configs):
-            for label, source, init in _config_scripts(config, index):
-                report = lint_source(source, init_script=init,
-                                     source_name=label)
-                if not report.ok():
-                    failing.append(report)
+            source = config.get("script")
+            if not isinstance(source, str):
+                continue
+            init = config.get("init_script", "")
+            report = lint_source(
+                source, init_script=init if isinstance(init, str) else "",
+                source_name=f"config[{index}].script")
+            if not report.ok():
+                failing.append(report)
         return failing
 
     def precheck_body(self):
@@ -1037,10 +1008,11 @@ class Campaign:
         over ``configs`` and hands it to :func:`run_sweep`, which
         documents the arguments that say how and where the sweep runs:
         ``workers``, ``journal``, ``progress``, ``backend`` and
-        ``fabric_dir``.  Configs carrying tclish scripts (see
-        :data:`SCRIPT_KEYS`) are statically analyzed first; any
-        error-level diagnostic aborts the whole campaign before any
-        configuration runs (``Campaign(..., lint="off")`` skips this).
+        ``fabric_dir``.  A config's tclish script -- the string under
+        ``"script"``, with ``"init_script"`` -- is statically analyzed
+        first; any error-level diagnostic aborts the whole campaign
+        before any configuration runs (``Campaign(..., lint="off")``
+        skips this).
         The remaining arguments say what the sweep computes.
 
         ``telemetry`` (default on) records per-configuration wall time,

@@ -52,7 +52,7 @@ class PythonFilter(FilterScript):
 
     def __init__(self, fn: Callable[[ScriptContext], None], name: str = ""):
         self._fn = fn
-        self.name = name or getattr(fn, "__name__", "python_filter")
+        self.name = name or getattr(fn, "__name__", type(fn).__name__)
 
     def run(self, ctx: ScriptContext) -> None:
         self._fn(ctx)

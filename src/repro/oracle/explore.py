@@ -62,7 +62,7 @@ from repro.netsim.trace import TraceRecorder
 from repro.obs.campaign_report import plans_line
 from repro.obs.journal import NULL_JOURNAL, Flight, Journal, NullJournal
 from repro.oracle.fuzz import (DEFAULT_DEPTHS, HORIZONS, _gmp_prefix,
-                               _targets, _tcp_prefix, pack_for)
+                               _tcp_prefix, check_placement, pack_for)
 
 #: perturbation actions by event class; "fire" (run as scheduled) is
 #: always legal and never counts as a perturbation
@@ -532,7 +532,10 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
     nothing and holds no delivery or timer in the window (TCP at its
     default depth 0: the rig is built, no traffic has started) raises
     :class:`ExploreError` before the first schedule instead of
-    reporting one vacuous baseline.
+    reporting one vacuous baseline.  An unknown target, a depth outside
+    ``[0, horizon)`` or a window that is empty or runs past the horizon
+    raises :class:`ValueError` (:func:`~repro.oracle.fuzz
+    .check_placement`) before anything is built.
 
     ``recheckpoint_every`` (default 8, ``0`` disables) grows a
     checkpoint *tree*: an executing schedule re-checkpoints its branch
@@ -549,17 +552,15 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
     summary are appended crash-safe, so an interrupted exploration
     still reports its partial outcome census.
     """
-    valid = _targets(protocol) + ("fixed",)
-    if target not in valid:
-        raise ValueError(f"unknown {protocol} target {target!r}; "
-                         f"expected one of {valid}")
+    depth = DEFAULT_DEPTHS.get(protocol) if depth is None else float(depth)
+    horizon = HORIZONS.get(protocol) if horizon is None else float(horizon)
+    check_placement(protocol, [target], depth, window=window,
+                    horizon=horizon)
     if max_perturbations > 2:
         raise ValueError(
             f"max_perturbations > 2 is not implemented (got "
             f"{max_perturbations}): plans stop at pairs, so a larger bound "
             f"would explore nothing a bound of 2 does not")
-    depth = DEFAULT_DEPTHS[protocol] if depth is None else float(depth)
-    horizon = HORIZONS[protocol] if horizon is None else float(horizon)
     report = ExploreReport(protocol=protocol, target=target, depth=depth,
                            window=window, horizon=horizon, seed=seed,
                            recheckpoint_every=max(0, recheckpoint_every))

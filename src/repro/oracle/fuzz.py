@@ -408,6 +408,38 @@ def _targets(protocol: str) -> Tuple[str, ...]:
     return GMP_VARIANTS
 
 
+def check_placement(protocol: str, targets: Sequence[str] = (),
+                    depth: Optional[float] = None, *,
+                    window: Optional[float] = None,
+                    horizon: Optional[float] = None) -> None:
+    """Refuse a placement no run could honour, before anything runs.
+
+    Each of ``targets`` must be one of the protocol's fuzz targets (or,
+    for GMP, the ``fixed`` build); an install ``depth`` must lie in
+    ``[0, horizon)``, since the prefix is simulated up to it and the
+    continuation from it to ``horizon`` (default: the protocol's
+    :data:`HORIZONS` entry); an exploration ``window`` must be positive
+    and close by ``horizon``.  Raises :class:`ValueError` naming the
+    first rule broken.
+    """
+    if protocol not in HORIZONS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    valid = _targets(protocol) + (("fixed",) if protocol == "gmp" else ())
+    for target in targets:
+        if target not in valid:
+            raise ValueError(f"unknown {protocol} target {target!r}; "
+                             f"expected one of {valid}")
+    horizon = HORIZONS[protocol] if horizon is None else horizon
+    if depth is not None and not 0.0 <= depth < horizon:
+        raise ValueError(f"depth {depth:g} is not in "
+                         f"[0, horizon {horizon:g})")
+    if window is not None and not window > 0.0:
+        raise ValueError(f"window {window:g} must be positive")
+    if window is not None and depth + window > horizon:
+        raise ValueError(f"window [{depth:g}, {depth + window:g}] runs past "
+                         f"the horizon {horizon:g}")
+
+
 #: consecutive lint-rejected draws after which the grammar is taken to
 #: be broken rather than unlucky (the stock sessions checked reject
 #: zero or one draw in 48)
@@ -458,7 +490,10 @@ def sweep_battery(protocol: str, targets: Sequence[str], count: int, *,
     """The generated battery ``repro sweep`` runs: ``count`` grammar
     scripts -- script *i* drawn lint-clean from ``random.Random(i)`` --
     against every target (none given: every fuzz target, plus the fixed
-    GMP build), each installed at ``depth`` when one is given."""
+    GMP build), each installed at ``depth`` when one is given.  A
+    placement :func:`check_placement` refuses raises :class:`ValueError`
+    before any script is drawn."""
+    check_placement(protocol, targets, depth)
     if not targets:
         targets = (sorted(_targets("tcp")) if protocol == "tcp"
                    else [*GMP_VARIANTS, "fixed"])
@@ -498,13 +533,15 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
     ``checkpoint_depth`` is *where the filter is installed* -- the depth
     of that prefix: ``None`` is the protocol's stock install time
     (:data:`DEFAULT_DEPTHS`), any other depth a distinct experiment (its
-    configs carry ``install_at``, which changes every run seed).
-    ``pool`` (a :class:`~repro.core.checkpoint.CheckpointPool`) holds
-    the prefixes; share one with the finding shrinkers (``repro fuzz
-    --save-repro`` does) and each warmup is simulated once for the
-    whole session, not once per consumer.  ``progress`` (e.g. ``print``)
-    receives one status line per batch (shared renderer format) with
-    the trial rate, coverage, findings and checkpoint hit-rate.
+    configs carry ``install_at``, which changes every run seed); one
+    outside ``[0, horizon)`` is refused (:func:`check_placement`) before
+    the session starts.  ``pool`` (a
+    :class:`~repro.core.checkpoint.CheckpointPool`) holds the prefixes;
+    share one with the finding shrinkers (``repro fuzz --save-repro``
+    does) and each warmup is simulated once for the whole session, not
+    once per consumer.  ``progress`` (e.g. ``print``) receives one
+    status line per batch (shared renderer format) with the trial rate,
+    coverage, findings and checkpoint hit-rate.
 
     ``journal`` (a :class:`~repro.obs.journal.Journal` or a path)
     attaches the campaign flight recorder: every executed case appends
@@ -515,9 +552,9 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
     :class:`~repro.obs.journal.Flight`: off by default, its hooks then
     land in the no-op journal.
     """
-    pack_for(protocol)  # ValueError on an unknown protocol
-    depth = (DEFAULT_DEPTHS[protocol] if checkpoint_depth is None
+    depth = (DEFAULT_DEPTHS.get(protocol) if checkpoint_depth is None
              else float(checkpoint_depth))
+    check_placement(protocol, depth=depth)
     placement = ({} if depth == DEFAULT_DEPTHS[protocol]
                  else {"install_at": depth})
     report = FuzzReport(protocol=protocol, seed=seed, budget=budget,

@@ -15,7 +15,10 @@ Every command a template may emit is checked against
 can never drift from the registered command set, and every generated
 script is lint-clean by construction (guarded by the same static
 analysis the campaign engine applies -- see
-:func:`repro.core.genscripts.lint_generated` for the precedent).
+:func:`repro.core.genscripts.lint_generated` for the precedent).  The
+message-type vocabulary is read from the same
+:class:`~repro.core.genscripts.ProtocolSpec` the systematic campaigns
+are generated from, so the two generators cannot name different types.
 
 Scripts serialize to plain dicts (clause lists), which is what the
 shrinker's reproduction artifacts store: a shrunk script is re-rendered
@@ -29,16 +32,15 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.core.distributions import derive_seed
+from repro.core.genscripts import gmp_spec, tcp_spec
 from repro.core.script import PFI_COMMANDS
 
-#: message-type vocabulary per protocol (mirrors the genscripts specs)
+#: message-type vocabulary per protocol: the generated campaigns' specs
 MESSAGE_TYPES: Dict[str, Tuple[str, ...]] = {
-    "tcp": ("SYN", "SYNACK", "ACK", "DATA", "FIN", "RST"),
-    "gmp": ("HEARTBEAT", "PROCLAIM", "JOIN", "MEMBERSHIP_CHANGE", "ACK",
-            "NACK", "COMMIT", "DEAD_REPORT"),
-}
+    spec.name: tuple(spec.type_names()) for spec in (tcp_spec(), gmp_spec())}
 
-#: corruptible header fields per protocol, with the values to write
+#: corruptible header fields per protocol, with the values to write (its
+#: own table: the order is part of every draw's ``rng.choice``)
 CORRUPT_FIELDS: Dict[str, Tuple[Tuple[str, str, object], ...]] = {
     "tcp": (("ACK", "ack", 0), ("DATA", "seq", 0),
             ("ACK", "window", 0)),

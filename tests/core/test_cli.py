@@ -149,7 +149,7 @@ class TestLintCommand:
         import json
         script = tmp_path / "bad.tcl"
         script.write_text("chance 1.5\n")
-        assert main(["lint", str(script), "--json"]) == 1
+        assert main(["lint", str(script), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["ok"] is False
         assert payload[0]["diagnostics"][0]["code"] == "SL006"
@@ -300,3 +300,47 @@ class TestExploreCommand:
         assert (args.depth, args.window, args.horizon) == (5.0, 0.5, 12.0)
         assert (args.max_schedules, args.max_perturbations) == (9, 2)
         assert args.defer_delta == 1.5
+
+
+class TestPlacementRefusal:
+    """A placement no run can honour exits 2 with one line, before a
+    journal or campaign directory is created."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fuzz", "--checkpoint-depth", "-5"],
+         "repro fuzz: depth -5 is not in [0, horizon 30)"),
+        (["fuzz", "--protocol", "tcp", "--checkpoint-depth", "40"],
+         "repro fuzz: depth 40 is not in [0, horizon 30)"),
+        (["sweep", "--depth", "40"],
+         "repro sweep: depth 40 is not in [0, horizon 30)"),
+        (["sweep", "--depth", "-1"],
+         "repro sweep: depth -1 is not in [0, horizon 30)"),
+        (["sweep", "--targets", "nosuch"],
+         "repro sweep: unknown gmp target 'nosuch'"),
+        (["sweep", "--protocol", "tcp", "--targets", "Linux"],
+         "repro sweep: unknown tcp target 'Linux'"),
+        (["explore", "--depth", "40"],
+         "repro explore: depth 40 is not in [0, horizon 30)"),
+        (["explore", "--depth", "-2"],
+         "repro explore: depth -2 is not in [0, horizon 30)"),
+        (["explore", "--window", "-1"],
+         "repro explore: window -1 must be positive"),
+    ], ids=["fuzz-negative-depth", "fuzz-depth-past-horizon",
+            "sweep-depth-past-horizon", "sweep-negative-depth",
+            "sweep-unknown-gmp-target", "sweep-unknown-tcp-target",
+            "explore-depth-past-horizon", "explore-negative-depth",
+            "explore-negative-window"])
+    def test_exits_two_with_one_line(self, argv, message, tmp_path, capsys):
+        where = str(tmp_path / "campaign")
+        flag = "--journal-dir" if argv[0] == "sweep" else "--journal"
+        assert main([*argv, flag, where]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(message)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_window_must_close_by_the_horizon(self, capsys):
+        assert main(["explore", "--depth", "29", "--window", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "repro explore: window [29, 31] runs past the horizon 30\n")

@@ -111,10 +111,12 @@ class TestCampaignRefusal:
             {"vendor": "a", "script": "incr n", "init_script": "set n 0"}])
         assert len(results) == 1
 
-    def test_filter_instances_are_linted(self):
-        bad = TclishFilter("chance 1.5", lint="off")
-        with pytest.raises(CampaignScriptError):
-            Campaign(_noop_body).run([{"filter": bad}])
+    def test_only_the_script_key_carries_a_script(self):
+        campaign = Campaign(_noop_body)
+        assert len(campaign.validate_scripts(
+            [{"script": "xDropp cur_msg"}])) == 1
+        assert campaign.validate_scripts(
+            [{"tclish": "xDropp cur_msg", "name": "xDropp cur_msg"}]) == []
 
     def test_lint_off_restores_old_behaviour(self):
         results = Campaign(_noop_body, lint="off").run(

@@ -278,7 +278,7 @@ def test_non_callable_filter_rejected(harness):
         harness.pfi.set_send_filter("not a filter")
 
 
-def test_python_filter_wrapper_named():
+def test_pythonfilter_takes_the_callables_name():
     def my_filter(ctx):
         pass
 

@@ -49,7 +49,7 @@ class TestScriptedFaults:
         assert client.state == "CLOSED"
         assert client.close_reason == "retransmission_timeout"
 
-    def test_tclish_and_python_filters_equivalent(self):
+    def test_tclish_and_python_backends_equivalent(self):
         """The same pass-30-then-drop experiment via both backends."""
         results = {}
         for backend in ("python", "tclish"):

@@ -214,12 +214,12 @@ def test_sweep_battery_redraws_the_scripts_the_grammar_rejects():
 
     from repro.oracle.fuzz import sweep_battery
     from repro.oracle.grammar import GrammarLintError, generate_script
-    for protocol in ("gmp", "tcp"):
+    for protocol, target in (("gmp", "fixed"), ("tcp", "SunOS 4.1.3")):
         # random.Random(24) draws a script the grammar's own lint
         # refuses; `repro sweep --count 25` died on it before running
         with pytest.raises(GrammarLintError):
             generate_script(random.Random(24), protocol, index=24)
-        battery = sweep_battery(protocol, ["fixed"], 25)
+        battery = sweep_battery(protocol, [target], 25)
         assert len(battery) == 25
         assert not Campaign(fuzz_body).validate_scripts(battery)
         # every index that draws clean yields the config it always did
@@ -227,7 +227,7 @@ def test_sweep_battery_redraws_the_scripts_the_grammar_rejects():
             script = generate_script(random.Random(index), protocol,
                                      index=index)
             assert battery[index] == {
-                "protocol": protocol, "target": "fixed",
+                "protocol": protocol, "target": target,
                 "script": script.source, "init_script": script.init,
                 "direction": script.direction}
 
@@ -248,3 +248,22 @@ def test_sweep_battery_keeps_existing_campaign_directories_addressable():
     assert [c["install_at"]
             for c in sweep_battery("gmp", ["fixed"], 2, depth=4.0)] \
         == [4.0, 4.0]
+
+
+def test_every_engine_refuses_a_placement_before_it_runs():
+    import pytest
+
+    from repro.oracle.explore import explore
+    from repro.oracle.fuzz import sweep_battery
+    refused = [
+        lambda: run_fuzz("tcp", checkpoint_depth=40),
+        lambda: run_fuzz("gmp", checkpoint_depth=-5),
+        lambda: sweep_battery("tcp", ["fixed"], 1),
+        lambda: sweep_battery("gmp", ["fixed"], 1, depth=30.0),
+        lambda: explore("gmp", "reply_to_sender"),
+        lambda: explore("gmp", "fixed", window=-1),
+        lambda: explore("gmp", "fixed", depth=8.0, window=1.5, horizon=9.0),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError):
+            call()
