@@ -33,6 +33,17 @@ def _print(title: str, body: str) -> None:
     print(f"{bar}\n{title}\n{bar}\n{body}\n")
 
 
+class _InputError(Exception):
+    """A file a command was pointed at is missing or not what it claims:
+    :func:`main` prints the one ``repro <cmd>: ...`` line and exits 2."""
+
+
+def _require_file(cmd: str, path: str, what: str) -> str:
+    if not os.path.isfile(path):
+        raise _InputError(f"repro {cmd}: no such {what}: {path}")
+    return path
+
+
 # ----------------------------------------------------------------------
 # table commands
 # ----------------------------------------------------------------------
@@ -162,7 +173,7 @@ def cmd_run_script(args) -> int:
     """
     from repro.core import TclishFilter
     from repro.core.tclish import TclError
-    with open(args.script_file) as fp:
+    with open(_require_file("run-script", args.script_file, "file")) as fp:
         source = fp.read()
     script = TclishFilter(source, init_script=args.init or "",
                           name=args.script_file, lint="error")
@@ -365,10 +376,14 @@ def cmd_check(args) -> int:
     return result.exit_code()
 
 
-def _load_trace_file(path: str):
+def _load_trace_file(cmd: str, path: str):
     from repro.analysis.export import load_trace
-    with open(path) as fp:
-        return load_trace(fp)
+    with open(_require_file(cmd, path, "trace file")) as fp:
+        try:
+            return load_trace(fp)
+        except (ValueError, KeyError):
+            raise _InputError(f"repro {cmd}: {path}: not a JSON-lines "
+                              f"trace") from None
 
 
 def cmd_report(args) -> int:
@@ -392,7 +407,7 @@ def cmd_report(args) -> int:
         return 2
     from repro.obs.lineage import Lineage
     from repro.obs.report import render_report
-    trace = _load_trace_file(args.trace_file)
+    trace = _load_trace_file("report", args.trace_file)
     if args.uid is not None:
         lineage = Lineage.from_trace(trace)
         if args.uid not in lineage.uids():
@@ -466,16 +481,12 @@ def cmd_tail(args) -> int:
     how a second terminal watches a running sweep live.
     """
     from repro.obs.journal import follow_journal, replay_journal
-    if not args.follow and not os.path.exists(args.journal):
-        print(f"repro tail: no such journal: {args.journal}",
-              file=sys.stderr)
-        return 2
     if args.follow:
         for event in follow_journal(args.journal, poll=args.poll,
                                     timeout=args.timeout):
             print(_render_journal_event(event))
         return 0
-    replay = replay_journal(args.journal)
+    replay = replay_journal(_require_file("tail", args.journal, "journal"))
     for event in replay.events:
         print(_render_journal_event(event))
     if replay.torn_tail is not None:
@@ -512,8 +523,10 @@ def cmd_history(args) -> int:
     way, turning them into a tracked trajectory.
     """
     from repro.obs.history import HistoryStore
+    for journal in args.record:
+        _require_file("history", journal, "journal")
     store = HistoryStore(args.dir)
-    for journal in args.record or ():
+    for journal in args.record:
         row = store.record_journal(journal)
         if not args.json:
             print(f"recorded {journal} -> {row.id} "
@@ -548,7 +561,8 @@ def cmd_trace(args) -> int:
     if args.journal:
         from repro.obs.chrometrace import journal_chrome_trace
         from repro.obs.journal import replay_journal
-        replay = replay_journal(args.journal)
+        replay = replay_journal(_require_file("trace", args.journal,
+                                              "journal"))
         text = json.dumps(journal_chrome_trace(replay, title=args.journal),
                           sort_keys=True)
         count = len(replay.events)
@@ -558,7 +572,7 @@ def cmd_trace(args) -> int:
                   file=sys.stderr)
             return 2
         from repro.obs.chrometrace import dump_chrome_trace
-        trace = _load_trace_file(args.trace_file)
+        trace = _load_trace_file("trace", args.trace_file)
         text = dump_chrome_trace(trace, title=args.trace_file)
         count = len(trace)
     if args.out:
@@ -1005,6 +1019,9 @@ def main(argv=None) -> int:
         status = args.handler(args) or 0
         sys.stdout.flush()
         return status
+    except _InputError as err:
+        print(err, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader closed early (``repro fuzz | head -1``); stdout goes
         # to devnull so the exit-time flush cannot raise a second time

@@ -34,9 +34,10 @@ The copy is only sound because the simulator schedules **bound methods
 and callable-class instances, never closures**: functions are atomic
 values to the plan exactly as they are to ``deepcopy``, so a lambda
 stored in a heap entry would keep pointing into the original world and
-the fork would silently cross-talk with it.  :func:`audit_scheduler`
-enforces that rule at capture time by walking the pending heap and
-rejecting any callback whose identity cannot survive the copy.
+the fork would silently cross-talk with it.  The capture-time audit
+(:func:`repro.staticcheck.audit_pending`) enforces that rule by walking
+the pending heap and rejecting any callback whose identity cannot
+survive the copy.
 
 Two further pieces make forks cheap and correct:
 
@@ -72,67 +73,18 @@ proxy for a snapshot, since worlds are never pickled).
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import inspect
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Union
 
 from repro.core.cloneplan import ClonePlan
 from repro.core.orchestrator import ExperimentEnv
-from repro.netsim.scheduler import Scheduler, SchedulerClock
-
-#: default-argument types a plain scheduled function may carry without
-#: smuggling world state past the copy
-_ATOMIC_DEFAULTS = (int, float, str, bytes, bool, frozenset, type(None))
+from repro.netsim.scheduler import SchedulerClock
 
 
 class CheckpointError(RuntimeError):
     """A world cannot be captured, forked, or re-seeded soundly."""
-
-
-def _callable_issue(fn: Any, where: str) -> Optional[str]:
-    """Why ``fn`` would not survive a world copy, or None if it would.
-
-    Bound methods and callable-class instances are rebuilt around the
-    fork's own objects; plain functions are atomic, which is fine only when
-    they are genuinely stateless (no closure cells, no mutable/world
-    defaults).
-    """
-    if isinstance(fn, functools.partial):
-        return _callable_issue(fn.func, where)
-    if inspect.ismethod(fn):
-        return None  # bound method: rebuilt around the copy of __self__
-    if inspect.isfunction(fn):
-        if fn.__closure__:
-            return (f"{where}: closure {fn.__qualname__} would keep "
-                    f"referencing the original world after a fork")
-        for default in (fn.__defaults__ or ()):
-            if not isinstance(default, _ATOMIC_DEFAULTS):
-                return (f"{where}: function {fn.__qualname__} smuggles a "
-                        f"{type(default).__name__} through a default "
-                        f"argument; pass it via scheduler args instead")
-        return None
-    if callable(fn):
-        return None  # callable instance: copied like any world object
-    return f"{where}: {fn!r} is not callable"
-
-
-def audit_scheduler(scheduler: Scheduler) -> List[str]:
-    """Deepcopy-safety issues among the scheduler's pending callbacks.
-
-    Returns human-readable findings (empty means the heap is clean).
-    :meth:`Checkpoint.capture` runs this by default and refuses to
-    snapshot a world that would fork unsoundly.
-    """
-    issues = []
-    for event in scheduler.pending_events():
-        issue = _callable_issue(
-            event.callback, f"event@t={event.time:.6f}")
-        if issue is not None:
-            issues.append(issue)
-    return issues
 
 
 @dataclass
@@ -210,11 +162,9 @@ class Checkpoint:
 
         The scheduler heap is compacted first so cancelled tombstones
         are not copied into every fork, and (unless ``audit=False``)
-        every pending callback is vetted twice: first by the *static*
-        audit (:func:`repro.staticcheck.audit_pending`), which pins
-        each finding to the offending function's source line, then by
-        the runtime :func:`audit_scheduler` for anything the static
-        pass cannot see.
+        every pending callback is vetted by
+        :func:`repro.staticcheck.audit_pending`, which pins each finding
+        to the offending function's source line.
         """
         parent: Optional[Checkpoint] = None
         if isinstance(env, Forked):
@@ -225,18 +175,12 @@ class Checkpoint:
                 roots = forked.roots
         if audit:
             from repro.staticcheck import audit_pending
-            static = audit_pending(env.scheduler,
-                                   atomic=_ATOMIC_DEFAULTS)
+            static = audit_pending(env.scheduler)
             if static:
                 raise CheckpointError(
                     "world is not checkpoint-safe (static audit):\n  "
                     + "\n  ".join(diag.format(path)
                                   for path, diag in static))
-            issues = audit_scheduler(env.scheduler)
-            if issues:
-                raise CheckpointError(
-                    "world is not checkpoint-safe:\n  "
-                    + "\n  ".join(issues))
         env.scheduler.compact()
         world = {"env": env, "roots": dict(roots or {})}
         snapshot = _world_plan(world).clone()

@@ -39,8 +39,8 @@ subgraph, so a rig whose hot classes carry hooks sees less of the gain;
 :attr:`ClonePlan.fallback` names them.
 
 Functions (closures included) are atomic here exactly as they are for
-``deepcopy``; the checkpoint audits (SC101-SC106,
-:func:`repro.core.checkpoint.audit_scheduler`) keep their meaning.
+``deepcopy``; the checkpoint audit (SC101/SC102 on the live heap,
+:func:`repro.staticcheck.audit_pending`) keeps its meaning.
 """
 
 from __future__ import annotations

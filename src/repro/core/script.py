@@ -17,10 +17,11 @@ Both persist state across invocations: PythonFilter via ``ctx.state``
 The tclish bridge registers the paper's utility commands (``msg_type``,
 ``xDrop``, ``xDelay``, ``chance``, ...).  Every command is declared once
 through the :func:`cmd` decorator with its arity bounds, usage line and
-doc string; that single declaration drives
+doc string, exactly as the tclish stdlib declares its own commands; that
+single declaration drives
 
-- runtime registration (:meth:`~repro.core.tclish.Interp
-  .register_command`) including argument-count enforcement, and
+- runtime registration, including the argument-count check
+  ``Interp.call`` makes for every command, and
 - the static analyzer's command registry
   (:func:`repro.core.tclish.lint.default_registry`),
 
@@ -110,9 +111,8 @@ class TclishFilter(FilterScript):
                     f"{render_text(self.lint_report)}",
                     TclishLintWarning, stacklevel=2)
         self.interp = Interp()
-        self._ctx_cell: List[Optional[ScriptContext]] = [None]
         self.profiler = None
-        _register_bridge(self.interp, self._ctx_cell)
+        self.interp.commands.update(PFI_COMMANDS)
         self.interp.compile(source)
         if init_script:
             self.interp.eval(init_script)
@@ -139,16 +139,10 @@ class TclishFilter(FilterScript):
         self.interp.profiler = None
 
     def __deepcopy__(self, memo):
-        """Checkpoint-aware copy: duplicate the interpreter state, then
-        re-register the PFI bridge against the copy's own context cell.
-
-        The bridge commands installed at construction are closures over
-        ``self._ctx_cell``; ``copy.deepcopy`` treats closures as atomic,
-        so a plain deep copy would leave the copy's commands reading the
-        *original* filter's current-message cell.  Re-running
-        :func:`_register_bridge` replaces exactly those commands while
-        the interpreter's variables, procs and output -- the state a
-        checkpointed fork must carry -- come through the deep copy.
+        """Checkpoint-aware copy: the interpreter's variables, procs and
+        output -- the state a checkpointed fork must carry -- come through
+        the deep copy (its command declarations are shared, they are
+        immutable); the lint report is shared and no profiler follows.
         """
         import copy as _copy
         clone = object.__new__(type(self))
@@ -157,27 +151,26 @@ class TclishFilter(FilterScript):
         clone.name = self.name
         clone.lint_report = self.lint_report
         clone.profiler = None
-        clone._ctx_cell = [None]
         clone.interp = _copy.deepcopy(self.interp, memo)
         clone.interp.profiler = None
-        _register_bridge(clone.interp, clone._ctx_cell)
         return clone
 
     def run(self, ctx: ScriptContext) -> None:
-        self._ctx_cell[0] = ctx
+        interp = self.interp
+        interp.context = ctx
         profiler = self.profiler
         if profiler is None:
             try:
-                self.interp.eval(self.source)
+                interp.eval(self.source)
             finally:
-                self._ctx_cell[0] = None
+                interp.context = None
             return
         start = perf_counter()
         try:
-            self.interp.eval(self.source)
+            interp.eval(self.source)
         finally:
             profiler.record_script(self.name, perf_counter() - start)
-            self._ctx_cell[0] = None
+            interp.context = None
 
     @property
     def output_lines(self) -> List[str]:
@@ -194,11 +187,9 @@ class TclishFilter(FilterScript):
 
 #: name -> :class:`CommandSignature` for every PFI bridge command.  Filled
 #: by the :func:`cmd` decorator below; the single source of truth for
-#: runtime arity enforcement, the lint registry and the docs table.
+#: runtime registration and arity enforcement, the lint registry and the
+#: docs table.
 PFI_COMMANDS: Dict[str, CommandSignature] = {}
-
-#: name -> implementation ``fn(ctx, interp, args)``
-_PFI_IMPLS: Dict[str, Callable] = {}
 
 
 def cmd(name: str, min_args: int = 0, max_args: Optional[int] = None,
@@ -206,20 +197,23 @@ def cmd(name: str, min_args: int = 0, max_args: Optional[int] = None,
     """Declare a PFI bridge command: signature + implementation, once.
 
     The decorated function receives ``(ctx, interp, args)`` where ``ctx``
-    is the live :class:`~repro.core.context.ScriptContext`.  Argument
-    counts outside ``[min_args, max_args]`` are rejected before the
+    is the live :class:`~repro.core.context.ScriptContext` (the
+    interpreter's ``context`` while a filter runs).  ``Interp.call``
+    rejects argument counts outside ``[min_args, max_args]`` before the
     implementation runs, with the declared usage line -- the same bounds
     the static analyzer checks, so a script that lints clean cannot die
     on arity at runtime.  Registering a command empties the analyzer's
     verdict memo and its built default registry: this decorator is the
     one place the command surface grows.
     """
-    signature = CommandSignature(name, min_args, max_args,
-                                 usage or name, doc)
-
     def decorator(fn):
-        PFI_COMMANDS[name] = signature
-        _PFI_IMPLS[name] = fn
+        def command(interp: Interp, args: List[str]) -> str:
+            ctx = interp.context
+            if ctx is None:
+                raise TclError("no message is being filtered right now")
+            return fn(ctx, interp, args)
+        PFI_COMMANDS[name] = CommandSignature(
+            name, min_args, max_args, usage or name, doc, command)
         forget_default()
         return fn
     return decorator
@@ -248,17 +242,12 @@ def _msg_log(ctx, _i, args):
 
 @cmd("msg_field", 1, 1, "msg_field name", "read header field ``name``")
 def _msg_field(ctx, _i, args):
-    if not args:
-        raise TclError('usage: msg_field name')
-    value = ctx.field(args[0])
-    return _stringify(value)
+    return _stringify(ctx.field(args[0]))
 
 
 @cmd("msg_set_field", 2, 2, "msg_set_field name value",
      "modify header field ``name``")
 def _msg_set_field(ctx, _i, args):
-    if len(args) != 2:
-        raise TclError('usage: msg_set_field name value')
     ctx.set_field(args[0], _parse_scalar(args[1]))
     return ""
 
@@ -318,8 +307,6 @@ def _held_count(ctx, _i, args):
 @cmd("inject", 1, None, "inject type ?direction? ?field value ...?",
      "inject a generated message")
 def _inject(ctx, _i, args):
-    if not args:
-        raise TclError("usage: inject type ?field value ...?")
     type_name = args[0]
     rest = args[1:]
     direction = None
@@ -344,8 +331,6 @@ def _now(ctx, _i, args):
 def _peer_set(ctx, _i, args):
     # write a variable into the *other* filter's state -- "the send
     # filter might set a variable in the receive interpreter"
-    if len(args) != 2:
-        raise TclError("usage: peer_set key value")
     ctx.set_peer(args[0], _parse_scalar(args[1]))
     return ""
 
@@ -402,26 +387,6 @@ def _node_name(ctx, _i, args):
 @cmd("direction", 0, 0, "direction", "'send' or 'receive'")
 def _direction(ctx, _i, args):
     return ctx.direction
-
-
-def _register_bridge(interp: Interp, cell: List[Optional[ScriptContext]]) -> None:
-    """Install the PFI utility commands on a tclish interpreter."""
-
-    def ctx() -> ScriptContext:
-        current = cell[0]
-        if current is None:
-            raise TclError("no message is being filtered right now")
-        return current
-
-    def make_command(signature: CommandSignature, fn: Callable):
-        def command(i: Interp, args: List[str]) -> str:
-            if not signature.accepts(len(args)):
-                raise TclError(f"usage: {signature.usage}")
-            return fn(ctx(), i, args)
-        return command
-
-    for name, fn in _PFI_IMPLS.items():
-        interp.register_command(name, make_command(PFI_COMMANDS[name], fn))
 
 
 def _tag_arg(args) -> str:

@@ -24,8 +24,9 @@ evaluations, exactly like the paper's per-filter Tcl interpreter objects:
 this count is persistent across messages."
 
 Protocol-facing commands (``msg_type``, ``xDrop``, ``msg_log``, ...) are not
-defined here; the PFI layer registers them through
-:meth:`Interp.register_command` (see :mod:`repro.core.script`).
+defined here; the PFI layer declares them the way
+:mod:`~repro.core.tclish.stdlib_loader` declares the stdlib and adds
+them to :attr:`Interp.commands` (see :mod:`repro.core.script`).
 """
 
 from repro.core.tclish.compiler import (

@@ -19,8 +19,10 @@ is a pure function of its source text.
   nested command sources -- so runtime substitution is a join over
   resolved segments instead of a character scan (``SEGMENTS``).
 
-:func:`compile_substitution` is the only scanner of the substitution
-grammar; ``Interp.substitute`` replays its segments too.
+:func:`scan_substitution` is the only scanner of the substitution
+grammar: :func:`compile_substitution` drops its offsets,
+``Interp.substitute`` replays its segments, and scriptlint reads its
+variable reads and nested scripts, offsets included, from it.
 
 A bounded LRU cache maps source strings to compiled scripts.  The cache is
 module-level and shared by every :class:`~repro.core.tclish.interp.Interp`
@@ -36,7 +38,7 @@ from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.tclish.errors import TclError
-from repro.core.tclish.lexer import split_commands, split_words
+from repro.core.tclish.lexer import _skip_bracket, split_commands, split_words
 
 # word kinds
 LITERAL = 0     # text is the final word value
@@ -125,16 +127,19 @@ def _backslash(ch: str) -> str:
     return _BACKSLASH_MAP.get(ch, ch)
 
 
-def compile_substitution(text: str) -> Tuple[Segment, ...]:
-    """Pre-tokenise a substitution string into segments.
+def scan_substitution(text: str) -> List[Tuple[int, str, int]]:
+    """Tokenise a substitution string into ``(code, payload, offset)``.
 
     Tcl's substitution rules: backslash escapes, ``$name`` / ``${name}``
     variable reads, and ``[script]`` command substitution.  Adjacent
     literal text (including resolved escapes) is merged into one
-    ``SEG_TEXT`` run.
+    ``SEG_TEXT`` run.  ``offset`` is where the segment starts in
+    ``text``: the ``$`` of a read, the first character inside the
+    brackets of a nested script.
     """
-    segments: List[Segment] = []
+    spans: List[Tuple[int, str, int]] = []
     text_run: List[str] = []
+    run_start = 0
     i = 0
     n = len(text)
     while i < n:
@@ -143,64 +148,45 @@ def compile_substitution(text: str) -> Tuple[Segment, ...]:
             text_run.append(_backslash(text[i + 1]))
             i += 2
         elif ch == "$":
+            start = i
             name, i = _scan_varname(text, i)
             if name is None:
                 text_run.append("$")
-            else:
-                if text_run:
-                    segments.append((SEG_TEXT, "".join(text_run)))
-                    text_run = []
-                segments.append((SEG_VAR, name))
-        elif ch == "[":
-            depth = 0
-            j = i
-            while j < n:
-                if text[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if text[j] == "[":
-                    depth += 1
-                elif text[j] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth != 0:
-                raise TclError("unmatched open bracket in substitution")
+                continue
             if text_run:
-                segments.append((SEG_TEXT, "".join(text_run)))
+                spans.append((SEG_TEXT, "".join(text_run), run_start))
                 text_run = []
-            segments.append((SEG_CMD, text[i + 1:j]))
-            i = j + 1
+            spans.append((SEG_VAR, name, start))
+            run_start = i
+        elif ch == "[":
+            try:
+                end = _skip_bracket(text, i)
+            except TclError:
+                raise TclError(
+                    "unmatched open bracket in substitution") from None
+            if text_run:
+                spans.append((SEG_TEXT, "".join(text_run), run_start))
+                text_run = []
+            spans.append((SEG_CMD, text[i + 1:end - 1], i + 1))
+            i = run_start = end
         else:
             text_run.append(ch)
             i += 1
     if text_run:
-        segments.append((SEG_TEXT, "".join(text_run)))
-    return tuple(segments)
+        spans.append((SEG_TEXT, "".join(text_run), run_start))
+    return spans
 
 
-def _simple_varname(word: str) -> Optional[str]:
-    """The variable name if the word is exactly ``$name`` or ``${name}``."""
-    if len(word) < 2 or word[0] != "$":
-        return None
-    if word[1] == "{":
-        if word[-1] == "}" and "}" not in word[2:-1]:
-            return word[2:-1]
-        return None
-    rest = word[1:]
-    if all(c.isalnum() or c == "_" for c in rest):
-        return rest
-    return None
+def compile_substitution(text: str) -> Tuple[Segment, ...]:
+    """Pre-tokenise a substitution string into segments (no offsets)."""
+    return tuple((code, payload)
+                 for code, payload, _offset in scan_substitution(text))
 
 
 def _analyze_plain(text: str) -> CompiledWord:
     """Analyse a substitution-subject string (bare word or quoted body)."""
     if not _needs_substitution(text):
         return CompiledWord(LITERAL, text)
-    name = _simple_varname(text)
-    if name is not None:
-        return CompiledWord(VARREF, name)
     segments = compile_substitution(text)
     if not segments:
         return CompiledWord(LITERAL, "")

@@ -33,6 +33,7 @@ from repro.core.tclish.compiler import (
     CompiledScript,
 )
 from repro.core.tclish.errors import TclError, TclReturn
+from repro.core.tclish.stdlib_loader import CommandSignature
 
 CommandFn = Callable[["Interp", List[str]], str]
 
@@ -89,7 +90,13 @@ class Interp:
     def __init__(self, output: Optional[Callable[[str], None]] = None):
         self.globals: Dict[str, str] = {}
         self.procs: Dict[str, Proc] = {}
-        self.commands: Dict[str, CommandFn] = {}
+        #: name -> declaration; the stdlib's are shared, never copied
+        self.commands: Dict[str, CommandSignature] = dict(
+            stdlib_loader.STDLIB)
+        #: what the embedding host hands its commands: the PFI layer puts
+        #: the :class:`~repro.core.context.ScriptContext` of the message
+        #: being filtered here for the length of one script run
+        self.context: Any = None
         self._frames: List[Dict[str, str]] = []
         self._global_links: List[set] = []
         self.output_lines: List[str] = []
@@ -106,7 +113,6 @@ class Interp:
         #: the compiled executor records per-command wall time.  The
         #: disabled cost is one ``is not None`` test per command.
         self.profiler = None
-        stdlib_loader.install(self)
 
     # ------------------------------------------------------------------
     # variables
@@ -170,9 +176,12 @@ class Interp:
 
         This is the bridge the paper describes: "user defined procedures ...
         written in C and linked into the tool" -- here they are Python
-        callables registered on the interpreter.
+        callables registered on the interpreter.  A command declared with
+        arity bounds is registered by putting its
+        :class:`~repro.core.tclish.stdlib_loader.CommandSignature` in
+        :attr:`commands`.
         """
-        self.commands[name] = fn
+        self.commands[name] = CommandSignature(name, usage=name, fn=fn)
 
     def register_function(self, name: str, fn: Callable[..., Any]) -> None:
         """Install a plain Python function as a command.
@@ -181,7 +190,7 @@ class Interp:
         """
         def wrapper(_interp: "Interp", args: List[str]) -> str:
             return _to_tcl_string(fn(*args))
-        self.commands[name] = wrapper
+        self.register_command(name, wrapper)
 
     def write(self, text: str) -> None:
         """Emit one line of script output (``puts``)."""
@@ -281,13 +290,16 @@ class Interp:
     def call(self, name: str, args: List[str]) -> str:
         """Invoke a proc or registered command by name.
 
-        Unknown names always surface as ``TclError("invalid command name
-        ...")`` -- never a bare ``KeyError`` -- and a ``KeyError`` escaping
-        a command implementation (e.g. a registered Python function doing
-        a dict lookup) is normalized to :class:`TclError` too, so ``catch``
-        works and the static analyzer
-        (:mod:`repro.core.tclish.lint`) and the runtime agree on one
-        error surface.
+        This is the one place a command's argument count is checked: a
+        call outside the declared bounds is ``wrong # args: should be
+        "<usage>"`` before the implementation runs, for
+        stdlib and PFI commands alike, and scriptlint's SL002 reads the
+        same declaration.  Unknown names always surface as
+        ``TclError("invalid command name ...")``, and a ``KeyError``,
+        ``IndexError`` or ``ValueError`` escaping an implementation (a
+        missing ``string index`` argument, ``incr v abc``) is normalized
+        to :class:`TclError` too, so ``catch`` works and a script fault
+        is never a Python traceback.
         """
         proc = self.procs.get(name)
         if proc is not None:
@@ -295,11 +307,15 @@ class Interp:
         command = self.commands.get(name)
         if command is None:
             raise TclError(f'invalid command name "{name}"')
+        if not command.accepts(len(args)):
+            raise TclError(f'wrong # args: should be "{command.usage}"')
         try:
-            result = command(self, args)
+            result = command.fn(self, args)
         except KeyError as err:
             raise TclError(f'error in command "{name}": '
                            f"no such key {err}") from err
+        except (IndexError, ValueError) as err:
+            raise TclError(f'error in command "{name}": {err}') from err
         return result if isinstance(result, str) else _to_tcl_string(result)
 
     # ------------------------------------------------------------------

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.tclish import expr as expr_mod
+from repro.core.tclish.compiler import SEG_CMD, SEG_VAR
 from repro.core.tclish.errors import TclError
 from repro.core.tclish.lint import diagnostics as diag
 from repro.core.tclish.lint.diagnostics import Diagnostic
@@ -57,8 +58,7 @@ from repro.core.tclish.lint.walker import (
     LineMap,
     WordNode,
     parse_script,
-    scan_nested_scripts,
-    scan_variable_reads,
+    segments_at,
 )
 
 #: commands that act on the current message and are moot once it is dropped
@@ -306,12 +306,13 @@ class Analyzer:
         if body is not None:
             text, base = body
             try:
-                for nested_source, offset in scan_nested_scripts(text, base):
-                    self._walk_nested(nested_source, offset, state)
+                nested = segments_at(text, base, SEG_CMD)
             except TclError as err:
                 self._report("SL000", base, str(err))
                 return set()
-            self._check_reads(scan_variable_reads(text, base), state)
+            for nested_source, offset in nested:
+                self._walk_nested(nested_source, offset, state)
+            self._check_reads(segments_at(text, base, SEG_VAR), state)
         else:
             # bare/quoted condition: normal word substitution already ran
             text = word.raw
@@ -635,6 +636,8 @@ def _handle_catch(an: Analyzer, command: CommandNode, state: _Scope) -> None:
 
 def _handle_eval(an: Analyzer, command: CommandNode, state: _Scope) -> None:
     parts = [w.literal for w in command.args]
+    if not parts:
+        return  # a bare ``eval``: SL002 already said so
     if all(p is not None for p in parts):
         an._walk_nested(" ".join(parts), command.args[0].offset, state)
     else:

@@ -10,12 +10,14 @@ carry absolute offsets, resolved to ``(line, col)`` through a
 
 Word classification reuses :func:`repro.core.tclish.compiler.analyze_word`
 so lint sees words exactly as the execution engine does (literal, direct
-variable read, or substitution segments).
+variable read, or substitution segments), and the reads and nested
+scripts of a substitution come from the interpreter's own scanner
+(:func:`~repro.core.tclish.compiler.scan_substitution`), offsets
+included.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -23,10 +25,12 @@ from typing import List, Optional, Tuple
 from repro.core.tclish import compiler
 from repro.core.tclish.compiler import (
     LITERAL,
+    SEG_CMD,
+    SEG_VAR,
+    SEGMENTS,
     VARREF,
     CompiledWord,
 )
-from repro.core.tclish.errors import TclError
 from repro.core.tclish.lexer import split_commands_spanned, split_words_spanned
 
 
@@ -71,29 +75,19 @@ class WordNode:
         """``$name`` reads this word performs, with absolute offsets."""
         if self.compiled.kind == VARREF:
             return [(self.compiled.text, self.offset)]
-        if self.compiled.kind == LITERAL:
-            return []
-        return scan_variable_reads(_subst_text(self.raw), _subst_base(self))
+        return self._segments(SEG_VAR)
 
     def nested_scripts(self) -> List[Tuple[str, int]]:
         """``[script]`` substitutions this word triggers, with offsets."""
-        if self.compiled.kind == LITERAL or self.compiled.kind == VARREF:
+        return self._segments(SEG_CMD)
+
+    def _segments(self, code: int) -> List[Tuple[str, int]]:
+        if self.compiled.kind != SEGMENTS:
             return []
-        return scan_nested_scripts(_subst_text(self.raw), _subst_base(self))
-
-
-def _subst_text(raw: str) -> str:
-    """The substitution-subject text of a non-braced word."""
-    if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':
-        return raw[1:-1]
-    return raw
-
-
-def _subst_base(word: WordNode) -> int:
-    """Absolute offset of the substitution-subject text."""
-    if len(word.raw) >= 2 and word.raw[0] == '"' and word.raw[-1] == '"':
-        return word.offset + 1
-    return word.offset
+        text, base = self.raw, self.offset
+        if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
+            text, base = text[1:-1], base + 1
+        return segments_at(text, base, code)
 
 
 @dataclass
@@ -135,103 +129,16 @@ def parse_script(source: str, base_offset: int = 0) -> List[CommandNode]:
     return nodes
 
 
-# ----------------------------------------------------------------------
-# substitution scanning (conditions, expr bodies, quoted/bare words)
-# ----------------------------------------------------------------------
+def segments_at(text: str, base_offset: int,
+                code: int) -> List[Tuple[str, int]]:
+    """The ``SEG_VAR`` reads or ``SEG_CMD`` nested scripts (``code``) of a
+    substitution string, at absolute offsets.
 
-_VAR_RE = re.compile(r"\$(?:\{(?P<braced>[^}]*)\}|(?P<plain>[A-Za-z0-9_]+))")
-
-
-def scan_variable_reads(text: str, base_offset: int = 0
-                        ) -> List[Tuple[str, int]]:
-    """Find every ``$name`` / ``${name}`` read in a substitution string.
-
-    Nested ``[script]`` regions are skipped -- their reads are reported
-    when the nested script itself is analyzed.  Backslash-escaped dollars
-    are not reads.
+    Nested ``[script]`` regions are one segment each -- their own reads
+    are reported when the nested script itself is analyzed.  Raises
+    :class:`~repro.core.tclish.errors.TclError` exactly as substitution
+    at runtime would.
     """
-    reads: List[Tuple[str, int]] = []
-    for chunk, offset in _outside_brackets(text):
-        i = 0
-        while True:
-            match = _VAR_RE.search(chunk, i)
-            if match is None:
-                break
-            if match.start() > 0 and chunk[match.start() - 1] == "\\":
-                i = match.start() + 1
-                continue
-            name = match.group("braced")
-            if name is None:
-                name = match.group("plain")
-            reads.append((name, base_offset + offset + match.start()))
-            i = match.end()
-    return reads
-
-
-def scan_nested_scripts(text: str, base_offset: int = 0
-                        ) -> List[Tuple[str, int]]:
-    """Find every top-level ``[script]`` region with its body offset."""
-    scripts: List[Tuple[str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            i += 2
-            continue
-        if ch == "[":
-            depth = 0
-            j = i
-            while j < n:
-                if text[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if text[j] == "[":
-                    depth += 1
-                elif text[j] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth != 0:
-                raise TclError("unmatched open bracket in substitution")
-            scripts.append((text[i + 1:j], base_offset + i + 1))
-            i = j + 1
-            continue
-        i += 1
-    return scripts
-
-
-def _outside_brackets(text: str) -> List[Tuple[str, int]]:
-    """The chunks of ``text`` not inside any ``[...]`` region."""
-    chunks: List[Tuple[str, int]] = []
-    i = 0
-    n = len(text)
-    start = 0
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            i += 2
-            continue
-        if ch == "[":
-            if i > start:
-                chunks.append((text[start:i], start))
-            depth = 0
-            while i < n:
-                if text[i] == "\\" and i + 1 < n:
-                    i += 2
-                    continue
-                if text[i] == "[":
-                    depth += 1
-                elif text[i] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        i += 1
-                        break
-                i += 1
-            start = i
-            continue
-        i += 1
-    if start < n:
-        chunks.append((text[start:], start))
-    return chunks
+    return [(payload, base_offset + offset)
+            for kind, payload, offset in compiler.scan_substitution(text)
+            if kind == code]

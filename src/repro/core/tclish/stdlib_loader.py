@@ -1,15 +1,25 @@
-"""Built-in tclish commands.
+"""Built-in tclish commands, each declared once.
 
-:func:`install` registers the standard command set on an interpreter.  The
-implementations stay close to Tcl semantics for the subset the paper's
-filter scripts use; they are intentionally plain functions so the whole
-stdlib is greppable.
+A :class:`CommandSignature` is the one declaration of a command: name,
+argument-count bounds, usage line and, for a command an interpreter can
+run, its implementation.  :data:`STDLIB` holds the standard command set,
+filled by :func:`builtin`; ``repro.core.script.cmd`` declares the PFI
+bridge commands the same way.  That declaration is what ``Interp``
+registers, what ``Interp.call`` checks every call's argument count
+against before the implementation runs (so no implementation counts its
+own arguments), and what scriptlint's registry reads -- a script that
+lints clean cannot die on arity at runtime.
+
+The implementations stay close to Tcl semantics for the subset the
+paper's filter scripts use; they are intentionally plain functions so
+the whole stdlib is greppable.
 """
 
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, List
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.tclish import expr as _expr
 from repro.core.tclish.errors import TclBreak, TclContinue, TclError, TclReturn
@@ -17,6 +27,54 @@ from repro.core.tclish.lexer import split_words, strip_braces
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tclish.interp import Interp
+
+
+@dataclass(frozen=True)
+class CommandSignature:
+    """Name, arity bounds, documentation and implementation of a command.
+
+    ``fn(interp, args)`` is None for a signature only the analyzer sees
+    (a ``proc`` found in the script under analysis).
+    """
+
+    name: str
+    min_args: int = 0
+    max_args: Optional[int] = None   # None = unbounded
+    usage: str = ""
+    doc: str = ""
+    fn: Optional[Callable[["Interp", List[str]], str]] = field(
+        default=None, compare=False, repr=False)
+
+    def accepts(self, count: int) -> bool:
+        """True when a call with ``count`` arguments is well-formed."""
+        if count < self.min_args:
+            return False
+        return self.max_args is None or count <= self.max_args
+
+    def arity_text(self) -> str:
+        """Human form of the accepted argument range."""
+        if self.max_args is None:
+            return f"at least {self.min_args}"
+        if self.min_args == self.max_args:
+            return str(self.min_args)
+        return f"{self.min_args} to {self.max_args}"
+
+    def __deepcopy__(self, memo) -> "CommandSignature":
+        # immutable: a copied interpreter shares its command declarations
+        return self
+
+
+#: name -> declaration of every stdlib command, filled by :func:`builtin`
+STDLIB: Dict[str, CommandSignature] = {}
+
+
+def builtin(name: str, min_args: int, max_args: Optional[int], usage: str):
+    """Declare a stdlib command: its signature and implementation, once."""
+    def decorator(fn):
+        STDLIB[name] = CommandSignature(name, min_args, max_args, usage,
+                                        fn=fn)
+        return fn
+    return decorator
 
 
 # ----------------------------------------------------------------------
@@ -65,40 +123,40 @@ def _index(text: str, length: int) -> int:
 # commands
 # ----------------------------------------------------------------------
 
+@builtin("set", 1, 2, "set varName ?newValue?")
 def _cmd_set(interp: "Interp", args: List[str]) -> str:
     if len(args) == 1:
         return interp.get_var(args[0])
-    if len(args) == 2:
-        return interp.set_var(args[0], args[1])
-    raise TclError('wrong # args: should be "set varName ?newValue?"')
+    return interp.set_var(args[0], args[1])
 
 
+@builtin("unset", 1, None, "unset varName ?varName ...?")
 def _cmd_unset(interp: "Interp", args: List[str]) -> str:
     for name in args:
         interp.unset_var(name)
     return ""
 
 
+@builtin("incr", 1, 2, "incr varName ?increment?")
 def _cmd_incr(interp: "Interp", args: List[str]) -> str:
-    if not 1 <= len(args) <= 2:
-        raise TclError('wrong # args: should be "incr varName ?increment?"')
     step = int(args[1]) if len(args) == 2 else 1
     current = int(interp.get_var(args[0])) if interp.has_var(args[0]) else 0
     return interp.set_var(args[0], current + step)
 
 
+@builtin("append", 1, None, "append varName ?value ...?")
 def _cmd_append(interp: "Interp", args: List[str]) -> str:
-    if not args:
-        raise TclError('wrong # args: should be "append varName ?value ...?"')
     current = interp.get_var(args[0]) if interp.has_var(args[0]) else ""
     return interp.set_var(args[0], current + "".join(args[1:]))
 
 
+@builtin("expr", 1, None, "expr arg ?arg ...?")
 def _cmd_expr(interp: "Interp", args: List[str]) -> str:
     text = interp.substitute(" ".join(args))
     return _expr.format_value(_expr.evaluate_cached(text))
 
 
+@builtin("if", 2, None, "if cond body ?elseif cond body ...? ?else body?")
 def _cmd_if(interp: "Interp", args: List[str]) -> str:
     i = 0
     while i < len(args):
@@ -124,9 +182,8 @@ def _cmd_if(interp: "Interp", args: List[str]) -> str:
     return ""
 
 
+@builtin("while", 2, 2, "while test body")
 def _cmd_while(interp: "Interp", args: List[str]) -> str:
-    if len(args) != 2:
-        raise TclError('wrong # args: should be "while test body"')
     test, body = args
     iterations = 0
     while _expr.truth(_expr.evaluate_cached(interp.substitute(test))):
@@ -142,9 +199,8 @@ def _cmd_while(interp: "Interp", args: List[str]) -> str:
     return ""
 
 
+@builtin("for", 4, 4, "for start test next body")
 def _cmd_for(interp: "Interp", args: List[str]) -> str:
-    if len(args) != 4:
-        raise TclError('wrong # args: should be "for start test next body"')
     start, test, nxt, body = args
     interp.eval(start)
     iterations = 0
@@ -162,9 +218,8 @@ def _cmd_for(interp: "Interp", args: List[str]) -> str:
     return ""
 
 
+@builtin("foreach", 3, 3, "foreach varName list body")
 def _cmd_foreach(interp: "Interp", args: List[str]) -> str:
-    if len(args) != 3:
-        raise TclError('wrong # args: should be "foreach varName list body"')
     var, list_text, body = args
     for element in parse_list(list_text):
         interp.set_var(var, element)
@@ -177,10 +232,9 @@ def _cmd_foreach(interp: "Interp", args: List[str]) -> str:
     return ""
 
 
+@builtin("proc", 3, 3, "proc name params body")
 def _cmd_proc(interp: "Interp", args: List[str]) -> str:
     from repro.core.tclish.interp import Proc
-    if len(args) != 3:
-        raise TclError('wrong # args: should be "proc name params body"')
     name, params_text, body = args
     params = []
     for raw in split_words(params_text):
@@ -190,24 +244,29 @@ def _cmd_proc(interp: "Interp", args: List[str]) -> str:
     return ""
 
 
+@builtin("return", 0, 1, "return ?value?")
 def _cmd_return(interp: "Interp", args: List[str]) -> str:
     raise TclReturn(args[0] if args else "")
 
 
+@builtin("break", 0, 0, "break")
 def _cmd_break(interp: "Interp", args: List[str]) -> str:
     raise TclBreak()
 
 
+@builtin("continue", 0, 0, "continue")
 def _cmd_continue(interp: "Interp", args: List[str]) -> str:
     raise TclContinue()
 
 
+@builtin("global", 1, None, "global varName ?varName ...?")
 def _cmd_global(interp: "Interp", args: List[str]) -> str:
     for name in args:
         interp.link_global(name)
     return ""
 
 
+@builtin("puts", 0, 2, "puts ?-nonewline? string")
 def _cmd_puts(interp: "Interp", args: List[str]) -> str:
     nonewline = False
     if args and args[0] == "-nonewline":
@@ -218,13 +277,13 @@ def _cmd_puts(interp: "Interp", args: List[str]) -> str:
     return ""
 
 
+@builtin("eval", 1, None, "eval arg ?arg ...?")
 def _cmd_eval(interp: "Interp", args: List[str]) -> str:
     return interp.eval(" ".join(args))
 
 
+@builtin("catch", 1, 2, "catch script ?varName?")
 def _cmd_catch(interp: "Interp", args: List[str]) -> str:
-    if not 1 <= len(args) <= 2:
-        raise TclError('wrong # args: should be "catch script ?varName?"')
     try:
         result = interp.eval(args[0])
         code = "0"
@@ -239,13 +298,13 @@ def _cmd_catch(interp: "Interp", args: List[str]) -> str:
     return code
 
 
+@builtin("list", 0, None, "list ?value ...?")
 def _cmd_list(interp: "Interp", args: List[str]) -> str:
     return build_list(args)
 
 
+@builtin("lindex", 2, 2, "lindex list index")
 def _cmd_lindex(interp: "Interp", args: List[str]) -> str:
-    if len(args) != 2:
-        raise TclError('wrong # args: should be "lindex list index"')
     elements = parse_list(args[0])
     index = _index(args[1], len(elements))
     if 0 <= index < len(elements):
@@ -253,43 +312,38 @@ def _cmd_lindex(interp: "Interp", args: List[str]) -> str:
     return ""
 
 
+@builtin("llength", 1, 1, "llength list")
 def _cmd_llength(interp: "Interp", args: List[str]) -> str:
-    if len(args) != 1:
-        raise TclError('wrong # args: should be "llength list"')
     return str(len(parse_list(args[0])))
 
 
+@builtin("lappend", 1, None, "lappend varName ?value ...?")
 def _cmd_lappend(interp: "Interp", args: List[str]) -> str:
-    if not args:
-        raise TclError('wrong # args: should be "lappend varName ?value ...?"')
     current = interp.get_var(args[0]) if interp.has_var(args[0]) else ""
     elements = parse_list(current)
     elements.extend(args[1:])
     return interp.set_var(args[0], build_list(elements))
 
 
+@builtin("lrange", 3, 3, "lrange list first last")
 def _cmd_lrange(interp: "Interp", args: List[str]) -> str:
-    if len(args) != 3:
-        raise TclError('wrong # args: should be "lrange list first last"')
     elements = parse_list(args[0])
     first = max(0, _index(args[1], len(elements)))
     last = min(len(elements) - 1, _index(args[2], len(elements)))
     return build_list(elements[first:last + 1])
 
 
+@builtin("lsearch", 2, 2, "lsearch list pattern")
 def _cmd_lsearch(interp: "Interp", args: List[str]) -> str:
-    if len(args) != 2:
-        raise TclError('wrong # args: should be "lsearch list pattern"')
     for i, element in enumerate(parse_list(args[0])):
         if element == args[1]:
             return str(i)
     return "-1"
 
 
+@builtin("lsort", 1, None, "lsort ?options? list")
 def _cmd_lsort(interp: "Interp", args: List[str]) -> str:
-    options = [a for a in args[:-1]]
-    if not args:
-        raise TclError('wrong # args: should be "lsort ?options? list"')
+    options = args[:-1]
     elements = parse_list(args[-1])
     reverse = "-decreasing" in options
     if "-integer" in options:
@@ -307,10 +361,8 @@ def _cmd_lsort(interp: "Interp", args: List[str]) -> str:
     return build_list(elements)
 
 
+@builtin("lreplace", 3, None, "lreplace list first last ?element ...?")
 def _cmd_lreplace(interp: "Interp", args: List[str]) -> str:
-    if len(args) < 3:
-        raise TclError(
-            'wrong # args: should be "lreplace list first last ?element ...?"')
     elements = parse_list(args[0])
     first = max(0, _index(args[1], len(elements)))
     last = _index(args[2], len(elements))
@@ -318,15 +370,15 @@ def _cmd_lreplace(interp: "Interp", args: List[str]) -> str:
                       + elements[last + 1:])
 
 
+@builtin("lrepeat", 2, None, "lrepeat count ?element ...?")
 def _cmd_lrepeat(interp: "Interp", args: List[str]) -> str:
-    if len(args) < 2:
-        raise TclError('wrong # args: should be "lrepeat count ?element ...?"')
     count = int(args[0])
     if count < 0:
         raise TclError("bad count: must be >= 0")
     return build_list(list(args[1:]) * count)
 
 
+@builtin("switch", 2, None, "switch ?options? value {pattern body ...}")
 def _cmd_switch(interp: "Interp", args: List[str]) -> str:
     """``switch ?-exact|-glob? value {pattern body ... ?default body?}``"""
     mode = "exact"
@@ -334,14 +386,15 @@ def _cmd_switch(interp: "Interp", args: List[str]) -> str:
         if args[0] == "-glob":
             mode = "glob"
         args = args[1:]
-    if len(args) == 2:
-        value = args[0]
-        pairs = [strip_braces(w) for w in split_words(args[1])]
-    elif len(args) >= 3 and len(args) % 2 == 1:
-        value, pairs = args[0], list(args[1:])
-    else:
+    # the declared bound counts the options too: a value must remain
+    if len(args) < 2:
         raise TclError('wrong # args: should be '
                        '"switch ?options? value {pattern body ...}"')
+    value = args[0]
+    if len(args) == 2:
+        pairs = [strip_braces(w) for w in split_words(args[1])]
+    else:
+        pairs = list(args[1:])
     if len(pairs) % 2 != 0:
         raise TclError("switch: pattern/body list must have even length")
     import fnmatch
@@ -364,13 +417,13 @@ def _cmd_switch(interp: "Interp", args: List[str]) -> str:
     return ""
 
 
+@builtin("concat", 0, None, "concat ?arg ...?")
 def _cmd_concat(interp: "Interp", args: List[str]) -> str:
     return " ".join(a.strip() for a in args if a.strip())
 
 
+@builtin("split", 1, 2, "split string ?splitChars?")
 def _cmd_split(interp: "Interp", args: List[str]) -> str:
-    if not 1 <= len(args) <= 2:
-        raise TclError('wrong # args: should be "split string ?splitChars?"')
     text = args[0]
     chars = args[1] if len(args) == 2 else " \t\n"
     if not chars:
@@ -387,16 +440,14 @@ def _cmd_split(interp: "Interp", args: List[str]) -> str:
     return build_list(parts)
 
 
+@builtin("join", 1, 2, "join list ?joinString?")
 def _cmd_join(interp: "Interp", args: List[str]) -> str:
-    if not 1 <= len(args) <= 2:
-        raise TclError('wrong # args: should be "join list ?joinString?"')
     sep = args[1] if len(args) == 2 else " "
     return sep.join(parse_list(args[0]))
 
 
+@builtin("string", 2, None, "string option arg ?arg ...?")
 def _cmd_string(interp: "Interp", args: List[str]) -> str:
-    if len(args) < 2:
-        raise TclError('wrong # args: should be "string option arg ?arg ...?"')
     option, text = args[0], args[1]
     if option == "length":
         return str(len(text))
@@ -428,9 +479,8 @@ def _cmd_string(interp: "Interp", args: List[str]) -> str:
     raise TclError(f'bad string option "{option}"')
 
 
+@builtin("format", 1, None, "format formatString ?arg ...?")
 def _cmd_format(interp: "Interp", args: List[str]) -> str:
-    if not args:
-        raise TclError('wrong # args: should be "format formatString ?arg ...?"')
     template = args[0]
     values: List[object] = []
     spec_types = _format_spec_types(template)
@@ -464,9 +514,8 @@ def _format_spec_types(template: str) -> List[str]:
     return kinds
 
 
+@builtin("info", 1, 2, "info option ?arg?")
 def _cmd_info(interp: "Interp", args: List[str]) -> str:
-    if not args:
-        raise TclError('wrong # args: should be "info option ?arg?"')
     option = args[0]
     if option == "exists":
         return "1" if interp.has_var(args[1]) else "0"
@@ -483,47 +532,7 @@ def _cmd_info(interp: "Interp", args: List[str]) -> str:
     raise TclError(f'bad info option "{option}"')
 
 
+@builtin("error", 0, 1, "error ?message?")
 def _cmd_error(interp: "Interp", args: List[str]) -> str:
     raise TclError(args[0] if args else "error")
 
-
-def install(interp: "Interp") -> None:
-    """Register the standard command set on an interpreter."""
-    commands = {
-        "set": _cmd_set,
-        "unset": _cmd_unset,
-        "incr": _cmd_incr,
-        "append": _cmd_append,
-        "expr": _cmd_expr,
-        "if": _cmd_if,
-        "while": _cmd_while,
-        "for": _cmd_for,
-        "foreach": _cmd_foreach,
-        "proc": _cmd_proc,
-        "return": _cmd_return,
-        "break": _cmd_break,
-        "continue": _cmd_continue,
-        "global": _cmd_global,
-        "puts": _cmd_puts,
-        "eval": _cmd_eval,
-        "catch": _cmd_catch,
-        "list": _cmd_list,
-        "lindex": _cmd_lindex,
-        "llength": _cmd_llength,
-        "lappend": _cmd_lappend,
-        "lrange": _cmd_lrange,
-        "lsearch": _cmd_lsearch,
-        "lsort": _cmd_lsort,
-        "lreplace": _cmd_lreplace,
-        "lrepeat": _cmd_lrepeat,
-        "switch": _cmd_switch,
-        "concat": _cmd_concat,
-        "split": _cmd_split,
-        "join": _cmd_join,
-        "string": _cmd_string,
-        "format": _cmd_format,
-        "info": _cmd_info,
-        "error": _cmd_error,
-    }
-    for name, fn in commands.items():
-        interp.register_command(name, fn)

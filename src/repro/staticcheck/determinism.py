@@ -1,11 +1,12 @@
 """Pass 2: the Python-AST determinism / checkpoint-safety linter.
 
-The checkpoint engine (:mod:`repro.core.checkpoint`) enforces one rule at
-runtime -- the scheduler heap may hold bound methods and callable-class
+The checkpoint engine (:mod:`repro.core.checkpoint`) depends on one rule
+-- the scheduler heap may hold bound methods and callable-class
 instances, never closures or functions with world-smuggling defaults --
-but only at :meth:`Checkpoint.capture` time, after a potentially long
-warm-up.  This pass finds the same hazards in the source, before anything
-runs, plus nondeterminism the runtime audit cannot see at all:
+which :func:`audit_pending` checks on the live heap, but only at
+:meth:`Checkpoint.capture` time, after a potentially long warm-up.  This
+pass finds the same hazards in the source, before anything runs, plus
+nondeterminism no heap audit can see at all:
 
 ========  ========================================================
 SC101     a closure or lambda is scheduled as a callback
@@ -25,10 +26,9 @@ Three entry points:
 - :func:`precheck_body` lints just the functions reachable from one
   campaign body, for :class:`~repro.core.orchestrator.Campaign` /
   ``run_fuzz`` / ``repro explore`` pre-flight;
-- :func:`audit_pending` is the static half of the capture-time audit:
-  it inspects the *live* scheduler heap but reports findings as
-  :class:`Diagnostic` objects pinned to the offending function's source,
-  which is far more actionable than the runtime audit's repr dump.
+- :func:`audit_pending` is the capture-time audit: it inspects the
+  *live* scheduler heap and reports findings as :class:`Diagnostic`
+  objects pinned to the offending function's source.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ _SCHEDULE_APIS: Dict[str, int] = {
     "Timer": 1,
 }
 
-#: default-argument types a scheduled plain function may carry (mirrors
-#: ``repro.core.checkpoint._ATOMIC_DEFAULTS``)
+#: default-argument types a scheduled plain function may carry without
+#: smuggling world state past a checkpoint copy
 _ATOMIC_DEFAULTS = (int, float, str, bytes, bool, frozenset, type(None))
 
 #: wall-clock calls per module: module name -> forbidden attributes
@@ -654,28 +654,33 @@ def precheck_body(fn: Callable[..., Any]) -> LintReport:
     return report
 
 
-def audit_pending(scheduler: Any, *,
-                  atomic: Tuple[type, ...] = _ATOMIC_DEFAULTS
-                  ) -> List[Tuple[str, Diagnostic]]:
-    """Statically vet the live scheduler heap's pending callbacks.
+def audit_pending(scheduler: Any) -> List[Tuple[str, Diagnostic]]:
+    """Vet the live scheduler heap's pending callbacks for a world copy.
 
-    The static counterpart of
-    :func:`repro.core.checkpoint.audit_scheduler`, run by
-    :meth:`Checkpoint.capture` *first*: instead of a repr of the heap
-    entry it pins each finding to the offending function's definition
-    (``file:line``), which is where the fix goes.  Returns ``(path,
-    diagnostic)`` pairs; an empty list means this audit has nothing to
-    say (the runtime audit still runs after it).
+    Run by :meth:`Checkpoint.capture`, which refuses to snapshot a world
+    this reports on: bound methods and callable instances are rebuilt
+    around the copy, but a plain function is atomic to it, so a lambda,
+    a closure (SC101) or a non-atomic default (SC102) would keep
+    pointing into the original world; a callback that is not callable
+    at all is SC101 too.  Each finding is pinned to the offending
+    function's definition (``file:line``), which is where the fix goes.
+    Returns ``(path, diagnostic)`` pairs; an empty list means the heap
+    forks soundly.
     """
     findings: List[Tuple[str, Diagnostic]] = []
     for event in scheduler.pending_events():
         fn = event.callback
         while isinstance(fn, functools.partial):
             fn = fn.func
-        if not inspect.isfunction(fn):
-            continue  # bound methods / callable instances: memo-safe
         path, line = _definition_site(fn)
         where = f"event@t={event.time:.6f}"
+        if not callable(fn):
+            findings.append((path, make(
+                "SC101", line, 1, f"{where}: {fn!r} is not callable",
+                hint="schedule a bound method or a callable class")))
+            continue
+        if not inspect.isfunction(fn):
+            continue  # bound methods / callable instances: memo-safe
         if fn.__name__ == "<lambda>":
             findings.append((path, make(
                 "SC101", line, 1,
@@ -693,7 +698,7 @@ def audit_pending(scheduler: Any, *,
                 hint="use a bound method or a callable class")))
             continue
         for default in (fn.__defaults__ or ()):
-            if not isinstance(default, atomic):
+            if not isinstance(default, _ATOMIC_DEFAULTS):
                 findings.append((path, make(
                     "SC102", line, 1,
                     f"{where}: function {fn.__qualname__} smuggles a "

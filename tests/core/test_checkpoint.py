@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.checkpoint import (Checkpoint, CheckpointError,
-                                   CheckpointPool, audit_scheduler)
+from repro.core.checkpoint import Checkpoint, CheckpointError, CheckpointPool
 from repro.core.orchestrator import make_env
 
 
@@ -129,7 +128,7 @@ def test_audit_accepts_clean_heaps_and_atomic_defaults():
         return n, tag
 
     env.scheduler.schedule(1.0, ping)
-    assert audit_scheduler(env.scheduler) == []
+    Checkpoint.capture(env)  # does not raise
 
 
 def test_audit_recurses_into_partials():
@@ -138,8 +137,23 @@ def test_audit_recurses_into_partials():
     captured = []
     env.scheduler.schedule(1.0, functools.partial(
         lambda: captured.append(1)))
-    issues = audit_scheduler(env.scheduler)
-    assert len(issues) == 1 and "closure" in issues[0]
+    with pytest.raises(CheckpointError, match="SC101") as refused:
+        Checkpoint.capture(env)
+    assert str(refused.value).count("SC101") == 1
+
+
+def test_capture_rejects_closure_free_lambdas():
+    env, _counter = warmed_env(1.0)
+    env.scheduler.schedule(1.0, lambda: None)
+    with pytest.raises(CheckpointError, match="SC101"):
+        Checkpoint.capture(env)
+
+
+def test_capture_rejects_a_callback_that_is_not_callable():
+    env, _counter = warmed_env(1.0)
+    env.scheduler.schedule(1.0, 42)
+    with pytest.raises(CheckpointError, match="42 is not callable"):
+        Checkpoint.capture(env)
 
 
 def test_audit_false_skips_the_check():

@@ -91,10 +91,55 @@ class TestRunScript:
                 f"(infinite loop?)\n")
             assert "pfi stats" not in captured.out
 
-    def test_missing_script_file_raises(self):
-        import pytest as _pytest
-        with _pytest.raises(FileNotFoundError):
-            main(["run-script", "/nonexistent/x.tcl"])
+    def test_runtime_fault_in_a_lint_clean_script_is_one_line(
+            self, tmp_path, capsys):
+        script = tmp_path / "index.tcl"
+        script.write_text("puts [string index abc]\n")
+        assert main(["lint", str(script)]) == 0
+        assert main(["run-script", str(script), "--duration", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f'repro run-script: {script}: error in command "string": ')
+        assert captured.err.count("\n") == 1
+
+
+#: outside files a command refuses with exit 2 and one stderr line
+MISSING = "/nonexistent/x.jsonl"
+OUTSIDE_FILES = {
+    "run-script missing": (["run-script", MISSING],
+                           f"repro run-script: no such file: {MISSING}"),
+    "report missing": (["report", MISSING],
+                       f"repro report: no such trace file: {MISSING}"),
+    "trace missing": (["trace", MISSING],
+                      f"repro trace: no such trace file: {MISSING}"),
+    "trace --journal missing": (["trace", "--journal", MISSING],
+                                f"repro trace: no such journal: {MISSING}"),
+    "history --record missing": (
+        ["history", "HISTORY", "--record", MISSING],
+        f"repro history: no such journal: {MISSING}"),
+    "report not JSON lines": (["report", "NOTJSON"],
+                              "repro report: NOTJSON: not a JSON-lines "
+                              "trace"),
+    "trace not JSON lines": (["trace", "NOTJSON"],
+                             "repro trace: NOTJSON: not a JSON-lines trace"),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIDE_FILES)
+def test_outside_file_is_one_line_and_exit_2(case, tmp_path, capsys):
+    not_json = tmp_path / "not-json.txt"
+    not_json.write_text("this is not a trace\n")
+    history = tmp_path / "history"
+
+    def place(text):
+        return (text.replace("NOTJSON", str(not_json))
+                .replace("HISTORY", str(history)))
+
+    argv, line = OUTSIDE_FILES[case]
+    assert main([place(arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == place(line) + "\n"
+    assert not history.exists()
 
 
 class TestSequenceCommand:
@@ -161,6 +206,13 @@ class TestLintCommand:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["lint", "/nonexistent/x.tcl"]) == 2
+
+    def test_bare_eval_is_sl002_not_a_crash(self, tmp_path, capsys):
+        script = tmp_path / "eval.tcl"
+        script.write_text("set v 1\neval\n")
+        assert main(["lint", str(script)]) == 1
+        out = capsys.readouterr().out
+        assert f'{script}:2:1: error SL002: wrong # args for "eval"' in out
 
     def test_repo_example_corpus_clean(self, capsys):
         import pathlib

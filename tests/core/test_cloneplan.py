@@ -264,14 +264,14 @@ def test_captured_tclish_filter_forks_into_independent_interpreters():
     counts = [int(f["script"].interp.eval("set count")) for f in (one, two)]
     beats = [int(f["script"].interp.eval("set beats")) for f in (one, two)]
     assert counts[0] > counts[1] > at_capture
-    # msg_type reads the fork's own context cell: had the bridge stayed
-    # bound to the captured filter's cell, no heartbeat would be seen
+    # msg_type reads the fork's own interpreter context: had the bridge
+    # stayed bound to the captured filter, no heartbeat would be seen
     assert beats[0] > beats[1] > 0
     assert int(script.interp.eval("set count")) == at_capture
     for forked in (one, two):
         installed = forked["cluster"].pfis[2].send_filter
         assert installed is forked["script"] is not script
-        assert installed._ctx_cell is not script._ctx_cell
+        assert installed.interp is not script.interp
     # a third fork starts from the capture again
     assert int(checkpoint.fork()["script"].interp.eval("set count")) \
         == at_capture

@@ -7,6 +7,8 @@ then ``TclishFilter.__init__``); the work must be proportional to the
 braced body must be lexed once however many passes look at it.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.fabric.spec import SweepSpec
@@ -128,3 +130,23 @@ def test_one_analysis_parses_each_body_once(monkeypatch):
     by_prepass = [text for text, _offset, prepass in parsed if prepass]
     assert len(by_prepass) == 1 and "proc helper" in by_prepass[0]
     assert all("proc" in text for text in by_prepass)
+
+
+def test_no_body_is_parsed_twice_within_an_analysis(monkeypatch):
+    """Over a tcp sweep battery (a lint-rejected draw included) and the
+    example filters."""
+    scripts = {(c["script"], c["init_script"])
+               for c in sweep_battery("tcp", [], 25)}
+    examples = Path(__file__).resolve().parents[2] / "examples" / "filters"
+    scripts |= {(path.read_text(), "") for path in examples.glob("*.tcl")}
+    real_parse = checks.parse_script
+    for source, init in sorted(scripts):
+        analyzer, parsed = Analyzer(), []
+
+        def parse_script(text, base_offset=0):
+            parsed.append((analyzer._script_tag, base_offset, text))
+            return real_parse(text, base_offset)
+
+        monkeypatch.setattr(checks, "parse_script", parse_script)
+        analyzer.analyze(source, init)
+        assert len(parsed) == len(set(parsed)) > 0, source

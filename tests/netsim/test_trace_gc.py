@@ -75,3 +75,16 @@ def test_a_querys_views_are_freed_by_refcount():
     # the query that built it
     assert _live_entries() == 0
     assert gc.collect() == 0
+
+
+def test_a_sweep_result_pickles_as_columns():
+    from repro.core.orchestrator import Campaign
+    from repro.oracle.fuzz import pack_for, prefixed_fuzz_body, sweep_battery
+
+    config, = sweep_battery("gmp", ["self_death"], 1)
+    result, = Campaign(prefixed_fuzz_body, seed=0).run(
+        [config], oracle=pack_for("gmp"))
+    blob = pickle.dumps(result)
+    # the whole run result, trace included, at three columns' cost
+    assert len(blob) / len(result.trace) <= 40
+    assert list(pickle.loads(blob).trace) == list(result.trace)

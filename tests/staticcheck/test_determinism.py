@@ -467,6 +467,13 @@ class TestAuditPending:
         findings = audit_pending(scheduler)
         assert [d.code for _p, d in findings] == ["SC102"]
 
+    def test_not_callable_on_heap(self):
+        scheduler = self.make_scheduler()
+        scheduler.schedule(1.0, 42)
+        findings = audit_pending(scheduler)
+        assert [(p, d.code) for p, d in findings] == [("<unknown>", "SC101")]
+        assert "42 is not callable" in findings[0][1].message
+
     def test_bound_methods_and_instances_are_clean(self):
         scheduler = self.make_scheduler()
         scheduler.schedule(1.0, scheduler.compact)

@@ -7,6 +7,8 @@ changes, a report is the caller's own, and a caller-supplied registry
 never touches it.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import script as script_mod
@@ -123,6 +125,22 @@ class TestRegistryBypass:
         assert not lint_source("only_mine").ok()
 
 
+class TestExampleCorpus:
+    def test_memo_matches_the_bypass_and_analyzes_once(self, count_analyses):
+        corpus = sorted((Path(__file__).resolve().parents[2]
+                         / "examples" / "filters").glob("*.tcl"))
+        assert corpus
+        for path in corpus:
+            source = path.read_text()
+            for _again in range(2):
+                memo = lint_source(source, source_name=str(path))
+                bypass = lint_source(source, source_name=str(path),
+                                     registry=default_registry())
+                assert memo == bypass, path
+        # per file: one analysis through the memo, two around it
+        assert len(count_analyses) == 3 * len(corpus)
+
+
 class TestCommandSurfaceGrowth:
     def test_registering_a_command_relints_the_same_source(self):
         source = "xNewCmd cur_msg"
@@ -135,6 +153,5 @@ class TestCommandSurfaceGrowth:
             assert "xNewCmd" in default_registry()
         finally:
             del script_mod.PFI_COMMANDS["xNewCmd"]
-            del script_mod._PFI_IMPLS["xNewCmd"]
             clear_cache()
         assert [d.code for d in lint_source(source)] == ["SL001"]
