@@ -609,11 +609,10 @@ def cmd_fuzz(args) -> int:
     except ValueError as err:
         print(f"repro fuzz: {err}", file=sys.stderr)
         return 2
-    pool = CheckpointPool(max_items=8)
+    pool = CheckpointPool()
     with (Journal(args.journal) if args.journal
           else nullcontext()) as journal:
         report = run_fuzz(args.protocol, seed=args.seed, budget=args.budget,
-                          workers=args.workers,
                           checkpoint_depth=args.checkpoint_depth,
                           pool=pool,
                           progress=print if args.progress else None,
@@ -905,9 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "deterministic in it (default 0)")
     fuzz.add_argument("--budget", type=int, default=24,
                       help="number of cases to execute (default 24)")
-    fuzz.add_argument("--workers", type=int, default=1,
-                      help="parallel campaign workers (default 1; does "
-                           "not perturb results)")
     fuzz.add_argument("--save-repro", default="", metavar="DIR",
                       help="shrink findings and write JSON repro "
                            "artifacts into DIR (e.g. tests/regressions)")

@@ -65,16 +65,15 @@ Checkpoints form **trees**: ``capture`` also accepts a :class:`Forked`
 continuation, snapshotting the branch mid-flight with the originating
 checkpoint recorded as ``parent`` and its digest chained into the
 child's ``identity`` -- so two branches that diverged from the same
-root but applied different perturbations can never alias either.  Deep
-trees are kept affordable by :class:`CheckpointPool`, an LRU store
-bounded by snapshot count and retained trace entries (the live-memory
-proxy for a snapshot, since worlds are never pickled).
+root but applied different perturbations can never alias either.  Live
+snapshots are held by :class:`CheckpointPool`, whose holder releases
+each one when no later fork needs it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Union
 
@@ -223,28 +222,24 @@ class Checkpoint:
 
 
 class CheckpointPool:
-    """LRU store of live checkpoints, optionally bounded by count.
+    """Live checkpoints by key, held until their holder discards them.
 
-    Each snapshot retains a full world graph, so ``max_items`` caps how
-    many a pool keeps alive: ``put`` evicts the least-recently-used
-    snapshot past it (``execute_shard`` keeps one, ``repro fuzz`` eight).
-    An unbounded pool (the default) is for a holder that releases what
+    Each snapshot retains a full world graph, so a holder releases what
     it is done with: the explorer, which knows its future, ``discard``\\s
-    each branch checkpoint once no later schedule forks it.
+    each branch checkpoint once no later schedule forks it.  A pool is
+    also how a caller shares prefixes across :func:`~repro.core
+    .orchestrator.execute_shard` calls: the fuzz loop and the shrinker
+    keep one per session, which is what makes a group of one worth
+    capturing there.  Such a pool needs no bound: its keys are one per
+    (protocol, target, depth), a handful per session.
 
-    ``get`` refreshes recency and counts a hit; a miss (including a
-    previously evicted key) counts against ``misses``.  A pool is also
-    how a caller shares prefixes across :func:`~repro.core.orchestrator
-    .execute_shard` calls: the fuzz loop and the shrinker keep one per
-    session, which is what makes a group of one worth capturing there.
+    ``get`` counts a hit or a miss.
     """
 
-    def __init__(self, max_items: Optional[int] = None):
-        self._items: "OrderedDict[Hashable, Checkpoint]" = OrderedDict()
-        self.max_items = max_items
+    def __init__(self):
+        self._items: Dict[Hashable, Checkpoint] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -258,33 +253,26 @@ class CheckpointPool:
         return sum(cp.position for cp in self._items.values())
 
     def keys(self) -> List[Hashable]:
-        """Live keys, LRU-first (for ancestor search over a tree)."""
-        return list(self._items.keys())
+        """Live keys, in insertion order."""
+        return list(self._items)
 
     def get(self, key: Hashable) -> Optional[Checkpoint]:
-        """The pooled checkpoint under ``key``, refreshed as most recent."""
+        """The pooled checkpoint under ``key``, or ``None`` (a miss)."""
         checkpoint = self._items.get(key)
         if checkpoint is None:
             self.misses += 1
             return None
-        self._items.move_to_end(key)
         self.hits += 1
         return checkpoint
 
     def put(self, key: Hashable, checkpoint: Checkpoint) -> Checkpoint:
-        """Pool ``checkpoint`` under ``key``, evicting LRU past
-        ``max_items``."""
+        """Pool ``checkpoint`` under ``key``."""
         self._items[key] = checkpoint
-        self._items.move_to_end(key)
-        while (self.max_items is not None
-               and len(self._items) > self.max_items):
-            self._items.popitem(last=False)
-            self.evictions += 1
         return checkpoint
 
     def discard(self, key: Hashable) -> None:
-        """Release ``key``'s snapshot if pooled (not an eviction: the
-        holder is done with it)."""
+        """Release ``key``'s snapshot if pooled: the holder is done
+        with it."""
         self._items.pop(key, None)
 
     def clear(self) -> None:
@@ -292,15 +280,14 @@ class CheckpointPool:
         self._items.clear()
 
     def stats(self) -> Dict[str, int]:
-        """Reuse counters for reports: hits/misses/evictions/size."""
+        """Reuse counters for reports: hits/misses/size."""
         return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "items": len(self._items),
-                "entries": self.entries}
+                "items": len(self._items), "entries": self.entries}
 
     def __repr__(self) -> str:
         return (f"CheckpointPool(items={len(self._items)}, "
                 f"entries={self.entries}, hits={self.hits}, "
-                f"misses={self.misses}, evictions={self.evictions})")
+                f"misses={self.misses})")
 
 
 def _world_plan(world: Dict[str, Any]) -> ClonePlan:

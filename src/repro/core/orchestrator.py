@@ -641,25 +641,24 @@ def execute_shard(spec: Any, indices: Iterable[int],
     captures across calls.  A caller that keeps one is saying later
     calls will fork what this one captures -- the fuzz loop's batches,
     the shrinker's one-config probes -- so even a group of one is
-    captured.  Without a pool only the current group's checkpoint is
-    kept alive (memory stays flat however long the shard is) and a
-    capture pays only for a group of two or more.  A body exception
-    propagates from the ``next()`` that ran it, after the
+    captured.  Without a pool each group's checkpoint lives only while
+    that group runs (memory stays flat however long the shard is; every
+    group's key is distinct, so nothing could be reused within the
+    call) and a capture pays only for a group of two or more.  A body
+    exception propagates from the ``next()`` that ran it, after the
     :class:`ShardStart` naming its index.
     """
-    from repro.core.checkpoint import CheckpointError, CheckpointPool
+    from repro.core.checkpoint import CheckpointError
     body, configs = spec.body, spec.configs
     options = {"telemetry": spec.telemetry, "oracle": spec.oracle}
-    if pool is None:
-        pool, worth_capturing = CheckpointPool(max_items=1), 2
-    else:
-        worth_capturing = 1
+    worth_capturing = 2 if pool is None else 1
     for key, members in _prefix_groups(indices,
                                        spec.execution_prefix_keys()):
         checkpoint = None
         if key is not None:
-            pool_key = _prefix_digest(body, key)
-            checkpoint = pool.get(pool_key)
+            if pool is not None:
+                pool_key = _prefix_digest(body, key)
+                checkpoint = pool.get(pool_key)
             if checkpoint is None and len(members) >= worth_capturing:
                 try:
                     checkpoint = _capture_prefix(body, configs[members[0]],
@@ -667,7 +666,8 @@ def execute_shard(spec: Any, indices: Iterable[int],
                 except CheckpointError:
                     pass  # uncapturable world: the whole group runs cold
                 else:
-                    pool.put(pool_key, checkpoint)
+                    if pool is not None:
+                        pool.put(pool_key, checkpoint)
                     yield ShardCapture({
                         "prefix": str(key), "label": checkpoint.label,
                         "identity": checkpoint.identity,

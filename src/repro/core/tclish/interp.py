@@ -48,6 +48,13 @@ CommandFn = Callable[["Interp", List[str]], str]
 #: stack wherever the filter is called from.
 MAX_EVAL_DEPTH = 100
 
+#: Loop iterations (``while``, ``for`` and ``foreach`` bodies, all
+#: loops together) one top-level :meth:`Interp.eval` may run.  One
+#: budget, not one per loop, so nested loops cannot multiply it: a
+#: runaway ``while 1 { catch { while 1 {} } }`` ends as a ``TclError``
+#: after this many iterations in total.
+MAX_LOOP_ITERATIONS = 1_000_000
+
 
 class Proc:
     """A user-defined procedure created by the ``proc`` command."""
@@ -103,6 +110,9 @@ class Interp:
         self._output = output
         #: eval() calls currently on the stack (see MAX_EVAL_DEPTH)
         self._depth = 0
+        #: loop iterations since the current top-level eval() began
+        #: (see MAX_LOOP_ITERATIONS)
+        self._iterations = 0
         #: number of eval() script evaluations on this interpreter
         self.eval_count = 0
         #: evals answered from the shared compile cache
@@ -208,7 +218,8 @@ class Interp:
         Accepts source text or an already-compiled script.  Source text is
         resolved through the shared compile cache (parse once, execute per
         call).  Nesting deeper than :data:`MAX_EVAL_DEPTH` raises
-        :class:`TclError`.
+        :class:`TclError`; a top-level call starts a fresh
+        :data:`MAX_LOOP_ITERATIONS` budget.
         """
         self.eval_count += 1
         if type(script) is str:
@@ -219,6 +230,8 @@ class Interp:
                 self.cache_misses += 1
         if self._depth >= MAX_EVAL_DEPTH:
             raise TclError("too many nested evaluations (infinite loop?)")
+        if not self._depth:
+            self._iterations = 0
         self._depth += 1
         try:
             result = ""
@@ -227,6 +240,12 @@ class Interp:
             return result
         finally:
             self._depth -= 1
+
+    def count_iteration(self) -> None:
+        """Charge one loop iteration to this evaluation's budget."""
+        self._iterations += 1
+        if self._iterations > MAX_LOOP_ITERATIONS:
+            raise TclError("too many loop iterations (infinite loop?)")
 
     def compile(self, source: str) -> CompiledScript:
         """Compile (and cache) a script without evaluating it."""

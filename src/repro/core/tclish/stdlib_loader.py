@@ -185,11 +185,8 @@ def _cmd_if(interp: "Interp", args: List[str]) -> str:
 @builtin("while", 2, 2, "while test body")
 def _cmd_while(interp: "Interp", args: List[str]) -> str:
     test, body = args
-    iterations = 0
     while _expr.truth(_expr.evaluate_cached(interp.substitute(test))):
-        iterations += 1
-        if iterations > 1_000_000:
-            raise TclError("while loop exceeded 1e6 iterations")
+        interp.count_iteration()
         try:
             interp.eval(body)
         except TclBreak:
@@ -203,11 +200,8 @@ def _cmd_while(interp: "Interp", args: List[str]) -> str:
 def _cmd_for(interp: "Interp", args: List[str]) -> str:
     start, test, nxt, body = args
     interp.eval(start)
-    iterations = 0
     while _expr.truth(_expr.evaluate_cached(interp.substitute(test))):
-        iterations += 1
-        if iterations > 1_000_000:
-            raise TclError("for loop exceeded 1e6 iterations")
+        interp.count_iteration()
         try:
             interp.eval(body)
         except TclBreak:
@@ -222,6 +216,7 @@ def _cmd_for(interp: "Interp", args: List[str]) -> str:
 def _cmd_foreach(interp: "Interp", args: List[str]) -> str:
     var, list_text, body = args
     for element in parse_list(list_text):
+        interp.count_iteration()
         interp.set_var(var, element)
         try:
             interp.eval(body)

@@ -61,8 +61,8 @@ from repro.netsim.timer import Timer
 from repro.netsim.trace import TraceRecorder
 from repro.obs.campaign_report import plans_line
 from repro.obs.journal import NULL_JOURNAL, Flight, Journal, NullJournal
-from repro.oracle.fuzz import (DEFAULT_DEPTHS, HORIZONS, _gmp_prefix,
-                               _tcp_prefix, check_placement, pack_for)
+from repro.oracle.fuzz import (DEFAULT_DEPTHS, HORIZONS, check_placement,
+                               pack_for, prefixed_fuzz_body)
 
 #: perturbation actions by event class; "fire" (run as scheduled) is
 #: always legal and never counts as a perturbation
@@ -188,16 +188,13 @@ class ExploreReport:
         return "\n".join(lines)
 
 
-#: the script-free prefix builder an exploration warms up, per protocol
-_PREFIXES = {"tcp": _tcp_prefix, "gmp": _gmp_prefix}
-
-
 def _prefix_checkpoint(protocol: str, target: str, depth: float,
                        seed: int) -> Checkpoint:
-    """Capture the script-free prefix the exploration forks from."""
+    """Capture the script-free prefix the exploration forks from: the
+    sweep body's own, installed at ``depth``."""
     env = make_env(seed=seed)
-    roots = _PREFIXES[protocol](
-        env, {"protocol": protocol, "target": target}, depth)
+    roots = prefixed_fuzz_body.prefix(
+        env, {"protocol": protocol, "target": target, "install_at": depth})
     return Checkpoint.capture(
         env, roots, label=f"explore/{protocol}/{target}@{depth:g}")
 
@@ -578,7 +575,7 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
         # wall-clock read) would only surface at capture time, after
         # the warm-up is paid for -- the gate's SC1xx precheck moves
         # that failure to t=0 with a source position attached
-        flight.gate(Campaign(_PREFIXES[protocol], seed=seed).preflight, ())
+        flight.gate(Campaign(prefixed_fuzz_body, seed=seed).preflight, ())
         with journal.phase("capture"):
             checkpoint = _prefix_checkpoint(protocol, target, depth, seed)
         journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE, target=target,

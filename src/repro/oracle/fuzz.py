@@ -5,9 +5,9 @@ The loop is classic greybox fuzzing, transplanted to fault injection:
 1. draw fault scripts from the grammar (:mod:`repro.oracle.grammar`),
    or mutate scripts already in the corpus;
 2. run each batch of cases through the campaign's shard executor
-   (:func:`~repro.core.orchestrator.execute_shard`, or ``Campaign.run``
-   on the process pool) with the protocol's invariant pack as the
-   oracle, every case a fork of its target's pooled warm prefix;
+   (:func:`~repro.core.orchestrator.execute_shard`, in this process)
+   with the protocol's invariant pack as the oracle, every case a fork
+   of its target's pooled warm prefix;
 3. keep a case in the corpus when its trace reaches coverage (trace
    kinds, TCP state transitions, GMP message kinds) no earlier case
    reached;
@@ -69,16 +69,17 @@ DEFAULT_DEPTHS = {"tcp": 0.0, "gmp": GMP_INSTALL_AT}
 
 
 # ----------------------------------------------------------------------
-# campaign bodies (module-level: the parallel path needs them picklable)
+# the campaign body (module-level: a parallel sweep pickles it)
 #
-# Each body is split into a *prefix* (everything before the fuzzed
+# The body is split into a *prefix* (everything before the fuzzed
 # filter script arms: rig construction plus the script-free warmup) and
 # a *continuation* (install the script, run the workload to the
-# horizon).  A cold run (:func:`fuzz_body`, :func:`run_case`) is
-# prefix+continuation back to back; the shard executor, through
-# :data:`prefixed_fuzz_body`, captures one prefix per target and re-runs
-# only continuations.  Keeping both on the same two functions is what
-# makes forked trials byte-identical to cold ones by construction.
+# horizon).  A cold run (``prefixed_fuzz_body(env, config)``,
+# :func:`run_case`) is prefix+continuation back to back; the shard
+# executor captures one prefix per target and re-runs only
+# continuations, and the explorer forks the same prefix.  Keeping every
+# path on the same two functions is what makes forked trials
+# byte-identical to cold ones by construction.
 # ----------------------------------------------------------------------
 
 def _gmp_bug_flags(variant: str):
@@ -104,16 +105,6 @@ def _install_filter(pfi, config):
         pfi.set_send_filter(script)
     else:
         pfi.set_receive_filter(script)
-
-
-def fuzz_body(env, config):
-    """One fuzz case: build the rig, arm the script, run the workload.
-
-    ``config["install_at"]`` (optional) moves the filter-install time;
-    absent, the protocol's :data:`DEFAULT_DEPTHS` entry applies and the
-    run is identical to what this body always produced.
-    """
-    return _continue_body(env, _fuzz_prefix(env, config), config)
 
 
 def _tcp_prefix(env, config, depth):
@@ -219,11 +210,13 @@ def _fuzz_prefix_key(config):
     return (protocol, config["target"], depth)
 
 
-#: :func:`fuzz_body` as a split body: cold calls are prefix+continuation
-#: back to back (byte-identical to ``fuzz_body`` by construction), while
-#: a prefix-grouped :meth:`Campaign.run <repro.core.orchestrator
-#: .Campaign.run>` captures one warm prefix per (protocol, target,
-#: depth) group and forks it per case.  Module-level and picklable.
+#: One fuzz case as a split body: build the rig, arm the script, run the
+#: workload.  ``config["install_at"]`` (optional) moves the
+#: filter-install time; absent, the protocol's :data:`DEFAULT_DEPTHS`
+#: entry applies.  A cold call runs prefix+continuation back to back,
+#: while :func:`~repro.core.orchestrator.execute_shard` captures one
+#: warm prefix per (protocol, target, depth) group and forks it per
+#: case.  Module-level and picklable.
 prefixed_fuzz_body = PrefixedBody(_fuzz_prefix, _continue_body,
                                   key=_fuzz_prefix_key)
 
@@ -249,6 +242,8 @@ class FuzzCase:
     script: FuzzScript
     target: str                 # vendor name (tcp) / bug-variant (gmp)
     case_seed: int
+    #: filter-install time; ``None`` is the protocol's default depth
+    install_at: Optional[float] = None
 
     @property
     def protocol(self) -> str:
@@ -265,16 +260,21 @@ class FuzzCase:
                 "target": self.target, "direction": self.script.direction,
                 "script": self.script.source,
                 "init_script": self.script.init,
-                "case_seed": self.case_seed}
+                "case_seed": self.case_seed, **self._placement()}
+
+    def _placement(self) -> Dict[str, float]:
+        return {} if self.install_at is None else {
+            "install_at": self.install_at}
 
     def to_dict(self) -> Dict[str, object]:
         return {"script": self.script.to_dict(), "target": self.target,
-                "case_seed": self.case_seed}
+                "case_seed": self.case_seed, **self._placement()}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FuzzCase":
         return cls(script=FuzzScript.from_dict(data["script"]),
-                   target=data["target"], case_seed=data["case_seed"])
+                   target=data["target"], case_seed=data["case_seed"],
+                   install_at=data.get("install_at"))
 
 
 def coverage_keys(trace) -> FrozenSet[Tuple]:
@@ -318,16 +318,13 @@ class FuzzReport:
     trials_per_sec: float = 0.0
     #: virtual time the filter was installed at (the shared prefix depth)
     checkpoint_depth: Optional[float] = None
-    #: share of trials forking a pooled prefix an earlier one captured;
-    #: ``None`` when the rows carried no prefix provenance (the process
-    #: pool returns results only)
-    checkpoint_hit_rate: Optional[float] = None
+    #: share of trials forking a pooled prefix an earlier one captured
+    checkpoint_hit_rate: float = 0.0
     #: draws thrown away because the grammar's own lint rejected them
     discarded_draws: int = 0
 
     def hit_rate_text(self) -> str:
-        rate = self.checkpoint_hit_rate
-        return "n/a" if rate is None else f"{rate:.0%}"
+        return f"{self.checkpoint_hit_rate:.0%}"
 
     def render(self) -> str:
         lines = [f"fuzz {self.protocol}: {self.executed}/{self.budget} "
@@ -356,8 +353,8 @@ class FuzzReport:
 
 def execute_configs(configs: Sequence[Dict[str, object]], *, seed: int,
                     pool: CheckpointPool,
-                    journal: Union[Journal, NullJournal] = NULL_JOURNAL,
-                    workers: int = 1) -> Tuple[List[ShardRow], int]:
+                    journal: Union[Journal, NullJournal] = NULL_JOURNAL
+                    ) -> Tuple[List[ShardRow], int]:
     """Run fuzz configurations through the campaign's one executor.
 
     Returns ``(rows, captures)``: one :class:`~repro.core.orchestrator
@@ -370,19 +367,11 @@ def execute_configs(configs: Sequence[Dict[str, object]], *, seed: int,
     one, in this call or the next, forks it.  Captures are journaled as
     ``campaign.checkpoint_capture`` (the campaign sink's payload plus
     ``target`` and ``depth``).  Nothing is linted here: callers pass
-    ``Campaign.preflight`` first.  ``workers > 1`` takes the sweep
-    through ``Campaign.run`` and the process pool instead; that
-    transport returns results only, so its rows carry no prefix key and
-    the session pool is not consulted.
+    ``Campaign.preflight`` first.
     """
-    oracle = pack_for(configs[0]["protocol"])
-    if workers > 1:
-        results = Campaign(prefixed_fuzz_body, seed=seed, lint="off").run(
-            configs, workers=workers, telemetry=False, oracle=oracle)
-        return [ShardRow(index, result, None, False)
-                for index, result in enumerate(results)], 0
     spec = SweepSpec(body=prefixed_fuzz_body, seed=seed, configs=configs,
-                     telemetry=False, oracle=oracle)
+                     telemetry=False,
+                     oracle=pack_for(configs[0]["protocol"]))
     groups = {str(key): key for key in spec.prefix_keys()}
     rows: List[Optional[ShardRow]] = [None] * len(spec.configs)
     captures = 0
@@ -481,8 +470,12 @@ def _draw_case(rng: random.Random, report: FuzzReport, index: int
         return script, rng.choice(_targets(protocol))
 
     script, target = _draw_clean(rng, draw, f"case {index}", report)
+    depth = report.checkpoint_depth
+    if depth == DEFAULT_DEPTHS[protocol]:
+        depth = None  # the stock experiment: its configs omit install_at
     return FuzzCase(script=script, target=target,
-                    case_seed=trial_seed(report.seed, script.name))
+                    case_seed=trial_seed(report.seed, script.name),
+                    install_at=depth)
 
 
 def sweep_battery(protocol: str, targets: Sequence[str], count: int, *,
@@ -510,13 +503,12 @@ def sweep_battery(protocol: str, targets: Sequence[str], count: int, *,
 
 
 #: cases drawn, executed and folded into the corpus together.  The size
-#: feeds the per-batch RNG stream and the corpus-feedback cadence, so
-#: sizing it from ``workers`` would make the session depend on them.
+#: feeds the per-batch RNG stream and the corpus-feedback cadence.
 BATCH = 4
 
 
 def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
-             workers: int = 1, checkpoint_depth: Optional[float] = None,
+             checkpoint_depth: Optional[float] = None,
              pool: Optional[CheckpointPool] = None,
              progress: Optional[Callable[[str], None]] = None,
              journal=None) -> FuzzReport:
@@ -524,16 +516,17 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
 
     Fully deterministic in ``seed``: case generation, per-case seeds,
     and the simulations themselves all derive from it, batches are
-    :data:`BATCH` cases however they execute, and a forked trial is
-    byte-identical to the cold run of its configuration, so neither
-    ``workers`` nor what ``pool`` already holds perturbs the outcome.
+    :data:`BATCH` cases, and a forked trial is byte-identical to the
+    cold run of its configuration, so what ``pool`` already holds does
+    not perturb the outcome.
 
-    Every batch runs through :func:`execute_configs`: one script-free
-    prefix per target is simulated once, every trial forks it.
-    ``checkpoint_depth`` is *where the filter is installed* -- the depth
-    of that prefix: ``None`` is the protocol's stock install time
-    (:data:`DEFAULT_DEPTHS`), any other depth a distinct experiment (its
-    configs carry ``install_at``, which changes every run seed); one
+    Every batch runs through :func:`execute_configs`, in this process:
+    one script-free prefix per target is simulated once, every trial
+    forks it.  ``checkpoint_depth`` is *where the filter is installed*
+    -- the depth of that prefix: ``None`` is the protocol's stock
+    install time (:data:`DEFAULT_DEPTHS`), any other depth a distinct
+    experiment (its cases carry ``install_at``, which changes every run
+    seed and travels into the shrunk artifacts); one
     outside ``[0, horizon)`` is refused (:func:`check_placement`) before
     the session starts.  ``pool`` (a
     :class:`~repro.core.checkpoint.CheckpointPool`) holds the prefixes;
@@ -555,8 +548,6 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
     depth = (DEFAULT_DEPTHS.get(protocol) if checkpoint_depth is None
              else float(checkpoint_depth))
     check_placement(protocol, depth=depth)
-    placement = ({} if depth == DEFAULT_DEPTHS[protocol]
-                 else {"install_at": depth})
     report = FuzzReport(protocol=protocol, seed=seed, budget=budget,
                         checkpoint_depth=depth)
     coverage: set = set()
@@ -568,8 +559,7 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
     started = perf_counter()
     with Flight(journal, "fuzz",
                 {"protocol": protocol, "seed": seed, "budget": budget,
-                 "workers": workers, "batch": BATCH,
-                 "checkpoint_depth": depth},
+                 "batch": BATCH, "checkpoint_depth": depth},
                 progress=progress, label=f"fuzz {protocol}",
                 total=budget) as flight:
         journal = flight.journal
@@ -585,12 +575,11 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
             rng = random.Random(derive_seed(seed, "fuzz-batch", batch_index))
             cases = [_draw_case(rng, report, report.executed + i)
                      for i in range(count)]
-            configs = [{**case.config(), **placement} for case in cases]
+            configs = [case.config() for case in cases]
             # the campaign's gate: body vetted once, scripts per batch
             flight.gate(campaign.preflight, configs, body=batch_index == 0)
             rows, captures = execute_configs(
-                configs, seed=seed, pool=pool, journal=journal,
-                workers=workers)
+                configs, seed=seed, pool=pool, journal=journal)
             sharing["prefix_captures"] += captures
             for case, row in zip(cases, rows):
                 result = row.result
@@ -608,12 +597,8 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
                         case=case, codes=codes,
                         violation_count=len(result.violations),
                         example=result.violations[0]))
-                group = {}
-                if row.prefix is not None:
-                    group = {"prefix": str(row.prefix),
-                             "forked": row.forked}
-                    sharing["prefix_forks" if row.forked
-                            else "prefix_fallbacks"] += 1
+                sharing["prefix_forks" if row.forked
+                        else "prefix_fallbacks"] += 1
                 journal.record(
                     K.CAMPAIGN_RUN_END, index=index,
                     label=case.script.name, case=case.script.name,
@@ -621,17 +606,16 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
                     ok=not codes, codes=codes,
                     violations=len(result.violations or ()),
                     new_coverage=fresh, coverage_total=len(coverage),
-                    corpus=bool(fresh), **group)
+                    corpus=bool(fresh), prefix=str(row.prefix),
+                    forked=row.forked)
             batch_index += 1
             elapsed = perf_counter() - started
             report.trials_per_sec = (report.executed / elapsed if elapsed
                                      else 0.0)
-            # a trial is a hit when it forked a prefix it did not pay
-            # for; rows without a prefix key say nothing either way
-            traced = sharing["prefix_forks"] + sharing["prefix_fallbacks"]
+            # a trial is a hit when it forked a prefix it did not pay for
             report.checkpoint_hit_rate = (
                 (sharing["prefix_forks"] - sharing["prefix_captures"])
-                / report.executed if traced else None)
+                / report.executed)
             flight.progress.update(
                 report.executed, coverage=len(coverage),
                 findings=len(report.findings),
@@ -641,8 +625,10 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
 
 
 def run_case(case: FuzzCase, *, campaign_seed: int = 0) -> RunResult:
-    """Execute one case exactly as the fuzz loop would (serial)."""
-    campaign = Campaign(fuzz_body, seed=campaign_seed, lint="error")
+    """Execute one case exactly as the fuzz loop would, cold: a
+    one-configuration sweep never captures its prefix."""
+    campaign = Campaign(prefixed_fuzz_body, seed=campaign_seed,
+                        lint="error")
     [result] = campaign.run([case.config()], telemetry=False,
                             oracle=pack_for(case.protocol))
     return result

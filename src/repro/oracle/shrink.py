@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -144,10 +144,8 @@ def shrink_case(case: FuzzCase, code: str, *, campaign_seed: int = 0,
                 f"campaign seed {campaign_seed}; nothing to shrink")
 
         def with_clauses(clauses: Sequence[Clause]) -> FuzzCase:
-            return FuzzCase(
-                script=case.script.with_clauses(
-                    clauses, name=f"{case.script.name}_min"),
-                target=case.target, case_seed=case.case_seed)
+            return replace(case, script=case.script.with_clauses(
+                clauses, name=f"{case.script.name}_min"))
 
         clauses = ddmin(case.script.clauses,
                         lambda cand: still_violates(with_clauses(cand)))
@@ -156,8 +154,7 @@ def shrink_case(case: FuzzCase, code: str, *, campaign_seed: int = 0,
         for seed in SEED_CANDIDATES:
             if seed == shrunk.case_seed:
                 break
-            candidate = FuzzCase(script=shrunk.script, target=shrunk.target,
-                                 case_seed=seed)
+            candidate = replace(shrunk, case_seed=seed)
             if still_violates(candidate):
                 shrunk = candidate
                 break
@@ -284,10 +281,14 @@ def artifact_name(artifact: ReproArtifact) -> str:
     """The canonical corpus filename for one artifact.
 
     Content-addressed suffix: distinct shrunk scripts targeting the same
-    (code, variant) pair get distinct, rerun-stable filenames.
+    (code, variant) pair get distinct, rerun-stable filenames; an install
+    depth, when the case has one, is part of the content.
     """
-    content = (f"{artifact.case.script.source}\n{artifact.case.script.init}"
-               f"\n{artifact.case.script.direction}\n{artifact.case.case_seed}")
+    case = artifact.case
+    content = (f"{case.script.source}\n{case.script.init}"
+               f"\n{case.script.direction}\n{case.case_seed}")
+    if case.install_at is not None:
+        content += f"\n{case.install_at}"
     digest = hashlib.sha256(content.encode()).hexdigest()[:8]
-    return (f"{artifact.case.protocol}_{artifact.code.lower()}_"
-            f"{artifact.case.target}_{digest}.json")
+    return (f"{case.protocol}_{artifact.code.lower()}_"
+            f"{case.target}_{digest}.json")

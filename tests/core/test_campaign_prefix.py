@@ -273,7 +273,7 @@ class TestAmortization:
         assert replay.last(K.CAMPAIGN_END).get("prefix_captures") == 0
 
     def test_shared_pool_reuses_captures_across_sweeps(self):
-        pool = CheckpointPool(max_items=4)
+        pool = CheckpointPool()
         captures, _rows = _shard(_configs(), pool)
         assert (captures, len(pool)) == (2, 2)
         captures, rows = _shard(_configs(), pool)
@@ -283,7 +283,7 @@ class TestAmortization:
         assert _stable([row.result for row in rows]) == _stable(cold)
 
     def test_pooled_prefix_serves_singleton_groups(self):
-        pool = CheckpointPool(max_items=4)
+        pool = CheckpointPool()
         _shard(_configs(groups=("g1",)), pool)
         captures, rows = _shard([{"grp": "g1", "extra": 9.0}], pool)
         assert captures == 0

@@ -305,19 +305,9 @@ class TestCheckpointPool:
         cp = _pooled_checkpoint()
         pool.put("a", cp)
         assert pool.get("a") is cp
-        assert pool.stats() == {"hits": 1, "misses": 1, "evictions": 0,
-                                "items": 1, "entries": cp.position}
+        assert pool.stats() == {"hits": 1, "misses": 1, "items": 1,
+                                "entries": cp.position}
         assert "a" in pool and len(pool) == 1
-
-    def test_max_items_evicts_lru(self):
-        pool = CheckpointPool(max_items=2)
-        for key in ("a", "b", "c"):
-            pool.put(key, _pooled_checkpoint())
-        assert pool.keys() == ["b", "c"]
-        assert pool.evictions == 1
-        pool.get("b")  # refresh: "c" becomes LRU
-        pool.put("d", _pooled_checkpoint())
-        assert pool.keys() == ["b", "d"]
 
     def test_clear_keeps_counters(self):
         pool = CheckpointPool()

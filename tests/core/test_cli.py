@@ -259,6 +259,14 @@ class TestFuzzCheckpointFlags:
         assert "hit-rate" in out
         assert "[fuzz gmp]" in out  # the --progress lines
 
+    def test_workers_is_a_usage_error(self, capsys):
+        # fuzz batches run in this process, over the session's pool
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--workers", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --workers 2" in err
+        assert "Traceback" not in err
 
     def test_save_repro_journals_every_shrink_probe(self, tmp_path,
                                                     capsys):

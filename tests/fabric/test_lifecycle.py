@@ -20,6 +20,7 @@ from repro.core.checkpoint import CheckpointPool
 from repro.core.fabric import ResultStore, SweepSpec
 from repro.core.orchestrator import (Campaign, CampaignScriptError, run_one,
                                      run_sweep)
+from repro.oracle.fuzz import execute_configs, run_fuzz
 from repro.netsim import kinds as K
 from repro.obs.journal import replay_journal
 from tests.fabric import rig
@@ -88,7 +89,11 @@ def test_sweep_surface_is_pinned():
         "fabric_options"]
     assert [field.name for field in dataclasses.fields(SweepSpec)] == [
         "body", "seed", "configs", "telemetry", "oracle", "lint", "group"]
-    assert names(CheckpointPool) == ["max_items"]
+    assert names(CheckpointPool) == []
+    assert names(run_fuzz) == [
+        "protocol", "seed", "budget", "checkpoint_depth", "pool",
+        "progress", "journal"]
+    assert names(execute_configs) == ["configs", "seed", "pool", "journal"]
 
 
 def test_sockets_preflight_is_journaled_inside_its_phase(tmp_path):

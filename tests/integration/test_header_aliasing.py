@@ -28,7 +28,7 @@ from repro.analysis.export import VOLATILE_ATTRS, entry_to_dict
 from repro.core.orchestrator import make_env
 from repro.experiments import gmp_packet_interruption, tcp_retransmission
 from repro.gmp.messages import GmpMessage
-from repro.oracle.fuzz import fuzz_body
+from repro.oracle.fuzz import prefixed_fuzz_body
 from repro.tcp import VENDORS
 from repro.xkernel import message as message_module
 from repro.xkernel.message import Message
@@ -87,7 +87,7 @@ def _table5():
 
 def _fuzz_set_field():
     env = make_env(seed=7)
-    fuzz_body(env, dict(FUZZ_CONFIG))
+    prefixed_fuzz_body(env, dict(FUZZ_CONFIG))
     return env.trace
 
 
@@ -177,7 +177,7 @@ def test_no_aliased_header_is_written_in_place(name, monkeypatch):
 def test_payload_write_on_wire_copy_spares_the_pending_original(monkeypatch):
     watch = _AliasWatch(monkeypatch)
     env = make_env(seed=7)
-    fuzz_body(env, dict(FUZZ_CONFIG, script=SET_PAYLOAD_SCRIPT))
+    prefixed_fuzz_body(env, dict(FUZZ_CONFIG, script=SET_PAYLOAD_SCRIPT))
     assert watch.changed() == []
 
     logs = list(env.trace.entries("pfi.log"))

@@ -21,7 +21,8 @@ import random
 import pytest
 
 from repro.core.checkpoint import CheckpointPool
-from repro.core.orchestrator import Campaign, CampaignScriptError
+from repro.core.orchestrator import (Campaign, CampaignScriptError,
+                                     PrefixedBody)
 from repro.netsim import kinds as K
 from repro.obs.journal import Flight, Journal, replay_journal
 from repro.oracle import explore as explore_module
@@ -45,7 +46,7 @@ def sweep_body(env, config):
     return {"item": config["item"]}
 
 
-def hazardous_prefix(env, config, depth):
+def hazardous_prefix(env, config):
     """A prefix builder the SC1xx precheck refuses (unseeded RNG)."""
     return {"jitter": random.random()}
 
@@ -92,8 +93,11 @@ def fly(monkeypatch, finding):
                 return run_fuzz("gmp", seed=0, budget=4, journal=journal)
             if engine == "explore":
                 if ending == "gate refuses":
-                    patch.setitem(explore_module._PREFIXES, "gmp",
-                                  hazardous_prefix)
+                    body = fuzz_module.prefixed_fuzz_body
+                    patch.setattr(explore_module, "prefixed_fuzz_body",
+                                  PrefixedBody(hazardous_prefix,
+                                               body.continuation,
+                                               key=body.key))
                 elif ending == "raises":
                     patch.setattr(explore_module, "_run_schedule", _planted)
                 return explore("gmp", "self_death", max_schedules=3,

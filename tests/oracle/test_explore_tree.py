@@ -109,6 +109,57 @@ def test_outcomes_equal_the_parent_commits(kwargs, schedules, verdicts,
                                                                forks)
 
 
+def test_digest_census_reads_rows_not_entry_views(monkeypatch):
+    # the incremental digest renders raw rows: no TraceEntry is built
+    # inside _TraceDigest.absorb, every row of the 48 schedules is
+    # encoded exactly once, and each outcome hash is still the hash of a
+    # whole-trace dump_trace
+    import repro.oracle
+    from repro.analysis import export
+    from repro.analysis.export import VOLATILE_ATTRS, dump_trace
+    from repro.netsim.trace import TraceEntry
+
+    inside, views, rows = [False], [0], [0]
+    entry_init = TraceEntry.__init__
+    absorb = explore_module._TraceDigest.absorb
+    encode = export._encode
+    evaluate = repro.oracle.evaluate
+    full = []
+
+    def counting_init(self, *args):
+        views[0] += inside[0]
+        entry_init(self, *args)
+
+    def marked_absorb(self, trace):
+        inside[0] = True
+        try:
+            absorb(self, trace)
+        finally:
+            inside[0] = False
+
+    def counting_encode(piece):
+        if inside[0]:
+            rows[0] += len(piece) if type(piece) is list else 1
+        return encode(piece)
+
+    def dumping_evaluate(trace, pack):
+        # once per schedule, over its final trace
+        if len(full) < 5:
+            text = dump_trace(trace, exclude_attrs=VOLATILE_ATTRS)
+            full.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+        return evaluate(trace, pack)
+
+    monkeypatch.setattr(TraceEntry, "__init__", counting_init)
+    monkeypatch.setattr(explore_module._TraceDigest, "absorb", marked_absorb)
+    monkeypatch.setattr(export, "_encode", counting_encode)
+    monkeypatch.setattr(repro.oracle, "evaluate", dumping_evaluate)
+    report = explore("gmp", "self_death", max_schedules=48,
+                     max_perturbations=2)
+    assert views[0] == 0
+    assert rows[0] == 28022
+    assert [o.outcome_hash for o in report.outcomes[:5]] == full
+
+
 # ----------------------------------------------------------------------
 # the cap
 # ----------------------------------------------------------------------

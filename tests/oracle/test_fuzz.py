@@ -2,7 +2,8 @@
 
 from repro.core.orchestrator import Campaign, RunResult
 from repro.oracle.fuzz import (GMP_VARIANTS, FuzzCase, coverage_keys,
-                               fuzz_body, pack_for, run_case, run_fuzz)
+                               pack_for, prefixed_fuzz_body, run_case,
+                               run_fuzz)
 
 #: enough budget to reach the first violating cases under seed 0
 SMOKE_BUDGET = 8
@@ -70,7 +71,7 @@ def test_run_case_reproduces_a_fuzz_finding():
 
 def test_campaign_oracle_hook_attaches_verdicts():
     case = run_fuzz("gmp", seed=0, budget=1).corpus[0]
-    campaign = Campaign(fuzz_body, seed=0, lint="error")
+    campaign = Campaign(prefixed_fuzz_body, seed=0, lint="error")
     with_oracle = campaign.run([case.config()], telemetry=False,
                                oracle=pack_for("gmp"))
     without = campaign.run([case.config()], telemetry=False)
@@ -79,32 +80,17 @@ def test_campaign_oracle_hook_attaches_verdicts():
     assert without[0].ok()  # no oracle -> vacuously ok
 
 
-def test_parallel_workers_do_not_perturb_the_verdict():
-    serial = run_fuzz("gmp", seed=0, budget=4, workers=1)
-    parallel = run_fuzz("gmp", seed=0, budget=4, workers=2)
-    assert _snapshot(serial) == _snapshot(parallel)
-    # several batches, and more workers than a batch of max(4, 2 *
-    # workers) -- what the batch once was -- would have left alone
-    serial = run_fuzz("tcp", seed=1, budget=16, workers=1)
-    wide = run_fuzz("tcp", seed=1, budget=16, workers=4)
-    assert _snapshot(serial) == _snapshot(wide)
-    assert len(serial.coverage) == 17
-    assert [case.script.name[-4:] for case in serial.corpus] == [
+def test_serial_sessions_are_pinned():
+    # several batches of four: coverage and corpus as the session has
+    # always drawn them, and the hit rate of an 8-case gmp session (three
+    # targets captured once each, five trials forking a paid-for prefix)
+    report = run_fuzz("tcp", seed=1, budget=16)
+    assert len(report.coverage) == 17
+    assert [case.script.name[-4:] for case in report.corpus] == [
         "0000", "0001", "0002", "0006", "0012"]
-
-
-def test_pool_rows_leave_the_hit_rate_unknown(tmp_path):
-    # the process pool returns results without prefix provenance, so
-    # its hit rate is unknown -- never a false 0 %
-    from repro.obs.journal import replay_journal
-    assert run_fuzz("gmp", seed=0, budget=8).checkpoint_hit_rate == 0.625
-    journal = tmp_path / "pooled.jsonl"
-    pooled = run_fuzz("gmp", seed=0, budget=8, workers=2, journal=journal)
-    assert pooled.checkpoint_hit_rate is None
-    assert "hit-rate n/a" in pooled.render()
-    end = replay_journal(journal).last("campaign.end")
-    assert "checkpoint_hit_rate" in end.data
-    assert end.get("checkpoint_hit_rate") is None
+    gmp = run_fuzz("gmp", seed=0, budget=8)
+    assert gmp.checkpoint_hit_rate == 0.625
+    assert "hit-rate 62%" in gmp.render()
 
 
 def test_fuzz_case_config_excludes_the_display_name():
@@ -221,7 +207,7 @@ def test_sweep_battery_redraws_the_scripts_the_grammar_rejects():
             generate_script(random.Random(24), protocol, index=24)
         battery = sweep_battery(protocol, [target], 25)
         assert len(battery) == 25
-        assert not Campaign(fuzz_body).validate_scripts(battery)
+        assert not Campaign(prefixed_fuzz_body).validate_scripts(battery)
         # every index that draws clean yields the config it always did
         for index in range(24):
             script = generate_script(random.Random(index), protocol,
@@ -267,3 +253,36 @@ def test_every_engine_refuses_a_placement_before_it_runs():
     for call in refused:
         with pytest.raises(ValueError):
             call()
+
+
+# ----------------------------------------------------------------------
+# a case carries its install depth
+# ----------------------------------------------------------------------
+
+def test_a_deep_session_shrinks_and_replays_at_its_own_depth(tmp_path):
+    from repro.oracle.shrink import (ReproArtifact, replay_artifact,
+                                     shrink_finding)
+    report = run_fuzz("gmp", seed=0, budget=16, checkpoint_depth=12)
+    assert report.findings
+    assert {f.case.install_at for f in report.findings} == {12.0}
+    for finding in report.findings:
+        # the shrinker's first probe re-runs the finding: at the default
+        # depth, fuzz_gmp_0009 no longer violates GMP-TIMER
+        artifact, _stats = shrink_finding(finding, campaign_seed=0)
+        assert artifact.case.install_at == 12.0
+        assert artifact.case.config()["install_at"] == 12.0
+        path = artifact.save(tmp_path / f"{finding.case.script.name}.json")
+        loaded = ReproArtifact.load(path)
+        assert loaded.case == artifact.case
+        assert replay_artifact(loaded).ok
+
+
+def test_a_default_depth_case_keeps_its_config_and_artifact_form():
+    case = run_fuzz("gmp", seed=0, budget=1).corpus[0]
+    assert case.install_at is None
+    assert "install_at" not in case.config()
+    assert "install_at" not in case.to_dict()
+    assert FuzzCase.from_dict(case.to_dict()) == case
+    # the stock depth spelled out is still the stock experiment
+    explicit = run_fuzz("gmp", seed=0, budget=1, checkpoint_depth=8)
+    assert explicit.corpus[0] == case

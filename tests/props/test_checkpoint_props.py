@@ -25,8 +25,8 @@ from repro.oracle import evaluate
 from repro.core.checkpoint import CheckpointPool
 from repro.oracle.fuzz import (DEFAULT_DEPTHS, GMP_VARIANTS, FuzzCase,
                                _continue_body, _gmp_prefix, _tcp_prefix,
-                               execute_configs, fuzz_body, pack_for,
-                               run_case, run_fuzz)
+                               execute_configs, pack_for,
+                               prefixed_fuzz_body, run_case, run_fuzz)
 from repro.oracle.grammar import generate_script
 from repro.tcp import VENDORS
 
@@ -44,7 +44,7 @@ def _config(protocol: str, target: str, depth: float, index: int = 0):
 
 def _cold(config, seed: int):
     env = make_env(seed=seed)
-    result = fuzz_body(env, config)
+    result = prefixed_fuzz_body(env, config)
     return env, result
 
 
@@ -175,7 +175,7 @@ def test_link_deepcopy_shares_rng_state():
 # ----------------------------------------------------------------------
 
 #: what the *cold* ``run_fuzz`` reported at bd80511, the last commit
-#: that had one (``Campaign(fuzz_body).run`` per batch, nothing forked):
+#: that had one (a cold ``Campaign.run`` per batch, nothing forked):
 #: (protocol, seed, budget) -> executed, coverage keys, coverage digest,
 #: corpus names, (name, codes, violation count) per finding.  gmp seeds
 #: 2 and 3 die at larger budgets on the ``StubError ... 'group_id'`` bug.

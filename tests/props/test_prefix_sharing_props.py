@@ -5,7 +5,7 @@ Four contracts, the first three pinned over the real protocol rigs:
 
 - a prefix-grouped ``Campaign.run`` of the split fuzz body is
   byte-identical -- results, canonical traces, oracle fingerprints --
-  to the cold :func:`~repro.oracle.fuzz.fuzz_body` sweep it amortizes,
+  to the cold (``group=False``) sweep of the same body it amortizes,
   across every TCP vendor profile and GMP bug variant;
 - :func:`~repro.oracle.explore.explore` with nested re-checkpointing
   reaches exactly the flat exploration's outcomes while dispatching
@@ -36,8 +36,8 @@ from repro.core.fabric import SweepSpec
 from repro.core.orchestrator import (Campaign, PrefixedBody, ShardCapture,
                                      ShardRow, ShardStart, execute_shard)
 from repro.oracle.explore import explore
-from repro.oracle.fuzz import (DEFAULT_DEPTHS, GMP_VARIANTS, fuzz_body,
-                               pack_for, prefixed_fuzz_body)
+from repro.oracle.fuzz import (DEFAULT_DEPTHS, GMP_VARIANTS, pack_for,
+                               prefixed_fuzz_body)
 from repro.oracle.grammar import generate_script
 from repro.tcp import VENDORS
 
@@ -66,15 +66,15 @@ def _stable(results):
 
 
 def _assert_grouped_matches_cold(configs, protocol, seed):
-    cold = Campaign(fuzz_body, seed=seed).run(
-        configs, oracle=pack_for(protocol))
+    cold = Campaign(prefixed_fuzz_body, seed=seed).run(
+        configs, oracle=pack_for(protocol), group=False)
     grouped = Campaign(prefixed_fuzz_body, seed=seed).run(
         configs, oracle=pack_for(protocol))
     assert _stable(grouped) == _stable(cold)
 
 
 # ----------------------------------------------------------------------
-# grouped campaign == cold fuzz_body sweep
+# grouped campaign == cold sweep
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("vendor", sorted(VENDORS))
@@ -107,8 +107,8 @@ def test_grouped_parallel_matches_cold():
     configs = [_config("gmp", variant, index)
                for variant in ("self_death", "fixed")
                for index in range(3)]
-    cold = Campaign(fuzz_body, seed=7).run(configs,
-                                           oracle=pack_for("gmp"))
+    cold = Campaign(prefixed_fuzz_body, seed=7).run(
+        configs, oracle=pack_for("gmp"), group=False)
     grouped = Campaign(prefixed_fuzz_body, seed=7).run(
         configs, workers=2, oracle=pack_for("gmp"))
     assert _stable(grouped) == _stable(cold)

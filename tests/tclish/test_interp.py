@@ -137,6 +137,24 @@ class TestProcs:
             "proc down {n} { if {$n > 0} { down [expr {$n - 1}] } "
             "else { return bottom } }; down 39") == "bottom"
 
+    def test_nested_loops_share_one_iteration_budget(self, interp,
+                                                      monkeypatch):
+        # per-loop counters multiplied: a capped inner loop inside an
+        # outer one ran cap x cap iterations, a hang at the real cap
+        from repro.core.tclish import interp as interp_module
+        monkeypatch.setattr(interp_module, "MAX_LOOP_ITERATIONS", 1000)
+        with pytest.raises(TclError, match="too many loop iterations "
+                                           r"\(infinite loop\?\)"):
+            interp.eval("set n 0; while 1 { catch { while 1 { incr n } } }")
+        assert int(interp.globals["n"]) <= 1000
+        # for and foreach draw on the same budget, and the next top-level
+        # evaluation starts a fresh one
+        with pytest.raises(TclError, match="too many loop iterations"):
+            interp.eval("for {set i 0} {1} {incr i} "
+                        "{ foreach x {a b c} { incr n } }")
+        interp.eval("set n 0; for {set i 0} {$i < 999} {incr i} { incr n }")
+        assert interp.globals["n"] == "999"
+
     def test_return_value(self, interp):
         interp.eval("proc f {} { return early; set never 1 }")
         assert interp.eval("f") == "early"
