@@ -7,41 +7,61 @@ group and report whether the group recovers a consistent view.  This is
 the "testing the fault-tolerance capabilities ... under various failure
 models" programme, run as a campaign.
 
+Every fault is a tclish filter script.  Crash and omission come from the
+generated catalogue (:mod:`repro.core.genscripts`); timing and byzantine
+are written out below.
+
 Run it::
 
     python examples/failure_model_sweep.py
 """
 
 from repro.analysis.tables import render_table
-from repro.core import faults
+from repro.core import TclishFilter
+from repro.core.genscripts import (COVERS, SEVERITY_ORDER, generate_campaign,
+                                   gmp_spec)
 from repro.experiments.gmp_common import build_gmp_cluster
 
 VICTIM = 3
 OTHERS = (1, 2)
 
+#: the generated crash_after_0_* and omission_*pct_* scripts, by name
+GENERATED = {script.name: script for script in generate_campaign(
+    gmp_spec(), omission_rates=(0.6, 0.5), crash_after_messages=0)}
+
+#: the victim sends slow: 2 s plus normal jitter, never negative
+TIMING = "xDelay [expr {max(0.0, 2.0 + [dst_normal 0.0 0.5])}]"
+
+#: every third message the victim sends comes with a forged DEAD_REPORT
+BYZANTINE = ("incr n; if {$n % 3 == 0} "
+             f"{{ inject DEAD_REPORT sender {VICTIM} subject 1 dst 2 }}")
+
+
+def generated(name):
+    return GENERATED[name].tclish_filter()
+
 
 def inject(cluster, model):
-    """Install the filter(s) for one failure model on the victim."""
+    """Install the filter script(s) for one failure model on the victim."""
     pfi = cluster.pfis[VICTIM]
     if model == "process crash":
-        pfi.set_send_filter(faults.crash_after(0))
-        pfi.set_receive_filter(faults.crash_after(0))
+        pfi.set_send_filter(generated("crash_after_0_send"))
+        pfi.set_receive_filter(generated("crash_after_0_receive"))
     elif model == "link crash":
         # the victim's outbound link dies; inbound still works
-        pfi.set_send_filter(faults.crash_after(0))
+        pfi.set_send_filter(generated("crash_after_0_send"))
     elif model == "send omission":
-        pfi.set_send_filter(faults.send_omission(0.6))
+        pfi.set_send_filter(generated("omission_60pct_send"))
     elif model == "receive omission":
-        pfi.set_receive_filter(faults.receive_omission(0.6))
+        pfi.set_receive_filter(generated("omission_60pct_receive"))
     elif model == "general omission":
-        send_f, recv_f = faults.general_omission(0.5, 0.5)
-        pfi.set_send_filter(send_f)
-        pfi.set_receive_filter(recv_f)
+        pfi.set_send_filter(generated("omission_50pct_send"))
+        pfi.set_receive_filter(generated("omission_50pct_receive"))
     elif model == "timing":
-        pfi.set_send_filter(faults.timing_failure(2.0, jitter_var=0.5))
+        pfi.set_send_filter(TclishFilter(TIMING, name="timing"))
     elif model == "byzantine":
-        pfi.set_send_filter(faults.byzantine_spurious(
-            "DEAD_REPORT", every_n=3, sender=VICTIM, subject=1, dst=2))
+        pfi.set_send_filter(TclishFilter(BYZANTINE, init_script="set n 0",
+                                         name="byzantine"))
     else:
         raise ValueError(model)
 
@@ -94,8 +114,8 @@ def main():
         ["Failure model", "Victim", "Survivor views", "After heal"], rows))
 
     print("\nseverity ordering (paper section 2.2):")
-    for model in faults.SEVERITY_ORDER:
-        covered = faults.COVERS[model]
+    for model in SEVERITY_ORDER:
+        covered = COVERS[model]
         names = ", ".join(m.value for m in covered) if covered else "-"
         print(f"  {model.value:<18} covers: {names}")
 

@@ -3,8 +3,10 @@
 
 This example integrates the orchestration pieces around the PFI core:
 
-1. a **declarative fault schedule** (the timeline of injected faults,
-   printed as a runbook before the run);
+1. a **fault timeline**: the network partitions and heals on the
+   scheduler, and node 5's receive filter script holds its own window
+   (it drops COMMITs while ``[now]`` is in [70, 100)), the way the
+   paper's scripts keep the experiment's clock;
 2. the **PFI layer** executing the faults;
 3. a **message-sequence ladder** of the interesting window, rendered the
    way the paper draws its exchanges;
@@ -19,38 +21,48 @@ import io
 
 from repro.analysis.export import dump_trace
 from repro.analysis.timeline import gmp_sequence
-from repro.core.faults import drop_by_type
-from repro.core.schedule import FaultSchedule
+from repro.core import TclishFilter
 from repro.experiments.gmp_common import build_gmp_cluster
+
+#: node 5 drops every COMMIT it receives between t=70 s and t=100 s
+COMMIT_WINDOW = """\
+if {[now] >= 70.0 && [now] < 100.0 && [msg_type cur_msg] eq "COMMIT"} {
+    xDrop cur_msg
+}"""
+
+
+class ViewSampler:
+    """Record every member's view every 10 s, until t=130 s."""
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+
+    def __call__(self):
+        scheduler = self.cluster.scheduler
+        self.cluster.trace.record("nemesis.views", t=scheduler.now,
+                                  views=str(self.cluster.views()))
+        # the next sample is scheduled as this one fires, so it follows
+        # whatever the run scheduled for the same instant before now
+        if scheduler.now + 10.0 <= 130.0:
+            scheduler.schedule_at(scheduler.now + 10.0, self)
 
 
 def main():
     cluster = build_gmp_cluster([1, 2, 3, 4, 5])
     network = cluster.env.network
-    pfis = cluster.pfis
+    cluster.pfis[5].set_receive_filter(
+        TclishFilter(COMMIT_WINDOW, name="commit_window"))
 
-    schedule = (
-        FaultSchedule(cluster.scheduler, trace=cluster.trace)
-        .at(20.0, "partition {1,2} | {3,4,5}",
-            lambda: network.partition([1, 2], [3, 4, 5]))
-        .at(50.0, "heal the partition", network.heal)
-        .at(70.0, "node 5 starts dropping COMMITs",
-            lambda: pfis[5].set_receive_filter(drop_by_type("COMMIT")))
-        .at(100.0, "node 5 heals",
-            lambda: pfis[5].clear_filters())
-        .every(10.0, "note the views",
-               lambda: cluster.trace.record(
-                   "nemesis.views", t=cluster.scheduler.now,
-                   views=str(cluster.views())),
-               start=15.0, until=130.0)
-    )
-
-    print("nemesis runbook:")
-    for line in schedule.runbook().splitlines():
+    print("nemesis timeline: partition {1,2} | {3,4,5} at t=20s, heal at "
+          "t=50s;\nnode 5's receive filter:")
+    for line in COMMIT_WINDOW.splitlines():
         print(f"  {line}")
 
     cluster.start()
-    schedule.arm()
+    scheduler = cluster.scheduler
+    scheduler.schedule_at(20.0, network.partition, [1, 2], [3, 4, 5])
+    scheduler.schedule_at(50.0, network.heal)
+    scheduler.schedule_at(15.0, ViewSampler(cluster))
     cluster.run_until(140.0)
 
     print("\nviews through the run:")

@@ -13,22 +13,23 @@ Public surface:
   peer interpreter, distributions, cross-node sync);
 - :class:`~repro.core.stubs.PacketStubs` -- packet
   recognition/generation stubs;
-- :mod:`~repro.core.faults` -- failure-model fault factories
-  (crash/omission/timing/byzantine) and the severity lattice;
+- :mod:`~repro.core.genscripts` -- the failure-model catalogue: tclish
+  fault scripts generated from a protocol spec
+  (crash/omission/timing/reorder/duplicate/corruption) and the severity
+  lattice;
 - :class:`~repro.core.driver.Driver` -- the traffic-generating layer
   above the target protocol;
 - :func:`~repro.core.orchestrator.make_env` /
   :class:`~repro.core.orchestrator.Campaign` -- experiment plumbing.
 """
 
-from repro.core import faults, genscripts
+from repro.core import genscripts
 from repro.core.context import ScriptContext
 from repro.core.distributions import DistributionSet, derive_seed
 from repro.core.driver import Driver
 from repro.core.msglog import MessageLog
 from repro.core.orchestrator import Campaign, ExperimentEnv, RunResult, make_env
 from repro.core.pfi import PFILayer
-from repro.core.schedule import FaultSchedule
 from repro.core.script import FilterScript, PythonFilter, TclishFilter
 from repro.core.stubs import PacketStubs, StubError, UNKNOWN_TYPE
 from repro.core.sync import ScriptSync
@@ -38,7 +39,6 @@ __all__ = [
     "DistributionSet",
     "Driver",
     "ExperimentEnv",
-    "FaultSchedule",
     "FilterScript",
     "MessageLog",
     "PFILayer",
@@ -51,7 +51,6 @@ __all__ = [
     "TclishFilter",
     "UNKNOWN_TYPE",
     "derive_seed",
-    "faults",
     "genscripts",
     "make_env",
 ]

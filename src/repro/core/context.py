@@ -161,10 +161,6 @@ class ScriptContext:
         """
         self.peer_state[key] = value
 
-    def get_peer(self, key: str, default: Any = None) -> Any:
-        """Read a variable from the other filter's persistent state."""
-        return self.peer_state.get(key, default)
-
     def __repr__(self) -> str:
         return (f"ScriptContext({self.node}/{self.direction}, "
                 f"type={self.msg_type()}, verdict={self.verdict})")

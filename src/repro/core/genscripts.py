@@ -20,15 +20,94 @@ hand, and the text :func:`lint_generated` (and a campaign's lint gate)
 checks is the text that runs: :meth:`GeneratedScript.tclish_filter`
 installs it, and a campaign config carries it as ``{"script":
 tclish_source, "init_script": tclish_init}``.
+
+This module is also the failure-model catalogue: :class:`FailureModel`
+names the paper's models, and the severity lattice ("Model B is more
+severe than model A if the set of faulty behavior allowed by A is a proper
+subset allowed by B") is encoded in :data:`SEVERITY_ORDER` /
+:func:`is_at_least_as_severe` and property-tested in
+``tests/core/test_faults.py``.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.faults import FailureModel
 from repro.core.script import TclishFilter
+
+
+class FailureModel(enum.Enum):
+    """The failure models of paper §2.2, least to most severe.
+
+    1. **process crash** -- halt prematurely, then do nothing;
+    2. **link crash** -- a link stops transporting messages (no
+       corruption);
+    3. **send omission** -- intermittently omit sends;
+    4. **receive omission** -- intermittently omit receives;
+    5. **general omission** -- send and/or receive omission;
+    6. **timing/performance** -- violate timing bounds (too slow or too
+       fast);
+    7. **arbitrary/byzantine** -- anything: spurious messages, corruption,
+       reordering, false claims.
+    """
+
+    PROCESS_CRASH = "process_crash"
+    LINK_CRASH = "link_crash"
+    SEND_OMISSION = "send_omission"
+    RECEIVE_OMISSION = "receive_omission"
+    GENERAL_OMISSION = "general_omission"
+    TIMING = "timing"
+    BYZANTINE = "byzantine"
+
+
+#: Total severity order, least to most severe (the paper presents the
+#: models "in the order of severity").
+SEVERITY_ORDER = (
+    FailureModel.PROCESS_CRASH,
+    FailureModel.LINK_CRASH,
+    FailureModel.SEND_OMISSION,
+    FailureModel.RECEIVE_OMISSION,
+    FailureModel.GENERAL_OMISSION,
+    FailureModel.TIMING,
+    FailureModel.BYZANTINE,
+)
+
+#: Strict subset relations between behaviour sets: each model maps to the
+#: models whose faulty behaviours it includes.  Tolerating the superset
+#: model implies tolerating every model it covers.
+COVERS: Dict[FailureModel, Tuple[FailureModel, ...]] = {
+    FailureModel.PROCESS_CRASH: (),
+    FailureModel.LINK_CRASH: (),
+    FailureModel.SEND_OMISSION: (FailureModel.PROCESS_CRASH,),
+    FailureModel.RECEIVE_OMISSION: (FailureModel.PROCESS_CRASH,),
+    FailureModel.GENERAL_OMISSION: (
+        FailureModel.SEND_OMISSION, FailureModel.RECEIVE_OMISSION,
+        FailureModel.LINK_CRASH, FailureModel.PROCESS_CRASH),
+    FailureModel.TIMING: (
+        FailureModel.GENERAL_OMISSION, FailureModel.SEND_OMISSION,
+        FailureModel.RECEIVE_OMISSION, FailureModel.LINK_CRASH,
+        FailureModel.PROCESS_CRASH),
+    FailureModel.BYZANTINE: (
+        FailureModel.TIMING, FailureModel.GENERAL_OMISSION,
+        FailureModel.SEND_OMISSION, FailureModel.RECEIVE_OMISSION,
+        FailureModel.LINK_CRASH, FailureModel.PROCESS_CRASH),
+}
+
+
+def is_at_least_as_severe(a: FailureModel, b: FailureModel) -> bool:
+    """True if model ``a`` covers all the faulty behaviours of ``b``."""
+    return a == b or b in COVERS[a]
+
+
+def tolerance_implied(tolerated: FailureModel) -> Tuple[FailureModel, ...]:
+    """Models a protocol provably tolerates given it tolerates ``tolerated``.
+
+    "A protocol implementation that tolerates failures of type B also
+    tolerates those of type A" when A's behaviours are a subset of B's.
+    """
+    return (tolerated,) + COVERS[tolerated]
 
 
 @dataclass(frozen=True)

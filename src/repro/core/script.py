@@ -37,6 +37,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 from repro.core.context import ScriptContext
+from repro.core.stubs import StubError
 from repro.core.tclish import Interp, TclError
 from repro.core.tclish.lint.registry import CommandSignature, forget_default
 
@@ -202,16 +203,21 @@ def cmd(name: str, min_args: int = 0, max_args: Optional[int] = None,
     rejects argument counts outside ``[min_args, max_args]`` before the
     implementation runs, with the declared usage line -- the same bounds
     the static analyzer checks, so a script that lints clean cannot die
-    on arity at runtime.  Registering a command empties the analyzer's
-    verdict memo and its built default registry: this decorator is the
-    one place the command surface grows.
+    on arity at runtime.  A :class:`~repro.core.stubs.StubError` the
+    implementation raises (a field the message lacks) becomes a
+    :class:`TclError`, so ``catch`` traps it.  Registering a command
+    empties the analyzer's verdict memo and its built default registry:
+    this decorator is the one place the command surface grows.
     """
     def decorator(fn):
         def command(interp: Interp, args: List[str]) -> str:
             ctx = interp.context
             if ctx is None:
                 raise TclError("no message is being filtered right now")
-            return fn(ctx, interp, args)
+            try:
+                return fn(ctx, interp, args)
+            except StubError as err:
+                raise TclError(f'error in command "{name}": {err}') from err
         PFI_COMMANDS[name] = CommandSignature(
             name, min_args, max_args, usage or name, doc, command)
         forget_default()

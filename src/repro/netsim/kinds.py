@@ -132,7 +132,6 @@ NET_UNROUTABLE = "net.unroutable"
 NET_PARTITION_DROP = "net.partition_drop"
 
 DRIVER_DELIVER = "driver.deliver"
-FAULT_STEP = "fault.step"
 
 
 def all_kinds() -> FrozenSet[str]:

@@ -102,6 +102,17 @@ class TestRunScript:
             f'repro run-script: {script}: error in command "string": ')
         assert captured.err.count("\n") == 1
 
+    def test_missing_field_is_one_line_and_exit_1(self, tmp_path, capsys):
+        script = tmp_path / "subject.tcl"
+        script.write_text("msg_set_field subject 0\n")
+        assert main(["run-script", str(script), "--protocol", "gmp",
+                     "--duration", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f'repro run-script: {script}: error in command "msg_set_field": '
+            f"message has no header field 'subject'\n")
+        assert "Traceback" not in captured.err
+
 
 #: outside files a command refuses with exit 2 and one stderr line
 MISSING = "/nonexistent/x.jsonl"

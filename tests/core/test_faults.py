@@ -1,16 +1,7 @@
-"""Unit tests for the failure-model fault factories and severity lattice."""
+"""Unit tests for the failure-model severity lattice."""
 
-import pytest
-
-from repro.core import faults
-from repro.core.faults import (COVERS, FailureModel, SEVERITY_ORDER,
-                               is_at_least_as_severe, tolerance_implied)
-from tests.core.conftest import Harness
-
-
-@pytest.fixture
-def harness():
-    return Harness()
+from repro.core.genscripts import (COVERS, FailureModel, SEVERITY_ORDER,
+                                   is_at_least_as_severe, tolerance_implied)
 
 
 class TestSeverityLattice:
@@ -45,142 +36,3 @@ class TestSeverityLattice:
             for b in COVERS[a]:
                 for c in COVERS[b]:
                     assert is_at_least_as_severe(a, c), (a, b, c)
-
-
-class TestCrash:
-    def test_crash_after_n_passes_then_drops(self, harness):
-        harness.pfi.set_receive_filter(faults.crash_after(3))
-        for _ in range(6):
-            harness.send_up()
-        assert len(harness.top.received) == 3
-
-    def test_crash_is_permanent(self, harness):
-        harness.pfi.set_receive_filter(faults.crash_after(0))
-        for _ in range(5):
-            harness.send_up()
-        assert harness.top.received == []
-
-    def test_crash_with_predicate(self, harness):
-        harness.pfi.set_send_filter(faults.crash_after(
-            when=lambda ctx: ctx.msg_type() == "TRIGGER"))
-        harness.send_down("DATA")
-        harness.send_down("TRIGGER")
-        harness.send_down("DATA")
-        assert len(harness.bottom.received) == 1
-
-    def test_crash_at_time(self, harness):
-        harness.pfi.set_send_filter(faults.crash_at(5.0))
-        harness.send_down()
-        harness.env.scheduler.run_until(6.0)
-        harness.send_down()
-        assert len(harness.bottom.received) == 1
-
-
-class TestOmission:
-    def test_send_omission_probability_zero(self, harness):
-        harness.pfi.set_send_filter(faults.send_omission(0.0))
-        for _ in range(20):
-            harness.send_down()
-        assert len(harness.bottom.received) == 20
-
-    def test_send_omission_probability_one(self, harness):
-        harness.pfi.set_send_filter(faults.send_omission(1.0))
-        for _ in range(20):
-            harness.send_down()
-        assert harness.bottom.received == []
-
-    def test_send_omission_intermittent(self, harness):
-        harness.pfi.set_send_filter(faults.send_omission(0.5))
-        for _ in range(200):
-            harness.send_down()
-        delivered = len(harness.bottom.received)
-        assert 50 < delivered < 150
-
-    def test_receive_omission(self, harness):
-        harness.pfi.set_receive_filter(faults.receive_omission(1.0))
-        harness.send_up()
-        assert harness.top.received == []
-
-    def test_general_omission_returns_pair(self, harness):
-        send_f, recv_f = faults.general_omission(1.0, 1.0)
-        harness.pfi.set_send_filter(send_f)
-        harness.pfi.set_receive_filter(recv_f)
-        harness.send_down()
-        harness.send_up()
-        assert harness.bottom.received == []
-        assert harness.top.received == []
-
-
-class TestTiming:
-    def test_fixed_delay(self, harness):
-        harness.pfi.set_send_filter(faults.timing_failure(2.0))
-        harness.send_down()
-        assert harness.bottom.received == []
-        harness.run()
-        assert len(harness.bottom.received) == 1
-
-    def test_conditional_delay(self, harness):
-        harness.pfi.set_send_filter(faults.timing_failure(
-            2.0, when=lambda ctx: ctx.msg_type() == "SLOW"))
-        harness.send_down("FAST")
-        harness.send_down("SLOW")
-        assert len(harness.bottom.received) == 1
-        harness.run()
-        assert len(harness.bottom.received) == 2
-
-    def test_jittered_delay_never_negative(self, harness):
-        harness.pfi.set_send_filter(faults.timing_failure(
-            0.01, jitter_var=4.0))
-        for _ in range(50):
-            harness.send_down()
-        harness.run()
-        assert len(harness.bottom.received) == 50
-
-
-class TestByzantine:
-    def test_corruption_mutates(self, harness):
-        from repro.xkernel.message import Message
-        harness.pfi.set_send_filter(faults.byzantine_corruption(
-            lambda ctx: ctx.set_field("value", -1)))
-        msg = Message(payload={"value": 10}, meta={"type": "DATA"})
-        harness.pfi.push(msg)
-        assert harness.bottom.received[0].payload["value"] == -1
-
-    def test_spurious_messages(self, harness):
-        harness.pfi.set_send_filter(faults.byzantine_spurious(
-            "PROBE", every_n=2))
-        for _ in range(6):
-            harness.send_down()
-        harness.run()
-        injected = [m for m in harness.bottom.received
-                    if m.meta.get("injected")]
-        assert len(injected) == 3
-
-    def test_reorder_inverts_pairs(self, harness):
-        harness.pfi.set_send_filter(faults.byzantine_reorder(2))
-        harness.send_down(tag=1)
-        harness.send_down(tag=2)
-        harness.run()
-        tags = [m.meta["tag"] for m in harness.bottom.received]
-        assert tags == [2, 1]
-
-    def test_reorder_window_validation(self):
-        with pytest.raises(ValueError):
-            faults.byzantine_reorder(1)
-
-
-class TestDeterministicHelpers:
-    def test_drop_by_type(self, harness):
-        harness.pfi.set_receive_filter(faults.drop_by_type("ACK", "NACK"))
-        harness.send_up("ACK")
-        harness.send_up("NACK")
-        harness.send_up("DATA")
-        assert len(harness.top.received) == 1
-
-    def test_delay_by_type(self, harness):
-        harness.pfi.set_send_filter(faults.delay_by_type(3.0, "ACK"))
-        harness.send_down("ACK")
-        harness.send_down("DATA")
-        assert len(harness.bottom.received) == 1
-        harness.run()
-        assert len(harness.bottom.received) == 2

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.faults import FailureModel
-from repro.core.genscripts import (MessageTypeSpec,
+from repro.core.genscripts import (FailureModel, MessageTypeSpec,
                                    ProtocolSpec, campaign_by_model,
                                    generate_campaign, gmp_spec, tcp_spec)
 from tests.core.conftest import Harness

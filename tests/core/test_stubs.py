@@ -144,13 +144,31 @@ class TestComputedFields:
             stubs.set_field(Message(payload=msg.top_header), "is_syn", True)
 
     def test_property_write_through_tclish_filter(self, harness):
-        # through the whole filter path the failure is still a StubError
+        # through a tclish filter the StubError is the command's TclError
         from repro.core import TclishFilter
+        from repro.core.tclish import TclError
         from repro.tcp.protocol import tcp_stubs
         harness.pfi.stubs = tcp_stubs()
         harness.pfi.set_send_filter(TclishFilter("msg_set_field end_seq 5"))
-        with pytest.raises(StubError, match="end_seq"):
+        with pytest.raises(TclError) as excinfo:
             harness.pfi.push(self._segment_message())
+        assert str(excinfo.value).startswith(
+            'error in command "msg_set_field": ')
+        assert "end_seq" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, StubError)
+
+    def test_missing_field_is_trapped_by_catch(self, harness):
+        from repro.core import TclishFilter
+        script = TclishFilter(
+            "set code [catch {msg_field group_id} err]\n"
+            "puts \"$code $err\"\n"
+            "xDrop cur_msg")
+        harness.pfi.set_send_filter(script)
+        harness.send_down()
+        assert script.output_lines == [
+            "1 error in command \"msg_field\": "
+            "message has no header field 'group_id'"]
+        assert harness.bottom.received == []
 
 
 class TestAliasedWrites:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.timeline import SequenceDiagram, gmp_sequence
+from repro.core import TclishFilter
 from repro.experiments.gmp_common import build_gmp_cluster
 
 
@@ -96,8 +97,8 @@ class TestGmpExtraction:
         cluster.start(1, 2)
         cluster.run_until(5.0)
         # drop COMMITs to 3 so extraction sees unmatched sends
-        from repro.core.faults import drop_by_type
-        cluster.pfis[3].set_receive_filter(drop_by_type("COMMIT"))
+        cluster.pfis[3].set_receive_filter(TclishFilter(
+            'if {[msg_type cur_msg] eq "COMMIT"} { xDrop cur_msg }'))
         cluster.start(3)
         cluster.run_until(15.0)
         diagram = gmp_sequence(cluster.trace, [1, 2, 3], kinds={"COMMIT"})

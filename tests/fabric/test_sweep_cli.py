@@ -76,7 +76,8 @@ def test_sweep_requires_a_campaign_directory(tmp_path):
 def test_sweep_survives_the_scripts_the_grammar_rejects(tmp_path):
     # script 24 fails the grammar's own lint when drawn bare; the sweep
     # used to die on it with a traceback before running anything (tcp:
-    # gmp script 20 dies in the body on the separate StubError bug)
+    # gmp script 20 dies in the body on the separate missing-field
+    # TclError bug)
     sweep = _repro("sweep", "--protocol", "tcp", "--targets", "SunOS 4.1.3",
                    "--count", "25", "--journal-dir", str(tmp_path / "d"))
     assert sweep.returncode == 0, sweep.stderr

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.abp import AbpFrame, AbpReceiver, AbpSender, abp_stubs
-from repro.core import PFILayer, make_env
-from repro.core.faults import drop_by_type, receive_omission
+from repro.core import PFILayer, TclishFilter, make_env
 from repro.xkernel.stack import NodeAnchor, ProtocolStack
 
 
@@ -89,7 +88,8 @@ class TestUnderFaults:
 
     def test_heavy_omission_eventual_delivery(self):
         env, sender, receiver, _, receiver_pfi = build_abp(seed=3)
-        receiver_pfi.set_receive_filter(receive_omission(0.5))
+        receiver_pfi.set_receive_filter(
+            TclishFilter('if {[chance 0.5]} { xDrop cur_msg }'))
         payloads = [f"p{i}".encode() for i in range(10)]
         for payload in payloads:
             sender.send(payload)
@@ -104,7 +104,8 @@ class TestUnderFaults:
                            max_retransmits=5, trace=env.trace)
         pfi = PFILayer("pfi", env.scheduler, abp_stubs(), trace=env.trace)
         ProtocolStack().build(sender, pfi, NodeAnchor(n1))
-        pfi.set_send_filter(drop_by_type("ABP_DATA"))
+        pfi.set_send_filter(TclishFilter(
+            'if {[msg_type cur_msg] eq "ABP_DATA"} { xDrop cur_msg }'))
         sender.send(b"void")
         env.run_until(60.0)
         assert sender.gave_up

@@ -2,7 +2,6 @@
 
 
 from repro.core import TclishFilter
-from repro.core.faults import drop_by_type, send_omission
 from repro.experiments.gmp_common import build_gmp_cluster
 from repro.gmp import GmpTiming
 
@@ -45,7 +44,8 @@ def test_send_omission_probability_causes_churn_but_recovers():
     cluster = build_gmp_cluster([1, 2, 3], seed=11)
     cluster.start()
     cluster.run_until(10.0)
-    cluster.pfis[3].set_send_filter(send_omission(0.4))
+    cluster.pfis[3].set_send_filter(
+        TclishFilter('if {[chance 0.4]} { xDrop cur_msg }'))
     cluster.run_until(120.0)
     cluster.pfis[3].clear_filters()
     cluster.run_until(200.0)
@@ -56,7 +56,8 @@ def test_drop_by_type_commit_blocks_membership():
     cluster = build_gmp_cluster([1, 2, 3])
     cluster.start(1, 2)
     cluster.run_until(8.0)
-    cluster.pfis[3].set_receive_filter(drop_by_type("COMMIT"))
+    cluster.pfis[3].set_receive_filter(TclishFilter(
+        'if {[msg_type cur_msg] eq "COMMIT"} { xDrop cur_msg }'))
     cluster.start(3)
     cluster.run_until(40.0)
     assert 3 not in cluster.daemons[3].views_adopted[-1].members \

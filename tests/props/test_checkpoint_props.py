@@ -178,7 +178,7 @@ def test_link_deepcopy_shares_rng_state():
 #: that had one (a cold ``Campaign.run`` per batch, nothing forked):
 #: (protocol, seed, budget) -> executed, coverage keys, coverage digest,
 #: corpus names, (name, codes, violation count) per finding.  gmp seeds
-#: 2 and 3 die at larger budgets on the ``StubError ... 'group_id'`` bug.
+#: 2 and 3 die at larger budgets on the ``TclError ... 'group_id'`` bug.
 COLD_SESSIONS = {
     ("gmp", 0, 24): (
         24, 34, "9a17525cc1d2573e",

@@ -8,7 +8,7 @@ the receiver got exactly the sent bytes, in order, once.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.faults import FailureModel, is_at_least_as_severe
+from repro.core.genscripts import FailureModel, is_at_least_as_severe
 from tests.tcp.conftest import ConnPair
 
 
