@@ -81,8 +81,8 @@ class PFILayer(Protocol):
         self._counters = {stat: self.metrics.counter(f"pfi_{stat}",
                                                      node=self.node)
                           for stat in _STAT_NAMES}
-        self._seen_counters = {"send": self._counters["send_seen"],
-                               "receive": self._counters["receive_seen"]}
+        self._send_seen = self._counters["send_seen"]
+        self._receive_seen = self._counters["receive_seen"]
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -128,23 +128,31 @@ class PFILayer(Protocol):
     # data path
     # ------------------------------------------------------------------
 
+    # A direction with no filter on a live layer forwards inline, bumping
+    # its counter in place, so the layer adds one call to the crossing.
+    # A killed layer, or a direction with a filter, takes ``_process``.
+
     def push(self, msg: Message) -> None:
-        self._process(msg, "send")
+        if self.send_filter is None and not self._killed:
+            self._send_seen.value += 1
+            self.send_down(msg)
+        else:
+            self._process(msg, "send")
 
     def pop(self, msg: Message) -> None:
-        self._process(msg, "receive")
+        if self.receive_filter is None and not self._killed:
+            self._receive_seen.value += 1
+            self.send_up(msg)
+        else:
+            self._process(msg, "receive")
 
     def _process(self, msg: Message, direction: str) -> None:
         if self._killed:
             self._counters["dropped"].inc()
             self._record(K.PFI_KILLED_DROP, direction=direction, uid=msg.uid)
             return
-        self._seen_counters[direction].inc()
+        (self._send_seen if direction == "send" else self._receive_seen).inc()
         script = self.send_filter if direction == "send" else self.receive_filter
-        if script is None:
-            self._forward(msg, direction)
-            return
-
         state = self.send_state if direction == "send" else self.receive_state
         peer = self.receive_state if direction == "send" else self.send_state
         ctx = ScriptContext(

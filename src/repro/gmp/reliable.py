@@ -21,7 +21,7 @@ retransmissions as distinct wire messages to drop or delay.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.netsim.scheduler import Scheduler
 from repro.netsim.timer import Timer
@@ -144,11 +144,10 @@ class ReliableChannel(Protocol):
     # ------------------------------------------------------------------
 
     def pop(self, msg: Message) -> None:
-        header = msg.top_header
-        if not isinstance(header, RelHeader):
+        header = msg.pop_header_of(RelHeader)
+        if header is None:
             self.send_up(msg)
             return
-        msg.pop_header()
         src = msg.meta.get("src")
         if header.is_ack:
             pending = self._pending.pop((src, header.seq), None)

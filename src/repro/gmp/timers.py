@@ -27,7 +27,7 @@ per-member timers.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Hashable, List, Optional
+from typing import Callable, Hashable, List, Optional, Tuple
 
 from repro.netsim.scheduler import Scheduler
 from repro.netsim.timer import Timer

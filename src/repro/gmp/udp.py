@@ -60,11 +60,10 @@ class UDPProtocol(Protocol):
         self.send_down(msg)
 
     def pop(self, msg: Message) -> None:
-        header = msg.top_header
-        if not isinstance(header, UDPHeader):
+        header = msg.pop_header_of(UDPHeader)
+        if header is None:
             return
         if header.dst_port != self.port:
             return  # not our port; a real stack would ICMP
-        msg.pop_header()
         self.received_count += 1
         self.send_up(msg)

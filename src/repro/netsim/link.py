@@ -19,7 +19,8 @@ from typing import Any, Callable, Deque, Optional
 
 from repro.netsim.scheduler import Event, Scheduler
 
-DeliverFn = Callable[[Any], None]
+#: ``deliver(payload, src)``: the receiving node's ``receive``
+DeliverFn = Callable[[Any, int], None]
 
 
 class Link:
@@ -30,8 +31,12 @@ class Link:
     scheduler:
         The shared virtual clock.
     deliver:
-        Callback invoked with each payload on arrival.  Usually the
-        receiving node's ``receive`` method.
+        Called as ``deliver(payload, src)`` with each payload on arrival:
+        the receiving node's bound ``receive``, so a delivery is one
+        call.  A bound method (unlike a closure) follows the checkpoint
+        engine's copy into a fork.
+    src:
+        The sending node's address, handed to ``deliver``.
     latency:
         One-way delay in seconds.
     jitter:
@@ -46,7 +51,7 @@ class Link:
         :class:`random.Random` for reproducibility.
     """
 
-    def __init__(self, scheduler: Scheduler, deliver: DeliverFn, *,
+    def __init__(self, scheduler: Scheduler, deliver: DeliverFn, src: int, *,
                  latency: float = 0.001, jitter: float = 0.0,
                  loss_rate: float = 0.0,
                  rng: Optional[random.Random] = None,
@@ -57,6 +62,7 @@ class Link:
             raise ValueError("latency and jitter must be non-negative")
         self._scheduler = scheduler
         self._deliver = deliver
+        self._src = src
         self.latency = latency
         self.jitter = jitter
         self.loss_rate = loss_rate
@@ -132,7 +138,7 @@ class Link:
             self.dropped_count += 1
             return
         self.delivered_count += 1
-        self._deliver(payload)
+        self._deliver(payload, self._src)
 
     def __repr__(self) -> str:
         state = "up" if self._up else "down"

@@ -23,25 +23,6 @@ from repro.netsim.scheduler import Scheduler
 from repro.netsim.trace import TraceRecorder
 
 
-class _LinkDeliver:
-    """Per-link delivery callback handing payloads to the receiving node.
-
-    A class rather than ``lambda payload: node.receive(payload, src)``:
-    ``copy.deepcopy`` treats functions as atomic, so a closure stored in
-    a link would keep delivering into the *original* node inside a
-    checkpointed fork, while an instance follows the deepcopy memo.
-    """
-
-    __slots__ = ("node", "src")
-
-    def __init__(self, node: Node, src: int):
-        self.node = node
-        self.src = src
-
-    def __call__(self, payload: Any) -> None:
-        self.node.receive(payload, self.src)
-
-
 class Network:
     """A mesh network over a shared scheduler.
 
@@ -98,7 +79,8 @@ class Network:
             link_rng = random.Random(f"{self._seed}/{src}/{dst}")
             self._links[key] = Link(
                 self.scheduler,
-                _LinkDeliver(node, src),
+                node.receive,
+                src,
                 latency=self.default_latency,
                 rng=link_rng,
                 name=f"{src}->{dst}",
@@ -176,19 +158,28 @@ class Network:
         link latency like any other traffic: the paper's GMP sends
         heartbeats to the local machine through the same code path, which
         is exactly what made its self-death bug injectable.
+
+        Outside a partition an existing link is used as it is: a link
+        exists only toward an attached node, and nodes never leave, so
+        the routing checks run on a pair's first send or while a
+        partition is in force.
         """
-        if dst not in self._nodes:
-            # unroutable destination: silently dropped, like a real
-            # network facing a spoofed source address (fault-injection
-            # probes may legitimately carry phantom addresses)
-            if self.trace is not None:
-                self.trace.record("net.unroutable", src=src, dst=dst)
-            return False
-        if self._crosses_partition(src, dst):
-            if self.trace is not None:
-                self.trace.record("net.partition_drop", src=src, dst=dst)
-            return False
-        accepted = self.link(src, dst).send(payload)
+        link = (self._links.get((src, dst)) if self._partition is None
+                else None)
+        if link is None:
+            if dst not in self._nodes:
+                # unroutable destination: silently dropped, like a real
+                # network facing a spoofed source address (fault-injection
+                # probes may legitimately carry phantom addresses)
+                if self.trace is not None:
+                    self.trace.record("net.unroutable", src=src, dst=dst)
+                return False
+            if self._crosses_partition(src, dst):
+                if self.trace is not None:
+                    self.trace.record("net.partition_drop", src=src, dst=dst)
+                return False
+            link = self.link(src, dst)
+        accepted = link.send(payload)
         if self.trace is not None:
             kind = "net.send" if accepted else "net.link_drop"
             self.trace.record(kind, src=src, dst=dst)

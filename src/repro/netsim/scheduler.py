@@ -55,7 +55,7 @@ class SchedulerClock:
         self.scheduler = scheduler
 
     def __call__(self) -> float:
-        return self.scheduler._now
+        return self.scheduler.now
 
     def __repr__(self) -> str:
         return f"SchedulerClock({self.scheduler!r})"
@@ -123,7 +123,9 @@ class Scheduler:
     """
 
     def __init__(self, start_time: float = 0.0):
-        self._now = start_time
+        #: current virtual time in seconds; a plain attribute read on
+        #: every hop, written only by :meth:`step` and the ``run*`` loops
+        self.now = start_time
         self._heap: List[_HeapEntry] = []
         self._next_seq = 0
         self._dispatched = 0
@@ -131,11 +133,6 @@ class Scheduler:
         self._cancelled = 0
         self._tombstones = 0
         self.compactions = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def pending_count(self) -> int:
@@ -160,7 +157,7 @@ class Scheduler:
         values land as labelled gauges next to every other subsystem's
         series (see :mod:`repro.obs.metrics`).
         """
-        registry.gauge("scheduler_now_s", **labels).set(self._now)
+        registry.gauge("scheduler_now_s", **labels).set(self.now)
         registry.gauge("scheduler_dispatched", **labels).set(
             self._dispatched)
         registry.gauge("scheduler_pending", **labels).set(self.pending_count)
@@ -208,7 +205,7 @@ class Scheduler:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SchedulerError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._next_seq
         self._next_seq = seq + 1
         event = Event(time, seq, callback, args, scheduler=self)
@@ -218,9 +215,9 @@ class Scheduler:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at an absolute virtual time."""
-        if time < self._now:
+        if time < self.now:
             raise SchedulerError(
-                f"cannot schedule at t={time} which is before now={self._now}"
+                f"cannot schedule at t={time} which is before now={self.now}"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -275,7 +272,7 @@ class Scheduler:
         if event is None:
             return False
         event.dispatched = True
-        self._now = event.time
+        self.now = event.time
         self._dispatched += 1
         event.callback(*event.args)
         return True
@@ -291,7 +288,7 @@ class Scheduler:
                 self._tombstones -= 1
                 continue
             event.dispatched = True
-            self._now = time
+            self.now = time
             self._dispatched += 1
             callback(*args)
             fired += 1
@@ -308,9 +305,9 @@ class Scheduler:
         at the deadline even if the heap drained earlier, so subsequent
         relative scheduling behaves as if time genuinely passed.
         """
-        if deadline < self._now:
+        if deadline < self.now:
             raise SchedulerError(
-                f"deadline {deadline} is before current time {self._now}"
+                f"deadline {deadline} is before current time {self.now}"
             )
         heap = self._heap
         pop = _heappop
@@ -321,7 +318,7 @@ class Scheduler:
                 self._tombstones -= 1
                 continue
             event.dispatched = True
-            self._now = time
+            self.now = time
             self._dispatched += 1
             callback(*args)
             fired += 1
@@ -329,7 +326,7 @@ class Scheduler:
                 raise SchedulerError(
                     f"exceeded max_events={max_events}; probable event cascade"
                 )
-        self._now = deadline
+        self.now = deadline
         return fired
 
     def run_until_quiet(self, max_time: float = 1e9,
@@ -349,7 +346,7 @@ class Scheduler:
                 self._tombstones -= 1
                 continue
             event.dispatched = True
-            self._now = time
+            self.now = time
             self._dispatched += 1
             callback(*args)
             fired += 1
@@ -361,7 +358,7 @@ class Scheduler:
 
     def run_for(self, duration: float, max_events: int = 1_000_000) -> int:
         """Convenience wrapper: run until ``now + duration``."""
-        return self.run_until(self._now + duration, max_events=max_events)
+        return self.run_until(self.now + duration, max_events=max_events)
 
     def __repr__(self) -> str:
-        return f"Scheduler(now={self._now:.6f}, pending={self.pending_count})"
+        return f"Scheduler(now={self.now:.6f}, pending={self.pending_count})"

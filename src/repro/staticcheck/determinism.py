@@ -72,7 +72,7 @@ _FINGERPRINT_NAMES = ("fingerprint", "identity", "digest", "__hash__")
 
 #: ``Message`` accessors whose result may be aliased with the message's
 #: copy-on-write siblings and is therefore read-only (SC107)
-_READONLY_HEADER_CALLS = ("pop_header", "find_header")
+_READONLY_HEADER_CALLS = ("pop_header", "pop_header_of", "find_header")
 _READONLY_HEADER_ATTR = "top_header"
 _READONLY_HEADER_ITER = "iter_headers"
 #: ``<expr>.payload`` is read-only the same way: ``Message.copy`` aliases

@@ -47,10 +47,9 @@ class IPProtocol(Protocol):
         self.send_down(msg)
 
     def pop(self, msg: Message) -> None:
-        header = msg.top_header
-        if not isinstance(header, IPHeader):
+        header = msg.pop_header_of(IPHeader)
+        if header is None:
             raise ValueError(f"IP layer popped a non-IP message: {msg!r}")
-        msg.pop_header()
         if header.dst != self.local_address:
             return  # not for us; a real router would forward
         msg.meta["src"] = header.src

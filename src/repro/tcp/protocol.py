@@ -138,10 +138,9 @@ class TCPProtocol(Protocol):
     # ------------------------------------------------------------------
 
     def pop(self, msg: Message) -> None:
-        header = msg.top_header
-        if not isinstance(header, Segment):
+        seg = msg.pop_header_of(Segment)
+        if seg is None:
             return
-        seg = msg.pop_header()
         src_address = msg.meta.get("src")
         key = (seg.dst_port, src_address, seg.src_port)
         conn = self._connections.get(key)

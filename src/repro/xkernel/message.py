@@ -25,10 +25,10 @@ ownership:
   still aliased (so everything it returns is safe to mutate).
 
 Consequently the read accessors -- :attr:`top_header`,
-:meth:`find_header`, :meth:`iter_headers` and the value returned by
-:meth:`pop_header` -- hand out headers that other messages (a pending
-retransmission, a held duplicate, an in-flight wire copy) may be looking
-at too.  They are **read-only by contract**: a protocol layer that wants
+:meth:`find_header`, :meth:`iter_headers` and the values returned by
+:meth:`pop_header` and :meth:`pop_header_of` -- hand out headers that
+other messages (a pending retransmission, a held duplicate, an in-flight
+wire copy) may be looking at too.  They are **read-only by contract**: a protocol layer that wants
 to change a header it received builds a new one, and a filter goes
 through ``PacketStubs.set_field``.  ``repro check`` rule SC107 flags
 assignments through those accessors.
@@ -145,6 +145,22 @@ class Message:
         # whatever is pushed into the freed slot later is private
         self._aliased &= (1 << len(self._headers)) - 1
         return header
+
+    def pop_header_of(self, header_type: type) -> Optional[Any]:
+        """Pop the outermost header if it is a ``header_type``, else None.
+
+        One call for a layer's "is this mine? then strip it": a message
+        whose outermost header has another type (or none) is left
+        untouched.  The returned header is read-only, as for
+        :meth:`pop_header`.
+        """
+        headers = self._headers
+        if headers and isinstance(headers[-1], header_type):
+            header = headers.pop()
+            if self._aliased:
+                self._aliased &= (1 << len(headers)) - 1
+            return header
+        return None
 
     @property
     def top_header(self) -> Any:

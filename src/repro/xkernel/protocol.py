@@ -10,6 +10,19 @@ The ``above``/``below`` references are wired by
 :class:`~repro.xkernel.stack.ProtocolStack`; layers must not assume who
 their neighbours are, which is what makes splicing a PFI layer between any
 two layers transparent to the target protocol.
+
+Neighbours' entry points are bound at wiring: the stack sets each layer's
+``send_down`` / ``send_up`` to the layer below's bound ``push`` / the
+layer above's bound ``pop`` (or to :func:`discard` at either end), so a
+layer crossing is one call.  Two consequences:
+
+- ``send_down`` / ``send_up`` are not override points.  The methods on
+  :class:`Protocol` are only the fallback of a layer that was never
+  wired.
+- ``push`` / ``pop`` are read once, when the stack wires their owner.
+  Replace them before wiring, or re-wire (any ``insert_*`` / ``remove``
+  on the stack) afterwards; a replacement on an already-wired instance is
+  never called by its neighbours.
 """
 
 from __future__ import annotations
@@ -17,6 +30,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.xkernel.message import Message
+
+
+def discard(msg: Message) -> None:
+    """The ``send_down`` / ``send_up`` of a stack end: the message stops."""
 
 
 class Protocol:
@@ -46,12 +63,20 @@ class Protocol:
         self.send_up(msg)
 
     def send_down(self, msg: Message) -> None:
-        """Forward a message to the layer below (no-op at the bottom)."""
+        """Forward a message to the layer below (no-op at the bottom).
+
+        The fallback of an unwired layer; a stack replaces it per
+        instance with the lower neighbour's bound ``push``.
+        """
         if self.below is not None:
             self.below.push(msg)
 
     def send_up(self, msg: Message) -> None:
-        """Forward a message to the layer above (no-op at the top)."""
+        """Forward a message to the layer above (no-op at the top).
+
+        The fallback of an unwired layer; a stack replaces it per
+        instance with the upper neighbour's bound ``pop``.
+        """
         if self.above is not None:
             self.above.pop(msg)
 

@@ -10,15 +10,22 @@ layers in a protocol stack").
 
 The bottom of a stack is typically an adapter layer that hands messages to
 the network simulator (see :class:`NodeAnchor`).
+
+Wiring binds each layer's neighbours once: ``send_down`` becomes the
+layer below's bound ``push`` and ``send_up`` the layer above's bound
+``pop``, with :func:`~repro.xkernel.protocol.discard` at either end, so
+every crossing on the message path is one call.  Every ``build`` /
+``insert_*`` / ``remove`` re-wires the whole stack, which is also how a
+``push`` / ``pop`` replaced on an already-wired layer is picked up.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, List, Optional
 
 from repro.netsim.node import Node
 from repro.xkernel.message import Message
-from repro.xkernel.protocol import Protocol
+from repro.xkernel.protocol import Protocol, discard
 
 
 class ProtocolStack:
@@ -33,10 +40,11 @@ class ProtocolStack:
     # ------------------------------------------------------------------
 
     def _rewire(self) -> None:
-        for i, layer in enumerate(self._layers):
-            layer.above = self._layers[i - 1] if i > 0 else None
-            layer.below = self._layers[i + 1] if i < len(self._layers) - 1 else None
-        for layer in self._layers:
+        layers = self._layers
+        for i, layer in enumerate(layers):
+            _wire(layer, layers[i - 1] if i > 0 else None,
+                  layers[i + 1] if i < len(layers) - 1 else None)
+        for layer in layers:
             layer.attached()
 
     def build(self, *layers: Protocol) -> "ProtocolStack":
@@ -71,7 +79,7 @@ class ProtocolStack:
         """Remove and return a layer; its neighbours are re-joined."""
         index = self._index_of(name)
         layer = self._layers.pop(index)
-        layer.above = layer.below = None
+        _wire(layer, None, None)
         self._rewire()
         return layer
 
@@ -116,6 +124,15 @@ class ProtocolStack:
     def __repr__(self) -> str:
         names = " / ".join(layer.name for layer in self._layers)
         return f"ProtocolStack({self.name}: {names})"
+
+
+def _wire(layer: Protocol, above: Optional[Protocol],
+          below: Optional[Protocol]) -> None:
+    """Set ``layer``'s neighbours and bind its two exits to them."""
+    layer.above = above
+    layer.below = below
+    layer.send_up = above.pop if above is not None else discard
+    layer.send_down = below.push if below is not None else discard
 
 
 class NodeAnchor(Protocol):

@@ -316,3 +316,39 @@ class TestCheckpointPool:
         pool.clear()
         assert len(pool) == 0
         assert pool.hits == 1
+
+
+# ----------------------------------------------------------------------
+# neighbours bound at wiring follow the fork
+# ----------------------------------------------------------------------
+
+def test_fork_of_a_gmp_world_delivers_into_its_own_layers():
+    from repro.experiments.gmp_common import build_gmp_cluster
+
+    env = make_env(seed=0)
+    cluster = build_gmp_cluster([1, 2, 3], env=env)
+    cluster.start()
+    env.run_until(8.0)
+    checkpoint = Checkpoint.capture(env, {"cluster": cluster})
+    assert checkpoint.plan_stats["fallback"] == []
+    length = len(env.trace)
+    stats = {a: pfi.stats for a, pfi in cluster.pfis.items()}
+
+    forked = checkpoint.fork()
+    twin = forked["cluster"]
+    for address, pfi in twin.pfis.items():
+        original = cluster.pfis[address]
+        # each bound exit points at the fork's neighbour, not the original's
+        assert pfi.send_down.__self__ is pfi.below is not original.below
+        assert pfi.send_up.__self__ is pfi.above is not original.above
+        assert pfi.below.send_up.__self__ is pfi
+    links = forked.env.network._links
+    assert all(link._deliver.__self__ is forked.env.network.node(dst)
+               for (_src, dst), link in links.items())
+    forked.env.run_until(16.0)
+
+    assert len(forked.env.trace) > length
+    assert all(twin.pfis[a].stats["receive_seen"] > stats[a]["receive_seen"]
+               for a in stats)
+    assert len(env.trace) == length
+    assert {a: pfi.stats for a, pfi in cluster.pfis.items()} == stats

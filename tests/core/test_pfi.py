@@ -283,3 +283,62 @@ def test_pythonfilter_takes_the_callables_name():
         pass
 
     assert PythonFilter(my_filter).name == "my_filter"
+
+
+class TestUnfilteredPath:
+    """A direction with no filter forwards inline, straight to the bound
+    neighbour; a filter or a kill puts it back on the full path."""
+
+    def test_forwards_to_the_bound_neighbour(self, harness):
+        assert harness.pfi.send_down == harness.bottom.push
+        assert harness.pfi.send_up == harness.top.pop
+        down, up = harness.send_down(), harness.send_up()
+        assert harness.bottom.received == [down]
+        assert harness.top.received == [up]
+
+    def test_kill_still_drops_and_records(self, harness):
+        harness.pfi.kill()
+        harness.send_down()
+        harness.send_up()
+        assert harness.bottom.received == [] and harness.top.received == []
+        assert harness.pfi.stats["dropped"] == 2
+        assert harness.env.trace.count("pfi.killed_drop") == 2
+        assert [e.get("direction") for e in
+                harness.env.trace.entries("pfi.killed_drop")] == [
+                    "send", "receive"]
+
+    def test_a_filter_installed_mid_run_applies_from_the_next_message(
+            self, harness):
+        first = harness.send_down()
+        harness.pfi.set_send_filter(lambda ctx: ctx.drop())
+        harness.send_down()
+        harness.send_up()  # the other direction stays unfiltered
+        assert harness.bottom.received == [first]
+        assert len(harness.top.received) == 1
+        assert harness.pfi.stats["dropped"] == 1
+
+    def test_clear_filters_makes_the_layer_transparent_again(self, harness):
+        harness.pfi.set_send_filter(lambda ctx: ctx.drop())
+        harness.pfi.set_receive_filter(lambda ctx: ctx.drop())
+        harness.send_down()
+        harness.send_up()
+        harness.pfi.clear_filters()
+        down, up = harness.send_down(), harness.send_up()
+        assert harness.bottom.received == [down]
+        assert harness.top.received == [up]
+        assert harness.pfi.stats["dropped"] == 2
+
+    def test_seen_counters_count_every_crossing(self, harness):
+        for _ in range(3):
+            harness.send_down()
+        harness.send_up()
+        harness.pfi.set_receive_filter(lambda ctx: None)
+        harness.send_up()
+        harness.send_up()
+        harness.pfi.set_send_filter(lambda ctx: ctx.drop())
+        harness.send_down()
+        stats = harness.pfi.stats
+        assert (stats["send_seen"], stats["receive_seen"]) == (4, 3)
+        metrics = harness.pfi.metrics
+        assert metrics.counter("pfi_send_seen", node="testnode").value == 4
+        assert metrics.counter("pfi_receive_seen", node="testnode").value == 3

@@ -26,14 +26,21 @@ def _shape(msg):
 
 
 def _watch_pop(layer, shapes, wanted=lambda msg: True):
-    real_pop = layer.pop
+    """Record what ``layer`` is handed from below, at the wired seam.
 
-    def pop(msg):
+    The stack binds ``layer.pop`` into its lower neighbour's ``send_up``
+    when it wires them, so the watch wraps that exit instead of the
+    layer's own ``pop``.
+    """
+    below = layer.below
+    real_send_up = below.send_up
+
+    def send_up(msg):
         if wanted(msg):
             shapes.append(_shape(msg))
-        real_pop(msg)
+        real_send_up(msg)
 
-    layer.pop = pop
+    below.send_up = send_up
 
 
 @pytest.mark.parametrize("direction", ["send", "receive"])

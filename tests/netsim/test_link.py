@@ -15,7 +15,7 @@ def sched():
 
 def make_link(sched, **kw):
     received = []
-    link = Link(sched, received.append, **kw)
+    link = Link(sched, lambda payload, src: received.append(payload), 1, **kw)
     return link, received
 
 
@@ -110,12 +110,12 @@ def test_counters(sched):
 
 def test_invalid_loss_rate_rejected(sched):
     with pytest.raises(ValueError):
-        Link(sched, lambda p: None, loss_rate=1.5)
+        Link(sched, lambda p, src: None, 1, loss_rate=1.5)
 
 
 def test_negative_latency_rejected(sched):
     with pytest.raises(ValueError):
-        Link(sched, lambda p: None, latency=-1.0)
+        Link(sched, lambda p, src: None, 1, latency=-1.0)
 
 
 def test_deterministic_with_same_seed(sched):
@@ -128,3 +128,11 @@ def test_deterministic_with_same_seed(sched):
         s.run()
         outcomes.append(tuple(received))
     assert outcomes[0] == outcomes[1]
+
+
+def test_delivery_names_the_sender(sched):
+    received = []
+    link = Link(sched, lambda payload, src: received.append((payload, src)), 7)
+    link.send("hi")
+    sched.run()
+    assert received == [("hi", 7)]

@@ -19,7 +19,7 @@ def _pending(scheduler):
 
 def test_classify_link_delivery():
     sched = Scheduler()
-    link = Link(sched, lambda payload: None, name="a->b")
+    link = Link(sched, lambda payload, src: None, 1, name="a->b")
     link.send(b"hello")
     (event,) = _pending(sched)
     assert classify_event(event) == "delivery"

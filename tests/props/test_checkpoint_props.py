@@ -160,7 +160,7 @@ def test_link_deepcopy_shares_rng_state():
     from repro.netsim.link import Link
     from repro.netsim.scheduler import Scheduler
     sched = Scheduler()
-    link = Link(sched, lambda payload: None, jitter=0.01,
+    link = Link(sched, lambda payload, src: None, 1, jitter=0.01,
                 rng=random.Random(3))
     for _ in range(4):
         link.send(b"x")

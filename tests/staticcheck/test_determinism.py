@@ -253,6 +253,14 @@ class TestSC107ReadOnlyHeaders:
         """)
         assert codes(report) == ["SC107"]
 
+    def test_write_through_pop_header_of(self):
+        report = check("""
+            def pop(self, msg):
+                h = msg.pop_header_of(UDPHeader)
+                h.dst_port = 1
+        """)
+        assert codes(report) == ["SC107"]
+
     def test_iteration_subscript_and_augmented_writes(self):
         report = check("""
             def scrub(msg):

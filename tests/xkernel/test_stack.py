@@ -5,7 +5,7 @@ import pytest
 from repro.netsim.network import Network
 from repro.netsim.scheduler import Scheduler
 from repro.xkernel.message import Message
-from repro.xkernel.protocol import PassthroughProtocol, Protocol
+from repro.xkernel.protocol import PassthroughProtocol, Protocol, discard
 from repro.xkernel.stack import NodeAnchor, ProtocolStack
 
 
@@ -90,6 +90,85 @@ def test_remove_rejoins_neighbours():
     a.push(msg)
     assert c.pushed == [msg]
     assert b.pushed == []
+
+
+def _exits(layer):
+    """``(send_up, send_down)`` as wired on the instance."""
+    return vars(layer)["send_up"], vars(layer)["send_down"]
+
+
+def test_build_binds_each_exit_to_the_neighbours_entry_point():
+    a, b, c = Recorder("a"), Recorder("b"), Recorder("c")
+    ProtocolStack().build(a, b, c)
+    assert _exits(a) == (discard, b.push)
+    assert _exits(b) == (a.pop, c.push)
+    assert _exits(c) == (b.pop, discard)
+
+
+def test_insert_below_rebinds_the_neighbours():
+    a, c = Recorder("a"), Recorder("c")
+    stack = ProtocolStack().build(a, c)
+    spy = Recorder("spy")
+    stack.insert_below("a", spy)
+    assert _exits(a) == (discard, spy.push)
+    assert _exits(spy) == (a.pop, c.push)
+    assert _exits(c) == (spy.pop, discard)
+
+
+def test_insert_above_rebinds_the_neighbours():
+    a, c = Recorder("a"), Recorder("c")
+    stack = ProtocolStack().build(a, c)
+    spy = Recorder("spy")
+    stack.insert_above("c", spy)
+    assert _exits(a)[1] == spy.push
+    assert _exits(c)[0] == spy.pop
+    msg = Message()
+    c.pop(msg)
+    assert spy.popped == [msg]
+    assert a.popped == [msg]
+
+
+def test_remove_rebinds_the_neighbours():
+    a, b, c = Recorder("a"), Recorder("b"), Recorder("c")
+    stack = ProtocolStack().build(a, b, c)
+    stack.remove("b")
+    assert _exits(a) == (discard, c.push)
+    assert _exits(c) == (a.pop, discard)
+
+
+def test_a_removed_layer_sends_nowhere():
+    a, b, c = Recorder("a"), Recorder("b"), Recorder("c")
+    stack = ProtocolStack().build(a, b, c)
+    stack.remove("b")
+    assert b.above is None and b.below is None
+    assert _exits(b) == (discard, discard)
+    b.push(Message())
+    b.pop(Message())
+    assert c.pushed == [] and a.popped == []
+
+
+def test_a_layer_never_wired_forwards_through_the_class_fallback():
+    a, b = Recorder("a"), Recorder("b")
+    a.below, b.above = b, a
+    assert "send_down" not in vars(a) and "send_up" not in vars(b)
+    down, up = Message(), Message()
+    a.push(down)
+    b.pop(up)
+    assert b.pushed == [down]
+    assert a.popped == [up]
+
+
+def test_push_replaced_after_wiring_needs_a_rewire():
+    a, b = Recorder("a"), Recorder("b")
+    stack = ProtocolStack().build(a, b)
+    seen = []
+    b.push = seen.append
+    a.push(Message())
+    assert seen == []           # a still calls the push bound at wiring
+    stack.insert_above("a", Recorder("top"))
+    msg = Message()
+    a.push(msg)
+    assert seen == [msg]
 
 
 def test_top_bottom_accessors():
