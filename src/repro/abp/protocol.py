@@ -132,7 +132,7 @@ class AbpSender(Protocol):
         else:
             self._record("abp.stale_ack", bit=frame.bit)
 
-    def _record(self, kind: str, **attrs) -> None:
+    def _record(self, kind: str, /, **attrs) -> None:
         if self.trace is not None:
             self.trace.record(kind, t=self.scheduler.now, node=self.name,
                               **attrs)
@@ -188,7 +188,7 @@ class AbpReceiver(Protocol):
         self._record("abp.ack_sent", bit=bit)
         self.send_down(ack)
 
-    def _record(self, kind: str, **attrs) -> None:
+    def _record(self, kind: str, /, **attrs) -> None:
         if self.trace is not None:
             self.trace.record(kind, t=self.scheduler.now, node=self.name,
                               **attrs)

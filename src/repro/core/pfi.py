@@ -274,7 +274,7 @@ class PFILayer(Protocol):
         """Record a message through the layer's :class:`MessageLog`."""
         self.msglog.log(msg, t=self.scheduler.now, direction=direction, note=note)
 
-    def _record(self, kind: str, **attrs: Any) -> None:
+    def _record(self, kind: str, /, **attrs: Any) -> None:
         if self.trace is not None:
             self.trace.record(kind, t=self.scheduler.now, node=self.node, **attrs)
 

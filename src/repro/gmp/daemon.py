@@ -636,7 +636,7 @@ class Daemon(Protocol):
         if handler is not None:
             handler(self, gmsg)
 
-    def _record(self, kind: str, **attrs) -> None:
+    def _record(self, kind: str, /, **attrs) -> None:
         if self.trace is not None:
             self.trace.record(kind, t=self.scheduler.now, node=self.address,
                               **attrs)

@@ -170,7 +170,7 @@ class ReliableChannel(Protocol):
         ack.meta["dst"] = dst
         self.send_down(ack)
 
-    def _record(self, kind: str, **attrs: Any) -> None:
+    def _record(self, kind: str, /, **attrs: Any) -> None:
         if self.trace is not None:
             self.trace.record(kind, t=self.scheduler.now,
                               node=self.local_address, **attrs)

@@ -10,9 +10,11 @@ The pieces:
 
 - :class:`~repro.netsim.scheduler.Scheduler` -- the virtual clock and event
   heap.  Everything in the repository that needs time (TCP retransmission
-  timers, GMP heartbeats, PFI message delays) schedules callbacks here.
+  timers, GMP heartbeats, PFI message delays) schedules callbacks here;
+  ``run``, ``run_until`` and ``run_until_quiet`` share one dispatch loop.
 - :class:`~repro.netsim.timer.Timer` -- restartable one-shot timer built on
-  the scheduler, the idiom protocol code uses.
+  the scheduler, the idiom protocol code uses (keyed tables of them are
+  the protocol's own, e.g. :class:`repro.gmp.timers.GmpTimerTable`).
 - :class:`~repro.netsim.link.Link` -- a unidirectional point-to-point pipe
   with latency, jitter, probabilistic loss, and an up/down switch (the
   "unplug the ethernet" experiment).
@@ -21,14 +23,15 @@ The pieces:
 - :class:`~repro.netsim.network.Network` -- a mesh of nodes and links with
   partition support.
 - :class:`~repro.netsim.trace.TraceRecorder` -- timestamped event capture
-  used by the experiment harness to reconstruct the paper's tables.
+  used by the experiment harness to reconstruct the paper's tables, queried
+  through one per-kind index.
 """
 
 from repro.netsim.link import Link
 from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.scheduler import Event, Scheduler, SchedulerError
-from repro.netsim.timer import Timer, TimerTable
+from repro.netsim.timer import Timer
 from repro.netsim.trace import TraceEntry, TraceRecorder
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "Scheduler",
     "SchedulerError",
     "Timer",
-    "TimerTable",
     "TraceEntry",
     "TraceRecorder",
 ]

@@ -14,15 +14,17 @@ event)`` tuples rather than :class:`Event` objects, so every sift
 comparison during push/pop is a C-level tuple comparison (the unique
 ``seq`` guarantees the comparison never reaches the non-orderable tail).
 :class:`Event` survives purely as the cancellation handle returned to
-callers; it never participates in heap ordering.  The ``run*`` loops pop
-and dispatch inline instead of going through :meth:`step`/:meth:`peek_time`
-per event, which removes one method call and one redundant heap traversal
-per dispatched event.
+callers; it never participates in heap ordering.  :meth:`run`,
+:meth:`run_until` and :meth:`run_until_quiet` share one dispatch loop,
+:meth:`Scheduler._drain`, which pops and dispatches inline instead of
+going through :meth:`step` per event; they differ only in the time limit
+they pass it and in where they leave the clock.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Any, Callable, List, Optional, Tuple
 
 _heappush = heapq.heappush
@@ -95,9 +97,6 @@ class Event:
         if scheduler is not None:
             scheduler._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         if self.cancelled:
             status = "cancelled"
@@ -124,7 +123,8 @@ class Scheduler:
 
     def __init__(self, start_time: float = 0.0):
         #: current virtual time in seconds; a plain attribute read on
-        #: every hop, written only by :meth:`step` and the ``run*`` loops
+        #: every hop, written only by :meth:`step`, :meth:`_drain` and
+        #: :meth:`run_until`
         self.now = start_time
         self._heap: List[_HeapEntry] = []
         self._next_seq = 0
@@ -226,37 +226,26 @@ class Scheduler:
         self._scheduled += 1
         return event
 
-    def _pop_next(self) -> Optional[Event]:
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            event = entry[4]
-            if not event.cancelled:
-                return event
-            self._tombstones -= 1
-        return None
+    def _live_head(self) -> Optional[_HeapEntry]:
+        """The first heap entry that is not cancelled, or ``None`` if idle.
 
-    def peek_time(self) -> Optional[float]:
-        """Virtual time of the next pending event, or ``None`` if idle."""
-        heap = self._heap
-        while heap and heap[0][4].cancelled:
-            _heappop(heap)
-            self._tombstones -= 1
-        return heap[0][0] if heap else None
-
-    def peek_entry(self) -> Optional[Event]:
-        """The next pending event's handle, without dispatching it.
-
-        Cancelled entries surfacing at the top are discarded on the way,
-        like :meth:`peek_time`.  The delivery-order explorer uses this to
-        classify (and possibly cancel or reschedule) the event that would
-        fire next before deciding to :meth:`step`.
+        Cancelled entries surfacing at the top are popped on the way.
         """
         heap = self._heap
         while heap and heap[0][4].cancelled:
             _heappop(heap)
             self._tombstones -= 1
-        return heap[0][4] if heap else None
+        return heap[0] if heap else None
+
+    def peek_entry(self) -> Optional[Event]:
+        """The next pending event's handle, without dispatching it.
+
+        The delivery-order explorer uses this to classify (and possibly
+        cancel or reschedule) the event that would fire next before
+        deciding to :meth:`step`.
+        """
+        head = self._live_head()
+        return None if head is None else head[4]
 
     def pending_events(self) -> List[Event]:
         """Live (uncancelled) event handles in firing order.
@@ -268,21 +257,27 @@ class Scheduler:
 
     def step(self) -> bool:
         """Dispatch the single next event.  Returns False if none remained."""
-        event = self._pop_next()
-        if event is None:
+        if self._live_head() is None:
             return False
+        time, _seq, callback, args, event = _heappop(self._heap)
         event.dispatched = True
-        self.now = event.time
+        self.now = time
         self._dispatched += 1
-        event.callback(*event.args)
+        callback(*args)
         return True
 
-    def run(self, max_events: int = 1_000_000) -> int:
-        """Run until the heap drains.  Returns the number of events fired."""
+    def _drain(self, limit: float, max_events: int) -> int:
+        """Dispatch events due at or before ``limit`` in (time, seq)
+        order; returns how many fired.
+
+        The one dispatch loop behind every ``run*`` method.  The clock
+        is left at the last dispatched event.  Raises
+        :class:`SchedulerError` once ``max_events`` have fired.
+        """
         heap = self._heap
         pop = _heappop
         fired = 0
-        while heap:
+        while heap and heap[0][0] <= limit:
             time, _seq, callback, args, event = pop(heap)
             if event.cancelled:
                 self._tombstones -= 1
@@ -297,6 +292,10 @@ class Scheduler:
                     f"exceeded max_events={max_events}; probable event cascade"
                 )
         return fired
+
+    def run(self, max_events: int = 1_000_000) -> int:
+        """Run until the heap drains.  Returns the number of events fired."""
+        return self._drain(inf, max_events)
 
     def run_until(self, deadline: float, max_events: int = 1_000_000) -> int:
         """Run events up to and including ``deadline``, then set now=deadline.
@@ -309,23 +308,7 @@ class Scheduler:
             raise SchedulerError(
                 f"deadline {deadline} is before current time {self.now}"
             )
-        heap = self._heap
-        pop = _heappop
-        fired = 0
-        while heap and heap[0][0] <= deadline:
-            time, _seq, callback, args, event = pop(heap)
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            event.dispatched = True
-            self.now = time
-            self._dispatched += 1
-            callback(*args)
-            fired += 1
-            if fired >= max_events:
-                raise SchedulerError(
-                    f"exceeded max_events={max_events}; probable event cascade"
-                )
+        fired = self._drain(deadline, max_events)
         self.now = deadline
         return fired
 
@@ -337,28 +320,7 @@ class Scheduler:
         event rather than advanced to ``max_time``, matching "run until the
         experiment quiesces" semantics.  Returns the number of events fired.
         """
-        heap = self._heap
-        pop = _heappop
-        fired = 0
-        while heap and heap[0][0] <= max_time:
-            time, _seq, callback, args, event = pop(heap)
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            event.dispatched = True
-            self.now = time
-            self._dispatched += 1
-            callback(*args)
-            fired += 1
-            if fired >= max_events:
-                raise SchedulerError(
-                    f"exceeded max_events={max_events}; probable event cascade"
-                )
-        return fired
-
-    def run_for(self, duration: float, max_events: int = 1_000_000) -> int:
-        """Convenience wrapper: run until ``now + duration``."""
-        return self.run_until(self.now + duration, max_events=max_events)
+        return self._drain(max_time, max_events)
 
     def __repr__(self) -> str:
         return f"Scheduler(now={self.now:.6f}, pending={self.pending_count})"

@@ -13,10 +13,12 @@ event) -- and :meth:`TraceRecorder.record` is three appends.  A
 and that the caller's last reference frees.  An attrs dict of atomic values
 is not tracked by the cyclic collector, so a trace of any length costs the
 collector three lists, and it pickles as floats, memoised strings and dicts
-with no per-entry object.  Queries go through lazily built per-kind and
-per-prefix indexes of integer positions that are advanced incrementally as
-new rows arrive, turning exact-kind and kind-prefix scans from O(n) per
-query into O(matches) after the first.
+with no per-entry object.  Queries go through one lazily built per-kind
+index of integer positions that is advanced incrementally as new rows
+arrive, turning exact-kind scans from O(n) per query into O(matches)
+after the first; a kind-prefix query (:meth:`TraceRecorder.iter_subscribed`,
+:meth:`TraceRecorder.count_by_kind`) resolves its prefix to the concrete
+kinds in that index.
 
 Two rules for code that records or reads a trace:
 
@@ -94,7 +96,7 @@ class TraceRecorder:
     """
 
     __slots__ = ("_times", "_kinds", "_attrs", "_clock", "_kind_index",
-                 "_kind_upto", "_prefix_cache")
+                 "_kind_upto")
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._times: List[float] = []
@@ -103,7 +105,6 @@ class TraceRecorder:
         self._clock = clock
         self._kind_index: Dict[str, List[int]] = {}
         self._kind_upto = 0
-        self._prefix_cache: Dict[str, Tuple[int, List[int]]] = {}
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the time source used when ``record`` is called without t."""
@@ -129,9 +130,13 @@ class TraceRecorder:
         self.__init__()
         self._times, self._kinds, self._attrs = state
 
-    def record(self, kind: str, *, t: Optional[float] = None,
+    def record(self, kind: str, /, *, t: Optional[float] = None,
                **attrs: Any) -> None:
-        """Append a row.  Time defaults to the bound clock."""
+        """Append a row.  Time defaults to the bound clock.
+
+        ``kind`` is positional-only, so a row may carry attributes named
+        ``kind`` or ``self``.
+        """
         if t is None:
             clock = self._clock
             if clock is None:
@@ -144,11 +149,6 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
-
-    def _reset_indexes(self) -> None:
-        self._kind_index.clear()
-        self._kind_upto = 0
-        self._prefix_cache.clear()
 
     def _kind_positions(self) -> Dict[str, List[int]]:
         """The per-kind index (kind -> row positions, ascending), advanced
@@ -165,23 +165,6 @@ class TraceRecorder:
                     index[kind] = [position]
             self._kind_upto = len(kinds)
         return self._kind_index
-
-    def _prefix_positions(self, prefix: str) -> List[int]:
-        """Ascending positions of rows whose kind starts with ``prefix``,
-        memoized per prefix and extended incrementally."""
-        kinds = self._kinds
-        cached = self._prefix_cache.get(prefix)
-        if cached is None:
-            upto, matches = 0, []
-        else:
-            upto, matches = cached
-        if upto < len(kinds) or cached is None:
-            matches.extend(
-                position
-                for position, kind in enumerate(kinds[upto:], upto)
-                if kind.startswith(prefix))
-            self._prefix_cache[prefix] = (len(kinds), matches)
-        return matches
 
     def _matching(self, positions: Sequence[int],
                   attr_filter: Dict[str, Any]) -> Sequence[int]:
@@ -224,11 +207,6 @@ class TraceRecorder:
     def entries(self, kind: Optional[str] = None, **attr_filter: Any) -> List[TraceEntry]:
         """Entries matching an exact kind and attribute equality filters."""
         return self._views(self._select(kind, attr_filter))
-
-    def entries_with_prefix(self, prefix: str, **attr_filter: Any) -> List[TraceEntry]:
-        """Entries whose kind starts with ``prefix`` ("tcp." etc.)."""
-        return self._views(
-            self._matching(self._prefix_positions(prefix), attr_filter))
 
     def iter_subscribed(self, kinds: Iterable[str] = (),
                         prefixes: Iterable[str] = ()) -> Iterator[TraceEntry]:
@@ -302,16 +280,6 @@ class TraceRecorder:
                 for kind, bucket in self._kind_positions().items()
                 if not prefix or kind.startswith(prefix)}
 
-    def span(self) -> Optional[tuple]:
-        """``(first_time, last_time)`` over all entries, or None if empty.
-
-        Entries arrive clock-ordered from a live run, but loaded or
-        merged traces may not be sorted, so both ends are scanned.
-        """
-        if not self._times:
-            return None
-        return (min(self._times), max(self._times))
-
     def fill_metrics(self, registry, **labels: Any) -> None:
         """Absorb this trace's aggregates into a metrics registry.
 
@@ -328,7 +296,7 @@ class TraceRecorder:
         """The current append position (== number of entries so far).
 
         Checkpoints store this to know where a captured prefix ends;
-        :meth:`truncate` restores it.
+        :meth:`fork` at it continues from there.
         """
         return len(self._times)
 
@@ -339,25 +307,6 @@ class TraceRecorder:
         return zip(self._times[position:], self._kinds[position:],
                    self._attrs[position:])
 
-    def truncate(self, position: int) -> int:
-        """Drop every entry recorded after ``position``; returns #dropped.
-
-        The restore half of the checkpoint protocol's trace handling:
-        rewinding to a snapshot means the entries its continuation
-        recorded must go.  The lazy query indexes are rebuilt from
-        scratch on the next query (they only ever grow forward).
-        """
-        if position < 0 or position > len(self):
-            raise ValueError(
-                f"truncate position {position} outside [0, {len(self)}]")
-        dropped = len(self) - position
-        if dropped:
-            del self._times[position:]
-            del self._kinds[position:]
-            del self._attrs[position:]
-            self._reset_indexes()
-        return dropped
-
     def fork(self, position: Optional[int] = None) -> "TraceRecorder":
         """A new recorder continuing from this one's first ``position``
         entries.
@@ -367,10 +316,14 @@ class TraceRecorder:
         continuation appending its own rows never disturbs the parent
         (and vice versa), while the checkpoint layer avoids deep-copying
         a potentially long prefix on every fork.  The fork has no clock
-        bound; bind one before recording.
+        bound; bind one before recording.  A fork at a position is also
+        how a trace rewinds: the rows after it are not in the fork.
         """
         if position is None:
             position = len(self)
+        elif not 0 <= position <= len(self):
+            raise ValueError(
+                f"fork position {position} outside [0, {len(self)}]")
         clone = TraceRecorder()
         clone._times = self._times[:position]
         clone._kinds = self._kinds[:position]
@@ -382,7 +335,8 @@ class TraceRecorder:
         self._times.clear()
         self._kinds.clear()
         self._attrs.clear()
-        self._reset_indexes()
+        self._kind_index.clear()
+        self._kind_upto = 0
 
     def dump(self, kind_prefix: str = "") -> str:
         """Human-readable rendering, optionally restricted by kind prefix."""

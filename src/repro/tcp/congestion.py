@@ -92,7 +92,7 @@ class TahoeController:
         self.ssthresh = max(bytes_in_flight // 2, 2 * self._p.mss)
         self.cwnd = self._p.mss
 
-    def _record(self, kind: str, **attrs) -> None:
+    def _record(self, kind: str, /, **attrs) -> None:
         if self._trace is not None:
             self._trace.record(kind, t=self._clock(), conn=self._name,
                                **attrs)

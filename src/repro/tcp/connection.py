@@ -520,7 +520,7 @@ class TCPConnection:
         self.state = state
         self._record(K.TCP_STATE, old=old, new=state)
 
-    def _record(self, kind: str, **attrs) -> None:
+    def _record(self, kind: str, /, **attrs) -> None:
         if self.trace is not None:
             self.trace.record(kind, t=self.scheduler.now, conn=self.name,
                               **attrs)

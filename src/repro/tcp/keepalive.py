@@ -115,7 +115,7 @@ class KeepAliveEngine:
                      number=self.probes_sent)
         self._send_probe()
 
-    def _record(self, kind: str, **attrs) -> None:
+    def _record(self, kind: str, /, **attrs) -> None:
         if self._trace is not None:
             self._trace.record(kind, t=self._scheduler.now, conn=self._name,
                                **attrs)

@@ -206,7 +206,7 @@ class RetransmissionManager:
         self._timer.start(self.current_rto())
         return True
 
-    def _record(self, kind: str, **attrs) -> None:
+    def _record(self, kind: str, /, **attrs) -> None:
         if self._trace is not None:
             self._trace.record(kind, t=self._scheduler.now, conn=self._name,
                                **attrs)

@@ -69,7 +69,7 @@ class PersistProber:
         self._interval = min(self._interval * 2, self._p.persist_max)
         self._timer.start(self._interval)
 
-    def _record(self, kind: str, **attrs) -> None:
+    def _record(self, kind: str, /, **attrs) -> None:
         if self._trace is not None:
             self._trace.record(kind, t=self._scheduler.now, conn=self._name,
                                **attrs)

@@ -17,8 +17,8 @@ layer above's bound ``pop`` (or to :func:`discard` at either end), so a
 layer crossing is one call.  Two consequences:
 
 - ``send_down`` / ``send_up`` are not override points.  The methods on
-  :class:`Protocol` are only the fallback of a layer that was never
-  wired.
+  :class:`Protocol` do nothing, like :func:`discard`: a layer that was
+  never wired sends nowhere, whatever its ``above`` / ``below`` say.
 - ``push`` / ``pop`` are read once, when the stack wires their owner.
   Replace them before wiring, or re-wire (any ``insert_*`` / ``remove``
   on the stack) afterwards; a replacement on an already-wired instance is
@@ -63,22 +63,18 @@ class Protocol:
         self.send_up(msg)
 
     def send_down(self, msg: Message) -> None:
-        """Forward a message to the layer below (no-op at the bottom).
+        """Hand a message to the layer below.
 
-        The fallback of an unwired layer; a stack replaces it per
-        instance with the lower neighbour's bound ``push``.
+        Unwired, this sends nowhere; a stack replaces it per instance
+        with the lower neighbour's bound ``push`` (or :func:`discard`).
         """
-        if self.below is not None:
-            self.below.push(msg)
 
     def send_up(self, msg: Message) -> None:
-        """Forward a message to the layer above (no-op at the top).
+        """Hand a message to the layer above.
 
-        The fallback of an unwired layer; a stack replaces it per
-        instance with the upper neighbour's bound ``pop``.
+        Unwired, this sends nowhere; a stack replaces it per instance
+        with the upper neighbour's bound ``pop`` (or :func:`discard`).
         """
-        if self.above is not None:
-            self.above.pop(msg)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -96,13 +96,6 @@ def test_run_until_backwards_rejected():
         sched.run_until(5.0)
 
 
-def test_run_for_advances_relative():
-    sched = Scheduler()
-    sched.run_until(10.0)
-    sched.run_for(5.0)
-    assert sched.now == 15.0
-
-
 def test_events_scheduled_during_run_fire():
     sched = Scheduler()
     fired = []
@@ -134,18 +127,6 @@ def test_pending_count_ignores_cancelled():
     event = sched.schedule(2.0, lambda: None)
     event.cancel()
     assert sched.pending_count == 1
-
-
-def test_peek_time_skips_cancelled():
-    sched = Scheduler()
-    first = sched.schedule(1.0, lambda: None)
-    sched.schedule(2.0, lambda: None)
-    first.cancel()
-    assert sched.peek_time() == 2.0
-
-
-def test_peek_time_empty():
-    assert Scheduler().peek_time() is None
 
 
 def test_step_returns_false_when_empty():

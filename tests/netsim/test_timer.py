@@ -1,9 +1,14 @@
-"""Unit tests for Timer and TimerTable."""
+"""Unit tests for Timer and the keyed timer table built on it.
+
+The table is :class:`repro.gmp.timers.GmpTimerTable`, the only one; these
+cases pin its correct (non-inverted) semantics.
+"""
 
 import pytest
 
+from repro.gmp.timers import GmpTimerTable
 from repro.netsim.scheduler import Scheduler
-from repro.netsim.timer import Timer, TimerTable
+from repro.netsim.timer import Timer
 
 
 @pytest.fixture
@@ -79,14 +84,14 @@ class TestTimer:
 
 class TestTimerTable:
     def test_register_and_fire(self, sched):
-        table = TimerTable(sched)
+        table = GmpTimerTable(sched)
         fired = []
         table.register("hb", "a", 1.0, lambda: fired.append("a"))
         sched.run()
         assert fired == ["a"]
 
     def test_register_replaces_existing(self, sched):
-        table = TimerTable(sched)
+        table = GmpTimerTable(sched)
         fired = []
         table.register("hb", "a", 1.0, lambda: fired.append("old"))
         table.register("hb", "a", 2.0, lambda: fired.append("new"))
@@ -94,7 +99,7 @@ class TestTimerTable:
         assert fired == ["new"]
 
     def test_unregister_single(self, sched):
-        table = TimerTable(sched)
+        table = GmpTimerTable(sched)
         fired = []
         table.register("hb", "a", 1.0, lambda: fired.append("a"))
         table.register("hb", "b", 1.0, lambda: fired.append("b"))
@@ -103,7 +108,7 @@ class TestTimerTable:
         assert fired == ["b"]
 
     def test_unregister_all_of_kind(self, sched):
-        table = TimerTable(sched)
+        table = GmpTimerTable(sched)
         fired = []
         table.register("hb", "a", 1.0, lambda: fired.append("a"))
         table.register("hb", "b", 1.0, lambda: fired.append("b"))
@@ -113,23 +118,21 @@ class TestTimerTable:
         assert fired == ["c"]
 
     def test_unregister_missing_returns_zero(self, sched):
-        table = TimerTable(sched)
+        table = GmpTimerTable(sched)
         assert table.unregister("hb", "nope") == 0
         assert table.unregister("hb") == 0
 
     def test_restart(self, sched):
-        table = TimerTable(sched)
+        # registering an existing (kind, key) again re-arms it
+        table = GmpTimerTable(sched)
         fired = []
         table.register("hb", "a", 1.0, lambda: fired.append(sched.now))
-        assert table.restart("hb", "a", 5.0)
+        table.register("hb", "a", 5.0, lambda: fired.append(sched.now))
         sched.run()
         assert fired == [5.0]
 
-    def test_restart_missing_returns_false(self, sched):
-        assert TimerTable(sched).restart("hb", "a", 1.0) is False
-
     def test_armed_queries(self, sched):
-        table = TimerTable(sched)
+        table = GmpTimerTable(sched)
         table.register("hb", "a", 1.0, lambda: None)
         assert table.armed("hb")
         assert table.armed("hb", "a")
@@ -137,13 +140,13 @@ class TestTimerTable:
         assert not table.armed("other")
 
     def test_armed_kinds(self, sched):
-        table = TimerTable(sched)
+        table = GmpTimerTable(sched)
         table.register("hb", "a", 1.0, lambda: None)
         table.register("mc", "x", 1.0, lambda: None)
         assert table.armed_kinds() == ["hb", "mc"]
 
     def test_stop_all(self, sched):
-        table = TimerTable(sched)
+        table = GmpTimerTable(sched)
         fired = []
         table.register("hb", "a", 1.0, lambda: fired.append(1))
         table.register("mc", "b", 1.0, lambda: fired.append(2))

@@ -42,12 +42,18 @@ def test_entries_filter_by_kind_and_attrs():
     assert len(trace.entries(conn="a")) == 2
 
 
+def _with_prefix(trace, prefix):
+    """The entries whose kind starts with ``prefix``: a kind-prefix query
+    goes through ``iter_subscribed``."""
+    return list(trace.iter_subscribed(prefixes=[prefix]))
+
+
 def test_entries_with_prefix():
     trace, _ = make_trace()
     trace.record("tcp.a")
     trace.record("tcp.b")
     trace.record("gmp.c")
-    assert len(trace.entries_with_prefix("tcp.")) == 2
+    assert [e.kind for e in _with_prefix(trace, "tcp.")] == ["tcp.a", "tcp.b"]
 
 
 def test_times_and_intervals():
@@ -128,34 +134,49 @@ def test_entries_with_prefix_empty_prefix_matches_all():
     trace, _ = make_trace()
     trace.record("tcp.a")
     trace.record("gmp.b")
-    assert len(trace.entries_with_prefix("")) == 2
-
-
-def test_entries_with_prefix_attr_filters():
-    trace, _ = make_trace()
-    trace.record("tcp.a", conn="x")
-    trace.record("tcp.b", conn="y")
-    assert len(trace.entries_with_prefix("tcp.", conn="x")) == 1
-    # filtering on an attr no entry carries matches nothing
-    assert trace.entries_with_prefix("tcp.", missing=1) == []
+    assert _with_prefix(trace, "") == list(trace)
 
 
 def test_entries_with_prefix_no_match():
     trace, _ = make_trace()
     trace.record("tcp.a")
-    assert trace.entries_with_prefix("udp.") == []
-    assert TraceRecorder().entries_with_prefix("tcp.") == []
+    assert _with_prefix(trace, "udp.") == []
+    assert _with_prefix(TraceRecorder(), "tcp.") == []
 
 
 def test_count_by_kind_and_span():
+    from repro.obs.report import render_report
     trace, clock = make_trace()
-    for t, kind in ((1.0, "tcp.a"), (2.0, "tcp.a"), (5.0, "gmp.b")):
+    for t, kind in ((5.0, "gmp.b"), (1.0, "tcp.a"), (2.0, "tcp.a")):
         clock[0] = t
         trace.record(kind)
-    assert trace.count_by_kind() == {"tcp.a": 2, "gmp.b": 1}
+    assert trace.count_by_kind() == {"gmp.b": 1, "tcp.a": 2}
     assert trace.count_by_kind("tcp.") == {"tcp.a": 2}
-    assert trace.span() == (1.0, 5.0)
-    assert TraceRecorder().span() is None
+    # the span is the report's: both ends scanned, rows need not be sorted
+    assert "virtual span  : 1.000 .. 5.000 s (4.000 s)" in render_report(trace)
+    assert "empty trace" in render_report(TraceRecorder())
+
+
+def test_attributes_may_be_named_kind_or_self():
+    trace, _ = make_trace()
+    trace.record("x.y", t=0.0, kind="a", self=1)
+    assert trace.last("x.y").attrs == {"kind": "a", "self": 1}
+
+
+@pytest.mark.parametrize("owner", [
+    "repro.core.pfi:PFILayer", "repro.gmp.daemon:Daemon",
+    "repro.gmp.reliable:ReliableChannel", "repro.tcp.connection:TCPConnection",
+    "repro.tcp.congestion:TahoeController", "repro.tcp.window:PersistProber",
+    "repro.tcp.keepalive:KeepAliveEngine",
+    "repro.tcp.retransmit:RetransmissionManager",
+    "repro.abp.protocol:AbpSender", "repro.abp.protocol:AbpReceiver"])
+def test_record_wrappers_take_kind_positionally(owner):
+    import importlib
+    import inspect
+    module, name = owner.split(":")
+    wrapper = getattr(importlib.import_module(module), name)._record
+    parameter = inspect.signature(wrapper).parameters["kind"]
+    assert parameter.kind is inspect.Parameter.POSITIONAL_ONLY
 
 
 def test_fill_metrics_gauges():
@@ -198,15 +219,16 @@ class TestKindIndex:
 
     def test_prefix_queries_see_later_entries(self):
         trace = self._trace()
-        assert len(trace.entries_with_prefix("tcp.")) == 15
+        assert len(_with_prefix(trace, "tcp.")) == 15
         trace.record("tcp.drop", t=50.0)
-        assert len(trace.entries_with_prefix("tcp.")) == 16
-        assert len(trace.entries_with_prefix("gmp.")) == 10
+        assert len(_with_prefix(trace, "tcp.")) == 16
+        assert len(_with_prefix(trace, "gmp.")) == 10
+        assert trace.count_by_kind("tcp.")["tcp.drop"] == 1
 
     def test_attr_filters_still_apply(self):
         trace = self._trace()
         assert trace.count("tcp.retransmit", seq=4) == 1
-        assert [e.time for e in trace.entries_with_prefix("gmp.", node=0)] \
+        assert [e.time for e in trace.entries("gmp.heartbeat", node=0)] \
             == [0.7, 3.7, 6.7, 9.7]
 
     def test_clear_resets_index(self):
@@ -214,7 +236,8 @@ class TestKindIndex:
         assert trace.count("tcp.send") == 10
         trace.clear()
         assert trace.count("tcp.send") == 0
-        assert trace.entries_with_prefix("tcp.") == []
+        assert _with_prefix(trace, "tcp.") == []
+        assert trace.count_by_kind() == {}
         trace.record("tcp.send", t=1.0)
         assert trace.count("tcp.send") == 1
 
@@ -260,7 +283,7 @@ class TestKindIndex:
 
 
 # ----------------------------------------------------------------------
-# checkpoint support: position / truncate / fork
+# checkpoint support: position / fork (a fork at a position truncates)
 # ----------------------------------------------------------------------
 
 class TestTruncateAndFork:
@@ -286,22 +309,23 @@ class TestTruncateAndFork:
 
     def test_truncate_drops_suffix_and_rebuilds_indexes(self):
         trace = self._trace3()
-        assert trace.entries("x.tick")  # warm the index
-        assert trace.truncate(1) == 2
-        assert trace.position == 1
-        assert [e["n"] for e in trace.entries("x.tick")] == [0]
+        assert trace.entries("x.tick")  # warm the parent's index
+        clone = trace.fork(1)
+        assert clone.position == 1
+        assert [e["n"] for e in clone.entries("x.tick")] == [0]
+        assert clone.count_by_kind() == {"x.tick": 1}
+        assert trace.position == 3
 
     def test_truncate_noop_at_current_position(self):
         trace = self._trace3()
-        assert trace.truncate(3) == 0
-        assert trace.position == 3
+        assert list(trace.fork(trace.position)) == list(trace)
 
     def test_truncate_out_of_range(self):
         trace = self._trace3()
         with pytest.raises(ValueError):
-            trace.truncate(4)
+            trace.fork(4)
         with pytest.raises(ValueError):
-            trace.truncate(-1)
+            trace.fork(-1)
 
     def test_fork_shares_prefix_entries(self):
         trace = self._trace3()

@@ -67,7 +67,7 @@ def test_loading_a_trace_gives_the_collector_nothing_to_walk():
 def test_a_querys_views_are_freed_by_refcount():
     trace = _recorded(1_000)
     gc.collect()
-    views = trace.entries("tcp.send") + trace.entries_with_prefix("tcp.")
+    views = trace.entries("tcp.send") + trace.entries()
     views.extend(trace.iter_subscribed(("tcp.send", "tcp.ack")))
     assert len(views) > 2_000 and _live_entries() == len(views)
     del views

@@ -36,7 +36,7 @@ class TestEdgesFromHarness:
         msg = harness.send_down("DATA")
         harness.run(2.0)
         lineage = Lineage.from_trace(harness.env.trace)
-        for entry in harness.env.trace.entries_with_prefix("pfi."):
+        for entry in harness.env.trace.iter_subscribed(prefixes=["pfi."]):
             assert lineage.root_of(entry["uid"]) == msg.uid
         assert lineage.roots() == [msg.uid]
 

@@ -2,7 +2,8 @@
 
 A family of recorders (forks join it) is driven through random programs
 of ``record`` (single rows and bursts, so the lazy indexes advance by
-more than one row), ``truncate``, ``fork`` followed by a record on both
+more than one row), ``rewind`` (a member replaced by its own fork at a
+position, which truncates it), ``fork`` followed by a record on both
 sides, ``clear`` and a pickle round trip, and compared after every step
 with a reference model that is a plain list of ``(t, kind, attrs)``
 tuples -- no columns, no indexes, every query a linear scan.  The
@@ -10,9 +11,9 @@ comparison goes through the whole public query surface, so a column that
 falls out of step with the other two, or an index that outlives the rows
 it was built over, shows up as a wrong answer.
 
-Two seeded mutants -- a ``truncate`` that forgets the kinds column, and
-one that leaves the indexes standing -- run against the same property
-and must be killed.
+Two seeded mutants of that truncation -- a fork that keeps the whole
+kinds column, and one that hands its parent's indexes on -- run against
+the same property and must be killed.
 """
 
 import pickle
@@ -53,7 +54,7 @@ fraction = st.floats(min_value=0.0, max_value=1.0)
 operations = st.one_of(
     st.tuples(st.just("record"), member, rows),
     st.tuples(st.just("burst"), member, st.lists(rows, max_size=6)),
-    st.tuples(st.just("truncate"), member, fraction),
+    st.tuples(st.just("rewind"), member, fraction),
     st.tuples(st.just("fork"), member, st.none() | fraction, rows, rows),
     st.tuples(st.just("clear"), member),
     st.tuples(st.just("pickle"), member),
@@ -83,9 +84,6 @@ def _check(trace, model):
     assert trace.entries() == _entries(model)
     for position in {0, len(model) // 2, len(model)}:
         assert list(trace.rows(position)) == model[position:]
-    assert trace.span() == ((min(t for t, _k, _a in model),
-                             max(t for t, _k, _a in model))
-                            if model else None)
     histogram = {}
     for _t, kind, _attrs in model:
         histogram[kind] = histogram.get(kind, 0) + 1
@@ -109,7 +107,9 @@ def _check(trace, model):
                 assert query(kind, **wanted) == (
                     TraceEntry(*expected[end]) if expected else None)
         for prefix in PREFIXES:
-            assert trace.entries_with_prefix(prefix, **wanted) == _entries(
+            assert [entry for entry in trace.iter_subscribed(prefixes=[prefix])
+                    if _matches((entry.time, entry.kind, entry.attrs), None,
+                                wanted)] == _entries(
                 row for row in model
                 if row[1].startswith(prefix) and _matches(row, None, wanted))
     for kinds, prefixes in SUBSCRIPTIONS:
@@ -133,10 +133,10 @@ def _run_program(initial, ops):
         elif name == "burst":
             for row in op[2]:
                 _record(trace, model, row)
-        elif name == "truncate":
+        elif name == "rewind":
             position = round(op[2] * len(model))
-            assert trace.truncate(position) == len(model) - position
-            del model[position:]
+            trace, model = trace.fork(position), model[:position]
+            family[index] = (trace, model)
         elif name == "fork":
             position = None if op[2] is None else round(op[2] * len(model))
             fork, forked_model = trace.fork(position), list(model[:position])
@@ -166,27 +166,27 @@ def test_recorder_matches_the_list_of_tuples_model(initial, ops):
 
 
 def _truncate_forgetting_the_kinds_column(monkeypatch):
-    real_truncate = TraceRecorder.truncate
+    real_fork = TraceRecorder.fork
 
-    def truncate(self, position):
-        kinds = list(self._kinds)
-        dropped = real_truncate(self, position)
-        self._kinds[:] = kinds                          # the mutation
-        return dropped
+    def fork(self, position=None):
+        clone = real_fork(self, position)
+        clone._kinds = list(self._kinds)                # the mutation
+        return clone
 
-    monkeypatch.setattr(TraceRecorder, "truncate", truncate)
+    monkeypatch.setattr(TraceRecorder, "fork", fork)
 
 
 def _truncate_keeping_the_indexes(monkeypatch):
-    real_truncate = TraceRecorder.truncate
+    real_fork = TraceRecorder.fork
 
-    def truncate(self, position):
-        with monkeypatch.context() as patch:
-            patch.setattr(TraceRecorder, "_reset_indexes",
-                          lambda self: None)            # the mutation
-            return real_truncate(self, position)
+    def fork(self, position=None):
+        clone = real_fork(self, position)
+        clone._kind_index = {kind: list(bucket)         # the mutation
+                             for kind, bucket in self._kind_index.items()}
+        clone._kind_upto = self._kind_upto
+        return clone
 
-    monkeypatch.setattr(TraceRecorder, "truncate", truncate)
+    monkeypatch.setattr(TraceRecorder, "fork", fork)
 
 
 @pytest.mark.parametrize("mutate", [_truncate_forgetting_the_kinds_column,

@@ -50,7 +50,9 @@ MODULE_NAMES = _module_names()
 
 
 def test_the_census_covers_the_message_path():
-    assert len(MODULE_NAMES) == 34
+    # the modules whose unresolved annotations motivated this census
+    for name in ("repro.gmp.reliable", "repro.gmp.timers", "repro.core.pfi"):
+        assert name in MODULE_NAMES
 
 
 @pytest.mark.parametrize("module_name", MODULE_NAMES)

@@ -147,15 +147,20 @@ def test_a_removed_layer_sends_nowhere():
     assert c.pushed == [] and a.popped == []
 
 
-def test_a_layer_never_wired_forwards_through_the_class_fallback():
+def test_a_hand_linked_unwired_layer_sends_nowhere():
+    # neighbours are reached only through exits a stack binds; linking
+    # above / below by hand binds none, so the class exits drop the message
     a, b = Recorder("a"), Recorder("b")
     a.below, b.above = b, a
     assert "send_down" not in vars(a) and "send_up" not in vars(b)
+    a.push(Message())
+    b.pop(Message())
+    assert b.pushed == [] and a.popped == []
+    ProtocolStack().build(a, b)
     down, up = Message(), Message()
     a.push(down)
     b.pop(up)
-    assert b.pushed == [down]
-    assert a.popped == [up]
+    assert b.pushed == [down] and a.popped == [up]
 
 
 def test_push_replaced_after_wiring_needs_a_rewire():
