@@ -74,9 +74,10 @@ class TclishFilter(FilterScript):
     ``init_script`` followed by ``incr count`` in the body counts messages
     across invocations exactly like the paper's Tcl interpreters.
 
-    The body is compiled into the shared tclish compile cache at
-    construction, so each ``run`` executes the cached command list instead
-    of re-lexing the source per message.
+    The body is compiled once, at construction, into a tree of closures
+    (:mod:`repro.core.tclish.compiler`); each ``run`` runs that compiled
+    script, so no message pays for lexing, parsing or looking the source
+    up.
 
     ``lint`` controls construction-time static analysis of the script
     (:mod:`repro.core.tclish.lint`):
@@ -114,7 +115,8 @@ class TclishFilter(FilterScript):
         self.interp = Interp()
         self.profiler = None
         self.interp.commands.update(PFI_COMMANDS)
-        self.interp.compile(source)
+        #: the compiled body every ``run`` evaluates
+        self.compiled = self.interp.compile(source)
         if init_script:
             self.interp.eval(init_script)
 
@@ -122,7 +124,7 @@ class TclishFilter(FilterScript):
         """Attach a :class:`~repro.obs.profiler.ScriptProfiler`.
 
         Instruments both granularities at once: per-command wall time in
-        the interpreter's compiled-exec path, and per-invocation wall
+        the interpreter's compiled commands, and per-invocation wall
         time of this filter recorded under its ``name``.  Pass a shared
         profiler to aggregate several filters; returns the profiler so
         ``prof = f.enable_profiler()`` reads naturally.
@@ -143,12 +145,14 @@ class TclishFilter(FilterScript):
         """Checkpoint-aware copy: the interpreter's variables, procs and
         output -- the state a checkpointed fork must carry -- come through
         the deep copy (its command declarations are shared, they are
-        immutable); the lint report is shared and no profiler follows.
+        immutable); the compiled script and the lint report are shared
+        and no profiler follows.
         """
         import copy as _copy
         clone = object.__new__(type(self))
         memo[id(self)] = clone
         clone.source = self.source
+        clone.compiled = self.compiled
         clone.name = self.name
         clone.lint_report = self.lint_report
         clone.profiler = None
@@ -162,13 +166,13 @@ class TclishFilter(FilterScript):
         profiler = self.profiler
         if profiler is None:
             try:
-                interp.eval(self.source)
+                self.compiled.run(interp)
             finally:
                 interp.context = None
             return
         start = perf_counter()
         try:
-            interp.eval(self.source)
+            self.compiled.run(interp)
         finally:
             profiler.record_script(self.name, perf_counter() - start)
             interp.context = None

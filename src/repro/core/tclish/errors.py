@@ -26,3 +26,18 @@ class TclBreak(Exception):
 
 class TclContinue(Exception):
     """Raised by ``continue`` inside a loop body."""
+
+
+#: Python exceptions a command implementation may let escape that are
+#: script faults, not interpreter bugs: a missing ``string index``
+#: argument, ``incr v abc``, ``expr {sqrt(-1)}``, ``expr {exp(1000)}``
+HOST_ERRORS = (KeyError, IndexError, ValueError, ArithmeticError)
+
+
+def host_error(name: str, err: Exception) -> TclError:
+    """The :class:`TclError` a :data:`HOST_ERRORS` exception escaping
+    command ``name`` becomes, so ``catch`` traps it and a script fault is
+    never a Python traceback."""
+    if isinstance(err, KeyError):
+        return TclError(f'error in command "{name}": no such key {err}')
+    return TclError(f'error in command "{name}": {err}')

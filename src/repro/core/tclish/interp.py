@@ -11,42 +11,30 @@ bare words undergo backslash, variable (``$name``/``${name}``) and command
 (``[script]``) substitution.
 
 Evaluation is compile-once: ``eval`` looks the source up in the shared
-compile cache (:mod:`repro.core.tclish.compiler`) and executes the cached
-command list, so a filter script re-run for every intercepted message is
-lexed exactly once.  Substitution over a string that is not a command
-word (``if``/``while`` conditions, ``expr`` bodies) goes through the same
-compiler's segment cache.
+compile cache (:mod:`repro.core.tclish.compiler`) and runs the compiled
+script's closure, so a filter script re-run for every intercepted
+message is lexed, analysed and bound exactly once.  :meth:`Interp.call`
+is the one dispatch every compiled command goes through.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.tclish import compiler, stdlib_loader
-from repro.core.tclish.compiler import (
-    LITERAL,
-    SEG_TEXT,
-    SEG_VAR,
-    VARREF,
-    CompiledCommand,
-    CompiledScript,
+from repro.core.tclish import expr as _expr
+from repro.core.tclish.compiler import CompiledScript
+# one eval-depth cap for every compiled level, documented as interp's
+from repro.core.tclish.compiler import MAX_EVAL_DEPTH  # noqa: F401
+from repro.core.tclish.errors import (
+    HOST_ERRORS,
+    TclError,
+    TclReturn,
+    host_error,
 )
-from repro.core.tclish.errors import TclError, TclReturn
 from repro.core.tclish.stdlib_loader import CommandSignature
 
 CommandFn = Callable[["Interp", List[str]], str]
-
-#: Deepest nesting of :meth:`Interp.eval` calls an interpreter allows.
-#: Every proc body, control-flow body, ``eval`` and ``[...]``
-#: substitution is one level, so one counter covers runaway proc
-#: recursion (``proc f {} {f}``) and runaway ``eval``
-#: (``set s {eval $s}; eval $s``) alike.  Either must end as a
-#: ``TclError`` the harness can report, not as Python's
-#: ``RecursionError`` from deep inside: an eval level costs about 4-6
-#: Python frames, so 100 levels stay well inside the default 1000-frame
-#: stack wherever the filter is called from.
-MAX_EVAL_DEPTH = 100
 
 #: Loop iterations (``while``, ``for`` and ``foreach`` bodies, all
 #: loops together) one top-level :meth:`Interp.eval` may run.  One
@@ -108,21 +96,27 @@ class Interp:
         self._global_links: List[set] = []
         self.output_lines: List[str] = []
         self._output = output
-        #: eval() calls currently on the stack (see MAX_EVAL_DEPTH)
+        #: script evaluations currently on the stack (see MAX_EVAL_DEPTH)
         self._depth = 0
         #: loop iterations since the current top-level eval() began
         #: (see MAX_LOOP_ITERATIONS)
         self._iterations = 0
-        #: number of eval() script evaluations on this interpreter
+        #: script evaluations run on this interpreter: every eval(), and
+        #: every proc body, control-flow body and ``[...]`` it ran
         self.eval_count = 0
-        #: evals answered from the shared compile cache
-        self.cache_hits = 0
-        #: evals that had to compile their source first
+        #: sources this interpreter compiled because the shared cache did
+        #: not hold them (an eval(), a compile(), or the first run of a
+        #: nested body)
         self.cache_misses = 0
         #: opt-in :class:`repro.obs.profiler.ScriptProfiler`; when set,
-        #: the compiled executor records per-command wall time.  The
-        #: disabled cost is one ``is not None`` test per command.
+        #: every command records its wall time.  The disabled cost is one
+        #: ``is None`` test per command.
         self.profiler = None
+
+    @property
+    def cache_hits(self) -> int:
+        """Evaluations that ran an already-compiled script."""
+        return max(self.eval_count - self.cache_misses, 0)
 
     # ------------------------------------------------------------------
     # variables
@@ -150,11 +144,20 @@ class Interp:
     def set_var(self, name: str, value: Any) -> str:
         """Set a variable in the current scope; returns the string value."""
         text = value if isinstance(value, str) else _to_tcl_string(value)
-        self._resolve_scope(name)[name] = text
+        if self._frames:
+            self._resolve_scope(name)[name] = text
+        else:
+            self.globals[name] = text
         return text
 
     def get_var(self, name: str) -> str:
         """Read a variable, checking the current frame then globals."""
+        if not self._frames:  # a filter script's own level: globals only
+            try:
+                return self.globals[name]
+            except KeyError:
+                raise TclError(
+                    f'can\'t read "{name}": no such variable') from None
         scope = self._resolve_scope(name)
         if name in scope:
             return scope[name]
@@ -164,6 +167,8 @@ class Interp:
 
     def has_var(self, name: str) -> bool:
         """True if the variable is visible from the current scope."""
+        if not self._frames:
+            return name in self.globals
         scope = self._resolve_scope(name)
         return name in scope or name in self.globals
 
@@ -216,30 +221,16 @@ class Interp:
         """Evaluate a script; the result is the last command's result.
 
         Accepts source text or an already-compiled script.  Source text is
-        resolved through the shared compile cache (parse once, execute per
-        call).  Nesting deeper than :data:`MAX_EVAL_DEPTH` raises
-        :class:`TclError`; a top-level call starts a fresh
-        :data:`MAX_LOOP_ITERATIONS` budget.
+        resolved through the shared compile cache (parse once, run the
+        compiled closure per call).  Nesting deeper than
+        :data:`MAX_EVAL_DEPTH` raises :class:`TclError`; a top-level call
+        starts a fresh :data:`MAX_LOOP_ITERATIONS` budget.
         """
-        self.eval_count += 1
         if type(script) is str:
             script, hit = compiler.lookup(script)
-            if hit:
-                self.cache_hits += 1
-            else:
+            if not hit:
                 self.cache_misses += 1
-        if self._depth >= MAX_EVAL_DEPTH:
-            raise TclError("too many nested evaluations (infinite loop?)")
-        if not self._depth:
-            self._iterations = 0
-        self._depth += 1
-        try:
-            result = ""
-            for command in script.commands:
-                result = self._exec_compiled(command)
-            return result
-        finally:
-            self._depth -= 1
+        return script.run(self)
 
     def count_iteration(self) -> None:
         """Charge one loop iteration to this evaluation's budget."""
@@ -255,7 +246,15 @@ class Interp:
         return script
 
     def stats(self) -> Dict[str, int]:
-        """Observability counters for the execution engine."""
+        """Observability counters for the execution engine.
+
+        ``eval_count`` counts script evaluations (each :meth:`eval`, proc
+        body, control-flow body and ``[...]``: one per
+        :data:`MAX_EVAL_DEPTH` level entered), ``cache_misses`` the
+        sources this interpreter had to compile, ``cache_hits`` the
+        evaluations that ran an already-compiled script, and
+        ``cache_size`` the scripts in the process-wide compile cache.
+        """
         return {
             "eval_count": self.eval_count,
             "cache_hits": self.cache_hits,
@@ -273,39 +272,6 @@ class Interp:
         for name, value in self.stats().items():
             registry.gauge(f"tclish_{name}", **labels).set(value)
 
-    def _exec_compiled(self, command: CompiledCommand) -> str:
-        """Execute one compiled command: resolve words, then dispatch."""
-        values: List[str] = []
-        append = values.append
-        get_var = self.get_var
-        for word in command.words:
-            kind = word.kind
-            if kind == LITERAL:
-                append(word.text)
-            elif kind == VARREF:
-                append(get_var(word.text))
-            else:
-                append(self._run_segments(word.segments))
-        profiler = self.profiler
-        if profiler is not None:
-            start = perf_counter()
-            result = self.call(values[0], values[1:])
-            profiler.record_command(values[0], perf_counter() - start)
-            return result
-        return self.call(values[0], values[1:])
-
-    def _run_segments(self, segments) -> str:
-        """Resolve a pre-tokenised substitution program."""
-        parts: List[str] = []
-        for code, payload in segments:
-            if code == SEG_TEXT:
-                parts.append(payload)
-            elif code == SEG_VAR:
-                parts.append(self.get_var(payload))
-            else:
-                parts.append(self.eval(payload))
-        return "".join(parts)
-
     def call(self, name: str, args: List[str]) -> str:
         """Invoke a proc or registered command by name.
 
@@ -314,11 +280,14 @@ class Interp:
         "<usage>"`` before the implementation runs, for
         stdlib and PFI commands alike, and scriptlint's SL002 reads the
         same declaration.  Unknown names always surface as
-        ``TclError("invalid command name ...")``, and a ``KeyError``,
-        ``IndexError`` or ``ValueError`` escaping an implementation (a
-        missing ``string index`` argument, ``incr v abc``) is normalized
-        to :class:`TclError` too, so ``catch`` works and a script fault
-        is never a Python traceback.
+        ``TclError("invalid command name ...")``, and a
+        :data:`~repro.core.tclish.errors.HOST_ERRORS` exception escaping
+        an implementation (a missing ``string index`` argument, ``incr v
+        abc``, ``expr {exp(1000)}``) is normalized to :class:`TclError`
+        too, so ``catch`` works and a script fault is never a Python
+        traceback.  Compiled commands call it; a control command whose
+        arguments are literal runs its compiled form directly only after
+        the same name resolution finds the stdlib declaration.
         """
         proc = self.procs.get(name)
         if proc is not None:
@@ -326,40 +295,21 @@ class Interp:
         command = self.commands.get(name)
         if command is None:
             raise TclError(f'invalid command name "{name}"')
-        if not command.accepts(len(args)):
+        if len(args) not in command.arity:
             raise TclError(f'wrong # args: should be "{command.usage}"')
         try:
             result = command.fn(self, args)
-        except KeyError as err:
-            raise TclError(f'error in command "{name}": '
-                           f"no such key {err}") from err
-        except (IndexError, ValueError) as err:
-            raise TclError(f'error in command "{name}": {err}') from err
+        except HOST_ERRORS as err:
+            raise host_error(name, err) from err
         return result if isinstance(result, str) else _to_tcl_string(result)
-
-    # ------------------------------------------------------------------
-    # substitution
-    # ------------------------------------------------------------------
-
-    def substitute(self, text: str) -> str:
-        """Backslash, variable, and command substitution over a string."""
-        if "$" not in text and "[" not in text and "\\" not in text:
-            return text
-        # stable strings (if/while conditions, expr bodies) tokenise
-        # once and replay as segments on every later call
-        return self._run_segments(compiler.lookup_substitution(text))
 
 
 def _to_tcl_string(value: Any) -> str:
     """Convert a Python value to its Tcl string form."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e16:
-            return f"{value:.1f}"
-        return repr(value)
+    if isinstance(value, (bool, float)):
+        return _expr.format_value(value)
     if isinstance(value, (list, tuple)):
         return " ".join(_to_tcl_string(item) for item in value)
     return str(value)

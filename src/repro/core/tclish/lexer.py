@@ -14,6 +14,7 @@ based on that first character.
 
 from __future__ import annotations
 
+import re
 from typing import List, Tuple
 
 from repro.core.tclish.errors import TclError
@@ -233,3 +234,21 @@ def strip_braces(word: str) -> str:
     if len(word) >= 2 and word[0] == '"' and word[-1] == '"':
         return word[1:-1]
     return word
+
+
+#: the word separators split_words recognises, as a regex for the fast path
+_PLAIN_SEP = re.compile(r"[ \t\n]+")
+
+
+def parse_list(text: str) -> List[str]:
+    """Split a Tcl list string into elements.
+
+    Lists with no quoting constructs -- the overwhelmingly common case in
+    filter scripts -- split on whitespace directly instead of walking the
+    lexer character by character.
+    """
+    if "{" not in text and '"' not in text and "\\" not in text \
+            and "[" not in text:
+        stripped = text.strip(" \t\n")
+        return _PLAIN_SEP.split(stripped) if stripped else []
+    return [strip_braces(word) for word in split_words(text)]

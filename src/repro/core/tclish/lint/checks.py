@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.tclish import expr as expr_mod
 from repro.core.tclish.compiler import SEG_CMD, SEG_VAR
-from repro.core.tclish.errors import TclError
+from repro.core.tclish.errors import HOST_ERRORS, TclError
 from repro.core.tclish.lint import diagnostics as diag
 from repro.core.tclish.lint.diagnostics import Diagnostic
 from repro.core.tclish.lint.registry import (
@@ -343,7 +343,7 @@ class Analyzer:
             return None
         try:
             return expr_mod.truth(expr_mod.evaluate(text))
-        except (TclError, ValueError):
+        except (TclError, *HOST_ERRORS):
             return None
 
     def _walk_body_word(self, word: Optional[WordNode],

@@ -17,13 +17,13 @@ the whole stdlib is greppable.
 
 from __future__ import annotations
 
-import re
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.core.tclish import expr as _expr
+from repro.core.tclish import compiler
 from repro.core.tclish.errors import TclBreak, TclContinue, TclError, TclReturn
-from repro.core.tclish.lexer import split_words, strip_braces
+from repro.core.tclish.lexer import parse_list, split_words, strip_braces
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tclish.interp import Interp
@@ -44,12 +44,16 @@ class CommandSignature:
     doc: str = ""
     fn: Optional[Callable[["Interp", List[str]], str]] = field(
         default=None, compare=False, repr=False)
+    #: the well-formed argument counts
+    arity: range = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        top = sys.maxsize - 1 if self.max_args is None else self.max_args
+        object.__setattr__(self, "arity", range(self.min_args, top + 1))
 
     def accepts(self, count: int) -> bool:
         """True when a call with ``count`` arguments is well-formed."""
-        if count < self.min_args:
-            return False
-        return self.max_args is None or count <= self.max_args
+        return count in self.arity
 
     def arity_text(self) -> str:
         """Human form of the accepted argument range."""
@@ -80,24 +84,6 @@ def builtin(name: str, min_args: int, max_args: Optional[int], usage: str):
 # ----------------------------------------------------------------------
 # list helpers (Tcl lists are strings with brace quoting)
 # ----------------------------------------------------------------------
-
-#: the word separators split_words recognises, as a regex for the fast path
-_PLAIN_SEP = re.compile(r"[ \t\n]+")
-
-
-def parse_list(text: str) -> List[str]:
-    """Split a Tcl list string into elements.
-
-    Lists with no quoting constructs -- the overwhelmingly common case in
-    filter scripts -- split on whitespace directly instead of walking the
-    lexer character by character.
-    """
-    if "{" not in text and '"' not in text and "\\" not in text \
-            and "[" not in text:
-        stripped = text.strip(" \t\n")
-        return _PLAIN_SEP.split(stripped) if stripped else []
-    return [strip_braces(word) for word in split_words(text)]
-
 
 def build_list(elements: List[str]) -> str:
     """Join elements into a Tcl list string, brace-quoting as needed."""
@@ -150,81 +136,33 @@ def _cmd_append(interp: "Interp", args: List[str]) -> str:
     return interp.set_var(args[0], current + "".join(args[1:]))
 
 
+# the control commands: a call with literal arguments runs the compiled
+# form its command compiled; one with dynamic arguments builds the same
+# form here, its conditions and bodies through the shared caches
+
 @builtin("expr", 1, None, "expr arg ?arg ...?")
 def _cmd_expr(interp: "Interp", args: List[str]) -> str:
-    text = interp.substitute(" ".join(args))
-    return _expr.format_value(_expr.evaluate_cached(text))
+    return compiler.build_expr(args)(interp)
 
 
 @builtin("if", 2, None, "if cond body ?elseif cond body ...? ?else body?")
 def _cmd_if(interp: "Interp", args: List[str]) -> str:
-    i = 0
-    while i < len(args):
-        condition = interp.substitute(args[i])
-        if _expr.truth(_expr.evaluate_cached(condition)):
-            body_index = i + 1
-            if body_index < len(args) and args[body_index] == "then":
-                body_index += 1
-            if body_index >= len(args):
-                raise TclError('missing body in "if"')
-            return interp.eval(args[body_index])
-        i += 2
-        if i < len(args) and args[i - 1] == "then":
-            i += 1
-        if i < len(args) and args[i] == "elseif":
-            i += 1
-            continue
-        if i < len(args) and args[i] == "else":
-            if i + 1 >= len(args):
-                raise TclError('missing body after "else"')
-            return interp.eval(args[i + 1])
-        break
-    return ""
+    return compiler.build_if(args)(interp)
 
 
 @builtin("while", 2, 2, "while test body")
 def _cmd_while(interp: "Interp", args: List[str]) -> str:
-    test, body = args
-    while _expr.truth(_expr.evaluate_cached(interp.substitute(test))):
-        interp.count_iteration()
-        try:
-            interp.eval(body)
-        except TclBreak:
-            break
-        except TclContinue:
-            continue
-    return ""
+    return compiler.build_while(args)(interp)
 
 
 @builtin("for", 4, 4, "for start test next body")
 def _cmd_for(interp: "Interp", args: List[str]) -> str:
-    start, test, nxt, body = args
-    interp.eval(start)
-    while _expr.truth(_expr.evaluate_cached(interp.substitute(test))):
-        interp.count_iteration()
-        try:
-            interp.eval(body)
-        except TclBreak:
-            break
-        except TclContinue:
-            pass
-        interp.eval(nxt)
-    return ""
+    return compiler.build_for(args)(interp)
 
 
 @builtin("foreach", 3, 3, "foreach varName list body")
 def _cmd_foreach(interp: "Interp", args: List[str]) -> str:
-    var, list_text, body = args
-    for element in parse_list(list_text):
-        interp.count_iteration()
-        interp.set_var(var, element)
-        try:
-            interp.eval(body)
-        except TclBreak:
-            break
-        except TclContinue:
-            continue
-    return ""
+    return compiler.build_foreach(args)(interp)
 
 
 @builtin("proc", 3, 3, "proc name params body")
@@ -279,18 +217,7 @@ def _cmd_eval(interp: "Interp", args: List[str]) -> str:
 
 @builtin("catch", 1, 2, "catch script ?varName?")
 def _cmd_catch(interp: "Interp", args: List[str]) -> str:
-    try:
-        result = interp.eval(args[0])
-        code = "0"
-    except TclError as err:
-        result = str(err)
-        code = "1"
-    except TclReturn as ret:
-        result = ret.value
-        code = "2"
-    if len(args) == 2:
-        interp.set_var(args[1], result)
-    return code
+    return compiler.build_catch(args)(interp)
 
 
 @builtin("list", 0, None, "list ?value ...?")

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core.script import PFI_COMMANDS
 from repro.core.tclish import Interp, TclBreak, TclContinue, TclError, TclReturn
-from repro.core.tclish.compiler import SEGMENTS, VARREF, analyze_word
+from repro.core.tclish.compiler import (CompiledCommand, CompiledScript,
+                                       analyze_word)
 from repro.core.tclish.lint import builtin_registry, default_registry, lint_source
 from repro.core.tclish.lint.walker import WordNode
 from repro.core.tclish.stdlib_loader import STDLIB
@@ -140,7 +141,8 @@ def test_reads_the_runtime_makes_are_sl003(source, name):
 
 
 class _Recorder(Interp):
-    """Substitutes like the runtime, recording what it reads and runs."""
+    """Runs a compiled word like the runtime, recording what it reads
+    and which nested scripts it compiles to run."""
 
     def __init__(self):
         super().__init__()
@@ -150,19 +152,20 @@ class _Recorder(Interp):
         self.reads.append(name)
         return ""
 
-    def eval(self, script):
-        self.nested.append(script)
+    def compile(self, source):
+        self.nested.append(source)
+        return CompiledScript("", [])
+
+    def call(self, name, args):
         return ""
 
 
 def _runtime_word(raw):
-    """Reads and nested scripts of one word, as ``_exec_compiled`` does."""
-    compiled = analyze_word(raw)
+    """Reads and nested scripts of one word, as its compiled command
+    closure resolves it."""
+    script = CompiledScript(raw, [CompiledCommand([analyze_word(raw)])])
     recorder = _Recorder()
-    if compiled.kind == VARREF:
-        recorder.get_var(compiled.text)
-    elif compiled.kind == SEGMENTS:
-        recorder._run_segments(compiled.segments)
+    script.run(recorder)
     return recorder
 
 

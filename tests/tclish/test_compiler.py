@@ -222,3 +222,39 @@ class TestCompiledEquivalence:
         assert interp.globals == {"seen": "5", "dropped": "3",
                                   "kind": "DATA"}
         assert interp.output_lines == ["1:1", "2:1", "3:2", "4:3", "5:3"]
+
+
+class TestControlForms:
+    """A control command with literal arguments runs its compiled form
+    only while its name still means the stdlib command."""
+
+    def test_a_proc_of_the_same_name_wins(self):
+        interp = Interp()
+        interp.eval("proc if {cond body} {return mine}")
+        assert interp.eval("if {1} {set r 1}") == "mine"
+        assert not interp.has_var("r")
+
+    def test_a_registered_command_wins(self):
+        interp = Interp()
+        seen = []
+        interp.register_command("while", lambda it, args: seen.append(args)
+                                or "replaced")
+        assert interp.eval("while {1} {}") == "replaced"
+        assert seen == [["1", ""]]
+
+    def test_a_profiled_run_times_every_command(self):
+        from repro.obs.profiler import ScriptProfiler
+        interp = Interp()
+        interp.profiler = ScriptProfiler()
+        interp.eval("set i 0; while {$i < 2} {incr i}")
+        counts = {name: count for name, (count, _total)
+                  in interp.profiler.commands.items()}
+        assert counts == {"set": 1, "while": 1, "incr": 2}
+
+    def test_a_body_compiles_on_its_first_run(self):
+        clear_cache()
+        interp = Interp()
+        interp.eval("if {0} {set r 1}")
+        assert compiler.cache_size() == 1
+        interp.eval("if {1} {set r 1}")
+        assert compiler.cache_size() == 3

@@ -140,3 +140,35 @@ class TestHelpers:
         assert format_value(6.0) == "6.0"
         assert format_value(7) == "7"
         assert format_value("str") == "str"
+
+
+class TestTemplates:
+    """A compiled template equals evaluating its substituted text."""
+
+    VALUES = ["", "a b", "-1", "+", '"', "1e3", "0x1F", "015", "inf",
+              "abs", "7", "eq", "x_1", '"q r"']
+
+    @pytest.mark.parametrize("template", [
+        "${a}eq 1", "1 eq${a}", "${a}ne${b}", "$a$b", "1$a", "${a}(2)",
+        "$a (2)", "${a}.5", "-$a", "!$a", "$a?$b:1", "($a)", "max($a,$b)",
+        "$a e3", "1e+$a", '"$a"', "[set a] < $b", "[set a][set b]",
+    ])
+    @pytest.mark.parametrize("a", VALUES)
+    def test_leaf_values_in_every_position(self, template, a):
+        from repro.core.tclish import Interp
+        from repro.core.tclish.compiler import compile_template
+        interp = Interp()
+        interp.set_var("a", a)
+        interp.set_var("b", "x_1")
+        substituted = template.replace("[set a]", a).replace(
+            "[set b]", "x_1").replace("${a}", a).replace(
+            "${b}", "x_1").replace("$a", a).replace("$b", "x_1")
+
+        def outcome(fn):
+            try:
+                value = fn()
+            except Exception as err:  # noqa: BLE001
+                return type(err).__name__, str(err)
+            return type(value).__name__, repr(value)
+        assert outcome(lambda: compile_template(template)(interp)) == \
+            outcome(lambda: evaluate(substituted))
