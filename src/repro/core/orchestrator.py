@@ -1084,7 +1084,9 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
     preflight -> :meth:`ShardSink.plan` -> rows from a transport ->
     result slots and progress lines -> ``campaign.end``, so every
     backend's flight record is written by the same code and reads the
-    same.  Results come back in input order.
+    same.  Results come back in input order, each trace with no clock
+    bound (:meth:`~repro.netsim.trace.TraceRecorder.bind_clock` one to
+    record more), whichever transport ran it.
 
     ``workers`` (:func:`_resolve_workers`) and ``backend``
     (:data:`BACKENDS`) choose the transport, and nothing else.
@@ -1182,7 +1184,14 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
                 slots[row.index] = row.result
                 flight.progress.update(sink.cached + sink.executed,
                                        findings=sink.findings or None)
-    return [result for result in slots if result is not None]
+    results = [result for result in slots if result is not None]
+    # An in-process row's trace reads the scheduler of the world it ran
+    # in, and a kept result would keep that whole world (one reference
+    # cycle) alive; rows from the pool, the fabric or the store arrive
+    # unpickled with no clock.  Every result a sweep returns is detached.
+    for result in results:
+        result.trace.bind_clock(None)
+    return results
 
 
 def _inprocess_rows(spec: Any, todo: List[int], sink: ShardSink

@@ -106,8 +106,9 @@ class TraceRecorder:
         self._kind_index: Dict[str, List[int]] = {}
         self._kind_upto = 0
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the time source used when ``record`` is called without t."""
+    def bind_clock(self, clock: Optional[Callable[[], float]]) -> None:
+        """Attach the time source used when ``record`` is called without t
+        (``None`` detaches it, and with it whatever the clock reads)."""
         self._clock = clock
 
     def __getstate__(self) -> tuple:
