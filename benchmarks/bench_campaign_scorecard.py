@@ -12,10 +12,11 @@ campaign's lint gate checks is the one the trial installs.
 """
 
 from repro.analysis.tables import render_table
-from repro.core.genscripts import generate_campaign, gmp_spec
+from repro.core.genscripts import generate_campaign
 from repro.core.orchestrator import Campaign
 from repro.core.script import TclishFilter
 from repro.experiments.gmp_common import build_gmp_cluster
+from repro.gmp import GMP_SCHEMA
 
 from conftest import emit
 
@@ -56,7 +57,7 @@ def gmp_trial(env, config):
 
 
 def run_scorecard():
-    scripts = generate_campaign(gmp_spec(), omission_rates=(0.3,),
+    scripts = generate_campaign(GMP_SCHEMA, omission_rates=(0.3,),
                                 crash_after_messages=30)
     return Campaign(gmp_trial, seed=7).run([
         {"script": s.tclish_source, "init_script": s.tclish_init,

@@ -80,12 +80,13 @@ def campaign_body(env, config):
 
 def _make_pfi_env(env):
     from repro.core.pfi import PFILayer
-    from repro.core.stubs import PacketStubs
+    from repro.core.stubs import MessageType, PacketStubs
     from repro.xkernel.protocol import Protocol
     from repro.xkernel.stack import ProtocolStack
 
-    stubs = PacketStubs()
-    stubs.register_recognizer(lambda m: m.meta.get("type", "DATA"))
+    # a one-type schema: every message is DATA, nothing is settable
+    stubs = PacketStubs("bench", lambda m: m.meta.get("type", "DATA"),
+                        (MessageType("DATA", ()),))
 
     class Sink(Protocol):
         def __init__(self, name):

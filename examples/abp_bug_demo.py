@@ -18,19 +18,11 @@ Run it::
     python examples/abp_bug_demo.py
 """
 
-from repro.abp import AbpReceiver, AbpSender, abp_stubs
+from repro.abp import ABP_SCHEMA, AbpReceiver, AbpSender
 from repro.analysis.tables import render_table
 from repro.core import PFILayer, make_env
-from repro.core.genscripts import (MessageTypeSpec, ProtocolSpec,
-                                   generate_campaign)
+from repro.core.genscripts import generate_campaign
 from repro.xkernel.stack import NodeAnchor, ProtocolStack
-
-ABP_SPEC = ProtocolSpec(
-    name="abp",
-    message_types=(
-        MessageTypeSpec("ABP_DATA", mutable_fields=(("bit", 1),)),
-        MessageTypeSpec("ABP_ACK", mutable_fields=(("bit", 1),)),
-    ))
 
 PAYLOADS = [f"frame-{i}".encode() for i in range(6)]
 
@@ -40,16 +32,15 @@ def run_under_script(script, *, check_bit):
     env = make_env(seed=13)
     n1 = env.network.add_node("sender", 1)
     n2 = env.network.add_node("receiver", 2)
-    stubs = abp_stubs()
 
     sender = AbpSender(env.scheduler, peer_address=2, trace=env.trace)
-    sender_pfi = PFILayer("pfi_s", env.scheduler, stubs, trace=env.trace,
+    sender_pfi = PFILayer("pfi_s", env.scheduler, ABP_SCHEMA, trace=env.trace,
                           sync=env.sync, node="sender")
     ProtocolStack("s").build(sender, sender_pfi, NodeAnchor(n1, "anchor_s"))
 
     receiver = AbpReceiver(env.scheduler, peer_address=1,
                            check_bit=check_bit, trace=env.trace)
-    receiver_pfi = PFILayer("pfi_r", env.scheduler, stubs, trace=env.trace,
+    receiver_pfi = PFILayer("pfi_r", env.scheduler, ABP_SCHEMA, trace=env.trace,
                             sync=env.sync, node="receiver")
     ProtocolStack("r").build(receiver, receiver_pfi,
                              NodeAnchor(n2, "anchor_r"))
@@ -73,7 +64,7 @@ def run_under_script(script, *, check_bit):
 
 
 def main():
-    campaign = generate_campaign(ABP_SPEC, omission_rates=(0.3,),
+    campaign = generate_campaign(ABP_SCHEMA, omission_rates=(0.3,),
                                  crash_after_messages=4)
     print(f"generated {len(campaign)} scripts from the ABP spec")
     print("running each against the correct and the buggy receiver...\n")

@@ -18,16 +18,16 @@ Run it::
 
 from repro.analysis.tables import render_table
 from repro.core import TclishFilter
-from repro.core.genscripts import (COVERS, SEVERITY_ORDER, generate_campaign,
-                                   gmp_spec)
+from repro.core.genscripts import COVERS, SEVERITY_ORDER, generate_campaign
 from repro.experiments.gmp_common import build_gmp_cluster
+from repro.gmp import GMP_SCHEMA
 
 VICTIM = 3
 OTHERS = (1, 2)
 
 #: the generated crash_after_0_* and omission_*pct_* scripts, by name
 GENERATED = {script.name: script for script in generate_campaign(
-    gmp_spec(), omission_rates=(0.6, 0.5), crash_after_messages=0)}
+    GMP_SCHEMA, omission_rates=(0.6, 0.5), crash_after_messages=0)}
 
 #: the victim sends slow: 2 s plus normal jitter, never negative
 TIMING = "xDelay [expr {max(0.0, 2.0 + [dst_normal 0.0 0.5])}]"

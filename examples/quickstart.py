@@ -16,7 +16,7 @@ Run it::
 """
 
 from repro.core import PFILayer, TclishFilter, make_env
-from repro.tcp import SUNOS_413, TCPProtocol, XKERNEL, tcp_stubs
+from repro.tcp import SUNOS_413, TCP_SCHEMA, TCPProtocol, XKERNEL
 from repro.tcp.ip import IPProtocol
 from repro.xkernel.stack import NodeAnchor, ProtocolStack
 
@@ -26,7 +26,6 @@ def build_world():
     env = make_env(seed=7)
     vendor_node = env.network.add_node("vendor", 1)
     xkernel_node = env.network.add_node("xkernel", 2)
-    stubs = tcp_stubs()
 
     # the vendor machine runs a plain stack: TCP / IP / device
     vendor_tcp = TCPProtocol(env.scheduler, SUNOS_413, local_address=1,
@@ -37,7 +36,7 @@ def build_world():
     # the instrumented machine carries the PFI layer between TCP and IP
     xkernel_tcp = TCPProtocol(env.scheduler, XKERNEL, local_address=2,
                               trace=env.trace, host="xkernel")
-    pfi = PFILayer("pfi", env.scheduler, stubs, trace=env.trace,
+    pfi = PFILayer("pfi", env.scheduler, TCP_SCHEMA, trace=env.trace,
                    sync=env.sync, node="xkernel")
     ProtocolStack("xkernel").build(
         xkernel_tcp, pfi, IPProtocol(2), NodeAnchor(xkernel_node))

@@ -14,7 +14,6 @@ filter script (see ``tests/integration/test_abp.py`` and
 ``examples/abp_bug_demo.py``).
 """
 
-from repro.abp.protocol import (AbpFrame, AbpReceiver, AbpSender,
-                                abp_stubs)
+from repro.abp.protocol import ABP_SCHEMA, AbpFrame, AbpReceiver, AbpSender
 
-__all__ = ["AbpFrame", "AbpReceiver", "AbpSender", "abp_stubs"]
+__all__ = ["ABP_SCHEMA", "AbpFrame", "AbpReceiver", "AbpSender"]

@@ -11,7 +11,8 @@ Stop-and-wait ARQ over an unreliable channel:
 
 Both are ordinary :class:`~repro.xkernel.protocol.Protocol` layers, so a
 PFI layer splices beneath them exactly as it does beneath TCP or the GMP
-daemon -- no protocol-specific hooks.
+daemon -- no protocol-specific hooks.  :data:`ABP_SCHEMA` is the ABP
+packet stubs: both frame types, carried on an :class:`AbpFrame` payload.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
 
-from repro.core.stubs import PacketStubs
+from repro.core.stubs import UNKNOWN_TYPE, MessageType, PacketStubs
 from repro.netsim.scheduler import Scheduler
 from repro.netsim.timer import Timer
 from repro.netsim.trace import TraceRecorder
@@ -194,30 +195,31 @@ class AbpReceiver(Protocol):
                               **attrs)
 
 
-def abp_stubs() -> PacketStubs:
-    """Recognition/generation stubs for ABP frames."""
-    stubs = PacketStubs()
+def msg_type(msg: Message) -> str:
+    """The ABP recogniser: ``ABP_DATA`` / ``ABP_ACK`` from the frame."""
+    payload = msg.payload
+    if payload.__class__ is AbpFrame:
+        return f"ABP_{payload.kind}"
+    return UNKNOWN_TYPE
 
-    def recognize(msg: Message) -> Optional[str]:
-        if isinstance(msg.payload, AbpFrame):
-            return f"ABP_{msg.payload.kind}"
-        return None
 
-    stubs.register_recognizer(recognize)
-
-    def gen_ack(*, bit: int = 0, dst: Optional[int] = None) -> Message:
-        msg = Message(payload=AbpFrame("ACK", bit))
-        if dst is not None:
-            msg.meta["dst"] = dst
-        return msg
-
-    def gen_data(*, bit: int = 0, payload: bytes = b"",
+def _generator(kind: str) -> Callable[..., Message]:
+    """A generator of ``kind`` frames."""
+    def generate(*, bit: int = 0, payload: bytes = b"",
                  dst: Optional[int] = None) -> Message:
-        msg = Message(payload=AbpFrame("DATA", bit, payload))
+        msg = Message(payload=AbpFrame(kind, bit, payload))
         if dst is not None:
             msg.meta["dst"] = dst
         return msg
+    return generate
 
-    stubs.register_generator("ABP_ACK", gen_ack)
-    stubs.register_generator("ABP_DATA", gen_data)
-    return stubs
+
+#: the ABP packet stubs (see :mod:`repro.core.stubs`)
+ABP_SCHEMA = PacketStubs(
+    name="abp",
+    msg_type=msg_type,
+    types=(MessageType("ABP_DATA", (AbpFrame,), ("bit", "payload"),
+                       generate=_generator("DATA")),
+           MessageType("ABP_ACK", (AbpFrame,), ("bit",),
+                       generate=_generator("ACK"))),
+    corruptions=(("ABP_DATA", "bit", 1), ("ABP_ACK", "bit", 1)))

@@ -307,17 +307,17 @@ def cmd_lint(args) -> int:
                                    source_name=path))
 
     if args.gen:
-        from repro.core.genscripts import (generate_campaign, gmp_spec,
-                                           lint_generated, tcp_spec)
+        from repro.core.genscripts import generate_campaign, lint_generated
         from repro.core.tclish.lint import LintReport
+        from repro.oracle.grammar import SCHEMAS
         for name in args.gen.split(","):
-            spec = {"tcp": tcp_spec, "gmp": gmp_spec}[name.strip()]()
-            scripts = generate_campaign(spec, self_check=False)
+            schema = SCHEMAS[name.strip()]
+            scripts = generate_campaign(schema, self_check=False)
             failing = lint_generated(scripts)
             if failing:
                 reports.extend(failing)
             else:
-                clean = LintReport(source_name=f"generated:{spec.name} "
+                clean = LintReport(source_name=f"generated:{schema.name} "
                                    f"({len(scripts)} scripts)")
                 reports.append(clean)
 
@@ -727,11 +727,11 @@ def cmd_explore(args) -> int:
 
 
 def cmd_campaign(args) -> None:
-    from repro.core.genscripts import (generate_campaign, gmp_spec,
-                                       tcp_spec)
-    spec = tcp_spec() if args.protocol == "tcp" else gmp_spec()
-    scripts = generate_campaign(spec)
-    print(f"{len(scripts)} scripts generated for {spec.name}:\n")
+    from repro.core.genscripts import generate_campaign
+    from repro.oracle.grammar import SCHEMAS
+    schema = SCHEMAS[args.protocol]
+    scripts = generate_campaign(schema)
+    print(f"{len(scripts)} scripts generated for {schema.name}:\n")
     for script in scripts:
         print(f"  [{script.failure_model.value:>16}] {script.name:<40} "
               f"{script.description}")

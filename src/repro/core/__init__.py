@@ -11,10 +11,11 @@ Public surface:
 - :class:`~repro.core.context.ScriptContext` -- what a filter sees
   (``cur_msg``, drop/delay/duplicate/hold/inject, persistent state, the
   peer interpreter, distributions, cross-node sync);
-- :class:`~repro.core.stubs.PacketStubs` -- packet
-  recognition/generation stubs;
+- :class:`~repro.core.stubs.PacketStubs` -- the packet stubs: one
+  declared message schema per protocol (recogniser, types, fields,
+  generators, corruption rows);
 - :mod:`~repro.core.genscripts` -- the failure-model catalogue: tclish
-  fault scripts generated from a protocol spec
+  fault scripts generated from a protocol's schema
   (crash/omission/timing/reorder/duplicate/corruption) and the severity
   lattice;
 - :class:`~repro.core.driver.Driver` -- the traffic-generating layer
@@ -31,7 +32,7 @@ from repro.core.msglog import MessageLog
 from repro.core.orchestrator import Campaign, ExperimentEnv, RunResult, make_env
 from repro.core.pfi import PFILayer
 from repro.core.script import FilterScript, PythonFilter, TclishFilter
-from repro.core.stubs import PacketStubs, StubError, UNKNOWN_TYPE
+from repro.core.stubs import MessageType, PacketStubs, StubError, UNKNOWN_TYPE
 from repro.core.sync import ScriptSync
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "ExperimentEnv",
     "FilterScript",
     "MessageLog",
+    "MessageType",
     "PFILayer",
     "PacketStubs",
     "PythonFilter",

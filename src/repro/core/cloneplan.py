@@ -55,17 +55,21 @@ from collections import Counter, OrderedDict, defaultdict, deque
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.stubs import PacketStubs
+
 #: a slot reference while compiling: shell ``k`` is ``k``, the ``b``-th
 #: built slot is ``~b`` (its final index, after every shell, is only
 #: known at the end); ``None`` means "the object itself, shared"
 _Ref = Optional[int]
 
 #: types ``copy.deepcopy`` returns as they are (written out: the plan
-#: depends on no private name of the ``copy`` module)
+#: depends on no private name of the ``copy`` module), plus the packet
+#: stubs, an immutable declaration whose ``__deepcopy__`` returns itself
 _ATOMIC = frozenset({
     type(None), int, float, bool, complex, bytes, str, types.CodeType,
     type, range, types.BuiltinFunctionType, types.FunctionType,
-    type(Ellipsis), type(NotImplemented), weakref.ref, property})
+    type(Ellipsis), type(NotImplemented), weakref.ref, property,
+    PacketStubs})
 
 # step kinds, most frequent first (the replay loop tests them in order)
 _INSTANCE, _ITEMS, _BUILD_TUPLE, _BUILD_METHOD, _SLOTS, _ADD, _KEYED, \

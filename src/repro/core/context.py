@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.distributions import DistributionSet
-from repro.core.stubs import PacketStubs, StubError
+from repro.core.stubs import PacketStubs
 from repro.core.sync import ScriptSync
 from repro.xkernel.message import Message
 
@@ -71,14 +71,6 @@ class ScriptContext:
         """Read a header field of the current message."""
         return self.stubs.get_field(self.msg, name)
 
-    def has_field(self, name: str) -> bool:
-        """True if the current message has the named header field."""
-        try:
-            self.stubs.get_field(self.msg, name)
-            return True
-        except StubError:
-            return False
-
     def log(self, note: str = "") -> None:
         """``msg_log``: record the current message with a timestamp."""
         self._pfi.log_message(self.msg, direction=self.direction, note=note)
@@ -105,7 +97,7 @@ class ScriptContext:
             spacing * (i + 1) for i in range(copies))
 
     def set_field(self, name: str, value: Any) -> None:
-        """Modify a header field of the current message in place."""
+        """Modify a settable field of the current message (copy-on-write)."""
         self.stubs.set_field(self.msg, name, value)
         self.modified = True
 

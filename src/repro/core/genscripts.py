@@ -2,15 +2,16 @@
 
 The paper's §6 names this as future work: "automatic generation of test
 scripts from a protocol specification".  This module implements it: given
-a :class:`ProtocolSpec` -- the protocol's message types, their fields, and
-which types are control-critical -- :func:`generate_campaign` derives a
-systematic battery of filter scripts covering the §2.2 failure models:
+a protocol's packet stubs (:class:`~repro.core.stubs.PacketStubs`: its
+message types, which are control-critical, and its corruption rows)
+:func:`generate_campaign` derives a systematic battery of filter scripts
+covering the §2.2 failure models:
 
 - per-type **drop** scripts (omission of each message kind),
 - per-type **delay** scripts (timing failures),
 - per-type **duplicate** scripts,
 - per-type **reorder** scripts (hold one, release after the next),
-- per-field **corruption** scripts (byzantine),
+- per-row **corruption** scripts (byzantine), grouped by type,
 - probabilistic **omission** scripts,
 - a **crash** script (correct prefix, then silence).
 
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.script import TclishFilter
+from repro.core.stubs import PacketStubs
 
 
 class FailureModel(enum.Enum):
@@ -108,30 +110,6 @@ def tolerance_implied(tolerated: FailureModel) -> Tuple[FailureModel, ...]:
     tolerates those of type A" when A's behaviours are a subset of B's.
     """
     return (tolerated,) + COVERS[tolerated]
-
-
-@dataclass(frozen=True)
-class MessageTypeSpec:
-    """One message type of the target protocol."""
-
-    name: str
-    #: header fields a corruption script may mutate, with a sample
-    #: corrupted value per field
-    mutable_fields: Tuple[Tuple[str, Any], ...] = ()
-    #: control messages get reorder/duplicate coverage; bulk data types
-    #: can opt out to keep campaigns focused
-    control: bool = True
-
-
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """What the generator needs to know about a protocol."""
-
-    name: str
-    message_types: Tuple[MessageTypeSpec, ...]
-
-    def type_names(self) -> List[str]:
-        return [t.name for t in self.message_types]
 
 
 @dataclass
@@ -288,13 +266,13 @@ def lint_generated(scripts: Iterable[GeneratedScript]):
     return failing
 
 
-def generate_campaign(spec: ProtocolSpec, *,
+def generate_campaign(schema: PacketStubs, *,
                       directions: Sequence[str] = ("send", "receive"),
                       delay_seconds: float = 3.0,
                       omission_rates: Sequence[float] = (0.3,),
                       crash_after_messages: int = 20,
                       self_check: bool = True) -> List[GeneratedScript]:
-    """Derive the systematic test battery for one protocol spec.
+    """Derive the systematic test battery for one protocol's schema.
 
     With ``self_check`` (the default) every generated tclish source is
     statically analyzed and the whole battery is rejected with
@@ -303,15 +281,16 @@ def generate_campaign(spec: ProtocolSpec, *,
     """
     scripts: List[GeneratedScript] = []
     for direction in directions:
-        for mtype in spec.message_types:
+        for mtype in schema.types:
             scripts.append(_drop_type(mtype.name, direction))
             scripts.append(_delay_type(mtype.name, delay_seconds, direction))
             if mtype.control:
                 scripts.append(_duplicate_type(mtype.name, direction))
                 scripts.append(_reorder_type(mtype.name, direction))
-            for field_name, bad_value in mtype.mutable_fields:
-                scripts.append(_corrupt_field(mtype.name, field_name,
-                                              bad_value, direction))
+            for type_name, field_name, bad_value in schema.corruptions:
+                if type_name == mtype.name:
+                    scripts.append(_corrupt_field(type_name, field_name,
+                                                  bad_value, direction))
         for rate in omission_rates:
             scripts.append(_omission(rate, direction))
         scripts.append(_crash_after(crash_after_messages, direction))
@@ -329,41 +308,3 @@ def campaign_by_model(scripts: Iterable[GeneratedScript]
     for script in scripts:
         grouped.setdefault(script.failure_model, []).append(script)
     return grouped
-
-
-# ----------------------------------------------------------------------
-# ready-made specs for the bundled protocols (the fuzz grammar's
-# message-type vocabulary, too)
-# ----------------------------------------------------------------------
-
-def tcp_spec() -> ProtocolSpec:
-    """Spec for the bundled TCP (types from the recognition stubs)."""
-    return ProtocolSpec(
-        name="tcp",
-        message_types=(
-            MessageTypeSpec("SYN"),
-            MessageTypeSpec("SYNACK"),
-            MessageTypeSpec("ACK", mutable_fields=(("ack", 0),)),
-            MessageTypeSpec("DATA", control=False,
-                            mutable_fields=(("seq", 0),)),
-            MessageTypeSpec("FIN"),
-            MessageTypeSpec("RST"),
-        ))
-
-
-def gmp_spec() -> ProtocolSpec:
-    """Spec for the bundled group membership protocol."""
-    return ProtocolSpec(
-        name="gmp",
-        message_types=(
-            MessageTypeSpec("HEARTBEAT", control=False),
-            MessageTypeSpec("PROCLAIM",
-                            mutable_fields=(("originator", 0),)),
-            MessageTypeSpec("JOIN"),
-            MessageTypeSpec("MEMBERSHIP_CHANGE",
-                            mutable_fields=(("group_id", 0),)),
-            MessageTypeSpec("ACK"),
-            MessageTypeSpec("NACK"),
-            MessageTypeSpec("COMMIT"),
-            MessageTypeSpec("DEAD_REPORT", mutable_fields=(("subject", 0),)),
-        ))

@@ -239,7 +239,7 @@ def pfi_command_table() -> str:
 @cmd("msg_type", 0, 1, "msg_type ?cur_msg?",
      "type name of the current message")
 def _msg_type(ctx, _i, args):
-    return ctx.msg_type()
+    return ctx.stubs.msg_type(ctx.msg)
 
 
 @cmd("msg_log", 0, 2, "msg_log ?cur_msg? ?note?",

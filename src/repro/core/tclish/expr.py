@@ -50,20 +50,21 @@ from repro.core.tclish.errors import TclError
 Number = Union[int, float]
 Value = Union[int, float, str]
 
-_FUNCTIONS: Dict[str, Callable[..., Number]] = {
-    "abs": abs,
-    "int": lambda x: int(x),
-    "double": lambda x: float(x),
-    "round": lambda x: int(round(x)),
-    "min": min,
-    "max": max,
-    "sqrt": math.sqrt,
-    "pow": lambda x, y: x ** y,
-    "fmod": math.fmod,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "exp": math.exp,
-    "log": math.log,
+#: math functions: implementation, fewest and most arguments (None: any)
+_FUNCTIONS: Dict[str, Tuple[Callable[..., Number], int, Optional[int]]] = {
+    "abs": (abs, 1, 1),
+    "int": (int, 1, 1),
+    "double": (float, 1, 1),
+    "round": (lambda x: int(round(x)), 1, 1),
+    "min": (lambda *xs: min(xs), 1, None),
+    "max": (lambda *xs: max(xs), 1, None),
+    "sqrt": (math.sqrt, 1, 1),
+    "pow": (lambda x, y: x ** y, 2, 2),
+    "fmod": (math.fmod, 2, 2),
+    "floor": (math.floor, 1, 1),
+    "ceil": (math.ceil, 1, 1),
+    "exp": (math.exp, 1, 1),
+    "log": (math.log, 1, 1),
 }
 
 _TWO_CHAR_OPS = ("||", "&&", "==", "!=", "<=", ">=", "<<", ">>")
@@ -522,7 +523,14 @@ class _Compiler:
                     self.next()
                     args.append(self.argument())
             self.expect(")")
-            return self.done(_call(_FUNCTIONS[token], args))
+            fn, fewest, most = _FUNCTIONS[token]
+            if len(args) < fewest:
+                raise TclError(
+                    f'not enough arguments for math function "{token}"')
+            if most is not None and len(args) > most:
+                raise TclError(
+                    f'too many arguments for math function "{token}"')
+            return self.done(_call(fn, args))
         return self.const(_operand(token))
 
     def argument(self) -> Node:

@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core import PFILayer, make_env
 from repro.core.orchestrator import ExperimentEnv
-from repro.gmp import (BugFlags, Daemon, FIXED, GmpTiming, ReliableChannel,
-                       UDPProtocol, gmp_stubs)
+from repro.gmp import (GMP_SCHEMA, BugFlags, Daemon, FIXED, GmpTiming,
+                       ReliableChannel, UDPProtocol)
 from repro.xkernel.stack import NodeAnchor, ProtocolStack
 
 
@@ -84,7 +84,6 @@ def build_gmp_cluster(world: Sequence[int], *,
     """
     if env is None:
         env = make_env(seed=seed, default_latency=latency)
-    stubs = gmp_stubs()
     daemons: Dict[int, Daemon] = {}
     pfis: Dict[int, PFILayer] = {}
     for address in sorted(world):
@@ -93,7 +92,7 @@ def build_gmp_cluster(world: Sequence[int], *,
         daemon = Daemon(address, env.scheduler, world, bugs=machine_bugs,
                         timing=timing, trace=env.trace)
         reliable = ReliableChannel(address, env.scheduler, trace=env.trace)
-        pfi = PFILayer(f"pfi{address}", env.scheduler, stubs, trace=env.trace,
+        pfi = PFILayer(f"pfi{address}", env.scheduler, GMP_SCHEMA, trace=env.trace,
                        sync=env.sync, dist=env.dist("pfi", address),
                        node=f"compsun{address}")
         ProtocolStack(f"stack{address}").build(

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from repro.core import PFILayer, make_env
 from repro.core.orchestrator import ExperimentEnv
-from repro.tcp import (TCPConnection, TCPProtocol, VendorProfile, XKERNEL,
-                       tcp_stubs)
+from repro.tcp import (TCP_SCHEMA, TCPConnection, TCPProtocol, VendorProfile,
+                       XKERNEL)
 from repro.tcp.ip import IPProtocol
 from repro.xkernel.stack import NodeAnchor, ProtocolStack
 
@@ -73,8 +73,6 @@ def build_tcp_testbed(vendor: VendorProfile, *, seed: int = 0,
         env = make_env(seed=seed, default_latency=latency)
     vendor_node = env.network.add_node("vendor", VENDOR_ADDR)
     xk_node = env.network.add_node("xkernel", XKERNEL_ADDR)
-    stubs = tcp_stubs()
-
     vendor_tcp = TCPProtocol(env.scheduler, vendor, local_address=VENDOR_ADDR,
                              trace=env.trace, host="vendor")
     vendor_stack = ProtocolStack("vendor").build(
@@ -82,7 +80,7 @@ def build_tcp_testbed(vendor: VendorProfile, *, seed: int = 0,
 
     xk_tcp = TCPProtocol(env.scheduler, xk_profile, local_address=XKERNEL_ADDR,
                          trace=env.trace, host="xkernel")
-    pfi = PFILayer("pfi", env.scheduler, stubs, trace=env.trace,
+    pfi = PFILayer("pfi", env.scheduler, TCP_SCHEMA, trace=env.trace,
                    sync=env.sync, dist=env.dist("pfi"), node="xkernel")
     xkernel_stack = ProtocolStack("xkernel").build(
         xk_tcp, pfi, IPProtocol(XKERNEL_ADDR), NodeAnchor(xk_node))

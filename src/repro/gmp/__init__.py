@@ -11,16 +11,17 @@ Public surface::
 
     from repro.gmp import (
         Daemon, GmpTiming, GroupView, GmpMessage, BugFlags,
-        AS_DELIVERED, FIXED, ReliableChannel, UDPProtocol, gmp_stubs,
+        AS_DELIVERED, FIXED, ReliableChannel, UDPProtocol, GMP_SCHEMA,
     )
 """
 
 from repro.gmp.bugs import AS_DELIVERED, FIXED, BugFlags
 from repro.gmp.daemon import (COLLECTING, IN_TRANSITION, STABLE, Daemon,
-                              GmpTiming, gmp_stubs)
+                              GmpTiming)
 from repro.gmp.messages import (ACK, ALL_KINDS, COMMIT, DEAD_REPORT,
-                                HEARTBEAT, JOIN, MEMBERSHIP_CHANGE, NACK,
-                                PROCLAIM, GmpMessage)
+                                GMP_SCHEMA, HEARTBEAT, JOIN,
+                                MEMBERSHIP_CHANGE, NACK, PROCLAIM,
+                                GmpMessage)
 from repro.gmp.reliable import RelHeader, ReliableChannel
 from repro.gmp.timers import GmpTimerTable
 from repro.gmp.udp import UDPHeader, UDPProtocol
@@ -29,10 +30,9 @@ from repro.gmp.wire import WireError, decode as decode_wire, encode as encode_wi
 
 __all__ = [
     "ACK", "ALL_KINDS", "AS_DELIVERED", "COLLECTING", "COMMIT",
-    "DEAD_REPORT", "Daemon", "FIXED", "BugFlags", "GmpMessage",
+    "DEAD_REPORT", "Daemon", "FIXED", "GMP_SCHEMA", "BugFlags", "GmpMessage",
     "GmpTimerTable", "GmpTiming", "GroupView", "HEARTBEAT",
     "IN_TRANSITION", "JOIN", "MEMBERSHIP_CHANGE", "NACK", "PROCLAIM",
     "RelHeader", "ReliableChannel", "STABLE", "UDPHeader", "UDPProtocol",
-    "WireError", "decode_wire", "encode_wire", "gmp_stubs",
-    "singleton_view",
+    "WireError", "decode_wire", "encode_wire", "singleton_view",
 ]

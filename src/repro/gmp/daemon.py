@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.stubs import PacketStubs
 from repro.gmp import messages as m
 from repro.gmp.bugs import BugFlags, FIXED
 from repro.gmp.messages import GmpMessage
@@ -657,41 +656,3 @@ _HANDLERS = {
     m.COMMIT: Daemon._on_commit,
     m.DEAD_REPORT: Daemon._on_dead_report,
 }
-
-
-def gmp_stubs() -> PacketStubs:
-    """Recognition/generation stubs for GMP messages."""
-    from repro.gmp.reliable import RelHeader
-
-    stubs = PacketStubs()
-
-    def recognize(msg: Message) -> Optional[str]:
-        header = msg.top_header
-        if isinstance(header, RelHeader) and header.is_ack:
-            return "REL_ACK"
-        if isinstance(msg.payload, GmpMessage):
-            return msg.payload.kind
-        return None
-
-    stubs.register_recognizer(recognize)
-
-    def _generator(kind: str):
-        def generate(*, sender: int = 0, originator: Optional[int] = None,
-                     subject: int = -1, group_id: int = 0,
-                     members: Tuple[int, ...] = (),
-                     dst: Optional[int] = None) -> Message:
-            gmsg = GmpMessage(kind=kind, sender=sender,
-                              originator=sender if originator is None
-                              else originator,
-                              subject=subject, group_id=group_id,
-                              members=tuple(members))
-            wrapped = Message(payload=gmsg)
-            if dst is not None:
-                wrapped.meta["dst"] = dst
-            wrapped.meta["reliable"] = False
-            return wrapped
-        return generate
-
-    for kind in m.ALL_KINDS:
-        stubs.register_generator(kind, _generator(kind))
-    return stubs

@@ -17,11 +17,21 @@ The strong group membership protocol exchanges seven message kinds:
 - ``DEAD_REPORT`` -- a member telling the leader that some machine's
   heartbeats stopped (also the message a buggy daemon sends about
   *itself*).
+
+:data:`GMP_SCHEMA` is the GMP packet stubs.  Beneath the daemon a
+message is a :class:`GmpMessage` payload under the reliable layer's
+:class:`~repro.gmp.reliable.RelHeader`; the reliable layer's own acks
+(``REL_ACK``, a bare ``RelHeader``) are recognised but are not part of
+the vocabulary campaigns and the fuzz grammar draw from.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Optional, Tuple
+
+from repro.core.stubs import UNKNOWN_TYPE, MessageType, PacketStubs
+from repro.gmp.reliable import RelHeader
+from repro.xkernel.message import Message
 
 HEARTBEAT = "HEARTBEAT"
 PROCLAIM = "PROCLAIM"
@@ -89,3 +99,54 @@ class GmpMessage:
             extra += f" members={list(self.members)}"
         return (f"GmpMessage({self.kind} from={self.sender} "
                 f"orig={self.originator} gid={self.group_id}{extra})")
+
+
+def msg_type(msg: Message) -> str:
+    """The GMP recogniser: the payload's kind, else a reliable-layer ack.
+
+    An ack carries an empty payload, so the payload decides first.
+    """
+    payload = msg.payload
+    if payload.__class__ is GmpMessage:
+        return payload.kind
+    top = next(msg.iter_headers(), None)
+    if top.__class__ is RelHeader and top.is_ack:
+        return "REL_ACK"
+    return UNKNOWN_TYPE
+
+
+def _generator(kind: str) -> Callable[..., Message]:
+    """A generator of unreliable ``kind`` messages (no RelHeader)."""
+    def generate(*, sender: int = 0, originator: Optional[int] = None,
+                 subject: int = -1, group_id: int = 0,
+                 members: Tuple[int, ...] = (),
+                 dst: Optional[int] = None) -> Message:
+        gmsg = GmpMessage(kind=kind, sender=sender,
+                          originator=sender if originator is None
+                          else originator,
+                          subject=subject, group_id=group_id,
+                          members=tuple(members))
+        wrapped = Message(payload=gmsg)
+        if dst is not None:
+            wrapped.meta["dst"] = dst
+        wrapped.meta["reliable"] = False
+        return wrapped
+    return generate
+
+
+#: what a filter may set on a protocol message: the reliable layer's
+#: sequence number and every field of the GMP message
+_SETTABLE = ("seq",) + GmpMessage.__slots__
+
+#: the GMP packet stubs (see :mod:`repro.core.stubs`)
+GMP_SCHEMA = PacketStubs(
+    name="gmp",
+    msg_type=msg_type,
+    types=tuple(
+        MessageType(kind, (RelHeader, GmpMessage), _SETTABLE,
+                    control=kind != HEARTBEAT, generate=_generator(kind))
+        for kind in ALL_KINDS),
+    corruptions=(("MEMBERSHIP_CHANGE", "group_id", 0),
+                 ("PROCLAIM", "originator", 0),
+                 ("DEAD_REPORT", "subject", 0)),
+    internal=(MessageType("REL_ACK", (RelHeader,)),))

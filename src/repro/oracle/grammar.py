@@ -16,9 +16,10 @@ can never drift from the registered command set, and every generated
 script is lint-clean by construction (guarded by the same static
 analysis the campaign engine applies -- see
 :func:`repro.core.genscripts.lint_generated` for the precedent).  The
-message-type vocabulary is read from the same
-:class:`~repro.core.genscripts.ProtocolSpec` the systematic campaigns
-are generated from, so the two generators cannot name different types.
+message-type vocabulary and the corruption rows are read from the
+protocol's packet stubs (:class:`~repro.core.stubs.PacketStubs`), the
+declaration the systematic campaigns are generated from too, so the two
+generators cannot name different types or fields.
 
 Scripts serialize to plain dicts (clause lists), which is what the
 shrinker's reproduction artifacts store: a shrunk script is re-rendered
@@ -32,22 +33,14 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.core.distributions import derive_seed
-from repro.core.genscripts import gmp_spec, tcp_spec
 from repro.core.script import PFI_COMMANDS
+from repro.gmp.messages import GMP_SCHEMA
+from repro.tcp.segment import TCP_SCHEMA
 
-#: message-type vocabulary per protocol: the generated campaigns' specs
-MESSAGE_TYPES: Dict[str, Tuple[str, ...]] = {
-    spec.name: tuple(spec.type_names()) for spec in (tcp_spec(), gmp_spec())}
-
-#: corruptible header fields per protocol, with the values to write (its
-#: own table: the order is part of every draw's ``rng.choice``)
-CORRUPT_FIELDS: Dict[str, Tuple[Tuple[str, str, object], ...]] = {
-    "tcp": (("ACK", "ack", 0), ("DATA", "seq", 0),
-            ("ACK", "window", 0)),
-    "gmp": (("MEMBERSHIP_CHANGE", "group_id", 0),
-            ("PROCLAIM", "originator", 0),
-            ("DEAD_REPORT", "subject", 0)),
-}
+#: the protocols the grammar draws scripts for, by name: each draw picks
+#: from a schema's ``vocabulary`` and ``corruptions`` tuples, so their
+#: order is part of every draw's ``rng.choice``
+SCHEMAS = {schema.name: schema for schema in (TCP_SCHEMA, GMP_SCHEMA)}
 
 DELAYS = (0.5, 1.5, 3.0)
 CHANCES = (0.1, 0.25, 0.5)
@@ -130,7 +123,7 @@ def _guard(rng: random.Random, protocol: str) -> str:
     """A tclish condition, or '' for an unconditional clause."""
     roll = rng.random()
     if roll < 0.55:
-        mtype = rng.choice(MESSAGE_TYPES[protocol])
+        mtype = rng.choice(SCHEMAS[protocol].vocabulary)
         return f'[msg_type cur_msg] eq "{mtype}"'
     if roll < 0.8:
         return f"[chance {rng.choice(CHANCES)}]"
@@ -147,8 +140,9 @@ def _action(rng: random.Random, protocol: str) -> str:
         return f"xDelay {rng.choice(DELAYS)}"
     if roll < 0.85:
         return "xDuplicate cur_msg 1"
-    if roll < 0.95 and CORRUPT_FIELDS[protocol]:
-        _mtype, field, value = rng.choice(CORRUPT_FIELDS[protocol])
+    corruptions = SCHEMAS[protocol].corruptions
+    if roll < 0.95 and corruptions:
+        _mtype, field, value = rng.choice(corruptions)
         return f"msg_set_field {field} {value}"
     return "msg_log cur_msg fuzz"
 
@@ -162,7 +156,7 @@ def _simple_clause(rng: random.Random, protocol: str) -> Clause:
 
 
 def _reorder_clause(rng: random.Random, protocol: str) -> Clause:
-    mtype = rng.choice(MESSAGE_TYPES[protocol])
+    mtype = rng.choice(SCHEMAS[protocol].vocabulary)
     return Clause(
         text=(f'if {{[msg_type cur_msg] eq "{mtype}"}} {{\n'
               f'    if {{!$fz_holding}} {{\n'
@@ -220,7 +214,7 @@ def _self_check(script: FuzzScript) -> FuzzScript:
 def generate_script(rng: random.Random, protocol: str, *,
                     direction: str = "", index: int = 0) -> FuzzScript:
     """Draw one script from the grammar (lint-clean, deterministic)."""
-    if protocol not in MESSAGE_TYPES:
+    if protocol not in SCHEMAS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if not direction:
         direction = rng.choice(("send", "receive"))

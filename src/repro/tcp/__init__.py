@@ -11,7 +11,7 @@ Public surface::
     from repro.tcp import (
         TCPConnection, TCPProtocol, Segment, VendorProfile,
         VENDORS, SUNOS_413, AIX_323, NEXT_MACH, SOLARIS_23, XKERNEL,
-        tcp_stubs,
+        TCP_SCHEMA,
     )
 """
 
@@ -19,13 +19,14 @@ from repro.tcp.congestion import TahoeController
 from repro.tcp.connection import (CLOSED, ESTABLISHED, LISTEN, SYN_RCVD,
                                   SYN_SENT, TCPConnection)
 from repro.tcp.ip import IPHeader, IPProtocol
-from repro.tcp.protocol import TCPProtocol, tcp_stubs
+from repro.tcp.protocol import TCPProtocol
 from repro.tcp.reassembly import ReassemblyQueue
 from repro.tcp.retransmit import RetransmissionManager
 from repro.tcp.rtt import (JacobsonKarnEstimator, NaiveEstimator,
                            make_estimator)
-from repro.tcp.segment import (ACK, FIN, PSH, RST, SYN, URG, Segment,
-                               classify, seq_add, seq_leq, seq_lt, seq_sub)
+from repro.tcp.segment import (ACK, FIN, PSH, RST, SYN, TCP_SCHEMA, URG,
+                               Segment, classify, seq_add, seq_leq, seq_lt,
+                               seq_sub)
 from repro.tcp.vendors import (AIX_323, BSD_DERIVED, NEXT_MACH, SOLARIS_23,
                                SUNOS_413, VENDORS, XKERNEL, VendorProfile)
 
@@ -34,7 +35,7 @@ __all__ = [
     "IPHeader", "IPProtocol", "JacobsonKarnEstimator", "LISTEN",
     "NEXT_MACH", "NaiveEstimator", "PSH", "RST", "ReassemblyQueue",
     "RetransmissionManager", "SOLARIS_23", "SUNOS_413", "SYN", "SYN_RCVD",
-    "SYN_SENT", "Segment", "TCPConnection", "TCPProtocol", "TahoeController", "URG",
+    "SYN_SENT", "Segment", "TCP_SCHEMA", "TCPConnection", "TCPProtocol", "TahoeController", "URG",
     "VENDORS", "VendorProfile", "XKERNEL", "classify", "make_estimator",
-    "seq_add", "seq_leq", "seq_lt", "seq_sub", "tcp_stubs",
+    "seq_add", "seq_leq", "seq_lt", "seq_sub",
 ]

@@ -1,4 +1,4 @@
-"""TCP as an x-Kernel protocol layer, plus the TCP packet stubs.
+"""TCP as an x-Kernel protocol layer.
 
 :class:`TCPProtocol` owns this host's connections and adapts them to the
 stack: a connection's outbound segments become messages pushed down
@@ -6,22 +6,18 @@ stack: a connection's outbound segments become messages pushed down
 (local port, remote address, remote port) -- falling back to a listener
 bound to the local port -- and fed to :meth:`TCPConnection.on_segment`.
 
-:func:`tcp_stubs` builds the :class:`~repro.core.stubs.PacketStubs` for
-TCP: recognition by flags/payload (SYN, SYNACK, ACK, DATA, FIN, RST) and
-generators for the stateless probe messages a filter script may forge --
-"when generating a spurious ACK message in TCP, no data structures need to
-be updated".
+The TCP packet stubs are :data:`repro.tcp.segment.TCP_SCHEMA`, declared
+beside the segment format.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.stubs import PacketStubs
 from repro.netsim.scheduler import Scheduler
 from repro.netsim.trace import TraceRecorder
 from repro.tcp.connection import TCPConnection
-from repro.tcp.segment import ACK, RST, SYN, Segment, classify
+from repro.tcp.segment import ACK, RST, Segment
 from repro.tcp.vendors import VendorProfile
 from repro.xkernel.message import Message
 from repro.xkernel.protocol import Protocol
@@ -176,55 +172,3 @@ class TCPProtocol(Protocol):
                    remote_port: int) -> Optional[TCPConnection]:
         """Look up an established connection."""
         return self._connections.get((local_port, remote_address, remote_port))
-
-
-def tcp_stubs() -> PacketStubs:
-    """Recognition/generation stubs for TCP segments."""
-    stubs = PacketStubs()
-
-    def recognize(msg: Message) -> Optional[str]:
-        seg = msg.find_header(Segment)
-        return classify(seg) if seg is not None else None
-
-    stubs.register_recognizer(recognize)
-
-    def gen_ack(*, src_port: int = 0, dst_port: int = 0, seq: int = 0,
-                ack: int = 0, window: int = 4096, dst: Optional[int] = None,
-                src: Optional[int] = None) -> Message:
-        seg = Segment(src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,
-                      flags=ACK, window=window)
-        msg = Message(payload=b"", headers=[seg])
-        if dst is not None:
-            msg.meta["dst"] = dst
-        if src is not None:
-            msg.meta["src"] = src
-        return msg
-
-    def gen_rst(*, src_port: int = 0, dst_port: int = 0, seq: int = 0,
-                ack: int = 0, dst: Optional[int] = None,
-                src: Optional[int] = None) -> Message:
-        seg = Segment(src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,
-                      flags=RST | ACK, window=0)
-        msg = Message(payload=b"", headers=[seg])
-        if dst is not None:
-            msg.meta["dst"] = dst
-        if src is not None:
-            msg.meta["src"] = src
-        return msg
-
-    def gen_syn(*, src_port: int = 0, dst_port: int = 0, seq: int = 0,
-                window: int = 4096, dst: Optional[int] = None,
-                src: Optional[int] = None) -> Message:
-        seg = Segment(src_port=src_port, dst_port=dst_port, seq=seq, ack=0,
-                      flags=SYN, window=window)
-        msg = Message(payload=b"", headers=[seg])
-        if dst is not None:
-            msg.meta["dst"] = dst
-        if src is not None:
-            msg.meta["src"] = src
-        return msg
-
-    stubs.register_generator("ACK", gen_ack)
-    stubs.register_generator("RST", gen_rst)
-    stubs.register_generator("SYN", gen_syn)
-    return stubs

@@ -13,12 +13,20 @@ DATA (payload present).  Keep-alive and zero-window probes are DATA/ACK
 segments distinguishable only by context (seq relative to the receiver's
 window), so filter scripts that need them compare ``seq`` fields, exactly
 as the paper's scripts did.
+
+:data:`TCP_SCHEMA` is the TCP packet stubs: the six types, carried on a
+:class:`Segment` header, with generators for the stateless probes a
+filter may forge (ACK, RST, SYN).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from typing import Callable, Optional
+
+from repro.core.stubs import UNKNOWN_TYPE, MessageType, PacketStubs
+from repro.xkernel.message import Message
 
 FIN = 0x01
 SYN = 0x02
@@ -175,3 +183,44 @@ def _checksum(data: bytes) -> int:
         total += (data[i] << 8) | data[i + 1]
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
+
+
+def msg_type(msg: Message) -> str:
+    """The TCP recogniser: the type of the outermost segment header."""
+    seg = msg.find_header(Segment)
+    return classify(seg) if seg is not None else UNKNOWN_TYPE
+
+
+def _forger(flags: int, window: int) -> Callable[..., Message]:
+    """A generator of stateless probe segments with ``flags`` set."""
+    def forge(*, src_port: int = 0, dst_port: int = 0, seq: int = 0,
+              ack: int = 0, window: int = window, dst: Optional[int] = None,
+              src: Optional[int] = None) -> Message:
+        seg = Segment(src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,
+                      flags=flags, window=window)
+        msg = Message(payload=b"", headers=[seg])
+        if dst is not None:
+            msg.meta["dst"] = dst
+        if src is not None:
+            msg.meta["src"] = src
+        return msg
+    return forge
+
+
+#: the header fields a filter may set on any segment (not the payload,
+#: not the computed ``is_*`` / ``seg_len`` / ``end_seq``)
+SEGMENT_FIELDS = ("src_port", "dst_port", "seq", "ack", "flags", "window")
+
+#: the TCP packet stubs (see :mod:`repro.core.stubs`); DATA is the one
+#: bulk (non-control) type
+TCP_SCHEMA = PacketStubs(
+    name="tcp",
+    msg_type=msg_type,
+    types=tuple(
+        MessageType(name, (Segment,), SEGMENT_FIELDS, control=name != "DATA",
+                    generate=generate)
+        for name, generate in (("SYN", _forger(SYN, 4096)), ("SYNACK", None),
+                               ("ACK", _forger(ACK, 4096)), ("DATA", None),
+                               ("FIN", None), ("RST", _forger(RST | ACK, 0)))),
+    corruptions=(("ACK", "ack", 0), ("DATA", "seq", 0),
+                 ("ACK", "window", 0)))

@@ -3,7 +3,8 @@ PFI layer in the middle."""
 
 import pytest
 
-from repro.core import PFILayer, PacketStubs, make_env
+from repro.core import MessageType, PFILayer, PacketStubs, make_env
+from repro.core.stubs import UNKNOWN_TYPE
 from repro.xkernel.message import Message
 from repro.xkernel.protocol import Protocol
 from repro.xkernel.stack import ProtocolStack
@@ -31,24 +32,43 @@ class CaptureBottom(Protocol):
         self.received.append(msg)
 
 
-def simple_stubs():
-    """Type = the message's meta['type'] (or payload dict 'type')."""
-    stubs = PacketStubs()
-    stubs.register_recognizer(lambda msg: msg.meta.get("type"))
+class Probe:
+    """The harness's one message body: two settable fields."""
 
-    def generate(**fields):
-        msg = Message(payload=dict(fields))
-        msg.meta["type"] = "PROBE"
-        return msg
+    __slots__ = ("seq", "value")
 
-    stubs.register_generator("PROBE", generate)
-    return stubs
+    def __init__(self, seq=0, value=0):
+        self.seq = seq
+        self.value = value
+
+
+def _meta_type(msg):
+    return msg.meta.get("type", UNKNOWN_TYPE)
+
+
+def _generate_probe(**fields):
+    msg = Message(payload=Probe(**fields))
+    msg.meta["type"] = "PROBE"
+    return msg
+
+
+#: a one-type schema: a message's type is its meta['type']; PROBE
+#: messages carry a :class:`Probe` whose two fields a filter may set
+SIMPLE_SCHEMA = PacketStubs(
+    name="harness", msg_type=_meta_type,
+    types=(MessageType("PROBE", (Probe,), ("seq", "value"),
+                       generate=_generate_probe),))
+
+
+def probe(msg_type="PROBE", **fields):
+    """A message of the harness schema carrying a :class:`Probe`."""
+    return Message(payload=Probe(**fields), meta={"type": msg_type})
 
 
 class Harness:
     def __init__(self, seed=0):
         self.env = make_env(seed=seed)
-        self.stubs = simple_stubs()
+        self.stubs = SIMPLE_SCHEMA
         self.top = CaptureTop()
         self.bottom = CaptureBottom()
         self.pfi = PFILayer("pfi", self.env.scheduler, self.stubs,

@@ -110,7 +110,8 @@ class TestRunScript:
         captured = capsys.readouterr()
         assert captured.err == (
             f'repro run-script: {script}: error in command "msg_set_field": '
-            f"message has no header field 'subject'\n")
+            f"message type REL_ACK has no settable field 'subject' "
+            f"(settable: none)\n")
         assert "Traceback" not in captured.err
 
 

@@ -28,6 +28,8 @@ def _repro(*args, cwd):
      'error in command "string": '),
     ("overflow.tcl", "puts [expr {1e308 * 10}]\n",
      "floating-point value too large to represent"),
+    ("arity.tcl", "puts [expr {abs(1, 2)}]\n",
+     'too many arguments for math function "abs"'),
 ])
 def test_a_runtime_fault_exits_1_with_one_line(tmp_path, name, source,
                                                message):
@@ -46,3 +48,21 @@ def test_a_bare_eval_lints_to_exit_1_not_a_crash(tmp_path):
     assert done.returncode == 1
     assert "SL002" in done.stdout
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--workers", "abc", "--journal-dir", "sweep-bad"],
+     "repro sweep: error: argument --workers: "),
+    (["sweep", "--targets", "nosuch", "--journal-dir", "sweep-nosuch"],
+     "repro sweep: unknown gmp target 'nosuch'"),
+    (["fuzz", "--protocol", "tcp", "--checkpoint-depth", "40",
+      "--journal", "fuzz.jsonl"],
+     "repro fuzz: depth 40 is not in [0, horizon 30)"),
+])
+def test_a_refused_sweep_or_fuzz_exits_2_and_creates_nothing(tmp_path, args,
+                                                             message):
+    done = _repro(*args, cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1].startswith(message)
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -10,13 +10,14 @@ agreed on every case.
 import pytest
 
 from repro.core import TclishFilter
-from repro.core.genscripts import generate_campaign, tcp_spec
+from repro.core.genscripts import generate_campaign
+from repro.tcp import TCP_SCHEMA
 
 from tests.core.conftest import Harness
 
 
 def _find_script(name):
-    for script in generate_campaign(tcp_spec()):
+    for script in generate_campaign(TCP_SCHEMA):
         if script.name == name:
             return script
     raise AssertionError(f"no generated script named {name}")

@@ -16,10 +16,12 @@ from pathlib import Path
 import pytest
 
 from repro.core.genscripts import (GenerationLintError, generate_campaign,
-                                   gmp_spec, lint_generated, tcp_spec)
+                                   lint_generated)
 from repro.core.orchestrator import Campaign, CampaignScriptError
 from repro.core.script import TclishFilter, TclishLintWarning
 from repro.core.tclish.lint import TclishLintError, lint_source
+from repro.gmp import GMP_SCHEMA
+from repro.tcp import TCP_SCHEMA
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -136,13 +138,13 @@ class TestCampaignRefusal:
 
 class TestGeneratorSelfCheck:
     def test_generated_batteries_are_clean(self):
-        for spec in (tcp_spec(), gmp_spec()):
-            scripts = generate_campaign(spec)
+        for schema in (TCP_SCHEMA, GMP_SCHEMA):
+            scripts = generate_campaign(schema)
             assert scripts
             assert lint_generated(scripts) == []
 
     def test_broken_template_raises_at_generation_time(self):
-        scripts = generate_campaign(tcp_spec(), self_check=False)
+        scripts = generate_campaign(TCP_SCHEMA, self_check=False)
         # simulate a template regression
         scripts[0].tclish_source = "xDropp cur_msg"
         failing = lint_generated(scripts)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PythonFilter
-from repro.xkernel.message import Message
+from tests.core.conftest import probe
 
 
 class TestTransparency:
@@ -208,9 +208,8 @@ class TestInjection:
 class TestModification:
     def test_set_field_mutates_in_place(self, harness):
         harness.pfi.set_send_filter(lambda ctx: ctx.set_field("value", 99))
-        msg = Message(payload={"value": 1}, meta={"type": "DATA"})
-        harness.pfi.push(msg)
-        assert harness.bottom.received[0].payload["value"] == 99
+        harness.pfi.push(probe(value=1))
+        assert harness.bottom.received[0].payload.value == 99
 
 
 class TestState:

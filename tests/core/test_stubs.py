@@ -1,159 +1,215 @@
-"""Unit tests for packet recognition/generation stubs."""
+"""Unit tests for the packet stubs: one declared message schema."""
+
+import copy
 
 import pytest
 
-from repro.core.stubs import PacketStubs, StubError, UNKNOWN_TYPE
+from repro.abp import ABP_SCHEMA
+from repro.core.cloneplan import ClonePlan
+from repro.core.stubs import (MessageType, PacketStubs, StubError,
+                              UNKNOWN_TYPE)
+from repro.gmp.messages import GMP_SCHEMA, PROCLAIM, GmpMessage
+from repro.gmp.reliable import RelHeader
+from repro.tcp.ip import IPHeader
+from repro.tcp.segment import ACK, SYN, TCP_SCHEMA, Segment
 from repro.xkernel.message import Message
 
 
-@pytest.fixture
-def stubs():
-    return PacketStubs()
+def _segment_message(flags=SYN, seq=100):
+    seg = Segment(src_port=1, dst_port=2, seq=seq, ack=0, flags=flags,
+                  window=4096)
+    return Message(payload=b"", headers=[seg])
 
 
-class TestRecognition:
-    def test_unknown_without_recognizers(self, stubs):
-        assert stubs.msg_type(Message()) == UNKNOWN_TYPE
-
-    def test_first_non_none_wins(self, stubs):
-        stubs.register_recognizer(lambda m: None)
-        stubs.register_recognizer(lambda m: "SECOND")
-        stubs.register_recognizer(lambda m: "THIRD")
-        assert stubs.msg_type(Message()) == "SECOND"
-
-    def test_recognizer_sees_message(self, stubs):
-        stubs.register_recognizer(
-            lambda m: "TAGGED" if m.meta.get("tag") else None)
-        assert stubs.msg_type(Message(meta={"tag": 1})) == "TAGGED"
-        assert stubs.msg_type(Message()) == UNKNOWN_TYPE
+def _gmp_message(seq=3):
+    msg = Message(payload=GmpMessage(PROCLAIM, sender=1, group_id=5))
+    msg.push_header(RelHeader(seq=seq))
+    return msg
 
 
-class TestGeneration:
-    def test_generate_calls_factory(self, stubs):
-        stubs.register_generator(
-            "ACK", lambda **f: Message(payload=dict(f)))
-        msg = stubs.generate("ACK", seq=7)
-        assert msg.payload == {"seq": 7}
+class Frame:
+    """A payload carrier with a computed field."""
 
-    def test_generated_messages_marked(self, stubs):
-        stubs.register_generator("ACK", lambda **f: Message())
-        msg = stubs.generate("ACK")
-        assert msg.meta["injected"] is True
-        assert msg.meta["injected_type"] == "ACK"
+    __slots__ = ("seq",)
 
-    def test_unknown_generator_raises_with_known_list(self, stubs):
-        stubs.register_generator("ACK", lambda **f: Message())
-        with pytest.raises(StubError, match="ACK"):
-            stubs.generate("NOPE")
-
-    def test_generator_names_sorted(self, stubs):
-        stubs.register_generator("ZZZ", lambda **f: Message())
-        stubs.register_generator("AAA", lambda **f: Message())
-        assert stubs.generator_names() == ["AAA", "ZZZ"]
-
-
-class ObjHeader:
     def __init__(self, seq):
         self.seq = seq
 
+    @property
+    def next_seq(self):
+        return self.seq + 1
+
+
+#: one type, named by ``meta['tag']``, carried on a :class:`Frame` payload
+FRAME_SCHEMA = PacketStubs(
+    name="frame",
+    msg_type=lambda m: "TAGGED" if m.meta.get("tag") else UNKNOWN_TYPE,
+    types=(MessageType("TAGGED", (Frame,), ("seq",),
+                       generate=lambda **f: Message(payload=Frame(**f))),))
+
+
+class TestDeclaration:
+    def test_vocabulary_is_the_declared_order(self):
+        assert TCP_SCHEMA.vocabulary == ("SYN", "SYNACK", "ACK", "DATA",
+                                         "FIN", "RST")
+        assert "REL_ACK" not in GMP_SCHEMA.vocabulary
+
+    @pytest.mark.parametrize("settable", [("end_seq",), ("ghost",)])
+    def test_settable_must_be_a_data_field_of_a_carrier(self, settable):
+        with pytest.raises(ValueError, match=settable[0]):
+            PacketStubs("t", lambda m: UNKNOWN_TYPE,
+                        (MessageType("T", (Segment,), settable),))
+
+    def test_corruption_row_must_name_a_settable_field(self):
+        with pytest.raises(ValueError, match="T.seq"):
+            PacketStubs("t", lambda m: UNKNOWN_TYPE,
+                        (MessageType("T", (Segment,), ("ack",)),),
+                        corruptions=(("T", "seq", 0),))
+
+    def test_a_schema_is_shared_not_copied(self):
+        world = {"stubs": TCP_SCHEMA, "msg": _segment_message()}
+        assert copy.deepcopy(world)["stubs"] is TCP_SCHEMA
+        plan = ClonePlan(world)
+        assert plan.clone()["stubs"] is TCP_SCHEMA
+        assert plan.fallback == []
+
+
+class TestRecognition:
+    def test_unknown_without_recognizers(self):
+        # a message no schema's recogniser claims
+        for schema in (TCP_SCHEMA, GMP_SCHEMA, ABP_SCHEMA, FRAME_SCHEMA):
+            assert schema.msg_type(Message()) == UNKNOWN_TYPE
+
+    def test_recognizer_sees_message(self):
+        assert FRAME_SCHEMA.msg_type(Message(meta={"tag": 1})) == "TAGGED"
+        assert FRAME_SCHEMA.msg_type(Message()) == UNKNOWN_TYPE
+
+
+class TestGeneration:
+    def test_generate_calls_factory(self):
+        msg = FRAME_SCHEMA.generate("TAGGED", seq=7)
+        assert msg.payload.seq == 7
+
+    def test_generated_messages_marked(self):
+        msg = TCP_SCHEMA.generate("ACK")
+        assert msg.meta["injected"] is True
+        assert msg.meta["injected_type"] == "ACK"
+
+    def test_unknown_generator_raises_with_known_list(self):
+        with pytest.raises(StubError, match=r"known: \['ACK', 'RST', 'SYN'\]"):
+            TCP_SCHEMA.generate("NOPE")
+
+    @pytest.mark.parametrize("type_name", ["SYNACK", "REL_ACK"])
+    def test_types_without_a_generator_are_refused(self, type_name):
+        schema = TCP_SCHEMA if type_name == "SYNACK" else GMP_SCHEMA
+        with pytest.raises(StubError, match="no generator"):
+            schema.generate(type_name)
+
 
 class TestFieldAccess:
-    def test_get_from_dict_header(self, stubs):
-        msg = Message()
-        msg.push_header({"seq": 42})
-        assert stubs.get_field(msg, "seq") == 42
+    def test_get_from_object_header(self):
+        assert TCP_SCHEMA.get_field(_segment_message(seq=7), "seq") == 7
 
-    def test_get_from_object_header(self, stubs):
-        msg = Message()
-        msg.push_header(ObjHeader(seq=7))
-        assert stubs.get_field(msg, "seq") == 7
+    def test_outermost_header_wins(self):
+        msg = _segment_message(seq=1)
+        msg.push_header(Segment(src_port=1, dst_port=2, seq=2, ack=0,
+                                flags=ACK, window=0))
+        assert TCP_SCHEMA.get_field(msg, "seq") == 2
 
-    def test_outermost_header_wins(self, stubs):
-        msg = Message()
-        msg.push_header({"seq": 1})
-        msg.push_header({"seq": 2})
-        assert stubs.get_field(msg, "seq") == 2
+    def test_get_from_object_payload(self):
+        msg = Message(payload=Frame(seq=3))
+        assert FRAME_SCHEMA.get_field(msg, "seq") == 3
+        assert FRAME_SCHEMA.get_field(msg, "next_seq") == 4
 
-    def test_get_from_dict_payload(self, stubs):
-        msg = Message(payload={"window": 0})
-        assert stubs.get_field(msg, "window") == 0
+    def test_reads_header_and_payload_fields(self):
+        msg = _gmp_message(seq=3)
+        assert GMP_SCHEMA.get_field(msg, "seq") == 3
+        assert GMP_SCHEMA.get_field(msg, "group_id") == 5
 
-    def test_get_from_object_payload(self, stubs):
-        msg = Message(payload=ObjHeader(seq=3))
-        assert stubs.get_field(msg, "seq") == 3
+    def test_undeclared_classes_are_not_read(self):
+        msg = _segment_message()
+        msg.push_header(IPHeader(src=1, dst=2))
+        with pytest.raises(StubError, match="'src'"):
+            TCP_SCHEMA.get_field(msg, "src")
 
-    def test_missing_field_raises(self, stubs):
+    def test_missing_field_raises(self):
+        with pytest.raises(StubError, match="no header field 'nothing'"):
+            TCP_SCHEMA.get_field(_segment_message(), "nothing")
+
+    def test_bytes_payload_not_probed(self):
         with pytest.raises(StubError):
-            stubs.get_field(Message(), "nothing")
+            TCP_SCHEMA.get_field(Message(b"raw"), "decode")
 
-    def test_set_on_dict_header(self, stubs):
-        msg = Message()
-        msg.push_header({"seq": 1})
-        stubs.set_field(msg, "seq", 9)
-        assert msg.headers[0]["seq"] == 9
+    def test_set_on_object_header(self):
+        msg = _segment_message()
+        TCP_SCHEMA.set_field(msg, "window", 0)
+        assert msg.find_header(Segment).window == 0
 
-    def test_set_on_object_header(self, stubs):
-        msg = Message()
-        header = ObjHeader(seq=1)
-        msg.push_header(header)
-        stubs.set_field(msg, "seq", 9)
-        assert header.seq == 9
-
-    def test_set_on_object_payload(self, stubs):
-        payload = ObjHeader(seq=1)
-        stubs.set_field(Message(payload=payload), "seq", 5)
+    def test_set_on_object_payload(self):
+        payload = Frame(seq=1)
+        FRAME_SCHEMA.set_field(Message(payload=payload, meta={"tag": 1}),
+                               "seq", 5)
         assert payload.seq == 5
 
-    def test_set_missing_raises(self, stubs):
-        with pytest.raises(StubError):
-            stubs.set_field(Message(), "ghost", 1)
+    def test_fields_of_two_carriers(self):
+        msg = _gmp_message()
+        GMP_SCHEMA.set_field(msg, "seq", 42)
+        GMP_SCHEMA.set_field(msg, "group_id", 9)
+        assert msg.find_header(RelHeader).seq == 42
+        assert msg.payload.group_id == 9
 
-    def test_bytes_payload_not_probed(self, stubs):
-        with pytest.raises(StubError):
-            stubs.get_field(Message(b"raw"), "decode")
+    def test_set_missing_raises(self):
+        with pytest.raises(StubError, match="SYN has no settable field"):
+            TCP_SCHEMA.set_field(_segment_message(), "ghost", 1)
+
+    def test_internal_and_unknown_types_set_nothing(self):
+        ack = Message(payload=b"", headers=[RelHeader(seq=1, is_ack=True)])
+        with pytest.raises(StubError, match="REL_ACK .*settable: none"):
+            GMP_SCHEMA.set_field(ack, "seq", 2)
+        with pytest.raises(StubError, match="UNKNOWN .*settable: none"):
+            GMP_SCHEMA.set_field(Message(b"x"), "seq", 2)
+
+    def test_absent_carrier_is_refused(self):
+        # a generated GMP message has no reliable-layer header to write
+        msg = GMP_SCHEMA.generate("PROCLAIM")
+        with pytest.raises(StubError, match="no header field 'seq'"):
+            GMP_SCHEMA.set_field(msg, "seq", 1)
 
 
 class TestComputedFields:
-    """Writes to setter-less properties are refused by name, up front."""
+    """Writes to fields a type does not declare settable -- computed
+    properties included -- are refused by name, up front."""
 
-    @staticmethod
-    def _segment_message():
-        from repro.tcp.segment import SYN, Segment
-        seg = Segment(src_port=1, dst_port=2, seq=100, ack=0, flags=SYN,
-                      window=4096)
-        return Message(payload=b"", headers=[seg])
-
-    @pytest.mark.parametrize("name", ["end_seq", "is_syn"])
-    def test_property_write_raises_stub_error(self, stubs, name):
-        msg = self._segment_message()
+    @pytest.mark.parametrize("name", ["end_seq", "is_syn", "payload"])
+    def test_property_write_raises_stub_error(self, name):
         with pytest.raises(StubError) as excinfo:
-            stubs.set_field(msg, name, 5)
-        assert name in str(excinfo.value)
-        assert "Segment" in str(excinfo.value)
+            TCP_SCHEMA.set_field(_segment_message(), name, 5)
+        assert str(excinfo.value) == (
+            f"message type SYN has no settable field {name!r} (settable: "
+            f"src_port, dst_port, seq, ack, flags, window)")
 
-    def test_rejected_write_clones_nothing(self, stubs):
-        msg = self._segment_message()
+    def test_rejected_write_clones_nothing(self):
+        msg = _segment_message()
         sibling = msg.copy()
         with pytest.raises(StubError):
-            stubs.set_field(sibling, "end_seq", 5)
-        assert sibling.top_header is msg.top_header
+            TCP_SCHEMA.set_field(sibling, "end_seq", 5)
+        assert sibling.find_header(Segment) is msg.find_header(Segment)
 
-    def test_property_on_object_payload_refused(self, stubs):
-        msg = self._segment_message()
-        with pytest.raises(StubError, match="is_syn"):
-            stubs.set_field(Message(payload=msg.top_header), "is_syn", True)
+    def test_property_on_object_payload_refused(self):
+        msg = Message(payload=Frame(seq=1), meta={"tag": 1})
+        with pytest.raises(StubError, match="'next_seq'"):
+            FRAME_SCHEMA.set_field(msg, "next_seq", 9)
 
     def test_property_write_through_tclish_filter(self, harness):
         # through a tclish filter the StubError is the command's TclError
         from repro.core import TclishFilter
         from repro.core.tclish import TclError
-        from repro.tcp.protocol import tcp_stubs
-        harness.pfi.stubs = tcp_stubs()
+        harness.pfi.stubs = TCP_SCHEMA
         harness.pfi.set_send_filter(TclishFilter("msg_set_field end_seq 5"))
         with pytest.raises(TclError) as excinfo:
-            harness.pfi.push(self._segment_message())
+            harness.pfi.push(_segment_message())
         assert str(excinfo.value).startswith(
-            'error in command "msg_set_field": ')
+            'error in command "msg_set_field": message type SYN ')
         assert "end_seq" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, StubError)
 
@@ -174,54 +230,33 @@ class TestComputedFields:
 class TestAliasedWrites:
     """set_field writes a private clone; get_field never copies."""
 
-    def test_set_field_invisible_to_sibling(self, stubs):
-        msg = Message()
-        msg.push_header(ObjHeader(seq=1))
-        msg.push_header({"seq": 2, "ttl": 3})
+    def test_set_field_invisible_to_sibling(self):
+        msg = _gmp_message(seq=1)
         sibling = msg.copy()
-        stubs.set_field(sibling, "ttl", 0)
-        stubs.set_field(sibling, "seq", 9)
-        assert stubs.get_field(msg, "ttl") == 3
-        assert stubs.get_field(msg, "seq") == 2
-        assert stubs.get_field(sibling, "ttl") == 0
-        assert stubs.get_field(sibling, "seq") == 9
-        # only the written header was cloned
-        assert sibling.find_header(ObjHeader) is msg.find_header(ObjHeader)
+        GMP_SCHEMA.set_field(sibling, "seq", 9)
+        assert GMP_SCHEMA.get_field(msg, "seq") == 1
+        assert GMP_SCHEMA.get_field(sibling, "seq") == 9
+        # only the written object was cloned
+        assert sibling.payload is msg.payload
+        GMP_SCHEMA.set_field(sibling, "sender", 7)
+        assert msg.payload.sender == 1
+        assert sibling.payload is not msg.payload
 
-    def test_get_field_keeps_headers_aliased(self, stubs):
-        msg = Message()
-        msg.push_header(ObjHeader(seq=1))
+    def test_get_field_keeps_headers_aliased(self):
+        msg = _gmp_message()
         sibling = msg.copy()
-        assert stubs.get_field(sibling, "seq") == 1
-        assert sibling.top_header is msg.top_header
+        assert GMP_SCHEMA.get_field(sibling, "seq") == 3
+        assert GMP_SCHEMA.get_field(sibling, "group_id") == 5
+        assert sibling.find_header(RelHeader) is msg.find_header(RelHeader)
+        assert sibling.payload is msg.payload
 
 
-class TestHasField:
-    def _context(self, msg, stubs):
-        from repro.core.context import ScriptContext
-        from repro.core.distributions import DistributionSet
-        from repro.core.sync import ScriptSync
-        return ScriptContext(msg=msg, direction="send", now=0.0, state={},
-                             peer_state={}, stubs=stubs,
-                             dist=DistributionSet(seed=0), sync=ScriptSync(),
-                             node="n", pfi=None)
+def test_the_docs_field_table_is_rendered_from_the_schemas():
+    from pathlib import Path
 
-    def test_absent_field_is_false(self, stubs):
-        ctx = self._context(Message(), stubs)
-        assert ctx.has_field("ghost") is False
-
-    def test_present_field_is_true(self, stubs):
-        msg = Message()
-        msg.push_header({"seq": 1})
-        assert self._context(msg, stubs).has_field("seq") is True
-
-    def test_broken_header_property_propagates(self, stubs):
-        class Broken:
-            @property
-            def seq(self):
-                raise RuntimeError("bug in header property")
-
-        msg = Message()
-        msg.push_header(Broken())
-        with pytest.raises(RuntimeError, match="bug in header property"):
-            self._context(msg, stubs).has_field("seq")
+    from repro.core.stubs import field_table
+    docs = Path(__file__).resolve().parents[2] / "docs" / "writing-experiments.md"
+    committed = docs.read_text().split(
+        "<!-- field-table: generated by repro.core.stubs.field_table -->\n",
+        1)[1].split("\n<!-- /field-table -->", 1)[0]
+    assert committed == field_table(TCP_SCHEMA, GMP_SCHEMA, ABP_SCHEMA)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import (Campaign, DistributionSet, Driver, MessageLog,
                         ScriptSync, derive_seed, make_env)
-from repro.core.stubs import PacketStubs
+from repro.core.stubs import MessageType, PacketStubs
 from repro.netsim.scheduler import Scheduler
 from repro.netsim.trace import TraceRecorder
 from repro.xkernel.message import Message
@@ -132,17 +132,39 @@ class TestScriptSync:
             ScriptSync().arrive("nope", "x")
 
 
+class Body:
+    """A logged message's one field."""
+
+    __slots__ = ("seq",)
+
+    def __init__(self, seq):
+        self.seq = seq
+
+
+class KindBody(Body):
+    """A GMP-style body: its ``kind`` collides with the trace's."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, seq, kind):
+        super().__init__(seq)
+        self.kind = kind
+
+
+#: a message's type is its meta['type']; fields are read off its body
+LOG_SCHEMA = PacketStubs("log", lambda m: m.meta.get("type"),
+                         (MessageType("DATA", (Body, KindBody)),))
+
+
 class TestMessageLog:
     def make_log(self):
         sched = Scheduler()
         trace = TraceRecorder(clock=lambda: sched.now)
-        stubs = PacketStubs()
-        stubs.register_recognizer(lambda m: m.meta.get("type"))
-        return MessageLog(stubs, trace, node="host"), trace
+        return MessageLog(LOG_SCHEMA, trace, node="host"), trace
 
     def test_log_formats_line(self):
         log, _ = self.make_log()
-        msg = Message(payload={"seq": 42}, meta={"type": "DATA"})
+        msg = Message(payload=Body(seq=42), meta={"type": "DATA"})
         line = log.log(msg, t=1.5, direction="receive", note="dropped")
         assert "DATA" in line
         assert "seq=42" in line
@@ -150,7 +172,7 @@ class TestMessageLog:
 
     def test_log_records_trace_entry(self):
         log, trace = self.make_log()
-        msg = Message(payload={"seq": 1}, meta={"type": "ACK"})
+        msg = Message(payload=Body(seq=1), meta={"type": "ACK"})
         log.log(msg, t=2.0, direction="send")
         entries = trace.entries("pfi.log")
         assert len(entries) == 1
@@ -168,7 +190,7 @@ class TestMessageLog:
         # a GMP-style payload field called "kind" collides with the trace
         # entry's own kind; it must land as payload_kind, untouched
         log, trace = self.make_log()
-        msg = Message(payload={"kind": "HEARTBEAT", "seq": 3},
+        msg = Message(payload=KindBody(seq=3, kind="HEARTBEAT"),
                       meta={"type": "GMP"})
         log.log(msg, t=1.0, direction="send")
         entry = trace.entries("pfi.log")[0]
@@ -181,10 +203,8 @@ class TestMessageLog:
         from repro.obs.metrics import MetricsRegistry
         sched = Scheduler()
         trace = TraceRecorder(clock=lambda: sched.now)
-        stubs = PacketStubs()
-        stubs.register_recognizer(lambda m: m.meta.get("type"))
         registry = MetricsRegistry()
-        log = MessageLog(stubs, trace, node="host", metrics=registry)
+        log = MessageLog(LOG_SCHEMA, trace, node="host", metrics=registry)
         log.log(Message(meta={"type": "A"}), t=0.0, direction="send")
         log.log(Message(meta={"type": "B"}), t=1.0, direction="send")
         assert registry.counter("pfi_logged", node="host").value == 2

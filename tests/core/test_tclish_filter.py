@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import TclishFilter
 from repro.core.tclish import TclError
+from tests.core.conftest import probe
 
 
 class TestTclishFilterBasics:
@@ -90,23 +91,19 @@ class TestTclishFilterBasics:
         assert len(harness.bottom.received) == 2
 
     def test_msg_field_access(self, harness):
-        from repro.xkernel.message import Message
         script = TclishFilter("""
             if {[msg_field seq] > 100} { xDrop cur_msg }
         """)
         harness.pfi.set_send_filter(script)
-        harness.pfi.push(Message(payload={"seq": 50},
-                                 meta={"type": "DATA"}))
-        harness.pfi.push(Message(payload={"seq": 200},
-                                 meta={"type": "DATA"}))
+        harness.pfi.push(probe(seq=50))
+        harness.pfi.push(probe(seq=200))
         assert len(harness.bottom.received) == 1
-        assert harness.bottom.received[0].payload["seq"] == 50
+        assert harness.bottom.received[0].payload.seq == 50
 
     def test_msg_set_field(self, harness):
-        from repro.xkernel.message import Message
         harness.pfi.set_send_filter(TclishFilter("msg_set_field seq 999"))
-        harness.pfi.push(Message(payload={"seq": 1}, meta={"type": "DATA"}))
-        assert harness.bottom.received[0].payload["seq"] == 999
+        harness.pfi.push(probe(seq=1))
+        assert harness.bottom.received[0].payload.seq == 999
 
     def test_msg_log_and_puts(self, harness):
         script = TclishFilter("""

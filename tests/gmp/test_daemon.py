@@ -3,8 +3,7 @@
 import pytest
 
 from repro.experiments.gmp_common import build_gmp_cluster
-from repro.gmp.daemon import gmp_stubs
-from repro.gmp.messages import GmpMessage, PROCLAIM
+from repro.gmp.messages import GMP_SCHEMA, GmpMessage, PROCLAIM
 from repro.xkernel.message import Message
 
 
@@ -179,19 +178,19 @@ class TestDaemonLifecycle:
 
 class TestStubs:
     def test_recognize_all_kinds(self):
-        stubs = gmp_stubs()
+        stubs = GMP_SCHEMA
         msg = Message(payload=GmpMessage(kind=PROCLAIM, sender=1))
         assert stubs.msg_type(msg) == "PROCLAIM"
 
     def test_recognize_rel_ack(self):
         from repro.gmp.reliable import RelHeader
-        stubs = gmp_stubs()
+        stubs = GMP_SCHEMA
         msg = Message()
         msg.push_header(RelHeader(seq=1, is_ack=True))
         assert stubs.msg_type(msg) == "REL_ACK"
 
     def test_generate_probe(self):
-        stubs = gmp_stubs()
+        stubs = GMP_SCHEMA
         msg = stubs.generate("PROCLAIM", sender=9, dst=1)
         assert msg.payload.kind == "PROCLAIM"
         assert msg.payload.originator == 9

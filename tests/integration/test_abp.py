@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.abp import AbpFrame, AbpReceiver, AbpSender, abp_stubs
+from repro.abp import ABP_SCHEMA, AbpFrame, AbpReceiver, AbpSender
 from repro.core import PFILayer, TclishFilter, make_env
 from repro.xkernel.stack import NodeAnchor, ProtocolStack
 
@@ -12,7 +12,7 @@ def build_abp(*, check_bit=True, seed=0, with_pfi_on="receiver"):
     env = make_env(seed=seed)
     n1 = env.network.add_node("sender", 1)
     n2 = env.network.add_node("receiver", 2)
-    stubs = abp_stubs()
+    stubs = ABP_SCHEMA
 
     sender = AbpSender(env.scheduler, peer_address=2, trace=env.trace)
     sender_pfi = PFILayer("pfi_s", env.scheduler, stubs, trace=env.trace,
@@ -102,7 +102,7 @@ class TestUnderFaults:
         env.network.add_node("r", 2)
         sender = AbpSender(env.scheduler, peer_address=2,
                            max_retransmits=5, trace=env.trace)
-        pfi = PFILayer("pfi", env.scheduler, abp_stubs(), trace=env.trace)
+        pfi = PFILayer("pfi", env.scheduler, ABP_SCHEMA, trace=env.trace)
         ProtocolStack().build(sender, pfi, NodeAnchor(n1))
         pfi.set_send_filter(TclishFilter(
             'if {[msg_type cur_msg] eq "ABP_DATA"} { xDrop cur_msg }'))
@@ -153,7 +153,7 @@ class TestFrameValidation:
 
     def test_stub_recognition(self):
         from repro.xkernel.message import Message
-        stubs = abp_stubs()
+        stubs = ABP_SCHEMA
         assert stubs.msg_type(Message(payload=AbpFrame("DATA", 0))) == \
             "ABP_DATA"
         assert stubs.msg_type(Message(payload=AbpFrame("ACK", 1))) == \

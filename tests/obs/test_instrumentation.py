@@ -6,7 +6,7 @@ from repro.core.tclish import Interp
 from repro.obs.lineage import Lineage
 from repro.obs.metrics import MetricsRegistry
 
-from tests.core.conftest import simple_stubs
+from tests.core.conftest import SIMPLE_SCHEMA
 
 
 class TestPFIMetrics:
@@ -21,9 +21,9 @@ class TestPFIMetrics:
 
     def test_shared_registry_aggregates_layers(self, harness):
         shared = MetricsRegistry()
-        pfi_a = PFILayer("a", harness.env.scheduler, simple_stubs(),
+        pfi_a = PFILayer("a", harness.env.scheduler, SIMPLE_SCHEMA,
                          node="m1", metrics=shared)
-        pfi_b = PFILayer("b", harness.env.scheduler, simple_stubs(),
+        pfi_b = PFILayer("b", harness.env.scheduler, SIMPLE_SCHEMA,
                          node="m2", metrics=shared)
         assert pfi_a.metrics is pfi_b.metrics
         snap = shared.snapshot()

@@ -11,7 +11,7 @@ def delay_dup_filter(ctx):
         ctx.state["fired"] = True
         ctx.delay(0.5)
         ctx.duplicate(1)
-        ctx.inject("PROBE", direction="send", x=1)
+        ctx.inject("PROBE", direction="send", value=1)
 
 
 class TestEdgesFromHarness:

@@ -3,7 +3,7 @@
 A share group of up to five messages is driven through random
 interleavings of every operation that touches the header stack or the
 payload -- ``copy``, ``push_header``, ``pop_header``, the read accessors,
-``PacketStubs`` field writes (header and payload fields), mutation
+typed ``PacketStubs`` field writes (header and payload fields), mutation
 through the public ``headers`` list and through ``writable_payload()``, a
 ``copy.deepcopy`` of the whole group (what ``Checkpoint.capture/fork``
 does to a world) and a pickle round trip -- and compared after every step
@@ -26,7 +26,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from repro.core.stubs import PacketStubs, StubError
+from repro.core.stubs import (UNKNOWN_TYPE, MessageType, PacketStubs,
+                              StubError, data_fields)
 from repro.gmp.messages import GmpMessage, PROCLAIM
 from repro.gmp.reliable import RelHeader
 from repro.gmp.udp import UDPHeader
@@ -60,6 +61,29 @@ PAYLOAD_BUILDERS = (
 #: only a payload defines
 FIELDS = ("seq", "dst_port", "ttl", "src", "window", "ghost", "end_seq",
           "group_id", "sender")
+
+#: the classes the schema below declares (dicts are carried, never typed)
+CARRIERS = (Segment, IPHeader, UDPHeader, RelHeader, GmpMessage)
+
+
+def _props_type(msg):
+    """A declared payload's class name, else the top header's."""
+    payload = msg.payload
+    if payload.__class__ in CARRIERS:
+        return payload.__class__.__name__
+    top = next(msg.iter_headers(), None)
+    return top.__class__.__name__ if top.__class__ in CARRIERS else UNKNOWN_TYPE
+
+
+def _settable(cls):
+    return tuple(f for f in FIELDS if f in data_fields(cls))
+
+
+#: one type per carrier class, settable: the data fields ``FIELDS`` names
+PROPS_SCHEMA = PacketStubs(
+    name="props", msg_type=_props_type,
+    types=tuple(MessageType(cls.__name__, (cls,), _settable(cls))
+                for cls in CARRIERS))
 
 small = st.integers(min_value=0, max_value=99)
 header_specs = st.tuples(st.integers(0, len(HEADER_BUILDERS) - 1), small, small)
@@ -97,6 +121,12 @@ share_group_runs = (st.lists(header_specs, max_size=3), payload_specs,
                     st.one_of(st.lists(operations, max_size=40),
                               st.lists(payload_operations, max_size=20)))
 
+#: what the seeded mutant is run against: payload operations after a
+#: first copy, so roughly one run in ten writes an aliased payload
+mutant_runs = (st.lists(header_specs, max_size=3), payload_specs,
+               st.lists(payload_operations, min_size=1, max_size=20).map(
+                   lambda ops: [("copy", 0)] + ops))
+
 
 def _build(spec):
     kind, a, b = spec
@@ -125,19 +155,17 @@ class _Modelled:
 
 
 def _model_set_field(modelled, name, value):
-    """``PacketStubs.set_field`` restated over a plain list and payload."""
-    candidates = list(reversed(modelled.stack))
-    if not isinstance(modelled.payload, bytes):
-        candidates.append(modelled.payload)
-    for header in candidates:
-        if isinstance(header, dict):
-            if name in header:
-                header[name] = value
-                return
-        elif hasattr(header, name):
-            if isinstance(getattr(type(header), name, None), property):
-                raise StubError(name)
-            setattr(header, name, value)
+    """``PacketStubs.set_field`` restated over a plain list and payload:
+    the type's class, then the first object of that class, outermost
+    header first and the payload last."""
+    objects = list(reversed(modelled.stack)) + [modelled.payload]
+    typed = [obj.__class__ for obj in (modelled.payload, objects[0])
+             if obj.__class__ in CARRIERS]
+    if not typed or name not in _settable(typed[0]):
+        raise StubError(name)
+    for obj in objects:
+        if obj.__class__ is typed[0]:
+            setattr(obj, name, value)
             return
     raise StubError(name)
 
@@ -192,13 +220,13 @@ def _run_share_group(initial, payload_spec, ops):
             assert repr(found) == repr(expected)
             for field in FIELDS:
                 try:
-                    PacketStubs.get_field(msg, field)
+                    PROPS_SCHEMA.get_field(msg, field)
                 except StubError:
                     pass
             assert _identities(group) == before
         elif name == "set_field":
             outcomes = []
-            for target, args in ((PacketStubs.set_field, (msg, op[2], op[3])),
+            for target, args in ((PROPS_SCHEMA.set_field, (msg, op[2], op[3])),
                                  (_model_set_field, (modelled, op[2], op[3]))):
                 try:
                     target(*args)
@@ -217,7 +245,7 @@ def _run_share_group(initial, payload_spec, ops):
             assert repr(msg.payload) == repr(modelled.payload)
             for field in ("group_id", "sender"):
                 try:
-                    PacketStubs.get_field(msg, field)
+                    PROPS_SCHEMA.get_field(msg, field)
                 except StubError:
                     pass
             assert _identities(group) == before
@@ -256,14 +284,14 @@ def test_mutant_set_field_writing_the_aliased_payload_in_place_is_killed(
         monkeypatch):
     real_set_field = PacketStubs.set_field
 
-    def set_field(msg, name, value):
+    def set_field(schema, msg, name, value):
         with monkeypatch.context() as patch:
             patch.setattr(Message, "writable_payload",
                           lambda self: self.payload)    # the mutation
-            real_set_field(msg, name, value)
+            real_set_field(schema, msg, name, value)
 
-    monkeypatch.setattr(PacketStubs, "set_field", staticmethod(set_field))
-    mutated = given(*share_group_runs)(
+    monkeypatch.setattr(PacketStubs, "set_field", set_field)
+    mutated = given(*mutant_runs)(
         settings(max_examples=300, deadline=None, derandomize=True,
                  database=None, phases=[Phase.generate])(_run_share_group))
     with pytest.raises(AssertionError):

@@ -17,11 +17,14 @@ import weakref
 from collections import deque
 from typing import Any, Dict, Iterator, List, Tuple
 
+from repro.core.stubs import PacketStubs
+
 #: leaves compared by value (or identity, for code-like objects)
 ATOMIC = (type(None), int, float, bool, complex, bytes, str, range,
           type(Ellipsis), type(NotImplemented))
+#: (and the packet stubs: an immutable declaration every copy shares)
 BY_IDENTITY = (type, types.FunctionType, types.BuiltinFunctionType,
-               types.CodeType, weakref.ref, property, enum.Enum)
+               types.CodeType, weakref.ref, property, enum.Enum, PacketStubs)
 #: containers a copier may share with the source when nothing mutable
 #: is reachable through them
 IMMUTABLE = (tuple, frozenset, types.MethodType, functools.partial)

@@ -59,3 +59,34 @@ def test_an_infinite_command_result_is_a_tcl_error():
     interp.register_function("huge", lambda: float("inf"))
     assert interp.eval("catch {huge} msg") == "1"
     assert interp.eval("set msg") == TOO_LARGE
+
+
+#: a math function called with the wrong number of arguments
+ARITY = {
+    "abs(1, 2)": 'too many arguments for math function "abs"',
+    "max()": 'not enough arguments for math function "max"',
+    "int(1,2)": 'too many arguments for math function "int"',
+    "round(1.5, 2, 3)": 'too many arguments for math function "round"',
+    "pow(2)": 'not enough arguments for math function "pow"',
+}
+
+
+@pytest.mark.parametrize("expression", ARITY)
+def test_math_function_arity_is_a_tcl_error(expression):
+    with pytest.raises(TclError) as info:
+        Interp().eval(f"expr {{{expression}}}")
+    assert str(info.value) == ARITY[expression]
+
+
+@pytest.mark.parametrize("expression", ARITY)
+def test_catch_traps_a_math_function_arity_error(expression):
+    interp = Interp()
+    assert interp.eval(f"catch {{expr {{{expression}}}}} msg") == "1"
+    assert interp.eval("set msg") == ARITY[expression]
+    interp.eval(f"set e {{{expression}}}")
+    assert interp.eval("catch {expr $e} msg") == "1"
+    assert interp.eval("set msg") == ARITY[expression]
+
+
+def test_variadic_math_functions_take_any_positive_count():
+    assert Interp().eval("expr {max(1) + min(3, 1, 2)}") == "2"

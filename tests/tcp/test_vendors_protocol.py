@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import make_env
 from repro.tcp import (AIX_323, BSD_DERIVED, NEXT_MACH, SOLARIS_23,
-                       SUNOS_413, TCPProtocol, VENDORS, XKERNEL, tcp_stubs)
+                       SUNOS_413, TCP_SCHEMA, TCPProtocol, VENDORS, XKERNEL)
 from repro.tcp.ip import IPHeader, IPProtocol
 from repro.tcp.segment import ACK, SYN, Segment
 from repro.xkernel.message import Message
@@ -158,18 +158,18 @@ class TestTCPProtocolLayer:
 
 class TestTCPStubs:
     def test_recognizes_segment_types(self):
-        stubs = tcp_stubs()
+        stubs = TCP_SCHEMA
         msg = Message()
         msg.push_header(Segment(src_port=1, dst_port=2, seq=0, ack=0,
                                 flags=SYN, window=0))
         assert stubs.msg_type(msg) == "SYN"
 
     def test_unknown_for_non_tcp(self):
-        stubs = tcp_stubs()
+        stubs = TCP_SCHEMA
         assert stubs.msg_type(Message(b"opaque")) == "UNKNOWN"
 
     def test_generates_stateless_probes(self):
-        stubs = tcp_stubs()
+        stubs = TCP_SCHEMA
         for type_name in ("ACK", "RST", "SYN"):
             msg = stubs.generate(type_name, src_port=9, dst_port=10,
                                  seq=1, dst=2)
