@@ -34,14 +34,24 @@ def _print(title: str, body: str) -> None:
 
 
 class _InputError(Exception):
-    """A file a command was pointed at is missing or not what it claims:
-    :func:`main` prints the one ``repro <cmd>: ...`` line and exits 2."""
+    """A file or protocol a command was pointed at is missing or not what
+    it claims: :func:`main` prints the one ``repro <cmd>: ...`` line and
+    exits 2."""
 
 
 def _require_file(cmd: str, path: str, what: str) -> str:
     if not os.path.isfile(path):
         raise _InputError(f"repro {cmd}: no such {what}: {path}")
     return path
+
+
+def _generator_schema(cmd: str, name: str):
+    """The schema scripts are generated from for protocol ``name``."""
+    from repro.core.genscripts import SCHEMAS
+    if name not in SCHEMAS:
+        raise _InputError(f"repro {cmd}: unknown protocol {name!r}; "
+                          f"expected one of {', '.join(SCHEMAS)}")
+    return SCHEMAS[name]
 
 
 # ----------------------------------------------------------------------
@@ -271,9 +281,10 @@ def cmd_lint(args) -> int:
     """Statically analyze tclish filter scripts (scriptlint).
 
     Accepts files and directories (directories are walked for ``.tcl``
-    and ``.tclish`` files).  ``--gen tcp,gmp`` additionally lints the
-    auto-generated batteries.  Exit status: 2 for unreadable inputs or
-    syntax errors (SL000), 1 for error-level findings, 0 when clean.
+    and ``.tclish`` files).  ``--gen tcp,gmp,abp`` additionally lints the
+    auto-generated batteries.  Exit status: 2 for unreadable inputs,
+    unknown protocols or syntax errors (SL000), 1 for error-level
+    findings, 0 when clean.
     """
     import json
 
@@ -309,9 +320,8 @@ def cmd_lint(args) -> int:
     if args.gen:
         from repro.core.genscripts import generate_campaign, lint_generated
         from repro.core.tclish.lint import LintReport
-        from repro.oracle.grammar import SCHEMAS
         for name in args.gen.split(","):
-            schema = SCHEMAS[name.strip()]
+            schema = _generator_schema("lint", name.strip())
             scripts = generate_campaign(schema, self_check=False)
             failing = lint_generated(scripts)
             if failing:
@@ -728,8 +738,7 @@ def cmd_explore(args) -> int:
 
 def cmd_campaign(args) -> None:
     from repro.core.genscripts import generate_campaign
-    from repro.oracle.grammar import SCHEMAS
-    schema = SCHEMAS[args.protocol]
+    schema = _generator_schema("campaign", args.protocol)
     scripts = generate_campaign(schema)
     print(f"{len(scripts)} scripts generated for {schema.name}:\n")
     for script in scripts:
@@ -785,7 +794,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = command("campaign", cmd_campaign, help=(
         "auto-generate a test-script battery from a "
         "protocol spec (paper §6 future work)"))
-    campaign.add_argument("protocol", choices=["tcp", "gmp"])
+    campaign.add_argument("protocol",
+                          help="protocol whose schema to generate from "
+                               "(an unknown name lists them)")
     campaign.add_argument("--tclish", action="store_true",
                           help="print the generated tclish sources")
     runner = command("run-script", cmd_run_script, help=(
@@ -816,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(e.g. 'set n 0')")
     lint.add_argument("--gen", default="",
                       help="also lint the auto-generated batteries "
-                           "(comma list of tcp,gmp)")
+                           "(comma list of protocols, e.g. tcp,gmp,abp)")
     check = command("check", cmd_check, help=(
         "run the three-pass static correctness suite "
         "(scriptlint dataflow, determinism, trace-schema "

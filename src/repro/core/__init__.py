@@ -17,14 +17,14 @@ Public surface:
 - :mod:`~repro.core.genscripts` -- the failure-model catalogue: tclish
   fault scripts generated from a protocol's schema
   (crash/omission/timing/reorder/duplicate/corruption) and the severity
-  lattice;
+  lattice (imported on first use: it declares the bundled protocols'
+  schemas, whose modules import this package);
 - :class:`~repro.core.driver.Driver` -- the traffic-generating layer
   above the target protocol;
 - :func:`~repro.core.orchestrator.make_env` /
   :class:`~repro.core.orchestrator.Campaign` -- experiment plumbing.
 """
 
-from repro.core import genscripts
 from repro.core.context import ScriptContext
 from repro.core.distributions import DistributionSet, derive_seed
 from repro.core.driver import Driver

@@ -16,11 +16,14 @@ covering the §2.2 failure models:
 - a **crash** script (correct prefix, then silence).
 
 A generated script is tclish source and nothing else -- the paper's
-"scripts are inputs" form -- so the campaign is inspectable and editable by
-hand, and the text :func:`lint_generated` (and a campaign's lint gate)
-checks is the text that runs: :meth:`GeneratedScript.tclish_filter`
-installs it, and a campaign config carries it as ``{"script":
-tclish_source, "init_script": tclish_init}``.
+"scripts are inputs" form -- written by the module's fault templates
+(:func:`type_guard`, :data:`DROP`, :func:`delay`, :data:`DUPLICATE`,
+:func:`corrupt_field`, :func:`reorder`, :func:`crash_after`), which the
+fuzz grammar renders its clauses from too.  So the campaign is
+inspectable and editable by hand, and the text :func:`lint_generated`
+(and a campaign's lint gate) checks is the text that runs:
+:meth:`GeneratedScript.tclish_filter` installs it, and a campaign config
+carries it as ``{"script": tclish_source, "init_script": tclish_init}``.
 
 This module is also the failure-model catalogue: :class:`FailureModel`
 names the paper's models, and the severity lattice ("Model B is more
@@ -36,8 +39,18 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
+from repro.abp.protocol import ABP_SCHEMA
 from repro.core.script import TclishFilter
 from repro.core.stubs import PacketStubs
+from repro.gmp.messages import GMP_SCHEMA
+from repro.tcp.segment import TCP_SCHEMA
+
+#: the protocols scripts are generated for, by name: ``repro campaign``,
+#: ``repro lint --gen`` and the fuzz grammar read this table (the grammar
+#: draws from each schema's ``vocabulary`` and ``corruptions`` tuples, so
+#: their order is part of every draw)
+SCHEMAS = {schema.name: schema
+           for schema in (TCP_SCHEMA, GMP_SCHEMA, ABP_SCHEMA)}
 
 
 class FailureModel(enum.Enum):
@@ -134,95 +147,60 @@ class GeneratedScript:
 
 
 # ----------------------------------------------------------------------
-# individual generators
+# fault templates
 # ----------------------------------------------------------------------
+#
+# The tclish text of every fault form, written once: the campaign below
+# and the fuzz grammar (:mod:`repro.oracle.grammar`) both render their
+# faults from these.  The two stateful forms return ``(source, init)``
+# and take the names of their variable / hold queue from the caller (the
+# campaign's ``holding`` / ``reorder`` / ``seen``, the grammar's
+# ``fz_holding`` / ``fzreorder`` / ``fz_seen``).
 
-def _drop_type(type_name: str, direction: str) -> GeneratedScript:
-    model = (FailureModel.SEND_OMISSION if direction == "send"
-             else FailureModel.RECEIVE_OMISSION)
-    return GeneratedScript(
-        name=f"drop_{type_name.lower()}_{direction}",
-        description=f"drop every {type_name} on the {direction} path",
-        direction=direction, failure_model=model,
-        tclish_source=(
-            f'if {{[msg_type cur_msg] eq "{type_name}"}} '
-            f'{{ xDrop cur_msg }}'))
-
-
-def _delay_type(type_name: str, seconds: float,
-                direction: str) -> GeneratedScript:
-    return GeneratedScript(
-        name=f"delay_{type_name.lower()}_{direction}",
-        description=f"delay every {type_name} by {seconds}s "
-                    f"({direction} path)",
-        direction=direction, failure_model=FailureModel.TIMING,
-        tclish_source=(
-            f'if {{[msg_type cur_msg] eq "{type_name}"}} '
-            f'{{ xDelay {seconds} }}'))
+DROP = "xDrop cur_msg"
+DUPLICATE = "xDuplicate cur_msg 1"
 
 
-def _duplicate_type(type_name: str, direction: str) -> GeneratedScript:
-    return GeneratedScript(
-        name=f"duplicate_{type_name.lower()}_{direction}",
-        description=f"duplicate every {type_name} ({direction} path)",
-        direction=direction, failure_model=FailureModel.BYZANTINE,
-        tclish_source=(
-            f'if {{[msg_type cur_msg] eq "{type_name}"}} '
-            f'{{ xDuplicate cur_msg 1 }}'))
+def type_guard(type_name: str) -> str:
+    """The condition "the current message is a ``type_name``"."""
+    return f'[msg_type cur_msg] eq "{type_name}"'
 
 
-def _reorder_type(type_name: str, direction: str) -> GeneratedScript:
-    return GeneratedScript(
-        name=f"reorder_{type_name.lower()}_{direction}",
-        description=f"swap each consecutive pair of {type_name} messages "
-                    f"({direction} path)",
-        direction=direction, failure_model=FailureModel.BYZANTINE,
-        tclish_source=(
-            f'if {{[msg_type cur_msg] eq "{type_name}"}} {{\n'
-            f'    if {{!$holding}} {{\n'
-            f'        set holding 1\n'
-            f'        xHold cur_msg reorder\n'
-            f'    }} else {{\n'
-            f'        set holding 0\n'
-            f'        xRelease reorder\n'
-            f'    }}\n'
-            f'}}'),
-        tclish_init="set holding 0")
+def chance(p: float) -> str:
+    """The condition "with probability ``p``"."""
+    return f"[chance {p}]"
 
 
-def _corrupt_field(type_name: str, field_name: str, bad_value: Any,
-                   direction: str) -> GeneratedScript:
-    return GeneratedScript(
-        name=f"corrupt_{type_name.lower()}_{field_name}_{direction}",
-        description=f"overwrite {type_name}.{field_name} with "
-                    f"{bad_value!r} ({direction} path)",
-        direction=direction, failure_model=FailureModel.BYZANTINE,
-        tclish_source=(
-            f'if {{[msg_type cur_msg] eq "{type_name}"}} '
-            f'{{ msg_set_field {field_name} {bad_value} }}'))
+def when(guard: str, action: str) -> str:
+    """``action``, run only when ``guard`` holds."""
+    return f"if {{{guard}}} {{ {action} }}"
 
 
-def _omission(p: float, direction: str) -> GeneratedScript:
-    model = (FailureModel.SEND_OMISSION if direction == "send"
-             else FailureModel.RECEIVE_OMISSION)
-    return GeneratedScript(
-        name=f"omission_{int(p * 100)}pct_{direction}",
-        description=f"drop each message with probability {p} "
-                    f"({direction} path)",
-        direction=direction, failure_model=model,
-        tclish_source=f'if {{[chance {p}]}} {{ xDrop cur_msg }}')
+def delay(seconds: float) -> str:
+    return f"xDelay {seconds}"
 
 
-def _crash_after(n: int, direction: str) -> GeneratedScript:
-    return GeneratedScript(
-        name=f"crash_after_{n}_{direction}",
-        description=f"behave correctly for {n} messages, then crash "
-                    f"({direction} path)",
-        direction=direction, failure_model=FailureModel.PROCESS_CRASH,
-        tclish_source=(
-            f'incr seen\n'
-            f'if {{$seen > {n}}} {{ xDrop cur_msg }}'),
-        tclish_init="set seen 0")
+def corrupt_field(field_name: str, bad_value: Any) -> str:
+    return f"msg_set_field {field_name} {bad_value}"
+
+
+def reorder(type_name: str, flag: str, queue: str) -> Tuple[str, str]:
+    """Hold one ``type_name`` message and release it after the next."""
+    return (f"if {{{type_guard(type_name)}}} {{\n"
+            f"    if {{!${flag}}} {{\n"
+            f"        set {flag} 1\n"
+            f"        xHold cur_msg {queue}\n"
+            f"    }} else {{\n"
+            f"        set {flag} 0\n"
+            f"        xRelease {queue}\n"
+            f"    }}\n"
+            f"}}", f"set {flag} 0")
+
+
+def crash_after(n: int, counter: str) -> Tuple[str, str]:
+    """Pass ``n`` messages, then drop every one after."""
+    return (f"incr {counter}\n" + when(f"${counter} > {n}", DROP),
+            f"set {counter} 0")
 
 
 # ----------------------------------------------------------------------
@@ -279,21 +257,50 @@ def generate_campaign(schema: PacketStubs, *,
     :class:`GenerationLintError` if any script carries an error-level
     diagnostic.
     """
+    byzantine = FailureModel.BYZANTINE
     scripts: List[GeneratedScript] = []
     for direction in directions:
+        omission = (FailureModel.SEND_OMISSION if direction == "send"
+                    else FailureModel.RECEIVE_OMISSION)
+        path = f"({direction} path)"
+        forms = []     # (name, description, model, source, init)
         for mtype in schema.types:
-            scripts.append(_drop_type(mtype.name, direction))
-            scripts.append(_delay_type(mtype.name, delay_seconds, direction))
+            kind, low = mtype.name, mtype.name.lower()
+            guard = type_guard(kind)
+            forms.append((f"drop_{low}",
+                          f"drop every {kind} on the {direction} path",
+                          omission, when(guard, DROP), ""))
+            forms.append((f"delay_{low}",
+                          f"delay every {kind} by {delay_seconds}s {path}",
+                          FailureModel.TIMING,
+                          when(guard, delay(delay_seconds)), ""))
             if mtype.control:
-                scripts.append(_duplicate_type(mtype.name, direction))
-                scripts.append(_reorder_type(mtype.name, direction))
-            for type_name, field_name, bad_value in schema.corruptions:
-                if type_name == mtype.name:
-                    scripts.append(_corrupt_field(type_name, field_name,
-                                                  bad_value, direction))
+                forms.append((f"duplicate_{low}",
+                              f"duplicate every {kind} {path}", byzantine,
+                              when(guard, DUPLICATE), ""))
+                forms.append((f"reorder_{low}",
+                              f"swap each consecutive pair of {kind} "
+                              f"messages {path}", byzantine,
+                              *reorder(kind, "holding", "reorder")))
+            for row_kind, field, bad_value in schema.corruptions:
+                if row_kind == kind:
+                    forms.append((f"corrupt_{low}_{field}",
+                                  f"overwrite {kind}.{field} with "
+                                  f"{bad_value!r} {path}", byzantine,
+                                  when(guard, corrupt_field(field, bad_value)),
+                                  ""))
         for rate in omission_rates:
-            scripts.append(_omission(rate, direction))
-        scripts.append(_crash_after(crash_after_messages, direction))
+            forms.append((f"omission_{round(rate * 100)}pct",
+                          f"drop each message with probability {rate} {path}",
+                          omission, when(chance(rate), DROP), ""))
+        forms.append((f"crash_after_{crash_after_messages}",
+                      f"behave correctly for {crash_after_messages} "
+                      f"messages, then crash {path}",
+                      FailureModel.PROCESS_CRASH,
+                      *crash_after(crash_after_messages, "seen")))
+        scripts.extend(GeneratedScript(f"{name}_{direction}", description,
+                                       direction, model, source, init)
+                       for name, description, model, source, init in forms)
     if self_check:
         failing = lint_generated(scripts)
         if failing:

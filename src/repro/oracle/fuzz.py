@@ -408,7 +408,9 @@ def check_placement(protocol: str, targets: Sequence[str] = (),
     ``[0, horizon)``, since the prefix is simulated up to it and the
     continuation from it to ``horizon`` (default: the protocol's
     :data:`HORIZONS` entry); an exploration ``window`` must be positive
-    and close by ``horizon``.  Raises :class:`ValueError` naming the
+    and close by ``horizon``, counted from ``depth`` (default: the
+    protocol's :data:`DEFAULT_DEPTHS` entry, as :func:`~repro.oracle
+    .explore.explore` places it).  Raises :class:`ValueError` naming the
     first rule broken.
     """
     if protocol not in HORIZONS:
@@ -424,8 +426,9 @@ def check_placement(protocol: str, targets: Sequence[str] = (),
                          f"[0, horizon {horizon:g})")
     if window is not None and not window > 0.0:
         raise ValueError(f"window {window:g} must be positive")
-    if window is not None and depth + window > horizon:
-        raise ValueError(f"window [{depth:g}, {depth + window:g}] runs past "
+    start = DEFAULT_DEPTHS[protocol] if depth is None else depth
+    if window is not None and start + window > horizon:
+        raise ValueError(f"window [{start:g}, {start + window:g}] runs past "
                          f"the horizon {horizon:g}")
 
 

@@ -17,9 +17,12 @@ script is lint-clean by construction (guarded by the same static
 analysis the campaign engine applies -- see
 :func:`repro.core.genscripts.lint_generated` for the precedent).  The
 message-type vocabulary and the corruption rows are read from the
-protocol's packet stubs (:class:`~repro.core.stubs.PacketStubs`), the
-declaration the systematic campaigns are generated from too, so the two
-generators cannot name different types or fields.
+protocol's packet stubs (:class:`~repro.core.stubs.PacketStubs`, by name
+from :data:`repro.core.genscripts.SCHEMAS`), and every fault is written
+by the fault templates of :mod:`repro.core.genscripts`: the systematic
+campaigns are generated from the same declaration and the same text, so
+the two generators cannot name different types or fields, nor spell a
+fault differently.
 
 Scripts serialize to plain dicts (clause lists), which is what the
 shrinker's reproduction artifacts store: a shrunk script is re-rendered
@@ -33,14 +36,10 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.core.distributions import derive_seed
+from repro.core.genscripts import (DROP, DUPLICATE, SCHEMAS, chance,
+                                   corrupt_field, crash_after, delay,
+                                   reorder, type_guard, when)
 from repro.core.script import PFI_COMMANDS
-from repro.gmp.messages import GMP_SCHEMA
-from repro.tcp.segment import TCP_SCHEMA
-
-#: the protocols the grammar draws scripts for, by name: each draw picks
-#: from a schema's ``vocabulary`` and ``corruptions`` tuples, so their
-#: order is part of every draw's ``rng.choice``
-SCHEMAS = {schema.name: schema for schema in (TCP_SCHEMA, GMP_SCHEMA)}
 
 DELAYS = (0.5, 1.5, 3.0)
 CHANCES = (0.1, 0.25, 0.5)
@@ -123,10 +122,9 @@ def _guard(rng: random.Random, protocol: str) -> str:
     """A tclish condition, or '' for an unconditional clause."""
     roll = rng.random()
     if roll < 0.55:
-        mtype = rng.choice(SCHEMAS[protocol].vocabulary)
-        return f'[msg_type cur_msg] eq "{mtype}"'
+        return type_guard(rng.choice(SCHEMAS[protocol].vocabulary))
     if roll < 0.8:
-        return f"[chance {rng.choice(CHANCES)}]"
+        return chance(rng.choice(CHANCES))
     if roll < 0.9:
         return f"[now] > {rng.choice(TIME_GATES)}"
     return ""
@@ -135,56 +133,28 @@ def _guard(rng: random.Random, protocol: str) -> str:
 def _action(rng: random.Random, protocol: str) -> str:
     roll = rng.random()
     if roll < 0.45:
-        return "xDrop cur_msg"
+        return DROP
     if roll < 0.7:
-        return f"xDelay {rng.choice(DELAYS)}"
+        return delay(rng.choice(DELAYS))
     if roll < 0.85:
-        return "xDuplicate cur_msg 1"
+        return DUPLICATE
     corruptions = SCHEMAS[protocol].corruptions
     if roll < 0.95 and corruptions:
         _mtype, field, value = rng.choice(corruptions)
-        return f"msg_set_field {field} {value}"
+        return corrupt_field(field, value)
     return "msg_log cur_msg fuzz"
-
-
-def _simple_clause(rng: random.Random, protocol: str) -> Clause:
-    guard = _guard(rng, protocol)
-    action = _action(rng, protocol)
-    if not guard:
-        return Clause(text=action)
-    return Clause(text=f"if {{{guard}}} {{ {action} }}")
-
-
-def _reorder_clause(rng: random.Random, protocol: str) -> Clause:
-    mtype = rng.choice(SCHEMAS[protocol].vocabulary)
-    return Clause(
-        text=(f'if {{[msg_type cur_msg] eq "{mtype}"}} {{\n'
-              f'    if {{!$fz_holding}} {{\n'
-              f'        set fz_holding 1\n'
-              f'        xHold cur_msg fzreorder\n'
-              f'    }} else {{\n'
-              f'        set fz_holding 0\n'
-              f'        xRelease fzreorder\n'
-              f'    }}\n'
-              f'}}'),
-        init="set fz_holding 0")
-
-
-def _crash_clause(rng: random.Random, _protocol: str) -> Clause:
-    n = rng.choice(CRASH_COUNTS)
-    return Clause(
-        text=(f"incr fz_seen\n"
-              f"if {{$fz_seen > {n}}} {{ xDrop cur_msg }}"),
-        init="set fz_seen 0")
 
 
 def _clause(rng: random.Random, protocol: str) -> Clause:
     roll = rng.random()
     if roll < 0.8:
-        return _simple_clause(rng, protocol)
+        guard = _guard(rng, protocol)
+        action = _action(rng, protocol)
+        return Clause(when(guard, action) if guard else action)
     if roll < 0.9:
-        return _reorder_clause(rng, protocol)
-    return _crash_clause(rng, protocol)
+        mtype = rng.choice(SCHEMAS[protocol].vocabulary)
+        return Clause(*reorder(mtype, "fz_holding", "fzreorder"))
+    return Clause(*crash_after(rng.choice(CRASH_COUNTS), "fz_seen"))
 
 
 # ----------------------------------------------------------------------

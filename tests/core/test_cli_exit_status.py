@@ -66,3 +66,23 @@ def test_a_refused_sweep_or_fuzz_exits_2_and_creates_nothing(tmp_path, args,
     assert done.stderr.splitlines()[-1].startswith(message)
     assert "Traceback" not in done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [["campaign", "abp", "--tclish"],
+                                  ["lint", "--gen", "tcp,gmp,abp"]])
+def test_every_declared_schema_generates(tmp_path, args):
+    done = _repro(*args, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "abp" in done.stdout
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize("args, cmd", [(["campaign", "nosuch"], "campaign"),
+                                       (["lint", "--gen", "tcp,nosuch"],
+                                        "lint")])
+def test_an_unknown_protocol_exits_2_with_one_line(tmp_path, args, cmd):
+    done = _repro(*args, cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr == (f"repro {cmd}: unknown protocol 'nosuch'; "
+                           f"expected one of tcp, gmp, abp\n")
+    assert done.stdout == ""

@@ -63,6 +63,13 @@ class TestGeneration:
         assert "reorder_bulk_send" not in names
         assert "duplicate_bulk_send" not in names
 
+    def test_omission_names_round_the_rate(self):
+        scripts = generate_campaign(SPEC, directions=("send",),
+                                    omission_rates=(0.29, 0.57, 0.3, 0.6))
+        names = [s.name for s in scripts if s.name.startswith("omission_")]
+        assert names == ["omission_29pct_send", "omission_57pct_send",
+                         "omission_30pct_send", "omission_60pct_send"]
+
     def test_builtin_specs(self):
         assert "DATA" in TCP_SCHEMA.vocabulary
         assert "MEMBERSHIP_CHANGE" in GMP_SCHEMA.vocabulary

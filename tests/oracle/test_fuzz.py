@@ -255,6 +255,17 @@ def test_every_engine_refuses_a_placement_before_it_runs():
             call()
 
 
+def test_a_window_without_a_depth_counts_from_the_default_depth():
+    import pytest
+
+    from repro.oracle.fuzz import DEFAULT_DEPTHS, HORIZONS, check_placement
+    for protocol, depth in DEFAULT_DEPTHS.items():
+        room = HORIZONS[protocol] - depth
+        check_placement(protocol, window=room)
+        with pytest.raises(ValueError, match=f"window \\[{depth:g}, "):
+            check_placement(protocol, window=room + 0.5)
+
+
 # ----------------------------------------------------------------------
 # a case carries its install depth
 # ----------------------------------------------------------------------
