@@ -693,6 +693,10 @@ def cmd_sweep(args) -> int:
     try:
         run_sweep(spec, workers=args.workers, backend=args.backend,
                   fabric_dir=fabric_dir, fabric_options=fabric_options)
+    except SpecError as exc:
+        # the directory's spec.pkl is damaged or not a sweep spec
+        print(f"repro sweep: {exc}", file=sys.stderr)
+        return 2
     except FabricError as exc:
         print(f"repro sweep: {exc}", file=sys.stderr)
         # a body that raised would raise again on --resume: not the

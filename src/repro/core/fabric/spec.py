@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from repro.core.envelope import seal, unseal
 from repro.core.orchestrator import (PrefixedBody, ResultStore,
                                      _hash_callable, _prefix_digest)
 
@@ -120,9 +120,10 @@ class SweepSpec:
     # ------------------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> Path:
-        """Atomically write the spec; safe against a concurrent reader."""
+        """Atomically write the spec, sealed
+        (:mod:`repro.core.envelope`); safe against a concurrent reader."""
         try:
-            blob = pickle.dumps(self)
+            blob = seal(self)
         except Exception as err:
             raise SpecError(
                 f"sweep spec is not picklable (body and oracle must be "
@@ -136,6 +137,10 @@ class SweepSpec:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SweepSpec":
+        """The spec :meth:`save` wrote at ``path``; :class:`SpecError` for
+        a missing file and for one whose envelope does not check out --
+        torn, bit-flipped, foreign, or written before the envelope --
+        so a damaged ``spec.pkl`` never loads as some other sweep."""
         path = Path(path)
         try:
             blob = path.read_bytes()
@@ -144,7 +149,7 @@ class SweepSpec:
                 f"no sweep spec at {path} (nothing to resume): {err}"
                 ) from err
         try:
-            spec = pickle.loads(blob)
+            spec = unseal(blob)
         except Exception as err:
             raise SpecError(
                 f"undecodable sweep spec at {path}: {err}") from err

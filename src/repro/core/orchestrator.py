@@ -70,6 +70,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple, Union)
 
 from repro.core.distributions import DistributionSet, derive_seed
+from repro.core.envelope import seal, unseal
 from repro.core.sync import ScriptSync
 from repro.netsim import kinds as K
 from repro.netsim.network import Network
@@ -172,6 +173,14 @@ class RunResult:
     :class:`~repro.oracle.Violation` list from the campaign's conformance
     oracle (``Campaign.run(..., oracle=...)``); it is ``None`` when no
     oracle ran, and ``[]`` when one ran and found the trace clean.
+
+    A pickled row carries its trace as a nested pickle (``bytes``).  A
+    row that crossed a process or came out of the store therefore holds
+    the trace encoded until ``trace`` is first read, which decodes it
+    once (through the recorder's own shape check) and keeps the
+    recorder; a resume that only scores its rows never decodes one, and
+    a row pickled again before its trace is read passes the same bytes
+    on untouched.  ``"trace" in vars(row)`` tells the two apart.
     """
 
     config: Dict[str, Any]
@@ -183,6 +192,27 @@ class RunResult:
     def ok(self) -> bool:
         """True when the run's oracle (if any) reported no violations."""
         return not self.violations
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        if "trace" in state:
+            state[_ENCODED_TRACE] = pickle.dumps(state.pop("trace"))
+        return state
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for a name the instance dict lacks: for ``trace``,
+        # a row whose trace is still the pickle it arrived as
+        state = self.__dict__
+        if name == "trace" and _ENCODED_TRACE in state:
+            self.trace = trace = pickle.loads(state[_ENCODED_TRACE])
+            del state[_ENCODED_TRACE]
+            return trace
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+#: where a :class:`RunResult` keeps its trace while it is still encoded
+_ENCODED_TRACE = "_trace_pickle"
 
 
 def _hash_code(digest, code) -> None:
@@ -238,9 +268,13 @@ class ResultStore:
     :meth:`put` only has to make each write atomic and collision-free
     (per-writer temp names, ``os.replace``).  Resume falls out for free:
     a completed row loads under its key, and anything else -- absent,
-    truncated, corrupt, foreign -- is a counted miss that is re-executed
-    and overwritten.  :meth:`probe` is both the resume ledger and the
-    loader, so "is it done?" and "give it to me" cannot disagree.
+    truncated, corrupt, foreign, or written in another format -- is a
+    counted miss that is re-executed and overwritten.  Every entry is
+    sealed (:mod:`repro.core.envelope`: magic, format version, crc32 of
+    the payload), and the seal is checked before anything is unpickled,
+    so a row whose trace stays encoded still fails at probe time when
+    its bytes are damaged.  :meth:`probe` is both the resume ledger and
+    the loader, so "is it done?" and "give it to me" cannot disagree.
 
     Configuration values that cannot be pickled deterministically fall
     back to ``repr``; a repr that embeds an object id yields a fresh key
@@ -294,10 +328,12 @@ class ResultStore:
 
     def get(self, key: str) -> Optional[RunResult]:
         """The stored result, or ``None`` -- a counted miss -- for anything
-        that does not unpickle to a :class:`RunResult`."""
+        that is not an intact envelope (:mod:`repro.core.envelope`) around
+        a pickled :class:`RunResult`.  The row comes back with its trace
+        still encoded."""
         try:
             with open(self._path(key), "rb") as fh:
-                result = pickle.load(fh)
+                result = unseal(fh.read())
         except Exception:
             result = None
         if not isinstance(result, RunResult):
@@ -307,9 +343,10 @@ class ResultStore:
         return result
 
     def put(self, key: str, result: RunResult) -> bool:
-        """Store one result atomically; False if it is not picklable."""
+        """Store one result atomically, sealed; False if it is not
+        picklable."""
         try:
-            blob = pickle.dumps(result)
+            blob = seal(result)
         except Exception:
             return False
         path = self._path(key)
@@ -1086,7 +1123,11 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
     backend's flight record is written by the same code and reads the
     same.  Results come back in input order, each trace with no clock
     bound (:meth:`~repro.netsim.trace.TraceRecorder.bind_clock` one to
-    record more), whichever transport ran it.
+    record more), whichever transport ran it.  A row that arrived
+    pickled -- from the pool, a fabric worker or the store (every held
+    row of a resume) -- keeps its trace encoded until ``result.trace``
+    is first read (:class:`RunResult`), so a sweep that is only scored
+    never decodes a trace it did not run here.
 
     ``workers`` (:func:`_resolve_workers`) and ``backend``
     (:data:`BACKENDS`) choose the transport, and nothing else.
@@ -1188,9 +1229,11 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
     # An in-process row's trace reads the scheduler of the world it ran
     # in, and a kept result would keep that whole world (one reference
     # cycle) alive; rows from the pool, the fabric or the store arrive
-    # unpickled with no clock.  Every result a sweep returns is detached.
+    # with their trace still encoded, so no clock.  Every result a sweep
+    # returns is detached.
     for result in results:
-        result.trace.bind_clock(None)
+        if "trace" in vars(result):
+            result.trace.bind_clock(None)
     return results
 
 

@@ -119,9 +119,9 @@ class TraceRecorder:
         return (self._times, self._kinds, self._attrs)
 
     def __setstate__(self, state: Any) -> None:
-        # a store row is outside input: anything but the three columns is
-        # refused here (a counted miss in ``ResultStore.get``), never
-        # half-built into a recorder that fails on its first query
+        # a stored row's trace is outside input: anything but the three
+        # columns is refused here (when the row's trace is first read),
+        # never half-built into a recorder that fails on its first query
         if not (isinstance(state, tuple) and len(state) == 3
                 and all(type(column) is list for column in state)
                 and len(state[0]) == len(state[1]) == len(state[2])):

@@ -86,3 +86,35 @@ def test_an_unknown_protocol_exits_2_with_one_line(tmp_path, args, cmd):
     assert done.stderr == (f"repro {cmd}: unknown protocol 'nosuch'; "
                            f"expected one of tcp, gmp, abp\n")
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("where, args", [
+    ("magic", ["--resume", "sweep"]),
+    ("version", ["--resume", "sweep"]),
+    ("payload", ["--resume", "sweep"]),
+    ("trailer", ["--resume", "sweep"]),
+    ("payload", ["--journal-dir", "sweep", "--count", "1"]),
+])
+def test_a_damaged_spec_refuses_the_sweep_with_one_line(tmp_path, where,
+                                                        args):
+    from repro.core.envelope import _MAGIC
+    from repro.core.fabric import SweepSpec
+    from repro.oracle.fuzz import pack_for, prefixed_fuzz_body, sweep_battery
+
+    fabric_dir = tmp_path / "sweep"
+    path = SweepSpec(body=prefixed_fuzz_body, seed=5,
+                     configs=sweep_battery("gmp", ["fixed"], 3),
+                     oracle=pack_for("gmp")).save(fabric_dir / "spec.pkl")
+    blob = bytearray(path.read_bytes())
+    offset = {"magic": 0, "version": len(_MAGIC) + 1,
+              "payload": len(blob) // 2, "trailer": len(blob) - 1}[where]
+    blob[offset] ^= 0x01
+    path.write_bytes(blob)
+
+    done = _repro("sweep", *args, cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("repro sweep: undecodable sweep spec at ")
+    assert done.stderr.count("\n") == 1
+    assert done.stdout == ""
+    # refused before anything ran: no store, no journal
+    assert [p.name for p in fabric_dir.iterdir()] == ["spec.pkl"]

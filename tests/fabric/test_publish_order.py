@@ -6,19 +6,24 @@ express them:
 - ``store.put`` -> journal ``run_end`` happens per row, not after the
   sweep: a sweep that dies at configuration *k* leaves *k* resumable
   rows, and the re-run executes only the remainder;
-- an entry that does not load as a ``RunResult`` -- garbage, truncated,
-  a foreign pickle, a row whose trace was written in the pre-columnar
-  ``{"entries": [...]}`` format -- is a counted miss for probe and load
-  alike: it is re-executed and overwritten, never a wedge.
+- an entry that does not load as a sealed ``RunResult`` -- garbage,
+  truncated, a foreign pickle, a bare pickle as ``put`` wrote it before
+  entries were sealed (columnar or pre-columnar ``{"entries": [...]}``
+  trace), a flipped payload byte, another format version -- is a
+  counted miss for probe and load alike: it is re-executed and
+  overwritten, never a wedge.
 """
 
+import copyreg
+import dataclasses
+import io
 import pickle
-from unittest import mock
 
 import pytest
 
+from repro.core import envelope
 from repro.core.fabric import ResultStore, merge_campaign_dir
-from repro.core.orchestrator import Campaign
+from repro.core.orchestrator import Campaign, RunResult
 from repro.netsim import kinds as K
 from repro.netsim.trace import TraceRecorder
 from repro.obs.journal import replay_journal
@@ -77,12 +82,42 @@ def test_failed_sweep_leaves_completed_rows_resumable(tmp_path):
         Campaign(fragile_body, seed=5, lint="off").run(configs))
 
 
+def _bare_pickle(blob, trace_state):
+    """The real entry as ``put`` wrote it before entries were sealed: a
+    bare pickle of the dataclass, the trace inline as
+    ``trace_state(recorder)`` -- the bytes the default reduction made."""
+    result = envelope.unseal(blob)
+    state = {field.name: getattr(result, field.name)
+             for field in dataclasses.fields(RunResult)}
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out)
+    pickler.dispatch_table = {
+        RunResult: lambda row: (copyreg.__newobj__, (RunResult,), state),
+        TraceRecorder: lambda trace: (copyreg.__newobj__, (TraceRecorder,),
+                                      trace_state(trace)),
+    }
+    pickler.dump(result)
+    return out.getvalue()
+
+
 def _parent_format(blob):
     """The real entry as the list-of-entries recorder pickled it."""
-    result = pickle.loads(blob)
-    with mock.patch.object(TraceRecorder, "__getstate__",
-                           lambda self: {"entries": list(self)}):
-        return pickle.dumps(result)
+    return _bare_pickle(blob, lambda trace: {"entries": list(trace)})
+
+
+def _unenveloped(blob):
+    """The real entry as ``put`` wrote it with the columnar recorder."""
+    return _bare_pickle(blob, TraceRecorder.__getstate__)
+
+
+def _flipped_byte(blob):
+    middle = len(blob) // 2
+    return blob[:middle] + bytes([blob[middle] ^ 0x01]) + blob[middle + 1:]
+
+
+def _future_version(blob):
+    return envelope._frame(envelope.VERSION + 1,
+                           pickle.dumps(envelope.unseal(blob)))
 
 
 #: bytes, or a function of the real entry's bytes
@@ -92,6 +127,9 @@ BAD_ENTRIES = {
     "foreign": pickle.dumps({"not": "a RunResult"}),
     "hostile": b"cos\nsystem_that_does_not_exist\n(S'x'\ntR.",
     "parent_format": _parent_format,
+    "unenveloped": _unenveloped,
+    "flipped_byte": _flipped_byte,
+    "future_version": _future_version,
 }
 
 
@@ -122,7 +160,9 @@ def test_store_treats_unloadable_entries_as_counted_misses(tmp_path, how):
 
 
 @pytest.mark.parametrize("backend", ["local", "sockets"])
-@pytest.mark.parametrize("how", ["garbage", "truncated", "parent_format"])
+@pytest.mark.parametrize("how", ["garbage", "truncated", "parent_format",
+                                 "unenveloped", "flipped_byte",
+                                 "future_version"])
 def test_resume_reexecutes_and_overwrites_a_bad_entry(tmp_path, backend,
                                                       how):
     configs = rig.make_configs(4)

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.core.fabric import ResultStore, SweepSpec
+from repro.core.fabric.spec import SpecError
 from repro.core.orchestrator import RunCache, run_one
 from tests.fabric.rig import chaos_body, make_spec
 
@@ -103,3 +104,26 @@ def test_spec_digest_distinguishes_content(tmp_path):
     base = make_spec(3)
     assert make_spec(4).digest() != base.digest()
     assert make_spec(3, seed=2).digest() != base.digest()
+
+
+def test_every_single_byte_flip_of_a_spec_is_refused(tmp_path):
+    # the envelope's crc and framing catch what an unsealed pickle let
+    # through: a flip that loaded a *different* sweep, or one whose
+    # digest() raised
+    blob = make_spec(3).save(tmp_path / "spec.pkl").read_bytes()
+    damaged = tmp_path / "damaged.pkl"
+    for offset in range(len(blob)):
+        for mask in (0x01, 0xFF):
+            flipped = bytearray(blob)
+            flipped[offset] ^= mask
+            damaged.write_bytes(flipped)
+            with pytest.raises(SpecError, match="undecodable sweep spec"):
+                SweepSpec.load(damaged)
+
+
+def test_an_unsealed_spec_is_refused(tmp_path):
+    # a spec.pkl from before the envelope: no reader for it is kept
+    path = tmp_path / "spec.pkl"
+    path.write_bytes(pickle.dumps(make_spec(3)))
+    with pytest.raises(SpecError, match="no envelope"):
+        SweepSpec.load(path)
