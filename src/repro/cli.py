@@ -20,160 +20,162 @@ prints the paper-shaped rows.
 from __future__ import annotations
 
 import argparse
+import importlib
+import math
 import os
 import sys
-from contextlib import nullcontext
-from typing import Callable, Dict, Union
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 from repro.analysis.tables import render_table
 
 
-def _print(title: str, body: str) -> None:
-    bar = "=" * 72
-    print(f"{bar}\n{title}\n{bar}\n{body}\n")
+class CliError(Exception):
+    """A command stopping on its input or its run: :func:`main` prints
+    the one ``repro <cmd>: <message>`` line and exits ``status`` -- 2
+    for refused input, 1 for a script fault or a worker error, 3 for a
+    resumable fabric loss."""
+
+    def __init__(self, message: str, status: int = 2):
+        super().__init__(message)
+        self.status = status
 
 
-class _InputError(Exception):
-    """A file or protocol a command was pointed at is missing or not what
-    it claims: :func:`main` prints the one ``repro <cmd>: ...`` line and
-    exits 2."""
+@contextmanager
+def _refusing(*errors):
+    """Refuse the user's input when the call inside raises ``errors``."""
+    try:
+        yield
+    except errors as err:
+        raise CliError(str(err)) from None
 
 
-def _require_file(cmd: str, path: str, what: str) -> str:
-    if not os.path.isfile(path):
-        raise _InputError(f"repro {cmd}: no such {what}: {path}")
+def _require_file(path: str, what: str = "file", *,
+                  exists: Callable[[str], bool] = os.path.isfile) -> str:
+    if not exists(path):
+        raise CliError(f"no such {what}: {path}")
     return path
 
 
-def _generator_schema(cmd: str, name: str):
+def _generator_schema(name: str):
     """The schema scripts are generated from for protocol ``name``."""
     from repro.core.genscripts import SCHEMAS
     if name not in SCHEMAS:
-        raise _InputError(f"repro {cmd}: unknown protocol {name!r}; "
-                          f"expected one of {', '.join(SCHEMAS)}")
+        raise CliError(f"unknown protocol {name!r}; "
+                       f"expected one of {', '.join(SCHEMAS)}")
     return SCHEMAS[name]
 
 
 # ----------------------------------------------------------------------
-# table commands
+# the paper's artefacts
 # ----------------------------------------------------------------------
 
-def cmd_table1(_args) -> None:
-    from repro.experiments.tcp_retransmission import run_all, table_rows
-    results = run_all()
-    _print("Table 1: TCP Retransmission Timeout Results",
-           render_table("(pass 30 packets, then drop all incoming)",
-                        ["Implementation", "Results", "Comments"],
-                        table_rows(results)))
+@dataclass(frozen=True)
+class Option:
+    """A run argument ``repro <command> --<name>`` sets."""
+
+    name: str
+    default: float
+    help: str
 
 
-def cmd_table2(args) -> None:
-    from repro.experiments.tcp_delayed_ack import run_all, table_rows
-    delay = getattr(args, "delay", 3.0) or 3.0
-    results = run_all(delay)
-    _print(f"Table 2: RTO with {delay:.0f}-second delayed ACKs",
-           render_table("(delay 30 ACKs, then drop all incoming)",
-                        ["Implementation", "Results", "Comments"],
-                        table_rows(results)))
+DELAY = Option("delay", 3.0, "ACK delay in seconds (default 3)")
 
 
-def cmd_table3(_args) -> None:
-    from repro.experiments.tcp_keepalive import run_all, table_rows
-    _print("Table 3: TCP Keep-alive Results",
-           render_table("(idle connection, keep-alive enabled)",
-                        ["Implementation", "Results", "Comments"],
-                        table_rows(run_all())))
+@dataclass(frozen=True)
+class Panel:
+    """One printed block of a paper artefact.
+
+    ``repro <command>`` runs ``repro.experiments.<module>.run_all(*args)``
+    and prints it under ``title`` (a format string over ``args``): a
+    table of ``columns`` under ``caption`` whose rows ``rows`` (a
+    function under ``repro.experiments``) builds, or, with no caption,
+    the lines ``rows`` returns.
+    """
+
+    command: str
+    module: str
+    args: tuple
+    title: str
+    rows: str
+    caption: str = ""
+    columns: Tuple[str, ...] = ()
 
 
-def cmd_table4(_args) -> None:
-    from repro.experiments.tcp_zero_window import run_all, table_rows
-    for variant in ("acked", "unacked"):
-        _print(f"Table 4: Zero Window Probes (probes {variant})",
-               render_table("(receiver never consumes)",
-                            ["Implementation", "Results", "Comments"],
-                            table_rows(run_all(variant))))
+_TCP = ("Implementation", "Results", "Comments")
+_FIGURE4 = "(seconds before each retransmission)"
+
+#: the paper's tables and figures, in ``repro all`` order
+PANELS = (
+    Panel("table1", "tcp_retransmission", (),
+          "Table 1: TCP Retransmission Timeout Results",
+          "tcp_retransmission.table_rows",
+          "(pass 30 packets, then drop all incoming)", _TCP),
+    Panel("table2", "tcp_delayed_ack", (DELAY,),
+          "Table 2: RTO with {0:.0f}-second delayed ACKs",
+          "tcp_delayed_ack.table_rows",
+          "(delay 30 ACKs, then drop all incoming)", _TCP),
+    Panel("table3", "tcp_keepalive", (), "Table 3: TCP Keep-alive Results",
+          "tcp_keepalive.table_rows",
+          "(idle connection, keep-alive enabled)", _TCP),
+    *(Panel("table4", "tcp_zero_window", (variant,),
+            "Table 4: Zero Window Probes (probes {0})",
+            "tcp_zero_window.table_rows", "(receiver never consumes)", _TCP)
+      for variant in ("acked", "unacked")),
+    Panel("exp5", "tcp_reordering", (), "Experiment 5: Reordering of messages",
+          "tcp_reordering.table_rows",
+          "(second segment overtakes a delayed first)",
+          ("Implementation", "OOO policy", "ACK", "Data")),
+    Panel("figure4", "tcp_retransmission", (),
+          f"Figure 4 panel: no delay {_FIGURE4}",
+          "tcp_retransmission.figure_rows"),
+    *(Panel("figure4", "tcp_delayed_ack", (delay,),
+            f"Figure 4 panel: {{0:.0f}} s ACK delay {_FIGURE4}",
+            "tcp_retransmission.figure_rows") for delay in (3.0, 8.0)),
+    Panel("table5", "gmp_packet_interruption", (),
+          "Table 5: GMP Packet Interruption", "gmp_common.findings_rows",
+          "(three machines)", ("Experiment", "Findings")),
+    Panel("table6", "gmp_partition", (),
+          "Table 6: Network Partition Experiment", "gmp_common.findings_rows",
+          "(five machines)", ("Experiment", "Findings")),
+    Panel("table7", "gmp_proclaim", (),
+          "Table 7: Proclaim Forwarding Experiment",
+          "gmp_common.findings_rows",
+          "(newcomer's proclaim to leader dropped)", ("Build", "Findings")),
+    Panel("table8", "gmp_timer", (), "Table 8: GMP Timer Test",
+          "gmp_common.findings_rows",
+          "(second membership change; commits+heartbeats dropped)",
+          ("Build", "Findings")),
+)
 
 
-def cmd_exp5(_args) -> None:
-    from repro.experiments.tcp_reordering import run_all
-    rows = [[r.vendor,
-             "queued" if r.second_segment_queued else "dropped",
-             "cumulative ACK" if r.acked_both_at_once else "partial ACKs",
-             "intact" if r.data_delivered_in_order else "CORRUPTED"]
-            for r in run_all().values()]
-    _print("Experiment 5: Reordering of messages",
-           render_table("(second segment overtakes a delayed first)",
-                        ["Implementation", "OOO policy", "ACK", "Data"],
-                        rows))
+def _experiment(dotted: str) -> Callable:
+    module, name = dotted.rsplit(".", 1)
+    return getattr(importlib.import_module(f"repro.experiments.{module}"),
+                   name)
 
 
-def cmd_figure4(_args) -> None:
-    from repro.experiments.tcp_delayed_ack import run_all as run_delayed
-    from repro.experiments.tcp_retransmission import run_all as run_nodelay
-    panels = {
-        "no delay": run_nodelay(),
-        "3 s ACK delay": run_delayed(3.0),
-        "8 s ACK delay": run_delayed(8.0),
-    }
-    for title, results in panels.items():
-        lines = []
-        for name, result in results.items():
-            series = " ".join(f"{v:7.2f}" for v in result.intervals)
-            lines.append(f"{name:<13s} {series}")
-        _print(f"Figure 4 panel: {title} (seconds before each "
-               f"retransmission)", "\n".join(lines))
+def cmd_paper(args) -> None:
+    """Run and print the panels of ``repro <command>`` (all for ``all``)."""
+    bar = "=" * 72
+    for panel in PANELS:
+        if args.command not in ("all", panel.command):
+            continue
+        run_args = [getattr(args, arg.name, arg.default)
+                    if isinstance(arg, Option) else arg for arg in panel.args]
+        results = _experiment(f"{panel.module}.run_all")(*run_args)
+        rows = _experiment(panel.rows)(results)
+        body = (render_table(panel.caption, panel.columns, rows)
+                if panel.caption else "\n".join(rows))
+        print(f"{bar}\n{panel.title.format(*run_args)}\n{bar}\n{body}\n")
 
 
-def cmd_table5(_args) -> None:
-    from repro.experiments.gmp_packet_interruption import run_all
-    results = run_all()
-    rows = []
-    for key, value in results.items():
-        attrs = ", ".join(f"{k}={v}" for k, v in vars(value).items()
-                          if not k.startswith("_"))
-        rows.append([key, attrs])
-    _print("Table 5: GMP Packet Interruption",
-           render_table("(three machines)", ["Experiment", "Findings"],
-                        rows))
+# ----------------------------------------------------------------------
+# tool commands
+# ----------------------------------------------------------------------
 
-
-def cmd_table6(_args) -> None:
-    from repro.experiments.gmp_partition import run_all
-    results = run_all()
-    rows = [[key, ", ".join(f"{k}={v}" for k, v in vars(value).items())]
-            for key, value in results.items()]
-    _print("Table 6: Network Partition Experiment",
-           render_table("(five machines)", ["Experiment", "Findings"],
-                        rows))
-
-
-def cmd_table7(_args) -> None:
-    from repro.experiments.gmp_proclaim import run_all
-    results = run_all()
-    rows = [[key, ", ".join(f"{k}={v}" for k, v in vars(value).items())]
-            for key, value in results.items()]
-    _print("Table 7: Proclaim Forwarding Experiment",
-           render_table("(newcomer's proclaim to leader dropped)",
-                        ["Build", "Findings"], rows))
-
-
-def cmd_table8(_args) -> None:
-    from repro.experiments.gmp_timer import run_all
-    results = run_all()
-    rows = [[key, ", ".join(f"{k}={v}" for k, v in vars(value).items())]
-            for key, value in results.items()]
-    _print("Table 8: GMP Timer Test",
-           render_table("(second membership change; commits+heartbeats "
-                        "dropped)", ["Build", "Findings"], rows))
-
-
-def cmd_all(args) -> None:
-    for fn in (cmd_table1, cmd_table2, cmd_table3, cmd_table4, cmd_exp5,
-               cmd_figure4, cmd_table5, cmd_table6, cmd_table7, cmd_table8):
-        fn(args)
-
-
-def cmd_run_script(args) -> int:
+def cmd_run_script(args) -> None:
     """Run a user-supplied tclish filter file against a standard workload.
 
     The TCP workload is the paper's default rig (vendor -> x-kernel,
@@ -183,19 +185,21 @@ def cmd_run_script(args) -> int:
     """
     from repro.core import TclishFilter
     from repro.core.tclish import TclError
-    with open(_require_file("run-script", args.script_file, "file")) as fp:
+    from repro.core.tclish.lint import TclishLintError
+    with open(_require_file(args.script_file)) as fp:
         source = fp.read()
-    script = TclishFilter(source, init_script=args.init or "",
-                          name=args.script_file, lint="error")
     try:
+        script = TclishFilter(source, init_script=args.init,
+                              name=args.script_file, lint="error")
         _drive_script(args, script)
+    except TclishLintError as err:
+        # refused before anything ran; the report names the file
+        syntax = any(d.code == "SL000" for d in err.report)
+        raise CliError(str(err), 2 if syntax else 1) from None
     except TclError as err:
         # a script fault (runaway recursion, a bad field name) is the
         # user's input failing, not the tool
-        print(f"repro run-script: {args.script_file}: {err}",
-              file=sys.stderr)
-        return 1
-    return 0
+        raise CliError(f"{args.script_file}: {err}", 1) from None
 
 
 def _drive_script(args, script) -> None:
@@ -293,35 +297,29 @@ def cmd_lint(args) -> int:
 
     targets = []
     for path in args.paths:
-        if os.path.isdir(path):
-            found = []
-            for root, _dirs, files in sorted(os.walk(path)):
-                for fname in sorted(files):
-                    if fname.endswith((".tcl", ".tclish")):
-                        found.append(os.path.join(root, fname))
-            if not found:
-                print(f"repro lint: no .tcl scripts under {path}",
-                      file=sys.stderr)
-                return 2
-            targets.extend(found)
-        elif os.path.exists(path):
+        if not os.path.isdir(_require_file(path, exists=os.path.exists)):
             targets.append(path)
-        else:
-            print(f"repro lint: no such file: {path}", file=sys.stderr)
-            return 2
+            continue
+        found = [os.path.join(root, fname)
+                 for root, _dirs, files in sorted(os.walk(path))
+                 for fname in sorted(files)
+                 if fname.endswith((".tcl", ".tclish"))]
+        if not found:
+            raise CliError(f"no .tcl scripts under {path}")
+        targets.extend(found)
 
     reports = []
     for path in targets:
         with open(path) as fp:
             source = fp.read()
-        reports.append(lint_source(source, init_script=args.init or "",
+        reports.append(lint_source(source, init_script=args.init,
                                    source_name=path))
 
     if args.gen:
         from repro.core.genscripts import generate_campaign, lint_generated
         from repro.core.tclish.lint import LintReport
         for name in args.gen.split(","):
-            schema = _generator_schema("lint", name.strip())
+            schema = _generator_schema(name.strip())
             scripts = generate_campaign(schema, self_check=False)
             failing = lint_generated(scripts)
             if failing:
@@ -332,9 +330,7 @@ def cmd_lint(args) -> int:
                 reports.append(clean)
 
     if not reports:
-        print("repro lint: nothing to lint (give files, directories, "
-              "or --gen)", file=sys.stderr)
-        return 2
+        raise CliError("nothing to lint (give files, directories, or --gen)")
 
     if args.format == "json":
         print(json.dumps([json.loads(render_json(r)) for r in reports],
@@ -369,6 +365,8 @@ def cmd_check(args) -> int:
     from repro.staticcheck import render_sarif, run_suite
 
     overrides = {}
+    for path in args.paths:
+        _require_file(path, exists=os.path.exists)
     if args.paths:
         overrides["tcl_paths"] = list(args.paths)
         overrides["py_paths"] = [p for p in args.paths
@@ -386,17 +384,16 @@ def cmd_check(args) -> int:
     return result.exit_code()
 
 
-def _load_trace_file(cmd: str, path: str):
+def _load_trace_file(path: str):
     from repro.analysis.export import load_trace
-    with open(_require_file(cmd, path, "trace file")) as fp:
+    with open(_require_file(path, "trace file")) as fp:
         try:
             return load_trace(fp)
         except (ValueError, KeyError):
-            raise _InputError(f"repro {cmd}: {path}: not a JSON-lines "
-                              f"trace") from None
+            raise CliError(f"{path}: not a JSON-lines trace") from None
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     """Reconstruct a run report from an exported JSON-lines trace.
 
     The report covers the run summary, per-kind/per-node metrics, the
@@ -412,34 +409,27 @@ def cmd_report(args) -> int:
     if args.campaign:
         return _cmd_report_campaign(args)
     if not args.trace_file:
-        print("repro report: give a trace file, or --campaign <journal>",
-              file=sys.stderr)
-        return 2
+        raise CliError("give a trace file, or --campaign <journal>")
     from repro.obs.lineage import Lineage
     from repro.obs.report import render_report
-    trace = _load_trace_file("report", args.trace_file)
+    trace = _load_trace_file(args.trace_file)
     if args.uid is not None:
         lineage = Lineage.from_trace(trace)
         if args.uid not in lineage.uids():
-            print(f"repro report: uid {args.uid} does not appear in "
-                  f"{args.trace_file}", file=sys.stderr)
-            return 2
+            raise CliError(f"uid {args.uid} does not appear in "
+                           f"{args.trace_file}")
         print(lineage.render(lineage.root_of(args.uid)))
-        return 0
+        return
     oracle = None
     if args.oracle:
         from repro.oracle import packs_by_name
-        try:
+        with _refusing(ValueError):
             oracle = packs_by_name(args.oracle.split(","))
-        except ValueError as exc:
-            print(f"repro report: {exc}", file=sys.stderr)
-            return 2
     print(render_report(trace, tail=args.tail, kind_prefix=args.kind,
                         oracle=oracle))
-    return 0
 
 
-def _cmd_report_campaign(args) -> int:
+def _cmd_report_campaign(args) -> None:
     """The ``repro report --campaign <journal-or-directory>`` path.
 
     A directory -- a fabric campaign dir or any folder of shard
@@ -453,17 +443,11 @@ def _cmd_report_campaign(args) -> int:
     from repro.obs.campaign_report import (render_html, render_text,
                                            summarize_journal,
                                            summary_to_json)
-    if not os.path.exists(args.campaign):
-        print(f"repro report: no such journal: {args.campaign}",
-              file=sys.stderr)
-        return 2
+    _require_file(args.campaign, "journal", exists=os.path.exists)
     if os.path.isdir(args.campaign):
         from repro.core.fabric.merge import merge_campaign_dir
-        try:
+        with _refusing(FileNotFoundError):
             summary = merge_campaign_dir(args.campaign)
-        except FileNotFoundError as exc:
-            print(f"repro report: {exc}", file=sys.stderr)
-            return 2
     else:
         summary = summarize_journal(args.campaign)
     if args.html:
@@ -478,10 +462,9 @@ def _cmd_report_campaign(args) -> int:
                          sort_keys=True))
     elif not args.html or args.format == "text":
         print(render_text(summary))
-    return 0
 
 
-def cmd_tail(args) -> int:
+def cmd_tail(args) -> None:
     """Follow (or replay) a campaign journal: ``repro tail <journal>``.
 
     Prints one line per journal event.  Without ``--follow`` the journal
@@ -495,8 +478,8 @@ def cmd_tail(args) -> int:
         for event in follow_journal(args.journal, poll=args.poll,
                                     timeout=args.timeout):
             print(_render_journal_event(event))
-        return 0
-    replay = replay_journal(_require_file("tail", args.journal, "journal"))
+        return
+    replay = replay_journal(_require_file(args.journal, "journal"))
     for event in replay.events:
         print(_render_journal_event(event))
     if replay.torn_tail is not None:
@@ -506,7 +489,6 @@ def cmd_tail(args) -> int:
     elif not replay.complete:
         print(f"  ! no campaign.end: sweep still running or interrupted "
               f"({len(replay.events)} event(s) so far)")
-    return 0
 
 
 def _render_journal_event(event) -> str:
@@ -523,7 +505,7 @@ def _render_journal_event(event) -> str:
     return f"{event.t:9.3f}s  {event.kind:<28} {detail}"
 
 
-def cmd_history(args) -> int:
+def cmd_history(args) -> None:
     """Cross-run history: record journals, show per-sweep deltas.
 
     ``repro history DIR`` renders the store; ``--record <journal>``
@@ -532,19 +514,22 @@ def cmd_history(args) -> int:
     and ``--bench <BENCH_*.json>`` records benchmark payloads the same
     way, turning them into a tracked trajectory.
     """
-    from repro.obs.history import HistoryStore
-    for journal in args.record:
-        _require_file("history", journal, "journal")
+    from repro.obs.history import (HistoryError, HistoryStore, bench_row,
+                                   journal_row)
+    # every input is read before the store is touched: a refusal
+    # records nothing
+    with _refusing(HistoryError):
+        rows = [(path, journal_row(_require_file(path, "journal")))
+                for path in args.record]
+        rows += [(path, bench_row(_require_file(path)))
+                 for path in args.bench]
     store = HistoryStore(args.dir)
-    for journal in args.record:
-        row = store.record_journal(journal)
+    for path, row in rows:
+        recorded = store.put(row)
         if not args.json:
-            print(f"recorded {journal} -> {row.id} "
-                  f"(fingerprint {row.fingerprint})")
-    for bench in args.bench or ():
-        row = store.record_bench(bench)
-        if not args.json:
-            print(f"recorded {bench} -> {row.id}")
+            print(f"recorded {path} -> {recorded.id}"
+                  + (f" (fingerprint {recorded.fingerprint})"
+                     if row["kind"] == "campaign" else ""))
     if args.json:
         import json
 
@@ -553,10 +538,9 @@ def cmd_history(args) -> int:
                          sort_keys=True))
     else:
         print(store.render())
-    return 0
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> None:
     """Export a JSON-lines trace as Chrome-trace/Perfetto JSON.
 
     Load the output in https://ui.perfetto.dev or ``chrome://tracing``:
@@ -571,18 +555,15 @@ def cmd_trace(args) -> int:
     if args.journal:
         from repro.obs.chrometrace import journal_chrome_trace
         from repro.obs.journal import replay_journal
-        replay = replay_journal(_require_file("trace", args.journal,
-                                              "journal"))
+        replay = replay_journal(_require_file(args.journal, "journal"))
         text = json.dumps(journal_chrome_trace(replay, title=args.journal),
                           sort_keys=True)
         count = len(replay.events)
     else:
         if not args.trace_file:
-            print("repro trace: give a trace file, or --journal <journal>",
-                  file=sys.stderr)
-            return 2
+            raise CliError("give a trace file, or --journal <journal>")
         from repro.obs.chrometrace import dump_chrome_trace
-        trace = _load_trace_file("trace", args.trace_file)
+        trace = _load_trace_file(args.trace_file)
         text = dump_chrome_trace(trace, title=args.trace_file)
         count = len(trace)
     if args.out:
@@ -592,10 +573,9 @@ def cmd_trace(args) -> int:
               f"https://ui.perfetto.dev or chrome://tracing")
     else:
         print(text)
-    return 0
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args) -> None:
     """Coverage-guided fault-scenario fuzzing (docs/conformance.md).
 
     Draws tclish fault scripts from the PFI-command grammar, runs them
@@ -612,13 +592,10 @@ def cmd_fuzz(args) -> int:
 
     from repro.core.checkpoint import CheckpointPool
     from repro.obs.journal import Journal
-    from repro.oracle.fuzz import check_placement, run_fuzz
+    from repro.oracle.fuzz import PlacementError, check_placement, run_fuzz
     from repro.oracle.shrink import artifact_name, shrink_finding
-    try:  # before --journal creates its file
+    with _refusing(PlacementError):  # before --journal creates its file
         check_placement(args.protocol, depth=args.checkpoint_depth)
-    except ValueError as err:
-        print(f"repro fuzz: {err}", file=sys.stderr)
-        return 2
     pool = CheckpointPool()
     with (Journal(args.journal) if args.journal
           else nullcontext()) as journal:
@@ -629,7 +606,7 @@ def cmd_fuzz(args) -> int:
                           journal=journal)
         print(report.render())
         if not args.save_repro:
-            return 0
+            return
         if not report.findings:
             print("no findings to shrink")
         for finding in report.findings:
@@ -641,10 +618,9 @@ def cmd_fuzz(args) -> int:
                   f"{stats.clauses_before}->{stats.clauses_after} "
                   f"clause(s), seed {stats.seed_before}->"
                   f"{stats.seed_after} ({stats.runs} runs) -> {path}")
-    return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     """Distributed, resumable campaign sweeps (docs/fabric.md).
 
     Runs a generated fault-script battery through ``run_sweep`` on a
@@ -664,49 +640,41 @@ def cmd_sweep(args) -> int:
     from repro.obs.campaign_report import render_stable, render_text
 
     fabric_options = {} if args.ttl is None else {"ttl": args.ttl}
-
+    fabric_dir = args.resume or args.journal_dir
+    if not fabric_dir:
+        raise CliError("give --journal-dir DIR (the campaign directory) or "
+                       "--resume DIR")
     if args.resume:
-        fabric_dir = args.resume
-        try:
+        with _refusing(SpecError):
             spec = SweepSpec.load(os.path.join(fabric_dir, "spec.pkl"))
-        except SpecError as exc:
-            print(f"repro sweep: {exc}", file=sys.stderr)
-            return 2
     else:
-        if not args.journal_dir:
-            print("repro sweep: give --journal-dir DIR (the campaign "
-                  "directory) or --resume DIR", file=sys.stderr)
-            return 2
-        fabric_dir = args.journal_dir
-        from repro.oracle.fuzz import (pack_for, prefixed_fuzz_body,
-                                       sweep_battery)
+        from repro.oracle.fuzz import (PlacementError, pack_for,
+                                       prefixed_fuzz_body, sweep_battery)
         targets = [t.strip() for t in args.targets.split(",") if t.strip()]
-        try:
+        with _refusing(PlacementError):
             configs = sweep_battery(args.protocol, targets, args.count,
                                     depth=args.depth)
-        except ValueError as err:
-            print(f"repro sweep: {err}", file=sys.stderr)
-            return 2
         spec = SweepSpec(body=prefixed_fuzz_body, seed=args.seed,
                          configs=configs, oracle=pack_for(args.protocol))
 
     try:
-        run_sweep(spec, workers=args.workers, backend=args.backend,
-                  fabric_dir=fabric_dir, fabric_options=fabric_options)
-    except SpecError as exc:
-        # the directory's spec.pkl is damaged or not a sweep spec
-        print(f"repro sweep: {exc}", file=sys.stderr)
-        return 2
+        # SpecError: the directory's spec.pkl is damaged or not a spec
+        with _refusing(SpecError):
+            run_sweep(spec, workers=args.workers, backend=args.backend,
+                      fabric_dir=fabric_dir, fabric_options=fabric_options)
     except FabricError as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
-        # a body that raised would raise again on --resume: not the
-        # "resumable" status
-        return 1 if exc.status == "worker_error" else 3
+        # a directory pinned to another sweep is refused input; a body
+        # that raised would raise again on --resume; only a lost fabric
+        # is the "resumable" status
+        raise CliError(str(exc), _FABRIC_STATUS.get(exc.status, 3)) from None
     summary = merge_campaign_dir(fabric_dir)
     print(render_text(summary))
     if args.stable:
         print(render_stable(summary))
-    return 0
+
+
+#: ``repro sweep``'s exit status per :class:`FabricError` status (else 3)
+_FABRIC_STATUS = {"spec_mismatch": 2, "worker_error": 1}
 
 
 def cmd_explore(args) -> int:
@@ -723,7 +691,8 @@ def cmd_explore(args) -> int:
     ``--max-perturbations`` above 2).
     """
     from repro.oracle.explore import ExploreError, explore
-    try:
+    from repro.oracle.fuzz import PlacementError
+    with _refusing(PlacementError, ExploreError):
         report = explore(args.protocol, args.target, seed=args.seed,
                          depth=args.depth, window=args.window,
                          horizon=args.horizon,
@@ -733,16 +702,13 @@ def cmd_explore(args) -> int:
                          recheckpoint_every=args.recheckpoint_every,
                          progress=print if args.progress else None,
                          journal=args.journal or None)
-    except (ExploreError, ValueError) as err:
-        print(f"repro explore: {err}", file=sys.stderr)
-        return 2
     print(report.render())
     return 1 if report.findings else 0
 
 
 def cmd_campaign(args) -> None:
     from repro.core.genscripts import generate_campaign
-    schema = _generator_schema("campaign", args.protocol)
+    schema = _generator_schema(args.protocol)
     scripts = generate_campaign(schema)
     print(f"{len(scripts)} scripts generated for {schema.name}:\n")
     for script in scripts:
@@ -754,27 +720,41 @@ def cmd_campaign(args) -> None:
     print()
 
 
-#: the paper's tables and figures: ``repro <name>`` regenerates one
-PAPER_COMMANDS: Dict[str, Callable] = {
-    "table1": cmd_table1, "table2": cmd_table2, "table3": cmd_table3,
-    "table4": cmd_table4, "exp5": cmd_exp5, "figure4": cmd_figure4,
-    "table5": cmd_table5, "table6": cmd_table6, "table7": cmd_table7,
-    "table8": cmd_table8, "all": cmd_all,
-}
+def _at_least(low: float, kind: type = float, *, also: str = ""):
+    """An argparse ``type``: a finite ``kind`` of at least ``low``, or
+    the word ``also``."""
+    name = {int: "an int", float: "a float"}[kind]
+
+    def parse(text: str):
+        if also and text == also:
+            return text
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected {name} >= {low:g}"
+                + (f" or {also!r}" if also else "") + f", got {text!r}")
+        return value
+    return parse
 
 
-def _workers_arg(text: str) -> Union[int, str]:
-    """``--workers``: a process count of at least 1, or ``auto``."""
-    if text == "auto":
-        return text
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
+_SECONDS = _at_least(0.0)
+_COUNT = _at_least(1, int)
+
+#: the protocols the simulated-workload commands serve
+SIMULATED = ("tcp", "gmp")
+
+
+def _vendor(text: str) -> str:
+    """``--vendor``: a TCP vendor profile name (``repro.tcp.VENDORS``)."""
+    from repro.tcp import VENDORS
+    if text not in VENDORS:
         raise argparse.ArgumentTypeError(
-            f"expected an int >= 1 or 'auto', got {text!r}")
-    return workers
+            f"unknown vendor {text!r}; expected one of "
+            f"{', '.join(map(repr, VENDORS))}")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -790,11 +770,15 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler)
         return sub
 
-    for name, handler in PAPER_COMMANDS.items():
-        cmd = command(name, handler, help=f"regenerate {name}")
-        if name == "table2":
-            cmd.add_argument("--delay", type=float, default=3.0,
-                             help="ACK delay in seconds (default 3)")
+    for name in [*dict.fromkeys(panel.command for panel in PANELS), "all"]:
+        cmd = command(name, cmd_paper, help=f"regenerate {name}")
+        options = dict.fromkeys(arg for panel in PANELS
+                                if panel.command == name
+                                for arg in panel.args
+                                if isinstance(arg, Option))
+        for option in options:
+            cmd.add_argument(f"--{option.name}", type=_SECONDS,
+                             default=option.default, help=option.help)
     campaign = command("campaign", cmd_campaign, help=(
         "auto-generate a test-script battery from a "
         "protocol spec (paper §6 future work)"))
@@ -807,13 +791,12 @@ def build_parser() -> argparse.ArgumentParser:
         "run a tclish filter file against a standard "
         "TCP or GMP workload"))
     runner.add_argument("script_file", help="path to the tclish source")
-    runner.add_argument("--protocol", choices=["tcp", "gmp"],
-                        default="tcp")
+    runner.add_argument("--protocol", choices=SIMULATED, default="tcp")
     runner.add_argument("--direction", choices=["send", "receive"],
                         default="receive")
-    runner.add_argument("--vendor", default="SunOS 4.1.3",
+    runner.add_argument("--vendor", type=_vendor, default="SunOS 4.1.3",
                         help="TCP vendor profile name")
-    runner.add_argument("--duration", type=float, default=120.0,
+    runner.add_argument("--duration", type=_SECONDS, default=120.0,
                         help="virtual seconds to run")
     runner.add_argument("--init", default="",
                         help="init script (e.g. 'set n 0')")
@@ -851,10 +834,9 @@ def build_parser() -> argparse.ArgumentParser:
     sequence = command("sequence", cmd_sequence, help=(
         "render a message-sequence ladder for a "
         "standard TCP or GMP run"))
-    sequence.add_argument("--protocol", choices=["tcp", "gmp"],
-                          default="gmp")
-    sequence.add_argument("--vendor", default="SunOS 4.1.3")
-    sequence.add_argument("--duration", type=float, default=5.0)
+    sequence.add_argument("--protocol", choices=SIMULATED, default="gmp")
+    sequence.add_argument("--vendor", type=_vendor, default="SunOS 4.1.3")
+    sequence.add_argument("--duration", type=_SECONDS, default=5.0)
     sequence.add_argument("--max-events", type=int, default=30)
     report = command("report", cmd_report, help=(
         "summarize an exported JSON-lines trace: metrics, "
@@ -891,10 +873,10 @@ def build_parser() -> argparse.ArgumentParser:
     tail.add_argument("--follow", action="store_true",
                       help="poll for appended events until campaign.end "
                            "or --timeout (watch a running sweep)")
-    tail.add_argument("--poll", type=float, default=0.2,
+    tail.add_argument("--poll", type=_SECONDS, default=0.2,
                       help="seconds between polls with --follow "
                            "(default 0.2)")
-    tail.add_argument("--timeout", type=float, default=None,
+    tail.add_argument("--timeout", type=_SECONDS, default=None,
                       help="stop following after this many wall seconds")
     history = command("history", cmd_history, help=(
         "cross-run history: record campaign journals, "
@@ -913,11 +895,11 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = command("fuzz", cmd_fuzz, help=(
         "coverage-guided fault-scenario fuzzing with the "
         "conformance oracle as verdict (docs/conformance.md)"))
-    fuzz.add_argument("--protocol", choices=["tcp", "gmp"], default="gmp")
+    fuzz.add_argument("--protocol", choices=SIMULATED, default="gmp")
     fuzz.add_argument("--seed", type=int, default=0,
                       help="campaign seed; the whole session is "
                            "deterministic in it (default 0)")
-    fuzz.add_argument("--budget", type=int, default=24,
+    fuzz.add_argument("--budget", type=_COUNT, default=24,
                       help="number of cases to execute (default 24)")
     fuzz.add_argument("--save-repro", default="", metavar="DIR",
                       help="shrink findings and write JSON repro "
@@ -938,12 +920,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = command("sweep", cmd_sweep, help=(
         "distributed, resumable campaign sweeps over the "
         "fabric backends (docs/fabric.md)"))
-    sweep.add_argument("--protocol", choices=["tcp", "gmp"],
-                       default="gmp")
+    sweep.add_argument("--protocol", choices=SIMULATED, default="gmp")
     sweep.add_argument("--targets", default="",
                        help="comma list of targets (TCP vendor profiles "
                             "or GMP variants; default: all)")
-    sweep.add_argument("--count", type=int, default=3,
+    sweep.add_argument("--count", type=_COUNT, default=3,
                        help="generated scripts per target (default 3)")
     sweep.add_argument("--seed", type=int, default=0,
                        help="campaign seed (default 0)")
@@ -953,7 +934,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--backend", choices=["local", "sockets"],
                        default="local",
                        help="execution backend (default local)")
-    sweep.add_argument("--workers", type=_workers_arg, default=2,
+    sweep.add_argument("--workers", type=_at_least(1, int, also="auto"),
+                       default=2,
                        help="worker processes (>= 1), or 'auto' (default 2)")
     sweep.add_argument("--journal-dir", default="", metavar="DIR",
                        help="campaign directory: sweep spec, shared "
@@ -962,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resume the sweep recorded in DIR (its "
                             "spec.pkl); only rows missing from the "
                             "result store execute")
-    sweep.add_argument("--ttl", type=float, default=None,
+    sweep.add_argument("--ttl", type=_SECONDS, default=None,
                        help="lease heartbeat TTL in seconds "
                             "(sockets backend; default 15)")
     sweep.add_argument("--stable", action="store_true",
@@ -972,8 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bounded delivery-order exploration from a "
         "prefix checkpoint, oracle packs as verdict "
         "(docs/checkpointing.md)"))
-    explore.add_argument("--protocol", choices=["tcp", "gmp"],
-                         default="gmp")
+    explore.add_argument("--protocol", choices=SIMULATED, default="gmp")
     explore.add_argument("--target", default="self_death",
                          help="bug variant to build the rig with "
                               "(default self_death; 'fixed' for the "
@@ -990,11 +971,11 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--horizon", type=float, default=None,
                          help="virtual time to run each schedule to "
                               "(default: the protocol's fuzz horizon)")
-    explore.add_argument("--max-schedules", type=int, default=64,
+    explore.add_argument("--max-schedules", type=_COUNT, default=64,
                          help="schedule budget (default 64)")
     explore.add_argument("--max-perturbations", type=int, default=1,
                          help="perturbations per schedule: 1 or 2 (default 1)")
-    explore.add_argument("--defer-delta", type=float, default=4.0,
+    explore.add_argument("--defer-delta", type=_SECONDS, default=4.0,
                          help="seconds a deferred event is pushed back "
                               "(default 4)")
     explore.add_argument("--recheckpoint-every", type=int, default=8,
@@ -1030,9 +1011,9 @@ def main(argv=None) -> int:
         status = args.handler(args) or 0
         sys.stdout.flush()
         return status
-    except _InputError as err:
-        print(err, file=sys.stderr)
-        return 2
+    except CliError as err:
+        print(f"repro {args.command}: {err}", file=sys.stderr)
+        return err.status
     except BrokenPipeError:
         # the reader closed early (``repro fuzz | head -1``); stdout goes
         # to devnull so the exit-time flush cannot raise a second time

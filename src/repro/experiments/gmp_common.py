@@ -101,3 +101,11 @@ def build_gmp_cluster(world: Sequence[int], *,
         pfis[address] = pfi
     return GmpCluster(env=env, daemons=daemons, pfis=pfis,
                       world=sorted(world))
+
+
+def findings_rows(results: Dict[str, object]) -> List[List[str]]:
+    """Rows of a GMP table (Tables 5-8): each run's name, then its
+    result's public fields as ``name=value`` pairs."""
+    return [[key, ", ".join(f"{k}={v}" for k, v in vars(value).items()
+                            if not k.startswith("_"))]
+            for key, value in results.items()]

@@ -16,7 +16,7 @@ acknowledges the data from both segments at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from repro.core import ScriptContext
 from repro.experiments.tcp_common import VENDOR_ADDR, build_tcp_testbed
@@ -118,6 +118,15 @@ def invariants():
     """The conformance pack that must hold over this experiment's traces."""
     from repro.oracle import tcp_pack
     return tcp_pack()
+
+
+def table_rows(results: Dict[str, ReorderingResult]) -> List[List[object]]:
+    """Rows of the Experiment 5 summary: OOO policy, ACK, data."""
+    return [[r.vendor,
+             "queued" if r.second_segment_queued else "dropped",
+             "cumulative ACK" if r.acked_both_at_once else "partial ACKs",
+             "intact" if r.data_delivered_in_order else "CORRUPTED"]
+            for r in results.values()]
 
 
 def conformance_runs(seed: int = 0):

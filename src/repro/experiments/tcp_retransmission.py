@@ -132,3 +132,13 @@ def table_rows(results: Dict[str, RetransmissionResult]) -> List[List[object]]:
                      f"backoff {shape}; {bound}",
                      close])
     return rows
+
+
+def figure_rows(results: Dict[str, object]) -> List[str]:
+    """Figure 4 lines: each vendor's gaps before every retransmission.
+
+    Serves this experiment's results and ``tcp_delayed_ack``'s alike:
+    both carry ``intervals``.
+    """
+    return [f"{name:<13s} " + " ".join(f"{v:7.2f}" for v in r.intervals)
+            for name, r in results.items()]

@@ -25,8 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.netsim import kinds as K
 from repro.obs.campaign_report import (CampaignSummary, summarize_journal,
                                        summary_to_json)
+from repro.obs.journal import replay_journal
 
 #: fields a history row carries; bump when the row shape changes
 ROW_VERSION = 2
@@ -48,6 +50,69 @@ def _row_id(row: Dict[str, Any]) -> str:
                            "version")}
     blob = json.dumps(stable, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+class HistoryError(ValueError):
+    """A file handed to the store is not the journal or benchmark payload
+    it was named as; nothing is recorded."""
+
+
+def journal_row(journal: Union[str, Path, CampaignSummary]
+                ) -> Dict[str, Any]:
+    """The history row of one campaign journal (path or summary)."""
+    if not isinstance(journal, CampaignSummary):
+        replay = replay_journal(journal)
+        if not replay.of(K.CAMPAIGN_START):
+            raise HistoryError(f"{journal}: not a campaign journal (no "
+                               f"{K.CAMPAIGN_START} event)")
+        journal = summarize_journal(replay)
+    full = summary_to_json(journal)
+    return {
+        "kind": "campaign",
+        "engine": full["engine"],
+        "fingerprint": full["fingerprint"],
+        "start": full["start"],
+        "completed": full["completed"],
+        "status": full["status"],
+        "executed": full["executed"],
+        "total": full["total"],
+        "findings": full["findings"],
+        "coverage_total": full["coverage_total"],
+        "corpus_size": full["corpus_size"],
+        "codes": full["codes"],
+        "worker_errors": len(full["worker_errors"]),
+        "shrink_steps": full["shrink_steps"],
+        "duration_s": round(full["duration_s"], 4),
+        "rate_per_s": full["rate_per_s"],
+        "scorecard": [
+            {"label": run["label"], "codes": run["codes"],
+             "new_coverage": run["new_coverage"]}
+            for run in full["runs"]],
+    }
+
+
+def bench_row(path: Union[str, Path]) -> Dict[str, Any]:
+    """The history row of one ``BENCH_*.json`` payload."""
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError:
+        payload = None
+    if not isinstance(payload, dict):
+        raise HistoryError(f"{path}: not a JSON benchmark payload")
+    blob = json.dumps(payload, sort_keys=True)
+    return {
+        "kind": "bench",
+        "engine": path.stem.lower(),
+        "fingerprint": hashlib.sha256(
+            path.stem.lower().encode()).hexdigest()[:16],
+        "payload": payload,
+        "findings": 0,
+        "coverage_total": 0,
+        "executed": 0,
+        "rate_per_s": 0.0,
+        "digest": hashlib.sha256(blob.encode()).hexdigest()[:16],
+    }
 
 
 @dataclass
@@ -82,7 +147,8 @@ class HistoryStore:
     # recording
     # ------------------------------------------------------------------
 
-    def _put(self, row: Dict[str, Any]) -> HistoryRow:
+    def put(self, row: Dict[str, Any]) -> HistoryRow:
+        """Store one row (from :func:`journal_row` / :func:`bench_row`)."""
         row_id = _row_id(row)
         row = dict(row, id=row_id, version=ROW_VERSION)
         self.entries.mkdir(parents=True, exist_ok=True)
@@ -104,51 +170,11 @@ class HistoryStore:
         Idempotent: recording the same deterministic sweep twice adds
         nothing (the content address collides on purpose).
         """
-        summary = (journal if isinstance(journal, CampaignSummary)
-                   else summarize_journal(journal))
-        full = summary_to_json(summary)
-        row = {
-            "kind": "campaign",
-            "engine": full["engine"],
-            "fingerprint": full["fingerprint"],
-            "start": full["start"],
-            "completed": full["completed"],
-            "status": full["status"],
-            "executed": full["executed"],
-            "total": full["total"],
-            "findings": full["findings"],
-            "coverage_total": full["coverage_total"],
-            "corpus_size": full["corpus_size"],
-            "codes": full["codes"],
-            "worker_errors": len(full["worker_errors"]),
-            "shrink_steps": full["shrink_steps"],
-            "duration_s": round(full["duration_s"], 4),
-            "rate_per_s": full["rate_per_s"],
-            "scorecard": [
-                {"label": run["label"], "codes": run["codes"],
-                 "new_coverage": run["new_coverage"]}
-                for run in full["runs"]],
-        }
-        return self._put(row)
+        return self.put(journal_row(journal))
 
     def record_bench(self, path: Union[str, Path]) -> HistoryRow:
         """Fold one ``BENCH_*.json`` payload into a history row."""
-        path = Path(path)
-        payload = json.loads(path.read_text())
-        blob = json.dumps(payload, sort_keys=True)
-        row = {
-            "kind": "bench",
-            "engine": path.stem.lower(),
-            "fingerprint": hashlib.sha256(
-                path.stem.lower().encode()).hexdigest()[:16],
-            "payload": payload,
-            "findings": 0,
-            "coverage_total": 0,
-            "executed": 0,
-            "rate_per_s": 0.0,
-            "digest": hashlib.sha256(blob.encode()).hexdigest()[:16],
-        }
-        return self._put(row)
+        return self.put(bench_row(path))
 
     # ------------------------------------------------------------------
     # reading

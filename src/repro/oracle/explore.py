@@ -76,8 +76,9 @@ _VOLATILE = frozenset(VOLATILE_ATTRS)
 
 
 class ExploreError(ValueError):
-    """The world to explore has not started: nothing recorded, nothing
-    perturbable in the window."""
+    """An exploration refused before its first schedule: a bound it does
+    not implement, or a world that has not started (nothing recorded,
+    nothing perturbable in the window)."""
 
     #: how the flight that raises this ends: refused, not broken
     status = "preflight_failed"
@@ -531,8 +532,9 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
     :class:`ExploreError` before the first schedule instead of
     reporting one vacuous baseline.  An unknown target, a depth outside
     ``[0, horizon)`` or a window that is empty or runs past the horizon
-    raises :class:`ValueError` (:func:`~repro.oracle.fuzz
-    .check_placement`) before anything is built.
+    raises :class:`~repro.oracle.fuzz.PlacementError` (:func:`~repro
+    .oracle.fuzz.check_placement`), and ``max_perturbations`` above 2
+    :class:`ExploreError`, before anything is built.
 
     ``recheckpoint_every`` (default 8, ``0`` disables) grows a
     checkpoint *tree*: an executing schedule re-checkpoints its branch
@@ -554,7 +556,7 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
     check_placement(protocol, [target], depth, window=window,
                     horizon=horizon)
     if max_perturbations > 2:
-        raise ValueError(
+        raise ExploreError(
             f"max_perturbations > 2 is not implemented (got "
             f"{max_perturbations}): plans stop at pairs, so a larger bound "
             f"would explore nothing a bound of 2 does not")

@@ -397,6 +397,10 @@ def _targets(protocol: str) -> Tuple[str, ...]:
     return GMP_VARIANTS
 
 
+class PlacementError(ValueError):
+    """A protocol, target, depth or window no run can honour."""
+
+
 def check_placement(protocol: str, targets: Sequence[str] = (),
                     depth: Optional[float] = None, *,
                     window: Optional[float] = None,
@@ -410,26 +414,26 @@ def check_placement(protocol: str, targets: Sequence[str] = (),
     :data:`HORIZONS` entry); an exploration ``window`` must be positive
     and close by ``horizon``, counted from ``depth`` (default: the
     protocol's :data:`DEFAULT_DEPTHS` entry, as :func:`~repro.oracle
-    .explore.explore` places it).  Raises :class:`ValueError` naming the
-    first rule broken.
+    .explore.explore` places it).  Raises :class:`PlacementError` naming
+    the first rule broken.
     """
     if protocol not in HORIZONS:
-        raise ValueError(f"unknown protocol {protocol!r}")
+        raise PlacementError(f"unknown protocol {protocol!r}")
     valid = _targets(protocol) + (("fixed",) if protocol == "gmp" else ())
     for target in targets:
         if target not in valid:
-            raise ValueError(f"unknown {protocol} target {target!r}; "
-                             f"expected one of {valid}")
+            raise PlacementError(f"unknown {protocol} target {target!r}; "
+                                 f"expected one of {valid}")
     horizon = HORIZONS[protocol] if horizon is None else horizon
     if depth is not None and not 0.0 <= depth < horizon:
-        raise ValueError(f"depth {depth:g} is not in "
-                         f"[0, horizon {horizon:g})")
+        raise PlacementError(f"depth {depth:g} is not in "
+                             f"[0, horizon {horizon:g})")
     if window is not None and not window > 0.0:
-        raise ValueError(f"window {window:g} must be positive")
+        raise PlacementError(f"window {window:g} must be positive")
     start = DEFAULT_DEPTHS[protocol] if depth is None else depth
     if window is not None and start + window > horizon:
-        raise ValueError(f"window [{start:g}, {start + window:g}] runs past "
-                         f"the horizon {horizon:g}")
+        raise PlacementError(f"window [{start:g}, {start + window:g}] "
+                             f"runs past the horizon {horizon:g}")
 
 
 #: consecutive lint-rejected draws after which the grammar is taken to
@@ -487,8 +491,8 @@ def sweep_battery(protocol: str, targets: Sequence[str], count: int, *,
     scripts -- script *i* drawn lint-clean from ``random.Random(i)`` --
     against every target (none given: every fuzz target, plus the fixed
     GMP build), each installed at ``depth`` when one is given.  A
-    placement :func:`check_placement` refuses raises :class:`ValueError`
-    before any script is drawn."""
+    placement :func:`check_placement` refuses raises
+    :class:`PlacementError` before any script is drawn."""
     check_placement(protocol, targets, depth)
     if not targets:
         targets = (sorted(_targets("tcp")) if protocol == "tcp"

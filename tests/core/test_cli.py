@@ -1,5 +1,5 @@
-"""Tests for the CLI (fast commands only; table commands are exercised by
-the benchmarks)."""
+"""Tests for the CLI.  The tables' findings are asserted by the
+benchmarks; their rendering is pinned here by the digest of ``repro all``."""
 
 import pytest
 
@@ -134,6 +134,15 @@ OUTSIDE_FILES = {
                               "trace"),
     "trace not JSON lines": (["trace", "NOTJSON"],
                              "repro trace: NOTJSON: not a JSON-lines trace"),
+    "check missing": (["check", MISSING],
+                      f"repro check: no such file: {MISSING}"),
+    "history --bench not JSON": (
+        ["history", "HISTORY", "--bench", "NOTJSON"],
+        "repro history: NOTJSON: not a JSON benchmark payload"),
+    "history --record not a journal": (
+        ["history", "HISTORY", "--record", "NOTJSON"],
+        "repro history: NOTJSON: not a campaign journal (no campaign.start "
+        "event)"),
 }
 
 
@@ -152,6 +161,91 @@ def test_outside_file_is_one_line_and_exit_2(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == place(line) + "\n"
     assert not history.exists()
+
+
+def _exit_status(argv):
+    """What ``main(argv)`` exits with, argparse refusals included."""
+    try:
+        return main(argv)
+    except SystemExit as exited:
+        return exited.code
+
+
+_VENDORS = "'SunOS 4.1.3', 'AIX 3.2.3', 'NeXT Mach', 'Solaris 2.3'"
+
+#: input a command refuses before anything runs: the exit status and
+#: the start of the last stderr line (BAD holds ``xDropp cur_msg``, OK
+#: ``xDrop cur_msg``, PINNED is a campaign directory of another sweep)
+REFUSED_INPUTS = {
+    "run-script lint error": (
+        ["run-script", "BAD"], 1, "BAD: 1 error(s), 0 warning(s)"),
+    "run-script unknown vendor": (
+        ["run-script", "OK", "--vendor", "nosuch"], 2,
+        f"repro run-script: error: argument --vendor: unknown vendor "
+        f"'nosuch'; expected one of {_VENDORS}"),
+    "sequence unknown vendor": (
+        ["sequence", "--protocol", "tcp", "--vendor", "nosuch"], 2,
+        f"repro sequence: error: argument --vendor: unknown vendor "
+        f"'nosuch'; expected one of {_VENDORS}"),
+    "run-script negative duration": (
+        ["run-script", "OK", "--duration", "-5"], 2,
+        "repro run-script: error: argument --duration: expected a float "
+        ">= 0, got '-5'"),
+    "table2 negative delay": (
+        ["table2", "--delay", "-1"], 2,
+        "repro table2: error: argument --delay: expected a float >= 0, "
+        "got '-1'"),
+    "explore negative defer delta": (
+        ["explore", "--defer-delta", "-1", "--max-schedules", "4"], 2,
+        "repro explore: error: argument --defer-delta: expected a float "
+        ">= 0, got '-1'"),
+    "sweep zero count": (
+        ["sweep", "--journal-dir", "SWEEP", "--count", "0"], 2,
+        "repro sweep: error: argument --count: expected an int >= 1, "
+        "got '0'"),
+    "sweep into another sweep's directory": (
+        ["sweep", "--journal-dir", "PINNED", "--count", "1"], 2,
+        "repro sweep: PINNED holds a different sweep (spec "),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_refused_input_exits_with_one_refusal_and_writes_nothing(
+        case, tmp_path, capsys):
+    from repro.core.fabric import SweepSpec
+    from repro.oracle.fuzz import pack_for, prefixed_fuzz_body, sweep_battery
+    (tmp_path / "bad.tcl").write_text("xDropp cur_msg\n")
+    (tmp_path / "ok.tcl").write_text("xDrop cur_msg\n")
+    SweepSpec(body=prefixed_fuzz_body, seed=5,
+              configs=sweep_battery("gmp", ["fixed"], 1),
+              oracle=pack_for("gmp")).save(tmp_path / "pinned" / "spec.pkl")
+    before = sorted(tmp_path.rglob("*"))
+
+    def place(text):
+        for name, path in (("BAD", "bad.tcl"), ("OK", "ok.tcl"),
+                           ("SWEEP", "sweep"), ("PINNED", "pinned")):
+            text = text.replace(name, str(tmp_path / path))
+        return text
+
+    argv, status, line = REFUSED_INPUTS[case]
+    assert _exit_status([place(arg) for arg in argv]) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith(place(line))
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_repro_all_output_is_pinned(capsys):
+    """``repro all`` prints every paper panel byte for byte as it did
+    before the artefact table replaced the per-table commands; a change
+    to any table's rendering has to update this digest on purpose."""
+    import hashlib
+    assert main(["all"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 233
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c3e5e535bd828130b8a7123bbe76f18f39ecbc6cc45895e35b140a5c3f347fa2")
 
 
 class TestSequenceCommand:

@@ -50,22 +50,27 @@ def test_a_bare_eval_lints_to_exit_1_not_a_crash(tmp_path):
     assert "Traceback" not in done.stderr
 
 
-@pytest.mark.parametrize("args, message", [
+@pytest.mark.parametrize("args, message, status", [
     (["sweep", "--workers", "abc", "--journal-dir", "sweep-bad"],
-     "repro sweep: error: argument --workers: "),
+     "repro sweep: error: argument --workers: ", 2),
     (["sweep", "--targets", "nosuch", "--journal-dir", "sweep-nosuch"],
-     "repro sweep: unknown gmp target 'nosuch'"),
+     "repro sweep: unknown gmp target 'nosuch'", 2),
     (["fuzz", "--protocol", "tcp", "--checkpoint-depth", "40",
       "--journal", "fuzz.jsonl"],
-     "repro fuzz: depth 40 is not in [0, horizon 30)"),
+     "repro fuzz: depth 40 is not in [0, horizon 30)", 2),
+    (["sweep", "--count", "0", "--journal-dir", "sweep-empty"],
+     "repro sweep: error: argument --count: expected an int >= 1", 2),
+    # a lint error refuses the script before anything runs: exit 1
+    (["run-script", "bad.tcl"], "bad.tcl: 1 error(s), 0 warning(s)", 1),
 ])
 def test_a_refused_sweep_or_fuzz_exits_2_and_creates_nothing(tmp_path, args,
-                                                             message):
+                                                             message, status):
+    (tmp_path / "bad.tcl").write_text("xDropp cur_msg\n")
     done = _repro(*args, cwd=tmp_path)
-    assert done.returncode == 2
+    assert done.returncode == status
     assert done.stderr.splitlines()[-1].startswith(message)
     assert "Traceback" not in done.stderr
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.tcl"]
 
 
 @pytest.mark.parametrize("args", [["campaign", "abp", "--tclish"],

@@ -141,7 +141,8 @@ def test_local_sweep_directory_is_resumable_and_pinned(tmp_path):
     clash = _repro("sweep", "--protocol", "gmp", "--targets", "fixed",
                    "--count", "3", "--seed", "7", "--journal-dir",
                    str(local_dir), "--backend", "local")
-    assert clash.returncode == 3
+    # refused input, not the "aborted, resume me" status 3
+    assert clash.returncode == 2
     assert "different sweep" in clash.stderr
     assert len(list((local_dir / "store").rglob("*.pkl"))) == 2
 
