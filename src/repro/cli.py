@@ -688,7 +688,7 @@ def cmd_explore(args) -> int:
     an invariant the baseline does not, 2 when the world at ``--depth``
     has not started (nothing to explore) or an argument is refused
     (unknown target, ``--depth`` / ``--window`` outside the horizon,
-    ``--max-perturbations`` above 2).
+    ``--max-perturbations`` outside 1 or 2).
     """
     from repro.oracle.explore import ExploreError, explore
     from repro.oracle.fuzz import PlacementError
@@ -699,7 +699,6 @@ def cmd_explore(args) -> int:
                          max_schedules=args.max_schedules,
                          max_perturbations=args.max_perturbations,
                          defer_delta=args.defer_delta,
-                         recheckpoint_every=args.recheckpoint_every,
                          progress=print if args.progress else None,
                          journal=args.journal or None)
     print(report.render())
@@ -978,12 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--defer-delta", type=_SECONDS, default=4.0,
                          help="seconds a deferred event is pushed back "
                               "(default 4)")
-    explore.add_argument("--recheckpoint-every", type=int, default=8,
-                         metavar="K",
-                         help="re-checkpoint explored branches every K "
-                              "steps and refork later schedules from "
-                              "the nearest ancestor (0 disables the "
-                              "checkpoint tree; default 8)")
     explore.add_argument("--progress", action="store_true",
                          help="print findings and progress as schedules "
                               "run")

@@ -60,14 +60,6 @@ condition above, process-local (never pickled), and its ``identity``
 digest is what consumers mix into store keys (see
 :meth:`repro.core.orchestrator.ResultStore.key`) so results computed from
 different prefixes can never alias.
-
-Checkpoints form **trees**: ``capture`` also accepts a :class:`Forked`
-continuation, snapshotting the branch mid-flight with the originating
-checkpoint recorded as ``parent`` and its digest chained into the
-child's ``identity`` -- so two branches that diverged from the same
-root but applied different perturbations can never alias either.  Live
-snapshots are held by :class:`CheckpointPool`, whose holder releases
-each one when no later fork needs it.
 """
 
 from __future__ import annotations
@@ -75,7 +67,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Union
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.core.cloneplan import ClonePlan
 from repro.core.orchestrator import ExperimentEnv
@@ -92,7 +84,6 @@ class Forked:
 
     env: ExperimentEnv
     roots: Dict[str, Any]
-    checkpoint: "Checkpoint"
 
     def __getitem__(self, key: str) -> Any:
         """Convenience access to a named root (``fork["cluster"]``)."""
@@ -112,8 +103,7 @@ class Checkpoint:
     """
 
     def __init__(self, plan: ClonePlan, *, label: str,
-                 identity: str, time: float, position: int,
-                 parent: Optional["Checkpoint"] = None):
+                 identity: str, time: float, position: int):
         self._plan = plan
         self.label = label
         self.identity = identity
@@ -123,8 +113,6 @@ class Checkpoint:
         self.position = position
         #: how many forks this checkpoint has produced
         self.forks = 0
-        #: the checkpoint this one's branch was forked from (None: root)
-        self.parent = parent
 
     @property
     def plan_stats(self) -> Dict[str, Any]:
@@ -135,59 +123,30 @@ class Checkpoint:
         return {"objects": self._plan.objects,
                 "fallback": list(self._plan.fallback)}
 
-    @property
-    def depth(self) -> int:
-        """Distance from the tree root (0 for a root checkpoint)."""
-        depth = 0
-        node = self.parent
-        while node is not None:
-            depth += 1
-            node = node.parent
-        return depth
-
     @classmethod
-    def capture(cls, env: Union[ExperimentEnv, "Forked"],
+    def capture(cls, env: ExperimentEnv,
                 roots: Optional[Dict[str, Any]] = None, *,
-                label: str = "", audit: bool = True) -> "Checkpoint":
+                label: str = "") -> "Checkpoint":
         """Snapshot ``env`` (plus named rig ``roots``) as of right now.
 
-        ``env`` may also be a :class:`Forked` continuation, in which
-        case the branch is captured mid-flight as a *nested* checkpoint:
-        its ``roots`` default to the fork's roots, its ``parent`` is the
-        checkpoint the branch came from, and the parent's digest is
-        chained into the child's ``identity`` so siblings that diverged
-        differently from the same root never alias.  The fork keeps
-        running after the capture, exactly like a root env does.
-
         The scheduler heap is compacted first so cancelled tombstones
-        are not copied into every fork, and (unless ``audit=False``)
-        every pending callback is vetted by
-        :func:`repro.staticcheck.audit_pending`, which pins each finding
-        to the offending function's source line.
+        are not copied into every fork, and every pending callback is
+        vetted by :func:`repro.staticcheck.audit_pending`, which pins
+        each finding to the offending function's source line.
         """
-        parent: Optional[Checkpoint] = None
-        if isinstance(env, Forked):
-            forked = env
-            env = forked.env
-            parent = forked.checkpoint
-            if roots is None:
-                roots = forked.roots
-        if audit:
-            from repro.staticcheck import audit_pending
-            static = audit_pending(env.scheduler)
-            if static:
-                raise CheckpointError(
-                    "world is not checkpoint-safe (static audit):\n  "
-                    + "\n  ".join(diag.format(path)
-                                  for path, diag in static))
+        from repro.staticcheck import audit_pending
+        static = audit_pending(env.scheduler)
+        if static:
+            raise CheckpointError(
+                "world is not checkpoint-safe (static audit):\n  "
+                + "\n  ".join(diag.format(path) for path, diag in static))
         env.scheduler.compact()
         world = {"env": env, "roots": dict(roots or {})}
         snapshot = _world_plan(world).clone()
-        identity = _identity(env, world["roots"], label, parent=parent)
         return cls(_world_plan(snapshot),
                    label=label or f"t={env.scheduler.now:g}",
-                   identity=identity, time=env.scheduler.now,
-                   position=env.trace.position, parent=parent)
+                   identity=_identity(env, world["roots"], label),
+                   time=env.scheduler.now, position=env.trace.position)
 
     def fork(self, *, seed: Optional[int] = None) -> Forked:
         """An independent continuation; optionally re-seeded.
@@ -209,25 +168,21 @@ class Checkpoint:
                     f"checkpoint {self.label!r} cannot be re-seeded: "
                     f"{err}") from err
         self.forks += 1
-        return Forked(env=env, roots=world["roots"], checkpoint=self)
+        return Forked(env=env, roots=world["roots"])
 
     def __repr__(self) -> str:
-        lineage = f", depth={self.depth}" if self.parent is not None else ""
         plan = self._plan
         fallback = (f", fallback={_tally(plan.fallback)}"
                     if plan.fallback else "")
         return (f"Checkpoint({self.label}, t={self.time:g}, "
-                f"entries={self.position}, forks={self.forks}{lineage}, "
+                f"entries={self.position}, forks={self.forks}, "
                 f"objects={plan.objects}{fallback})")
 
 
 class CheckpointPool:
-    """Live checkpoints by key, held until their holder discards them.
+    """Live checkpoints by key, held as long as the pool is.
 
-    Each snapshot retains a full world graph, so a holder releases what
-    it is done with: the explorer, which knows its future, ``discard``\\s
-    each branch checkpoint once no later schedule forks it.  A pool is
-    also how a caller shares prefixes across :func:`~repro.core
+    A pool is how a caller shares prefixes across :func:`~repro.core
     .orchestrator.execute_shard` calls: the fuzz loop and the shrinker
     keep one per session, which is what makes a group of one worth
     capturing there.  Such a pool needs no bound: its keys are one per
@@ -244,17 +199,10 @@ class CheckpointPool:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._items
-
     @property
     def entries(self) -> int:
         """Total retained trace entries across pooled snapshots."""
         return sum(cp.position for cp in self._items.values())
-
-    def keys(self) -> List[Hashable]:
-        """Live keys, in insertion order."""
-        return list(self._items)
 
     def get(self, key: Hashable) -> Optional[Checkpoint]:
         """The pooled checkpoint under ``key``, or ``None`` (a miss)."""
@@ -269,11 +217,6 @@ class CheckpointPool:
         """Pool ``checkpoint`` under ``key``."""
         self._items[key] = checkpoint
         return checkpoint
-
-    def discard(self, key: Hashable) -> None:
-        """Release ``key``'s snapshot if pooled: the holder is done
-        with it."""
-        self._items.pop(key, None)
 
     def clear(self) -> None:
         """Drop every pooled snapshot (the counters are kept)."""
@@ -309,21 +252,16 @@ def _tally(names: List[str]) -> str:
 
 
 def _identity(env: ExperimentEnv, roots: Dict[str, Any],
-              label: str, *, parent: Optional[Checkpoint] = None) -> str:
+              label: str) -> str:
     """A content digest naming what this checkpoint is a snapshot *of*.
 
     Mixes the capture label, seed, scheduler progress and the trace's
     per-kind histogram: two checkpoints built by different prefix code,
     depths or seeds get different identities, which is what cache keys
     need (full byte-level state hashing would cost more than the fork
-    it protects).  A nested checkpoint additionally chains its parent's
-    digest, so the identity names the whole branch path from the root,
-    not just the local scheduler position.
+    it protects).
     """
     digest = hashlib.sha256()
-    if parent is not None:
-        digest.update(b"parent:")
-        digest.update(parent.identity.encode())
     digest.update(label.encode())
     digest.update(str(env.seed).encode())
     digest.update(f"{env.scheduler.now!r}".encode())

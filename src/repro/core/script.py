@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.context import ScriptContext
 from repro.core.stubs import StubError
 from repro.core.tclish import Interp, TclError
+from repro.core.tclish.errors import CONTROL_FLOW, script_result
 from repro.core.tclish.lint.registry import CommandSignature, forget_default
 
 
@@ -161,21 +162,21 @@ class TclishFilter(FilterScript):
         return clone
 
     def run(self, ctx: ScriptContext) -> None:
+        """Run the filter once on ``ctx``'s message, as a whole script:
+        a top-level ``return`` ends this run, a ``break`` or ``continue``
+        outside a loop is a :class:`TclError`."""
         interp = self.interp
         interp.context = ctx
         profiler = self.profiler
-        if profiler is None:
-            try:
-                self.compiled.run(interp)
-            finally:
-                interp.context = None
-            return
-        start = perf_counter()
+        start = 0.0 if profiler is None else perf_counter()
         try:
             self.compiled.run(interp)
+        except CONTROL_FLOW as flow:
+            script_result(flow)
         finally:
-            profiler.record_script(self.name, perf_counter() - start)
             interp.context = None
+            if profiler is not None:
+                profiler.record_script(self.name, perf_counter() - start)
 
     @property
     def output_lines(self) -> List[str]:

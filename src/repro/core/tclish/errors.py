@@ -28,6 +28,23 @@ class TclContinue(Exception):
     """Raised by ``continue`` inside a loop body."""
 
 
+#: the control flow a whole script can end with (see :func:`script_result`)
+CONTROL_FLOW = (TclReturn, TclBreak, TclContinue)
+
+
+def script_result(flow: Exception) -> str:
+    """What a :data:`CONTROL_FLOW` exception leaving a whole script means.
+
+    A top-level ``return`` ends the script with its value, as it ends a
+    sourced Tcl file; ``break`` or ``continue`` outside any loop is
+    Tcl's own error.
+    """
+    if isinstance(flow, TclReturn):
+        return flow.value
+    name = "break" if isinstance(flow, TclBreak) else "continue"
+    raise TclError(f'invoked "{name}" outside of a loop')
+
+
 #: Python exceptions a command implementation may let escape that are
 #: script faults, not interpreter bugs: a missing ``string index``
 #: argument, ``incr v abc``, ``expr {sqrt(-1)}``, ``expr {exp(1000)}``

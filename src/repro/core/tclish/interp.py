@@ -27,10 +27,12 @@ from repro.core.tclish.compiler import CompiledScript
 # one eval-depth cap for every compiled level, documented as interp's
 from repro.core.tclish.compiler import MAX_EVAL_DEPTH  # noqa: F401
 from repro.core.tclish.errors import (
+    CONTROL_FLOW,
     HOST_ERRORS,
     TclError,
     TclReturn,
     host_error,
+    script_result,
 )
 from repro.core.tclish.stdlib_loader import CommandSignature
 
@@ -224,13 +226,21 @@ class Interp:
         resolved through the shared compile cache (parse once, run the
         compiled closure per call).  Nesting deeper than
         :data:`MAX_EVAL_DEPTH` raises :class:`TclError`; a top-level call
-        starts a fresh :data:`MAX_LOOP_ITERATIONS` budget.
+        starts a fresh :data:`MAX_LOOP_ITERATIONS` budget and is a whole
+        script: a ``return`` ends it, a ``break`` or ``continue`` left
+        over is a :class:`TclError` (:func:`~repro.core.tclish.errors
+        .script_result`).
         """
         if type(script) is str:
             script, hit = compiler.lookup(script)
             if not hit:
                 self.cache_misses += 1
-        return script.run(self)
+        try:
+            return script.run(self)
+        except CONTROL_FLOW as flow:
+            if self._depth:
+                raise
+            return script_result(flow)
 
     def count_iteration(self) -> None:
         """Charge one loop iteration to this evaluation's budget."""

@@ -201,12 +201,9 @@ def _cmd_global(interp: "Interp", args: List[str]) -> str:
 
 @builtin("puts", 0, 2, "puts ?-nonewline? string")
 def _cmd_puts(interp: "Interp", args: List[str]) -> str:
-    nonewline = False
     if args and args[0] == "-nonewline":
-        nonewline = True
         args = args[1:]
-    text = args[0] if args else ""
-    interp.write(text if nonewline else text)
+    interp.write(args[0] if args else "")
     return ""
 
 

@@ -412,10 +412,12 @@ def render_text(summary: CampaignSummary, *, rank: int = 10) -> str:
                     f"{group['forks']} over {group['runs']} runs{extra}")
     end = summary.end or {}
     if end.get("simulated_events") is not None:
-        lines.append(
-            f"  simulated {end['simulated_events']} events "
-            f"({end.get('ancestor_forks', 0)} ancestor forks, "
-            f"{end.get('nested_captures', 0)} nested checkpoints)")
+        # journals written before explore forked every schedule from
+        # its root carry the checkpoint tree's counts
+        tree = (f" ({end.get('ancestor_forks', 0)} ancestor forks, "
+                f"{end['nested_captures']} nested checkpoints)"
+                if "nested_captures" in end else "")
+        lines.append(f"  simulated {end['simulated_events']} events{tree}")
     if end.get("plans"):
         lines.append(f"  {plans_line(end['plans'])}")
     if summary.shrink_steps:

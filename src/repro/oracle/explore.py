@@ -25,23 +25,12 @@ shift what later indices refer to.  That is standard for bounded
 schedule fuzzing -- every executed schedule is still a real, legal
 event order, which is all the oracle verdict needs.
 
-Reforking is **tree-shaped** and **plan-aware**: the whole plan list
-is fixed before the first schedule runs, so the explorer knows which
-branch positions (every ``recheckpoint_every`` steps) a later schedule
-will fork from.  A running schedule re-checkpoints its branch (a nested
-:meth:`Checkpoint.capture` on the running fork) only at a position a
-not-yet-run plan is waiting for, every later schedule forks that
-*nearest ancestor* instead of the flat root -- a branch that diverges
-at step d costs one fork plus the steps past d, not d re-simulated
-events -- and a snapshot is released as soon as its last consumer has
-forked it.  ``_TREE_ITEMS`` is only the hard cap on live snapshots.
-The per-schedule event counts are tracked
+The outcome hash is **prefix-shared**: a fork's trace below the
+checkpoint is the same rows in every fork, so the survey leaves a
+running digest of that prefix and each schedule copies it and renders
+only the rows past it (read with ``TraceRecorder.rows``).  The
+per-schedule event counts are tracked
 (``ExploreReport.simulated_events``).
-
-The outcome hash is **prefix-shared** the same way: a fork's trace
-below its checkpoint is the same rows in every fork, so each checkpoint
-carries a running digest of that prefix and a schedule renders only the
-rows past the ancestor it forked from (read with ``TraceRecorder.rows``).
 """
 
 from __future__ import annotations
@@ -49,10 +38,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from math import comb
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.export import VOLATILE_ATTRS, render_rows
-from repro.core.checkpoint import Checkpoint, CheckpointPool
+from repro.core.checkpoint import Checkpoint
 from repro.core.orchestrator import Campaign, make_env
 from repro.netsim import kinds as K
 from repro.netsim.link import Link
@@ -60,17 +49,13 @@ from repro.netsim.scheduler import Event
 from repro.netsim.timer import Timer
 from repro.netsim.trace import TraceRecorder
 from repro.obs.campaign_report import plans_line
-from repro.obs.journal import NULL_JOURNAL, Flight, Journal, NullJournal
+from repro.obs.journal import Flight
 from repro.oracle.fuzz import (DEFAULT_DEPTHS, HORIZONS, check_placement,
                                pack_for, prefixed_fuzz_body)
 
 #: perturbation actions by event class; "fire" (run as scheduled) is
 #: always legal and never counts as a perturbation
 ACTIONS = {"delivery": ("drop", "defer"), "timer": ("drop", "defer")}
-
-#: hard cap on nested snapshots live at once; when it binds, the nodes
-#: whose next use comes soonest in plan order are the ones kept
-_TREE_ITEMS = 32
 
 _VOLATILE = frozenset(VOLATILE_ATTRS)
 
@@ -159,12 +144,8 @@ class ExploreReport:
     outcomes: List[ScheduleOutcome] = field(default_factory=list)
     #: scheduler events dispatched across all executed schedules
     simulated_events: int = 0
-    #: nested checkpoints captured along explored branches
-    nested_captures: int = 0
-    #: schedules forked from a nested ancestor instead of the root
+    #: always 0: every schedule forks the root (the e2e bench reads it)
     ancestor_forks: int = 0
-    #: the re-checkpoint interval this exploration ran with (0: flat)
-    recheckpoint_every: int = 0
     #: ``(run, existed)`` per plan size -- singles, then pairs -- so a
     #: budget that never reached a pair plan is visible
     plans: List[Tuple[int, int]] = field(default_factory=list)
@@ -175,10 +156,7 @@ class ExploreReport:
                  f"[{self.depth:g}, {self.depth + self.window:g}], "
                  f"{self.distinct_outcomes} distinct outcomes, "
                  f"findings {len(self.findings)}"]
-        lines.append(f"  simulated {self.simulated_events} events"
-                     + (f" ({self.ancestor_forks} ancestor forks, "
-                        f"{self.nested_captures} nested checkpoints)"
-                        if self.recheckpoint_every else ""))
+        lines.append(f"  simulated {self.simulated_events} events")
         if self.plans:
             lines.append(f"  {plans_line(self.plans)}")
         if self.baseline_codes:
@@ -235,185 +213,20 @@ class _TraceDigest:
         return self._sha.hexdigest()
 
 
-@dataclass
-class _Node:
-    """One forkable moment of an exploration: the root or a snapshot."""
-
-    checkpoint: Checkpoint
-    #: baseline-window iterations the captured branch had run
-    step: int
-    #: the perturbations that branch had actually applied
-    applied: Tuple[Perturbation, ...]
-    #: digest of trace entries ``[0, checkpoint.position)``, the prefix
-    #: every fork of ``checkpoint`` shares
-    digest: _TraceDigest
-
-    @property
-    def position(self) -> int:
-        """Retained trace entries (what ``CheckpointPool.entries`` sums)."""
-        return self.checkpoint.position
-
-
-class _Tree:
-    """The nested-checkpoint tree one exploration grows and reforks from.
-
-    Nodes are keyed ``(applied_pairs, step)``: the world after ``step``
-    baseline-window iterations with exactly the perturbations in
-    ``applied_pairs`` applied.  Keys record what a branch *actually*
-    did, not what its plan asked for, and a plan only ever forks a node
-    whose pairs equal its own entries below that step.
-
-    The tree is plan-aware.  ``plans`` is the exploration's whole
-    future, so each plan is counted, up front, against the one node it
-    will fork: the last ``every``-step mark at or below its final
-    perturbation, on the branch that applied the rest of it
-    (:meth:`_wanted`).  A running branch is snapshotted at a mark only
-    while some not-yet-run plan is counted against that key, the count
-    is retired as each plan starts, and the node leaves the pool when
-    its last consumer has forked it.  Each node carries the digest of
-    the trace prefix its forks share.
-    """
-
-    def __init__(self, root: Checkpoint, root_digest: _TraceDigest,
-                 plans: List[Dict[int, str]], *, every: int,
-                 journal: Union[Journal, NullJournal] = NULL_JOURNAL):
-        self.root = _Node(root, 0, (), root_digest)
-        self.every = every
-        self.pool = CheckpointPool()
-        self.journal = journal
-        self.captures = 0
-        self.ancestor_forks = 0
-        self.simulated_events = 0
-        #: node key -> indices of the not-yet-run plans that will fork
-        #: it, soonest last (so ``[-1]`` is the next use, ``pop()``
-        #: retires it)
-        self._uses: Dict[Any, List[int]] = {}
-        #: keys of marks a branch never reached -> the key their plans
-        #: were re-counted against (see :meth:`window_closed`)
-        self._moved: Dict[Any, Any] = {}
-        for index in reversed(range(len(plans))):
-            key = self._wanted(plans[index])
-            if key is not None:
-                self._uses.setdefault(key, []).append(index)
-
-    def _wanted(self, plan: Dict[int, str]) -> Optional[Any]:
-        """The key of the deepest node ``plan`` can fork (None: root).
-
-        A mark past the plan's last perturbation is no use -- only the
-        plan's own run reaches it with exactly these pairs applied.
-        """
-        if not plan or self.every <= 0:
-            return None
-        mark = max(plan) // self.every * self.every
-        if mark == 0:
-            return None
-        return (tuple(sorted(pair for pair in plan.items()
-                             if pair[0] < mark)), mark)
-
-    def start_for(self, plan: Dict[int, str]) -> _Node:
-        """The nearest live ancestor to fork for ``plan``, retiring the
-        plan's claim on the node it was counted against.
-
-        That node is normally there; when the cap evicted it, or the
-        branch it was due on ended early, shallower marks are tried
-        before the root.
-        """
-        wanted = self._wanted(plan)
-        if wanted is None:
-            return self.root
-        wanted = self._moved.get(wanted, wanted)
-        start = self.root
-        pairs, deepest = wanted
-        for mark in range(deepest, 0, -self.every):
-            node = self.pool.get(
-                (tuple(pair for pair in pairs if pair[0] < mark), mark))
-            if node is not None:
-                start = node
-                break
-        uses = self._uses[wanted]
-        uses.pop()
-        if not uses:
-            del self._uses[wanted]
-            self.pool.discard(wanted)
-        return start
-
-    def window_closed(self, step: int,
-                      applied: List[Perturbation]) -> None:
-        """The running branch's window ended after ``step`` steps.
-
-        A perturbation can empty the window early, and plans counted
-        against marks the branch never reached would find nothing and
-        fall back to the root.  They are re-counted against the
-        branch's last snapshot instead, which so outlives its own
-        consumers until they too have forked it.
-        """
-        pairs = tuple((p.step, p.action) for p in applied)
-        stranded = [key for key in self._uses
-                    if key[0] == pairs and key[1] > step]
-        if not stranded:
-            return
-        last = (pairs, step // self.every * self.every)
-        if last not in self.pool:
-            return
-        for key in stranded:
-            self._moved[key] = last
-            self._uses[last] = sorted(self._uses[last] + self._uses.pop(key),
-                                      reverse=True)
-
-    def maybe_capture(self, forked, step: int, applied: List[Perturbation],
-                      digest: _TraceDigest) -> None:
-        """Snapshot a running branch where a later plan will fork it.
-
-        Only ``every``-step marks are ever counted against, so any
-        other step falls through the demand lookup.  At the cap the
-        nodes used soonest in plan order stay: the one needed last is
-        evicted, or this capture is skipped when that is the new node.
-        """
-        key = (tuple((p.step, p.action) for p in applied), step)
-        uses = self._uses.get(key)
-        if not uses or key in self.pool:
-            return
-        if len(self.pool) >= _TREE_ITEMS:
-            last = max(self.pool.keys(), key=lambda k: self._uses[k][-1])
-            if self._uses[last][-1] < uses[-1]:
-                return
-            self.pool.discard(last)
-        checkpoint = Checkpoint.capture(
-            forked, label=f"{self.root.checkpoint.label}"
-                          f"+{len(applied)}p@{step}",
-            audit=False)
-        digest.absorb(forked.env.trace)
-        self.pool.put(key, _Node(checkpoint, step, tuple(applied),
-                                 digest.copy()))
-        self.captures += 1
-        self.journal.record(
-            K.CAMPAIGN_CHECKPOINT_CAPTURE, nested=True, step=step,
-            prefix_perturbations=len(applied),
-            label=checkpoint.label, identity=checkpoint.identity,
-            parent=checkpoint.parent.identity, **checkpoint.plan_stats)
-
-
-def _run_schedule(tree: _Tree, plan: Dict[int, str], *, window: float,
-                  horizon: float, defer_delta: float, oracle
-                  ) -> Tuple[Tuple[Perturbation, ...], List, str]:
-    """Execute one schedule; returns (applied plan, violations, hash).
-
-    The schedule starts from its nearest ancestor checkpoint (skipping
-    every event that ancestor already simulated) and leaves a nested
-    checkpoint where a later plan will fork its branch; the result is
-    byte-identical to a flat root fork, only the number of re-simulated
-    events (``tree.simulated_events``) and of re-serialised trace
-    entries changes.
-    """
-    start = tree.start_for(plan)
-    forked = start.checkpoint.fork()
-    digest = start.digest.copy()
+def _run_schedule(root: Checkpoint, root_digest: _TraceDigest,
+                  plan: Dict[int, str], *, window: float, horizon: float,
+                  defer_delta: float, oracle
+                  ) -> Tuple[Tuple[Perturbation, ...], List, str, int]:
+    """Execute one schedule from a fork of ``root``; returns (applied
+    plan, violations, outcome hash, events dispatched)."""
+    forked = root.fork()
+    digest = root_digest.copy()
     env = forked.env
     scheduler = env.scheduler
     dispatched_before = scheduler.dispatched_count
-    end = tree.root.checkpoint.time + window
-    step = start.step
-    applied: List[Perturbation] = list(start.applied)
+    end = root.time + window
+    step = 0
+    applied: List[Perturbation] = []
     while True:
         event = scheduler.peek_entry()
         if event is None or event.time > end:
@@ -429,16 +242,12 @@ def _run_schedule(tree: _Tree, plan: Dict[int, str], *, window: float,
         else:
             scheduler.step()
         step += 1
-        tree.maybe_capture(forked, step, applied, digest)
-    tree.window_closed(step, applied)
     env.run_until(horizon)
-    tree.simulated_events += scheduler.dispatched_count - dispatched_before
-    if start is not tree.root:
-        tree.ancestor_forks += 1
     from repro.oracle import evaluate
     violations = evaluate(env.trace, oracle()).violations
     digest.absorb(env.trace)
-    return tuple(applied), violations, digest.hexdigest()[:16]
+    return (tuple(applied), violations, digest.hexdigest()[:16],
+            scheduler.dispatched_count - dispatched_before)
 
 
 def _survey(checkpoint: Checkpoint, *, window: float
@@ -515,7 +324,7 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
             seed: int = 0, depth: Optional[float] = None,
             window: float = 1.5, horizon: Optional[float] = None,
             max_schedules: int = 64, max_perturbations: int = 1,
-            defer_delta: float = 4.0, recheckpoint_every: int = 8,
+            defer_delta: float = 4.0,
             progress: Optional[Callable[[str], None]] = None,
             journal=None) -> ExploreReport:
     """Explore bounded delivery-order schedules of one protocol target.
@@ -533,20 +342,12 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
     reporting one vacuous baseline.  An unknown target, a depth outside
     ``[0, horizon)`` or a window that is empty or runs past the horizon
     raises :class:`~repro.oracle.fuzz.PlacementError` (:func:`~repro
-    .oracle.fuzz.check_placement`), and ``max_perturbations`` above 2
-    :class:`ExploreError`, before anything is built.
-
-    ``recheckpoint_every`` (default 8, ``0`` disables) grows a
-    checkpoint *tree*: an executing schedule re-checkpoints its branch
-    at every that-many-th step a later plan will fork from, and later
-    schedules refork from the nearest matching ancestor instead of the
-    root -- same outcomes (the reported hashes are byte-identical to
-    the flat path's), strictly fewer re-simulated events
-    (``ExploreReport.simulated_events``).
+    .oracle.fuzz.check_placement`), and ``max_perturbations`` outside
+    ``[1, 2]`` :class:`ExploreError`, before anything is built.
 
     ``journal`` (a :class:`~repro.obs.journal.Journal` or a path)
     attaches the campaign flight recorder: preflight, the prefix
-    capture (root and nested), one ``campaign.run_end`` per executed
+    capture, one ``campaign.run_end`` per executed
     schedule (verdict codes, outcome hash, novelty), and the closing
     summary are appended crash-safe, so an interrupted exploration
     still reports its partial outcome census.
@@ -560,9 +361,12 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
             f"max_perturbations > 2 is not implemented (got "
             f"{max_perturbations}): plans stop at pairs, so a larger bound "
             f"would explore nothing a bound of 2 does not")
+    if max_perturbations < 1:
+        raise ExploreError(
+            f"max_perturbations < 1 is refused (got {max_perturbations}): "
+            f"every plan past the baseline perturbs at least one event")
     report = ExploreReport(protocol=protocol, target=target, depth=depth,
-                           window=window, horizon=horizon, seed=seed,
-                           recheckpoint_every=max(0, recheckpoint_every))
+                           window=window, horizon=horizon, seed=seed)
     with Flight(journal, "explore",
                 {"protocol": protocol, "target": target, "seed": seed,
                  "depth": depth, "window": window, "horizon": horizon,
@@ -597,8 +401,6 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
                 f"into traffic first")
         plans = _plans(steps, max_perturbations=max_perturbations,
                        max_schedules=max_schedules)
-        tree = _Tree(checkpoint, root_digest, plans,
-                     every=recheckpoint_every, journal=journal)
         seen_hashes: Dict[str, int] = {}
         seen_findings: set = set()
 
@@ -606,9 +408,7 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
             """The exploration's totals so far -- what the report closes
             with, and what ``campaign.end`` carries however it ends."""
             return {"distinct_outcomes": len(seen_hashes),
-                    "simulated_events": tree.simulated_events,
-                    "ancestor_forks": tree.ancestor_forks,
-                    "nested_captures": tree.captures,
+                    "simulated_events": report.simulated_events,
                     "plans": _plan_census(
                         steps, max_perturbations=max_perturbations,
                         executed=report.schedules)}
@@ -617,9 +417,10 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
                                    "findings": len(report.findings),
                                    **census()}
         for plan in plans:
-            applied, violations, outcome_hash = _run_schedule(
-                tree, plan, window=window, horizon=horizon,
-                defer_delta=defer_delta, oracle=oracle)
+            applied, violations, outcome_hash, events = _run_schedule(
+                checkpoint, root_digest, plan, window=window,
+                horizon=horizon, defer_delta=defer_delta, oracle=oracle)
+            report.simulated_events += events
             codes = sorted({v.code for v in violations})
             novel = outcome_hash not in seen_hashes
             seen_hashes.setdefault(outcome_hash, report.schedules)

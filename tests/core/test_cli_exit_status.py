@@ -123,3 +123,26 @@ def test_a_damaged_spec_refuses_the_sweep_with_one_line(tmp_path, where,
     assert done.stdout == ""
     # refused before anything ran: no store, no journal
     assert [p.name for p in fabric_dir.iterdir()] == ["spec.pkl"]
+
+
+@pytest.mark.parametrize("command, status, error", [
+    ("return", 0, ""),
+    ("break", 1, 'invoked "break" outside of a loop'),
+    ("continue", 1, 'invoked "continue" outside of a loop'),
+])
+def test_top_level_control_flow_ends_the_filter_run(tmp_path, command,
+                                                    status, error):
+    # a top-level return ends one filter run, as it ends a sourced Tcl
+    # file; break / continue outside a loop is Tcl's own error
+    (tmp_path / "top.tcl").write_text(
+        f'if {{[msg_type] eq "DATA"}} {{ {command} }}\nxDrop cur_msg\n')
+    assert _repro("lint", "top.tcl", cwd=tmp_path).returncode == 0
+    done = _repro("run-script", "top.tcl", "--duration", "5", cwd=tmp_path)
+    assert done.returncode == status
+    assert "Traceback" not in done.stderr
+    if status:
+        assert done.stderr == f"repro run-script: top.tcl: {error}\n"
+    else:
+        assert done.stderr == ""
+        # every run ended at the return, before its xDrop
+        assert "'dropped': 0," in done.stdout

@@ -329,8 +329,7 @@ def test_capture_event_carries_plan_stats(tmp_path):
     path = tmp_path / "fuzz.jsonl"
     pool = CheckpointPool()
     run_fuzz("gmp", seed=0, budget=1, pool=pool, journal=path)
-    [key] = pool.keys()
-    checkpoint = pool.get(key)
+    [checkpoint] = pool._items.values()
     assert tuple(checkpoint.plan_stats) == K.CHECKPOINT_PLAN_FIELDS
     summary = summarize_journal(path)
     [capture] = summary.checkpoints

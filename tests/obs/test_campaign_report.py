@@ -216,6 +216,20 @@ class TestRenderers:
         text = render_text(CampaignSummary(path=None))
         assert "executed 0 runs" in text
 
+    @pytest.mark.parametrize("end, line", [
+        ({"simulated_events": 14324}, "  simulated 14324 events"),
+        # an explore journal written while schedules forked a tree of
+        # nested snapshots still renders its counts
+        ({"simulated_events": 13956, "ancestor_forks": 31,
+          "nested_captures": 2},
+         "  simulated 13956 events (31 ancestor forks, 2 nested "
+         "checkpoints)"),
+    ], ids=["root-forks", "checkpoint-tree"])
+    def test_explore_event_counts(self, end, line):
+        summary = CampaignSummary(path=None, engine="explore",
+                                  end={"status": "ok", **end})
+        assert line in render_text(summary).splitlines()
+
 
 class TestPrefixSharing:
     def _write_grouped(self, path):

@@ -169,10 +169,9 @@ class TestExploreJournal:
         assert summary.completed
         assert summary.engine == "explore"
         assert summary.executed == report.schedules
-        roots = [c for c in summary.checkpoints if not c.get("nested")]
-        nested = [c for c in summary.checkpoints if c.get("nested")]
-        assert len(roots) == 1
-        assert len(nested) == report.nested_captures
+        # one capture, the root every schedule forks
+        assert len(summary.checkpoints) == 1
+        assert "ancestor_forks" not in summary.end
         assert summary.end.get("simulated_events") == \
             report.simulated_events
         assert [name for name, _, _ in summary.phases] == ["preflight",

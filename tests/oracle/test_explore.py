@@ -134,32 +134,21 @@ def test_explore_progress_lines():
 
 
 # ----------------------------------------------------------------------
-# checkpoint-tree re-forking
+# pair plans, event accounting
 # ----------------------------------------------------------------------
 
 def test_explore_counts_simulated_events():
     report = explore("gmp", "self_death", max_schedules=8)
     assert report.simulated_events > 0
-    assert report.recheckpoint_every == 8  # the default interval
-    assert "simulated" in report.render()
-    assert "nested checkpoints" in report.render()
+    assert report.ancestor_forks == 0  # every schedule forks the root
+    assert f"  simulated {report.simulated_events} events" in (
+        report.render().splitlines())
 
 
-def test_explore_flat_mode_disables_the_tree():
-    report = explore("gmp", "self_death", max_schedules=8,
-                     recheckpoint_every=0)
-    assert report.recheckpoint_every == 0
-    assert report.nested_captures == 0
-    assert report.ancestor_forks == 0
-    assert "nested checkpoints" not in report.render()
-
-
-def test_explore_nested_is_deterministic():
+def test_explore_pairs_are_deterministic():
     def run():
         report = explore("gmp", "self_death", seed=2, max_schedules=16,
                          max_perturbations=2)
         return ([(o.perturbations, o.codes, o.outcome_hash)
-                 for o in report.outcomes],
-                report.simulated_events, report.nested_captures,
-                report.ancestor_forks)
+                 for o in report.outcomes], report.simulated_events)
     assert run() == run()

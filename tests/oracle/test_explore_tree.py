@@ -1,20 +1,18 @@
-"""The plan-aware checkpoint tree and the prefix-shared outcome digest.
+"""Pinned explorations, the prefix-shared outcome digest, the plan census.
 
-Four things the explorer's internals must keep true, next to the
+Three things the explorer's internals must keep true, next to the
 black-box suite in ``test_explore.py``:
 
-- the outcome hashes, verdict codes and applied perturbations of five
+- the outcome hashes, verdict codes and applied perturbations of four
   pinned explorations are what commit e2cd17e (capture-on-every-mark,
   whole-trace ``dump_trace`` hash) produced -- the literals below were
   computed there;
-- with the snapshot cap forced down to 2 the outcomes do not move, no
-  more than 2 snapshots are ever live, and keeping the soonest-needed
-  nodes simulates no more events than e2cd17e's LRU did at that cap;
-- a plan whose perturbation lands on an ``other`` event (applied !=
-  planned) never snapshots under, or forks from, a key it did not earn;
+- every schedule's outcome hash is the hash of its whole trace, while
+  the digest renders each row past the root once per schedule and the
+  root's prefix once per exploration;
 - the plan census is arithmetic that agrees with ``_plans``, and an
-  exploration with nothing to explore says so before the first
-  schedule.
+  exploration with nothing to explore, or a perturbation bound outside
+  ``[1, 2]``, says so before the first schedule.
 """
 
 import hashlib
@@ -22,13 +20,12 @@ import json
 
 import pytest
 
-from repro.core.checkpoint import CheckpointPool
+from repro.cli import main
 from repro.obs.campaign_report import render_text, summarize_journal
 from repro.oracle import explore as explore_module
-from repro.oracle.explore import (ExploreError, _Tree, _plan_census,
-                                  _plans, _prefix_checkpoint,
-                                  _run_schedule, _survey, explore)
-from repro.oracle.fuzz import HORIZONS, pack_for
+from repro.oracle.explore import (ExploreError, _plan_census, _plans,
+                                  explore)
+from repro.oracle.fuzz import DEFAULT_DEPTHS
 
 # outcome hashes of explore("gmp", "self_death", max_schedules=120,
 # max_perturbations=2) at e2cd17e, in schedule order; the plan order is
@@ -67,25 +64,15 @@ PINNED_HASHES = [
 ]
 
 # (kwargs, schedules run, sha256[:16] over every schedule's
-# [codes, [(step, action, description), ...]]) as computed at e2cd17e,
-# then what the plan-aware tree captures and how many schedules fork a
-# nested node (e2cd17e: 94/30, 99/74, 3/38, 178/73, 0/0).  48 schedules
-# are the baseline + 47 of 54 singles: the baseline's marks 8 and 16
-# serve the singles past them, while mark 24 and every mark on a singly
-# perturbed branch would only serve plans the budget cut off.  120 add
-# the baseline's mark 24 and three marks on the (0, drop) branch, the
-# only one whose pairs reach past step 7.
+# [codes, [(step, action, description), ...]]) as computed at e2cd17e.
+# 48 schedules are the baseline + 47 of 54 singles; 90 and 120 reach
+# into the pairs.
 PINNED = [
-    (dict(max_schedules=48, max_perturbations=2), 48, "f76d58d492234590",
-     2, 31),
+    (dict(max_schedules=48, max_perturbations=2), 48, "f76d58d492234590"),
     (dict(max_schedules=120, max_perturbations=2), 120,
-     "aedc766a3bf261a0", 6, 76),
-    (dict(max_schedules=64, max_perturbations=1), 55, "63ac979b238a5eef",
-     3, 38),
-    (dict(max_schedules=90, max_perturbations=2, recheckpoint_every=4),
-     90, "d0d7f423d052bb20", 10, 75),
-    (dict(max_schedules=48, max_perturbations=2, recheckpoint_every=0),
-     48, "f76d58d492234590", 0, 0),
+     "aedc766a3bf261a0"),
+    (dict(max_schedules=64, max_perturbations=1), 55, "63ac979b238a5eef"),
+    (dict(max_schedules=90, max_perturbations=2), 90, "d0d7f423d052bb20"),
 ]
 
 
@@ -96,24 +83,26 @@ def _verdicts(report) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("kwargs, schedules, verdicts, captures, forks",
-                         PINNED)
-def test_outcomes_equal_the_parent_commits(kwargs, schedules, verdicts,
-                                           captures, forks):
+@pytest.mark.parametrize("kwargs, schedules, verdicts", PINNED)
+def test_outcomes_equal_the_parent_commits(kwargs, schedules, verdicts):
     report = explore("gmp", "self_death", **kwargs)
     assert report.schedules == schedules
     assert ([o.outcome_hash for o in report.outcomes]
             == PINNED_HASHES[:schedules])
     assert _verdicts(report) == verdicts
-    assert (report.nested_captures, report.ancestor_forks) == (captures,
-                                                               forks)
+    assert report.ancestor_forks == 0
+
+
+#: trace rows the outcome digests of the 48-schedule, 2-perturbation
+#: exploration encode
+ROWS_ENCODED = 28837
 
 
 def test_digest_census_reads_rows_not_entry_views(monkeypatch):
     # the incremental digest renders raw rows: no TraceEntry is built
-    # inside _TraceDigest.absorb, every row of the 48 schedules is
-    # encoded exactly once, and each outcome hash is still the hash of a
-    # whole-trace dump_trace
+    # inside _TraceDigest.absorb, the root's prefix is encoded once and
+    # every schedule's rows past it once, and each outcome hash is still
+    # the hash of a whole-trace dump_trace
     import repro.oracle
     from repro.analysis import export
     from repro.analysis.export import VOLATILE_ATTRS, dump_trace
@@ -124,7 +113,7 @@ def test_digest_census_reads_rows_not_entry_views(monkeypatch):
     absorb = explore_module._TraceDigest.absorb
     encode = export._encode
     evaluate = repro.oracle.evaluate
-    full = []
+    full, lengths = [], []
 
     def counting_init(self, *args):
         views[0] += inside[0]
@@ -144,6 +133,7 @@ def test_digest_census_reads_rows_not_entry_views(monkeypatch):
 
     def dumping_evaluate(trace, pack):
         # once per schedule, over its final trace
+        lengths.append(len(trace))
         if len(full) < 5:
             text = dump_trace(trace, exclude_attrs=VOLATILE_ATTRS)
             full.append(hashlib.sha256(text.encode()).hexdigest()[:16])
@@ -156,125 +146,11 @@ def test_digest_census_reads_rows_not_entry_views(monkeypatch):
     report = explore("gmp", "self_death", max_schedules=48,
                      max_perturbations=2)
     assert views[0] == 0
-    assert rows[0] == 28022
+    root = explore_module._prefix_checkpoint(
+        "gmp", "self_death", DEFAULT_DEPTHS["gmp"], 0)
+    assert rows[0] == root.position + sum(n - root.position for n in lengths)
+    assert rows[0] == ROWS_ENCODED
     assert [o.outcome_hash for o in report.outcomes[:5]] == full
-
-
-# ----------------------------------------------------------------------
-# the cap
-# ----------------------------------------------------------------------
-
-#: simulated events of the two explorations below at e2cd17e with
-#: ``_TREE_ITEMS = 2`` (LRU eviction)
-LRU_EVENTS_AT_CAP_2 = {120: 34461, 90: 26060}
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(max_schedules=120, max_perturbations=2),
-    dict(max_schedules=90, max_perturbations=2, recheckpoint_every=4)])
-def test_cap_keeps_the_soonest_needed_nodes(kwargs, monkeypatch):
-    monkeypatch.setattr(explore_module, "_TREE_ITEMS", 2)
-    live = []
-    put = CheckpointPool.put
-
-    def counting_put(self, key, node):
-        put(self, key, node)
-        live.append(len(self))
-
-    monkeypatch.setattr(CheckpointPool, "put", counting_put)
-    report = explore("gmp", "self_death", **kwargs)
-    assert ([o.outcome_hash for o in report.outcomes]
-            == PINNED_HASHES[:report.schedules])
-    assert live and max(live) <= 2
-    assert (report.simulated_events
-            <= LRU_EVENTS_AT_CAP_2[kwargs["max_schedules"]])
-
-
-# ----------------------------------------------------------------------
-# applied != planned
-# ----------------------------------------------------------------------
-
-def _record_starts(tree):
-    """The nodes ``tree.start_for`` hands out from now on, in order."""
-    starts = []
-    start_for = tree.start_for
-
-    def recording_start_for(plan):
-        starts.append(start_for(plan))
-        return starts[-1]
-
-    tree.start_for = recording_start_for
-    return starts
-
-
-def test_unapplied_perturbation_earns_no_node():
-    # TCP at depth 1.0: step 1 is the reply to step 0's segment, so on
-    # the branch that dropped step 0 the event at step 1 is the next
-    # `_stream_write` -- an `other` event, left alone
-    checkpoint = _prefix_checkpoint("tcp", "SunOS 4.1.3", 1.0, 0)
-    steps, digest = _survey(checkpoint, window=1.5)
-    assert [kind for kind, _ in steps[:3]] == ["delivery", "delivery",
-                                               "other"]
-    unapplied = {0: "drop", 1: "drop"}
-    # the triple (no `_plans` output, hand-made) is counted against the
-    # key a branch applying *both* would leave at mark 4
-    triple = {0: "drop", 1: "drop", 4: "drop"}
-    plans = [{}, {0: "drop"}, unapplied, triple, {0: "drop", 4: "drop"}]
-    run = dict(window=1.5, horizon=HORIZONS["tcp"], defer_delta=4.0,
-               oracle=pack_for("tcp"))
-
-    tree = _Tree(checkpoint, digest, plans, every=2)
-    starts = _record_starts(tree)
-    outcomes = [_run_schedule(tree, plan, **run) for plan in plans[:3]]
-    # the single's run left the one node a later plan is counted
-    # against; the unapplied pair ran through marks 2 and 4 with
-    # ((0, drop),) applied and captured nothing -- least of all under
-    # the key of the two perturbations it was *asked* for
-    earned = (((0, "drop"),), 4)
-    assert tree.pool.keys() == [earned] and tree.captures == 1
-    applied, _violations, _hash = outcomes[2]
-    assert [(p.step, p.action) for p in applied] == [(0, "drop")]
-
-    # the triple's own key never exists; the live node of the branch
-    # that applied only (0, drop) is not a match for it
-    assert earned in tree.pool
-    outcomes.append(_run_schedule(tree, triple, **run))
-    assert starts[3] is tree.root
-    # ... while the plan that was counted against that node forks it,
-    # and is its last consumer
-    outcomes.append(_run_schedule(tree, plans[4], **run))
-    assert starts[4].step == 4 and starts[4].applied == applied
-    assert len(tree.pool) == 0
-
-    flat = _Tree(checkpoint, digest, plans, every=0)
-    assert outcomes == [_run_schedule(flat, plan, **run) for plan in plans]
-    assert flat.captures == 0
-
-
-def test_plans_stranded_past_a_short_window_fork_the_last_snapshot():
-    # gmp/self_death, 0.5 s window: 15 baseline steps, but the branch
-    # that dropped step 1 runs out of window before its mark 14
-    checkpoint = _prefix_checkpoint("gmp", "self_death", 8.0, 0)
-    steps, digest = _survey(checkpoint, window=0.5)
-    assert len(steps) == 15
-    plans = [{}, {1: "drop"}, {1: "drop", 12: "drop"},
-             {1: "drop", 14: "drop"}]
-    run = dict(window=0.5, horizon=HORIZONS["gmp"], defer_delta=4.0,
-               oracle=pack_for("gmp"))
-    tree = _Tree(checkpoint, digest, plans, every=2)
-    starts = _record_starts(tree)
-    outcomes = [_run_schedule(tree, plan, **run) for plan in plans[:2]]
-    mark_12, mark_14 = (((1, "drop"),), 12), (((1, "drop"),), 14)
-    assert tree.pool.keys() == [mark_12]    # mark 14 was never reached
-    outcomes.append(_run_schedule(tree, plans[2], **run))
-    assert starts[2].step == 12
-    assert mark_12 in tree.pool             # one adopted consumer left
-    outcomes.append(_run_schedule(tree, plans[3], **run))
-    assert starts[3] is starts[2] and mark_14 not in tree.pool
-    assert len(tree.pool) == 0 and tree.ancestor_forks == 2
-
-    flat = _Tree(checkpoint, digest, plans, every=0)
-    assert outcomes == [_run_schedule(flat, plan, **run) for plan in plans]
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +199,22 @@ def test_more_than_two_perturbations_is_refused_not_ignored(tmp_path):
         explore("gmp", "self_death", max_schedules=4, max_perturbations=3,
                 journal=journal)
     assert not journal.exists()  # refused before the flight opens
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_fewer_than_one_perturbation_is_refused(bound, tmp_path, capsys):
+    # every plan past the baseline is a single: 0 used to run them all
+    journal = tmp_path / "j.jsonl"
+    with pytest.raises(ExploreError, match=f"max_perturbations < 1 is "
+                                           f"refused \\(got {bound}\\)"):
+        explore("gmp", "self_death", max_schedules=4,
+                max_perturbations=bound, journal=journal)
+    assert not journal.exists()
+    assert main(["explore", "--max-schedules", "4",
+                 "--max-perturbations", str(bound)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro explore: max_perturbations < 1")
 
 
 # ----------------------------------------------------------------------

@@ -232,9 +232,9 @@ def test_digest_in_chunks_across_a_checkpoint_fork(prefix, branch, main,
     env = make_env()
     digest = _TraceDigest()
     _feed(env.trace, digest, prefix, cuts)
-    # what the explorer's tree does: capture, fork, and let the fork
-    # continue from a copy of the prefix's digest
-    checkpoint = Checkpoint.capture(env, audit=False)
+    # what the explorer does: capture, fork, and let the fork continue
+    # from a copy of the prefix's digest
+    checkpoint = Checkpoint.capture(env)
     assert checkpoint.position == digest.position
     forked = checkpoint.fork()
     fork_digest = digest.copy()

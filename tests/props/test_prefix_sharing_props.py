@@ -1,20 +1,15 @@
-"""Prefix-grouped sweeps and checkpoint-tree exploration change nothing
-but the clock.
+"""Prefix-grouped sweeps and prefix-shared exploration digests change
+nothing but the clock.
 
-Four contracts, the first three pinned over the real protocol rigs:
+Three contracts, the first two pinned over the real protocol rigs:
 
 - a prefix-grouped ``Campaign.run`` of the split fuzz body is
   byte-identical -- results, canonical traces, oracle fingerprints --
   to the cold (``group=False``) sweep of the same body it amortizes,
   across every TCP vendor profile and GMP bug variant;
-- :func:`~repro.oracle.explore.explore` with nested re-checkpointing
-  reaches exactly the flat exploration's outcomes while dispatching
-  strictly fewer simulated events (deep branches refork a warm
-  ancestor instead of replaying their prefix);
-- over drawn budgets and re-checkpoint intervals, the explorer's
-  prefix-shared incremental digest of every schedule equals the digest
-  of a full ``dump_trace`` of that schedule's final trace, and every
-  nested snapshot the plan-aware tree takes is forked;
+- over drawn budgets, the explorer's prefix-shared incremental digest
+  of every schedule equals the digest of a full ``dump_trace`` of that
+  schedule's final trace;
 - :func:`~repro.core.orchestrator.execute_shard` itself, over drawn key
   layouts (scattered groups, singletons, ``None`` keys, rows the store
   already holds, prefixes that cannot be captured or re-seeded): one row
@@ -115,32 +110,7 @@ def test_grouped_parallel_matches_cold():
 
 
 # ----------------------------------------------------------------------
-# nested-checkpoint exploration == flat exploration, fewer events
-# ----------------------------------------------------------------------
-
-def _outcome_set(report):
-    return sorted((o.outcome_hash, tuple(o.codes), o.violation_count)
-                  for o in report.outcomes)
-
-
-@pytest.mark.parametrize("target", ("self_death", "fixed"))
-def test_explore_nested_matches_flat_with_fewer_events(target):
-    kwargs = dict(seed=0, max_schedules=24, max_perturbations=2)
-    flat = explore("gmp", target, recheckpoint_every=0, **kwargs)
-    nested = explore("gmp", target, recheckpoint_every=8, **kwargs)
-    assert nested.schedules == flat.schedules
-    assert _outcome_set(nested) == _outcome_set(flat)
-    assert ([o.outcome_hash for o in nested.outcomes]
-            == [o.outcome_hash for o in flat.outcomes])
-    assert nested.distinct_outcomes == flat.distinct_outcomes
-    # the acceptance criterion: strictly fewer dispatched events
-    assert nested.simulated_events < flat.simulated_events
-    assert nested.nested_captures > 0
-    assert flat.nested_captures == 0 and flat.ancestor_forks == 0
-
-
-# ----------------------------------------------------------------------
-# incremental digest == full dump, for drawn budgets and intervals
+# incremental digest == full dump, for drawn budgets
 # ----------------------------------------------------------------------
 
 #: a 0.5 s window holds 15 steps -> 30 singles, so budgets past 31
@@ -149,21 +119,19 @@ _NARROW = dict(seed=0, window=0.5)
 
 
 @pytest.fixture(scope="module")
-def flat_hashes():
-    """Flat-path outcome hashes of the longest drawn exploration; the
-    plan order is fixed, so shorter budgets are prefixes of it."""
+def all_hashes():
+    """Outcome hashes of the longest drawn exploration; the plan order
+    is fixed, so shorter budgets are prefixes of it."""
     report = explore("gmp", "self_death", max_schedules=70,
-                     max_perturbations=2, recheckpoint_every=0, **_NARROW)
+                     max_perturbations=2, **_NARROW)
     return [o.outcome_hash for o in report.outcomes]
 
 
 @given(max_schedules=st.integers(1, 70),
-       max_perturbations=st.integers(1, 2),
-       recheckpoint_every=st.sampled_from([0, 2, 4, 8]))
+       max_perturbations=st.integers(1, 2))
 @settings(max_examples=12, deadline=None)
-def test_incremental_digest_equals_full_dump(flat_hashes, max_schedules,
-                                             max_perturbations,
-                                             recheckpoint_every):
+def test_incremental_digest_equals_full_dump(all_hashes, max_schedules,
+                                             max_perturbations):
     import repro.oracle
     evaluate = repro.oracle.evaluate
     full = []
@@ -177,20 +145,15 @@ def test_incremental_digest_equals_full_dump(flat_hashes, max_schedules,
     repro.oracle.evaluate = dumping_evaluate
     try:
         report = explore("gmp", "self_death", max_schedules=max_schedules,
-                         max_perturbations=max_perturbations,
-                         recheckpoint_every=recheckpoint_every, **_NARROW)
+                         max_perturbations=max_perturbations, **_NARROW)
     finally:
         repro.oracle.evaluate = evaluate
     hashes = [o.outcome_hash for o in report.outcomes]
     assert hashes == full
-    # nested == flat: one perturbation per schedule stops at the singles
+    # one perturbation per schedule stops at the singles
     budget = max_schedules if max_perturbations > 1 \
         else min(max_schedules, 31)
-    assert hashes == flat_hashes[:budget]
-    # every snapshot taken is forked at least once (the cap is far off)
-    assert report.nested_captures <= report.ancestor_forks
-    if recheckpoint_every == 0:
-        assert report.nested_captures == 0
+    assert hashes == all_hashes[:budget]
 
 
 # ----------------------------------------------------------------------

@@ -159,6 +159,18 @@ class TestProcs:
         interp.eval("proc f {} { return early; set never 1 }")
         assert interp.eval("f") == "early"
 
+    def test_top_level_eval_is_a_whole_script(self, interp):
+        # return ends it with its value; break / continue left over is
+        # Tcl's own error; inside a loop, `eval break` still breaks it
+        assert interp.eval("set a 1; return done; set a 2") == "done"
+        assert interp.globals["a"] == "1"
+        for command in ("break", "continue"):
+            with pytest.raises(TclError, match=f'invoked "{command}" '
+                                               f'outside of a loop'):
+                interp.eval(f"if 1 {{ {command} }}")
+        interp.eval("set n 0; while 1 { incr n; eval break }")
+        assert interp.globals["n"] == "1"
+
 
 class TestCommands:
     def test_unknown_command_raises(self, interp):
