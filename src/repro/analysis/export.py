@@ -78,6 +78,33 @@ def entry_to_dict(entry: TraceEntry, *,
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _ROW_BREAK, _LINE_BREAK = '}, {"attrs": {', '}\n{"attrs": {'
 
+
+#: value types no value of another type equals: ``True == 1 == 1.0``
+#: and ``0.0 == -0.0`` render apart, so bools and floats are left out
+_EXACT = frozenset((str, int, type(None)))
+
+
+def line_key(time: Any, kind: Any, attrs: Dict[str, Any],
+             excluded: frozenset) -> Optional[tuple]:
+    """A hashable key two rows share only if :func:`render_rows` renders
+    them to the same line, or ``None`` for a row it does not key.
+
+    A row is keyed when its time is a positive float (so neither a zero,
+    whose sign its line shows, nor NaN), its kind a ``str`` and every
+    attribute value an :data:`_EXACT` type: equal keys then hold values
+    of equal types, which render alike.  A row with a bool, a float, a
+    tuple, a list or any other attribute value is not keyed.
+    ``excluded`` attributes leave the key as they leave the line.
+    Attribute names are ``str``: rows are recorded with them as keywords.
+    """
+    if not excluded.isdisjoint(attrs):
+        attrs = {k: v for k, v in attrs.items() if k not in excluded}
+    if (type(time) is float and time > 0.0 and type(kind) is str
+            and _EXACT.issuperset(map(type, attrs.values()))):
+        return (time, kind, *attrs, *attrs.values())
+    return None
+
+
 #: one encoder for every line; ``sort_keys`` makes a line canonical, and
 #: rows are acyclic (``_jsonable`` builds fresh values), so no cycle check
 _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode

@@ -130,6 +130,9 @@ class FabricCoordinator:
                  poll: float = DEFAULT_POLL_S, spawn: bool = True,
                  host: str = "127.0.0.1"):
         self._spec = spec
+        #: the spec's content digest, hashed once: every hello is checked
+        #: against it and every state write carries it
+        self._digest = spec.digest()
         self._dir = Path(fabric_dir)
         self._workers = workers
         self._ttl = ttl
@@ -165,7 +168,7 @@ class FabricCoordinator:
             "endpoint": ([self._host, self._port]
                          if self._port is not None else None),
             "coordinator_pid": os.getpid(),
-            "spec": self._spec.digest(),
+            "spec": self._digest,
             "workers": dict(self._worker_pids),
             "board": board.as_dict() if board is not None else None,
         })
@@ -186,7 +189,7 @@ class FabricCoordinator:
             worker = str(message.get("worker", "?"))
             state["worker"] = worker
             claimed = message.get("spec")
-            if claimed is not None and claimed != self._spec.digest():
+            if claimed is not None and claimed != self._digest:
                 return {"type": "drain", "reason": "spec_mismatch"}
             pid = message.get("pid")
             if isinstance(pid, int):

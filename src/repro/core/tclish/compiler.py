@@ -525,7 +525,8 @@ def build_foreach(args) -> Runner:
 
 
 def build_catch(args) -> Runner:
-    """``catch script ?varName?``"""
+    """``catch script ?varName?``: Tcl's result code -- 0 ok, 1 error,
+    2 return, 3 break, 4 continue."""
     body = NestedScript(args[0])
     name = args[1] if len(args) == 2 else None
 
@@ -539,6 +540,10 @@ def build_catch(args) -> Runner:
         except TclReturn as ret:
             result = ret.value
             code = "2"
+        except TclBreak:
+            result, code = "", "3"
+        except TclContinue:
+            result, code = "", "4"
         if name is not None:
             interp.set_var(name, result)
         return code

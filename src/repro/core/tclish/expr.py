@@ -50,12 +50,22 @@ from repro.core.tclish.errors import TclError
 Number = Union[int, float]
 Value = Union[int, float, str]
 
+
+def _round(x: Number) -> int:
+    """Half away from zero, as Tcl rounds (Python's ``round`` goes to
+    even); an int is already round."""
+    if isinstance(x, int):
+        return x
+    fraction, whole = math.modf(x)
+    return int(whole) + (fraction >= 0.5) - (fraction <= -0.5)
+
+
 #: math functions: implementation, fewest and most arguments (None: any)
 _FUNCTIONS: Dict[str, Tuple[Callable[..., Number], int, Optional[int]]] = {
     "abs": (abs, 1, 1),
     "int": (int, 1, 1),
     "double": (float, 1, 1),
-    "round": (lambda x: int(round(x)), 1, 1),
+    "round": (_round, 1, 1),
     "min": (lambda *xs: min(xs), 1, None),
     "max": (lambda *xs: max(xs), 1, None),
     "sqrt": (math.sqrt, 1, 1),

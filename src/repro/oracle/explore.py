@@ -27,9 +27,13 @@ event order, which is all the oracle verdict needs.
 
 The outcome hash is **prefix-shared**: a fork's trace below the
 checkpoint is the same rows in every fork, so the survey leaves a
-running digest of that prefix and each schedule copies it and renders
-only the rows past it (read with ``TraceRecorder.rows``).  The
-per-schedule event counts are tracked
+running digest of that prefix and each schedule copies it and hashes
+only the rows past it (read with ``TraceRecorder.rows``).  Schedules
+mostly replay the same rows past it too, so every copy shares the
+survey digest's memo of rendered lines, keyed by
+:func:`~repro.analysis.export.line_key`: a row an earlier schedule
+rendered is looked up, not encoded again, and the memo is dropped with
+the ``explore()`` call.  The per-schedule event counts are tracked
 (``ExploreReport.simulated_events``).
 """
 
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.export import VOLATILE_ATTRS, render_rows
+from repro.analysis.export import VOLATILE_ATTRS, line_key, render_rows
 from repro.core.checkpoint import Checkpoint
 from repro.core.orchestrator import Campaign, make_env
 from repro.netsim import kinds as K
@@ -185,25 +189,41 @@ class _TraceDigest:
     ``sha256(dump_trace(entries[:n], exclude_attrs=VOLATILE_ATTRS))``,
     and a :meth:`copy` continues from there independently -- which is
     what lets every fork of a checkpoint start from the prefix's digest
-    instead of serialising the shared prefix again.
+    instead of serialising the shared prefix again.  The copies share
+    one memo of rendered lines (:func:`~repro.analysis.export.line_key`
+    -> line), so a row every schedule replays is rendered once.
     """
 
-    __slots__ = ("_sha", "position")
+    __slots__ = ("_sha", "position", "_lines")
 
-    def __init__(self, sha=None, position: int = 0):
+    def __init__(self, sha=None, position: int = 0, lines=None):
         self._sha = hashlib.sha256() if sha is None else sha
         #: trace entries absorbed so far
         self.position = position
+        self._lines: Dict[tuple, str] = {} if lines is None else lines
 
     def copy(self) -> "_TraceDigest":
-        return _TraceDigest(self._sha.copy(), self.position)
+        return _TraceDigest(self._sha.copy(), self.position, self._lines)
 
     def absorb(self, trace: TraceRecorder) -> None:
-        """Serialise and hash the rows of ``trace`` past ``position``."""
+        """Serialise and hash the rows of ``trace`` past ``position``: a
+        row the memo holds is looked up, the rest are rendered together
+        (one line each, and JSON escapes every newline inside one)."""
         position = self.position
         if position >= len(trace):
             return
-        text = render_rows(trace.rows(position), _VOLATILE)
+        memo = self._lines
+        rows = list(trace.rows(position))
+        keys = [line_key(*row, _VOLATILE) for row in rows]
+        # no line is stored under None, so an unkeyed row misses
+        lines = list(map(memo.get, keys))
+        missed = [index for index, line in enumerate(lines) if line is None]
+        rendered = render_rows([rows[index] for index in missed], _VOLATILE)
+        for index, line in zip(missed, rendered.split("\n")):
+            lines[index] = line
+            if keys[index] is not None:
+                memo[keys[index]] = line
+        text = "\n".join(lines)
         if position:
             text = "\n" + text
         self._sha.update(text.encode())

@@ -22,8 +22,8 @@ import time
 import pytest
 
 from repro.core.fabric import (FabricCoordinator, FabricError, LeaseBoard,
-                               Shard, merge_campaign_dir, recv_message,
-                               request, send_message)
+                               Shard, SweepSpec, merge_campaign_dir,
+                               recv_message, request, send_message)
 from repro.core.fabric.worker import EXIT_DRAINED, EXIT_ERROR
 from repro.core.orchestrator import Campaign, run_sweep
 from repro.netsim import kinds as K
@@ -77,6 +77,25 @@ def test_spawned_sweep_boots_no_interpreter(tmp_path, monkeypatch):
 
     monkeypatch.setattr(subprocess, "Popen", no_popen)
     assert _stable(_sockets(tmp_path / "fabric", 8)) == _serial(8)
+
+
+def test_coordinator_hashes_the_spec_once_per_attempt(tmp_path,
+                                                     monkeypatch):
+    # every hello, lease and done used to re-hash the spec under the
+    # coordinator lock; the forked workers hash it in their own memory
+    calls = []
+    digest = SweepSpec.digest
+
+    def counting_digest(self):
+        calls.append(os.getpid())
+        return digest(self)
+
+    monkeypatch.setattr(SweepSpec, "digest", counting_digest)
+    fabric_dir = tmp_path / "fabric"
+    assert _stable(_sockets(fabric_dir, 8)) == _serial(8)
+    assert calls.count(os.getpid()) == 1
+    spec = SweepSpec.load(fabric_dir / "spec.pkl")
+    assert rig.read_state(fabric_dir)["spec"] == digest(spec)
 
 
 def test_sockets_after_a_pool_sweep_and_back_to_back(tmp_path):

@@ -8,19 +8,28 @@ black-box suite in ``test_explore.py``:
   whole-trace ``dump_trace`` hash) produced -- the literals below were
   computed there;
 - every schedule's outcome hash is the hash of its whole trace, while
-  the digest renders each row past the root once per schedule and the
-  root's prefix once per exploration;
+  the digest renders the root's prefix once per exploration and a row
+  past it only when no earlier schedule rendered an equal row: the
+  schedules share one line memo, which lives as long as the
+  exploration, and rows that compare equal but render apart never
+  share a line;
 - the plan census is arithmetic that agrees with ``_plans``, and an
   exploration with nothing to explore, or a perturbation bound outside
   ``[1, 2]``, says so before the first schedule.
 """
 
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
+from repro.analysis import export
+from repro.analysis.export import (VOLATILE_ATTRS, dump_trace, line_key,
+                                   render_rows)
 from repro.cli import main
+from repro.netsim.trace import TraceEntry, TraceRecorder
 from repro.obs.campaign_report import render_text, summarize_journal
 from repro.oracle import explore as explore_module
 from repro.oracle.explore import (ExploreError, _plan_census, _plans,
@@ -94,19 +103,17 @@ def test_outcomes_equal_the_parent_commits(kwargs, schedules, verdicts):
 
 
 #: trace rows the outcome digests of the 48-schedule, 2-perturbation
-#: exploration encode
-ROWS_ENCODED = 28837
+#: exploration encode: the root's 293-row prefix, then every row past it
+#: the schedules' shared line memo misses (28,837 before the memo)
+ROWS_ENCODED = 3274
 
 
 def test_digest_census_reads_rows_not_entry_views(monkeypatch):
     # the incremental digest renders raw rows: no TraceEntry is built
     # inside _TraceDigest.absorb, the root's prefix is encoded once and
-    # every schedule's rows past it once, and each outcome hash is still
+    # a row past it only on a memo miss, and each outcome hash is still
     # the hash of a whole-trace dump_trace
     import repro.oracle
-    from repro.analysis import export
-    from repro.analysis.export import VOLATILE_ATTRS, dump_trace
-    from repro.netsim.trace import TraceEntry
 
     inside, views, rows = [False], [0], [0]
     entry_init = TraceEntry.__init__
@@ -134,9 +141,8 @@ def test_digest_census_reads_rows_not_entry_views(monkeypatch):
     def dumping_evaluate(trace, pack):
         # once per schedule, over its final trace
         lengths.append(len(trace))
-        if len(full) < 5:
-            text = dump_trace(trace, exclude_attrs=VOLATILE_ATTRS)
-            full.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+        text = dump_trace(trace, exclude_attrs=VOLATILE_ATTRS)
+        full.append(hashlib.sha256(text.encode()).hexdigest()[:16])
         return evaluate(trace, pack)
 
     monkeypatch.setattr(TraceEntry, "__init__", counting_init)
@@ -148,9 +154,112 @@ def test_digest_census_reads_rows_not_entry_views(monkeypatch):
     assert views[0] == 0
     root = explore_module._prefix_checkpoint(
         "gmp", "self_death", DEFAULT_DEPTHS["gmp"], 0)
-    assert rows[0] == root.position + sum(n - root.position for n in lengths)
+    assert root.position < rows[0] < sum(n - root.position for n in lengths)
     assert rows[0] == ROWS_ENCODED
-    assert [o.outcome_hash for o in report.outcomes[:5]] == full
+    assert [o.outcome_hash for o in report.outcomes] == full
+
+
+# ----------------------------------------------------------------------
+# the outcome digest's line memo
+# ----------------------------------------------------------------------
+
+NAN = float("nan")
+
+#: rows that compare equal in Python but render apart, NaN, containers
+#: (tuple and list alike; a dict is unhashable), and rows that differ
+#: only in a volatile attr, which render alike
+MIXED = [
+    (1.0, "k", {"v": True}), (1.0, "k", {"v": 1}), (1.0, "k", {"v": 1.0}),
+    (2.0, "k", {"v": 0.0}), (2.0, "k", {"v": -0.0}),
+    (0.0, "k", {"v": 2}), (-0.0, "k", {"v": 2}),
+    (3.0, "k", {"v": (1, 2)}), (3.0, "k", {"v": [1, 2]}),
+    (3.0, "k", {"v": (True, 2)}), (3.0, "k", {"v": [1.0, 2]}),
+    (4.0, "k", {"v": NAN}), (4.0, "k", {"v": NAN}), (NAN, "k", {"v": 4}),
+    (5.0, "k", {"v": {"a": 1}}), (5.0, "k", {"v": {"a": True}}),
+    (6.0, "k", {"v": None}), (6.0, "k", {"v": "None"}),
+    (7.0, "k", {"v": 7, "uid": 1}), (7.0, "k", {"v": 7, "uid": 2}),
+    (7.0, "k", {"v": 7, "parent": 3}), (7.0, "k", {"v": 7}),
+]
+
+
+def _trace(rows):
+    trace = TraceRecorder()
+    for t, kind, attrs in rows:
+        trace.record(kind, t=t, **attrs)
+    return trace
+
+
+def _sha(trace):
+    text = dump_trace(trace, exclude_attrs=VOLATILE_ATTRS)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_line_key_is_shared_only_by_rows_rendered_alike():
+    excluded = frozenset(VOLATILE_ATTRS)
+    for row in MIXED:
+        for other in MIXED:
+            key = line_key(*row, excluded)
+            if key is not None and key == line_key(*other, excluded):
+                assert (render_rows([row], excluded)
+                        == render_rows([other], excluded)), (row, other)
+    # a volatile attr leaves the key as it leaves the line
+    keys = {line_key(*row, excluded) for row in MIXED[-4:]}
+    assert len(keys) == 1 and None not in keys
+
+
+def _check_forked_digests():
+    # the root absorbs the mixed rows; a fork of it absorbs them again,
+    # in reverse, so every row is looked up after each of its partners
+    # was stored -- and the root then goes on in forward order
+    trace = _trace(MIXED)
+    digest = explore_module._TraceDigest()
+    digest.absorb(trace)
+    assert digest.hexdigest() == _sha(trace)
+    forked_trace = trace.fork()
+    for t, kind, attrs in reversed(MIXED):
+        forked_trace.record(kind, t=t, **attrs)
+    forked = digest.copy()
+    forked.absorb(forked_trace)
+    assert forked.hexdigest() == _sha(forked_trace)
+    for t, kind, attrs in MIXED:
+        trace.record(kind, t=t, **attrs)
+    digest.absorb(trace)
+    assert digest.hexdigest() == _sha(trace)
+
+
+def test_forked_digest_of_mixed_rows_is_the_whole_trace_hash():
+    _check_forked_digests()
+
+
+def test_key_without_value_types_is_killed(monkeypatch):
+    # the mutation: bools and floats keyed like ints, so True, 1 and
+    # 1.0 (and 0.0 and -0.0) share one line
+    monkeypatch.setattr(export, "_EXACT", export._EXACT | {bool, float})
+    with pytest.raises(AssertionError):
+        _check_forked_digests()
+
+
+def test_one_memo_per_exploration_dies_with_it(monkeypatch):
+    class Memo(dict):
+        """A dict a weak reference can watch."""
+
+    memos = []
+    init = explore_module._TraceDigest.__init__
+
+    def watched_init(self, sha=None, position=0, lines=None):
+        if lines is None:
+            lines = Memo()
+            memos.append(weakref.ref(lines))
+        init(self, sha, position, lines)
+
+    monkeypatch.setattr(explore_module._TraceDigest, "__init__",
+                        watched_init)
+    report = explore("gmp", "self_death", max_schedules=8)
+    assert report.schedules == 8
+    gc.collect()
+    # every schedule's digest shared the root's memo, and nothing holds
+    # it once explore() has returned
+    assert len(memos) == 1 and memos[0]() is None
 
 
 # ----------------------------------------------------------------------

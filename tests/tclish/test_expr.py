@@ -90,6 +90,14 @@ class TestFunctions:
         ("int(3.7)", 3),
         ("double(3)", 3.0),
         ("round(3.5)", 4),
+        # half away from zero, as tclsh8.6 rounds, not to even
+        ("round(2.5)", 3),
+        ("round(-2.5)", -3),
+        ("round(-3.5)", -4),
+        ("round(0.49999999999999994)", 0),
+        ("round(-2.4)", -2),
+        ("round(7)", 7),
+        ("round(1e30)", 10 ** 30 + 19884624838656),
         ("min(3, 1, 2)", 1),
         ("max(3, 1, 2)", 3),
         ("sqrt(16)", 4.0),

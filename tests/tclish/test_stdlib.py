@@ -86,6 +86,18 @@ class TestControlFlow:
         assert interp.eval("catch {error boom} msg") == "1"
         assert interp.eval("set msg") == "boom"
 
+    def test_catch_traps_break_and_continue(self, interp):
+        # Tcl's codes 3 and 4, as tclsh8.6 returns them: the loop around
+        # the catch runs on, and a top-level catch {break} is no error
+        assert interp.eval("set n 0; while {$n < 3} "
+                           "{ incr n; set r [catch {break}] }; set n") == "3"
+        assert interp.eval("set r") == "3"
+        assert interp.eval("catch {break}") == "3"
+        assert interp.eval("catch {continue} msg") == "4"
+        assert interp.eval("set msg") == ""
+        # a script known only at run time goes through the command
+        assert interp.eval("set s continue; catch $s") == "4"
+
     def test_eval_builtin(self, interp):
         assert interp.eval('eval {set x 9}') == "9"
 
