@@ -91,17 +91,23 @@ def line_key(time: Any, kind: Any, attrs: Dict[str, Any],
 
     A row is keyed when its time is a positive float (so neither a zero,
     whose sign its line shows, nor NaN), its kind a ``str`` and every
-    attribute value an :data:`_EXACT` type: equal keys then hold values
-    of equal types, which render alike.  A row with a bool, a float, a
-    tuple, a list or any other attribute value is not keyed.
-    ``excluded`` attributes leave the key as they leave the line.
-    Attribute names are ``str``: rows are recorded with them as keywords.
+    attribute value an :data:`_EXACT` type or a flat tuple of them: equal
+    keys then hold values of equal types, which render alike.  A row
+    with a bool, a float, a list, a nested tuple or any other attribute
+    value is not keyed.  ``excluded`` attributes leave the key as they
+    leave the line.  Attribute names are ``str``: rows are recorded with
+    them as keywords.
     """
     if not excluded.isdisjoint(attrs):
         attrs = {k: v for k, v in attrs.items() if k not in excluded}
-    if (type(time) is float and time > 0.0 and type(kind) is str
-            and _EXACT.issuperset(map(type, attrs.values()))):
-        return (time, kind, *attrs, *attrs.values())
+    if not (type(time) is float and time > 0.0 and type(kind) is str):
+        return None
+    values = attrs.values()
+    if _EXACT.issuperset(map(type, values)) or all(
+            type(v) in _EXACT
+            or (type(v) is tuple and _EXACT.issuperset(map(type, v)))
+            for v in values):
+        return (time, kind, *attrs, *values)
     return None
 
 

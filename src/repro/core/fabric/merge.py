@@ -2,11 +2,13 @@
 
 A fabric sweep's record is spread over one coordinator journal (sweep
 lifecycle, cached rows, lease losses) and one journal per shard lease
-(``shard-NNNN-tryA-WORKER.jsonl``: run starts/ends, prefix captures).
-:func:`merge_campaign_dir` folds them into a single
-:class:`~repro.obs.campaign_report.CampaignSummary` the existing
-renderers -- scorecard text, JSON, HTML, and the merged per-group
-capture-hits table -- consume unchanged.
+(``shard-NNNN-tryA-WORKER.jsonl``: run starts/ends, prefix captures); a
+local sweep's directory holds the coordinator journal alone, with its
+runs and captures in it.  :func:`merge_campaign_dir` folds each file
+once -- the coordinator's one summary gives the lifecycle as well as its
+rows -- into a single :class:`~repro.obs.campaign_report.CampaignSummary`
+the existing renderers -- scorecard text, JSON, HTML, and the merged
+per-group capture-hits table -- consume unchanged.
 
 Deduplication is by configuration index: a shard that was stolen but
 whose original holder finished anyway yields two rows for the same
@@ -62,28 +64,23 @@ def merge_campaign_dir(path: Union[str, Path]) -> CampaignSummary:
         raise FileNotFoundError(
             f"no campaign journals (*.jsonl) under {root}")
     merged = CampaignSummary(path=root)
-    if files[0].name == "coordinator.jsonl":
-        base = summarize_journal(files[0])
-        merged.engine = base.engine
-        merged.schema = base.schema
-        merged.start = base.start
-        merged.end = base.end
-        merged.phases = base.phases
-        merged.duration_s = base.duration_s
-        merged.torn_tail_bytes = base.torn_tail_bytes
     rows: Dict[int, RunRow] = {}
     for file in files:
         # a shard journal has no campaign.start of its own; the same
         # fold still decodes its rows, so merged rows and single-journal
         # rows can never drift apart on stable keys
         summary = summarize_journal(file)
+        if file.name == "coordinator.jsonl":
+            merged.engine = summary.engine
+            merged.schema = summary.schema
+            merged.start = summary.start
+            merged.end = summary.end
+            merged.phases = summary.phases
+            merged.duration_s = summary.duration_s
         for row in summary.runs:
             rows.setdefault(row.index, row)
-        if file.name != "coordinator.jsonl":
-            merged.checkpoints.extend(summary.checkpoints)
-            merged.worker_errors.extend(summary.worker_errors)
-            merged.torn_tail_bytes += summary.torn_tail_bytes
-        else:
-            merged.worker_errors.extend(summary.worker_errors)
+        merged.checkpoints.extend(summary.checkpoints)
+        merged.worker_errors.extend(summary.worker_errors)
+        merged.torn_tail_bytes += summary.torn_tail_bytes
     merged.runs = [rows[index] for index in sorted(rows)]
     return merged

@@ -28,7 +28,8 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.envelope import seal, unseal
 from repro.core.orchestrator import (PrefixedBody, ResultStore,
-                                     _hash_callable, _prefix_digest)
+                                     _hash_callable, _prefix_digest,
+                                     _sweep_digest)
 
 
 class SpecError(ValueError):
@@ -81,13 +82,27 @@ class SweepSpec:
 
         Split bodies mix the static prefix digest in, so a stored row
         never needs a capture to be found, yet a changed prefix function
-        or key can never alias a stale result.
+        or key can never alias a stale result.  Each row's key is its
+        :meth:`ResultStore.key`, byte for byte, but the part all rows
+        share (body parts, seed, telemetry flag) is hashed once, and the
+        prefix digest once per distinct ``repr`` of a prefix key -- all
+        the digest reads of it, so ``1`` and ``1.0`` keep their own.
         """
-        return [store.key(self.body, self.seed, config,
-                          telemetry=self.telemetry, oracle=self.oracle,
-                          checkpoint=(None if key is None
-                                      else _prefix_digest(self.body, key)))
-                for config, key in zip(self.configs, self.prefix_keys())]
+        sweep = _sweep_digest(self.body, self.seed, self.telemetry)
+        digests: Dict[str, str] = {}
+        keys = []
+        for config, key in zip(self.configs, self.prefix_keys()):
+            checkpoint = None
+            if key is not None:
+                label = repr(key)
+                if label not in digests:
+                    digests[label] = _prefix_digest(self.body, key)
+                checkpoint = digests[label]
+            keys.append(store.key(self.body, self.seed, config,
+                                  telemetry=self.telemetry,
+                                  oracle=self.oracle, checkpoint=checkpoint,
+                                  _sweep=sweep))
+        return keys
 
     def body_label(self) -> str:
         return getattr(self.body, "__qualname__", repr(self.body))

@@ -249,6 +249,21 @@ def _hash_callable(digest, fn, *, code: bool = True) -> None:
         _hash_code(digest, fn_code)
 
 
+def _sweep_digest(body: Callable, seed: int, telemetry: bool):
+    """The hasher over the part of a store key every row of a sweep
+    shares: the body parts, the seed and the telemetry flag."""
+    digest = hashlib.sha256()
+    # split bodies (PrefixedBody) expose their parts so the key covers
+    # the prefix *and* continuation bytecode, not the wrapper instance
+    # whose repr would churn per process
+    parts = getattr(body, "cache_parts", None)
+    for fn in (parts() if callable(parts) else (body,)):
+        _hash_callable(digest, fn)
+    digest.update(str(seed).encode())
+    digest.update(b"telemetry" if telemetry else b"bare")
+    return digest
+
+
 class ResultStore:
     """Content-addressed, multi-writer store of pickled :class:`RunResult`.
 
@@ -295,16 +310,11 @@ class ResultStore:
 
     def key(self, body: Callable, seed: int, config: Dict[str, Any], *,
             telemetry: bool, oracle: Optional[Callable] = None,
-            checkpoint: Optional[str] = None) -> str:
-        digest = hashlib.sha256()
-        # split bodies (PrefixedBody) expose their parts so the key
-        # covers the prefix *and* continuation bytecode, not the
-        # wrapper instance whose repr would churn per process
-        parts = getattr(body, "cache_parts", None)
-        for fn in (parts() if callable(parts) else (body,)):
-            _hash_callable(digest, fn)
-        digest.update(str(seed).encode())
-        digest.update(b"telemetry" if telemetry else b"bare")
+            checkpoint: Optional[str] = None, _sweep=None) -> str:
+        # ``_sweep``: the hasher :func:`_sweep_digest` built once for a
+        # whole sweep (``SweepSpec.store_keys``); this row continues a copy
+        digest = (_sweep_digest(body, seed, telemetry) if _sweep is None
+                  else _sweep.copy())
         if checkpoint is not None:
             # results computed by continuing a checkpoint are only
             # interchangeable with runs from the *same* captured prefix:

@@ -6,6 +6,7 @@ from repro.core.fabric import campaign_journals, merge_campaign_dir
 from repro.core.orchestrator import (Campaign, _run_end_payload,
                                      run_one)
 from repro.netsim import kinds as K
+from repro.obs import campaign_report
 from repro.obs.campaign_report import summarize_journal
 from repro.obs.journal import Journal
 from tests.fabric.rig import chaos_body, make_configs
@@ -51,6 +52,29 @@ def test_merge_matches_serial_scorecard(tmp_path):
     assert [row.stable_key() for row in merged.runs] \
         == _serial_rows(tmp_path, 4)
     assert merged.engine == "campaign"
+
+
+def test_merge_replays_each_journal_once(tmp_path, monkeypatch):
+    # the coordinator's one fold gives the lifecycle and its rows alike
+    configs = make_configs(4)
+    fabric = tmp_path / "fabric"
+    (fabric / "journals").mkdir(parents=True)
+    _write_coordinator(fabric / "journals" / "coordinator.jsonl", configs)
+    _write_shard(fabric / "journals" / "shard-0000-try1-w1.jsonl",
+                 [0, 1], configs)
+    _write_shard(fabric / "journals" / "shard-0001-try1-w2.jsonl",
+                 [2, 3], configs)
+    replayed = []
+    replay = campaign_report.replay_journal
+
+    def counting_replay(path):
+        replayed.append(path)
+        return replay(path)
+
+    monkeypatch.setattr(campaign_report, "replay_journal", counting_replay)
+    merged = merge_campaign_dir(fabric)
+    assert replayed == campaign_journals(fabric)
+    assert merged.status == "ok" and len(merged.runs) == 4
 
 
 def test_merge_dedupes_stolen_shard_duplicates(tmp_path):

@@ -122,3 +122,29 @@ def test_single_group_sweep_is_leased_to_every_worker(tmp_path):
         "prefix_captures": len(forking), "prefix_forks": 8,
         "prefix_fallbacks": 0}
     assert len(forking) == len(shards)
+
+
+def test_merge_keeps_captures_wherever_they_were_journaled(tmp_path):
+    # a local directory journals its captures in coordinator.jsonl, a
+    # sockets directory in its shard journals only: both merge them all
+    campaign = Campaign(mixed_body, seed=9)
+    campaign.run(CONFIGS, fabric_dir=tmp_path / "local")
+    campaign.run(CONFIGS, workers=2, backend="sockets",
+                 fabric_dir=tmp_path / "sockets")
+    captures = EXPECTED["prefix_captures"]
+
+    local = merge_campaign_dir(tmp_path / "local")
+    coordinator = summarize_journal(
+        tmp_path / "local" / "journals" / "coordinator.jsonl")
+    assert local.checkpoints == coordinator.checkpoints
+    assert len(local.checkpoints) == captures
+
+    sockets_journals = tmp_path / "sockets" / "journals"
+    assert summarize_journal(
+        sockets_journals / "coordinator.jsonl").checkpoints == []
+    assert len(merge_campaign_dir(tmp_path / "sockets").checkpoints) \
+        == sum(len(summarize_journal(shard).checkpoints)
+               for shard in sockets_journals.glob("shard-*.jsonl")) \
+        == captures
+    assert render_stable(local) == render_stable(
+        merge_campaign_dir(tmp_path / "sockets"))

@@ -104,8 +104,9 @@ def test_outcomes_equal_the_parent_commits(kwargs, schedules, verdicts):
 
 #: trace rows the outcome digests of the 48-schedule, 2-perturbation
 #: exploration encode: the root's 293-row prefix, then every row past it
-#: the schedules' shared line memo misses (28,837 before the memo)
-ROWS_ENCODED = 3274
+#: the schedules' shared line memo misses (28,837 before the memo; 3,274
+#: while rows with tuple values were never keyed)
+ROWS_ENCODED = 3130
 
 
 def test_digest_census_reads_rows_not_entry_views(monkeypatch):
@@ -166,7 +167,8 @@ def test_digest_census_reads_rows_not_entry_views(monkeypatch):
 NAN = float("nan")
 
 #: rows that compare equal in Python but render apart, NaN, containers
-#: (tuple and list alike; a dict is unhashable), and rows that differ
+#: (tuple and list alike, flat and nested, holding values that compare
+#: equal but render apart; a dict is unhashable), and rows that differ
 #: only in a volatile attr, which render alike
 MIXED = [
     (1.0, "k", {"v": True}), (1.0, "k", {"v": 1}), (1.0, "k", {"v": 1.0}),
@@ -174,6 +176,10 @@ MIXED = [
     (0.0, "k", {"v": 2}), (-0.0, "k", {"v": 2}),
     (3.0, "k", {"v": (1, 2)}), (3.0, "k", {"v": [1, 2]}),
     (3.0, "k", {"v": (True, 2)}), (3.0, "k", {"v": [1.0, 2]}),
+    (3.0, "k", {"v": (1,)}), (3.0, "k", {"v": (True,)}),
+    (3.0, "k", {"v": (1.0,)}), (3.0, "k", {"v": ((1, 2),)}),
+    (3.0, "k", {"v": ([1, 2],)}), (3.0, "k", {"v": ("a", None)}),
+    (3.0, "k", {"v": ["a", None]}), (3.0, "k", {"v": 1, "w": (1, "a")}),
     (4.0, "k", {"v": NAN}), (4.0, "k", {"v": NAN}), (NAN, "k", {"v": 4}),
     (5.0, "k", {"v": {"a": 1}}), (5.0, "k", {"v": {"a": True}}),
     (6.0, "k", {"v": None}), (6.0, "k", {"v": "None"}),
@@ -235,6 +241,24 @@ def test_key_without_value_types_is_killed(monkeypatch):
     # the mutation: bools and floats keyed like ints, so True, 1 and
     # 1.0 (and 0.0 and -0.0) share one line
     monkeypatch.setattr(export, "_EXACT", export._EXACT | {bool, float})
+    with pytest.raises(AssertionError):
+        _check_forked_digests()
+
+
+def test_key_of_any_tuple_is_killed(monkeypatch):
+    # the mutation: a flat tuple keyed whatever scalars it holds, so
+    # (1,), (True,) and (1.0,) share one line
+    line_key = export.line_key
+
+    def loose_key(time, kind, attrs, excluded):
+        tuples = [v for v in attrs.values() if type(v) is tuple]
+        rest = {k: v for k, v in attrs.items() if type(v) is not tuple}
+        if (line_key(time, kind, rest, excluded) is None or not all(
+                export._SCALARS.issuperset(map(type, v)) for v in tuples)):
+            return None
+        return (time, kind, *attrs, *attrs.values())
+
+    monkeypatch.setattr(explore_module, "line_key", loose_key)
     with pytest.raises(AssertionError):
         _check_forked_digests()
 

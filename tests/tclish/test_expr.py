@@ -28,6 +28,16 @@ class TestArithmetic:
     def test_integer_division_truncates(self):
         assert evaluate("7 / 2") == 3
 
+    @pytest.mark.parametrize("text,expected", [
+        ("-7 / 2", -4),
+        ("7 / -2", -4),
+        ("-7 % 2", 1),
+    ])
+    def test_negative_integer_division_floors_like_tcl(self, text, expected):
+        # tclsh 8.6 agrees: the quotient rounds down, the remainder takes
+        # the divisor's sign
+        assert evaluate(text) == expected
+
     def test_float_division(self):
         assert evaluate("7.0 / 2") == 3.5
 
