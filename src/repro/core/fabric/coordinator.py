@@ -60,12 +60,14 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import pickle
 import socket
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set, Union
 
+from repro.core.envelope import seal
 from repro.core.fabric.protocol import (ProtocolError, recv_message,
                                         send_message)
 from repro.core.fabric.shards import DONE, LeaseBoard, Shard
@@ -109,11 +111,21 @@ def persist_spec(spec: SweepSpec, fabric_dir: Union[str, Path]) -> None:
     Every backend calls this before touching the directory, so ``repro
     sweep --resume`` finds a spec -- and the store never mixes two
     sweeps' rows under one scorecard -- however the sweep was started.
+    A ``spec.pkl`` holding exactly ``seal(spec)`` loads back to this
+    very spec and is accepted as it stands; any other file is loaded
+    and compared by :meth:`SweepSpec.digest`.
     """
     spec_path = Path(fabric_dir) / "spec.pkl"
-    if not spec_path.exists():
+    try:
+        held = spec_path.read_bytes()
+    except FileNotFoundError:
         spec.save(spec_path)
         return
+    try:
+        if held == seal(spec):
+            return
+    except (pickle.PicklingError, AttributeError, TypeError):
+        pass  # an unpicklable spec: the digest comparison decides
     existing = SweepSpec.load(spec_path).digest()
     if existing != spec.digest():
         raise FabricError(

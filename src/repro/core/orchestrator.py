@@ -301,6 +301,9 @@ class ResultStore:
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
+        #: ``root`` as a string ending in a separator: entry paths are
+        #: built by string concatenation, not a pathlib join per key
+        self._prefix = os.path.join(str(self.root), "")
         self.hits = 0
         self.misses = 0
         # distinct temp names per writer *and* per write: concurrent
@@ -333,8 +336,11 @@ class ResultStore:
                 digest.update(repr(value).encode())
         return digest.hexdigest()
 
+    def _file(self, key: str) -> str:
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.pkl"
+
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return Path(self._file(key))
 
     def get(self, key: str) -> Optional[RunResult]:
         """The stored result, or ``None`` -- a counted miss -- for anything
@@ -342,7 +348,7 @@ class ResultStore:
         a pickled :class:`RunResult`.  The row comes back with its trace
         still encoded."""
         try:
-            with open(self._path(key), "rb") as fh:
+            with open(self._file(key), "rb") as fh:
                 result = unseal(fh.read())
         except Exception:
             result = None

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.netsim import kinds as K
 from repro.obs.journal import (JournalReplay, SCHEMA_VERSION,
-                               replay_journal)
+                               _replay_last_flight)
 from repro.obs.progress import rate_of
 
 #: ranking weight of one oracle violation, relative to one coverage key
@@ -206,10 +206,13 @@ def summarize_journal(source: Union[str, Path, JournalReplay]
 
     When the file holds several appended sweeps, the last
     ``campaign.start`` segment wins -- a journal is one flight record,
-    re-recording into the same file reads as the latest flight.
+    re-recording into the same file reads as the latest flight.  A path
+    is read from its last ``campaign.start`` on, so a journal resumed
+    many times costs one flight to fold, and damage before that start
+    (a torn line an earlier flight left) cannot hide the flight.
     """
     replay = (source if isinstance(source, JournalReplay)
-              else replay_journal(source))
+              else _replay_last_flight(source))
     summary = CampaignSummary(path=replay.path)
     open_phases: Dict[str, float] = {}
     for event in replay.events:

@@ -18,7 +18,9 @@ Crash-safety contract:
 - **atomic single-line appends**: each event is one ``os.write`` of one
   complete ``\\n``-terminated line to an ``O_APPEND`` descriptor, so a
   killed process can tear at most the final line, never interleave or
-  corrupt earlier ones;
+  corrupt earlier ones, and a journal reopened over such a torn line
+  terminates it first, so the next flight's events start lines of
+  their own;
 - **tolerant replay**: :func:`replay_journal` recovers every complete
   event and reports the torn tail (the undecodable trailing bytes)
   instead of failing, so a journal from a SIGKILLed sweep still
@@ -97,10 +99,12 @@ class Journal:
 
     One :class:`Journal` records one sweep (or several back-to-back
     sweeps appended to the same file -- replay segments on
-    ``campaign.start``).  Appends go through a single ``os.write`` per
-    event on an ``O_APPEND`` descriptor: no user-space buffering, no
-    partial flushes, so the only damage a crash can do is truncate the
-    final line -- which replay tolerates.
+    ``campaign.start``; a fold reads only the last segment).  Appends go
+    through a single ``os.write`` per event on an ``O_APPEND``
+    descriptor: no user-space buffering, no partial flushes, so the only
+    damage a crash can do is truncate the final line -- which replay
+    tolerates, and which the next :class:`Journal` on the file
+    terminates before it appends.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -108,7 +112,12 @@ class Journal:
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fd: Optional[int] = os.open(
-            str(self.path), os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
+            str(self.path), os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
+        # a writer killed mid-append left a torn line: terminate it, so
+        # this journal's first event starts a line of its own
+        size = os.lseek(self._fd, 0, os.SEEK_END)
+        if size and os.pread(self._fd, 1, size - 1) != b"\n":
+            os.write(self._fd, b"\n")
         self._seq = 0
         self._t0 = perf_counter()
 
@@ -328,7 +337,7 @@ def _decode_line(line: bytes) -> Optional[JournalEvent]:
     """One journal line as an event, or None when undecodable."""
     try:
         raw = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         return None
     if not isinstance(raw, dict):
         return None
@@ -355,16 +364,19 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
     damaged line is unreachable bookkeeping, not data.
     """
     path = Path(path)
-    blob = path.read_bytes()
-    replay = JournalReplay(path=path)
-    offset = 0
+    return _replay_from(JournalReplay(path=path), path.read_bytes(), 0)
+
+
+def _replay_from(replay: JournalReplay, blob: bytes,
+                 offset: int) -> JournalReplay:
+    """Append to ``replay`` every complete event of ``blob`` from byte
+    ``offset`` on, up to the first line that is torn or undecodable."""
     while offset < len(blob):
         newline = blob.find(b"\n", offset)
         if newline < 0:
             replay.torn_tail = blob[offset:]
             break
-        line = blob[offset:newline]
-        event = _decode_line(line)
+        event = _decode_line(blob[offset:newline])
         if event is None:
             replay.torn_tail = blob[offset:]
             break
@@ -372,6 +384,43 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
         offset = newline + 1
         replay.clean_bytes = offset
     return replay
+
+
+#: what every ``campaign.start`` line holds (``record`` sorts its keys)
+_START_MARKER = json.dumps({"kind": K.CAMPAIGN_START})[1:-1].encode()
+
+
+def _replay_last_flight(path: Union[str, Path]) -> JournalReplay:
+    """The last flight of a journal file: its final ``campaign.start``
+    and every complete event after it, as :func:`replay_journal` would
+    replay them.
+
+    The start is found from the end of the file (``rfind`` of its
+    ``"kind"`` marker, then the candidate line decoded), so the cost is
+    one flight however many earlier flights the file holds.  A
+    candidate that does not decode to a start -- a torn line, or a
+    payload that nests the marker -- is skipped and the search goes on
+    before it; whatever precedes the last start, damaged or not, is
+    never decoded.  A file with no start (a shard journal) replays from
+    byte 0.
+    """
+    path = Path(path)
+    blob = path.read_bytes()
+    replay = JournalReplay(path=path)
+    end = len(blob)
+    while True:
+        marker = blob.rfind(_START_MARKER, 0, end)
+        if marker < 0:
+            return _replay_from(replay, blob, 0)
+        begin = blob.rfind(b"\n", 0, marker) + 1
+        newline = blob.find(b"\n", marker)
+        if newline >= 0:
+            event = _decode_line(blob[begin:newline])
+            if event is not None and event.kind == K.CAMPAIGN_START:
+                replay.events.append(event)
+                replay.clean_bytes = newline + 1
+                return _replay_from(replay, blob, newline + 1)
+        end = begin
 
 
 def follow_journal(path: Union[str, Path], *, poll: float = 0.2,

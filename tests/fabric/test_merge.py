@@ -7,8 +7,9 @@ from repro.core.orchestrator import (Campaign, _run_end_payload,
                                      run_one)
 from repro.netsim import kinds as K
 from repro.obs import campaign_report
+from repro.obs import journal as journal_module
 from repro.obs.campaign_report import summarize_journal
-from repro.obs.journal import Journal
+from repro.obs.journal import Journal, replay_journal
 from tests.fabric.rig import chaos_body, make_configs
 
 
@@ -65,16 +66,43 @@ def test_merge_replays_each_journal_once(tmp_path, monkeypatch):
     _write_shard(fabric / "journals" / "shard-0001-try1-w2.jsonl",
                  [2, 3], configs)
     replayed = []
-    replay = campaign_report.replay_journal
+    replay = campaign_report._replay_last_flight
 
     def counting_replay(path):
         replayed.append(path)
         return replay(path)
 
-    monkeypatch.setattr(campaign_report, "replay_journal", counting_replay)
+    monkeypatch.setattr(campaign_report, "_replay_last_flight",
+                        counting_replay)
     merged = merge_campaign_dir(fabric)
     assert replayed == campaign_journals(fabric)
     assert merged.status == "ok" and len(merged.runs) == 4
+
+
+def test_merge_decodes_only_the_last_flight(tmp_path, monkeypatch):
+    # a sweep resumed three times: its coordinator journal holds four
+    # flights, and the merge decodes the lines of the last one alone
+    fabric = tmp_path / "fabric"
+    campaign = Campaign(chaos_body, seed=1995, lint="off")
+    for _ in range(4):
+        campaign.run(make_configs(4), fabric_dir=fabric)
+    coordinator = fabric / "journals" / "coordinator.jsonl"
+    events = replay_journal(coordinator).events
+    starts = [i for i, event in enumerate(events)
+              if event.kind == K.CAMPAIGN_START]
+    assert len(starts) == 4
+    decoded = []
+    decode = journal_module._decode_line
+
+    def counting_decode(line):
+        decoded.append(line)
+        return decode(line)
+
+    monkeypatch.setattr(journal_module, "_decode_line", counting_decode)
+    merged = merge_campaign_dir(fabric)
+    assert len(decoded) == len(events) - starts[-1]
+    assert merged.status == "ok" and len(merged.runs) == 4
+    assert merged.end["executed"] == 0 and merged.end["cached"] == 4
 
 
 def test_merge_dedupes_stolen_shard_duplicates(tmp_path):

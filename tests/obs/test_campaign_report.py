@@ -80,6 +80,57 @@ class TestSummarize:
         assert summary.executed == 0
         assert summary.shrink_steps == 1
 
+    def test_fold_reads_from_the_last_start(self, tmp_path):
+        # damage before the last campaign.start -- an earlier flight's
+        # torn line, garbage, a line nested too deep to decode -- cannot
+        # hide the flight after it; replay_journal still stops there
+        path = _write_sweep(tmp_path / "j.jsonl", budget=6)
+        with open(path, "ab") as fp:
+            fp.write(b'{"data": {}, "kind": "campaign.start", "se\n')
+            fp.write(b"\xfe\xffnot json\n" + b"[" * 100_000 + b"\n")
+        _write_sweep(path, budget=3)
+        summary = summarize_journal(path)
+        assert summary.total == 3 and summary.executed == 3
+        assert summary.completed and summary.torn_tail_bytes == 0
+        assert len(replay_journal(path).of(K.CAMPAIGN_START)) == 1
+
+    @staticmethod
+    def _two_flights(path, **last):
+        # a garbage line between the flights: only a fold that finds the
+        # second start reads past it
+        _write_sweep(path, budget=6)
+        with open(path, "ab") as fp:
+            fp.write(b"\xfe\xffnot json\n")
+        return _write_sweep(path, budget=3, **last)
+
+    def test_a_nested_start_marker_is_not_a_start(self, tmp_path):
+        path = self._two_flights(tmp_path / "j.jsonl", end=False)
+        with Journal(path) as journal:
+            journal.record(K.CAMPAIGN_RUN_END, index=3, label="fuzz_3",
+                           detail={"kind": K.CAMPAIGN_START, "seq": 0,
+                                   "t": 0.0})
+        summary = summarize_journal(path)
+        assert summary.total == 3 and summary.torn_tail_bytes == 0
+        assert [row.index for row in summary.runs] == [0, 1, 2, 3]
+
+    def test_a_torn_start_falls_back_to_the_flight_before(self, tmp_path):
+        path = self._two_flights(tmp_path / "j.jsonl")
+        with open(path, "ab") as fp:
+            fp.write(b'{"data": {"engine": "shrink"}, "kind": '
+                     b'"campaign.start", "seq": 0')
+        summary = summarize_journal(path)
+        assert summary.engine == "fuzz" and summary.total == 3
+        assert summary.executed == 3 and summary.torn_tail_bytes > 0
+
+    def test_a_journal_with_no_start_folds_from_byte_zero(self, tmp_path):
+        path = tmp_path / "shard.jsonl"
+        with Journal(path) as journal:
+            for index in range(3):
+                journal.record(K.CAMPAIGN_RUN_END, index=index,
+                               label=f"item={index}")
+        summary = summarize_journal(path)
+        assert summary.engine == "unknown" and summary.executed == 3
+
     def test_replay_object_accepted(self, tmp_path):
         replay = replay_journal(_write_sweep(tmp_path / "j.jsonl"))
         assert summarize_journal(replay).executed == 4

@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.netsim import kinds as K
+from repro.obs.campaign_report import summarize_journal
 from repro.obs.journal import (JOURNAL_KINDS, NULL_JOURNAL, SCHEMA_VERSION,
                                Flight, Journal, follow_journal,
                                replay_journal)
@@ -163,6 +164,42 @@ class TestTornTailRecovery:
         replay = replay_journal(mangled)
         assert len(replay.events) == 1
         assert replay.torn_tail.startswith(b"\xfe\xff")
+
+    def test_a_line_nested_too_deep_ends_replay_there(self, tmp_path):
+        # json's decoder raises RecursionError, not ValueError, on it
+        path = _sample_journal(tmp_path / "j.jsonl")
+        blob = path.read_bytes()
+        first_nl = blob.index(b"\n") + 1
+        deep = b"[" * 100_000 + b"\n"
+        path.write_bytes(blob[:first_nl] + deep + blob[first_nl:])
+        replay = replay_journal(path)
+        assert len(replay.events) == 1
+        assert replay.torn_tail.startswith(deep)
+
+    def test_a_reopened_journal_terminates_a_torn_line(self, tmp_path):
+        # killed mid-append, then resumed: the next flight starts on a
+        # line of its own, so the fold reads it whole
+        path = _sample_journal(tmp_path / "j.jsonl")
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-40])
+        with Journal(path) as journal:
+            journal.start("fuzz", protocol="gmp", seed=1, budget=2)
+            journal.record(K.CAMPAIGN_RUN_END, index=0, label="case_0")
+            journal.record(K.CAMPAIGN_END, status="ok", executed=1)
+        assert path.read_bytes()[len(blob) - 40:len(blob) - 39] == b"\n"
+        summary = summarize_journal(path)
+        assert summary.status == "ok" and summary.torn_tail_bytes == 0
+        assert summary.start["seed"] == 1 and summary.executed == 1
+        # the whole-file replay still ends at the torn line
+        assert len(replay_journal(path).events) == 8
+
+    def test_a_reopened_clean_journal_gains_no_byte(self, tmp_path):
+        path = _sample_journal(tmp_path / "j.jsonl")
+        size = path.stat().st_size
+        Journal(path).close()
+        Journal(tmp_path / "new.jsonl").close()
+        assert path.stat().st_size == size
+        assert (tmp_path / "new.jsonl").read_bytes() == b""
 
     def test_empty_journal_replays_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
