@@ -405,7 +405,7 @@ def _cmd_format(interp: "Interp", args: List[str]) -> str:
     spec_types = _format_spec_types(template)
     for text, kind in zip(args[1:], spec_types):
         if kind in "dioxXc":
-            values.append(int(float(text)) if "." in text else int(text, 0))
+            values.append(_format_integer(text))
         elif kind in "eEfgG":
             values.append(float(text))
         else:
@@ -414,6 +414,19 @@ def _cmd_format(interp: "Interp", args: List[str]) -> str:
         return template % tuple(values)
     except (TypeError, ValueError) as err:
         raise TclError(f"format error: {err}")
+
+
+def _format_integer(text: str) -> int:
+    """An integer conversion's argument, refused as Tcl 8.6 refuses it:
+    ``3.9``, ``1e3``, ``abc`` and ``1_000`` are not integers.  ``0x``,
+    ``0o`` and ``0b`` prefixes are read; a leading-zero ``010`` is refused
+    (Tcl reads octal 8, ``expr`` here reads decimal 10)."""
+    if "_" not in text:   # int() reads 1_000, Tcl does not
+        try:
+            return int(text, 0)
+        except ValueError:
+            pass
+    raise TclError(f'expected integer but got "{text}"')
 
 
 def _format_spec_types(template: str) -> List[str]:

@@ -623,7 +623,8 @@ class Daemon(Protocol):
                          node=self.address, msg_kind=gmsg.kind,
                          src=gmsg.sender, originator=gmsg.originator,
                          group_id=gmsg.group_id)
-        self._note_gid(gmsg.group_id)
+        if gmsg.group_id > self._max_gid:   # _note_gid, inline
+            self._max_gid = gmsg.group_id
         if gmsg.sender != self.address:
             self._known.add(gmsg.sender)
         if gmsg.kind == m.HEARTBEAT:

@@ -114,7 +114,10 @@ class ReliableChannel(Protocol):
                           name=f"rel/{self.local_address}->{dst}/{seq}")
             timer.start(self.retry_interval)
             self._pending[(dst, seq)] = _Pending(msg, timer)
-        self.send_down(self._wire_copy(msg))
+        # each wire transmission is a distinct message object so the PFI
+        # layer can drop one retransmission without corrupting the pending
+        # original (here and in _retry)
+        self.send_down(msg.copy())
 
     def _retry(self, dst: int, seq: int) -> None:
         pending = self._pending.get((dst, seq))
@@ -126,18 +129,12 @@ class ReliableChannel(Protocol):
             self._record(K.REL_ABANDON, dst=dst, seq=seq)
             return
         pending.retries += 1
-        wire = self._wire_copy(pending.msg)
+        wire = pending.msg.copy()
         self._record(K.REL_RETRANSMIT, dst=dst, seq=seq,
                      attempt=pending.retries, uid=wire.uid,
                      parent=pending.msg.uid, relation="retransmit")
         self.send_down(wire)
         pending.timer.start(self.retry_interval)
-
-    def _wire_copy(self, msg: Message) -> Message:
-        """Each wire transmission is a distinct message object so the PFI
-        layer can drop one retransmission without corrupting the pending
-        original."""
-        return msg.copy()
 
     # ------------------------------------------------------------------
     # upward path

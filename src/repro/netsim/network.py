@@ -180,9 +180,12 @@ class Network:
                 return False
             link = self.link(src, dst)
         accepted = link.send(payload)
-        if self.trace is not None:
-            kind = "net.send" if accepted else "net.link_drop"
-            self.trace.record(kind, src=src, dst=dst)
+        trace = self.trace
+        if trace is not None:
+            # the scheduler's clock, read here rather than through the
+            # recorder's bound SchedulerClock call
+            trace.record("net.send" if accepted else "net.link_drop",
+                         t=self.scheduler.now, src=src, dst=dst)
         return accepted
 
     def broadcast(self, src: int, payload_factory, *, include_self: bool = False) -> int:

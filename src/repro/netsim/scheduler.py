@@ -30,6 +30,7 @@ from typing import Any, Callable, List, Optional, Tuple
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _heapify = heapq.heapify
+_new_event = object.__new__
 
 #: lazy-cancel tombstones tolerated on the heap before :meth:`Scheduler
 #: .compact` runs automatically (and only when tombstones also outnumber
@@ -94,8 +95,19 @@ class Event:
             return
         self.cancelled = True
         scheduler = self._scheduler
-        if scheduler is not None:
-            scheduler._note_cancel()
+        if scheduler is None:
+            return
+        # Long fuzz runs cancel events far faster than the heap surfaces
+        # them (every restarted timer leaves one behind), so without
+        # compaction the heap grows without bound and every push/pop pays
+        # for dead entries.  Compaction triggers once tombstones exceed
+        # COMPACT_THRESHOLD *and* outnumber live entries, keeping the
+        # rebuild amortized O(1) per cancellation.
+        scheduler._cancelled += 1
+        scheduler._tombstones += 1
+        if (scheduler._tombstones > COMPACT_THRESHOLD
+                and scheduler._tombstones * 2 > len(scheduler._heap)):
+            scheduler.compact()
 
     def __repr__(self) -> str:
         if self.cancelled:
@@ -166,23 +178,6 @@ class Scheduler:
         registry.gauge("scheduler_tombstones", **labels).set(
             self._tombstones)
 
-    def _note_cancel(self) -> None:
-        """Bookkeeping for one lazy cancellation, compacting when the
-        tombstones pile up.
-
-        Long fuzz runs cancel events far faster than the heap surfaces
-        them (every restarted timer leaves one behind), so without
-        compaction the heap grows without bound and every push/pop pays
-        for dead entries.  Compaction triggers once tombstones exceed
-        :data:`COMPACT_THRESHOLD` *and* outnumber live entries, keeping
-        the rebuild amortized O(1) per cancellation.
-        """
-        self._cancelled += 1
-        self._tombstones += 1
-        if (self._tombstones > COMPACT_THRESHOLD
-                and self._tombstones * 2 > len(self._heap)):
-            self.compact()
-
     def compact(self) -> int:
         """Drop cancelled entries from the heap.  Returns how many went.
 
@@ -208,7 +203,15 @@ class Scheduler:
         time = self.now + delay
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(time, seq, callback, args, scheduler=self)
+        # Event(time, seq, callback, args, scheduler=self), slots filled
+        # without running __init__ (here and in schedule_at)
+        event = _new_event(Event)
+        event.time = time
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = event.dispatched = False
+        event._scheduler = self
         _heappush(self._heap, (time, seq, callback, args, event))
         self._scheduled += 1
         return event
@@ -221,7 +224,13 @@ class Scheduler:
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(time, seq, callback, args, scheduler=self)
+        event = _new_event(Event)
+        event.time = time
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = event.dispatched = False
+        event._scheduler = self
         _heappush(self._heap, (time, seq, callback, args, event))
         self._scheduled += 1
         return event

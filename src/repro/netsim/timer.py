@@ -52,7 +52,8 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
-        self.stop()
+        if self._event is not None:
+            self.stop()
         self._event = self._scheduler.schedule(delay, self._fire)
 
     def stop(self) -> None:

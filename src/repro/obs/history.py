@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.netsim import kinds as K
 from repro.obs.campaign_report import (CampaignSummary, summarize_journal,
                                        summary_to_json)
-from repro.obs.journal import replay_journal
+from repro.obs.journal import _replay_last_flight
 
 #: fields a history row carries; bump when the row shape changes
 ROW_VERSION = 2
@@ -59,9 +59,15 @@ class HistoryError(ValueError):
 
 def journal_row(journal: Union[str, Path, CampaignSummary]
                 ) -> Dict[str, Any]:
-    """The history row of one campaign journal (path or summary)."""
+    """The history row of one campaign journal (path or summary).
+
+    A path is folded from its last ``campaign.start`` on, as
+    :func:`summarize_journal` folds it: after a resume the row is the
+    flight ``repro report --campaign`` shows, whatever an earlier
+    flight left torn before it.
+    """
     if not isinstance(journal, CampaignSummary):
-        replay = replay_journal(journal)
+        replay = _replay_last_flight(journal)
         if not replay.of(K.CAMPAIGN_START):
             raise HistoryError(f"{journal}: not a campaign journal (no "
                                f"{K.CAMPAIGN_START} event)")

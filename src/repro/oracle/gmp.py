@@ -39,9 +39,10 @@ class GmpViewAgreement(Invariant):
         self._adoptions: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
 
     def on_entry(self, entry):
-        node = entry["node"]
-        members = tuple(entry["members"])
-        gid = entry["group_id"]
+        attrs = entry.attrs
+        node = attrs["node"]
+        members = tuple(attrs["members"])
+        gid = attrs["group_id"]
         out: List[Violation] = []
         for other, other_members in self._adoptions.setdefault(gid, []):
             if (other_members != members and node in other_members
@@ -71,7 +72,8 @@ class GmpViewOrder(Invariant):
         self._last_gid: Dict[int, int] = {}
 
     def on_entry(self, entry):
-        node, gid = entry["node"], entry["group_id"]
+        attrs = entry.attrs
+        node, gid = attrs["node"], attrs["group_id"]
         last = self._last_gid.get(node)
         self._last_gid[node] = gid if last is None else max(last, gid)
         if last is not None and gid <= last:
@@ -95,10 +97,11 @@ class GmpTimerDiscipline(Invariant):
     kinds = ("gmp.spurious_timeout",)
 
     def on_entry(self, entry):
+        attrs = entry.attrs
         return [self.violation(
-            entry, f"heartbeat timer for member {entry['member']} fired "
-                   f"while node {entry['node']} was in transition",
-            subject=str(entry["node"]))]
+            entry, f"heartbeat timer for member {attrs['member']} fired "
+                   f"while node {attrs['node']} was in transition",
+            subject=str(attrs["node"]))]
 
 
 class GmpNoSelfDeathReport(Invariant):
@@ -120,16 +123,17 @@ class GmpNoSelfDeathReport(Invariant):
         self._leaving: Set[int] = set()
 
     def on_entry(self, entry):
-        node = entry["node"]
+        attrs = entry.attrs
+        node = attrs["node"]
         if entry.kind == "gmp.leave":
             self._leaving.add(node)
             return None
-        if (entry["msg_kind"] == m.DEAD_REPORT
-                and entry.get("subject") == node
+        if (attrs["msg_kind"] == m.DEAD_REPORT
+                and attrs.get("subject") == node
                 and node not in self._leaving):
             return [self.violation(
                 entry, f"node {node} reported itself dead to node "
-                       f"{entry['dst']} without departing",
+                       f"{attrs['dst']} without departing",
                 subject=str(node))]
         return None
 
@@ -149,19 +153,20 @@ class GmpProclaimDiscipline(Invariant):
     kinds = ("gmp.proclaim_reply", "gmp.proclaim_forwarded")
 
     def on_entry(self, entry):
-        node = str(entry["node"])
+        attrs = entry.attrs
+        node = str(attrs["node"])
         if entry.kind == "gmp.proclaim_forwarded":
-            if entry["forwarded_as"] != entry["originator"]:
+            if attrs["forwarded_as"] != attrs["originator"]:
                 return [self.violation(
-                    entry, f"proclaim from node {entry['originator']} "
+                    entry, f"proclaim from node {attrs['originator']} "
                            f"forwarded under identity "
-                           f"{entry['forwarded_as']}", subject=node)]
+                           f"{attrs['forwarded_as']}", subject=node)]
             return None
-        originator = entry.get("originator")
-        if originator is not None and entry["to"] != originator:
+        originator = attrs.get("originator")
+        if originator is not None and attrs["to"] != originator:
             return [self.violation(
                 entry, f"proclaim from node {originator} answered to "
-                       f"node {entry['to']} instead", subject=node)]
+                       f"node {attrs['to']} instead", subject=node)]
         return None
 
 
@@ -178,10 +183,11 @@ class GmpNoSilentForwardDrop(Invariant):
     kinds = ("gmp.forward_param_bug",)
 
     def on_entry(self, entry):
+        attrs = entry.attrs
         return [self.violation(
-            entry, f"node {entry['node']} silently dropped the proclaim "
-                   f"forward for originator {entry['originator']}",
-            subject=str(entry["node"]))]
+            entry, f"node {attrs['node']} silently dropped the proclaim "
+                   f"forward for originator {attrs['originator']}",
+            subject=str(attrs["node"]))]
 
 
 def gmp_pack() -> List[Invariant]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.oracle.invariants import EPS, Invariant, Violation
-from repro.tcp.segment import seq_add, seq_leq, seq_lt
+from repro.tcp.segment import SEQ_MOD, seq_leq, seq_lt
 
 #: the RFC-793 connection-state transition diagram, as (old -> allowed
 #: new) -- teardown to CLOSED is legal from every state (RST received,
@@ -43,7 +43,7 @@ _FLAG_CONSUMPTION = {"SYN": 1, "SYNACK": 1, "FIN": 1}
 
 def _seg_end(seq: int, msg_type: str, length: int) -> int:
     """First sequence number *after* the segment (RFC-793 SEG.SEQ+SEG.LEN)."""
-    return seq_add(seq, length + _FLAG_CONSUMPTION.get(msg_type, 0))
+    return (seq + length + _FLAG_CONSUMPTION.get(msg_type, 0)) % SEQ_MOD
 
 
 class TcpStateTransitions(Invariant):
@@ -63,7 +63,8 @@ class TcpStateTransitions(Invariant):
         self._current: Dict[str, str] = {}
 
     def on_entry(self, entry):
-        conn, old, new = entry["conn"], entry["old"], entry["new"]
+        attrs = entry.attrs
+        conn, old, new = attrs["conn"], attrs["old"], attrs["new"]
         out: List[Violation] = []
         known = self._current.get(conn)
         if known is not None and known != old:
@@ -99,12 +100,13 @@ class TcpSndNxtMonotone(Invariant):
         self._nxt: Dict[str, int] = {}
 
     def on_entry(self, entry):
-        if entry.get("retransmission") or entry.get("probe"):
+        attrs = entry.attrs
+        if attrs.get("retransmission") or attrs.get("probe"):
             return None
-        if entry.get("purpose") in self._EXEMPT_PURPOSES:
+        if attrs.get("purpose") in self._EXEMPT_PURPOSES:
             return None
-        conn, seq = entry["conn"], entry["seq"]
-        msg_type, length = entry["msg_type"], entry["length"]
+        conn, seq = attrs["conn"], attrs["seq"]
+        msg_type, length = attrs["msg_type"], attrs["length"]
         nxt = self._nxt.get(conn)
         if nxt is None:
             self._nxt[conn] = _seg_end(seq, msg_type, length)
@@ -146,11 +148,12 @@ class TcpRtoBackoff(Invariant):
         self._receives: Dict[str, int] = {}
 
     def on_entry(self, entry):
-        conn = entry["conn"]
+        attrs = entry.attrs
+        conn = attrs["conn"]
         if entry.kind == "tcp.receive":
             self._receives[conn] = self._receives.get(conn, 0) + 1
             return None
-        rto = entry["rto"]
+        rto = attrs["rto"]
         out: List[Violation] = []
         if not rto > 0:
             out.append(self.violation(
@@ -188,14 +191,15 @@ class TcpAckUnsent(Invariant):
         self._max_end: Dict[str, int] = {}
 
     def on_entry(self, entry):
-        conn = entry["conn"]
+        attrs = entry.attrs
+        conn = attrs["conn"]
         if entry.kind == "tcp.receive":
-            end = _seg_end(entry["seq"], entry["msg_type"], entry["length"])
+            end = _seg_end(attrs["seq"], attrs["msg_type"], attrs["length"])
             known = self._max_end.get(conn)
             if known is None or seq_lt(known, end):
                 self._max_end[conn] = end
             return None
-        ack = entry["ack"]
+        ack = attrs["ack"]
         if ack == 0:  # no ACK flag (initial SYN)
             return None
         known = self._max_end.get(conn)
@@ -203,7 +207,7 @@ class TcpAckUnsent(Invariant):
             return None  # nothing received yet, nothing to bound against
         if not seq_leq(ack, known):
             return [self.violation(
-                entry, f"{entry['msg_type']} acknowledges seq={ack} but "
+                entry, f"{attrs['msg_type']} acknowledges seq={ack} but "
                        f"highest received segment end is {known}")]
         return None
 
@@ -229,7 +233,8 @@ class TcpZwpCadence(Invariant):
         self._number: Dict[str, int] = {}
 
     def on_entry(self, entry):
-        conn = entry["conn"]
+        attrs = entry.attrs
+        conn = attrs["conn"]
         if entry.kind == "tcp.persist_start":
             self._active[conn] = True
             self._interval[conn] = None  # backoff restarts per window
@@ -241,7 +246,7 @@ class TcpZwpCadence(Invariant):
         if not self._active.get(conn, False):
             out.append(self.violation(
                 entry, "zero-window probe outside an open persist window"))
-        interval = entry["interval"]
+        interval = attrs["interval"]
         prev = self._interval.get(conn)
         if prev is not None:
             if interval < prev - EPS:
@@ -253,7 +258,7 @@ class TcpZwpCadence(Invariant):
                     entry, f"probe interval grew {prev:.6f} -> "
                            f"{interval:.6f}, more than doubling"))
         self._interval[conn] = interval
-        number = entry["number"]
+        number = attrs["number"]
         expected = self._number.get(conn, 0) + 1
         if number != expected:
             out.append(self.violation(

@@ -28,8 +28,8 @@ from repro.tcp.keepalive import KeepAliveEngine
 from repro.tcp.reassembly import ReassemblyQueue
 from repro.tcp.retransmit import RetransmissionManager, TrackedSegment
 from repro.tcp.rtt import make_estimator
-from repro.tcp.segment import (ACK, FIN, PSH, RST, SYN, Segment, classify,
-                               seq_add, seq_leq, seq_lt, seq_sub)
+from repro.tcp.segment import (ACK, FIN, PSH, RST, SEQ_HALF, SEQ_MOD, SYN,
+                               Segment, classify, seq_add, seq_sub)
 from repro.tcp.vendors import VendorProfile
 from repro.netsim import kinds as K
 
@@ -47,6 +47,11 @@ LAST_ACK = "LAST_ACK"
 TIME_WAIT = "TIME_WAIT"
 
 _DATA_STATES = (ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2, CLOSE_WAIT)
+
+# The per-segment paths (on_segment through _try_send) test flag bits and
+# do sequence arithmetic inline, in the same expressions as segment.py's
+# helpers: seq_lt(a, b) is ``(a - b) % SEQ_MOD > SEQ_HALF``, seq_leq(a, b)
+# is ``a == b or`` that, seq_add(a, n) is ``(a + n) % SEQ_MOD``.
 
 
 class TCPConnection:
@@ -214,25 +219,29 @@ class TCPConnection:
 
     def on_segment(self, seg: Segment) -> None:
         """Process one inbound segment."""
-        if self.state == CLOSED:
-            if not seg.is_rst:
+        state = self.state
+        if state == CLOSED:
+            if not seg.flags & RST:
                 self._send_reset(ack_of=seg)
             return
         self.segments_received += 1
         self.keepalive.on_segment_received()
-        self._record(K.TCP_RECEIVE, msg_type=classify(seg), seq=seg.seq,
-                     ack=seg.ack, win=seg.window, length=len(seg.payload))
+        trace = self.trace
+        if trace is not None:   # _record, without re-packing the keywords
+            trace.record(K.TCP_RECEIVE, t=self.scheduler.now, conn=self.name,
+                         msg_type=classify(seg), seq=seg.seq, ack=seg.ack,
+                         win=seg.window, length=len(seg.payload))
 
-        if seg.is_rst:
+        if seg.flags & RST:
             self._teardown("reset_received")
-            return
-
-        handler = {
-            LISTEN: self._in_listen,
-            SYN_SENT: self._in_syn_sent,
-            SYN_RCVD: self._in_syn_rcvd,
-        }.get(self.state, self._in_synchronized)
-        handler(seg)
+        elif state == LISTEN:
+            self._in_listen(seg)
+        elif state == SYN_SENT:
+            self._in_syn_sent(seg)
+        elif state == SYN_RCVD:
+            self._in_syn_rcvd(seg)
+        else:
+            self._in_synchronized(seg)
 
     # -- handshake states ------------------------------------------------
 
@@ -284,32 +293,34 @@ class TCPConnection:
     # -- synchronized states ----------------------------------------------
 
     def _in_synchronized(self, seg: Segment) -> None:
-        if seg.is_ack:
+        if seg.flags & ACK:
             self._process_ack(seg)
-        if len(seg.payload) > 0:
+        if seg.payload:
             self._process_data(seg)
-        elif seg.seg_len == 0 and seq_lt(seg.seq, self.rcv_nxt):
+        elif not seg.flags & (SYN | FIN) \
+                and (seg.seq - self.rcv_nxt) % SEQ_MOD > SEQ_HALF:
             # zero-length segment below the window: a keep-alive probe of
             # the AIX/NeXT form; elicit the ACK it is designed to elicit
             self._emit(ACK, seq=self.snd_nxt, purpose="dup_ack")
-        if seg.is_fin:
+        if seg.flags & FIN:
             self._process_fin(seg)
 
     def _process_ack(self, seg: Segment) -> None:
-        acceptable = seq_lt(self.snd_una, seg.ack) and \
-            seq_leq(seg.ack, self.snd_nxt)
+        ack = seg.ack
+        acceptable = (self.snd_una - ack) % SEQ_MOD > SEQ_HALF and (
+            ack == self.snd_nxt or (ack - self.snd_nxt) % SEQ_MOD > SEQ_HALF)
         if self.congestion is not None and not acceptable \
-                and seg.ack == self.snd_una and not seg.payload \
-                and not seg.is_syn and not seg.is_fin \
+                and ack == self.snd_una and not seg.payload \
+                and not seg.flags & (SYN | FIN) \
                 and self.retx.outstanding > 0:
             # a duplicate ACK: the receiver is missing our oldest segment
             if self.congestion.on_duplicate_ack(self.bytes_in_flight()):
                 self.retx.force_retransmit()
         if acceptable:
-            self.snd_una = seg.ack
+            self.snd_una = ack
             if self.congestion is not None:
                 self.congestion.on_new_ack(self.bytes_in_flight())
-            self.retx.on_ack(seg.ack)
+            self.retx.on_ack(ack)
             if self.state == FIN_WAIT_1 and self.snd_una == self.snd_nxt:
                 self._set_state(FIN_WAIT_2)
             elif self.state == CLOSING and self.snd_una == self.snd_nxt:
@@ -318,7 +329,7 @@ class TCPConnection:
                 self._teardown("closed")
                 return
         # window update from any segment acking current data
-        if seq_leq(seg.ack, self.snd_nxt):
+        if ack == self.snd_nxt or (ack - self.snd_nxt) % SEQ_MOD > SEQ_HALF:
             self.snd_wnd = seg.window
         if self.snd_wnd > 0:
             self.persist.window_opened()
@@ -327,20 +338,20 @@ class TCPConnection:
             self._maybe_start_persist()
 
     def _process_data(self, seg: Segment) -> None:
-        data_seq = seq_add(seg.seq, 1) if seg.is_syn else seg.seq
+        data_seq = (seg.seq + 1) % SEQ_MOD if seg.flags & SYN else seg.seq
         payload = seg.payload
         if data_seq == self.rcv_nxt:
             capacity = self.advertised_window()
             accepted = payload[:capacity]
             if accepted:
-                self.rcv_nxt = seq_add(self.rcv_nxt, len(accepted))
+                self.rcv_nxt = (self.rcv_nxt + len(accepted)) % SEQ_MOD
                 self._rcv_pending.extend(accepted)
                 extra, self.rcv_nxt = self.reassembly.extract(self.rcv_nxt)
                 if extra:
                     self._rcv_pending.extend(extra)
                 self._drain_pending()
             self._ack_in_order_data()
-        elif seq_lt(self.rcv_nxt, data_seq):
+        elif (self.rcv_nxt - data_seq) % SEQ_MOD > SEQ_HALF:
             if self.profile.queue_out_of_order:
                 self.reassembly.add(data_seq, payload)
                 self._record(K.TCP_OOO_QUEUED, seq=data_seq,
@@ -352,13 +363,13 @@ class TCPConnection:
         else:
             # wholly or partly old data (retransmission, keep-alive with
             # garbage byte, zero-window probe): acknowledge current state
-            end = seq_add(data_seq, len(payload))
-            if seq_lt(self.rcv_nxt, end):
-                fresh = payload[seq_sub(self.rcv_nxt, data_seq):]
+            end = (data_seq + len(payload)) % SEQ_MOD
+            if (self.rcv_nxt - end) % SEQ_MOD > SEQ_HALF:
+                fresh = payload[(self.rcv_nxt - data_seq) % SEQ_MOD:]
                 capacity = self.advertised_window()
                 accepted = fresh[:capacity]
                 if accepted:
-                    self.rcv_nxt = seq_add(self.rcv_nxt, len(accepted))
+                    self.rcv_nxt = (self.rcv_nxt + len(accepted)) % SEQ_MOD
                     self._rcv_pending.extend(accepted)
                     self._drain_pending()
             self._emit(ACK, seq=self.snd_nxt, purpose="dup_ack")
@@ -392,7 +403,7 @@ class TCPConnection:
             allowance = self.snd_wnd
             if self.congestion is not None:
                 allowance = self.congestion.send_allowance(self.snd_wnd)
-            window_room = allowance - self.bytes_in_flight()
+            window_room = allowance - (self.snd_nxt - self.snd_una) % SEQ_MOD
             if window_room <= 0:
                 self._maybe_start_persist()
                 return
@@ -403,7 +414,7 @@ class TCPConnection:
             self._delack_timer.stop()  # the data segment carries the ACK
             seg = self._emit(ACK | PSH, seq=self.snd_nxt, payload=chunk,
                              purpose="data")
-            self.snd_nxt = seq_add(self.snd_nxt, chunk_len)
+            self.snd_nxt = (self.snd_nxt + chunk_len) % SEQ_MOD
             self.retx.track(seg)
 
     def _maybe_start_persist(self) -> None:
@@ -500,9 +511,12 @@ class TCPConnection:
                       flags=flags, window=self.advertised_window(),
                       payload=payload)
         self.segments_sent += 1
-        self._record(K.TCP_TRANSMIT, msg_type=classify(seg), seq=seg.seq,
-                     ack=seg.ack, win=seg.window, length=len(payload),
-                     purpose=purpose, retransmission=retransmission, probe=probe)
+        trace = self.trace
+        if trace is not None:   # _record, without re-packing the keywords
+            trace.record(K.TCP_TRANSMIT, t=self.scheduler.now, conn=self.name,
+                         msg_type=classify(seg), seq=seg.seq, ack=seg.ack,
+                         win=seg.window, length=len(payload), purpose=purpose,
+                         retransmission=retransmission, probe=probe)
         self._transmit(seg)
         return seg
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.tcp.segment import seq_add, seq_lt, seq_sub
+from repro.tcp.segment import SEQ_HALF, SEQ_MOD
 
 
 class ReassemblyQueue:
@@ -57,16 +57,17 @@ class ReassemblyQueue:
         progressing = True
         while progressing:
             progressing = False
+            # sequence arithmetic inline: seq_sub / seq_add / seq_lt
             for seq in sorted(self._segments,
-                              key=lambda s: seq_sub(s, rcv_nxt)):
+                              key=lambda s: (s - rcv_nxt) % SEQ_MOD):
                 data = self._segments[seq]
-                end = seq_add(seq, len(data))
-                if seq_lt(cursor, seq):
+                end = (seq + len(data)) % SEQ_MOD
+                if (cursor - seq) % SEQ_MOD > SEQ_HALF:
                     continue  # still a gap before this range
                 # seq <= cursor: usable if it extends past the cursor
                 self._segments.pop(seq)
-                if seq_lt(cursor, end):
-                    skip = seq_sub(cursor, seq)
+                if (cursor - end) % SEQ_MOD > SEQ_HALF:
+                    skip = (cursor - seq) % SEQ_MOD
                     delivered.extend(data[skip:])
                     cursor = end
                     progressing = True

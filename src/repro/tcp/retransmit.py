@@ -30,7 +30,7 @@ from repro.netsim.scheduler import Scheduler
 from repro.netsim.timer import Timer
 from repro.netsim.trace import TraceRecorder
 from repro.tcp.rtt import RTTEstimatorBase
-from repro.tcp.segment import Segment, seq_leq
+from repro.tcp.segment import FIN, SEQ_HALF, SEQ_MOD, SEQ_SPACE, SYN, Segment
 from repro.tcp.vendors import VendorProfile
 from repro.netsim import kinds as K
 
@@ -112,12 +112,26 @@ class RetransmissionManager:
         """Process a cumulative ACK.  Returns True if new data was acked."""
         if self._dead:
             return False
-        acked = [t for t in self._queue if seq_leq(t.end_seq, ack)]
+        # one pass, reading each segment's fields here: a send filter's
+        # msg_set_field may have rewritten a tracked segment in place, so
+        # its end is computed per ACK, never cached at track()
+        acked: List[TrackedSegment] = []
+        kept: List[TrackedSegment] = []
+        unambiguous = True
+        for tracked in self._queue:
+            seg = tracked.segment
+            end = (seg.seq + len(seg.payload)
+                   + SEQ_SPACE[seg.flags & (SYN | FIN)]) % SEQ_MOD
+            if end == ack or (end - ack) % SEQ_MOD > SEQ_HALF:  # end <= ack
+                acked.append(tracked)
+                if tracked.retransmit_count:
+                    unambiguous = False
+            else:
+                kept.append(tracked)
         if not acked:
             return False
-        self._queue = [t for t in self._queue if not seq_leq(t.end_seq, ack)]
+        self._queue = kept
         first = acked[0]
-        unambiguous = all(t.retransmit_count == 0 for t in acked)
         if first.retransmit_count == 0:
             # Karn: only sample segments never retransmitted
             self.estimator.sample(self._scheduler.now - first.sent_at)

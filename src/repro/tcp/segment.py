@@ -42,6 +42,13 @@ _HEADER_FMT = "!HHIIBBHHH"  # ports, seq, ack, offset, flags, window, cksum, urg
 _HEADER_LEN = struct.calcsize(_HEADER_FMT)
 
 SEQ_MOD = 1 << 32
+#: half the sequence space: ``a`` precedes ``b`` when ``(a - b) % SEQ_MOD``
+#: exceeds it (:func:`seq_lt`)
+SEQ_HALF = SEQ_MOD // 2
+
+#: sequence space the control bits consume, indexed by ``flags & (SYN |
+#: FIN)``: one each for SYN and FIN
+SEQ_SPACE = (0, 1, 1, 2)
 
 
 @dataclass
@@ -87,17 +94,13 @@ class Segment:
     @property
     def seg_len(self) -> int:
         """Sequence space consumed: payload bytes, +1 each for SYN and FIN."""
-        length = len(self.payload)
-        if self.is_syn:
-            length += 1
-        if self.is_fin:
-            length += 1
-        return length
+        return len(self.payload) + SEQ_SPACE[self.flags & (SYN | FIN)]
 
     @property
     def end_seq(self) -> int:
         """First sequence number after this segment."""
-        return (self.seq + self.seg_len) % SEQ_MOD
+        return (self.seq + len(self.payload)
+                + SEQ_SPACE[self.flags & (SYN | FIN)]) % SEQ_MOD
 
     # ------------------------------------------------------------------
     # serialization
@@ -143,25 +146,26 @@ class Segment:
 
 def classify(segment: Segment) -> str:
     """Message-type name for the recognition stubs."""
-    if segment.is_rst:
+    flags = segment.flags
+    if flags & RST:
         return "RST"
-    if segment.is_syn:
-        return "SYNACK" if segment.is_ack else "SYN"
-    if segment.is_fin:
+    if flags & SYN:
+        return "SYNACK" if flags & ACK else "SYN"
+    if flags & FIN:
         return "FIN"
-    if len(segment.payload) > 0:
+    if segment.payload:
         return "DATA"
     return "ACK"
 
 
 def seq_lt(a: int, b: int) -> bool:
     """Modular sequence comparison: a < b in 32-bit sequence space."""
-    return ((a - b) % SEQ_MOD) > (SEQ_MOD // 2)
+    return (a - b) % SEQ_MOD > SEQ_HALF
 
 
 def seq_leq(a: int, b: int) -> bool:
     """Modular sequence comparison: a <= b."""
-    return a == b or seq_lt(a, b)
+    return a == b or (a - b) % SEQ_MOD > SEQ_HALF
 
 
 def seq_add(a: int, n: int) -> int:

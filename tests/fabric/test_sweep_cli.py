@@ -163,3 +163,29 @@ def test_resume_hands_on_the_spec_it_loaded(tmp_path):
         end = campaign_ends(fabric_dir)[-1]
         assert (end["status"], end["executed"], end["cached"]) \
             == ("ok", 0, 6)
+
+
+def test_history_records_the_flight_a_resume_completed_after_a_torn_tail(
+        tmp_path):
+    # a kill in the middle of an append tears the journal's last line;
+    # --resume then appends a second flight that completes.  history
+    # folds that last flight, as report does, not the torn one before it
+    campaign = tmp_path / "torn"
+    first = _repro("sweep", "--protocol", "gmp", "--targets",
+                   "self_death,fixed", "--count", "6", "--journal-dir",
+                   str(campaign))
+    assert first.returncode == 0, first.stderr
+    journal = campaign / "journals" / "coordinator.jsonl"
+    journal.write_bytes(journal.read_bytes()[:-40])
+    resumed = _repro("sweep", "--resume", str(campaign))
+    assert resumed.returncode == 0, resumed.stderr
+
+    report = _repro("report", "--campaign", str(campaign))
+    assert "schema 1, completed" in report.stdout, report.stdout
+    history = _repro("history", str(tmp_path / "hist"), "--record",
+                     str(journal), "--json")
+    assert history.returncode == 0, history.stderr
+    row, = json.loads(history.stdout)["rows"]
+    assert row["data"]["completed"] is True
+    assert row["data"]["status"] == "ok"
+    assert row["data"]["executed"] == 12

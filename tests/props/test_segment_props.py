@@ -1,10 +1,10 @@
 """Property-based tests for segment serialization and sequence arithmetic."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.tcp.segment import (SEQ_MOD, Segment, seq_add, seq_leq, seq_lt,
-                               seq_sub)
+from repro.tcp.segment import (SEQ_MOD, Segment, classify, seq_add, seq_leq,
+                               seq_lt, seq_sub)
 
 ports = st.integers(min_value=0, max_value=0xFFFF)
 seqs = st.integers(min_value=0, max_value=SEQ_MOD - 1)
@@ -66,3 +66,35 @@ def test_seq_lt_respects_window(a, delta):
     b = seq_add(a, delta)
     assert seq_lt(a, b)
     assert not seq_lt(b, a)
+
+
+#: what a filter's ``msg_set_field`` may leave in a header field: no
+#: normalisation, negative or past the sequence space
+raw_ints = st.integers(min_value=-2**40, max_value=2**40)
+
+
+@given(raw_ints, raw_ints, payloads)
+@settings(max_examples=300)
+def test_flag_bit_arithmetic_agrees_with_the_flag_properties(seq, flag_bits,
+                                                             payload):
+    seg = Segment(src_port=1, dst_port=2, seq=0, ack=0, flags=flag_bits,
+                  window=0, payload=payload)
+    seg.seq = seq
+    length = len(payload) + seg.is_syn + seg.is_fin
+    assert seg.seg_len == length
+    assert seg.end_seq == seq_add(seq, length)
+    if seg.is_rst:
+        expected = "RST"
+    elif seg.is_syn:
+        expected = "SYNACK" if seg.is_ack else "SYN"
+    elif seg.is_fin:
+        expected = "FIN"
+    else:
+        expected = "DATA" if len(payload) > 0 else "ACK"
+    assert classify(seg) == expected
+
+
+@given(raw_ints, raw_ints)
+@example(SEQ_MOD + 5, 5)   # congruent, not equal: neither <= nor <
+def test_seq_leq_is_equal_or_seq_lt(a, b):
+    assert seq_leq(a, b) == (a == b or seq_lt(a, b))

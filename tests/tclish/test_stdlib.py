@@ -186,6 +186,32 @@ class TestFormat:
     def test_percent_literal(self, interp):
         assert interp.eval('format "100%%"') == "100%"
 
+    # results and messages as Tcl 8.6.15's tclsh gives them
+    @pytest.mark.parametrize("script, result", [
+        ("format %d 0x10", "16"),
+        ("format %d -0x10", "-16"),
+        ("format %d 0b101", "5"),
+        ("format %d 0o17", "15"),
+        ('format %d " 7 "', "7"),
+        ("format %d +7", "7"),
+        ("format %5.2d 3", "   03"),
+        ("format %c 65", "A"),
+        ("format %x 255", "ff"),
+    ])
+    def test_integer_conversion_reads_tcl_integers(self, interp, script,
+                                                   result):
+        assert interp.eval(script) == result
+
+    @pytest.mark.parametrize("spec", ["d", "i", "o", "x", "X", "c"])
+    @pytest.mark.parametrize("text", ["3.9", "3.0", "abc", "1e3", "1_000",
+                                      "0x", "true", ""])
+    def test_integer_conversion_refuses_a_non_integer(self, interp, spec,
+                                                      text):
+        with pytest.raises(TclError) as err:
+            interp.eval(f'format %{spec} "{text}"')
+        assert str(err.value) == f'expected integer but got "{text}"'
+        assert interp.eval(f'catch {{format %{spec} "{text}"}} r') == "1"
+
 
 class TestInfo:
     def test_info_exists(self, interp):

@@ -64,6 +64,23 @@ class TestTracking:
         assert mgr.on_ack(100) is False
         assert mgr.outstanding == 1
 
+    def test_ack_reads_segments_rewritten_after_tracking(self):
+        # a send filter's msg_set_field writes the tracked segment in
+        # place: each ACK judges every segment by its fields as they are
+        # now, and an acknowledged segment leaves the queue even when an
+        # older one stays
+        sched, mgr, _, _, _ = make_manager()
+        rewritten = seg(100)
+        mgr.track(rewritten)
+        mgr.track(seg(612))
+        rewritten.seq = 5000
+        assert mgr.on_ack(1124)
+        assert mgr.outstanding == 1
+        assert mgr.oldest.segment is rewritten
+        rewritten.seq = 100
+        assert mgr.on_ack(1124)
+        assert mgr.outstanding == 0
+
 
 class TestBackoff:
     def test_exponential_backoff_to_cap(self):
