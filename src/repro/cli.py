@@ -480,7 +480,11 @@ def cmd_tail(args) -> None:
             print(_render_journal_event(event))
         return
     replay = replay_journal(_require_file(args.journal, "journal"))
-    for event in replay.events:
+    torn = dict(replay.torn_lines)
+    for position, event in enumerate(replay.events):
+        if position in torn:
+            print(f"  ! torn line: {len(torn[position])} byte(s) cut "
+                  f"mid-append (writer killed), then a resumed flight")
         print(_render_journal_event(event))
     if replay.torn_tail is not None:
         print(f"  ! torn tail: {len(replay.torn_tail)} byte(s) cut "

@@ -11,12 +11,15 @@ communication"), the virtual clock, probability distributions, and the
 cross-node synchronization object.
 
 A context is single-use: the PFI layer builds one per intercepted message,
-runs the filter, then applies the recorded actions.
+runs the filter, then applies the recorded actions.  The recorded actions
+start as class-level defaults (``PASS``, no delay, empty tuples), so a
+filter that records nothing allocates nothing; an action stores a new
+tuple on the instance.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.distributions import DistributionSet
 from repro.core.stubs import PacketStubs
@@ -34,6 +37,15 @@ HOLD = "hold"
 class ScriptContext:
     """Everything a filter script can see and do for one message."""
 
+    # recorded actions, applied by the PFI layer after the script runs
+    verdict: str = PASS
+    delay_s: float = 0.0
+    duplicate_delays: Tuple[float, ...] = ()
+    hold_tag: str = "default"
+    injections: Tuple[Tuple[Message, str, float], ...] = ()
+    releases: Tuple[Tuple[str, float], ...] = ()
+    modified: bool = False
+
     def __init__(self, *, msg: Message, direction: str, now: float,
                  state: Dict[str, Any], peer_state: Dict[str, Any],
                  stubs: PacketStubs, dist: DistributionSet,
@@ -50,14 +62,6 @@ class ScriptContext:
         self.sync = sync
         self.node = node
         self._pfi = pfi
-        # recorded actions, applied by the PFI layer after the script runs
-        self.verdict: str = PASS
-        self.delay_s: float = 0.0
-        self.duplicate_delays: List[float] = []
-        self.hold_tag: str = "default"
-        self.injections: List[Tuple[Message, str, float]] = []
-        self.releases: List[Tuple[str, float]] = []
-        self.modified: bool = False
 
     # ------------------------------------------------------------------
     # filtering (inspection)
@@ -93,7 +97,7 @@ class ScriptContext:
         """Forward ``copies`` extra copies, each ``spacing`` apart."""
         if copies < 1:
             raise ValueError("copies must be >= 1")
-        self.duplicate_delays.extend(
+        self.duplicate_delays += tuple(
             spacing * (i + 1) for i in range(copies))
 
     def set_field(self, name: str, value: Any) -> None:
@@ -114,7 +118,7 @@ class ScriptContext:
 
     def release(self, tag: str = "default", delay: float = 0.0) -> None:
         """Re-emit all messages held under ``tag``, after ``delay``."""
-        self.releases.append((tag, delay))
+        self.releases += ((tag, delay),)
 
     def held_count(self, tag: str = "default") -> int:
         """Number of messages currently parked under ``tag``."""
@@ -138,7 +142,7 @@ class ScriptContext:
             msg.meta.setdefault("injected", True)
         else:
             msg = self.stubs.generate(what, **fields)
-        self.injections.append((msg, direction or self.direction, delay))
+        self.injections += ((msg, direction or self.direction, delay),)
         return msg
 
     # ------------------------------------------------------------------

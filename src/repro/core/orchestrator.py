@@ -71,6 +71,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
 
 from repro.core.distributions import DistributionSet, derive_seed
 from repro.core.envelope import seal, unseal
+from repro.core.script import ScriptFault
 from repro.core.sync import ScriptSync
 from repro.netsim import kinds as K
 from repro.netsim.network import Network
@@ -188,6 +189,12 @@ class RunResult:
     trace: TraceRecorder
     telemetry: Optional[RunTelemetry] = None
     violations: Optional[List[Any]] = None
+    #: ``{"command", "line", "message"}`` when the run's filter script
+    #: failed, which ended the run there (its violations then carry a
+    #: ``PFI-SCRIPT-ERROR``, oracle or not); ``None`` otherwise.  Set on
+    #: the instance only when it is not ``None``, so a clean row pickles
+    #: exactly as it did before the field existed.
+    script_error = None   # not a dataclass field: see above
 
     def ok(self) -> bool:
         """True when the run's oracle (if any) reported no violations."""
@@ -614,29 +621,45 @@ def run_one(body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
     one.  Telemetry's event and trace counts carry the prefix's share
     too (the forked scheduler and recorder resume from the captured
     counters, matching a cold run's totals); only ``wall_s`` reflects
-    the saved simulation.  Raises ``CheckpointError`` when the
-    checkpoint cannot be re-seeded -- callers fall back cold.
+    the saved simulation.  A filter script's fault
+    (:class:`~repro.core.script.ScriptFault`) ends the run where it
+    struck and is its verdict: ``script_error`` is set and the
+    violations end with a ``PFI-SCRIPT-ERROR``.  Raises
+    ``CheckpointError`` when the checkpoint cannot be re-seeded --
+    callers fall back cold.
     """
     run_seed = derive_seed(seed, repr(sorted(config.items())))
     if checkpoint is None:
         env = make_env(seed=run_seed)
-        start = perf_counter()
-        result = body(env, dict(config))
+        run, args = body, (env, dict(config))
     else:
         forked = checkpoint.fork(seed=run_seed)
         env = forked.env
         state = (forked.roots[_STATE_ROOT]
                  if set(forked.roots) == {_STATE_ROOT} else forked.roots)
-        start = perf_counter()
-        result = body.continuation(env, state, dict(config))
+        run, args = body.continuation, (env, state, dict(config))
+    script_error = None
+    start = perf_counter()
+    try:
+        result = run(*args)
+    except ScriptFault as fault:
+        result, script_error = None, fault.error
     wall_s = perf_counter() - start
-    return RunResult(
+    violations = _oracle_violations(env.trace, oracle)
+    if script_error is not None:
+        from repro.oracle.invariants import script_error_violations
+        violations = [*(violations or ()),
+                      *script_error_violations(env.trace)]
+    row = RunResult(
         config=dict(config), result=result, trace=env.trace,
         telemetry=RunTelemetry(
             wall_s=wall_s, events=env.scheduler.dispatched_count,
             virtual_s=env.scheduler.now, trace_entries=len(env.trace))
         if telemetry else None,
-        violations=_oracle_violations(env.trace, oracle))
+        violations=violations)
+    if script_error is not None:
+        row.script_error = script_error
+    return row
 
 
 def _capture_prefix(body: PrefixedBody, config: Dict[str, Any],
@@ -786,6 +809,8 @@ def _run_end_payload(index: int, result: RunResult, *,
         payload["codes"] = sorted({v.code for v in result.violations})
     if result.telemetry is not None:
         payload["telemetry"] = result.telemetry.as_dict()
+    if result.script_error is not None:
+        payload["script_error"] = result.script_error
     return payload
 
 

@@ -23,6 +23,10 @@ After a filter runs, the recorded actions are applied:
 
 Delayed/duplicated/released messages bypass the filters on re-emission, so
 a delayed message is not re-filtered (and re-delayed) when its timer fires.
+
+A filter script that fails (a ``TclError``: a field the message lacks, a
+runaway loop) ends the run it filters with a ``pfi.script_error`` entry
+and a :class:`~repro.core.script.ScriptFault`.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.context import DROP, HOLD, ScriptContext
 from repro.core.distributions import DistributionSet
 from repro.core.msglog import MessageLog
-from repro.core.script import FilterScript, PythonFilter
+from repro.core.script import FilterScript, PythonFilter, ScriptFault
 from repro.core.stubs import PacketStubs
 from repro.core.sync import ScriptSync
+from repro.core.tclish import TclError
 from repro.netsim.scheduler import Scheduler
 from repro.netsim.trace import TraceRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -47,6 +52,8 @@ from repro.netsim import kinds as K
 #: ``pfi_<name>`` counter labelled with the node name
 _STAT_NAMES = ("send_seen", "receive_seen", "dropped", "delayed",
                "duplicated", "injected", "held", "released")
+
+_new_context = object.__new__
 
 
 class PFILayer(Protocol):
@@ -147,72 +154,109 @@ class PFILayer(Protocol):
             self._process(msg, "receive")
 
     def _process(self, msg: Message, direction: str) -> None:
+        """Run the direction's filter on ``msg``, then apply what it
+        recorded, in one frame: injections first, then the verdict --
+        drop, hold, or forward (after ``delay``, followed by any
+        duplicates) -- and last the releases, which follow the current
+        message.  A :class:`TclError` from the script ends the run
+        (:meth:`_script_failed`)."""
         if self._killed:
-            self._counters["dropped"].inc()
+            self._counters["dropped"].value += 1
             self._record(K.PFI_KILLED_DROP, direction=direction, uid=msg.uid)
             return
-        (self._send_seen if direction == "send" else self._receive_seen).inc()
-        script = self.send_filter if direction == "send" else self.receive_filter
-        state = self.send_state if direction == "send" else self.receive_state
-        peer = self.receive_state if direction == "send" else self.send_state
-        ctx = ScriptContext(
-            msg=msg, direction=direction, now=self.scheduler.now,
-            state=state, peer_state=peer, stubs=self.stubs, dist=self.dist,
-            sync=self.sync, node=self.node, pfi=self)
-        script.run(ctx)
-        self._apply(ctx)
+        if direction == "send":
+            self._send_seen.value += 1
+            script = self.send_filter
+            state, peer = self.send_state, self.receive_state
+        else:
+            self._receive_seen.value += 1
+            script = self.receive_filter
+            state, peer = self.receive_state, self.send_state
+        # ScriptContext(msg=msg, ...), without running its __init__
+        ctx = _new_context(ScriptContext)
+        ctx.__dict__ = {"msg": msg, "direction": direction,
+                        "now": self.scheduler.now, "state": state,
+                        "peer_state": peer, "stubs": self.stubs,
+                        "dist": self.dist, "sync": self.sync,
+                        "node": self.node, "_pfi": self}
+        try:
+            script.run(ctx)
+        except TclError as err:
+            self._script_failed(msg, direction, err)
 
-    def _apply(self, ctx: ScriptContext) -> None:
-        direction = ctx.direction
         for injected, inj_direction, delay in ctx.injections:
             # the filtered message is the injection's causal parent --
             # the lineage edge that lets `repro report` answer "which
             # packet triggered this probe?"
-            self.inject(injected, inj_direction, delay=delay,
-                        parent=ctx.msg.uid)
-
+            self.inject(injected, inj_direction, delay=delay, parent=msg.uid)
         try:
-            self._apply_verdict(ctx)
+            verdict = ctx.verdict
+            if verdict == DROP:
+                self._counters["dropped"].value += 1
+                trace = self.trace
+                if trace is not None:
+                    trace.record(K.PFI_DROP, t=self.scheduler.now,
+                                 node=self.node, direction=direction,
+                                 uid=msg.uid,
+                                 msg_type=self.stubs.msg_type(msg))
+            elif verdict == HOLD:
+                self._counters["held"].value += 1
+                self._held.setdefault((direction, ctx.hold_tag), []).append(msg)
+                self._record(K.PFI_HOLD, direction=direction, uid=msg.uid,
+                             tag=ctx.hold_tag)
+            else:
+                # a duplicate is the message as the filter saw it: copied
+                # before forwarding, which lets the next layer push or pop
+                # a header on it
+                copies = ([(msg.copy(), delay)
+                           for delay in ctx.duplicate_delays]
+                          if ctx.duplicate_delays else ())
+                if ctx.delay_s > 0:
+                    self._counters["delayed"].value += 1
+                    self._record(K.PFI_DELAY, direction=direction,
+                                 uid=msg.uid, seconds=ctx.delay_s,
+                                 msg_type=self.stubs.msg_type(msg))
+                    self.scheduler.schedule(ctx.delay_s, self._forward, msg,
+                                            direction)
+                elif self._killed:
+                    self._counters["dropped"].value += 1
+                elif direction == "send":
+                    self.send_down(msg)
+                else:
+                    self.send_up(msg)
+                for copy, extra_delay in copies:
+                    self._counters["duplicated"].value += 1
+                    self._record(K.PFI_DUPLICATE, direction=direction,
+                                 uid=copy.uid, original=msg.uid)
+                    if extra_delay > 0:
+                        self.scheduler.schedule(extra_delay, self._forward,
+                                                copy, direction)
+                    else:
+                        self._forward(copy, direction)
         finally:
             # released messages follow the current one, so "pass this and
             # release the held one" reorders exactly as scripts expect
             for tag, delay in ctx.releases:
                 self._release(direction, tag, delay)
 
-    def _apply_verdict(self, ctx: ScriptContext) -> None:
-        direction = ctx.direction
-        if ctx.verdict == DROP:
-            self._counters["dropped"].inc()
-            self._record(K.PFI_DROP, direction=direction, uid=ctx.msg.uid,
-                         msg_type=ctx.msg_type())
-            return
-        if ctx.verdict == HOLD:
-            self._counters["held"].inc()
-            self._held.setdefault((direction, ctx.hold_tag), []).append(ctx.msg)
-            self._record(K.PFI_HOLD, direction=direction, uid=ctx.msg.uid,
-                         tag=ctx.hold_tag)
-            return
+    def _script_failed(self, msg: Message, direction: str,
+                       err: TclError) -> None:
+        """End the run on a filter script's fault.
 
-        # a duplicate is the message as the filter saw it: copied before
-        # forwarding, which lets the next layer push or pop a header on it
-        copies = ([(ctx.msg.copy(), delay) for delay in ctx.duplicate_delays]
-                  if ctx.duplicate_delays else ())
-        if ctx.delay_s > 0:
-            self._counters["delayed"].inc()
-            self._record(K.PFI_DELAY, direction=direction, uid=ctx.msg.uid,
-                         seconds=ctx.delay_s, msg_type=ctx.msg_type())
-            self.scheduler.schedule(ctx.delay_s, self._forward, ctx.msg, direction)
-        else:
-            self._forward(ctx.msg, direction)
-
-        for copy, extra_delay in copies:
-            self._counters["duplicated"].inc()
-            self._record(K.PFI_DUPLICATE, direction=direction, uid=copy.uid,
-                         original=ctx.msg.uid)
-            if extra_delay > 0:
-                self.scheduler.schedule(extra_delay, self._forward, copy, direction)
-            else:
-                self._forward(copy, direction)
+        The fault is the script's verdict on its own run, not the tool's
+        crash: it is recorded as a ``pfi.script_error`` entry (the
+        failing command, the filter line it escaped from, the message)
+        and raised as :class:`ScriptFault`, which
+        :func:`~repro.core.orchestrator.run_one` turns into the run's
+        ``script_error`` and a ``PFI-SCRIPT-ERROR`` violation.
+        """
+        error = {"command": err.command or "", "line": err.line or 0,
+                 "message": str(err)}
+        self._record(K.PFI_SCRIPT_ERROR, direction=direction, uid=msg.uid,
+                     **error)
+        # the fault stands for the script's TclError: same message, same
+        # cause (a StubError, a host error), if the error had one
+        raise ScriptFault(error) from err.__cause__ or err
 
     def _forward(self, msg: Message, direction: str) -> None:
         if self._killed:

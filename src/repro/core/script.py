@@ -36,11 +36,31 @@ import warnings
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
-from repro.core.context import ScriptContext
-from repro.core.stubs import StubError
+from repro.core.context import DROP, ScriptContext
 from repro.core.tclish import Interp, TclError
+from repro.core.tclish.interp import NO_CONTEXT
 from repro.core.tclish.errors import CONTROL_FLOW, script_result
 from repro.core.tclish.lint.registry import CommandSignature, forget_default
+
+
+class ScriptFault(TclError):
+    """A filter script failed on a message, which ends the run it filters.
+
+    Raised by the PFI layer after it recorded the ``pfi.script_error``
+    entry; ``error`` is ``{"command", "line", "message"}`` (see
+    :class:`TclError` for how the first two are found).  A
+    :class:`TclError`, so a caller that reports script faults as its
+    input failing (``repro run-script``) still does.
+    """
+
+    def __init__(self, error: Dict[str, object]):
+        super().__init__(error["message"])
+        self.error = error
+        self.command = error["command"]
+        self.line = error["line"]
+
+    def __reduce__(self):
+        return (type(self), (self.error,))
 
 
 class FilterScript:
@@ -174,7 +194,7 @@ class TclishFilter(FilterScript):
         except CONTROL_FLOW as flow:
             script_result(flow)
         finally:
-            interp.context = None
+            interp.context = NO_CONTEXT
             if profiler is not None:
                 profiler.record_script(self.name, perf_counter() - start)
 
@@ -202,29 +222,26 @@ def cmd(name: str, min_args: int = 0, max_args: Optional[int] = None,
         usage: str = "", doc: str = ""):
     """Declare a PFI bridge command: signature + implementation, once.
 
-    The decorated function receives ``(ctx, interp, args)`` where ``ctx``
-    is the live :class:`~repro.core.context.ScriptContext` (the
-    interpreter's ``context`` while a filter runs).  ``Interp.call``
-    rejects argument counts outside ``[min_args, max_args]`` before the
-    implementation runs, with the declared usage line -- the same bounds
-    the static analyzer checks, so a script that lints clean cannot die
-    on arity at runtime.  A :class:`~repro.core.stubs.StubError` the
-    implementation raises (a field the message lacks) becomes a
-    :class:`TclError`, so ``catch`` traps it.  Registering a command
-    empties the analyzer's verdict memo and its built default registry:
-    this decorator is the one place the command surface grows.
+    The decorated function is the implementation itself, called as
+    ``fn(interp, args)``; it finds the live
+    :class:`~repro.core.context.ScriptContext` as ``interp.context``,
+    which outside a filter run is
+    :data:`~repro.core.tclish.interp.NO_CONTEXT` (reading from it is
+    ``TclError("no message is being filtered right now")``).
+    ``Interp.call`` rejects argument counts outside ``[min_args,
+    max_args]`` before the implementation runs, with the declared usage
+    line -- the same bounds the static analyzer checks, so a script that
+    lints clean cannot die on arity at runtime.  A
+    :class:`~repro.core.stubs.StubError` the implementation raises (a
+    field the message lacks) is a ``ValueError``, which ``Interp.call``
+    turns into a :class:`TclError` like any host error, so ``catch``
+    traps it.  Registering a command empties the analyzer's verdict memo
+    and its built default registry: this decorator is the one place the
+    command surface grows.
     """
     def decorator(fn):
-        def command(interp: Interp, args: List[str]) -> str:
-            ctx = interp.context
-            if ctx is None:
-                raise TclError("no message is being filtered right now")
-            try:
-                return fn(ctx, interp, args)
-            except StubError as err:
-                raise TclError(f'error in command "{name}": {err}') from err
         PFI_COMMANDS[name] = CommandSignature(
-            name, min_args, max_args, usage or name, doc, command)
+            name, min_args, max_args, usage or name, doc, fn)
         forget_default()
         return fn
     return decorator
@@ -239,85 +256,98 @@ def pfi_command_table() -> str:
 
 @cmd("msg_type", 0, 1, "msg_type ?cur_msg?",
      "type name of the current message")
-def _msg_type(ctx, _i, args):
+def _msg_type(interp, args):
+    ctx = interp.context
     return ctx.stubs.msg_type(ctx.msg)
 
 
 @cmd("msg_log", 0, 2, "msg_log ?cur_msg? ?note?",
      "log the message with a timestamp")
-def _msg_log(ctx, _i, args):
+def _msg_log(interp, args):
     note = args[1] if len(args) > 1 else ""
-    ctx.log(note)
+    interp.context.log(note)
     return ""
 
 
 @cmd("msg_field", 1, 1, "msg_field name", "read header field ``name``")
-def _msg_field(ctx, _i, args):
-    return _stringify(ctx.field(args[0]))
+def _msg_field(interp, args):
+    return _stringify(interp.context.field(args[0]))
 
 
 @cmd("msg_set_field", 2, 2, "msg_set_field name value",
      "modify header field ``name``")
-def _msg_set_field(ctx, _i, args):
-    ctx.set_field(args[0], _parse_scalar(args[1]))
+def _msg_set_field(interp, args):
+    interp.context.set_field(args[0], _parse_scalar(args[1]))
     return ""
 
 
 @cmd("msg_len", 0, 1, "msg_len ?cur_msg?", "length of the current message")
-def _msg_len(ctx, _i, args):
-    return str(len(ctx.msg))
+def _msg_len(interp, args):
+    return str(len(interp.context.msg))
 
 
 @cmd("xDrop", 0, 1, "xDrop ?cur_msg?", "drop the message")
-def _drop(ctx, _i, args):
-    ctx.drop()
+def _drop(interp, args):
+    interp.context.verdict = DROP  # ScriptContext.drop, inline
     return ""
 
 
 @cmd("xDelay", 1, 2, "xDelay ?cur_msg? seconds", "delay the message")
-def _delay(ctx, _i, args):
-    numeric = [a for a in args if _is_number(a)]
-    if not numeric:
+def _delay(interp, args):
+    ctx = interp.context
+    for arg in args:  # the first numeric argument
+        try:
+            seconds = float(arg)
+        except ValueError:
+            continue
+        break
+    else:
         raise TclError("usage: xDelay ?cur_msg? seconds")
-    ctx.delay(float(numeric[0]))
+    if seconds < 0:  # ScriptContext.delay, inline
+        raise ValueError("delay must be non-negative")
+    ctx.delay_s = seconds
     return ""
 
 
 @cmd("xDuplicate", 0, 2, "xDuplicate ?cur_msg? ?n?",
      "duplicate the message")
-def _duplicate(ctx, _i, args):
-    numeric = [a for a in args if _is_number(a)]
-    copies = int(float(numeric[0])) if numeric else 1
-    ctx.duplicate(copies)
+def _duplicate(interp, args):
+    copies = 1
+    for arg in args:  # the first numeric argument, if any
+        try:
+            value = float(arg)
+        except ValueError:
+            continue
+        copies = int(value)
+        break
+    interp.context.duplicate(copies)
     return ""
 
 
 @cmd("xHold", 0, 2, "xHold ?cur_msg? ?tag?",
      "park the message for reordering")
-def _hold(ctx, _i, args):
-    tag = _tag_arg(args)
-    ctx.hold(tag)
+def _hold(interp, args):
+    interp.context.hold(_tag_arg(args))
     return ""
 
 
 @cmd("xRelease", 0, 2, "xRelease ?cur_msg? ?tag?",
      "re-emit parked messages")
-def _release(ctx, _i, args):
-    tag = _tag_arg(args)
-    ctx.release(tag)
+def _release(interp, args):
+    interp.context.release(_tag_arg(args))
     return ""
 
 
 @cmd("held_count", 0, 2, "held_count ?cur_msg? ?tag?",
      "number of messages parked under ``tag``")
-def _held_count(ctx, _i, args):
-    tag = _tag_arg(args)
-    return str(ctx.held_count(tag))
+def _held_count(interp, args):
+    return str(interp.context.held_count(_tag_arg(args)))
 
 
 @cmd("inject", 1, None, "inject type ?direction? ?field value ...?",
      "inject a generated message")
-def _inject(ctx, _i, args):
+def _inject(interp, args):
+    ctx = interp.context
     type_name = args[0]
     rest = args[1:]
     direction = None
@@ -333,71 +363,74 @@ def _inject(ctx, _i, args):
 
 
 @cmd("now", 0, 0, "now", "virtual time")
-def _now(ctx, _i, args):
-    return repr(ctx.now)
+def _now(interp, args):
+    return repr(interp.context.now)
 
 
 @cmd("peer_set", 2, 2, "peer_set key value",
      "set a variable in the other interpreter")
-def _peer_set(ctx, _i, args):
+def _peer_set(interp, args):
     # write a variable into the *other* filter's state -- "the send
     # filter might set a variable in the receive interpreter"
-    ctx.set_peer(args[0], _parse_scalar(args[1]))
+    interp.context.set_peer(args[0], _parse_scalar(args[1]))
     return ""
 
 
 @cmd("peer_get", 1, 2, "peer_get key ?default?",
      "read a variable the peer filter deposited")
-def _peer_get(ctx, _i, args):
+def _peer_get(interp, args):
     # read a variable the peer filter deposited for us (peer_set on
     # their side lands in OUR state)
     default = args[1] if len(args) > 1 else ""
-    value = ctx.state.get(args[0], default)
+    value = interp.context.state.get(args[0], default)
     return _stringify(value)
 
 
 @cmd("sync_set", 1, 2, "sync_set key ?value?", "set a cross-node flag")
-def _sync_set(ctx, _i, args):
+def _sync_set(interp, args):
     value = _parse_scalar(args[1]) if len(args) > 1 else 1
-    ctx.sync.set_flag(args[0], value)
+    interp.context.sync.set_flag(args[0], value)
     return ""
 
 
 @cmd("sync_get", 1, 2, "sync_get key ?default?", "read a cross-node flag")
-def _sync_get(ctx, _i, args):
+def _sync_get(interp, args):
     default = args[1] if len(args) > 1 else ""
-    return _stringify(ctx.sync.get_flag(args[0], default))
+    return _stringify(interp.context.sync.get_flag(args[0], default))
 
 
 @cmd("dst_normal", 2, 2, "dst_normal mean stddev",
      "normal draw (paper naming)")
-def _dst_normal(ctx, _i, args):
-    return repr(ctx.dist.dst_normal(float(args[0]), float(args[1])))
+def _dst_normal(interp, args):
+    return repr(interp.context.dist.dst_normal(float(args[0]),
+                                               float(args[1])))
 
 
 @cmd("dst_uniform", 2, 2, "dst_uniform low high", "uniform draw")
-def _dst_uniform(ctx, _i, args):
-    return repr(ctx.dist.dst_uniform(float(args[0]), float(args[1])))
+def _dst_uniform(interp, args):
+    return repr(interp.context.dist.dst_uniform(float(args[0]),
+                                                float(args[1])))
 
 
 @cmd("dst_exponential", 1, 1, "dst_exponential rate", "exponential draw")
-def _dst_exponential(ctx, _i, args):
-    return repr(ctx.dist.dst_exponential(float(args[0])))
+def _dst_exponential(interp, args):
+    return repr(interp.context.dist.dst_exponential(float(args[0])))
 
 
 @cmd("chance", 1, 1, "chance p", "1 with probability p else 0")
-def _chance(ctx, _i, args):
-    return "1" if ctx.dist.chance(float(args[0])) else "0"
+def _chance(interp, args):
+    # DistributionSet.chance is dst_bernoulli under a script-friendly name
+    return "1" if interp.context.dist.dst_bernoulli(float(args[0])) else "0"
 
 
 @cmd("node_name", 0, 0, "node_name", "name of this node")
-def _node_name(ctx, _i, args):
-    return ctx.node
+def _node_name(interp, args):
+    return interp.context.node
 
 
 @cmd("direction", 0, 0, "direction", "'send' or 'receive'")
-def _direction(ctx, _i, args):
-    return ctx.direction
+def _direction(interp, args):
+    return interp.context.direction
 
 
 def _tag_arg(args) -> str:
@@ -406,14 +439,6 @@ def _tag_arg(args) -> str:
         if arg != "cur_msg":
             return arg
     return "default"
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def _parse_scalar(text: str):

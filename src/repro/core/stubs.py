@@ -54,8 +54,14 @@ from repro.xkernel.message import Message
 UNKNOWN_TYPE = "UNKNOWN"
 
 
-class StubError(Exception):
-    """Raised for unknown generators or inaccessible fields."""
+class StubError(ValueError):
+    """Raised for unknown generators or inaccessible fields.
+
+    A ``ValueError`` -- a value the message cannot take -- so a PFI
+    command that runs into one fails as a host error, the way
+    ``Interp.call`` reports any bad value: ``error in command "<name>":
+    <message>``.
+    """
 
 
 def data_fields(cls: type) -> Tuple[str, ...]:

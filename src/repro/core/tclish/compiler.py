@@ -63,7 +63,7 @@ from repro.core.tclish.errors import (
 from repro.core.tclish.lexer import (
     _skip_bracket,
     parse_list,
-    split_commands,
+    split_commands_spanned,
     split_words,
 )
 
@@ -116,12 +116,14 @@ class CompiledWord:
 
 
 class CompiledCommand:
-    """One command: the analysed words in order."""
+    """One command: the analysed words in order, and the 1-based line of
+    its script it starts on."""
 
-    __slots__ = ("words",)
+    __slots__ = ("words", "line")
 
-    def __init__(self, words: List[CompiledWord]):
+    def __init__(self, words: List[CompiledWord], line: int = 1):
         self.words = words
+        self.line = line
 
     def __repr__(self) -> str:
         return f"CompiledCommand({self.words!r})"
@@ -250,7 +252,7 @@ class CompiledScript:
     def __init__(self, source: str, commands: List[CompiledCommand]):
         self.source = source
         self.commands = commands
-        self.run = _script([_command(command.words) for command in commands])
+        self.run = _script(commands)
 
     def __repr__(self) -> str:
         return f"CompiledScript({len(self.commands)} commands)"
@@ -291,10 +293,13 @@ class _Fails:
 def compile_script(source: str) -> CompiledScript:
     """Parse a script into its compiled form.  Pure: no interpreter state."""
     commands = []
-    for command in split_commands(source):
+    line, counted = 1, 0
+    for command, offset in split_commands_spanned(source):
         words = [analyze_word(raw) for raw in split_words(command)]
         if words:
-            commands.append(CompiledCommand(words))
+            line += source.count("\n", counted, offset)
+            counted = offset
+            commands.append(CompiledCommand(words, line))
     return CompiledScript(source, commands)
 
 
@@ -302,11 +307,22 @@ def compile_script(source: str) -> CompiledScript:
 # closures
 # ----------------------------------------------------------------------
 
-def _script(commands: List[Runner]) -> Runner:
+def _script(commands: List[CompiledCommand]) -> Runner:
     """One nesting level running ``commands`` in order: the
     :data:`MAX_EVAL_DEPTH` check, the ``eval_count`` tick, and a fresh
-    loop budget when the level is the top one."""
-    only = commands[0] if len(commands) == 1 else None
+    loop budget when the level is the top one.
+
+    A level of one literal command that is not a control command (a
+    ``[msg_type cur_msg]``, an ``{ xDrop cur_msg }`` body) is one
+    closure: the level's bookkeeping around the command's own call.
+    """
+    if len(commands) == 1:
+        words = commands[0].words
+        if (all(word.kind == LITERAL for word in words)
+                and words[0].text not in FORMS):
+            return _literal_level(words, commands[0].line)
+    runners = [_command(command.words, command.line) for command in commands]
+    only = runners[0] if len(runners) == 1 else None
 
     def run(interp: "Interp") -> str:
         depth = interp._depth
@@ -320,9 +336,35 @@ def _script(commands: List[Runner]) -> Runner:
             if only is not None:
                 return only(interp)
             result = ""
-            for command in commands:
+            for command in runners:
                 result = command(interp)
             return result
+        finally:
+            interp._depth = depth
+    return run
+
+
+def _literal_level(words: List[CompiledWord], line: int) -> Runner:
+    """:func:`_script`'s level and :func:`_command`'s ``literal``
+    closure as one closure, for a level of one literal command."""
+    name = words[0].text
+    args = tuple(word.text for word in words[1:])
+
+    def run(interp: "Interp") -> str:
+        depth = interp._depth
+        if depth >= MAX_EVAL_DEPTH:
+            raise TclError("too many nested evaluations (infinite loop?)")
+        if not depth:
+            interp._iterations = 0
+        interp.eval_count += 1
+        interp._depth = depth + 1
+        try:
+            if interp.profiler is None:
+                return interp.call(name, [*args])
+            return _profiled(interp, name, [*args])
+        except TclError as err:
+            err.line = line
+            raise
         finally:
             interp._depth = depth
     return run
@@ -369,33 +411,48 @@ def _profiled(interp: "Interp", name: str, args: List[str]) -> str:
     return result
 
 
-def _command(words: List[CompiledWord]) -> Runner:
-    """The closure for one command."""
+def _command(words: List[CompiledWord], line: int = 1) -> Runner:
+    """The closure for one command, starting on ``line`` of its script.
+
+    A :class:`TclError` leaving the closure takes ``line`` with it, so
+    the error leaving a whole script names the line of its outermost
+    command.
+    """
     bound = [_bind_word(word) for word in words]
     if any(kind != _TEXT for kind, _payload in bound):
         def command(interp: "Interp") -> str:
-            values = []
-            for kind, payload in bound:
-                if kind == _TEXT:
-                    values.append(payload)
-                elif kind == _VAR:
-                    values.append(interp.get_var(payload))
-                elif kind == _NESTED:
-                    values.append(payload.run(interp))
-                else:
-                    values.append(_joined(interp, payload))
-            if interp.profiler is None:
-                return interp.call(values[0], values[1:])
-            return _profiled(interp, values[0], values[1:])
+            try:
+                values = []
+                for kind, payload in bound:
+                    if kind == _TEXT:
+                        values.append(payload)
+                    elif kind == _VAR:
+                        values.append(interp.get_var(payload))
+                    elif kind == _NESTED:
+                        values.append(payload.run(interp))
+                    else:
+                        values.append(_joined(interp, payload))
+                if interp.profiler is None:
+                    return interp.call(values[0], values[1:])
+                return _profiled(interp, values[0], values[1:])
+            except TclError as err:
+                err.line = line
+                if err.command is None and values:  # a substitution failed
+                    err.command = values[0]
+                raise
         return command
 
     name = words[0].text
     args = tuple(word.text for word in words[1:])
 
     def literal(interp: "Interp") -> str:
-        if interp.profiler is None:
-            return interp.call(name, [*args])
-        return _profiled(interp, name, [*args])
+        try:
+            if interp.profiler is None:
+                return interp.call(name, [*args])
+            return _profiled(interp, name, [*args])
+        except TclError as err:
+            err.line = line
+            raise
 
     build = FORMS.get(name)
     if build is None:
@@ -417,7 +474,14 @@ def _command(words: List[CompiledWord]) -> Runner:
         try:
             return form(interp)
         except HOST_ERRORS as err:
-            raise host_error(name, err) from err
+            error = host_error(name, err)
+            error.line = line
+            raise error from err
+        except TclError as err:
+            err.line = line
+            if err.command is None:
+                err.command = name
+            raise
     return control
 
 

@@ -9,7 +9,18 @@ from __future__ import annotations
 
 
 class TclError(Exception):
-    """A script error: unknown command, bad syntax, bad operand, ..."""
+    """A script error: unknown command, bad syntax, bad operand, ...
+
+    On its way out of a compiled script an error is located:
+    ``command`` is the innermost command it escaped from (the first
+    :meth:`~repro.core.tclish.interp.Interp.call` it crossed) and
+    ``line`` the 1-based line, in the outermost script, of the command
+    that was running; both stay ``None`` for an error no command ran
+    into (a ``break`` left over at top level).
+    """
+
+    command = None
+    line = None
 
 
 class TclReturn(Exception):
@@ -56,5 +67,8 @@ def host_error(name: str, err: Exception) -> TclError:
     command ``name`` becomes, so ``catch`` traps it and a script fault is
     never a Python traceback."""
     if isinstance(err, KeyError):
-        return TclError(f'error in command "{name}": no such key {err}')
-    return TclError(f'error in command "{name}": {err}')
+        error = TclError(f'error in command "{name}": no such key {err}')
+    else:
+        error = TclError(f'error in command "{name}": {err}')
+    error.command = name
+    return error

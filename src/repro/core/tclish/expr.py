@@ -18,7 +18,8 @@ once; running the tree evaluates the expression.  Supported grammar
     unary   : ('-' | '+' | '!' | '~') unary | primary
     primary : NUMBER | STRING | '(' ternary ')' | FUNC '(' args ')'
 
-Numbers are Python ints (decimal/hex/octal-as-decimal) or floats; ``eq`` and
+Numbers are Python ints (decimal, ``0x`` / ``0o`` / ``0b``, and a leading
+zero for octal, as in Tcl 8.6: :func:`parse_integer`) or floats; ``eq`` and
 ``ne`` force string comparison; ``==`` on two non-numeric operands also
 compares strings, matching Tcl's forgiving behaviour.  Division follows
 Tcl/C semantics: int/int truncates toward negative infinity like Tcl does
@@ -60,10 +61,28 @@ def _round(x: Number) -> int:
     return int(whole) + (fraction >= 0.5) - (fraction <= -0.5)
 
 
+def wide(value: int) -> int:
+    """``value`` truncated to a signed 64-bit word, as Tcl 8.6 truncates
+    in ``int()`` and ``format %d``: ``int(1e20)`` is
+    7766279631452241920."""
+    return (value + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+def parse_integer(text: str) -> int:
+    """An integer in Tcl 8.6's syntax: an optional sign, then decimal
+    digits, a ``0x`` / ``0o`` / ``0b`` prefix, or a leading zero, which
+    is octal (``010`` is 8, ``08`` is no integer).  ``ValueError`` for
+    anything else."""
+    digits = text[1:] if text[:1] in "+-" else text
+    if len(digits) > 1 and digits[0] == "0" and digits[1].isdigit():
+        return int(text, 8)
+    return int(text, 0)
+
+
 #: math functions: implementation, fewest and most arguments (None: any)
 _FUNCTIONS: Dict[str, Tuple[Callable[..., Number], int, Optional[int]]] = {
     "abs": (abs, 1, 1),
-    "int": (int, 1, 1),
+    "int": (lambda x: wide(int(x)), 1, 1),
     "double": (float, 1, 1),
     "round": (_round, 1, 1),
     "min": (lambda *xs: min(xs), 1, None),
@@ -71,8 +90,8 @@ _FUNCTIONS: Dict[str, Tuple[Callable[..., Number], int, Optional[int]]] = {
     "sqrt": (math.sqrt, 1, 1),
     "pow": (lambda x, y: x ** y, 2, 2),
     "fmod": (math.fmod, 2, 2),
-    "floor": (math.floor, 1, 1),
-    "ceil": (math.ceil, 1, 1),
+    "floor": (lambda x: float(math.floor(x)), 1, 1),  # a double, as Tcl
+    "ceil": (lambda x: float(math.ceil(x)), 1, 1),
     "exp": (math.exp, 1, 1),
     "log": (math.log, 1, 1),
 }
@@ -157,11 +176,12 @@ def coerce_number(value: Value) -> Number:
         return value
     text = value.strip()
     try:
-        if text.lower().startswith("0x") or text.lower().startswith("-0x"):
-            return int(text, 16)
-        return int(text)
+        return parse_integer(text)
     except ValueError:
         pass
+    if text.lstrip("+-").isdigit():  # leading zero, then an 8 or a 9
+        raise TclError(f'expected integer but got "{text}" '
+                       f"(looks like invalid octal number)")
     try:
         return float(text)
     except ValueError:
@@ -387,8 +407,8 @@ def _operand(token: str) -> Value:
     a bare word (which lets ``expr {$type eq ACK}`` work)."""
     if token.startswith('"'):
         return token[1:-1] if token.endswith('"') else token[1:]
-    if is_numeric(token):
-        return coerce_number(token)
+    if token[:1].isdigit() or is_numeric(token):
+        return coerce_number(token)  # a number token, or an error
     return token
 
 

@@ -46,6 +46,35 @@ CommandFn = Callable[["Interp", List[str]], str]
 MAX_LOOP_ITERATIONS = 1_000_000
 
 
+class _NoContext:
+    """:attr:`Interp.context` while no host has bound one.
+
+    Reading or setting any attribute of it is the script error a host
+    command (a PFI command outside a filter run) must raise, so the
+    commands use their context without testing for it first.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("__"):
+            raise AttributeError(name)
+        raise TclError("no message is being filtered right now")
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise TclError("no message is being filtered right now")
+
+    def __reduce__(self) -> str:
+        return "NO_CONTEXT"  # one instance, across copies and pickles
+
+    def __repr__(self) -> str:
+        return "NO_CONTEXT"
+
+
+#: the unbound :attr:`Interp.context`
+NO_CONTEXT = _NoContext()
+
+
 class Proc:
     """A user-defined procedure created by the ``proc`` command."""
 
@@ -92,8 +121,9 @@ class Interp:
             stdlib_loader.STDLIB)
         #: what the embedding host hands its commands: the PFI layer puts
         #: the :class:`~repro.core.context.ScriptContext` of the message
-        #: being filtered here for the length of one script run
-        self.context: Any = None
+        #: being filtered here for the length of one script run;
+        #: :data:`NO_CONTEXT` the rest of the time
+        self.context: Any = NO_CONTEXT
         self._frames: List[Dict[str, str]] = []
         self._global_links: List[set] = []
         self.output_lines: List[str] = []
@@ -295,20 +325,26 @@ class Interp:
         an implementation (a missing ``string index`` argument, ``incr v
         abc``, ``expr {exp(1000)}``) is normalized to :class:`TclError`
         too, so ``catch`` works and a script fault is never a Python
-        traceback.  Compiled commands call it; a control command whose
+        traceback.  An error leaving here that no inner call named is
+        named after this one (``TclError.command``).  Compiled commands
+        call it; a control command whose
         arguments are literal runs its compiled form directly only after
         the same name resolution finds the stdlib declaration.
         """
         proc = self.procs.get(name)
-        if proc is not None:
-            return proc(self, args)
-        command = self.commands.get(name)
-        if command is None:
-            raise TclError(f'invalid command name "{name}"')
-        if len(args) not in command.arity:
-            raise TclError(f'wrong # args: should be "{command.usage}"')
         try:
+            if proc is not None:
+                return proc(self, args)
+            command = self.commands.get(name)
+            if command is None:
+                raise TclError(f'invalid command name "{name}"')
+            if len(args) not in command.arity:
+                raise TclError(f'wrong # args: should be "{command.usage}"')
             result = command.fn(self, args)
+        except TclError as err:
+            if err.command is None:  # the innermost command names it
+                err.command = name
+            raise
         except HOST_ERRORS as err:
             raise host_error(name, err) from err
         return result if isinstance(result, str) else _to_tcl_string(result)

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.tclish import compiler
 from repro.core.tclish.errors import TclBreak, TclContinue, TclError, TclReturn
+from repro.core.tclish.expr import parse_integer, wide
 from repro.core.tclish.lexer import parse_list, split_words, strip_braces
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -126,8 +127,11 @@ def _cmd_unset(interp: "Interp", args: List[str]) -> str:
 @builtin("incr", 1, 2, "incr varName ?increment?")
 def _cmd_incr(interp: "Interp", args: List[str]) -> str:
     step = int(args[1]) if len(args) == 2 else 1
-    current = int(interp.get_var(args[0])) if interp.has_var(args[0]) else 0
-    return interp.set_var(args[0], current + step)
+    try:
+        current = int(interp.get_var(args[0]))
+    except TclError:  # no such variable: incr creates it
+        current = 0
+    return interp.set_var(args[0], str(current + step))
 
 
 @builtin("append", 1, None, "append varName ?value ...?")
@@ -404,7 +408,11 @@ def _cmd_format(interp: "Interp", args: List[str]) -> str:
     values: List[object] = []
     spec_types = _format_spec_types(template)
     for text, kind in zip(args[1:], spec_types):
-        if kind in "dioxXc":
+        if kind in "di":
+            values.append(wide(_format_integer(text)))
+        elif kind in "oxX":  # the word's bits, read unsigned
+            values.append(wide(_format_integer(text)) % (1 << 64))
+        elif kind == "c":
             values.append(_format_integer(text))
         elif kind in "eEfgG":
             values.append(float(text))
@@ -417,13 +425,15 @@ def _cmd_format(interp: "Interp", args: List[str]) -> str:
 
 
 def _format_integer(text: str) -> int:
-    """An integer conversion's argument, refused as Tcl 8.6 refuses it:
-    ``3.9``, ``1e3``, ``abc`` and ``1_000`` are not integers.  ``0x``,
-    ``0o`` and ``0b`` prefixes are read; a leading-zero ``010`` is refused
-    (Tcl reads octal 8, ``expr`` here reads decimal 10)."""
+    """An integer conversion's argument, read as Tcl 8.6 reads it
+    (:func:`~repro.core.tclish.expr.parse_integer`: ``0x``, ``0o`` and
+    ``0b`` prefixes, leading-zero octal) and refused as it refuses one:
+    ``3.9``, ``1e3``, ``abc``, ``08`` and ``1_000`` are not integers.
+    ``%d`` and ``%i`` print it truncated to a 64-bit word, ``%o`` /
+    ``%x`` / ``%X`` that word's bits unsigned."""
     if "_" not in text:   # int() reads 1_000, Tcl does not
         try:
-            return int(text, 0)
+            return parse_integer(text.strip())
         except ValueError:
             pass
     raise TclError(f'expected integer but got "{text}"')

@@ -63,11 +63,14 @@ class GmpTiming:
 class _Guarded:
     """A daemon timer callback wrapped with the suspend/defer gate.
 
-    Carries a bound method plus its arguments; while the daemon is
-    suspended, invocations queue themselves on ``daemon._deferred`` and
-    re-run on resume.  A class (not a closure) so a checkpointed timer
-    deep-copies into the forked daemon -- ``copy.deepcopy`` treats
+    Carries a bound method of the daemon plus its arguments; while the
+    daemon is suspended, invocations queue themselves on
+    ``daemon._deferred`` and re-run on resume, lower ``priority`` first
+    (ties keep expiry order).  A class (not a closure) so a checkpointed
+    timer deep-copies into the forked daemon -- ``copy.deepcopy`` treats
     closures as atomic values that would keep pointing at the original.
+    A timer keeps its guard across re-arms (``GmpTimerTable.rearm``):
+    the daemon's callback for one timer key never changes.
     """
 
     __slots__ = ("callback", "args", "priority")
@@ -250,35 +253,30 @@ class Daemon(Protocol):
     # timers
     # ------------------------------------------------------------------
 
-    def _guard(self, callback: Callable[..., None], *args,
-               priority: int = 0) -> "_Guarded":
-        """Defer timer callbacks that fire while suspended.
-
-        ``callback`` must be a bound method of this daemon; extra
-        positional ``args`` are forwarded on invocation.  ``priority``
-        orders deferred callbacks on resume (lower first; ties keep
-        expiry order).  Returns a :class:`_Guarded` instance rather than
-        a closure so checkpointed timers deep-copy into the forked
-        daemon instead of referencing the original one.
-        """
-        return _Guarded(callback, args, priority)
+    # The recurring timers re-arm in place (GmpTimerTable.rearm) and
+    # build their _Guarded callback only when the table has no timer
+    # for the key yet.
 
     def _arm_heartbeat_send(self) -> None:
-        self.timers.register("heartbeat_send", "send",
-                             self.timing.heartbeat_interval,
-                             self._guard(self._on_heartbeat_send))
+        interval = self.timing.heartbeat_interval
+        if not self.timers.rearm("heartbeat_send", "send", interval):
+            self.timers.register("heartbeat_send", "send", interval,
+                                 _Guarded(self._on_heartbeat_send))
 
     def _arm_proclaim(self) -> None:
-        self.timers.register("proclaim", "tick",
-                             self.timing.proclaim_interval,
-                             self._guard(self._on_proclaim_tick))
+        interval = self.timing.proclaim_interval
+        if not self.timers.rearm("proclaim", "tick", interval):
+            self.timers.register("proclaim", "tick", interval,
+                                 _Guarded(self._on_proclaim_tick))
 
     def _arm_expect(self, member: int) -> None:
-        priority = -1 if member == self.address else 0
-        self.timers.register("heartbeat_expect", member,
-                             self.timing.heartbeat_timeout,
-                             self._guard(self._on_expect_expired, member,
-                                         priority=priority))
+        timeout = self.timing.heartbeat_timeout
+        if not self.timers.rearm("heartbeat_expect", member, timeout):
+            # our own heartbeats' expiry runs first on resume
+            priority = -1 if member == self.address else 0
+            self.timers.register(
+                "heartbeat_expect", member, timeout,
+                _Guarded(self._on_expect_expired, (member,), priority))
 
     def _arm_all_expects(self) -> None:
         # self first, then the rest by address: under the inverted-
@@ -315,7 +313,7 @@ class Daemon(Protocol):
         if self.status == STABLE:
             if self.view.is_singleton:
                 self._send_proclaims()
-            elif self.is_leader:
+            elif self.view.leader == self.address:
                 # a leader keeps proclaiming to *former co-members* that
                 # fell out of its view, which is what re-merges groups
                 # after a partition heals.  Machines it never admitted
@@ -404,7 +402,7 @@ class Daemon(Protocol):
                            members=proposed)
         self.timers.register("ack_collect", gid,
                              self.timing.ack_collect_timeout,
-                             self._guard(self._on_ack_collect_timeout, gid))
+                             _Guarded(self._on_ack_collect_timeout, (gid,)))
         if len(proposed) == 1:
             self._commit_change()
 
@@ -486,7 +484,7 @@ class Daemon(Protocol):
         self._send(m.ACK, msg.sender, group_id=msg.group_id)
         self.timers.register("mc_timeout", msg.group_id,
                              self.timing.mc_timeout,
-                             self._guard(self._on_mc_timeout, msg.group_id))
+                             _Guarded(self._on_mc_timeout, (msg.group_id,)))
 
     def _on_commit(self, msg: GmpMessage) -> None:
         if self.status != IN_TRANSITION or msg.group_id != self._transition_gid:
@@ -515,7 +513,7 @@ class Daemon(Protocol):
             # the wrong-parameter bug: the forward call fails silently
             self._record(K.GMP_FORWARD_PARAM_BUG, originator=msg.originator)
             return
-        if not self.is_leader:
+        if self.view.leader != self.address:
             if msg.originator < self.view.leader:
                 # a machine with a lower address than our leader exists:
                 # it should lead.  Respond with a JOIN directly -- the
@@ -533,9 +531,12 @@ class Daemon(Protocol):
             # under the forwarder's own identity, losing the originator --
             # the root cause of both halves of the Table 7 bug.
             forwarded_originator = self.address if buggy else msg.originator
-            self._record(K.GMP_PROCLAIM_FORWARDED, originator=msg.originator,
-                         forwarded_as=forwarded_originator,
-                         to=self.view.leader)
+            trace = self.trace
+            if trace is not None:   # _record, without re-packing the keywords
+                trace.record(K.GMP_PROCLAIM_FORWARDED, t=self.scheduler.now,
+                             node=self.address, originator=msg.originator,
+                             forwarded_as=forwarded_originator,
+                             to=self.view.leader)
             self._send(m.PROCLAIM, self.view.leader,
                        originator=forwarded_originator)
             return
@@ -555,7 +556,7 @@ class Daemon(Protocol):
                        group_id=self.view.group_id)
 
     def _on_join(self, msg: GmpMessage) -> None:
-        if not self.is_leader:
+        if self.view.leader != self.address:
             self._send(m.JOIN, self.view.leader, originator=msg.originator,
                        members=msg.members)
             return
@@ -628,9 +629,14 @@ class Daemon(Protocol):
         if gmsg.sender != self.address:
             self._known.add(gmsg.sender)
         if gmsg.kind == m.HEARTBEAT:
-            if gmsg.sender in self.view.members and self.status != IN_TRANSITION:
-                self.suspected.discard(gmsg.sender)
-                self._arm_expect(gmsg.sender)
+            sender = gmsg.sender
+            if sender in self.view.members and self.status != IN_TRANSITION:
+                self.suspected.discard(sender)
+                # _arm_expect, with its common case inline: the timer
+                # watching this member is re-armed in place
+                if not self.timers.rearm("heartbeat_expect", sender,
+                                         self.timing.heartbeat_timeout):
+                    self._arm_expect(sender)
             return
         handler = _HANDLERS.get(gmsg.kind)
         if handler is not None:

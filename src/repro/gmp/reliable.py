@@ -108,7 +108,8 @@ class ReliableChannel(Protocol):
         reliable = msg.meta.get("reliable", True)
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        msg.push_header(RelHeader(seq=seq, reliable=reliable))
+        # msg.push_header, inline (see Message: a pushed header is private)
+        msg._headers.append(RelHeader(seq, False, reliable))
         if reliable:
             timer = Timer(self.scheduler, self._retry, args=(dst, seq),
                           name=f"rel/{self.local_address}->{dst}/{seq}")
@@ -141,10 +142,12 @@ class ReliableChannel(Protocol):
     # ------------------------------------------------------------------
 
     def pop(self, msg: Message) -> None:
-        header = msg.pop_header_of(RelHeader)
-        if header is None:
+        # msg.pop_header_of(RelHeader), inline (see Message)
+        headers = msg._headers
+        if not headers or not isinstance(headers[-1], RelHeader):
             self.send_up(msg)
             return
+        header = headers.pop()
         src = msg.meta.get("src")
         if header.is_ack:
             pending = self._pending.pop((src, header.seq), None)
@@ -152,7 +155,9 @@ class ReliableChannel(Protocol):
                 pending.timer.stop()
             return
         if header.reliable:
-            self._send_ack(src, header.seq)
+            # the ack: a fresh datagram carrying only a RelHeader
+            self.send_down(Message(b"", [RelHeader(header.seq, True)],
+                                   {"dst": src}))
             seen = self._seen.setdefault(src, set())
             if header.seq in seen:
                 self.duplicate_count += 1
@@ -160,12 +165,6 @@ class ReliableChannel(Protocol):
                 return
             seen.add(header.seq)
         self.send_up(msg)
-
-    def _send_ack(self, dst: int, seq: int) -> None:
-        ack = Message(payload=b"")
-        ack.push_header(RelHeader(seq=seq, is_ack=True))
-        ack.meta["dst"] = dst
-        self.send_down(ack)
 
     def _record(self, kind: str, /, **attrs: Any) -> None:
         if self.trace is not None:

@@ -52,9 +52,31 @@ class GmpTimerTable:
         """
         timer = self._timers.get((kind, key))
         if timer is None or not timer.rearm(delay, callback):
-            timer = Timer(self._scheduler, callback, name=f"{kind}/{key}")
-            self._timers[(kind, key)] = timer  # same slot, same order
-            timer.start(delay)
+            timer = self._fresh(kind, key, delay, callback)
+        return timer
+
+    def rearm(self, kind: str, key: Hashable, delay: float) -> bool:
+        """Re-arm the timer registered for ``(kind, key)`` in place, with
+        the callback it already has; False, arming nothing, when none is
+        registered (the caller then registers one with :meth:`register`).
+
+        For a caller whose callback for a key never changes, this is
+        :meth:`register` without building the callback again.  A timer
+        whose expiry the schedule explorer cancelled behind its back is
+        replaced in its slot, as :meth:`register` replaces it.
+        """
+        timer = self._timers.get((kind, key))
+        if timer is None:
+            return False
+        if not timer.rearm(delay):
+            self._fresh(kind, key, delay, timer.callback)
+        return True
+
+    def _fresh(self, kind: str, key: Hashable, delay: float,
+               callback: Callable[[], None]) -> Timer:
+        timer = Timer(self._scheduler, callback, name=f"{kind}/{key}")
+        self._timers[(kind, key)] = timer  # same slot, same order
+        timer.start(delay)
         return timer
 
     def unregister(self, kind: str, key: Optional[Hashable] = None) -> int:

@@ -54,15 +54,18 @@ class UDPProtocol(Protocol):
         dst = msg.meta.get("dst")
         if dst is None:
             raise ValueError("UDP layer needs meta['dst'] to route")
-        msg.push_header(UDPHeader(src_port=self.port, dst_port=self.port))
+        # msg.push_header, inline (see Message: a pushed header is private)
+        msg._headers.append(UDPHeader(self.port, self.port))
         msg.meta.setdefault("src", self.local_address)
         self.sent_count += 1
         self.send_down(msg)
 
     def pop(self, msg: Message) -> None:
-        header = msg.pop_header_of(UDPHeader)
-        if header is None:
+        # msg.pop_header_of(UDPHeader), inline (see Message)
+        headers = msg._headers
+        if not headers or not isinstance(headers[-1], UDPHeader):
             return
+        header = headers.pop()
         if header.dst_port != self.port:
             return  # not our port; a real stack would ICMP
         self.received_count += 1

@@ -11,35 +11,37 @@ number and a member list.  The protocol's structural rules live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
 class GroupView:
-    """An immutable group membership view."""
+    """An immutable group membership view.
+
+    The structural roles are worked out once, when the view is built
+    (a daemon reads them for nearly every message it handles):
+    ``leader`` is the lowest-addressed member, ``crown_prince`` the
+    second-lowest (None for a singleton group), ``is_singleton`` whether
+    the view has one member.  They are not part of the view's identity:
+    equality, hashing and ``repr`` see ``group_id`` and ``members``.
+    """
 
     group_id: int
     members: Tuple[int, ...]
+    leader: int = field(init=False, repr=False, compare=False)
+    crown_prince: Optional[int] = field(init=False, repr=False, compare=False)
+    is_singleton: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-        if not self.members:
+        members = tuple(sorted(set(self.members)))
+        if not members:
             raise ValueError("a group view must have at least one member")
-
-    @property
-    def leader(self) -> int:
-        """Lowest-addressed member."""
-        return self.members[0]
-
-    @property
-    def crown_prince(self) -> Optional[int]:
-        """Second-lowest member, or None for a singleton group."""
-        return self.members[1] if len(self.members) > 1 else None
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.members) == 1
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "leader", members[0])
+        object.__setattr__(self, "crown_prince",
+                           members[1] if len(members) > 1 else None)
+        object.__setattr__(self, "is_singleton", len(members) == 1)
 
     def contains(self, address: int) -> bool:
         return address in self.members

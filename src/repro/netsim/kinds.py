@@ -88,6 +88,7 @@ PFI_RELEASE = "pfi.release"
 PFI_INJECT = "pfi.inject"
 PFI_KILLED_DROP = "pfi.killed_drop"
 PFI_LOG = "pfi.log"
+PFI_SCRIPT_ERROR = "pfi.script_error"
 
 # ---------------------------------------------------------------------
 # infrastructure (ABP demo protocol, network core, drivers, schedules)

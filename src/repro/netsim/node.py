@@ -58,7 +58,12 @@ class Node:
             self._receive_hook(payload, src_address)
 
     def transmit(self, payload: Any, dst_address: int) -> bool:
-        """Send a payload to another node through the network."""
+        """Send a payload to another node through the network.
+
+        :class:`~repro.xkernel.stack.NodeAnchor` does the same inline
+        (a stack's messages reach the network in one call); keep the two
+        in step.
+        """
         if self._halted:
             return False
         if self.network is None:

@@ -62,9 +62,16 @@ class Timer:
             self._event.cancel()
             self._event = None
 
-    def rearm(self, delay: float, callback: Callable[[], Any]) -> bool:
-        """Stop, then :meth:`start` with a new callback -- a table entry
-        updated in place instead of replaced by a new timer.
+    @property
+    def callback(self) -> Callable[..., Any]:
+        """What the timer calls (with its ``args``) when it fires."""
+        return self._callback
+
+    def rearm(self, delay: float,
+              callback: Optional[Callable[..., Any]] = None) -> bool:
+        """Stop, then :meth:`start` -- with a new callback, when one is
+        given -- a table entry updated in place instead of replaced by a
+        new timer.
 
         Returns False, with the timer stopped and not re-armed, when its
         pending event was cancelled behind its back: the schedule
@@ -78,7 +85,8 @@ class Timer:
             if event.cancelled:
                 return False
             event.cancel()
-        self._callback = callback
+        if callback is not None:
+            self._callback = callback
         self._event = self._scheduler.schedule(delay, self._fire)
         return True
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter, sleep
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Union)
+                    Tuple, Union)
 
 from repro.analysis.export import _jsonable
 from repro.netsim import kinds as K
@@ -314,6 +314,10 @@ class JournalReplay:
     #: the undecodable trailing bytes of a torn final line (crash mid-
     #: append), None when the journal ends cleanly
     torn_tail: Optional[bytes] = None
+    #: ``(position, line)`` for each torn line a later flight follows (a
+    #: writer killed mid-append, then resumed): the line's bytes, and
+    #: how many events precede it in :attr:`events`
+    torn_lines: List[Tuple[int, bytes]] = field(default_factory=list)
     #: bytes consumed by complete events (restart offset for followers)
     clean_bytes: int = 0
 
@@ -359,8 +363,12 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
     Tolerates the torn final line a killed writer leaves behind: a
     trailing chunk that is missing its newline or fails to decode is
     reported as ``torn_tail``, and everything before it is returned.
-    An undecodable line anywhere earlier also ends the replay there --
-    after a crash only the tail can be damaged, so anything beyond a
+    A resume appends a new flight after such a line (the reopened
+    journal ends it with a newline first), so an undecodable line that
+    a later ``campaign.start`` follows is a torn line of a flight that
+    was resumed: it is kept in ``torn_lines`` and the replay goes on
+    from that start.  Any other undecodable line ends the replay there
+    -- after a crash only the tail can be damaged, so anything beyond a
     damaged line is unreachable bookkeeping, not data.
     """
     path = Path(path)
@@ -378,12 +386,35 @@ def _replay_from(replay: JournalReplay, blob: bytes,
             break
         event = _decode_line(blob[offset:newline])
         if event is None:
-            replay.torn_tail = blob[offset:]
-            break
+            resumed = _next_start(blob, newline + 1)
+            if resumed is None:
+                replay.torn_tail = blob[offset:]
+                break
+            replay.torn_lines.append((len(replay.events),
+                                      blob[offset:resumed]))
+            offset = resumed
+            continue
         replay.events.append(event)
         offset = newline + 1
         replay.clean_bytes = offset
     return replay
+
+
+def _next_start(blob: bytes, offset: int) -> Optional[int]:
+    """Where the first ``campaign.start`` line at or after ``offset``
+    begins, or None."""
+    while True:
+        marker = blob.find(_START_MARKER, offset)
+        if marker < 0:
+            return None
+        begin = blob.rfind(b"\n", 0, marker) + 1
+        newline = blob.find(b"\n", marker)
+        if newline < 0:
+            return None
+        event = _decode_line(blob[begin:newline])
+        if event is not None and event.kind == K.CAMPAIGN_START:
+            return begin
+        offset = newline + 1
 
 
 #: what every ``campaign.start`` line holds (``record`` sorts its keys)

@@ -211,6 +211,28 @@ def evaluate(trace: TraceRecorder,
                         trace_entries=len(trace))
 
 
+class PfiScriptError(Invariant):
+    """A filter script failed: the run ended on a ``TclError`` its own
+    script raised (``pfi.script_error``), so the script is at fault,
+    not the protocol."""
+
+    code = "PFI-SCRIPT-ERROR"
+    description = "the run's filter script ran without a script error"
+    kinds = ("pfi.script_error",)
+
+    def on_entry(self, entry: TraceEntry) -> Optional[Iterable[Violation]]:
+        attrs = entry.attrs
+        return [self.violation(
+            entry, f"{attrs['direction']} filter, line {attrs['line']}: "
+                   f"{attrs['message']}")]
+
+
+def script_error_violations(trace: TraceRecorder) -> List[Violation]:
+    """The ``PFI-SCRIPT-ERROR`` verdict on a run its filter script
+    ended (see :func:`~repro.core.orchestrator.run_one`)."""
+    return evaluate(trace, [PfiScriptError()]).violations
+
+
 def describe(invariants: Iterable[Invariant]) -> Iterator[Tuple[str, str]]:
     """``(code, description)`` pairs for a pack (docs/CLI listings)."""
     for invariant in invariants:

@@ -43,6 +43,15 @@ protocol (a GMP wire message, a TCP segment carried as a payload):
 were; any other payload (a dict, an object without ``clone()``) is
 deep-copied by :meth:`copy` and therefore private and writable in place.
 
+The two header-stack methods a layer calls once per message have a
+one-line inline form a per-message layer may use instead (the GMP UDP and
+reliable layers do): :meth:`push_header` is ``msg._headers.append(h)`` --
+a freshly pushed header is private, there is no ownership bit to set --
+and :meth:`pop_header_of` is popping ``msg._headers[-1]`` after the same
+type test, leaving the ownership bits alone: a bit left set past the
+end of the stack only marks the next header pushed there as maybe
+shared, which costs at most one needless clone.
+
 Headers are duplicated through the ``clone()`` protocol -- any header
 exposing a ``clone()`` method (TCP segments, GMP wire messages, the
 UDP/IP/reliable-delivery headers) is copied by that method instead of

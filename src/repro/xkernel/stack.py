@@ -158,7 +158,16 @@ class NodeAnchor(Protocol):
         # own copy, so that corrupting a received header (byzantine fault
         # injection) can never reach back into the sender's state, e.g.
         # its retransmission queue
-        self.node.transmit(msg.copy(), dst)
+        wire = msg.copy()
+        # Node.transmit, inline: the stack's last layer hands the copy
+        # to the network in one call
+        node = self.node
+        if node._halted:
+            return
+        if node.network is None:
+            raise RuntimeError(f"node {node.name} is not attached to a network")
+        node.sent_count += 1
+        node.network.send(node.address, dst, wire)
 
     def _on_node_receive(self, payload: Any, src_address: int) -> None:
         if not isinstance(payload, Message):

@@ -165,6 +165,34 @@ def test_resume_hands_on_the_spec_it_loaded(tmp_path):
             == ("ok", 0, 6)
 
 
+def test_tail_shows_both_flights_of_a_torn_then_resumed_journal(tmp_path):
+    # the resumed flight is data, not the first flight's torn tail:
+    # `repro tail` names the torn line and shows both flights, and so
+    # does `repro trace --journal`
+    campaign = tmp_path / "torn"
+    first = _repro("sweep", "--protocol", "gmp", "--targets",
+                   "self_death,fixed", "--count", "6", "--journal-dir",
+                   str(campaign))
+    assert first.returncode == 0, first.stderr
+    journal = campaign / "journals" / "coordinator.jsonl"
+    journal.write_bytes(journal.read_bytes()[:-40])
+    resumed = _repro("sweep", "--resume", str(campaign))
+    assert resumed.returncode == 0, resumed.stderr
+
+    tail = _repro("tail", str(journal))
+    assert tail.returncode == 0, tail.stderr
+    lines = tail.stdout.splitlines()
+    assert "torn tail" not in tail.stdout, tail.stdout
+    starts = [i for i, line in enumerate(lines) if "campaign.start" in line]
+    torn = [i for i, line in enumerate(lines) if "! torn line:" in line]
+    assert len(starts) == 2 and torn == [starts[1] - 1], tail.stdout
+    assert "campaign.end" in lines[-1], tail.stdout
+
+    trace = _repro("trace", "--journal", str(journal))
+    assert trace.returncode == 0, trace.stderr
+    assert trace.stdout.count('"campaign.start"') == 2
+
+
 def test_history_records_the_flight_a_resume_completed_after_a_torn_tail(
         tmp_path):
     # a kill in the middle of an append tears the journal's last line;

@@ -7,29 +7,48 @@ a change that adds a frame back to every layer crossing moves this ratio
 by whole calls, which is what the ceiling catches.
 """
 
+import importlib.util
 import sys
+from pathlib import Path
 
+from repro.core.orchestrator import Campaign
 from repro.experiments import gmp_proclaim, tcp_delayed_ack
 from repro.oracle import evaluate, tcp_pack
+from repro.oracle.fuzz import pack_for, prefixed_fuzz_body
 from repro.tcp import VENDORS
 
 #: Python ``call`` events per ``net.send`` row over Table 7's buggy run
-#: (32.60 with timer, event and gid bookkeeping inline; 37.11 before,
+#: (24.84 with the anchor handing messages to the network, the reliable
+#: layer's ack and the GMP layers' header push / pop inline; 32.60
+#: before, 37.11 before timer, event and gid bookkeeping went inline,
 #: 57.62 before each layer's neighbours were bound at wiring), rounded
 #: up to the next whole call
-CALLS_PER_WIRE_MESSAGE_CEILING = 33
+CALLS_PER_WIRE_MESSAGE_CEILING = 25
 
 #: wire messages that run sends
 WIRE_MESSAGES = 18_074
 
 #: the same ratio over Table 2's 3 s column, every vendor's run followed
-#: by the tcp pack's verdict on its trace (82.43 with segment arithmetic
-#: read from the flag bits and invariants reading ``entry.attrs``; 152.50
-#: when both went through one-line helpers per field), rounded up
-TCP_CALLS_PER_WIRE_MESSAGE_CEILING = 83
+#: by the tcp pack's verdict on its trace (76.02 with the PFI verdict
+#: applied in ``_process`` and the anchor calling the network; 82.43
+#: before, 152.50 when segment arithmetic and invariants went through
+#: one-line helpers per field), rounded up
+TCP_CALLS_PER_WIRE_MESSAGE_CEILING = 77
 
 #: wire messages those four runs send
 TCP_WIRE_MESSAGES = 315
+
+#: the same ratio over one ``gmp_sweep`` pass (the e2e benchmark's GMP
+#: battery at seed 0, oracle included): 37.46 with tclish filter
+#: verdicts, heartbeat re-arms and the wire hop shed of their glue
+#: frames, 47.63 before, rounded up
+SWEEP_CALLS_PER_WIRE_MESSAGE_CEILING = 38
+
+#: wire messages that pass sends
+SWEEP_WIRE_MESSAGES = 13_797
+
+INPUTS = (Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+          / "inputs.py")
 
 
 def _counted(fn):
@@ -71,4 +90,28 @@ def test_tcp_calls_per_wire_message_stay_under_the_ceiling():
     sends = sum(trace.count("net.send") for trace in traces)
     assert sends == TCP_WIRE_MESSAGES
     assert calls / sends <= TCP_CALLS_PER_WIRE_MESSAGE_CEILING, (
+        f"{calls / sends:.2f} Python calls per wire message")
+
+
+def _gmp_sweep_battery(monkeypatch):
+    # loaded by path with bytecode writing off, registered only for the
+    # test's duration: nothing is written under ``benchmarks/``
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "inputs", inputs)
+    spec.loader.exec_module(inputs)
+    # drawing validates every candidate by running it, which also warms
+    # the compile and lint caches the counted pass reads
+    return inputs.draw_battery("gmp", 10, 0).configs
+
+
+def test_gmp_sweep_calls_per_wire_message_stay_under_the_ceiling(monkeypatch):
+    configs = _gmp_sweep_battery(monkeypatch)
+    campaign = Campaign(prefixed_fuzz_body, seed=0)
+    calls, results = _counted(
+        lambda: campaign.run(configs, oracle=pack_for("gmp")))
+    sends = sum(result.trace.count("net.send") for result in results)
+    assert sends == SWEEP_WIRE_MESSAGES
+    assert calls / sends <= SWEEP_CALLS_PER_WIRE_MESSAGE_CEILING, (
         f"{calls / sends:.2f} Python calls per wire message")

@@ -83,7 +83,8 @@ class TestSummarize:
     def test_fold_reads_from_the_last_start(self, tmp_path):
         # damage before the last campaign.start -- an earlier flight's
         # torn line, garbage, a line nested too deep to decode -- cannot
-        # hide the flight after it; replay_journal still stops there
+        # hide the flight after it; replay_journal names the damage as
+        # one torn stretch and replays both flights around it
         path = _write_sweep(tmp_path / "j.jsonl", budget=6)
         with open(path, "ab") as fp:
             fp.write(b'{"data": {}, "kind": "campaign.start", "se\n')
@@ -92,7 +93,9 @@ class TestSummarize:
         summary = summarize_journal(path)
         assert summary.total == 3 and summary.executed == 3
         assert summary.completed and summary.torn_tail_bytes == 0
-        assert len(replay_journal(path).of(K.CAMPAIGN_START)) == 1
+        replay = replay_journal(path)
+        assert len(replay.of(K.CAMPAIGN_START)) == 2
+        assert replay.torn_tail is None and len(replay.torn_lines) == 1
 
     @staticmethod
     def _two_flights(path, **last):

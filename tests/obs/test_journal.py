@@ -190,8 +190,14 @@ class TestTornTailRecovery:
         summary = summarize_journal(path)
         assert summary.status == "ok" and summary.torn_tail_bytes == 0
         assert summary.start["seed"] == 1 and summary.executed == 1
-        # the whole-file replay still ends at the torn line
-        assert len(replay_journal(path).events) == 8
+        # the whole-file replay names the torn line and reads both
+        # flights around it
+        replay = replay_journal(path)
+        assert len(replay.events) == 11 and replay.torn_tail is None
+        (position, torn), = replay.torn_lines
+        assert position == 8
+        clean = blob[:-40].rindex(b"\n") + 1
+        assert torn == blob[clean:-40] + b"\n"
 
     def test_a_reopened_clean_journal_gains_no_byte(self, tmp_path):
         path = _sample_journal(tmp_path / "j.jsonl")

@@ -1,0 +1,151 @@
+"""Regenerate, or check, the tclsh golden corpus.
+
+``tclsh_corpus.json`` holds, for each script below, the completion code
+(0 ok, 1 error) and the result that a real ``tclsh8.6`` gives;
+``tests/tclish/test_tclsh_corpus.py`` holds tclish to it without needing
+``tclsh``.  Run::
+
+    python tests/tclish/golden/tclsh_corpus.py [--tclsh PATH] [--check]
+
+to rewrite the corpus from the live interpreter, or with ``--check`` to
+exit 1, naming each script, when the live interpreter disagrees with
+the committed corpus.  ``PATH`` defaults to ``tclsh8.6`` on ``PATH``.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CORPUS = Path(__file__).with_name("tclsh_corpus.json")
+
+#: every script runs alone, at global level, in a fresh interpreter
+SCRIPTS = [
+    # integers are truncated to a 64-bit word by int() and format %d
+    "expr {int(1e20)}",
+    "expr {int(-1e20)}",
+    "expr {int(2**63)}",
+    "expr {int(12.7)}",
+    "expr {int(-12.7)}",
+    "format %d 99999999999999999999",
+    "format %d -99999999999999999999",
+    "format %x 99999999999999999999",
+    "format %x -1",
+    "format %o -1",
+    "format %X 255",
+    # a leading zero is octal
+    "expr {010 + 1}",
+    "expr {-010}",
+    "expr {007}",
+    "expr {0010.5}",
+    'expr {"010" + 1}',
+    "set a 010; expr {$a + 1}",
+    "expr {08}",
+    'expr {"08" + 1}',
+    "format %d 010",
+    "format %d -010",
+    "format %d 08",
+    "format %d 0x10",
+    "format %d 0b11",
+    "format %d 0o17",
+    # integer conversions refuse what is not an integer
+    "format %d 3.9",
+    "format %d 1e3",
+    "format %d abc",
+    "format %d 1_000",
+    "format %c 65",
+    "format %5.2f 3.14159",
+    "format %s-%s a b",
+    # arithmetic and comparison
+    "expr {7 / 2}",
+    "expr {-7 / 2}",
+    "expr {7 % 3}",
+    "expr {-7 % 3}",
+    "expr {2 ** 10}",
+    "expr {1 / 0}",
+    "expr {1.5 + 2}",
+    "expr {10 / 4.0}",
+    "expr {0x1F + 1}",
+    "expr {1 << 4}",
+    "expr {5 & 3}",
+    "expr {5 | 3}",
+    "expr {5 ^ 3}",
+    "expr {~5}",
+    "expr {!0}",
+    "expr {3 > 2 && 2 > 1}",
+    "expr {1 ? 2 : 3}",
+    'expr {"abc" eq "abc"}',
+    'expr {"abc" ne "abd"}',
+    "expr {abs(-3)}",
+    "expr {round(2.5)}",
+    "expr {round(-2.5)}",
+    "expr {double(3)}",
+    "expr {max(1, 5, 3)}",
+    "expr {min(4, 2)}",
+    "expr {floor(2.7)}",
+    "expr {ceil(2.1)}",
+    "expr {sqrt(16)}",
+    # strings, lists and variables
+    "string length hello",
+    "string toupper abc",
+    "string index abc 1",
+    "string range abcdef 1 3",
+    "llength {a b {c d}}",
+    "lindex {a b c} 1",
+    "set x 5; incr x 2",
+    "set s 0; foreach i {1 2 3} {incr s $i}; set s",
+    "set n 0; while {$n < 5} {incr n}; set n",
+    "proc sq {x} {expr {$x * $x}}; sq 7",
+    "catch {error boom} msg; set msg",
+    "nosuch",
+]
+
+DRIVER = """set script $env(TCLSH_CORPUS_SCRIPT)
+set code [catch {uplevel #0 $script} result]
+puts -nonewline "$code\\n$result"
+"""
+
+
+def run_tclsh(tclsh: str, script: str) -> dict:
+    """What ``tclsh`` gives for ``script``: its code and result."""
+    with tempfile.NamedTemporaryFile("w", suffix=".tcl",
+                                     delete=False) as driver:
+        driver.write(DRIVER)
+    try:
+        done = subprocess.run(
+            [tclsh, driver.name], capture_output=True, text=True,
+            check=True, env={**os.environ, "TCLSH_CORPUS_SCRIPT": script})
+    finally:
+        os.unlink(driver.name)
+    code, _newline, result = done.stdout.partition("\n")
+    return {"script": script, "code": int(code), "result": result}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tclsh", default="tclsh8.6")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed corpus, write "
+                             "nothing")
+    args = parser.parse_args(argv)
+    corpus = [run_tclsh(args.tclsh, script) for script in SCRIPTS]
+    if not args.check:
+        CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
+        print(f"wrote {CORPUS} ({len(corpus)} scripts)")
+        return 0
+    committed = json.loads(CORPUS.read_text())
+    differ = [live["script"] for live, kept in zip(corpus, committed)
+              if live != kept]
+    if len(committed) != len(corpus):
+        differ.append(f"{len(committed)} committed, {len(corpus)} live")
+    for script in differ:
+        print(f"differs: {script}")
+    print(f"{len(corpus) - len(differ)} of {len(corpus)} scripts agree")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
