@@ -467,32 +467,35 @@ def _cmd_report_campaign(args) -> None:
 def cmd_tail(args) -> None:
     """Follow (or replay) a campaign journal: ``repro tail <journal>``.
 
-    Prints one line per journal event.  Without ``--follow`` the journal
-    is replayed once and a torn final line (from a killed sweep) is
-    reported; with ``--follow`` the file is polled for appended events
-    until ``campaign.end`` arrives or ``--timeout`` elapses, which is
-    how a second terminal watches a running sweep live.
+    Prints one line per journal event, every flight in order.  Without
+    ``--follow`` the journal is read once, and a line a kill cut is
+    named: a torn line when a resumed flight follows it, else the torn
+    tail; with ``--follow`` the file is polled for appended events
+    until it ends with a ``campaign.end`` or ``--timeout`` elapses,
+    which is how a second terminal watches a running sweep live.
     """
-    from repro.obs.journal import follow_journal, replay_journal
+    from repro.obs.journal import follow_journal, read_flights
     if args.follow:
         for event in follow_journal(args.journal, poll=args.poll,
                                     timeout=args.timeout):
             print(_render_journal_event(event))
         return
-    replay = replay_journal(_require_file(args.journal, "journal"))
-    torn = dict(replay.torn_lines)
-    for position, event in enumerate(replay.events):
-        if position in torn:
-            print(f"  ! torn line: {len(torn[position])} byte(s) cut "
+    flights = read_flights(_require_file(args.journal, "journal"))
+    recovered = sum(len(flight.events) for flight in flights)
+    last = flights[-1]
+    for flight in flights:
+        for event in flight.events:
+            print(_render_journal_event(event))
+        if flight.torn is not None and flight is not last:
+            print(f"  ! torn line: {len(flight.torn)} byte(s) cut "
                   f"mid-append (writer killed), then a resumed flight")
-        print(_render_journal_event(event))
-    if replay.torn_tail is not None:
-        print(f"  ! torn tail: {len(replay.torn_tail)} byte(s) cut "
-              f"mid-append (writer killed); {len(replay.events)} "
+    if last.torn is not None:
+        print(f"  ! torn tail: {len(last.torn)} byte(s) cut "
+              f"mid-append (writer killed); {recovered} "
               f"complete event(s) recovered")
-    elif not replay.complete:
+    elif not last.complete:
         print(f"  ! no campaign.end: sweep still running or interrupted "
-              f"({len(replay.events)} event(s) so far)")
+              f"({recovered} event(s) so far)")
 
 
 def _render_journal_event(event) -> str:
@@ -551,18 +554,19 @@ def cmd_trace(args) -> None:
     nodes become processes, fault-injection delays and hold/release
     windows become duration spans, everything else instant events.
     ``--journal <journal>`` converts a campaign journal instead:
-    campaign phases (preflight, capture, dispatch, merge) and runs
-    become duration spans on the sweep's wall-clock timeline.
+    each flight is one process, on which campaign phases (preflight,
+    capture, dispatch, merge) and runs become duration spans on the
+    flight's wall-clock timeline.
     """
     import json
 
     if args.journal:
         from repro.obs.chrometrace import journal_chrome_trace
-        from repro.obs.journal import replay_journal
-        replay = replay_journal(_require_file(args.journal, "journal"))
-        text = json.dumps(journal_chrome_trace(replay, title=args.journal),
+        from repro.obs.journal import read_flights
+        flights = read_flights(_require_file(args.journal, "journal"))
+        text = json.dumps(journal_chrome_trace(flights, title=args.journal),
                           sort_keys=True)
-        count = len(replay.events)
+        count = sum(len(flight.events) for flight in flights)
     else:
         if not args.trace_file:
             raise CliError("give a trace file, or --journal <journal>")

@@ -50,7 +50,7 @@ def campaign_journals(path: Union[str, Path]) -> List[Path]:
 def merge_campaign_dir(path: Union[str, Path]) -> CampaignSummary:
     """One :class:`CampaignSummary` for a directory of shard journals.
 
-    The coordinator journal's last segment provides the sweep lifecycle
+    The coordinator journal's last flight provides the sweep lifecycle
     (``campaign.start`` payload, phases, end status, worker-loss
     events); every journal contributes run rows, captures and errors,
     deduplicated by config index.  Works on partial directories too --

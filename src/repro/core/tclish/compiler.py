@@ -570,14 +570,28 @@ def build_for(args) -> Runner:
 
 
 def build_foreach(args) -> Runner:
-    """``foreach varName list body``"""
-    name, list_text = args[0], args[1]
-    body = NestedScript(args[2])
+    """``foreach varList list ?varList list ...? body``: each pass takes
+    the next ``len(varList)`` elements of every list, ``""`` for an
+    element a list has run out of; the longest list sets the passes."""
+    pairs = [(args[i], args[i + 1]) for i in range(0, len(args) - 1, 2)]
+    body = NestedScript(args[-1])
 
     def form(interp: "Interp") -> str:
-        for element in parse_list(list_text):
+        lanes = []
+        for names_text, list_text in pairs:
+            names = parse_list(names_text)
+            if not names:
+                raise TclError("foreach varlist is empty")
+            lanes.append((names, parse_list(list_text)))
+        passes = max(-(-len(values) // len(names))
+                     for names, values in lanes)
+        for turn in range(passes):
             interp.count_iteration()
-            interp.set_var(name, element)
+            for names, values in lanes:
+                at = turn * len(names)
+                for offset, name in enumerate(names):
+                    interp.set_var(name, values[at + offset]
+                                   if at + offset < len(values) else "")
             try:
                 body.run(interp)
             except TclBreak:

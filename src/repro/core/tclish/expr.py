@@ -14,7 +14,8 @@ once; running the tree evaluates the expression.  Supported grammar
     relational: shift (('<' | '>' | '<=' | '>=') shift)*
     shift   : additive (('<<' | '>>') additive)*
     additive: term (('+' | '-') term)*
-    term    : unary (('*' | '/' | '%') unary)*
+    term    : power (('*' | '/' | '%') power)*
+    power   : unary ('**' power)?
     unary   : ('-' | '+' | '!' | '~') unary | primary
     primary : NUMBER | STRING | '(' ternary ')' | FUNC '(' args ')'
 
@@ -23,7 +24,10 @@ zero for octal, as in Tcl 8.6: :func:`parse_integer`) or floats; ``eq`` and
 ``ne`` force string comparison; ``==`` on two non-numeric operands also
 compares strings, matching Tcl's forgiving behaviour.  Division follows
 Tcl/C semantics: int/int truncates toward negative infinity like Tcl does
-(Python's ``//`` already does).
+(Python's ``//`` already does).  ``**`` binds tighter than ``*`` and
+looser than a unary sign, groups to the right (``-2**2`` is 4,
+``2**3**2`` is 512), and on two integers gives Tcl's integer results:
+``2**-1`` is 0, ``0**-1`` an error.
 
 A node applies its operation in exactly the order an evaluating parser
 would, so a compiled expression raises the same error as reading the
@@ -52,13 +56,43 @@ Number = Union[int, float]
 Value = Union[int, float, str]
 
 
+def _to_int(x: Number) -> int:
+    """``int(x)``, with Tcl's error for an infinite ``x``."""
+    if isinstance(x, float) and math.isinf(x):
+        raise TclError("integer value too large to represent")
+    return int(x)
+
+
 def _round(x: Number) -> int:
     """Half away from zero, as Tcl rounds (Python's ``round`` goes to
     even); an int is already round."""
     if isinstance(x, int):
         return x
     fraction, whole = math.modf(x)
-    return int(whole) + (fraction >= 0.5) - (fraction <= -0.5)
+    return _to_int(whole) + (fraction >= 0.5) - (fraction <= -0.5)
+
+
+#: the smallest integer exponent Tcl 8.6 refuses (its bignum digits are
+#: 28 bits) for a base other than 0, 1 and -1
+_EXPONENT_LIMIT = 1 << 28
+
+
+def _power(a: Number, b: Number) -> Number:
+    """``a ** b`` as Tcl 8.6 computes it."""
+    if a == 0 and b < 0:
+        raise TclError("exponentiation of zero by negative power")
+    if isinstance(a, int) and isinstance(b, int):
+        if b < 0:  # an integer result: 0 unless the base is 1 or -1
+            return a ** -b if a in (1, -1) else 0
+        if b >= _EXPONENT_LIMIT and a not in (0, 1, -1):
+            raise TclError("exponent too large")
+        return a ** b
+    try:
+        return math.pow(a, b)
+    except ValueError:  # a negative base, a fractional exponent
+        raise TclError("domain error: argument not in valid range")
+    except OverflowError:
+        raise TclError(TOO_LARGE)
 
 
 def wide(value: int) -> int:
@@ -82,7 +116,7 @@ def parse_integer(text: str) -> int:
 #: math functions: implementation, fewest and most arguments (None: any)
 _FUNCTIONS: Dict[str, Tuple[Callable[..., Number], int, Optional[int]]] = {
     "abs": (abs, 1, 1),
-    "int": (lambda x: wide(int(x)), 1, 1),
+    "int": (lambda x: wide(_to_int(x)), 1, 1),
     "double": (float, 1, 1),
     "round": (_round, 1, 1),
     "min": (lambda *xs: min(xs), 1, None),
@@ -96,7 +130,7 @@ _FUNCTIONS: Dict[str, Tuple[Callable[..., Number], int, Optional[int]]] = {
     "log": (math.log, 1, 1),
 }
 
-_TWO_CHAR_OPS = ("||", "&&", "==", "!=", "<=", ">=", "<<", ">>")
+_TWO_CHAR_OPS = ("||", "&&", "==", "!=", "<=", ">=", "<<", ">>", "**")
 
 
 def tokenize(text: str) -> List[str]:
@@ -378,6 +412,14 @@ def _term(op: str, left: Node, right: Node) -> Node:
     return node
 
 
+def _exponent(left: Node, right: Node) -> Node:
+    def node(frame):
+        a = left(frame)
+        b = coerce_number(right(frame))
+        return _power(coerce_number(a), b)
+    return node
+
+
 def _unary(op: str, operand: Node) -> Node:
     if op == "-":
         return lambda frame: -coerce_number(operand(frame))
@@ -521,10 +563,17 @@ class _Compiler:
         return left
 
     def term(self) -> Node:
-        left = self.unary()
+        left = self.power()
         while self.peek() in ("*", "/", "%"):
             op = self.next()
-            left = self.done(_term(op, left, self.unary()))
+            left = self.done(_term(op, left, self.power()))
+        return left
+
+    def power(self) -> Node:
+        left = self.unary()
+        if self.peek() == "**":
+            self.next()
+            return self.done(_exponent(left, self.power()))
         return left
 
     def unary(self) -> Node:

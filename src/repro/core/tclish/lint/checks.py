@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.tclish import expr as expr_mod
 from repro.core.tclish.compiler import SEG_CMD, SEG_VAR
 from repro.core.tclish.errors import HOST_ERRORS, TclError
+from repro.core.tclish.lexer import parse_list
 from repro.core.tclish.lint import diagnostics as diag
 from repro.core.tclish.lint.diagnostics import Diagnostic
 from repro.core.tclish.lint.registry import (
@@ -585,19 +586,24 @@ def _handle_for(an: Analyzer, command: CommandNode, state: _Scope) -> None:
 
 def _handle_foreach(an: Analyzer, command: CommandNode,
                     state: _Scope) -> None:
-    if len(command.args) != 3:
+    args = command.args
+    if len(args) < 3 or len(args) % 2 == 0:
         return
-    var = command.args[0].literal
+    names: Set[str] = set()
+    for word in args[:-1:2]:  # the variable lists
+        if word.literal:
+            try:
+                names.update(parse_list(word.literal))
+            except TclError:
+                pass  # a malformed list fails at run time
     branch_entry = state.branch()
-    if var:
-        branch_entry.assigned.add(var)
-        # iterating purely for side effects is legitimate, so the loop
-        # variable never counts as a dead store
-        an._reads_seen.add(var)
-    branch = an._walk_body_word(command.args[2], branch_entry)
+    branch_entry.assigned |= names
+    # iterating purely for side effects is legitimate, so a loop
+    # variable never counts as a dead store
+    an._reads_seen |= names
+    branch = an._walk_body_word(args[-1], branch_entry)
     an._merge_branches(state, [branch], all_paths_covered=False)
-    if var:
-        state.maybe.add(var)
+    state.maybe |= names
 
 
 def _handle_proc(an: Analyzer, command: CommandNode, state: _Scope) -> None:

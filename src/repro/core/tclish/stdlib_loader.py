@@ -45,12 +45,15 @@ class CommandSignature:
     doc: str = ""
     fn: Optional[Callable[["Interp", List[str]], str]] = field(
         default=None, compare=False, repr=False)
+    #: argument counts go up in steps of this many (``foreach``: pairs)
+    step: int = 1
     #: the well-formed argument counts
     arity: range = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         top = sys.maxsize - 1 if self.max_args is None else self.max_args
-        object.__setattr__(self, "arity", range(self.min_args, top + 1))
+        object.__setattr__(self, "arity",
+                           range(self.min_args, top + 1, self.step))
 
     def accepts(self, count: int) -> bool:
         """True when a call with ``count`` arguments is well-formed."""
@@ -58,6 +61,8 @@ class CommandSignature:
 
     def arity_text(self) -> str:
         """Human form of the accepted argument range."""
+        if self.step > 1:
+            return f"{self.min_args} plus a multiple of {self.step}"
         if self.max_args is None:
             return f"at least {self.min_args}"
         if self.min_args == self.max_args:
@@ -73,11 +78,12 @@ class CommandSignature:
 STDLIB: Dict[str, CommandSignature] = {}
 
 
-def builtin(name: str, min_args: int, max_args: Optional[int], usage: str):
+def builtin(name: str, min_args: int, max_args: Optional[int], usage: str,
+            step: int = 1):
     """Declare a stdlib command: its signature and implementation, once."""
     def decorator(fn):
         STDLIB[name] = CommandSignature(name, min_args, max_args, usage,
-                                        fn=fn)
+                                        fn=fn, step=step)
         return fn
     return decorator
 
@@ -164,7 +170,8 @@ def _cmd_for(interp: "Interp", args: List[str]) -> str:
     return compiler.build_for(args)(interp)
 
 
-@builtin("foreach", 3, 3, "foreach varName list body")
+@builtin("foreach", 3, None, "foreach varList list ?varList list ...? command",
+         step=2)
 def _cmd_foreach(interp: "Interp", args: List[str]) -> str:
     return compiler.build_foreach(args)(interp)
 

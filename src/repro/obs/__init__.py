@@ -19,8 +19,8 @@ capabilities through every layer of the toolchain:
   (wall/virtual-time ratio, event counts) rendered as a scorecard;
 - :mod:`~repro.obs.journal` -- the campaign flight recorder: a
   crash-safe, append-only JSONL event journal every long-running engine
-  can attach (``journal=``), with torn-tail-tolerant replay and a
-  ``repro tail`` follower;
+  can attach (``journal=``), read back as a list of flights by one
+  damage-tolerant reader behind every command;
 - :mod:`~repro.obs.progress` -- the one shared live-progress renderer
   behind ``--progress`` everywhere;
 - :mod:`~repro.obs.campaign_report` -- folds a journal into a summary,
@@ -46,8 +46,9 @@ from repro.obs.chrometrace import (chrome_trace, dump_chrome_trace,
                                    journal_chrome_trace)
 from repro.obs.history import HistoryRow, HistoryStore
 from repro.obs.journal import (JOURNAL_KINDS, NULL_JOURNAL, SCHEMA_VERSION,
-                               Flight, Journal, JournalEvent, JournalReplay,
-                               follow_journal, replay_journal)
+                               Flight, Journal, JournalEvent, JournalFlight,
+                               JournalReplay, follow_journal, last_flight,
+                               read_flights, replay_journal)
 from repro.obs.lineage import Lineage, LineageNode
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiler import ScriptProfiler
@@ -69,6 +70,7 @@ __all__ = [
     "HistoryStore",
     "Journal",
     "JournalEvent",
+    "JournalFlight",
     "JournalReplay",
     "Lineage",
     "LineageNode",
@@ -81,8 +83,10 @@ __all__ = [
     "follow_journal",
     "format_eta",
     "journal_chrome_trace",
+    "last_flight",
     "rank_scenarios",
     "rate_of",
+    "read_flights",
     "render_html",
     "render_report",
     "render_scorecard",

@@ -25,7 +25,7 @@ clicking any event in the viewer shows the original trace entry.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.export import _jsonable
 from repro.netsim.trace import TraceEntry
@@ -123,34 +123,48 @@ def dump_chrome_trace(trace: Iterable[TraceEntry], *,
                       indent=indent or None)
 
 
-def journal_chrome_trace(replay: Any, *,
+def journal_chrome_trace(flights: Sequence[Any], *,
                          title: str = "campaign journal"
                          ) -> Dict[str, Any]:
-    """Trace Event Format view of a campaign journal replay.
+    """Trace Event Format view of a campaign journal's flights
+    (:func:`~repro.obs.journal.read_flights`).
 
-    The sweep becomes one timeline process: campaign phases (lint
-    preflight, checkpoint capture, dispatch, merge) map to complete
-    spans on a ``phases`` thread, ``campaign.run_start`` ..
-    ``campaign.run_end`` pairs to spans on a ``runs`` thread (matched by
-    run index, falling back to an instant for a run_end with no
-    recorded start -- e.g. cached runs), and everything else to instant
-    events.  Journal timestamps are wall seconds since journal open,
-    exported as microseconds like the virtual-time traces.
+    Each flight becomes one timeline process, named by its number and
+    engine (a flight's clock starts at its own ``campaign.start``):
+    campaign phases (lint preflight, checkpoint capture, dispatch,
+    merge) map to complete spans on a ``phases`` thread,
+    ``campaign.run_start`` .. ``campaign.run_end`` pairs to spans on a
+    ``runs`` thread (matched by run index, falling back to an instant
+    for a run_end with no recorded start -- e.g. cached runs), and
+    everything else to instant events.  Phases and runs pair within a
+    flight only; what a killed flight left open closes at that flight's
+    last event, marked ``(unclosed)``.  Journal timestamps are wall
+    seconds since journal open, exported as microseconds like the
+    virtual-time traces.
     """
-    events: List[Dict[str, Any]] = [
-        {"ph": "M", "name": "process_name", "pid": 1, "tid": 0,
-         "args": {"name": "campaign"}},
-        {"ph": "M", "name": "thread_name", "pid": 1, "tid": 1,
-         "args": {"name": "phases"}},
-        {"ph": "M", "name": "thread_name", "pid": 1, "tid": 2,
-         "args": {"name": "runs"}},
-        {"ph": "M", "name": "thread_name", "pid": 1, "tid": 3,
-         "args": {"name": "lifecycle"}},
-    ]
+    events: List[Dict[str, Any]] = []
+    for pid, flight in enumerate(flights, 1):
+        start = flight.last("campaign.start")
+        engine = start.get("engine", "unknown") if start else "unknown"
+        events.append({"ph": "M", "name": "process_name", "pid": pid,
+                       "tid": 0, "args": {"name": f"flight {pid}: {engine}"}})
+        for tid, lane in enumerate(("phases", "runs", "lifecycle"), 1):
+            events.append({"ph": "M", "name": "thread_name", "pid": pid,
+                           "tid": tid, "args": {"name": lane}})
+        _flight_events(flight.events, pid, events)
+    return {"traceEvents": events, "displayTimeUnit": "ms",
+            "otherData": {"title": title,
+                          "generator": "repro.obs.chrometrace"}}
+
+
+def _flight_events(recorded: Sequence[Any], pid: int,
+                   events: List[Dict[str, Any]]) -> None:
+    """Append the spans and instants of one flight's ``recorded``
+    journal events to ``events``, on process ``pid``."""
     open_phases: Dict[str, Any] = {}
     open_runs: Dict[Any, Any] = {}
     last_t = 0.0
-    for event in replay.events:
+    for event in recorded:
         ts = event.t * _US
         last_t = event.t
         data = {k: _jsonable(v) for k, v in event.data.items()}
@@ -162,37 +176,34 @@ def journal_chrome_trace(replay: Any, *,
             start_ts = started.t * _US if started is not None else ts
             events.append({"ph": "X", "name": name, "cat": "campaign",
                            "ts": start_ts, "dur": ts - start_ts,
-                           "pid": 1, "tid": 1, "args": data})
+                           "pid": pid, "tid": 1, "args": data})
         elif event.kind == "campaign.run_start":
             open_runs[event.get("index")] = event
         elif event.kind == "campaign.run_end":
             started = open_runs.pop(event.get("index"), None)
-            name = str(event.get("label", event.get("case",
-                                                    f"run {event.get('index')}")))
+            name = str(event.get("label", event.get(
+                "case", f"run {event.get('index')}")))
             if started is not None:
                 start_ts = started.t * _US
                 events.append({"ph": "X", "name": name, "cat": "campaign",
                                "ts": start_ts, "dur": ts - start_ts,
-                               "pid": 1, "tid": 2, "args": data})
+                               "pid": pid, "tid": 2, "args": data})
             else:
                 events.append({"ph": "i", "name": name, "cat": "campaign",
-                               "ts": ts, "s": "t", "pid": 1, "tid": 2,
+                               "ts": ts, "s": "t", "pid": pid, "tid": 2,
                                "args": data})
         else:
             events.append({"ph": "i", "name": event.kind, "cat": "campaign",
-                           "ts": ts, "s": "t", "pid": 1, "tid": 3,
+                           "ts": ts, "s": "t", "pid": pid, "tid": 3,
                            "args": data})
-    # a killed sweep leaves phases/runs open: close them at the last
+    # a killed flight leaves phases/runs open: close them at its last
     # recorded instant so the torn flight still renders
     for name, started in open_phases.items():
         events.append({"ph": "X", "name": f"{name} (unclosed)",
                        "cat": "campaign", "ts": started.t * _US,
                        "dur": max(0.0, (last_t - started.t) * _US),
-                       "pid": 1, "tid": 1, "args": {}})
+                       "pid": pid, "tid": 1, "args": {}})
     for index, started in open_runs.items():
         events.append({"ph": "i", "name": f"run {index} (no run_end)",
                        "cat": "campaign", "ts": started.t * _US, "s": "t",
-                       "pid": 1, "tid": 2, "args": {}})
-    return {"traceEvents": events, "displayTimeUnit": "ms",
-            "otherData": {"title": title,
-                          "generator": "repro.obs.chrometrace"}}
+                       "pid": pid, "tid": 2, "args": {}})

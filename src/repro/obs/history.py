@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.netsim import kinds as K
 from repro.obs.campaign_report import (CampaignSummary, summarize_journal,
                                        summary_to_json)
-from repro.obs.journal import _replay_last_flight
+from repro.obs.journal import last_flight
 
 #: fields a history row carries; bump when the row shape changes
 ROW_VERSION = 2
@@ -61,17 +61,16 @@ def journal_row(journal: Union[str, Path, CampaignSummary]
                 ) -> Dict[str, Any]:
     """The history row of one campaign journal (path or summary).
 
-    A path is folded from its last ``campaign.start`` on, as
-    :func:`summarize_journal` folds it: after a resume the row is the
-    flight ``repro report --campaign`` shows, whatever an earlier
-    flight left torn before it.
+    A path is folded as its last flight, as :func:`summarize_journal`
+    folds it: after a resume the row is the flight ``repro report
+    --campaign`` shows, whatever an earlier flight left torn before it.
     """
     if not isinstance(journal, CampaignSummary):
-        replay = _replay_last_flight(journal)
-        if not replay.of(K.CAMPAIGN_START):
+        flight = last_flight(journal)
+        if not flight.of(K.CAMPAIGN_START):
             raise HistoryError(f"{journal}: not a campaign journal (no "
                                f"{K.CAMPAIGN_START} event)")
-        journal = summarize_journal(replay)
+        journal = summarize_journal(flight)
     full = summary_to_json(journal)
     return {
         "kind": "campaign",

@@ -66,14 +66,13 @@ def test_merge_replays_each_journal_once(tmp_path, monkeypatch):
     _write_shard(fabric / "journals" / "shard-0001-try1-w2.jsonl",
                  [2, 3], configs)
     replayed = []
-    replay = campaign_report._replay_last_flight
+    replay = campaign_report.last_flight
 
     def counting_replay(path):
         replayed.append(path)
         return replay(path)
 
-    monkeypatch.setattr(campaign_report, "_replay_last_flight",
-                        counting_replay)
+    monkeypatch.setattr(campaign_report, "last_flight", counting_replay)
     merged = merge_campaign_dir(fabric)
     assert replayed == campaign_journals(fabric)
     assert merged.status == "ok" and len(merged.runs) == 4

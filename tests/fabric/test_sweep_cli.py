@@ -193,6 +193,63 @@ def test_tail_shows_both_flights_of_a_torn_then_resumed_journal(tmp_path):
     assert trace.stdout.count('"campaign.start"') == 2
 
 
+@pytest.fixture(scope="module", params=[40, 0], ids=["torn", "clean"])
+def resumed_journal(request, tmp_path_factory):
+    """A 12-config GMP sweep's coordinator journal, resumed once: with
+    its last 40 bytes cut first (a kill mid-append), or clean."""
+    campaign = tmp_path_factory.mktemp("resumed") / "campaign"
+    first = _repro("sweep", "--protocol", "gmp", "--targets",
+                   "self_death,fixed", "--count", "6", "--journal-dir",
+                   str(campaign))
+    assert first.returncode == 0, first.stderr
+    journal = campaign / "journals" / "coordinator.jsonl"
+    if request.param:
+        journal.write_bytes(journal.read_bytes()[:-request.param])
+    resumed = _repro("sweep", "--resume", str(campaign))
+    assert resumed.returncode == 0, resumed.stderr
+    return journal, bool(request.param)
+
+
+def test_tail_follow_shows_the_events_tail_shows(resumed_journal):
+    # a second terminal watching a resumed sweep sees both flights, the
+    # same event lines `repro tail` prints, and no torn line
+    journal, torn = resumed_journal
+    tail = _repro("tail", str(journal))
+    assert tail.returncode == 0, tail.stderr
+    markers = [line for line in tail.stdout.splitlines()
+               if line.startswith("  !")]
+    assert len(markers) == torn and "torn tail" not in tail.stdout
+    events = [line for line in tail.stdout.splitlines()
+              if not line.startswith("  !")]
+    follow = _repro("tail", "--follow", "--timeout", "5", str(journal))
+    assert follow.returncode == 0, follow.stderr
+    assert follow.stdout.splitlines() == events
+    assert sum("campaign.start" in line for line in events) == 2
+    assert len(events) == 40 - torn and "campaign.end" in events[-1]
+
+
+def test_trace_draws_one_process_per_flight(resumed_journal):
+    # each flight's clock starts at 0: on one shared process the second
+    # flight's spans would overlap the first's on the same thread
+    journal, _torn = resumed_journal
+    trace = _repro("trace", "--journal", str(journal))
+    assert trace.returncode == 0, trace.stderr
+    events = json.loads(trace.stdout)["traceEvents"]
+    assert [event["args"]["name"] for event in events
+            if event["name"] == "process_name"] \
+        == ["flight 1: campaign", "flight 2: campaign"]
+    lanes = {}
+    for event in events:
+        if event["ph"] == "X":
+            lanes.setdefault((event["pid"], event["tid"]), []).append(
+                (event["ts"], event["ts"] + event["dur"]))
+    assert {pid for pid, _tid in lanes} == {1, 2}
+    for spans in lanes.values():
+        spans.sort()
+        assert all(end <= later for (_start, end), (later, _end)
+                   in zip(spans, spans[1:])), spans
+
+
 def test_history_records_the_flight_a_resume_completed_after_a_torn_tail(
         tmp_path):
     # a kill in the middle of an append tears the journal's last line;

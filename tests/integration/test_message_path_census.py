@@ -7,7 +7,10 @@ a change that adds a frame back to every layer crossing moves this ratio
 by whole calls, which is what the ceiling catches.
 """
 
+import gc
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,11 +32,12 @@ CALLS_PER_WIRE_MESSAGE_CEILING = 25
 WIRE_MESSAGES = 18_074
 
 #: the same ratio over Table 2's 3 s column, every vendor's run followed
-#: by the tcp pack's verdict on its trace (76.02 with the PFI verdict
-#: applied in ``_process`` and the anchor calling the network; 82.43
+#: by the tcp pack's verdict on its trace, counted on a second pass
+#: (75.58 with the PFI verdict applied in ``_process`` and the anchor
+#: calling the network, whatever ran before in the process; 82.43
 #: before, 152.50 when segment arithmetic and invariants went through
 #: one-line helpers per field), rounded up
-TCP_CALLS_PER_WIRE_MESSAGE_CEILING = 77
+TCP_CALLS_PER_WIRE_MESSAGE_CEILING = 76
 
 #: wire messages those four runs send
 TCP_WIRE_MESSAGES = 315
@@ -47,8 +51,9 @@ SWEEP_CALLS_PER_WIRE_MESSAGE_CEILING = 38
 #: wire messages that pass sends
 SWEEP_WIRE_MESSAGES = 13_797
 
-INPUTS = (Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
-          / "inputs.py")
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+INPUTS = REPO_ROOT / "benchmarks" / "e2e" / "inputs.py"
 
 
 def _counted(fn):
@@ -85,12 +90,47 @@ def test_calls_per_wire_message_stay_under_the_ceiling():
         f"{calls / sends:.2f} Python calls per wire message")
 
 
+def _table2_reading():
+    """Calls and wire messages of a counted Table 2 pass.
+
+    An uncounted pass goes first: it makes the lazy imports and fills
+    the caches a pass reads.  The collector then frees what earlier code
+    left behind and stays off for the count, so no finalizer and no gc
+    callback another library registered (Hypothesis registers one) runs
+    inside it.  What ran before in the process cannot move the reading.
+    """
+    _table2_with_verdicts()
+    gc.collect()
+    gc.disable()
+    try:
+        calls, traces = _counted(_table2_with_verdicts)
+    finally:
+        gc.enable()
+    return calls, sum(trace.count("net.send") for trace in traces)
+
+
 def test_tcp_calls_per_wire_message_stay_under_the_ceiling():
-    calls, traces = _counted(_table2_with_verdicts)
-    sends = sum(trace.count("net.send") for trace in traces)
+    calls, sends = _table2_reading()
     assert sends == TCP_WIRE_MESSAGES
     assert calls / sends <= TCP_CALLS_PER_WIRE_MESSAGE_CEILING, (
         f"{calls / sends:.2f} Python calls per wire message")
+
+
+def test_tcp_census_reads_the_same_whatever_ran_before():
+    # here, in whatever order the suite ran; after Table 7's run; and in
+    # a process that ran nothing else
+    here = _table2_reading()
+    gmp_proclaim.execute_proclaim_forwarding(bugs_on=True)
+    assert _table2_reading() == here
+    alone = subprocess.run(
+        [sys.executable, "-c",
+         "from tests.integration.test_message_path_census import "
+         "_table2_reading; print(*_table2_reading())"],
+        cwd=str(REPO_ROOT), capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT)])})
+    assert alone.returncode == 0, alone.stderr
+    assert tuple(int(word) for word in alone.stdout.split()) == here
 
 
 def _gmp_sweep_battery(monkeypatch):

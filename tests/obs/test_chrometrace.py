@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs.chrometrace import chrome_trace, dump_chrome_trace
 
 
@@ -95,10 +97,10 @@ class TestJournalExport:
 
     def test_journal_phases_and_runs_become_spans(self, tmp_path):
         from repro.obs.chrometrace import journal_chrome_trace
-        from repro.obs.journal import replay_journal
+        from repro.obs.journal import read_flights
 
-        replay = replay_journal(self._campaign_journal(tmp_path / "j.jsonl"))
-        payload = journal_chrome_trace(replay)
+        flights = read_flights(self._campaign_journal(tmp_path / "j.jsonl"))
+        payload = journal_chrome_trace(flights)
         json.dumps(payload)
         events = payload["traceEvents"]
         spans = [e for e in events if e.get("ph") == "X"]
@@ -112,24 +114,53 @@ class TestJournalExport:
     def test_run_end_without_start_becomes_instant(self, tmp_path):
         """Fuzz-shaped journals (no run_start) export as instants."""
         from repro.obs.chrometrace import journal_chrome_trace
-        from repro.obs.journal import replay_journal
+        from repro.obs.journal import read_flights
         from tests.obs.test_campaign_report import _write_sweep
 
-        replay = replay_journal(_write_sweep(tmp_path / "j.jsonl"))
-        payload = journal_chrome_trace(replay)
+        payload = journal_chrome_trace(
+            read_flights(_write_sweep(tmp_path / "j.jsonl")))
         run_events = [e for e in payload["traceEvents"] if e["tid"] == 2
                       and e["ph"] != "M"]
         assert run_events and all(e["ph"] == "i" for e in run_events)
 
     def test_interrupted_journal_closes_open_spans(self, tmp_path):
         from repro.obs.chrometrace import journal_chrome_trace
-        from repro.obs.journal import replay_journal
+        from repro.obs.journal import read_flights
         from tests.obs.test_campaign_report import _write_sweep
 
         path = _write_sweep(tmp_path / "j.jsonl", end=False)
         path.write_bytes(path.read_bytes()[:-7])
-        payload = journal_chrome_trace(replay_journal(path))
+        payload = journal_chrome_trace(read_flights(path))
         spans = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
         assert spans  # the torn dispatch phase still renders as a span
         for event in spans:
             assert event["dur"] >= 0
+
+    def test_a_torn_flight_keeps_its_open_phase(self, tmp_path):
+        """A phase the kill left open closes at its own flight's last
+        event; the resumed flight's same-named phase cannot close it."""
+        from repro.netsim import kinds as K
+        from repro.obs.chrometrace import journal_chrome_trace
+        from repro.obs.journal import Journal, read_flights
+
+        path = tmp_path / "j.jsonl"
+        with Journal(path) as journal:
+            journal.start("campaign", configs=2)
+            journal.record(K.CAMPAIGN_PHASE_START, name="dispatch")
+            journal.record(K.CAMPAIGN_RUN_END, index=0, label="cfg_0")
+        with open(path, "ab") as fp:
+            fp.write(b'{"data": {"index": 1')  # killed mid-append
+        with Journal(path) as journal:
+            journal.start("campaign", configs=2)
+            with journal.phase("dispatch"):
+                journal.record(K.CAMPAIGN_RUN_END, index=1, label="cfg_1")
+            journal.record(K.CAMPAIGN_END, status="ok")
+        flights = read_flights(path)
+        first_last_t = flights[0].events[-1].t
+        spans = {(event["pid"], event["name"]): event
+                 for event in journal_chrome_trace(flights)["traceEvents"]
+                 if event.get("ph") == "X"}
+        assert sorted(spans) == [(1, "dispatch (unclosed)"), (2, "dispatch")]
+        unclosed = spans[1, "dispatch (unclosed)"]
+        assert unclosed["ts"] + unclosed["dur"] == pytest.approx(
+            first_last_t * 1_000_000)

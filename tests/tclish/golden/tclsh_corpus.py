@@ -65,6 +65,23 @@ SCRIPTS = [
     "expr {7 % 3}",
     "expr {-7 % 3}",
     "expr {2 ** 10}",
+    # ** binds tighter than * and looser than a sign, groups to the
+    # right, and keeps integers integers
+    "expr {2**3**2}",
+    "expr {-2**2}",
+    "expr {2*3**2}",
+    "expr {2**-1}",
+    "expr {-1**-3}",
+    "expr {0**-1}",
+    "expr {0**0}",
+    "expr {2**64}",
+    "expr {2.0**-1}",
+    "expr {2**0.5}",
+    "expr {(-8)**0.5}",
+    "expr {2**268435456}",
+    "expr {1**268435456}",
+    "expr {int(1e400)}",
+    "expr {round(-1e400)}",
     "expr {1 / 0}",
     "expr {1.5 + 2}",
     "expr {10 / 4.0}",
@@ -97,6 +114,19 @@ SCRIPTS = [
     "lindex {a b c} 1",
     "set x 5; incr x 2",
     "set s 0; foreach i {1 2 3} {incr s $i}; set s",
+    # foreach over variable lists and several lists: a short final
+    # group, a short or empty list reads as empty strings
+    "set r {}; foreach {a b} {1 2 3 4} {append r $a-$b,}; set r",
+    "set r {}; foreach a {1 2} b {x y} {append r $a$b}; set r",
+    "set r {}; foreach {a b} {1 2 3} {append r <$a|$b>}; set r",
+    "set r {}; foreach a {1 2 3} b {x} {append r <$a|$b>}; set r",
+    ("set r {}; foreach {a b c} {1 2 3 4} d {x y z} "
+     "{append r <$a$b$c|$d>}; set r"),
+    "set r {}; foreach a {} b {1 2} {append r <$a|$b>}; set r",
+    "set n 0; foreach {a b} {} {incr n}; set n",
+    "foreach {a b} {1 2 3 4 5} {}; list $a $b",
+    "foreach {} {1 2} {}",
+    "foreach a {1 2} b {}",
     "set n 0; while {$n < 5} {incr n}; set n",
     "proc sq {x} {expr {$x * $x}}; sq 7",
     "catch {error boom} msg; set msg",

@@ -14,8 +14,12 @@ from repro.core.tclish.expr import TOO_LARGE
 FAULTS = {
     "1e308 * 10": TOO_LARGE,
     "1e400": TOO_LARGE,
-    "round(1e400)":
-        'error in command "expr": cannot convert float infinity to integer',
+    "round(1e400)": "integer value too large to represent",
+    "int(-1e400)": "integer value too large to represent",
+    "10.0 ** 400": TOO_LARGE,
+    "0 ** -1": "exponentiation of zero by negative power",
+    "2 ** 268435456": "exponent too large",
+    "(-8) ** 0.5": "domain error: argument not in valid range",
     "exp(1000)": 'error in command "expr": math range error',
     "pow(0,-1)":
         'error in command "expr": 0.0 cannot be raised to a negative power',

@@ -80,6 +80,26 @@ class TestArity:
         assert not sig.accepts(1)
         assert sig.accepts(2)
 
+    def test_foreach_takes_list_pairs_then_a_body(self):
+        # varList list pairs, then the body: an even count is refused
+        # by lint exactly where the interpreter refuses it
+        from repro.core.tclish import Interp, TclError
+        for script in ("foreach a {1 2} b {}", "foreach a"):
+            d = only(lint_source(script), "SL002")
+            assert (d.line, d.col) == (1, 1)
+            try:
+                Interp().eval(script)
+            except TclError as err:
+                assert str(err).startswith("wrong # args")
+            else:
+                raise AssertionError(f"{script!r} ran")
+        assert lint_source("foreach a {1 2} b {x y} {puts $a$b}").ok()
+
+    def test_foreach_sets_every_name_of_its_lists(self):
+        report = lint_source(
+            "foreach {a b} {1 2 3 4} c {x y} {puts $a$b$c}\nputs $b")
+        assert "SL003" not in codes(report)
+
 
 class TestUseBeforeSet:
     def test_plain_read_before_set(self):

@@ -18,16 +18,7 @@ CORPUS = json.loads((Path(__file__).parent / "golden"
                      / "tclsh_corpus.json").read_text())
 
 
-#: scripts tclish still answers differently, each shown failing here
-#: until it is mended: the ``**`` operator (Tcl 8.5+) is not parsed
-KNOWN_DIVERGENCES = {"expr {int(2**63)}", "expr {2 ** 10}"}
-
-
-@pytest.mark.parametrize("case", [
-    pytest.param(case, marks=pytest.mark.xfail(
-        strict=True, reason="tclish has no ** operator"))
-    if case["script"] in KNOWN_DIVERGENCES else case
-    for case in CORPUS], ids=[c["script"] for c in CORPUS])
+@pytest.mark.parametrize("case", CORPUS, ids=[c["script"] for c in CORPUS])
 def test_tclish_agrees_with_tclsh(case):
     try:
         code, result = 0, Interp().eval(case["script"])
