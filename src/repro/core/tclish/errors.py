@@ -58,7 +58,7 @@ def script_result(flow: Exception) -> str:
 
 #: Python exceptions a command implementation may let escape that are
 #: script faults, not interpreter bugs: a missing ``string index``
-#: argument, ``incr v abc``, ``expr {sqrt(-1)}``, ``expr {exp(1000)}``
+#: argument, ``incr v abc``, ``expr {1 << -1}``
 HOST_ERRORS = (KeyError, IndexError, ValueError, ArithmeticError)
 
 

@@ -72,9 +72,42 @@ def _round(x: Number) -> int:
     return _to_int(whole) + (fraction >= 0.5) - (fraction <= -0.5)
 
 
+#: Tcl 8.6's error for a math function argument outside its domain
+DOMAIN = "domain error: argument not in valid range"
+
+
 #: the smallest integer exponent Tcl 8.6 refuses (its bignum digits are
 #: 28 bits) for a base other than 0, 1 and -1
 _EXPONENT_LIMIT = 1 << 28
+
+
+def _libm(fn: Callable[..., float]) -> Callable[..., float]:
+    """``fn``, a :mod:`math` function, called as Tcl 8.6 calls C's: on
+    doubles, giving a double; an overflow is an infinite result (which
+    prints as :data:`TOO_LARGE`, where Tcl prints ``Inf``) and any other
+    fault Tcl's :data:`DOMAIN` error."""
+    def call(*args: Number) -> float:
+        try:
+            return fn(*map(float, args))
+        except OverflowError:
+            return math.inf
+        except ValueError:
+            raise TclError(DOMAIN) from None
+    return call
+
+
+def _pow(x: float, y: float) -> float:
+    """C's ``pow``: zero to a negative power is infinite, a pole."""
+    return math.inf if x == 0.0 and y < 0.0 else math.pow(x, y)
+
+
+def _log(x: float) -> float:
+    """C's ``log``: the log of zero is minus infinity, a pole."""
+    return -math.inf if x == 0.0 else math.log(x)
+
+
+#: ``pow()``, and ``**`` on a double
+_c_pow = _libm(_pow)
 
 
 def _power(a: Number, b: Number) -> Number:
@@ -87,12 +120,7 @@ def _power(a: Number, b: Number) -> Number:
         if b >= _EXPONENT_LIMIT and a not in (0, 1, -1):
             raise TclError("exponent too large")
         return a ** b
-    try:
-        return math.pow(a, b)
-    except ValueError:  # a negative base, a fractional exponent
-        raise TclError("domain error: argument not in valid range")
-    except OverflowError:
-        raise TclError(TOO_LARGE)
+    return _c_pow(a, b)  # a double: C's, as pow() is
 
 
 def wide(value: int) -> int:
@@ -100,6 +128,12 @@ def wide(value: int) -> int:
     in ``int()`` and ``format %d``: ``int(1e20)`` is
     7766279631452241920."""
     return (value + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+#: decimal digits past which Python's ``int`` / ``str`` conversions
+#: refuse (``sys.get_int_max_str_digits``); :class:`~decimal.Decimal`
+#: converts any length, and the limit stays as the process set it
+_STR_DIGITS = 4300
 
 
 def parse_integer(text: str) -> int:
@@ -110,6 +144,9 @@ def parse_integer(text: str) -> int:
     digits = text[1:] if text[:1] in "+-" else text
     if len(digits) > 1 and digits[0] == "0" and digits[1].isdigit():
         return int(text, 8)
+    if len(digits) > _STR_DIGITS and digits.isdecimal():
+        from decimal import Decimal
+        return int(Decimal(text))
     return int(text, 0)
 
 
@@ -121,13 +158,13 @@ _FUNCTIONS: Dict[str, Tuple[Callable[..., Number], int, Optional[int]]] = {
     "round": (_round, 1, 1),
     "min": (lambda *xs: min(xs), 1, None),
     "max": (lambda *xs: max(xs), 1, None),
-    "sqrt": (math.sqrt, 1, 1),
-    "pow": (lambda x, y: x ** y, 2, 2),
-    "fmod": (math.fmod, 2, 2),
+    "sqrt": (_libm(math.sqrt), 1, 1),
+    "pow": (_c_pow, 2, 2),
+    "fmod": (_libm(math.fmod), 2, 2),
     "floor": (lambda x: float(math.floor(x)), 1, 1),  # a double, as Tcl
     "ceil": (lambda x: float(math.ceil(x)), 1, 1),
-    "exp": (math.exp, 1, 1),
-    "log": (math.log, 1, 1),
+    "exp": (_libm(math.exp), 1, 1),
+    "log": (_libm(_log), 1, 1),
 }
 
 _TWO_CHAR_OPS = ("||", "&&", "==", "!=", "<=", ">=", "<<", ">>", "**")
@@ -247,6 +284,10 @@ def truth(value: Value) -> bool:
 #: Tcl 7's error for an infinite float result
 TOO_LARGE = "floating-point value too large to represent"
 
+#: an int of at most this many bits has fewer than :data:`_STR_DIGITS`
+#: digits, so ``str()`` prints it
+_STR_BITS = 14_000
+
 
 def format_value(value: Value) -> str:
     """Render an expression result the way Tcl prints it.
@@ -254,7 +295,8 @@ def format_value(value: Value) -> str:
     An infinite float has no Tcl rendering: it is the error
     :data:`TOO_LARGE`, as ``expr {1e308 * 10}`` is in Tcl 7.  (A NaN is
     a ``ValueError`` here, which ``Interp.call`` reports as the fault of
-    the command that produced it.)
+    the command that produced it.)  An integer prints all its digits,
+    as Tcl's do, however many there are.
     """
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -264,6 +306,9 @@ def format_value(value: Value) -> str:
         if value == int(value) and abs(value) < 1e16:
             return f"{value:.1f}"
         return repr(value)
+    if isinstance(value, int) and value.bit_length() > _STR_BITS:
+        from decimal import Decimal
+        return str(Decimal(value))
     return str(value)
 
 

@@ -323,7 +323,7 @@ class Interp:
         ``TclError("invalid command name ...")``, and a
         :data:`~repro.core.tclish.errors.HOST_ERRORS` exception escaping
         an implementation (a missing ``string index`` argument, ``incr v
-        abc``, ``expr {exp(1000)}``) is normalized to :class:`TclError`
+        abc``, ``expr {1 << -1}``) is normalized to :class:`TclError`
         too, so ``catch`` works and a script fault is never a Python
         traceback.  An error leaving here that no inner call named is
         named after this one (``TclError.command``).  Compiled commands

@@ -153,8 +153,9 @@ class CampaignSummary:
         Folds the grouped dispatcher's journal trail -- capture events
         carrying a ``prefix`` key, run rows flagged ``forked``, and the
         ``campaign.end`` counters -- into per-group "capture hits /
-        forks" rows.  ``None`` for sweeps that never grouped (flat
-        campaigns, fuzz, explore), so renderers stay byte-identical for
+        forks" rows; cold fallbacks default to the prefixed rows that
+        were neither forked nor cached.  ``None`` for sweeps that never
+        grouped (flat campaigns), so renderers stay byte-identical for
         historical journals.
         """
         captures = [c for c in self.checkpoints if c.get("prefix")]
@@ -183,7 +184,9 @@ class CampaignSummary:
             "forks": int(end.get("prefix_forks",
                                  sum(g["forks"]
                                      for g in groups.values()))),
-            "fallbacks": int(end.get("prefix_fallbacks", 0)),
+            "fallbacks": int(end.get("prefix_fallbacks", sum(
+                g["runs"] - g["forks"] - g["cached"]
+                for g in groups.values()))),
             "groups": groups,
         }
 

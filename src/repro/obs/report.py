@@ -137,16 +137,6 @@ def render_report(trace: TraceRecorder, *, tail: int = 40,
                        for title, body in blocks)
 
 
-def lineage_of(trace: TraceRecorder,
-               uid: Optional[int] = None) -> str:
-    """Convenience: just the lineage section (``repro report --uid``)."""
-    lineage = Lineage.from_trace(trace)
-    if uid is not None:
-        root = lineage.root_of(uid)
-        return lineage.render(root)
-    return lineage.render()
-
-
 def kind_counts(trace: Iterable[TraceEntry]) -> Dict[str, int]:
     """``{kind: count}`` over a trace, sorted by kind."""
     counts: Dict[str, int] = {}

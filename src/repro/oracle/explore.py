@@ -15,9 +15,10 @@ schedule, ``max_schedules`` schedules total) and reduction is by
 *outcome* -- schedules whose canonical traces are byte-identical to one
 already seen collapse into it, which catches the bulk of commutative
 interleavings at a fraction of a vector-clock implementation's cost.
-The checkpoint engine is what makes the sweep affordable: every
-schedule forks the same captured prefix instead of re-simulating the
-warmup, so exploring N schedules costs N continuations, not N runs.
+Each schedule is a config of :data:`schedule_body` (the fuzz body's
+warm prefix, then :func:`_run_plan`), run by the campaign's shard
+executor like any sweep: it captures the prefix once and forks it per
+schedule, so exploring N schedules costs N continuations, not N runs.
 
 Schedules are applied best-effort: a perturbation is addressed by step
 index into the *baseline* event order, and an earlier perturbation may
@@ -26,14 +27,14 @@ schedule fuzzing -- every executed schedule is still a real, legal
 event order, which is all the oracle verdict needs.
 
 The outcome hash is **prefix-shared**: a fork's trace below the
-checkpoint is the same rows in every fork, so the survey leaves a
-running digest of that prefix and each schedule copies it and hashes
-only the rows past it (read with ``TraceRecorder.rows``).  Schedules
-mostly replay the same rows past it too, so every copy shares the
-survey digest's memo of rendered lines, keyed by
-:func:`~repro.analysis.export.line_key`: a row an earlier schedule
-rendered is looked up, not encoded again, and the memo is dropped with
-the ``explore()`` call.  The per-schedule event counts are tracked
+checkpoint is the same rows in every fork, so the survey (one cold run
+of the prefix) leaves a running digest of that prefix and each
+schedule copies it and hashes only the rows past it (read with
+``TraceRecorder.rows``).  Schedules mostly replay the same rows past
+it too, so every copy shares the survey digest's memo of rendered
+lines, keyed by :func:`~repro.analysis.export.line_key`: a row an
+earlier schedule rendered is looked up, not encoded again, and the
+memo is dropped with the ``explore()`` call.  The per-schedule event counts are tracked
 (``ExploreReport.simulated_events``).
 """
 
@@ -41,12 +42,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 from math import comb
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.export import VOLATILE_ATTRS, line_key, render_rows
-from repro.core.checkpoint import Checkpoint
-from repro.core.orchestrator import Campaign, make_env
+from repro.core.fabric.spec import SweepSpec
+from repro.core.orchestrator import Campaign, PrefixedBody, ShardRow, make_env
 from repro.netsim import kinds as K
 from repro.netsim.link import Link
 from repro.netsim.scheduler import Event
@@ -55,7 +57,7 @@ from repro.netsim.trace import TraceRecorder
 from repro.obs.campaign_report import plans_line
 from repro.obs.journal import Flight
 from repro.oracle.fuzz import (DEFAULT_DEPTHS, HORIZONS, check_placement,
-                               pack_for, prefixed_fuzz_body)
+                               journaled_shard, pack_for, prefixed_fuzz_body)
 
 #: perturbation actions by event class; "fire" (run as scheduled) is
 #: always legal and never counts as a perturbation
@@ -124,11 +126,14 @@ class ScheduleOutcome:
     outcome_hash: str
     novel: bool          # first schedule reaching this outcome hash
 
+    @property
+    def label(self) -> str:
+        """The applied plan, or ``baseline``."""
+        return ", ".join(p.render() for p in self.perturbations) or "baseline"
+
     def render(self) -> str:
-        plan = (", ".join(p.render() for p in self.perturbations)
-                or "baseline")
         verdict = (",".join(self.codes) if self.codes else "conformant")
-        return f"{plan} -> {verdict} ({self.violation_count} violations)"
+        return f"{self.label} -> {verdict} ({self.violation_count} violations)"
 
 
 @dataclass
@@ -169,17 +174,6 @@ class ExploreReport:
         for finding in self.findings:
             lines.append(f"  {finding.render()}")
         return "\n".join(lines)
-
-
-def _prefix_checkpoint(protocol: str, target: str, depth: float,
-                       seed: int) -> Checkpoint:
-    """Capture the script-free prefix the exploration forks from: the
-    sweep body's own, installed at ``depth``."""
-    env = make_env(seed=seed)
-    roots = prefixed_fuzz_body.prefix(
-        env, {"protocol": protocol, "target": target, "install_at": depth})
-    return Checkpoint.capture(
-        env, roots, label=f"explore/{protocol}/{target}@{depth:g}")
 
 
 class _TraceDigest:
@@ -233,61 +227,61 @@ class _TraceDigest:
         return self._sha.hexdigest()
 
 
-def _run_schedule(root: Checkpoint, root_digest: _TraceDigest,
-                  plan: Dict[int, str], *, window: float, horizon: float,
-                  defer_delta: float, oracle
-                  ) -> Tuple[Tuple[Perturbation, ...], List, str, int]:
-    """Execute one schedule from a fork of ``root``; returns (applied
-    plan, violations, outcome hash, events dispatched)."""
-    forked = root.fork()
-    digest = root_digest.copy()
-    env = forked.env
-    scheduler = env.scheduler
-    dispatched_before = scheduler.dispatched_count
-    end = root.time + window
-    step = 0
-    applied: List[Perturbation] = []
+def _window(scheduler, window: float) -> Iterator[Event]:
+    """The pending events inside the next ``window`` seconds, in
+    dispatch order; the caller steps or cancels each before the next."""
+    end = scheduler.now + window
     while True:
         event = scheduler.peek_entry()
         if event is None or event.time > end:
-            break
+            return
+        yield event
+
+
+def _run_plan(env, state, config):
+    """One schedule past the prefix: drop or defer the window's events
+    that ``config["plan"]`` names by step, fire the rest, then run
+    undisturbed to the horizon.  Returns the applied perturbations and
+    the events dispatched past the prefix."""
+    scheduler = env.scheduler
+    dispatched_before = scheduler.dispatched_count
+    plan = config["plan"]
+    applied: List[Perturbation] = []
+    for step, event in enumerate(_window(scheduler, config["window"])):
         action = plan.get(step, "fire")
         if action != "fire" and classify_event(event) in ACTIONS:
             applied.append(Perturbation(step, action,
                                         describe_event(event)))
             event.cancel()
             if action == "defer":
-                scheduler.schedule_at(event.time + defer_delta,
+                scheduler.schedule_at(event.time + config["defer_delta"],
                                       event.callback, *event.args)
         else:
             scheduler.step()
-        step += 1
-    env.run_until(horizon)
-    from repro.oracle import evaluate
-    violations = evaluate(env.trace, oracle()).violations
-    digest.absorb(env.trace)
-    return (tuple(applied), violations, digest.hexdigest()[:16],
-            scheduler.dispatched_count - dispatched_before)
+    env.run_until(config["horizon"])
+    return tuple(applied), scheduler.dispatched_count - dispatched_before
 
 
-def _survey(checkpoint: Checkpoint, *, window: float
+#: One schedule as a split body: the fuzz body's script-free prefix (and
+#: its key, so the prefix is captured once and forked per schedule),
+#: then :func:`_run_plan`.  Module-level and picklable.
+schedule_body = PrefixedBody(prefixed_fuzz_body.prefix, _run_plan,
+                             key=prefixed_fuzz_body.key)
+
+
+def _survey(config: Dict[str, Any], seed: int
             ) -> Tuple[List[Tuple[str, str]], _TraceDigest]:
     """The baseline event order inside the window: (class, label) per
-    step, observed by single-stepping a throwaway fork -- plus the
-    digest of the trace prefix that fork (like every other) starts
-    with."""
-    forked = checkpoint.fork()
+    step, observed by single-stepping one cold run of the prefix --
+    plus the digest of the trace prefix every schedule starts with."""
+    env = make_env(seed=seed)
+    schedule_body.prefix(env, config)
     digest = _TraceDigest()
-    digest.absorb(forked.env.trace)
-    scheduler = forked.env.scheduler
-    end = checkpoint.time + window
+    digest.absorb(env.trace)
     steps: List[Tuple[str, str]] = []
-    while True:
-        event = scheduler.peek_entry()
-        if event is None or event.time > end:
-            break
+    for event in _window(env.scheduler, config["window"]):
         steps.append((classify_event(event), describe_event(event)))
-        scheduler.step()
+        env.scheduler.step()
     return steps, digest
 
 
@@ -298,24 +292,20 @@ def _plans(steps: List[Tuple[str, str]], *, max_perturbations: int,
     Baseline first, then every single perturbation in step order, then
     pairs, up to ``max_schedules`` plans total.
     """
-    singles: List[Tuple[int, str]] = []
-    for index, (kind, _label) in enumerate(steps):
-        for action in ACTIONS.get(kind, ()):
-            singles.append((index, action))
-    plans: List[Dict[int, str]] = [{}]
-    for index, action in singles:
-        if len(plans) >= max_schedules:
-            return plans
-        plans.append({index: action})
-    if max_perturbations >= 2:
-        for i, (index_a, action_a) in enumerate(singles):
-            for index_b, action_b in singles[i + 1:]:
-                if index_a == index_b:
-                    continue
-                if len(plans) >= max_schedules:
-                    return plans
-                plans.append({index_a: action_a, index_b: action_b})
-    return plans
+    singles = [(index, action) for index, (kind, _label) in enumerate(steps)
+               for action in ACTIONS.get(kind, ())]
+
+    def every() -> Iterator[Dict[int, str]]:
+        yield {}
+        for index, action in singles:
+            yield {index: action}
+        if max_perturbations >= 2:
+            for (index_a, action_a), (index_b, action_b) in combinations(
+                    singles, 2):
+                if index_a != index_b:
+                    yield {index_a: action_a, index_b: action_b}
+
+    return list(islice(every(), max(1, max_schedules)))
 
 
 def _plan_census(steps: List[Tuple[str, str]], *, max_perturbations: int,
@@ -350,8 +340,11 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
     """Explore bounded delivery-order schedules of one protocol target.
 
     The world is warmed to ``depth`` (default: the protocol's stock
-    filter-install time) and checkpointed once; every schedule forks
-    it.  Pending events inside ``[depth, depth + window]`` may be
+    filter-install time) once, cold, to survey the window.  Each
+    schedule is then one config of :data:`schedule_body`, and the
+    configs run through the campaign's shard executor
+    (:func:`~repro.core.orchestrator.execute_shard`), which captures
+    the warm prefix once and forks it per schedule.  Pending events inside ``[depth, depth + window]`` may be
     dropped or deferred by ``defer_delta`` seconds; the run then
     continues undisturbed to ``horizon`` and the protocol's oracle pack
     judges the trace.  Deterministic in all arguments: the same call
@@ -367,7 +360,8 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
 
     ``journal`` (a :class:`~repro.obs.journal.Journal` or a path)
     attaches the campaign flight recorder: preflight, the prefix
-    capture, one ``campaign.run_end`` per executed
+    capture (``campaign.checkpoint_capture`` with ``target`` and
+    ``depth``, as a fuzz batch writes it), one ``campaign.run_end`` per executed
     schedule (verdict codes, outcome hash, novelty), and the closing
     summary are appended crash-safe, so an interrupted exploration
     still reports its partial outcome census.
@@ -395,22 +389,17 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
                  "defer_delta": defer_delta},
                 progress=progress, label=f"explore {protocol}/{target}",
                 unit="schedules") as flight:
-        journal = flight.journal
-        # the prefix builder is about to be simulated to ``depth`` and
-        # checkpointed; a determinism hazard in it (closure callback,
-        # wall-clock read) would only surface at capture time, after
-        # the warm-up is paid for -- the gate's SC1xx precheck moves
-        # that failure to t=0 with a source position attached
-        flight.gate(Campaign(prefixed_fuzz_body, seed=seed).preflight, ())
-        with journal.phase("capture"):
-            checkpoint = _prefix_checkpoint(protocol, target, depth, seed)
-        journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE, target=target,
-                       depth=depth, label=checkpoint.label,
-                       identity=checkpoint.identity,
-                       **checkpoint.plan_stats)
-        oracle = pack_for(protocol)
-        steps, root_digest = _survey(checkpoint, window=window)
-        if checkpoint.position == 0 and not any(
+        # the prefix builder is about to be simulated to ``depth``; a
+        # determinism hazard in it (closure callback, wall-clock read)
+        # would only surface at capture time, after the warm-up is paid
+        # for -- the gate's SC1xx precheck moves that failure to t=0
+        # with a source position attached
+        flight.gate(Campaign(schedule_body, seed=seed).preflight, ())
+        base = {"protocol": protocol, "target": target, "install_at": depth,
+                "window": window, "horizon": horizon,
+                "defer_delta": defer_delta}
+        steps, root_digest = _survey(base, seed)
+        if root_digest.position == 0 and not any(
                 kind in ACTIONS for kind, _label in steps):
             raise ExploreError(
                 f"explore {protocol}/{target}: the world at depth "
@@ -419,8 +408,12 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
                 f"the rig is built but no traffic has started, so there "
                 f"is nothing to perturb; pass --depth (depth=) to warm it "
                 f"into traffic first")
-        plans = _plans(steps, max_perturbations=max_perturbations,
-                       max_schedules=max_schedules)
+        spec = SweepSpec(
+            body=schedule_body, seed=seed, telemetry=False,
+            oracle=pack_for(protocol),
+            configs=[dict(base, plan=plan) for plan in _plans(
+                steps, max_perturbations=max_perturbations,
+                max_schedules=max_schedules)])
         seen_hashes: Dict[str, int] = {}
         seen_findings: set = set()
 
@@ -436,10 +429,15 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
         flight.counters = lambda: {"executed": report.schedules,
                                    "findings": len(report.findings),
                                    **census()}
-        for plan in plans:
-            applied, violations, outcome_hash, events = _run_schedule(
-                checkpoint, root_digest, plan, window=window,
-                horizon=horizon, defer_delta=defer_delta, oracle=oracle)
+        for event in journaled_shard(spec, range(len(spec.configs)),
+                                     journal=flight.journal):
+            if type(event) is not ShardRow:
+                continue
+            run = event.result
+            (applied, events), violations = run.result, run.violations
+            digest = root_digest.copy()
+            digest.absorb(run.trace)
+            outcome_hash = digest.hexdigest()[:16]
             report.simulated_events += events
             codes = sorted({v.code for v in violations})
             novel = outcome_hash not in seen_hashes
@@ -448,13 +446,15 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
                                       violation_count=len(violations),
                                       outcome_hash=outcome_hash,
                                       novel=novel)
-            journal.record(
+            flight.journal.record(
                 K.CAMPAIGN_RUN_END, index=report.schedules,
-                label=(", ".join(p.render() for p in applied)
-                       or "baseline"),
-                target=target, ok=not codes, codes=codes,
-                violations=len(violations), outcome=outcome_hash,
-                new_coverage=int(novel), coverage_total=len(seen_hashes))
+                label=outcome.label, target=target, ok=not codes,
+                codes=codes, violations=len(violations),
+                outcome=outcome_hash, new_coverage=int(novel),
+                coverage_total=len(seen_hashes), prefix=str(event.prefix),
+                forked=event.forked)
+            # the forked world dies here, before the next schedule runs
+            del event, run
             report.schedules += 1
             report.outcomes.append(outcome)
             if not applied:

@@ -27,15 +27,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.core.checkpoint import CheckpointPool
 from repro.core.distributions import derive_seed
 from repro.core.fabric.spec import SweepSpec
 from repro.core.orchestrator import (PREFIX_STATS, Campaign, PrefixedBody,
                                      RunResult, ShardCapture, ShardRow,
-                                     execute_shard)
+                                     ShardStart, execute_shard)
 from repro.netsim import kinds as K
 from repro.obs.journal import NULL_JOURNAL, Flight, Journal, NullJournal
 from repro.oracle.grammar import (FuzzScript, GrammarLintError,
@@ -77,7 +77,8 @@ DEFAULT_DEPTHS = {"tcp": 0.0, "gmp": GMP_INSTALL_AT}
 # horizon).  A cold run (``prefixed_fuzz_body(env, config)``,
 # :func:`run_case`) is prefix+continuation back to back; the shard
 # executor captures one prefix per target and re-runs only
-# continuations, and the explorer forks the same prefix.  Keeping every
+# continuations, and the explorer's schedule body shares the same
+# prefix through the same executor.  Keeping every
 # path on the same two functions is what makes forked trials
 # byte-identical to cold ones by construction.
 # ----------------------------------------------------------------------
@@ -351,6 +352,25 @@ class FuzzReport:
 # execution: the campaign's shard executor over a session-owned pool
 # ----------------------------------------------------------------------
 
+def journaled_shard(spec: SweepSpec, indices: Iterable[int],
+                    pool: Optional[CheckpointPool] = None,
+                    journal: Union[Journal, NullJournal] = NULL_JOURNAL
+                    ) -> Iterator[Union[ShardStart, ShardCapture, ShardRow]]:
+    """:func:`~repro.core.orchestrator.execute_shard`'s events, each
+    capture journaled as ``campaign.checkpoint_capture``: the campaign
+    sink's payload plus the ``target`` and ``depth`` of a body keyed by
+    :func:`_fuzz_prefix_key`.  Rows are yielded as they land, so a
+    caller that drops each one keeps one forked world alive at a
+    time."""
+    groups = {str(key): key for key in spec.prefix_keys()}
+    for event in execute_shard(spec, indices, pool):
+        if type(event) is ShardCapture:
+            _protocol, target, depth = groups[event.payload["prefix"]]
+            journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE, target=target,
+                           depth=depth, **event.payload)
+        yield event
+
+
 def execute_configs(configs: Sequence[Dict[str, object]], *, seed: int,
                     pool: CheckpointPool,
                     journal: Union[Journal, NullJournal] = NULL_JOURNAL
@@ -360,30 +380,22 @@ def execute_configs(configs: Sequence[Dict[str, object]], *, seed: int,
     Returns ``(rows, captures)``: one :class:`~repro.core.orchestrator
     .ShardRow` per configuration, in input order, and how many prefixes
     were simulated for them.  The configurations go, as a sweep over
-    :data:`prefixed_fuzz_body`, to :func:`~repro.core.orchestrator
-    .execute_shard` with ``pool`` -- the one thing a fuzz session or a
-    shrink owns.  Because the caller keeps it, the first configuration
-    against a target captures that target's warm prefix and every later
-    one, in this call or the next, forks it.  Captures are journaled as
-    ``campaign.checkpoint_capture`` (the campaign sink's payload plus
-    ``target`` and ``depth``).  Nothing is linted here: callers pass
+    :data:`prefixed_fuzz_body`, to :func:`journaled_shard` with
+    ``pool`` -- the one thing a fuzz session or a shrink owns.  Because
+    the caller keeps it, the first configuration against a target
+    captures that target's warm prefix and every later one, in this
+    call or the next, forks it.  Nothing is linted here: callers pass
     ``Campaign.preflight`` first.
     """
     spec = SweepSpec(body=prefixed_fuzz_body, seed=seed, configs=configs,
                      telemetry=False,
                      oracle=pack_for(configs[0]["protocol"]))
-    groups = {str(key): key for key in spec.prefix_keys()}
     rows: List[Optional[ShardRow]] = [None] * len(spec.configs)
-    captures = 0
-    for event in execute_shard(spec, range(len(rows)), pool):
+    pooled = len(pool)
+    for event in journaled_shard(spec, range(len(rows)), pool, journal):
         if type(event) is ShardRow:
             rows[event.index] = event
-        elif type(event) is ShardCapture:
-            captures += 1
-            _protocol, target, depth = groups[event.payload["prefix"]]
-            journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE, target=target,
-                           depth=depth, **event.payload)
-    return rows, captures
+    return rows, len(pool) - pooled
 
 
 # ----------------------------------------------------------------------

@@ -593,27 +593,28 @@ def check_file(path: str, *,
         return check_source(fp.read(), source_name=path, codes=codes)
 
 
-#: (path, mtime_ns, size) -> (tagged findings, callgraph)
-_PRECHECK_CACHE: Dict[Tuple[str, int, int],
-                      Tuple[List[Tuple[str, Diagnostic]],
-                            Dict[str, Set[str]]]] = {}
+#: path -> ((mtime_ns, size), (tagged findings, callgraph)): one entry
+#: per module, so a body whose parts live in two modules (the explorer's
+#: schedule body: the fuzz prefix, its own continuation) parses each once
+_PRECHECK_CACHE: Dict[str, Tuple[Tuple[int, int],
+                                 Tuple[List[Tuple[str, Diagnostic]],
+                                       Dict[str, Set[str]]]]] = {}
 
 
 def _module_findings(path: str) -> Tuple[List[Tuple[str, Diagnostic]],
                                          Dict[str, Set[str]]]:
     import os
     stat = os.stat(path)
-    key = (path, stat.st_mtime_ns, stat.st_size)
-    cached = _PRECHECK_CACHE.get(key)
-    if cached is not None:
-        return cached
+    stamp = (stat.st_mtime_ns, stat.st_size)
+    cached = _PRECHECK_CACHE.get(path)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
     with open(path, encoding="utf-8") as fp:
         tree = ast.parse(fp.read(), filename=path)
     visitor = _DeterminismVisitor(tree)
     visitor.visit(tree)
-    _PRECHECK_CACHE.clear()  # one module at a time is plenty
-    _PRECHECK_CACHE[key] = (visitor.findings, visitor.calls)
-    return _PRECHECK_CACHE[key]
+    _PRECHECK_CACHE[path] = (stamp, (visitor.findings, visitor.calls))
+    return _PRECHECK_CACHE[path][1]
 
 
 def precheck_body(fn: Callable[..., Any]) -> LintReport:

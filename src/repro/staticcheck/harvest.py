@@ -345,12 +345,6 @@ class Harvest:
     def emitted_kinds(self) -> Set[str]:
         return {site.kind for site in self.emits}
 
-    def first_emit(self, kind: str) -> Optional[EmitSite]:
-        for site in self.emits:
-            if site.kind == kind:
-                return site
-        return None
-
 
 def harvest_paths(paths: Sequence[str]) -> Harvest:
     """Harvest emit sites and subscriptions from files/directories."""

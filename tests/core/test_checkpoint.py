@@ -275,3 +275,50 @@ def test_fork_of_a_gmp_world_delivers_into_its_own_layers():
                for a in stats)
     assert len(env.trace) == length
     assert {a: pfi.stats for a, pfi in cluster.pfis.items()} == stats
+
+
+# ----------------------------------------------------------------------
+# one executor captures and forks
+# ----------------------------------------------------------------------
+
+def _checkpoint_calls(source: str):
+    """``(line, name)`` of every ``Checkpoint.capture(...)`` and every
+    ``.fork(...)`` call in ``source``."""
+    import ast
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        name, owner = node.func.attr, node.func.value
+        if name == "fork" or (name == "capture"
+                              and isinstance(owner, ast.Name)
+                              and owner.id == "Checkpoint"):
+            calls.append((node.lineno, name))
+    return calls
+
+
+class TestOneForker:
+    def test_only_the_orchestrator_captures_and_forks(self):
+        """Every engine -- sweep, fuzz, shrink, explore -- reaches a
+        checkpoint through ``execute_shard``: no other module of the
+        package calls ``Checkpoint.capture`` or a ``.fork()``."""
+        from pathlib import Path
+
+        package = Path(__file__).resolve().parents[2] / "src" / "repro"
+        allowed = {package / "core" / "orchestrator.py",
+                   package / "core" / "checkpoint.py"}
+        offenders = [f"{source.relative_to(package)}:{line}: .{name}()"
+                     for source in sorted(package.rglob("*.py"))
+                     if source not in allowed
+                     for line, name in _checkpoint_calls(source.read_text())]
+        assert offenders == []
+
+    def test_the_scan_sees_a_private_runner(self):
+        # what a runner of its own looks like: a capture and its forks
+        source = ("root = Checkpoint.capture(env, roots, label='x')\n"
+                  "forked = root.fork()\n"
+                  "twin = root.fork(seed=3).env\n"
+                  "capture(env, roots)\n")
+        assert _checkpoint_calls(source) == [(1, "capture"), (2, "fork"),
+                                             (3, "fork")]

@@ -93,13 +93,14 @@ def fly(monkeypatch, finding):
                 return run_fuzz("gmp", seed=0, budget=4, journal=journal)
             if engine == "explore":
                 if ending == "gate refuses":
-                    body = fuzz_module.prefixed_fuzz_body
-                    patch.setattr(explore_module, "prefixed_fuzz_body",
+                    body = explore_module.schedule_body
+                    patch.setattr(explore_module, "schedule_body",
                                   PrefixedBody(hazardous_prefix,
                                                body.continuation,
                                                key=body.key))
                 elif ending == "raises":
-                    patch.setattr(explore_module, "_run_schedule", _planted)
+                    patch.setattr(explore_module, "journaled_shard",
+                                  _planted)
                 return explore("gmp", "self_death", max_schedules=3,
                                journal=journal)
             if ending == "gate refuses":

@@ -169,13 +169,19 @@ class TestExploreJournal:
         assert summary.completed
         assert summary.engine == "explore"
         assert summary.executed == report.schedules
-        # one capture, the root every schedule forks
-        assert len(summary.checkpoints) == 1
+        # one capture, the root every schedule forks, written as a fuzz
+        # batch writes it
+        [capture] = summary.checkpoints
+        assert (capture["target"], capture["depth"]) == ("self_death", 8.0)
+        assert capture["configs"] == report.schedules
+        # every schedule row was a fork of it: no cold fallback
+        assert [row.data["forked"] for row in summary.runs] == \
+            [True] * report.schedules
+        assert summary.prefix_sharing()["fallbacks"] == 0
         assert "ancestor_forks" not in summary.end
         assert summary.end.get("simulated_events") == \
             report.simulated_events
-        assert [name for name, _, _ in summary.phases] == ["preflight",
-                                                           "capture"]
+        assert [name for name, _, _ in summary.phases] == ["preflight"]
         assert summary.end.get("distinct_outcomes") == \
             report.distinct_outcomes
 

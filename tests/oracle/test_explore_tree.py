@@ -29,6 +29,7 @@ from repro.analysis import export
 from repro.analysis.export import (VOLATILE_ATTRS, dump_trace, line_key,
                                    render_rows)
 from repro.cli import main
+from repro.core.orchestrator import make_env
 from repro.netsim.trace import TraceEntry, TraceRecorder
 from repro.obs.campaign_report import render_text, summarize_journal
 from repro.oracle import explore as explore_module
@@ -153,9 +154,14 @@ def test_digest_census_reads_rows_not_entry_views(monkeypatch):
     report = explore("gmp", "self_death", max_schedules=48,
                      max_perturbations=2)
     assert views[0] == 0
-    root = explore_module._prefix_checkpoint(
-        "gmp", "self_death", DEFAULT_DEPTHS["gmp"], 0)
-    assert root.position < rows[0] < sum(n - root.position for n in lengths)
+    # the prefix every schedule forks, run cold
+    env = make_env(seed=0)
+    explore_module.schedule_body.prefix(
+        env, {"protocol": "gmp", "target": "self_death",
+              "install_at": DEFAULT_DEPTHS["gmp"]})
+    prefix = len(env.trace)
+    assert prefix == 293
+    assert prefix < rows[0] < sum(n - prefix for n in lengths)
     assert rows[0] == ROWS_ENCODED
     assert [o.outcome_hash for o in report.outcomes] == full
 

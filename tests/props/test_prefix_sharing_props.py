@@ -1,12 +1,16 @@
 """Prefix-grouped sweeps and prefix-shared exploration digests change
 nothing but the clock.
 
-Three contracts, the first two pinned over the real protocol rigs:
+Four contracts, the first three pinned over the real protocol rigs:
 
 - a prefix-grouped ``Campaign.run`` of the split fuzz body is
   byte-identical -- results, canonical traces, oracle fingerprints --
   to the cold (``group=False``) sweep of the same body it amortizes,
   across every TCP vendor profile and GMP bug variant;
+- every explorer schedule (a :data:`~repro.oracle.explore
+  .schedule_body` config) that the shard executor serves by a fork is
+  byte-identical -- trace, verdict, applied plan -- to its cold run, on
+  the GMP variants and on TCP mid-stream (depth 2.0);
 - over drawn budgets, the explorer's prefix-shared incremental digest
   of every schedule equals the digest of a full ``dump_trace`` of that
   schedule's final trace;
@@ -30,9 +34,9 @@ from repro.core.checkpoint import CheckpointPool
 from repro.core.fabric import SweepSpec
 from repro.core.orchestrator import (Campaign, PrefixedBody, ShardCapture,
                                      ShardRow, ShardStart, execute_shard)
-from repro.oracle.explore import explore
-from repro.oracle.fuzz import (DEFAULT_DEPTHS, GMP_VARIANTS, pack_for,
-                               prefixed_fuzz_body)
+from repro.oracle.explore import _plans, _survey, explore, schedule_body
+from repro.oracle.fuzz import (DEFAULT_DEPTHS, GMP_VARIANTS, HORIZONS,
+                               pack_for, prefixed_fuzz_body)
 from repro.oracle.grammar import generate_script
 from repro.tcp import VENDORS
 
@@ -107,6 +111,36 @@ def test_grouped_parallel_matches_cold():
     grouped = Campaign(prefixed_fuzz_body, seed=7).run(
         configs, workers=2, oracle=pack_for("gmp"))
     assert _stable(grouped) == _stable(cold)
+
+
+# ----------------------------------------------------------------------
+# forked explorer schedule == cold schedule
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("protocol, target, depth, window", [
+    *(("gmp", variant, DEFAULT_DEPTHS["gmp"], 1.5)
+      for variant in GMP_VARIANTS + ("fixed",)),
+    *(("tcp", vendor, 2.0, 0.5) for vendor in sorted(VENDORS))])
+def test_forked_schedules_match_cold(protocol, target, depth, window):
+    base = {"protocol": protocol, "target": target, "install_at": depth,
+            "window": window, "horizon": HORIZONS[protocol],
+            "defer_delta": 4.0}
+    steps, _digest = _survey(base, 0)
+    every = _plans(steps, max_perturbations=2, max_schedules=10 ** 6)
+    # the baseline, then singles and pairs across the whole plan order
+    configs = [dict(base, plan=plan)
+               for plan in every[::max(1, len(every) // 7)]]
+    assert any(len(config["plan"]) == 2 for config in configs)
+    spec = SweepSpec(body=schedule_body, seed=5, configs=configs,
+                     oracle=pack_for(protocol))
+    rows = [event for event in execute_shard(spec, range(len(configs)))
+            if type(event) is ShardRow]
+    assert [row.forked for row in rows] == [True] * len(configs)
+    cold = Campaign(schedule_body, seed=5).run(
+        configs, oracle=pack_for(protocol), group=False)
+    assert _stable([row.result for row in rows]) == _stable(cold)
+    # the plans perturbed something: not a run of identical baselines
+    assert any(row.result.result[0] for row in rows)
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,29 @@ SCRIPTS = [
     "expr {floor(2.7)}",
     "expr {ceil(2.1)}",
     "expr {sqrt(16)}",
+    # pow() is C's pow on doubles; a domain fault is Tcl's error, and an
+    # infinite value prints as Inf (tclish refuses an infinite result)
+    "expr {pow(2,3)}",
+    "expr {pow(-2,3)}",
+    "expr {pow(2,-1)}",
+    "expr {pow(2,0.5)}",
+    "expr {pow(0,0)}",
+    "expr {pow(-8,1.0/3)}",
+    "expr {pow(-1,0.5)}",
+    "expr {pow(0,-1)}",
+    "expr {pow(10,400) > 1}",
+    "expr {sqrt(-1)}",
+    "expr {log(-1)}",
+    "expr {log(0) < 0}",
+    "expr {fmod(7,3)}",
+    "expr {fmod(-7,3)}",
+    "expr {fmod(1,0)}",
+    "expr {exp(1000) > 1}",
+    # an integer past 4,300 digits prints, and reads back, whole
+    "string length [expr {1 << 20000}]",
+    "string length [expr {-(1 << 20000)}]",
+    "string range [expr {2**20000}] end-20 end",
+    "expr {[expr {1 << 20000}] - (1 << 20000)}",
     # strings, lists and variables
     "string length hello",
     "string toupper abc",

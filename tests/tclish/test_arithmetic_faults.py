@@ -8,7 +8,7 @@ must end as a :class:`TclError` that ``catch`` traps, never as a Python
 import pytest
 
 from repro.core.tclish import Interp, TclError
-from repro.core.tclish.expr import TOO_LARGE
+from repro.core.tclish.expr import DOMAIN, TOO_LARGE
 
 #: expression -> the error ``expr`` ends with
 FAULTS = {
@@ -19,10 +19,17 @@ FAULTS = {
     "10.0 ** 400": TOO_LARGE,
     "0 ** -1": "exponentiation of zero by negative power",
     "2 ** 268435456": "exponent too large",
-    "(-8) ** 0.5": "domain error: argument not in valid range",
-    "exp(1000)": 'error in command "expr": math range error',
-    "pow(0,-1)":
-        'error in command "expr": 0.0 cannot be raised to a negative power',
+    "(-8) ** 0.5": DOMAIN,
+    # a math function's overflow or pole is an infinite result (Tcl 8.6
+    # prints Inf), and its other faults are Tcl's domain error
+    "exp(1000)": TOO_LARGE,
+    "pow(0,-1)": TOO_LARGE,
+    "pow(10,400)": TOO_LARGE,
+    "log(0)": TOO_LARGE,
+    "pow(-8,1.0/3)": DOMAIN,
+    "sqrt(-1)": DOMAIN,
+    "log(-1)": DOMAIN,
+    "fmod(1,0)": DOMAIN,
 }
 
 
@@ -50,12 +57,28 @@ def test_dynamic_arguments_fault_the_same_way(expression):
 
 def test_a_faulting_condition_names_its_command():
     interp = Interp()
-    assert interp.eval("catch {if {exp(1000)} {set r 1}} msg") == "1"
+    assert interp.eval("catch {if {1 << -1} {set r 1}} msg") == "1"
     assert interp.eval("set msg") == (
-        'error in command "if": math range error')
-    assert interp.eval("catch {while {pow(0,-1)} {}} msg") == "1"
+        'error in command "if": negative shift count')
+    assert interp.eval("catch {while {1 << -1} {}} msg") == "1"
     assert interp.eval("set msg") == (
-        'error in command "while": 0.0 cannot be raised to a negative power')
+        'error in command "while": negative shift count')
+
+
+def test_an_infinite_intermediate_is_a_value():
+    # only an infinite *result* is refused: as in Tcl 8.6, an infinite
+    # math function value compares and tests true
+    interp = Interp()
+    assert interp.eval("expr {log(0) < 0}") == "1"
+    assert interp.eval("expr {pow(0,-1) > 1e308}") == "1"
+    assert interp.eval("if {exp(1000)} {set r 1} else {set r 0}") == "1"
+
+
+def test_pow_is_a_double():
+    interp = Interp()
+    assert interp.eval("expr {pow(2,3)}") == "8.0"
+    assert interp.eval("expr {pow(-2,3)}") == "-8.0"
+    assert interp.eval("expr {pow(2,-1)}") == "0.5"
 
 
 def test_an_infinite_command_result_is_a_tcl_error():
