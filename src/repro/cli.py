@@ -156,19 +156,27 @@ def _experiment(dotted: str) -> Callable:
                    name)
 
 
+def render_panel(panel: Panel, args=None) -> str:
+    """Run ``panel`` and render it as ``repro <command>`` prints it.
+
+    Its options are read from ``args`` (parsed command-line arguments),
+    and take their defaults where ``args`` has none.
+    """
+    bar = "=" * 72
+    run_args = [getattr(args, arg.name, arg.default)
+                if isinstance(arg, Option) else arg for arg in panel.args]
+    results = _experiment(f"{panel.module}.run_all")(*run_args)
+    rows = _experiment(panel.rows)(results)
+    body = (render_table(panel.caption, panel.columns, rows)
+            if panel.caption else "\n".join(rows))
+    return f"{bar}\n{panel.title.format(*run_args)}\n{bar}\n{body}\n"
+
+
 def cmd_paper(args) -> None:
     """Run and print the panels of ``repro <command>`` (all for ``all``)."""
-    bar = "=" * 72
     for panel in PANELS:
-        if args.command not in ("all", panel.command):
-            continue
-        run_args = [getattr(args, arg.name, arg.default)
-                    if isinstance(arg, Option) else arg for arg in panel.args]
-        results = _experiment(f"{panel.module}.run_all")(*run_args)
-        rows = _experiment(panel.rows)(results)
-        body = (render_table(panel.caption, panel.columns, rows)
-                if panel.caption else "\n".join(rows))
-        print(f"{bar}\n{panel.title.format(*run_args)}\n{bar}\n{body}\n")
+        if args.command in ("all", panel.command):
+            print(render_panel(panel, args))
 
 
 # ----------------------------------------------------------------------

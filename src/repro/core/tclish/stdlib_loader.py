@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.tclish import compiler
 from repro.core.tclish.errors import TclBreak, TclContinue, TclError, TclReturn
-from repro.core.tclish.expr import parse_integer, wide
+from repro.core.tclish.expr import format_value, parse_integer, wide
 from repro.core.tclish.lexer import parse_list, split_words, strip_braces
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -132,12 +132,19 @@ def _cmd_unset(interp: "Interp", args: List[str]) -> str:
 
 @builtin("incr", 1, 2, "incr varName ?increment?")
 def _cmd_incr(interp: "Interp", args: List[str]) -> str:
-    step = int(args[1]) if len(args) == 2 else 1
     try:
-        current = int(interp.get_var(args[0]))
+        current = interp.get_var(args[0])
     except TclError:  # no such variable: incr creates it
-        current = 0
-    return interp.set_var(args[0], str(current + step))
+        current = "0"
+    step = args[1] if len(args) == 2 else "1"
+    if "_" not in current and "_" not in step:  # int() reads 1_000, Tcl not
+        try:  # decimal, 0x, 0o, 0b: builtins only, the hot path
+            return interp.set_var(args[0],
+                                  str(int(current, 0) + int(step, 0)))
+        except ValueError:  # leading-zero octal, 08, past int()'s digits
+            pass
+    return interp.set_var(args[0], format_value(
+        _format_integer(current) + _format_integer(step)))
 
 
 @builtin("append", 1, None, "append varName ?value ...?")

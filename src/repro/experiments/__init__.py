@@ -21,4 +21,8 @@ module                                        paper artifact
 
 Figure 4's series come from the Table 1/2 runs via
 :func:`repro.analysis.series.retransmission_series`.
+
+What the paper claims about these results is declared once, in
+:mod:`repro.experiments.claims`, which this package does not import
+(``repro all`` never loads it).
 """

@@ -35,15 +35,6 @@ class BugFlags:
     proclaim_reply_to_sender: bool = False
     inverted_timer_unregister: bool = False
 
-    def any(self) -> bool:
-        return (self.self_death or self.proclaim_forward_param
-                or self.proclaim_reply_to_sender
-                or self.inverted_timer_unregister)
-
-    def fixed(self) -> "BugFlags":
-        """The post-PFI-testing implementation: everything repaired."""
-        return BugFlags()
-
 
 #: The implementation as the three graduate students delivered it.
 AS_DELIVERED = BugFlags(

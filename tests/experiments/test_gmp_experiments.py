@@ -1,129 +1,38 @@
-"""Shape assertions for the GMP experiments (paper Tables 5-8)."""
+"""The GMP experiments' test ids from before the claim ledger.
+
+Each now checks every claim of its panel in
+:mod:`repro.experiments.claims`, where what it asserted is a row;
+``test_claims.py`` checks the rows one by one.
+"""
 
 import pytest
 
-from repro.experiments import (gmp_packet_interruption, gmp_partition,
-                               gmp_proclaim, gmp_timer)
+from tests.experiments.conftest import panel_holds
 
 pytestmark = pytest.mark.experiment
 
 
 class TestTable5PacketInterruption:
-    def test_self_death_bug_found(self):
-        result = gmp_packet_interruption.run_self_death(bugs_on=True)
-        assert result.self_death_bug_fired
-        assert result.stayed_in_old_group     # "instead of forming a
-        assert not result.formed_singleton    # singleton group..."
-        assert result.forward_param_bug_fired
-
-    def test_self_death_fixed_recovers(self):
-        result = gmp_packet_interruption.run_self_death(bugs_on=False)
-        assert not result.self_death_bug_fired
-        assert result.formed_singleton
-        assert result.rejoined
-
-    def test_suspend_shows_identical_bug(self):
-        """"Identical behavior was observed when a gmd was suspended."""
-        result = gmp_packet_interruption.run_self_death(bugs_on=True,
-                                                        via_suspend=True)
-        assert result.self_death_bug_fired
-        assert result.stayed_in_old_group
-
-    def test_kick_rejoin_cycle(self):
-        result = gmp_packet_interruption.run_kick_rejoin_cycle()
-        assert result.cycled
-        assert result.times_kicked_out >= 2
-        assert result.times_rejoined >= 1
-
-    def test_ack_drop_never_admitted(self):
-        result = gmp_packet_interruption.run_ack_drop()
-        assert not result.joiner_ever_committed
-        assert result.joiner_mc_timeouts >= 1
-        assert result.joiner_kept_proclaiming
-        assert result.others_formed_group_without_joiner
-
-    def test_commit_drop_stuck_in_transition_then_kicked(self):
-        result = gmp_packet_interruption.run_commit_drop()
-        assert result.joiner_entered_transition
-        assert not result.joiner_ever_stable_in_group
-        assert result.others_committed_joiner
-        assert result.joiner_kicked_after_commit
+    test_self_death_bug_found = test_self_death_fixed_recovers = \
+        test_suspend_shows_identical_bug = test_kick_rejoin_cycle = \
+        test_ack_drop_never_admitted = \
+        test_commit_drop_stuck_in_transition_then_kicked = \
+        panel_holds("table5")
 
 
 class TestTable6Partitions:
-    def test_oscillating_partition_cycles(self):
-        result = gmp_partition.run_oscillating_partition()
-        assert result.disjoint_groups_formed
-        assert result.merged_after_heal
-        assert result.cycles_observed >= 2
-
-    def test_leader_detects_first_path(self):
-        result = gmp_partition.run_leader_prince_separation(
-            first_detector="leader")
-        assert result.first_mover == 1
-        assert result.end_state_matches_paper
-
-    def test_prince_detects_first_path(self):
-        result = gmp_partition.run_leader_prince_separation(
-            first_detector="prince")
-        assert result.first_mover == 2
-        assert result.end_state_matches_paper
-
-    def test_both_orderings_reach_same_end_state(self):
-        """"There were two courses of action, but the result was the
-        same for both."""
-        leader_path = gmp_partition.run_leader_prince_separation(
-            first_detector="leader")
-        prince_path = gmp_partition.run_leader_prince_separation(
-            first_detector="prince")
-        assert leader_path.crown_prince_singleton
-        assert prince_path.crown_prince_singleton
-        assert leader_path.leader_group == prince_path.leader_group
+    test_oscillating_partition_cycles = test_leader_detects_first_path = \
+        test_prince_detects_first_path = \
+        test_both_orderings_reach_same_end_state = panel_holds("table6")
 
 
 class TestTable7ProclaimForwarding:
-    def test_buggy_forwarding_loops(self):
-        result = gmp_proclaim.run_proclaim_forwarding(bugs_on=True)
-        assert result.proclaim_loop_detected
-        assert not result.newcomer_received_reply
-        assert not result.newcomer_admitted
-
-    def test_fixed_forwarding_admits_newcomer(self):
-        result = gmp_proclaim.run_proclaim_forwarding(bugs_on=False)
-        assert not result.proclaim_loop_detected
-        assert result.newcomer_received_reply
-        assert result.newcomer_admitted
-
-    def test_loop_volume_dwarfs_fixed_traffic(self):
-        buggy = gmp_proclaim.run_proclaim_forwarding(bugs_on=True,
-                                                     observe_for=5.0)
-        fixed = gmp_proclaim.run_proclaim_forwarding(bugs_on=False,
-                                                     observe_for=5.0)
-        assert buggy.leader_prince_proclaims > \
-            100 * max(1, fixed.leader_prince_proclaims)
+    test_buggy_forwarding_loops = test_fixed_forwarding_admits_newcomer = \
+        test_loop_volume_dwarfs_fixed_traffic = panel_holds("table7")
 
 
 class TestTable8TimerTest:
-    def test_buggy_leaves_heartbeat_timer_armed(self):
-        result = gmp_timer.run_timer_test(bugs_on=True)
-        assert result.second_change_received
-        assert result.spurious_heartbeat_timeout
-        assert any(s.startswith("heartbeat_expect")
-                   for s in result.timers_armed_in_transition)
-
-    def test_buggy_survivor_is_leader_timer(self):
-        result = gmp_timer.run_timer_test(bugs_on=True)
-        assert "heartbeat_expect/1" in result.timers_armed_in_transition
-
-    def test_fixed_unsets_all_but_mc_timer(self):
-        result = gmp_timer.run_timer_test(bugs_on=False)
-        assert result.second_change_received
-        assert not result.spurious_heartbeat_timeout
-        non_mc = [s for s in result.timers_armed_in_transition
-                  if not s.startswith("mc_timeout")]
-        assert non_mc == []
-
-    def test_mc_timer_survives_in_both(self):
-        for bugs_on in (True, False):
-            result = gmp_timer.run_timer_test(bugs_on=bugs_on)
-            assert result.mc_timer_survived
+    test_buggy_leaves_heartbeat_timer_armed = \
+        test_buggy_survivor_is_leader_timer = \
+        test_fixed_unsets_all_but_mc_timer = \
+        test_mc_timer_survives_in_both = panel_holds("table8")

@@ -1,205 +1,50 @@
-"""Shape assertions for the TCP experiments (paper Tables 1-4, Exp 5).
+"""The TCP experiments' test ids from before the claim ledger.
 
-These are the authoritative checks that the reproduction exhibits the
-paper's findings: who differs from whom, in which direction, and by
-roughly what structure.  The benchmarks print the tables; these tests
-pin the shapes.
+Each now checks every claim of its panel in
+:mod:`repro.experiments.claims`, where what it asserted is a row;
+``test_claims.py`` checks the rows one by one.
 """
 
 import pytest
 
-from repro.analysis.shape import is_exponential_backoff
-from repro.experiments import (tcp_delayed_ack, tcp_keepalive,
-                               tcp_reordering, tcp_retransmission,
-                               tcp_zero_window)
-from repro.tcp import BSD_DERIVED, SOLARIS_23, SUNOS_413, VENDORS
+from tests.experiments.conftest import panel_holds
 
 pytestmark = pytest.mark.experiment
 
 
-@pytest.fixture(scope="module")
-def table1():
-    return tcp_retransmission.run_all()
-
-
-@pytest.fixture(scope="module")
-def table2_3s():
-    return tcp_delayed_ack.run_all(3.0)
-
-
 class TestTable1Retransmission:
-    def test_bsd_vendors_retransmit_12_times(self, table1):
-        for name in BSD_DERIVED:
-            assert table1[name].retransmissions == 12
-
-    def test_bsd_vendors_send_reset(self, table1):
-        for name in BSD_DERIVED:
-            assert table1[name].reset_sent
-
-    def test_bsd_backoff_exponential_with_64s_bound(self, table1):
-        for name in BSD_DERIVED:
-            assert table1[name].backoff_exponential
-            assert table1[name].upper_bound == pytest.approx(64.0, rel=0.05)
-
-    def test_solaris_retransmits_9_times(self, table1):
-        assert table1["Solaris 2.3"].retransmissions == 9
-
-    def test_solaris_closes_without_reset(self, table1):
-        assert not table1["Solaris 2.3"].reset_sent
-
-    def test_solaris_never_reaches_upper_bound(self, table1):
-        assert table1["Solaris 2.3"].upper_bound is None
-
-    def test_solaris_starts_from_330ms_floor(self, table1):
-        assert table1["Solaris 2.3"].intervals[0] == pytest.approx(
-            0.330, rel=0.1)
-
-    def test_all_connections_die(self, table1):
-        for result in table1.values():
-            assert result.close_reason == "retransmission_timeout"
-
-    def test_packets_were_logged_before_dropping(self, table1):
-        for result in table1.values():
-            assert result.logged_packets > 0
+    test_bsd_vendors_retransmit_12_times = test_bsd_vendors_send_reset = \
+        test_bsd_backoff_exponential_with_64s_bound = \
+        test_solaris_retransmits_9_times = \
+        test_solaris_closes_without_reset = \
+        test_solaris_never_reaches_upper_bound = \
+        test_solaris_starts_from_330ms_floor = test_all_connections_die = \
+        test_packets_were_logged_before_dropping = panel_holds("table1")
 
 
 class TestTable2DelayedAcks:
-    def test_bsd_adapts_above_injected_delay(self, table2_3s):
-        for name in BSD_DERIVED:
-            assert table2_3s[name].adapted_above_delay
-
-    def test_bsd_first_retransmit_ordering(self, table2_3s):
-        """The paper's spread: NeXT < SunOS < AIX."""
-        next_first = table2_3s["NeXT Mach"].first_retransmit_interval
-        sun_first = table2_3s["SunOS 4.1.3"].first_retransmit_interval
-        aix_first = table2_3s["AIX 3.2.3"].first_retransmit_interval
-        assert next_first < sun_first < aix_first
-
-    def test_solaris_does_not_adapt(self, table2_3s):
-        assert not table2_3s["Solaris 2.3"].adapted_above_delay
-        assert table2_3s["Solaris 2.3"].first_retransmit_interval < 3.0
-
-    def test_solaris_dies_before_bsd_budget(self, table2_3s):
-        assert table2_3s["Solaris 2.3"].retransmissions <= 9
-
-    def test_8s_delay_same_shape(self):
-        results = tcp_delayed_ack.run_all(8.0)
-        for name in BSD_DERIVED:
-            assert results[name].adapted_above_delay
-        assert not results["Solaris 2.3"].adapted_above_delay
-
-    def test_global_counter_probe_solaris(self):
-        probe = tcp_delayed_ack.run_global_counter_probe(SOLARIS_23)
-        # m1 retransmitted several times before its 35 s-delayed ACK, m2
-        # got only the remainder; total hits the threshold of 9
-        assert probe.m1_retransmissions >= 5
-        assert 1 <= probe.m2_retransmissions <= 4
-        assert probe.total == 9
-        assert probe.close_reason == "retransmission_timeout"
-
-    def test_global_counter_probe_bsd_contrast(self):
-        probe = tcp_delayed_ack.run_global_counter_probe(SUNOS_413)
-        # per-segment counting: m2 gets its full 12 regardless of m1
-        assert probe.m2_retransmissions == 12
+    test_bsd_adapts_above_injected_delay = \
+        test_bsd_first_retransmit_ordering = test_solaris_does_not_adapt = \
+        test_solaris_dies_before_bsd_budget = test_8s_delay_same_shape = \
+        test_global_counter_probe_solaris = \
+        test_global_counter_probe_bsd_contrast = panel_holds("table2")
 
 
 class TestTable3KeepAlive:
-    @pytest.fixture(scope="class")
-    def table3(self):
-        return tcp_keepalive.run_all()
-
-    def test_bsd_first_probe_at_7200(self, table3):
-        for name in BSD_DERIVED:
-            assert table3[name].first_probe_at == pytest.approx(7200.0,
-                                                                abs=5.0)
-
-    def test_solaris_violates_spec_threshold(self, table3):
-        assert table3["Solaris 2.3"].first_probe_at == pytest.approx(
-            6752.0, abs=5.0)
-        assert table3["Solaris 2.3"].first_probe_at < 7200.0
-
-    def test_bsd_8_retransmits_at_75s_then_reset(self, table3):
-        for name in BSD_DERIVED:
-            result = table3[name]
-            assert result.probe_retransmissions == 8
-            assert all(i == pytest.approx(75.0, rel=0.01)
-                       for i in result.retransmit_intervals)
-            assert result.reset_sent
-
-    def test_solaris_7_backoff_retransmits_no_reset(self, table3):
-        result = table3["Solaris 2.3"]
-        assert result.probe_retransmissions == 7
-        assert not result.reset_sent
-        assert is_exponential_backoff(result.retransmit_intervals,
-                                      floor=SOLARIS_23.min_rto)
-
-    def test_probe_formats(self, table3):
-        assert table3["SunOS 4.1.3"].garbage_byte
-        assert not table3["AIX 3.2.3"].garbage_byte
-        assert not table3["NeXT Mach"].garbage_byte
-        for result in table3.values():
-            assert result.probe_seq_is_nxt_minus_1
-
-    def test_answered_probes_repeat_at_idle_interval(self, table3):
-        for name, result in table3.items():
-            expected = VENDORS[name].ka_idle
-            assert result.answered_still_open
-            for interval in result.answered_probe_intervals:
-                assert interval == pytest.approx(expected, rel=0.01)
+    test_bsd_first_probe_at_7200 = test_solaris_violates_spec_threshold = \
+        test_bsd_8_retransmits_at_75s_then_reset = \
+        test_solaris_7_backoff_retransmits_no_reset = test_probe_formats = \
+        test_answered_probes_repeat_at_idle_interval = panel_holds("table3")
 
 
 class TestTable4ZeroWindow:
-    @pytest.fixture(scope="class")
-    def acked(self):
-        return tcp_zero_window.run_all("acked")
-
-    @pytest.fixture(scope="class")
-    def unacked(self):
-        return tcp_zero_window.run_all("unacked")
-
-    def test_bsd_plateau_60(self, acked):
-        for name in BSD_DERIVED:
-            assert acked[name].plateau == pytest.approx(60.0, rel=0.02)
-
-    def test_solaris_plateau_56(self, acked):
-        assert acked["Solaris 2.3"].plateau == pytest.approx(56.0, rel=0.02)
-
-    def test_backoff_exponential(self, acked):
-        for result in acked.values():
-            assert result.backoff_exponential
-
-    def test_probing_continues_when_acked(self, acked):
-        for result in acked.values():
-            assert result.still_probing_at_end
-            assert result.still_open
-
-    def test_probing_continues_even_unacked(self, unacked):
-        """The paper's "could pose a problem" observation."""
-        for result in unacked.values():
-            assert result.still_probing_at_end
-            assert result.still_open
-
-    def test_unplug_two_days_still_probing(self):
-        result = tcp_zero_window.run_zero_window(SUNOS_413,
-                                                 variant="unplugged")
-        assert result.probes_after_replug > 0
-        assert result.still_open
+    test_bsd_plateau_60 = test_solaris_plateau_56 = \
+        test_backoff_exponential = test_probing_continues_when_acked = \
+        test_probing_continues_even_unacked = \
+        test_unplug_two_days_still_probing = panel_holds("table4")
 
 
 class TestExperiment5Reordering:
-    @pytest.fixture(scope="class")
-    def results(self):
-        return tcp_reordering.run_all()
-
-    def test_all_vendors_queue_out_of_order(self, results):
-        for result in results.values():
-            assert result.second_segment_queued
-
-    def test_cumulative_ack_covers_both(self, results):
-        for result in results.values():
-            assert result.acked_both_at_once
-
-    def test_data_integrity(self, results):
-        for result in results.values():
-            assert result.data_delivered_in_order
-            assert result.duplicate_deliveries == 0
+    test_all_vendors_queue_out_of_order = \
+        test_cumulative_ack_covers_both = test_data_integrity = \
+        panel_holds("exp5")

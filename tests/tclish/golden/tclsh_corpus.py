@@ -136,6 +136,16 @@ SCRIPTS = [
     "llength {a b {c d}}",
     "lindex {a b c} 1",
     "set x 5; incr x 2",
+    # incr reads its variable and its step as integers the way expr does
+    "set x 010; incr x",
+    "set x 0x10; incr x",
+    "set x 08; incr x",
+    "set x 1; incr x 010",
+    "set x 1; incr x 08",
+    "set x 1; incr x 1.5",
+    "set x 1; incr x -0b11",
+    "set x 1_000; incr x",
+    "set x [expr {1 << 20000}]; string length [incr x]",
     "set s 0; foreach i {1 2 3} {incr s $i}; set s",
     # foreach over variable lists and several lists: a short final
     # group, a short or empty list reads as empty strings

@@ -113,7 +113,7 @@ def test_every_declared_command_is_in_the_docs_table():
     "string index abc",
     "info exists",
     "string range abc 1",
-    "incr v abc",
+    "string repeat a x",
     "lindex {a b} x",
     "lrepeat x a",
 ])
@@ -122,6 +122,12 @@ def test_python_fault_in_a_command_is_catchable(source):
     assert interp.eval(f"catch {{{source}}} msg") == "1"
     name = source.split()[0]
     assert interp.eval("set msg").startswith(f'error in command "{name}": ')
+
+
+def test_incr_refuses_what_expr_refuses():
+    """``incr`` reads integers as ``expr`` does, and fails as Tcl does."""
+    with pytest.raises(TclError, match='^expected integer but got "08"$'):
+        Interp().eval("set q 08; incr q")
 
 
 # ----------------------------------------------------------------------
