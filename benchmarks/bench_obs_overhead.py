@@ -1,10 +1,11 @@
 """Observability overhead: the hooks must be free when nobody watches.
 
-The PR that added ``repro.obs`` threads instrumentation through every
-layer -- metrics counter handles in the PFI data path, a profiler test in
-the tclish compiled executor, telemetry capture around ``Campaign.run``.
-The design contract is *zero cost when disabled*: hooks are pre-bound
-handles and ``is not None`` tests, never per-event allocation.
+``repro.obs`` threads instrumentation through the layers -- a profiler
+test in the tclish compiled executor, telemetry capture around
+``Campaign.run``.  (The PFI layer keeps no instrumentation of its own:
+its record is the trace, and its ``stats`` are read back from there.)
+The design contract is *zero cost when disabled*: hooks are
+``is not None`` tests, never per-event allocation.
 
 This bench holds the contract numerically.  It runs one timer-chain
 campaign workload three ways:

@@ -43,28 +43,26 @@ from repro.core.sync import ScriptSync
 from repro.core.tclish import TclError
 from repro.netsim.scheduler import Scheduler
 from repro.netsim.trace import TraceRecorder
-from repro.obs.metrics import MetricsRegistry
 from repro.xkernel.message import Message
 from repro.xkernel.protocol import Protocol
 from repro.netsim import kinds as K
-
-#: the layer's action counters, in presentation order; each becomes a
-#: ``pfi_<name>`` counter labelled with the node name
-_STAT_NAMES = ("send_seen", "receive_seen", "dropped", "delayed",
-               "duplicated", "injected", "held", "released")
 
 _new_context = object.__new__
 
 
 class PFILayer(Protocol):
-    """A probe/fault-injection layer spliced into a protocol stack."""
+    """A probe/fault-injection layer spliced into a protocol stack.
+
+    The trace is the layer's one record: every action it takes is a
+    ``pfi.*`` entry there, and :attr:`stats` and :attr:`msglog` read
+    those entries back.
+    """
 
     def __init__(self, name: str, scheduler: Scheduler, stubs: PacketStubs, *,
-                 trace: Optional[TraceRecorder] = None,
+                 trace: TraceRecorder,
                  sync: Optional[ScriptSync] = None,
                  dist: Optional[DistributionSet] = None,
-                 node: str = "",
-                 metrics: Optional[MetricsRegistry] = None):
+                 node: str = ""):
         super().__init__(name)
         self.scheduler = scheduler
         self.stubs = stubs
@@ -76,31 +74,23 @@ class PFILayer(Protocol):
         self.receive_filter: Optional[FilterScript] = None
         self.send_state: Dict[str, Any] = {}
         self.receive_state: Dict[str, Any] = {}
-        #: the layer's metrics registry; pass a shared one to aggregate
-        #: several layers (or a whole node) into a single snapshot
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.msglog = MessageLog(stubs, trace, node=self.node,
-                                 metrics=self.metrics)
+        self.msglog = MessageLog(stubs, trace, node=self.node)
         self._held: Dict[Tuple[str, str], List[Message]] = OrderedDict()
-        self._killed = False
-        # counter handles are created once here so the data path does a
-        # bare attribute increment per event, never a registry lookup
-        self._counters = {stat: self.metrics.counter(f"pfi_{stat}",
-                                                     node=self.node)
-                          for stat in _STAT_NAMES}
-        self._send_seen = self._counters["send_seen"]
-        self._receive_seen = self._counters["receive_seen"]
+        #: messages that crossed the layer in each direction, filtered or
+        #: not (the only counts the trace does not hold)
+        self.send_seen = 0
+        self.receive_seen = 0
 
     @property
     def stats(self) -> Dict[str, int]:
-        """The classic counters as a plain dict.
-
-        Kept for callers that predate the metrics registry; the values
-        are read live from the registry, so ``pfi.stats["dropped"]`` and
-        ``pfi.metrics.counter("pfi_dropped", node=...)`` always agree.
-        """
-        return {stat: counter.value
-                for stat, counter in self._counters.items()}
+        """Messages seen per direction, then this node's count of each
+        action kind in the trace (:data:`~repro.netsim.kinds
+        .PFI_ACTION_STATS`)."""
+        count = self.trace.count
+        return {"send_seen": self.send_seen,
+                "receive_seen": self.receive_seen,
+                **{stat: count(kind, node=self.node)
+                   for kind, stat in K.PFI_ACTION_STATS.items()}}
 
     # ------------------------------------------------------------------
     # filter installation
@@ -119,36 +109,24 @@ class PFILayer(Protocol):
         self.send_filter = None
         self.receive_filter = None
 
-    def kill(self) -> None:
-        """Emulate a crash at this layer: drop everything from now on.
-
-        Used for the *process crash* and *link crash* failure models when
-        the crash must be local to one stack rather than the whole node.
-        """
-        self._killed = True
-
-    def revive(self) -> None:
-        """Undo :meth:`kill`."""
-        self._killed = False
-
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------
 
-    # A direction with no filter on a live layer forwards inline, bumping
-    # its counter in place, so the layer adds one call to the crossing.
-    # A killed layer, or a direction with a filter, takes ``_process``.
+    # A direction with no filter forwards inline, bumping its count in
+    # place, so the layer adds one call to the crossing.  A direction
+    # with a filter takes ``_process``.
 
     def push(self, msg: Message) -> None:
-        if self.send_filter is None and not self._killed:
-            self._send_seen.value += 1
+        if self.send_filter is None:
+            self.send_seen += 1
             self.send_down(msg)
         else:
             self._process(msg, "send")
 
     def pop(self, msg: Message) -> None:
-        if self.receive_filter is None and not self._killed:
-            self._receive_seen.value += 1
+        if self.receive_filter is None:
+            self.receive_seen += 1
             self.send_up(msg)
         else:
             self._process(msg, "receive")
@@ -160,16 +138,12 @@ class PFILayer(Protocol):
         duplicates) -- and last the releases, which follow the current
         message.  A :class:`TclError` from the script ends the run
         (:meth:`_script_failed`)."""
-        if self._killed:
-            self._counters["dropped"].value += 1
-            self._record(K.PFI_KILLED_DROP, direction=direction, uid=msg.uid)
-            return
         if direction == "send":
-            self._send_seen.value += 1
+            self.send_seen += 1
             script = self.send_filter
             state, peer = self.send_state, self.receive_state
         else:
-            self._receive_seen.value += 1
+            self.receive_seen += 1
             script = self.receive_filter
             state, peer = self.receive_state, self.send_state
         # ScriptContext(msg=msg, ...), without running its __init__
@@ -192,15 +166,11 @@ class PFILayer(Protocol):
         try:
             verdict = ctx.verdict
             if verdict == DROP:
-                self._counters["dropped"].value += 1
-                trace = self.trace
-                if trace is not None:
-                    trace.record(K.PFI_DROP, t=self.scheduler.now,
-                                 node=self.node, direction=direction,
-                                 uid=msg.uid,
-                                 msg_type=self.stubs.msg_type(msg))
+                self.trace.record(K.PFI_DROP, t=self.scheduler.now,
+                                  node=self.node, direction=direction,
+                                  uid=msg.uid,
+                                  msg_type=self.stubs.msg_type(msg))
             elif verdict == HOLD:
-                self._counters["held"].value += 1
                 self._held.setdefault((direction, ctx.hold_tag), []).append(msg)
                 self._record(K.PFI_HOLD, direction=direction, uid=msg.uid,
                              tag=ctx.hold_tag)
@@ -212,20 +182,16 @@ class PFILayer(Protocol):
                            for delay in ctx.duplicate_delays]
                           if ctx.duplicate_delays else ())
                 if ctx.delay_s > 0:
-                    self._counters["delayed"].value += 1
                     self._record(K.PFI_DELAY, direction=direction,
                                  uid=msg.uid, seconds=ctx.delay_s,
                                  msg_type=self.stubs.msg_type(msg))
                     self.scheduler.schedule(ctx.delay_s, self._forward, msg,
                                             direction)
-                elif self._killed:
-                    self._counters["dropped"].value += 1
                 elif direction == "send":
                     self.send_down(msg)
                 else:
                     self.send_up(msg)
                 for copy, extra_delay in copies:
-                    self._counters["duplicated"].value += 1
                     self._record(K.PFI_DUPLICATE, direction=direction,
                                  uid=copy.uid, original=msg.uid)
                     if extra_delay > 0:
@@ -259,9 +225,6 @@ class PFILayer(Protocol):
         raise ScriptFault(error) from err.__cause__ or err
 
     def _forward(self, msg: Message, direction: str) -> None:
-        if self._killed:
-            self._counters["dropped"].inc()
-            return
         if direction == "send":
             self.send_down(msg)
         else:
@@ -282,7 +245,6 @@ class PFILayer(Protocol):
         this injection (set automatically for script-driven injections)
         and becomes a lineage edge in the trace.
         """
-        self._counters["injected"].inc()
         msg.meta["injected"] = True
         if parent is None:
             self._record(K.PFI_INJECT, direction=direction, uid=msg.uid,
@@ -298,7 +260,6 @@ class PFILayer(Protocol):
     def _release(self, direction: str, tag: str, delay: float) -> None:
         queue = self._held.pop((direction, tag), [])
         for position, msg in enumerate(queue):
-            self._counters["released"].inc()
             self._record(K.PFI_RELEASE, direction=direction, uid=msg.uid,
                          tag=tag, position=position)
             if delay > 0:
@@ -319,8 +280,7 @@ class PFILayer(Protocol):
         self.msglog.log(msg, t=self.scheduler.now, direction=direction, note=note)
 
     def _record(self, kind: str, /, **attrs: Any) -> None:
-        if self.trace is not None:
-            self.trace.record(kind, t=self.scheduler.now, node=self.node, **attrs)
+        self.trace.record(kind, t=self.scheduler.now, node=self.node, **attrs)
 
 
 def _as_filter(script) -> FilterScript:

@@ -302,16 +302,6 @@ class Interp:
             "cache_size": compiler.cache_size(),
         }
 
-    def fill_metrics(self, registry, **labels: Any) -> None:
-        """Absorb the engine counters into a metrics registry.
-
-        The registry form (see :mod:`repro.obs.metrics`) supersedes the
-        bare :meth:`stats` dict when snapshotting a whole run: labelled
-        gauges merge cleanly across filters and campaign workers.
-        """
-        for name, value in self.stats().items():
-            registry.gauge(f"tclish_{name}", **labels).set(value)
-
     def call(self, name: str, args: List[str]) -> str:
         """Invoke a proc or registered command by name.
 

@@ -17,6 +17,7 @@ the whole stdlib is greppable.
 
 from __future__ import annotations
 
+import fnmatch
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
@@ -272,8 +273,9 @@ def _cmd_lrange(interp: "Interp", args: List[str]) -> str:
 
 @builtin("lsearch", 2, 2, "lsearch list pattern")
 def _cmd_lsearch(interp: "Interp", args: List[str]) -> str:
+    # a glob pattern, Tcl's default mode
     for i, element in enumerate(parse_list(args[0])):
-        if element == args[1]:
+        if fnmatch.fnmatchcase(element, args[1]):
             return str(i)
     return "-1"
 
@@ -334,7 +336,6 @@ def _cmd_switch(interp: "Interp", args: List[str]) -> str:
         pairs = list(args[1:])
     if len(pairs) % 2 != 0:
         raise TclError("switch: pattern/body list must have even length")
-    import fnmatch
     fallthrough_pending = False
     for i in range(0, len(pairs), 2):
         pattern, body = pairs[i], pairs[i + 1]
@@ -363,6 +364,8 @@ def _cmd_concat(interp: "Interp", args: List[str]) -> str:
 def _cmd_split(interp: "Interp", args: List[str]) -> str:
     text = args[0]
     chars = args[1] if len(args) == 2 else " \t\n"
+    if not text:
+        return ""  # the empty list, whatever the split characters
     if not chars:
         return build_list(list(text))
     parts: List[str] = []
@@ -474,18 +477,22 @@ def _format_spec_types(template: str) -> List[str]:
 def _cmd_info(interp: "Interp", args: List[str]) -> str:
     option = args[0]
     if option == "exists":
+        if len(args) != 2:
+            raise TclError('wrong # args: should be "info exists varName"')
         return "1" if interp.has_var(args[1]) else "0"
     if option == "commands":
-        names = sorted(set(interp.commands) | set(interp.procs))
-        return build_list(names)
-    if option == "procs":
-        return build_list(sorted(interp.procs))
-    if option == "vars":
-        scope = interp._current_scope()
-        return build_list(sorted(scope))
-    if option == "globals":
-        return build_list(sorted(interp.globals))
-    raise TclError(f'bad info option "{option}"')
+        names = set(interp.commands) | set(interp.procs)
+    elif option == "procs":
+        names = interp.procs
+    elif option == "vars":
+        names = interp._current_scope()
+    elif option == "globals":
+        names = interp.globals
+    else:
+        raise TclError(f'bad info option "{option}"')
+    # the names a glob pattern matches, every name without one
+    return build_list(sorted(name for name in names if len(args) == 1
+                             or fnmatch.fnmatchcase(name, args[1])))
 
 
 @builtin("error", 0, 1, "error ?message?")

@@ -86,9 +86,15 @@ PFI_DUPLICATE = "pfi.duplicate"
 PFI_HOLD = "pfi.hold"
 PFI_RELEASE = "pfi.release"
 PFI_INJECT = "pfi.inject"
-PFI_KILLED_DROP = "pfi.killed_drop"
 PFI_LOG = "pfi.log"
 PFI_SCRIPT_ERROR = "pfi.script_error"
+
+#: each PFI action kind and the name it counts under, in the order of
+#: :attr:`repro.core.pfi.PFILayer.stats` (``repro report`` prints the
+#: count of a node's entries as ``pfi_<name>{node=...}``)
+PFI_ACTION_STATS = {PFI_DROP: "dropped", PFI_DELAY: "delayed",
+                    PFI_DUPLICATE: "duplicated", PFI_INJECT: "injected",
+                    PFI_HOLD: "held", PFI_RELEASE: "released"}
 
 # ---------------------------------------------------------------------
 # infrastructure (ABP demo protocol, network core, drivers, schedules)

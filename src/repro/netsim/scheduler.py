@@ -161,23 +161,6 @@ class Scheduler:
         """Total number of events dispatched since construction."""
         return self._dispatched
 
-    def fill_metrics(self, registry, **labels: Any) -> None:
-        """Absorb the scheduler's counters into a metrics registry.
-
-        This supersedes reading the bare ``dispatched_count`` /
-        ``pending_count`` attributes when building a run snapshot: the
-        values land as labelled gauges next to every other subsystem's
-        series (see :mod:`repro.obs.metrics`).
-        """
-        registry.gauge("scheduler_now_s", **labels).set(self.now)
-        registry.gauge("scheduler_dispatched", **labels).set(
-            self._dispatched)
-        registry.gauge("scheduler_pending", **labels).set(self.pending_count)
-        registry.gauge("scheduler_compactions", **labels).set(
-            self.compactions)
-        registry.gauge("scheduler_tombstones", **labels).set(
-            self._tombstones)
-
     def compact(self) -> int:
         """Drop cancelled entries from the heap.  Returns how many went.
 

@@ -281,17 +281,6 @@ class TraceRecorder:
                 for kind, bucket in self._kind_positions().items()
                 if not prefix or kind.startswith(prefix)}
 
-    def fill_metrics(self, registry, **labels: Any) -> None:
-        """Absorb this trace's aggregates into a metrics registry.
-
-        Writes one ``trace_entries`` gauge per kind (plus the total), so
-        a campaign worker's capture volume shows up next to the
-        scheduler/interp series in one snapshot.
-        """
-        registry.gauge("trace_entries_total", **labels).set(len(self))
-        for kind, count in self.count_by_kind().items():
-            registry.gauge("trace_entries", kind=kind, **labels).set(count)
-
     @property
     def position(self) -> int:
         """The current append position (== number of entries so far).

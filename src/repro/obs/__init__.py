@@ -5,10 +5,9 @@ with a timestamp by the receive filter script" is the entire evidence
 pipeline -- and this package is that pipeline grown up.  It threads four
 capabilities through every layer of the toolchain:
 
-- :mod:`~repro.obs.metrics` -- a labelled counter/gauge/histogram
-  registry that supersedes the bare ``stats`` dicts on ``PFILayer``,
-  ``Interp`` and ``Scheduler``; snapshotable per run and mergeable
-  across campaign workers;
+- :mod:`~repro.obs.metrics` -- a labelled counter/gauge registry, the
+  form ``repro report`` gives the counts it reads off a trace (the PFI
+  layer's own record is the trace: its ``stats`` are read from there);
 - :mod:`~repro.obs.lineage` -- causal parent->child message derivation
   reconstructed from a trace (duplicates, injections, retransmits), so
   "where did this packet come from?" has an answer;
@@ -50,7 +49,7 @@ from repro.obs.journal import (JOURNAL_KINDS, NULL_JOURNAL, SCHEMA_VERSION,
                                JournalReplay, follow_journal, last_flight,
                                read_flights, replay_journal)
 from repro.obs.lineage import Lineage, LineageNode
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.profiler import ScriptProfiler
 from repro.obs.progress import ProgressRenderer, format_eta, rate_of
 from repro.obs.report import render_report
@@ -65,7 +64,6 @@ __all__ = [
     "Counter",
     "Flight",
     "Gauge",
-    "Histogram",
     "HistoryRow",
     "HistoryStore",
     "Journal",

@@ -1,26 +1,18 @@
-"""The metrics registry: labelled counters, gauges, and histograms.
+"""The metrics registry: labelled counters and gauges.
 
-One :class:`MetricsRegistry` per run (or per layer -- registries merge).
+A :class:`MetricsRegistry` is what ``repro report`` builds from a trace
+(:func:`repro.obs.report.trace_metrics`) and what an oracle verdict
+fills (:meth:`repro.oracle.invariants.OracleReport.fill_metrics`).
 Metrics are identified by a name plus a frozen label set, so
 ``registry.counter("pfi_dropped", node="machine1")`` and the same name on
 ``machine2`` are distinct series, exactly like a Prometheus exposition.
-
-Design constraints, in order:
-
-- **hot-path cost**: ``counter(...)`` is get-or-create and should be
-  called once at setup; the returned handle's ``inc()`` is a bare
-  attribute increment, comparable to the ``stats["x"] += 1`` dict
-  updates it replaces;
-- **mergeability**: campaign workers run in separate processes and ship
-  their registries back pickled; :meth:`MetricsRegistry.merge` combines
-  them (counters and histograms add, gauges last-write-wins);
-- **snapshots**: :meth:`MetricsRegistry.snapshot` is a plain dict keyed
-  ``name{label=value,...}`` suitable for JSON, diffing, or assertions.
+:meth:`MetricsRegistry.snapshot` is a plain dict keyed
+``name{label=value,...}`` suitable for JSON, diffing, or assertions.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 LabelKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
 
@@ -47,12 +39,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def _merge(self, other: "Counter") -> None:
-        self.value += other.value
-
-    def _snapshot(self) -> Any:
-        return self.value
-
     def __repr__(self) -> str:
         return f"Counter({self.name}{_label_suffix(self.labels)}={self.value})"
 
@@ -72,71 +58,8 @@ class Gauge:
     def set(self, value: Any) -> None:
         self.value = value
 
-    def _merge(self, other: "Gauge") -> None:
-        # gauges are snapshots, not accumulators: the merged-in (usually
-        # more recent, worker-side) observation wins
-        self.value = other.value
-
-    def _snapshot(self) -> Any:
-        return self.value
-
     def __repr__(self) -> str:
         return f"Gauge({self.name}{_label_suffix(self.labels)}={self.value})"
-
-
-class Histogram:
-    """A streaming summary: count, total, min, max (no bucket storage).
-
-    Observations are floats (durations, sizes).  The summary form keeps
-    merging across processes trivial and the per-observation cost at a
-    few comparisons.
-    """
-
-    __slots__ = ("name", "labels", "count", "total", "min", "max")
-
-    kind = "histogram"
-
-    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...] = ()):
-        self.name = name
-        self.labels = labels
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def _merge(self, other: "Histogram") -> None:
-        self.count += other.count
-        self.total += other.total
-        for bound in (other.min, other.max):
-            if bound is None:
-                continue
-            if self.min is None or bound < self.min:
-                self.min = bound
-            if self.max is None or bound > self.max:
-                self.max = bound
-
-    def _snapshot(self) -> Any:
-        return {"count": self.count, "total": self.total,
-                "mean": self.mean, "min": self.min, "max": self.max}
-
-    def __repr__(self) -> str:
-        return (f"Histogram({self.name}{_label_suffix(self.labels)} "
-                f"count={self.count} mean={self.mean:.6g})")
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricsRegistry:
@@ -169,10 +92,6 @@ class MetricsRegistry:
         """The gauge for (name, labels), created on first use."""
         return self._get(Gauge, name, labels)
 
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        """The histogram for (name, labels), created on first use."""
-        return self._get(Histogram, name, labels)
-
     # ------------------------------------------------------------------
     # read side
     # ------------------------------------------------------------------
@@ -186,42 +105,17 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """Flat ``{"name{label=v,...}": value}`` dict of every metric.
 
-        Counter/gauge values come through directly; histograms snapshot
-        to a ``{count,total,mean,min,max}`` dict.  Keys sort stably.
+        Keys sort stably.
         """
         out: Dict[str, Any] = {}
         for (name, labels), metric in sorted(self._metrics.items()):
-            out[f"{name}{_label_suffix(labels)}"] = metric._snapshot()
+            out[f"{name}{_label_suffix(labels)}"] = metric.value
         return out
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry (e.g. a worker's) into this one."""
-        for key, metric in other._metrics.items():
-            mine = self._metrics.get(key)
-            if mine is None:
-                clone = type(metric)(metric.name, metric.labels)
-                clone._merge(metric)
-                self._metrics[key] = clone
-            elif type(mine) is not type(metric):
-                raise TypeError(
-                    f"cannot merge {metric.kind} {metric.name!r} into "
-                    f"{mine.kind} of the same name")
-            else:
-                mine._merge(metric)
-        return self
 
     def render(self, *, prefix: str = "") -> str:
         """Human-readable table, optionally restricted by name prefix."""
-        rows: List[Tuple[str, str]] = []
-        for key, value in self.snapshot().items():
-            if not key.startswith(prefix):
-                continue
-            if isinstance(value, dict):  # histogram summary
-                text = (f"count={value['count']} mean={value['mean']:.6g} "
-                        f"min={value['min']} max={value['max']}")
-            else:
-                text = str(value)
-            rows.append((key, text))
+        rows = [(key, str(value)) for key, value in self.snapshot().items()
+                if key.startswith(prefix)]
         if not rows:
             return "(no metrics)"
         width = max(len(name) for name, _ in rows)

@@ -22,29 +22,23 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.netsim import kinds as K
 from repro.netsim.trace import TraceEntry, TraceRecorder
 from repro.obs.lineage import Lineage
 from repro.obs.metrics import MetricsRegistry
 
-#: pfi trace kind -> counter name recovered from an archived run
-_PFI_KIND_COUNTERS = {
-    "pfi.drop": "pfi_dropped",
-    "pfi.delay": "pfi_delayed",
-    "pfi.duplicate": "pfi_duplicated",
-    "pfi.hold": "pfi_held",
-    "pfi.release": "pfi_released",
-    "pfi.inject": "pfi_injected",
-    "pfi.killed_drop": "pfi_killed_drops",
-    "pfi.log": "pfi_logged",
-}
+#: pfi trace kind -> counter name recovered from an archived run: the
+#: PFI layer's action stats, plus the message log
+_PFI_KIND_COUNTERS = {kind: f"pfi_{name}" for kind, name in
+                      {**K.PFI_ACTION_STATS, K.PFI_LOG: "logged"}.items()}
 
 
 def trace_metrics(trace: Iterable[TraceEntry]) -> MetricsRegistry:
     """Reconstruct a metrics registry from trace entries alone.
 
     Produces ``trace_entries{kind=...}`` counters for every kind plus the
-    per-node PFI action counters for ``pfi.*`` entries, which is the same
-    shape a live :class:`~repro.core.pfi.PFILayer` registry exposes.
+    per-node PFI action counters for ``pfi.*`` entries, named as
+    :attr:`repro.core.pfi.PFILayer.stats` names them.
     """
     registry = MetricsRegistry()
     for entry in trace:

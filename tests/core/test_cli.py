@@ -1,9 +1,25 @@
 """Tests for the CLI.  The tables' findings are asserted by the
 benchmarks; their rendering is pinned here by the digest of ``repro all``."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parents[2]
+RUN_SCRIPT_GOLDEN = Path(__file__).parent / "golden" / "run_script"
+
+#: ``repro run-script`` runs whose full stdout is pinned: every example
+#: filter on the default TCP rig, and a GMP script that logs, delays,
+#: duplicates and injects (a GMP ``kind`` field is a ``payload_kind``
+#: trace attribute, rendered back as ``kind=``)
+RUN_SCRIPT_PINS = {
+    **{path.stem: [str(path.relative_to(REPO))]
+       for path in sorted((REPO / "examples" / "filters").glob("*.tcl"))},
+    "msg_log": ["tests/core/golden/run_script/msg_log.tcl", "--init",
+                "set n 0", "--protocol", "gmp", "--duration", "20"],
+}
 
 
 class TestParser:
@@ -79,6 +95,14 @@ class TestRunScript:
                      "--direction", "send", "--duration", "20"]) == 0
         out = capsys.readouterr().out
         assert "gmd1" in out
+
+    @pytest.mark.parametrize("name", sorted(RUN_SCRIPT_PINS))
+    def test_output_is_pinned(self, name, monkeypatch, capsys):
+        # the stats line and the log lines are read back from the trace
+        monkeypatch.chdir(REPO)
+        assert main(["run-script", *RUN_SCRIPT_PINS[name]]) == 0
+        expected = (RUN_SCRIPT_GOLDEN / f"{name}.out").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_script_fault_is_one_line_and_exit_1(self, tmp_path, capsys):
         script = tmp_path / "runaway.tcl"

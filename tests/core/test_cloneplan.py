@@ -26,7 +26,8 @@ from repro.netsim.scheduler import Event, SchedulerClock
 from repro.netsim.trace import TraceRecorder
 from repro.obs.campaign_report import render_text, summarize_journal
 from repro.oracle.fuzz import (GMP_VARIANTS, HORIZONS, _continue_body,
-                               _gmp_prefix, _tcp_prefix, run_fuzz)
+                               _fuzz_prefix, _gmp_prefix, _tcp_prefix,
+                               run_fuzz)
 from repro.tcp import VENDORS
 from repro.xkernel.message import Message
 from tests.props.test_checkpoint_props import _config, canon
@@ -226,6 +227,21 @@ def test_plan_fork_matches_deepcopy_fork_on_stock_rig(protocol, target,
         assert forked.env.scheduler.now == HORIZONS[protocol]
         assert result == ref_result
         assert canon(forked.env.trace) == canon(ref_env.trace)
+
+
+#: objects a fork of each stock fuzz prefix builds, at most (260 and 55
+#: with the trace as the PFI layer's one record; 299 and 68 when every
+#: layer also kept a registry of nine counters and its log lines)
+FORK_OBJECTS_CEILING = {"gmp": 263, "tcp": 56}
+
+
+@pytest.mark.parametrize("protocol,target", [("gmp", "self_death"),
+                                             ("tcp", "SunOS 4.1.3")])
+def test_stock_fuzz_prefix_fork_builds_few_objects(protocol, target):
+    env = make_env(seed=0)
+    roots = _fuzz_prefix(env, {"protocol": protocol, "target": target})
+    objects = Checkpoint.capture(env, roots).plan_stats["objects"]
+    assert objects <= FORK_OBJECTS_CEILING[protocol], objects
 
 
 def test_hooks_the_plan_replaced_are_gone():

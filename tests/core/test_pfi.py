@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import PythonFilter
+from repro.core import PythonFilter, TclishFilter
+from repro.core.genscripts import crash_after
 from tests.core.conftest import probe
 
 
@@ -243,26 +244,32 @@ class TestState:
 
 
 class TestKill:
+    """A layer is killed -- a crash local to one stack -- by a
+    drop-everything script, as ``genscripts.crash_after`` writes it, and
+    revived by clearing it (``Node.halt()`` crashes a whole node)."""
+
+    def _kill(self, harness):
+        for install in (harness.pfi.set_send_filter,
+                        harness.pfi.set_receive_filter):
+            source, init = crash_after(0, "seen")
+            install(TclishFilter(source, init_script=init))
+
     def test_killed_layer_drops_everything(self, harness):
-        harness.pfi.kill()
+        self._kill(harness)
         harness.send_down()
         harness.send_up()
         assert harness.bottom.received == []
         assert harness.top.received == []
+        assert harness.pfi.stats["dropped"] == 2
+        assert [e.get("direction") for e in
+                harness.env.trace.entries("pfi.drop")] == ["send", "receive"]
 
     def test_revive_restores(self, harness):
-        harness.pfi.kill()
+        self._kill(harness)
         harness.send_down()
-        harness.pfi.revive()
+        harness.pfi.clear_filters()
         harness.send_down()
         assert len(harness.bottom.received) == 1
-
-    def test_kill_drops_in_flight_delayed(self, harness):
-        harness.pfi.set_send_filter(lambda ctx: ctx.delay(2.0))
-        harness.send_down()
-        harness.pfi.kill()
-        harness.run()
-        assert harness.bottom.received == []
 
 
 def test_clear_filters(harness):
@@ -286,7 +293,7 @@ def test_pythonfilter_takes_the_callables_name():
 
 class TestUnfilteredPath:
     """A direction with no filter forwards inline, straight to the bound
-    neighbour; a filter or a kill puts it back on the full path."""
+    neighbour; a filter puts it back on the full path."""
 
     def test_forwards_to_the_bound_neighbour(self, harness):
         assert harness.pfi.send_down == harness.bottom.push
@@ -294,17 +301,6 @@ class TestUnfilteredPath:
         down, up = harness.send_down(), harness.send_up()
         assert harness.bottom.received == [down]
         assert harness.top.received == [up]
-
-    def test_kill_still_drops_and_records(self, harness):
-        harness.pfi.kill()
-        harness.send_down()
-        harness.send_up()
-        assert harness.bottom.received == [] and harness.top.received == []
-        assert harness.pfi.stats["dropped"] == 2
-        assert harness.env.trace.count("pfi.killed_drop") == 2
-        assert [e.get("direction") for e in
-                harness.env.trace.entries("pfi.killed_drop")] == [
-                    "send", "receive"]
 
     def test_a_filter_installed_mid_run_applies_from_the_next_message(
             self, harness):
@@ -338,6 +334,4 @@ class TestUnfilteredPath:
         harness.send_down()
         stats = harness.pfi.stats
         assert (stats["send_seen"], stats["receive_seen"]) == (4, 3)
-        metrics = harness.pfi.metrics
-        assert metrics.counter("pfi_send_seen", node="testnode").value == 4
-        assert metrics.counter("pfi_receive_seen", node="testnode").value == 3
+        assert (harness.pfi.send_seen, harness.pfi.receive_seen) == (4, 3)

@@ -165,7 +165,8 @@ class TestMessageLog:
     def test_log_formats_line(self):
         log, _ = self.make_log()
         msg = Message(payload=Body(seq=42), meta={"type": "DATA"})
-        line = log.log(msg, t=1.5, direction="receive", note="dropped")
+        log.log(msg, t=1.5, direction="receive", note="dropped")
+        line, = log.lines
         assert "DATA" in line
         assert "seq=42" in line
         assert "dropped" in line
@@ -200,13 +201,12 @@ class TestMessageLog:
         assert "seq=3" in log.lines[-1]
 
     def test_metrics_counter_counts_log_calls(self):
-        from repro.obs.metrics import MetricsRegistry
-        sched = Scheduler()
-        trace = TraceRecorder(clock=lambda: sched.now)
-        registry = MetricsRegistry()
-        log = MessageLog(LOG_SCHEMA, trace, node="host", metrics=registry)
+        # the count `repro report` gives is read off the trace
+        from repro.obs.report import trace_metrics
+        log, trace = self.make_log()
         log.log(Message(meta={"type": "A"}), t=0.0, direction="send")
         log.log(Message(meta={"type": "B"}), t=1.0, direction="send")
+        registry = trace_metrics(trace)
         assert registry.counter("pfi_logged", node="host").value == 2
 
 

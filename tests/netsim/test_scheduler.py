@@ -317,18 +317,6 @@ def test_auto_compact_waits_for_majority_dead():
     assert sched.dispatched_count == keep
 
 
-def test_compactions_metric_exported():
-    from repro.obs.metrics import MetricsRegistry
-    sched = Scheduler()
-    cancelled = sched.schedule(1.0, lambda: None)
-    cancelled.cancel()
-    sched.compact()
-    registry = MetricsRegistry()
-    sched.fill_metrics(registry)
-    assert registry.gauge("scheduler_compactions").value == 1
-    assert registry.gauge("scheduler_tombstones").value == 0
-
-
 def test_peek_entry_skips_cancelled_and_preserves_order():
     sched = Scheduler()
     first = sched.schedule(1.0, lambda: None)

@@ -179,18 +179,6 @@ def test_record_wrappers_take_kind_positionally(owner):
     assert parameter.kind is inspect.Parameter.POSITIONAL_ONLY
 
 
-def test_fill_metrics_gauges():
-    from repro.obs.metrics import MetricsRegistry
-    trace, _ = make_trace()
-    trace.record("tcp.a")
-    trace.record("tcp.a")
-    registry = MetricsRegistry()
-    trace.fill_metrics(registry, run="r0")
-    snap = registry.snapshot()
-    assert snap["trace_entries_total{run=r0}"] == 2
-    assert snap["trace_entries{kind=tcp.a,run=r0}"] == 2
-
-
 class TestKindIndex:
     """The lazy per-kind index must stay coherent with interleaved
     record/query traffic -- the pattern experiments actually produce."""

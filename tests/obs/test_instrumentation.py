@@ -1,34 +1,42 @@
-"""Instrumentation threaded through the layers: PFI registry, scheduler
-and interpreter gauges, protocol retransmit lineage edges."""
+"""Instrumentation threaded through the layers: PFI stats read back from
+the trace, protocol retransmit lineage edges."""
 
 from repro.core.pfi import PFILayer
-from repro.core.tclish import Interp
 from repro.obs.lineage import Lineage
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import trace_metrics
 
-from tests.core.conftest import SIMPLE_SCHEMA
+from tests.core.conftest import SIMPLE_SCHEMA, probe
 
 
 class TestPFIMetrics:
     def test_stats_property_mirrors_registry(self, harness):
+        # the registry `repro report` rebuilds from the trace counts each
+        # action under the name the live layer's stats give it
         harness.pfi.set_send_filter(lambda ctx: ctx.drop())
         harness.send_down("DATA")
         assert harness.pfi.stats["dropped"] == 1
         assert harness.pfi.stats["send_seen"] == 1
-        counter = harness.pfi.metrics.counter("pfi_dropped",
-                                              node="testnode")
-        assert counter.value == 1
+        snap = trace_metrics(harness.env.trace).snapshot()
+        assert snap["pfi_dropped{node=testnode}"] == 1
 
     def test_shared_registry_aggregates_layers(self, harness):
-        shared = MetricsRegistry()
+        # layers sharing one trace keep their own stats, and the registry
+        # `repro report` builds from that trace holds every node's series
+        trace = harness.env.trace
         pfi_a = PFILayer("a", harness.env.scheduler, SIMPLE_SCHEMA,
-                         node="m1", metrics=shared)
+                         trace=trace, node="m1")
         pfi_b = PFILayer("b", harness.env.scheduler, SIMPLE_SCHEMA,
-                         node="m2", metrics=shared)
-        assert pfi_a.metrics is pfi_b.metrics
-        snap = shared.snapshot()
-        assert "pfi_dropped{node=m1}" in snap
-        assert "pfi_dropped{node=m2}" in snap
+                         trace=trace, node="m2")
+        pfi_a.set_send_filter(lambda ctx: ctx.drop())
+        for _ in range(2):
+            pfi_a.push(probe())
+        pfi_b.set_send_filter(lambda ctx: ctx.hold())
+        pfi_b.push(probe())
+        assert (pfi_a.stats["dropped"], pfi_a.stats["held"]) == (2, 0)
+        assert (pfi_b.stats["dropped"], pfi_b.stats["held"]) == (0, 1)
+        snap = trace_metrics(trace).snapshot()
+        assert snap["pfi_dropped{node=m1}"] == 2
+        assert snap["pfi_held{node=m2}"] == 1
 
     def test_release_entries_carry_queue_position(self, harness):
         harness.pfi.set_send_filter(lambda ctx: ctx.hold("q"))
@@ -38,28 +46,6 @@ class TestPFIMetrics:
         harness.send_down("DATA")
         releases = harness.env.trace.entries("pfi.release")
         assert [e["position"] for e in releases] == [0, 1]
-
-
-class TestSubsystemGauges:
-    def test_scheduler_fill_metrics(self, harness):
-        harness.env.scheduler.schedule(1.0, lambda: None)
-        harness.run(2.0)
-        registry = MetricsRegistry()
-        harness.env.scheduler.fill_metrics(registry, node="m1")
-        snap = registry.snapshot()
-        assert snap["scheduler_now_s{node=m1}"] == 2.0
-        assert snap["scheduler_dispatched{node=m1}"] == 1
-        assert snap["scheduler_pending{node=m1}"] == 0
-
-    def test_interp_fill_metrics(self):
-        interp = Interp()
-        interp.eval("set x 1")
-        interp.eval("set x 1")
-        registry = MetricsRegistry()
-        interp.fill_metrics(registry, filter="send")
-        snap = registry.snapshot()
-        assert snap["tclish_eval_count{filter=send}"] == 2
-        assert snap["tclish_cache_hits{filter=send}"] >= 1
 
 
 class TestProtocolLineage:

@@ -1,10 +1,10 @@
-"""Metrics registry: get-or-create, labels, snapshots, merging."""
+"""Metrics registry: get-or-create, labels, snapshots, pickling."""
 
 import pickle
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 
 class TestGetOrCreate:
@@ -48,19 +48,6 @@ class TestValues:
         gauge.set(2)
         assert gauge.value == 2
 
-    def test_histogram_summary(self):
-        hist = Histogram("h")
-        for v in (1.0, 3.0, 2.0):
-            hist.observe(v)
-        assert hist.count == 3
-        assert hist.total == 6.0
-        assert hist.mean == 2.0
-        assert hist.min == 1.0
-        assert hist.max == 3.0
-
-    def test_empty_histogram_mean_is_zero(self):
-        assert Histogram("h").mean == 0.0
-
 
 class TestSnapshot:
     def test_snapshot_keys_carry_labels(self):
@@ -70,13 +57,6 @@ class TestSnapshot:
         snap = registry.snapshot()
         assert snap["pfi_dropped{node=m1}"] == 2
         assert snap["now"] == 1.5
-
-    def test_histogram_snapshot_is_summary_dict(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat").observe(0.25)
-        snap = registry.snapshot()["lat"]
-        assert snap == {"count": 1, "total": 0.25, "mean": 0.25,
-                        "min": 0.25, "max": 0.25}
 
     def test_render_is_prefix_filterable(self):
         registry = MetricsRegistry()
@@ -88,47 +68,9 @@ class TestSnapshot:
 
 
 class TestMerge:
-    def test_counters_add_and_gauges_overwrite(self):
-        ours = MetricsRegistry()
-        ours.counter("c", node="m1").inc(2)
-        ours.gauge("g").set(1)
-        theirs = MetricsRegistry()
-        theirs.counter("c", node="m1").inc(5)
-        theirs.gauge("g").set(9)
-        ours.merge(theirs)
-        assert ours.counter("c", node="m1").value == 7
-        assert ours.gauge("g").value == 9
-
-    def test_merge_creates_missing_series(self):
-        ours = MetricsRegistry()
-        theirs = MetricsRegistry()
-        theirs.counter("only_there", node="m2").inc(3)
-        ours.merge(theirs)
-        assert ours.counter("only_there", node="m2").value == 3
-        # the merged-in metric is a clone, not a shared object
-        theirs.counter("only_there", node="m2").inc()
-        assert ours.counter("only_there", node="m2").value == 3
-
-    def test_histograms_merge_bounds(self):
-        ours = MetricsRegistry()
-        ours.histogram("h").observe(2.0)
-        theirs = MetricsRegistry()
-        theirs.histogram("h").observe(10.0)
-        ours.merge(theirs)
-        hist = ours.histogram("h")
-        assert hist.count == 2
-        assert (hist.min, hist.max) == (2.0, 10.0)
-
-    def test_merge_kind_conflict_raises(self):
-        ours = MetricsRegistry()
-        ours.counter("x")
-        theirs = MetricsRegistry()
-        theirs.gauge("x")
-        with pytest.raises(TypeError, match="cannot merge"):
-            ours.merge(theirs)
+    """What a registry is when it travels between processes."""
 
     def test_registry_pickles_across_processes(self):
-        # campaign workers ship their registries back pickled
         registry = MetricsRegistry()
         registry.counter("c", node="w0").inc(4)
         clone = pickle.loads(pickle.dumps(registry))

@@ -164,11 +164,74 @@ SCRIPTS = [
     "proc sq {x} {expr {$x * $x}}; sq 7",
     "catch {error boom} msg; set msg",
     "nosuch",
+    # control flow
+    "set n 0; while 1 {incr n; if {$n > 3} break}; set n",
+    "set r {}; foreach i {1 2 3 4 5} {if {$i == 4} break; lappend r $i}; set r",
+    "set r {}; foreach i {1 2 3 4} {if {$i % 2} continue; lappend r $i}; set r",
+    ("set r {}; for {set i 0} {$i < 6} {incr i} "
+     "{if {$i == 2} continue; lappend r $i}; set r"),
+    "set s 0; for {set i 0} {$i < 5} {incr i} {incr s $i}; set s",
+    "if {1 > 2} {set r a} elseif {2 > 1} {set r b} else {set r c}",
+    "if {0} then {set r a} else {set r y}",
+    "if 0 {set r a}",
+    "switch b {a {set r 1} b {set r 2} default {set r 3}}",
+    "switch -glob foo {f* {set r g} default {set r d}}",
+    "switch a a - b {set r ab}",
+    "switch z a {set r 1}",
+    "proc f {} {return 5; set x 1}; f",
+    "proc f {} {return}; f",
+    "eval set x 5",
+    "eval [list set z {a b}]; llength $z",
+    "eval",
+    # variables and introspection (never a bare pattern-less listing,
+    # which would name tclsh's own commands, procs and globals)
+    "set g 1; proc f {} {global g; incr g}; f; set g",
+    "set x 1; unset x; info exists x",
+    "unset nosuch",
+    "info exists nosuch",
+    "set v 1; info exists v",
+    "info exists",
+    "info commands se?",
+    "info commands nosuch*",
+    "proc f {a} {set b 1; lsort [info vars]}; f 0",
+    "set zz1 1; info globals zz*",
+    # lists and strings
+    "concat a {b c} { d }",
+    "concat {a b} {} {c}",
+    "join {a b c} ,",
+    "join {a {b c} d}",
+    "lappend l a b; lappend l {c d}",
+    "lrange {a b c d e} 1 3",
+    "lrange {a b c} end-1 end",
+    "lrange {a b c} 5 9",
+    "lrepeat 3 a b",
+    "lrepeat 0 a",
+    "lrepeat -1 a",
+    "lreplace {a b c d} 1 2 x y z",
+    "lreplace {a b c} 0 0",
+    "lsearch {a b c} b",
+    "lsearch {a b c} z",
+    "lsearch {apple banana} b*",
+    "lsort {c a b}",
+    "lsort -integer {10 9 100}",
+    "lsort -decreasing {a c b}",
+    "split {a,b,c} ,",
+    "split {} ,",
+    "llength [split {} ,]",
+    "split abc {}",
+    "split {a  b}",
+    "puts hello",
+    # forms Tcl accepts and tclish refuses
+    "lsearch -exact {a* b} a*",
+    "lindex {{a b} c} 0 1",
+    "string last a banana",
 ]
 
+#: the code and result go to stderr, so what a script ``puts`` on stdout
+#: is not read as its result
 DRIVER = """set script $env(TCLSH_CORPUS_SCRIPT)
 set code [catch {uplevel #0 $script} result]
-puts -nonewline "$code\\n$result"
+puts -nonewline stderr "$code\\n$result"
 """
 
 
@@ -183,7 +246,7 @@ def run_tclsh(tclsh: str, script: str) -> dict:
             check=True, env={**os.environ, "TCLSH_CORPUS_SCRIPT": script})
     finally:
         os.unlink(driver.name)
-    code, _newline, result = done.stdout.partition("\n")
+    code, _newline, result = done.stderr.partition("\n")
     return {"script": script, "code": int(code), "result": result}
 
 

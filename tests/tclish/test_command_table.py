@@ -111,7 +111,7 @@ def test_every_declared_command_is_in_the_docs_table():
 
 @pytest.mark.parametrize("source", [
     "string index abc",
-    "info exists",
+    "string match a",
     "string range abc 1",
     "string repeat a x",
     "lindex {a b} x",
