@@ -30,7 +30,8 @@ configurations: group a shard's indices by prefix key, capture a group's
 warm prefix once when two or more members need it (one, when the caller
 keeps the pool), fork it per member, fall back cold on
 ``CheckpointError`` -- on top of :func:`run_one`, the
-only place a run seed is derived.  It yields events and knows nothing of
+only place a run seed is derived and the place a world is built, run,
+judged and torn down.  It yields events and knows nothing of
 stores, journals or sockets.
 
 **sink** -- :class:`ShardSink` publishes each row in crash-safe order,
@@ -139,6 +140,24 @@ class ExperimentEnv:
         for stream in self.dists:
             if stream.labels is not None:
                 stream.reseed(derive_seed(seed, *stream.labels))
+
+    def teardown(self) -> None:
+        """End this world, so it dies by reference counting.
+
+        A world is a web of reference cycles: a queued event reaches a
+        timer that reaches its owner, a layer holds its neighbours both
+        ways, a node holds its network.  This empties the scheduler's
+        queue, detaches the trace from the clock (the trace outlives the
+        world as rows) and takes every node off the network, which
+        dismantles its stack (:meth:`~repro.netsim.node.Node.teardown`).
+        It is called where a world ends: by :func:`run_one` once the run
+        is judged (a world is built, run, judged and torn down there),
+        and by :func:`_capture_prefix` once the checkpoint holds its
+        copy of the warmed world.
+        """
+        self.scheduler.clear()
+        self.trace.bind_clock(None)
+        self.network.teardown()
 
     def run_until(self, deadline: float, max_events: int = 2_000_000) -> int:
         """Advance virtual time to ``deadline``."""
@@ -626,7 +645,10 @@ def run_one(body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
     struck and is its verdict: ``script_error`` is set and the
     violations end with a ``PFI-SCRIPT-ERROR``.  Raises
     ``CheckpointError`` when the checkpoint cannot be re-seeded --
-    callers fall back cold.
+    callers fall back cold.  However the run ends, its world is torn
+    down before this returns (:meth:`ExperimentEnv.teardown`): the row
+    holds its trace, with no clock bound, and nothing of the world,
+    which reference counting has freed.
     """
     run_seed = derive_seed(seed, repr(sorted(config.items())))
     if checkpoint is None:
@@ -638,28 +660,38 @@ def run_one(body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
         state = (forked.roots[_STATE_ROOT]
                  if set(forked.roots) == {_STATE_ROOT} else forked.roots)
         run, args = body.continuation, (env, state, dict(config))
-    script_error = None
-    start = perf_counter()
     try:
-        result = run(*args)
-    except ScriptFault as fault:
-        result, script_error = None, fault.error
-    wall_s = perf_counter() - start
-    violations = _oracle_violations(env.trace, oracle)
-    if script_error is not None:
-        from repro.oracle.invariants import script_error_violations
-        violations = [*(violations or ()),
-                      *script_error_violations(env.trace)]
-    row = RunResult(
-        config=dict(config), result=result, trace=env.trace,
-        telemetry=RunTelemetry(
-            wall_s=wall_s, events=env.scheduler.dispatched_count,
-            virtual_s=env.scheduler.now, trace_entries=len(env.trace))
-        if telemetry else None,
-        violations=violations)
-    if script_error is not None:
-        row.script_error = script_error
+        script_error = None
+        start = perf_counter()
+        try:
+            result = run(*args)
+        except ScriptFault as fault:
+            result, script_error = None, fault.error
+        wall_s = perf_counter() - start
+        violations = _oracle_violations(env.trace, oracle)
+        if script_error is not None:
+            from repro.oracle.invariants import script_error_violations
+            violations = [*(violations or ()),
+                          *script_error_violations(env.trace)]
+        row = RunResult(
+            config=dict(config), result=result, trace=env.trace,
+            telemetry=RunTelemetry(
+                wall_s=wall_s, events=env.scheduler.dispatched_count,
+                virtual_s=env.scheduler.now, trace_entries=len(env.trace))
+            if telemetry else None,
+            violations=violations)
+        if script_error is not None:
+            row.script_error = script_error
+    finally:
+        env.teardown()
     return row
+
+
+def _capture(env: ExperimentEnv, state: Any, key: Any) -> Any:
+    """Capture ``env``, warmed by a prefix that returned ``state``."""
+    from repro.core.checkpoint import Checkpoint
+    roots = state if isinstance(state, dict) else {_STATE_ROOT: state}
+    return Checkpoint.capture(env, roots, label=f"campaign/{key}")
 
 
 def _capture_prefix(body: PrefixedBody, config: Dict[str, Any],
@@ -671,11 +703,42 @@ def _capture_prefix(body: PrefixedBody, config: Dict[str, Any],
     prefixes (the grouping contract).  Raises ``CheckpointError`` when
     the world cannot be captured soundly -- callers fall back cold.
     """
-    from repro.core.checkpoint import Checkpoint
     env = make_env(seed=0)
-    state = body.prefix(env, dict(config))
-    roots = state if isinstance(state, dict) else {_STATE_ROOT: state}
-    return Checkpoint.capture(env, roots, label=f"campaign/{key}")
+    try:
+        return _capture(env, body.prefix(env, dict(config)), key)
+    finally:
+        env.teardown()  # the checkpoint holds a copy
+
+
+def _capture_payload(checkpoint: Any, key: Any) -> Dict[str, Any]:
+    """What a ``campaign.checkpoint_capture`` event says of a capture,
+    less the count of configurations that fork it."""
+    return {"prefix": str(key), "label": checkpoint.label,
+            "identity": checkpoint.identity, "time": checkpoint.time,
+            "entries": checkpoint.position, **checkpoint.plan_stats}
+
+
+def pool_prefix(pool: Any, body: PrefixedBody, env: ExperimentEnv,
+                state: Any, config: Dict[str, Any]
+                ) -> Optional[Dict[str, Any]]:
+    """Pool a warm prefix its caller simulated itself.
+
+    ``state`` is what ``body.prefix(env, config)`` returned.  The world
+    is captured into ``pool`` under the key :func:`execute_shard` looks
+    it up by, so a shard handed the pool forks it and simulates no
+    prefix of its own; the caller keeps running ``env``.  Returns the
+    payload of the capture event (:class:`ShardCapture`, less its
+    ``configs`` count), or ``None`` when the world cannot be captured
+    (the shard then tries, and falls back cold).
+    """
+    from repro.core.checkpoint import CheckpointError
+    key = body.prefix_key(config)
+    try:
+        checkpoint = _capture(env, state, key)
+    except CheckpointError:
+        return None
+    pool.put(_prefix_digest(body, key), checkpoint)
+    return _capture_payload(checkpoint, key)
 
 
 class ShardStart(NamedTuple):
@@ -744,13 +807,9 @@ def execute_shard(spec: Any, indices: Iterable[int],
                 else:
                     if pool is not None:
                         pool.put(pool_key, checkpoint)
-                    yield ShardCapture({
-                        "prefix": str(key), "label": checkpoint.label,
-                        "identity": checkpoint.identity,
-                        "time": checkpoint.time,
-                        "entries": checkpoint.position,
-                        "configs": len(members),
-                        **checkpoint.plan_stats})
+                    yield ShardCapture(dict(_capture_payload(checkpoint,
+                                                             key),
+                                            configs=len(members)))
         for index in members:
             yield ShardStart(index)
             result = None
@@ -1266,16 +1325,7 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
                 slots[row.index] = row.result
                 flight.progress.update(sink.cached + sink.executed,
                                        findings=sink.findings or None)
-    results = [result for result in slots if result is not None]
-    # An in-process row's trace reads the scheduler of the world it ran
-    # in, and a kept result would keep that whole world (one reference
-    # cycle) alive; rows from the pool, the fabric or the store arrive
-    # with their trace still encoded, so no clock.  Every result a sweep
-    # returns is detached.
-    for result in results:
-        if "trace" in vars(result):
-            result.trace.bind_clock(None)
-    return results
+    return [result for result in slots if result is not None]
 
 
 def _inprocess_rows(spec: Any, todo: List[int], sink: ShardSink

@@ -652,6 +652,18 @@ def _handle_eval(an: Analyzer, command: CommandNode, state: _Scope) -> None:
         an._dynamic_vars = True
 
 
+def _handle_puts(an: Analyzer, command: CommandNode, state: _Scope) -> None:
+    # three words are ``-nonewline chan string`` or Tcl 8's old ``chan
+    # string nonewline``; any other three are wrong # args at runtime
+    args = command.args
+    if (len(args) == 3 and args[0].literal not in (None, "-nonewline")
+            and args[2].literal not in (None, "nonewline")):
+        an._report("SL002", command.words[0].offset,
+                   'wrong # args for "puts": 3 arguments start with '
+                   "-nonewline",
+                   f"usage: {an.registry.get('puts').usage}")
+
+
 def _handle_info(an: Analyzer, command: CommandNode, state: _Scope) -> None:
     if len(command.args) >= 2 and command.args[0].literal == "exists":
         name = command.args[1].literal
@@ -821,6 +833,7 @@ _SPECIAL = {
     "catch": _handle_catch,
     "eval": _handle_eval,
     "info": _handle_info,
+    "puts": _handle_puts,
     "expr": _handle_expr,
     "switch": _handle_switch,
     "chance": _handle_chance,

@@ -218,11 +218,25 @@ def _cmd_global(interp: "Interp", args: List[str]) -> str:
     return ""
 
 
-@builtin("puts", 0, 2, "puts ?-nonewline? string")
+#: the channels ``puts`` knows; both write the script's output
+_CHANNELS = ("stdout", "stderr")
+
+
+@builtin("puts", 1, 3, "puts ?-nonewline? ?channelId? string")
 def _cmd_puts(interp: "Interp", args: List[str]) -> str:
-    if args and args[0] == "-nonewline":
+    # Tcl's reading: a first word of -nonewline is the flag, a 2-word
+    # form's first word is the channel, and a 3-word form also takes
+    # the old trailing "nonewline"
+    if args[0] == "-nonewline" and len(args) > 1:
         args = args[1:]
-    interp.write(args[0] if args else "")
+    elif len(args) == 3:
+        if args[2] != "nonewline":
+            raise TclError('wrong # args: should be '
+                           '"puts ?-nonewline? ?channelId? string"')
+        args = args[:2]
+    if len(args) == 2 and args[0] not in _CHANNELS:
+        raise TclError(f'can not find channel named "{args[0]}"')
+    interp.write(args[-1])
     return ""
 
 

@@ -171,6 +171,12 @@ class Daemon(Protocol):
         self.timers.stop_all()
         self._started = False
 
+    def teardown(self) -> None:
+        """The world's run is over: drop the timer table's timers and
+        any deferred expiries, whose callbacks are this daemon's."""
+        self.timers.stop_all()
+        self._deferred.clear()
+
     def suspend(self) -> None:
         """Emulate SIGTSTP: no progress, timers defer until resume."""
         self._suspended = True

@@ -97,6 +97,11 @@ class ReliableChannel(Protocol):
         self.abandoned_count = 0
         self.duplicate_count = 0
 
+    def teardown(self) -> None:
+        """The world's run is over: drop the unacknowledged sends, whose
+        retransmission timers call :meth:`_retry`."""
+        self._pending.clear()
+
     # ------------------------------------------------------------------
     # downward path
     # ------------------------------------------------------------------

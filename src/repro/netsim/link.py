@@ -19,7 +19,8 @@ from typing import Any, Callable, Deque, Optional
 
 from repro.netsim.scheduler import Event, Scheduler
 
-#: ``deliver(payload, src)``: the receiving node's ``receive``
+#: ``deliver(payload, src)``: the receiving node's ``receive``, or its
+#: anchored stack's ``deliver``
 DeliverFn = Callable[[Any, int], None]
 
 
@@ -32,9 +33,10 @@ class Link:
         The shared virtual clock.
     deliver:
         Called as ``deliver(payload, src)`` with each payload on arrival:
-        the receiving node's bound ``receive``, so a delivery is one
-        call.  A bound method (unlike a closure) follows the checkpoint
-        engine's copy into a fork.
+        the receiving node's bound ``receive`` (the network passes the
+        ``deliver`` of the stack anchored on it, when there is one, so a
+        delivery into a stack is one call).  A bound method (unlike a
+        closure) follows the checkpoint engine's copy into a fork.
     src:
         The sending node's address, handed to ``deliver``.
     latency:

@@ -77,9 +77,12 @@ class Network:
         if key not in self._links:
             node = self._nodes[dst]
             link_rng = random.Random(f"{self._seed}/{src}/{dst}")
+            # a node with a stack anchored on it takes deliveries at
+            # the anchor, which keeps the node's books itself
+            anchor = node.anchor
             self._links[key] = Link(
                 self.scheduler,
-                node.receive,
+                node.receive if anchor is None else anchor.deliver,
                 src,
                 latency=self.default_latency,
                 rng=link_rng,
@@ -105,6 +108,12 @@ class Network:
         self._seed = seed
         for (src, dst), link in self._links.items():
             link.reseed(random.Random(f"{seed}/{src}/{dst}"))
+
+    def teardown(self) -> None:
+        """End the world's run: every node leaves the network
+        (:meth:`Node.teardown`).  Nodes and links stay readable."""
+        for node in self._nodes.values():
+            node.teardown()
 
     def set_link_down(self, src: int, dst: int, *, both: bool = True) -> None:
         """Unplug the link(s) between two nodes."""

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.netsim.network import Network
+    from repro.xkernel.stack import NodeAnchor
 
 ReceiveHook = Callable[[Any, int], None]
 
@@ -35,6 +36,11 @@ class Node:
         self.name = name
         self.address = address
         self.network: Optional["Network"] = None
+        #: the bottom layer of the stack attached to this node (set by
+        #: :class:`~repro.xkernel.stack.NodeAnchor`): links toward the
+        #: node deliver to it directly, and the stack is dismantled
+        #: with the node
+        self.anchor: Optional["NodeAnchor"] = None
         self._receive_hook: Optional[ReceiveHook] = None
         self._halted = False
         self.received_count = 0
@@ -50,7 +56,15 @@ class Node:
         self._receive_hook = hook
 
     def receive(self, payload: Any, src_address: int) -> None:
-        """Called by the network when a payload arrives for this node."""
+        """Called by the network when a payload arrives for this node.
+
+        A node with a stack anchored on it hands the payload to the
+        anchor, which keeps the node's books itself (the network's links
+        toward such a node call the anchor directly)."""
+        anchor = self.anchor
+        if anchor is not None:
+            anchor.deliver(payload, src_address)
+            return
         if self._halted:
             return
         self.received_count += 1
@@ -82,6 +96,16 @@ class Node:
         events and its own transmissions.
         """
         self._halted = True
+
+    def teardown(self) -> None:
+        """End the world's run: dismantle the stack
+        (:meth:`~repro.xkernel.stack.NodeAnchor.teardown`) and leave the
+        network, so nothing of this machine points back at the rest of
+        the world."""
+        anchor, self.anchor = self.anchor, None
+        if anchor is not None:
+            anchor.teardown()
+        self.network = self._receive_hook = None
 
     def __repr__(self) -> str:
         state = "halted" if self._halted else "running"

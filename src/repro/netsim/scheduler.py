@@ -18,7 +18,8 @@ callers; it never participates in heap ordering.  :meth:`run`,
 :meth:`run_until` and :meth:`run_until_quiet` share one dispatch loop,
 :meth:`Scheduler._drain`, which pops and dispatches inline instead of
 going through :meth:`step` per event; they differ only in the time limit
-they pass it and in where they leave the clock.
+they pass it and in where they leave the clock.  :meth:`Scheduler.clear`
+empties the queue when a run ends.
 """
 
 from __future__ import annotations
@@ -178,6 +179,22 @@ class Scheduler:
         self._tombstones = 0
         self.compactions += 1
         return removed
+
+    def clear(self) -> None:
+        """End the world's run: empty the queue.
+
+        Every pending event is cancelled and loses its callback and
+        arguments, so a handle something still holds (a timer's armed
+        event, a link's in-flight delivery) no longer reaches back into
+        the world, and the world's cycles through the queue are gone.
+        """
+        for _time, _seq, _callback, _args, event in self._heap:
+            if not event.cancelled:
+                event.cancelled = True
+                self._cancelled += 1
+            event.callback = event.args = None
+        self._heap.clear()
+        self._tombstones = 0
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""

@@ -17,8 +17,9 @@ already seen collapse into it, which catches the bulk of commutative
 interleavings at a fraction of a vector-clock implementation's cost.
 Each schedule is a config of :data:`schedule_body` (the fuzz body's
 warm prefix, then :func:`_run_plan`), run by the campaign's shard
-executor like any sweep: it captures the prefix once and forks it per
-schedule, so exploring N schedules costs N continuations, not N runs.
+executor like any sweep, which forks the prefix the survey simulated
+and captured: exploring N schedules costs one prefix and N
+continuations, not N runs.
 
 Schedules are applied best-effort: a perturbation is addressed by step
 index into the *baseline* event order, and an earlier perturbation may
@@ -47,8 +48,10 @@ from math import comb
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.export import VOLATILE_ATTRS, line_key, render_rows
+from repro.core.checkpoint import CheckpointPool
 from repro.core.fabric.spec import SweepSpec
-from repro.core.orchestrator import Campaign, PrefixedBody, ShardRow, make_env
+from repro.core.orchestrator import (Campaign, PrefixedBody, ShardRow,
+                                     make_env, pool_prefix)
 from repro.netsim import kinds as K
 from repro.netsim.link import Link
 from repro.netsim.scheduler import Event
@@ -269,20 +272,25 @@ schedule_body = PrefixedBody(prefixed_fuzz_body.prefix, _run_plan,
                              key=prefixed_fuzz_body.key)
 
 
-def _survey(config: Dict[str, Any], seed: int
-            ) -> Tuple[List[Tuple[str, str]], _TraceDigest]:
+def _survey(config: Dict[str, Any], seed: int, pool: CheckpointPool
+            ) -> Tuple[List[Tuple[str, str]], _TraceDigest,
+                       Optional[Dict[str, Any]]]:
     """The baseline event order inside the window: (class, label) per
     step, observed by single-stepping one cold run of the prefix --
-    plus the digest of the trace prefix every schedule starts with."""
+    plus the digest of the trace prefix every schedule starts with, and
+    the payload of the prefix's capture into ``pool``
+    (:func:`~repro.core.orchestrator.pool_prefix`): the schedules fork
+    this run's prefix, which is simulated once per exploration."""
     env = make_env(seed=seed)
-    schedule_body.prefix(env, config)
+    state = schedule_body.prefix(env, config)
+    capture = pool_prefix(pool, schedule_body, env, state, config)
     digest = _TraceDigest()
     digest.absorb(env.trace)
     steps: List[Tuple[str, str]] = []
     for event in _window(env.scheduler, config["window"]):
         steps.append((classify_event(event), describe_event(event)))
         env.scheduler.step()
-    return steps, digest
+    return steps, digest, capture
 
 
 def _plans(steps: List[Tuple[str, str]], *, max_perturbations: int,
@@ -340,11 +348,12 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
     """Explore bounded delivery-order schedules of one protocol target.
 
     The world is warmed to ``depth`` (default: the protocol's stock
-    filter-install time) once, cold, to survey the window.  Each
-    schedule is then one config of :data:`schedule_body`, and the
-    configs run through the campaign's shard executor
-    (:func:`~repro.core.orchestrator.execute_shard`), which captures
-    the warm prefix once and forks it per schedule.  Pending events inside ``[depth, depth + window]`` may be
+    filter-install time) once, cold, captured there, and run on to
+    survey the window.  Each schedule is then one config of
+    :data:`schedule_body`, and the configs run through the campaign's
+    shard executor (:func:`~repro.core.orchestrator.execute_shard`)
+    with that capture pooled, which forks it per schedule.  Pending
+    events inside ``[depth, depth + window]`` may be
     dropped or deferred by ``defer_delta`` seconds; the run then
     continues undisturbed to ``horizon`` and the protocol's oracle pack
     judges the trace.  Deterministic in all arguments: the same call
@@ -398,7 +407,8 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
         base = {"protocol": protocol, "target": target, "install_at": depth,
                 "window": window, "horizon": horizon,
                 "defer_delta": defer_delta}
-        steps, root_digest = _survey(base, seed)
+        pool = CheckpointPool()
+        steps, root_digest, capture = _survey(base, seed, pool)
         if root_digest.position == 0 and not any(
                 kind in ACTIONS for kind, _label in steps):
             raise ExploreError(
@@ -429,7 +439,11 @@ def explore(protocol: str = "gmp", target: str = "self_death", *,
         flight.counters = lambda: {"executed": report.schedules,
                                    "findings": len(report.findings),
                                    **census()}
-        for event in journaled_shard(spec, range(len(spec.configs)),
+        if capture is not None:
+            flight.journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
+                                  target=target, depth=depth,
+                                  configs=len(spec.configs), **capture)
+        for event in journaled_shard(spec, range(len(spec.configs)), pool,
                                      journal=flight.journal):
             if type(event) is not ShardRow:
                 continue

@@ -499,6 +499,18 @@ class TCPConnection:
         if self.on_close:
             self.on_close(reason)
 
+    def dismantle(self) -> None:
+        """The world's run is over (:meth:`~repro.tcp.protocol
+        .TCPProtocol.teardown`): let go of the engines, which call back
+        into this connection, and of the timers, whose callbacks are
+        their owners' own methods, so the connection dies by reference
+        counting.  Its own state and counters stay readable; ``retx``,
+        ``keepalive`` and ``persist`` are gone."""
+        for engine in (self.retx, self.keepalive, self.persist._prober):
+            engine._timer = None
+        self.retx = self.keepalive = self.persist = None
+        self._delack_timer = self._transmit = None
+
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------

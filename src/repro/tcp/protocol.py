@@ -129,6 +129,13 @@ class TCPProtocol(Protocol):
                     parent=parent, relation="retransmit")
         self.send_down(msg)
 
+    def teardown(self) -> None:
+        """The world's run is over: dismantle every connection
+        (:meth:`TCPConnection.dismantle`); each one routes its segments
+        back through this protocol."""
+        for conn in (*self._connections.values(), *self._listeners.values()):
+            conn.dismantle()
+
     # ------------------------------------------------------------------
     # stack interface
     # ------------------------------------------------------------------

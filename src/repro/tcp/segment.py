@@ -51,9 +51,15 @@ SEQ_HALF = SEQ_MOD // 2
 SEQ_SPACE = (0, 1, 1, 2)
 
 
-@dataclass
+@dataclass(init=False)
 class Segment:
-    """A TCP segment header plus payload."""
+    """A TCP segment header plus payload.
+
+    The constructor is written out, not generated: a dataclass
+    ``__init__`` that reduces ``seq`` and ``ack`` in ``__post_init__``
+    costs two Python frames per segment, this costs one.  The fields,
+    ``replace`` and equality are the dataclass's.
+    """
 
     src_port: int
     dst_port: int
@@ -63,9 +69,15 @@ class Segment:
     window: int
     payload: bytes = b""
 
-    def __post_init__(self):
-        self.seq %= SEQ_MOD
-        self.ack %= SEQ_MOD
+    def __init__(self, src_port: int, dst_port: int, seq: int, ack: int,
+                 flags: int, window: int, payload: bytes = b""):
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq % SEQ_MOD
+        self.ack = ack % SEQ_MOD
+        self.flags = flags
+        self.window = window
+        self.payload = payload
 
     # ------------------------------------------------------------------
     # flag helpers

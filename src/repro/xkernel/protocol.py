@@ -83,6 +83,13 @@ class Protocol:
     def attached(self) -> None:
         """Hook called once the layer's neighbours have been wired."""
 
+    def teardown(self) -> None:
+        """Hook called when the world's run ends, before the stack
+        unwires the layer (:meth:`~repro.xkernel.stack.NodeAnchor
+        .teardown`): let go of what this layer owns that calls back
+        into it -- timers, sessions -- so the layer dies by reference
+        counting.  State the caller may still read stays."""
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
 

@@ -17,6 +17,12 @@ layer below's bound ``push`` and ``send_up`` the layer above's bound
 every crossing on the message path is one call.  Every ``build`` /
 ``insert_*`` / ``remove`` re-wires the whole stack, which is also how a
 ``push`` / ``pop`` replaced on an already-wired layer is picked up.
+
+Neighbours bound both ways make a stack one reference cycle, so when a
+run ends the node's anchor unwires it (:meth:`NodeAnchor.teardown`,
+called through :meth:`~repro.netsim.node.Node.teardown`): each layer
+first lets go of what it owns (:meth:`~repro.xkernel.protocol.Protocol
+.teardown`), then of its neighbours.
 """
 
 from __future__ import annotations
@@ -148,7 +154,21 @@ class NodeAnchor(Protocol):
     def __init__(self, node: Node, name: str = "anchor"):
         super().__init__(name)
         self.node = node
-        node.on_receive(self._on_node_receive)
+        node.anchor = self
+
+    def teardown(self) -> None:
+        """End the world's run: every layer of the stack above this
+        anchor, bottom up, lets go of what it owns
+        (:meth:`Protocol.teardown`) and is unwired."""
+        layer = self
+        while layer is not None:
+            above = layer.above
+            if layer is not self:
+                layer.teardown()
+            # _wire(layer, None, None), inline
+            layer.above = layer.below = None
+            layer.send_up = layer.send_down = discard
+            layer = above
 
     def push(self, msg: Message) -> None:
         dst = msg.meta.get("dst")
@@ -169,7 +189,14 @@ class NodeAnchor(Protocol):
         node.sent_count += 1
         node.network.send(node.address, dst, wire)
 
-    def _on_node_receive(self, payload: Any, src_address: int) -> None:
+    def deliver(self, payload: Any, src_address: int) -> None:
+        """A payload off the wire, in one call: what the network's links
+        toward this node call, keeping the node's books as
+        :meth:`Node.receive` keeps them for a node without a stack."""
+        node = self.node
+        if node._halted:
+            return
+        node.received_count += 1
         if not isinstance(payload, Message):
             payload = Message(payload)
         payload.meta["src"] = src_address

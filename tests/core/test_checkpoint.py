@@ -265,8 +265,9 @@ def test_fork_of_a_gmp_world_delivers_into_its_own_layers():
         assert pfi.send_down.__self__ is pfi.below is not original.below
         assert pfi.send_up.__self__ is pfi.above is not original.above
         assert pfi.below.send_up.__self__ is pfi
+    # a link delivers into the fork's stack, at its node's anchor
     links = forked.env.network._links
-    assert all(link._deliver.__self__ is forked.env.network.node(dst)
+    assert all(link._deliver.__self__ is forked.env.network.node(dst).anchor
                for (_src, dst), link in links.items())
     forked.env.run_until(16.0)
 

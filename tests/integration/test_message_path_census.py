@@ -21,33 +21,38 @@ from repro.oracle.fuzz import pack_for, prefixed_fuzz_body
 from repro.tcp import VENDORS
 
 #: Python ``call`` events per ``net.send`` row over Table 7's buggy run
-#: (24.84 with the anchor handing messages to the network, the reliable
+#: (23.83 with links delivering into the anchored stack in one call;
+#: 24.84 with the anchor handing messages to the network, the reliable
 #: layer's ack and the GMP layers' header push / pop inline; 32.60
 #: before, 37.11 before timer, event and gid bookkeeping went inline,
 #: 57.62 before each layer's neighbours were bound at wiring), rounded
 #: up to the next whole call
-CALLS_PER_WIRE_MESSAGE_CEILING = 25
+CALLS_PER_WIRE_MESSAGE_CEILING = 24
 
 #: wire messages that run sends
 WIRE_MESSAGES = 18_074
 
 #: the same ratio over Table 2's 3 s column, every vendor's run followed
 #: by the tcp pack's verdict on its trace, counted on a second pass
-#: (73.61 with the PFI layer's actions counted only as trace entries,
-#: whatever ran before in the process; 75.58 with per-layer counter
-#: handles, 82.43 before the PFI verdict was applied in ``_process`` and
-#: the anchor called the network, 152.50 when segment arithmetic and
-#: invariants went through one-line helpers per field), rounded up
-TCP_CALLS_PER_WIRE_MESSAGE_CEILING = 74
+#: (71.59 with a ``Segment`` built in one frame and links delivering
+#: into the anchored stack in one call; 73.61 with the PFI layer's
+#: actions counted only as trace entries, whatever ran before in the
+#: process; 75.58 with per-layer counter handles, 82.43 before the PFI
+#: verdict was applied in ``_process`` and the anchor called the
+#: network, 152.50 when segment arithmetic and invariants went through
+#: one-line helpers per field), rounded up
+TCP_CALLS_PER_WIRE_MESSAGE_CEILING = 72
 
 #: wire messages those four runs send
 TCP_WIRE_MESSAGES = 315
 
 #: the same ratio over one ``gmp_sweep`` pass (the e2e benchmark's GMP
-#: battery at seed 0, oracle included): 36.68 with the PFI layer's
-#: actions counted only as trace entries, 37.46 with per-layer counter
-#: handles, 47.63 before tclish filter verdicts, heartbeat re-arms and
-#: the wire hop were shed of their glue frames, rounded up
+#: battery at seed 0, oracle included): 36.12 with links delivering
+#: into the anchored stack in one call and every world torn down as its
+#: run ends; 36.68 with the PFI layer's actions counted only as trace
+#: entries, 37.46 with per-layer counter handles, 47.63 before tclish
+#: filter verdicts, heartbeat re-arms and the wire hop were shed of
+#: their glue frames, rounded up
 SWEEP_CALLS_PER_WIRE_MESSAGE_CEILING = 37
 
 #: wire messages that pass sends

@@ -336,3 +336,18 @@ def test_step_dispatches_exactly_one_event():
     assert sched.step() is True
     assert fired == [1]
     assert sched.now == 1.0
+
+
+def test_clear_empties_the_queue_and_cuts_every_handle():
+    sched = Scheduler()
+    fired = []
+    kept = sched.schedule(1.0, fired.append, "a")
+    dropped = sched.schedule(2.0, fired.append, "b")
+    dropped.cancel()
+    sched.clear()
+    assert sched.pending_count == 0
+    assert sched.run() == 0 and fired == []
+    # a handle held elsewhere reaches nothing of the world any more
+    assert kept.cancelled and kept.callback is None and kept.args is None
+    kept.cancel()
+    assert sched.pending_count == 0

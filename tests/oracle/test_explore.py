@@ -1,5 +1,7 @@
 """Tests for the bounded delivery-order explorer (repro.oracle.explore)."""
 
+import sys
+
 import pytest
 
 from repro.netsim.link import Link
@@ -111,6 +113,34 @@ def test_explore_collapses_equivalent_schedules():
     assert 1 <= report.distinct_outcomes <= report.schedules
     novel = [o for o in report.outcomes if o.novel]
     assert len(novel) == report.distinct_outcomes
+
+
+def _prefix_calls(fn):
+    """Run ``fn``; count the warm prefixes simulated meanwhile."""
+    from repro.oracle.fuzz import _fuzz_prefix
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is _fuzz_prefix.__code__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+@pytest.mark.parametrize("protocol, target, depth", [
+    ("gmp", "self_death", None), ("tcp", "SunOS 4.1.3", 2.0)])
+def test_explore_simulates_its_prefix_once(protocol, target, depth):
+    # the survey's cold run is captured and every schedule forks it
+    calls, report = _prefix_calls(lambda: explore(
+        protocol, target, depth=depth, window=0.5, max_schedules=6))
+    assert report.schedules > 1
+    assert calls == 1
 
 
 def test_explore_tcp_smoke():

@@ -125,7 +125,8 @@ def test_forked_schedules_match_cold(protocol, target, depth, window):
     base = {"protocol": protocol, "target": target, "install_at": depth,
             "window": window, "horizon": HORIZONS[protocol],
             "defer_delta": 4.0}
-    steps, _digest = _survey(base, 0)
+    pool = CheckpointPool()
+    steps, _digest, _capture = _survey(base, 0, pool)
     every = _plans(steps, max_perturbations=2, max_schedules=10 ** 6)
     # the baseline, then singles and pairs across the whole plan order
     configs = [dict(base, plan=plan)
@@ -133,7 +134,9 @@ def test_forked_schedules_match_cold(protocol, target, depth, window):
     assert any(len(config["plan"]) == 2 for config in configs)
     spec = SweepSpec(body=schedule_body, seed=5, configs=configs,
                      oracle=pack_for(protocol))
-    rows = [event for event in execute_shard(spec, range(len(configs)))
+    # every schedule forks the survey's capture
+    rows = [event for event in execute_shard(spec, range(len(configs)),
+                                             pool)
             if type(event) is ShardRow]
     assert [row.forked for row in rows] == [True] * len(configs)
     cold = Campaign(schedule_body, seed=5).run(

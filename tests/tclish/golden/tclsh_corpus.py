@@ -221,6 +221,14 @@ SCRIPTS = [
     "split abc {}",
     "split {a  b}",
     "puts hello",
+    # puts reads an optional -nonewline and channel the way Tcl does
+    "puts",
+    "puts -nonewline",
+    "puts stdout x",
+    "puts -nonewline stdout x",
+    "puts stdout x nonewline",
+    "puts nosuch x",
+    "puts a b c",
     # forms Tcl accepts and tclish refuses
     "lsearch -exact {a* b} a*",
     "lindex {{a b} c} 0 1",

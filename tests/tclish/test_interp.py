@@ -195,6 +195,18 @@ class TestCommands:
         interp.eval('puts -nonewline "line two"')
         assert interp.output_lines == ["line one", "line two"]
 
+    def test_puts_writes_what_tclsh_prints(self, interp):
+        # tclsh8.6 prints -nonewline, x, x, x; the corpus holds the codes
+        interp.eval("puts -nonewline")
+        interp.eval("puts stdout x")
+        interp.eval("puts -nonewline stderr x")
+        interp.eval("puts stdout x nonewline")
+        assert interp.output_lines == ["-nonewline", "x", "x", "x"]
+        for script in ("puts", "puts nosuch x", "puts a b c"):
+            with pytest.raises(TclError):
+                interp.eval(script)
+        assert len(interp.output_lines) == 4
+
     def test_output_callback(self):
         captured = []
         interp = Interp(output=captured.append)
