@@ -170,6 +170,13 @@ class Checkpoint:
         self.forks += 1
         return Forked(env=env, roots=world["roots"])
 
+    def teardown(self) -> None:
+        """End the snapshot world (:meth:`ExperimentEnv.teardown`), so it
+        dies by reference counting once the checkpoint is dropped.  Call
+        it when no further fork will be made: a torn-down snapshot forks
+        torn-down worlds."""
+        self._plan.root["env"].teardown()
+
     def __repr__(self) -> str:
         plan = self._plan
         fallback = (f", fallback={_tally(plan.fallback)}"

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from operator import mul
+from typing import List, Sequence
 
 
 class DistributionSet:
@@ -109,10 +110,40 @@ class DistributionSet:
         return DistributionSet(hash((self._rng.random(), label)) & 0x7FFFFFFF)
 
 
+_MULTIPLIER = 1000003
+_MASK = 0xFFFFFFFF
+#: ``_POWERS[k]`` is ``_MULTIPLIER ** k`` mod 2**32, grown on demand
+_POWERS = [1]
+
+
+def _powers(count: int) -> List[int]:
+    """At least ``count`` entries of :data:`_POWERS`."""
+    global _POWERS
+    powers = _POWERS
+    if len(powers) < count:
+        powers = list(powers)
+        while len(powers) < count:
+            powers.append(powers[-1] * _MULTIPLIER & _MASK)
+        _POWERS = powers
+    return powers
+
+
 def derive_seed(base_seed: int, *labels) -> int:
-    """Stable seed derivation from a base seed and string/int labels."""
-    value = base_seed & 0xFFFFFFFF
+    """Stable seed derivation from a base seed and string/int labels.
+
+    Folds each label's characters into the value as
+    ``value = (value * 1000003 + ord(ch)) mod 2**32``, one character at
+    a time.  That is a polynomial in the code points, so it is computed
+    in one ``sum`` over a table of powers instead: the last character
+    takes power 0, the first power ``len - 1``, and the value carried
+    in is multiplied by power ``len``.
+    """
+    value = base_seed & _MASK
     for label in labels:
-        for ch in str(label):
-            value = (value * 1000003 + ord(ch)) & 0xFFFFFFFF
+        text = str(label)[::-1]
+        # an ASCII label's bytes are its code points
+        codes = text.encode() if text.isascii() else map(ord, text)
+        powers = _powers(len(text) + 1)
+        value = (value * powers[len(text)]
+                 + sum(map(mul, codes, powers))) & _MASK
     return value

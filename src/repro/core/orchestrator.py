@@ -37,6 +37,8 @@ stores, journals or sockets.
 **sink** -- :class:`ShardSink` publishes each row in crash-safe order,
 ``store.put`` -> journal ``run_end`` -> tally, so a row the journal claims
 is a row the store holds and prefix-sharing statistics mean one thing.
+It encodes the row's trace first, so the rows a sweep returns hold
+pickles, not live recorders.
 
 A *transport* only decides where :func:`execute_shard` runs and how its
 rows reach the lifecycle.  In-process (serial is "one shard, here"): the
@@ -194,13 +196,17 @@ class RunResult:
     oracle (``Campaign.run(..., oracle=...)``); it is ``None`` when no
     oracle ran, and ``[]`` when one ran and found the trace clean.
 
-    A pickled row carries its trace as a nested pickle (``bytes``).  A
-    row that crossed a process or came out of the store therefore holds
-    the trace encoded until ``trace`` is first read, which decodes it
-    once (through the recorder's own shape check) and keeps the
-    recorder; a resume that only scores its rows never decodes one, and
-    a row pickled again before its trace is read passes the same bytes
-    on untouched.  ``"trace" in vars(row)`` tells the two apart.
+    A row carries its trace as a nested pickle (``bytes``,
+    :func:`_encode_trace`) once :class:`ShardSink` has published it, or
+    once it was pickled: every row a sweep returns, whichever transport
+    ran it or whether the store held it, therefore holds the trace
+    encoded until ``trace`` is first read, which decodes it once
+    (through the recorder's own shape check) and keeps the recorder.  A
+    sweep that only scores its rows never decodes one, and a row pickled
+    again before its trace is read passes the same bytes on untouched.
+    A row straight from :func:`run_one` (the explorer's and the fuzz
+    loop's, which read every trace at once) and one whose trace does not
+    pickle hold it live.  ``"trace" in vars(row)`` tells the two apart.
     """
 
     config: Dict[str, Any]
@@ -221,8 +227,7 @@ class RunResult:
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        if "trace" in state:
-            state[_ENCODED_TRACE] = pickle.dumps(state.pop("trace"))
+        _encode_trace(state)
         return state
 
     def __getattr__(self, name: str) -> Any:
@@ -239,6 +244,20 @@ class RunResult:
 
 #: where a :class:`RunResult` keeps its trace while it is still encoded
 _ENCODED_TRACE = "_trace_pickle"
+
+
+def _encode_trace(state: Dict[str, Any]) -> None:
+    """Swap the live trace in a row's ``state`` for its pickle.
+
+    The one encoder: :meth:`RunResult.__getstate__` runs it on a copy
+    of the instance dict, :meth:`ShardSink._publish` on the row itself.
+    A state whose trace is encoded already is left as it is.  Raises
+    what ``pickle.dumps`` raises, with ``state`` untouched.
+    """
+    if "trace" in state:
+        encoded = pickle.dumps(state["trace"])
+        del state["trace"]
+        state[_ENCODED_TRACE] = encoded
 
 
 def _hash_code(digest, code) -> None:
@@ -783,8 +802,10 @@ def execute_shard(spec: Any, indices: Iterable[int],
     captured.  Without a pool each group's checkpoint lives only while
     that group runs (memory stays flat however long the shard is; every
     group's key is distinct, so nothing could be reused within the
-    call) and a capture pays only for a group of two or more.  A body
-    exception propagates from the ``next()`` that ran it, after the
+    call) and a capture pays only for a group of two or more, and its
+    snapshot world is torn down (:meth:`~repro.core.checkpoint
+    .Checkpoint.teardown`) where the group ends.  A body exception
+    propagates from the ``next()`` that ran it, after the
     :class:`ShardStart` naming its index.
     """
     from repro.core.checkpoint import CheckpointError
@@ -793,7 +814,7 @@ def execute_shard(spec: Any, indices: Iterable[int],
     worth_capturing = 2 if pool is None else 1
     for key, members in _prefix_groups(indices,
                                        spec.execution_prefix_keys()):
-        checkpoint = None
+        checkpoint = captured = None
         if key is not None:
             if pool is not None:
                 pool_key = _prefix_digest(body, key)
@@ -807,6 +828,8 @@ def execute_shard(spec: Any, indices: Iterable[int],
                 else:
                     if pool is not None:
                         pool.put(pool_key, checkpoint)
+                    else:
+                        captured = checkpoint
                     yield ShardCapture(dict(_capture_payload(checkpoint,
                                                              key),
                                             configs=len(members)))
@@ -825,6 +848,8 @@ def execute_shard(spec: Any, indices: Iterable[int],
             if not forked:
                 result = run_one(body, spec.seed, configs[index], **options)
             yield ShardRow(index, result, key, forked)
+        if captured is not None:
+            captured.teardown()
 
 
 # ----------------------------------------------------------------------
@@ -880,7 +905,9 @@ class ShardSink:
     in that order, the moment it arrives: a crash loses at most the
     configuration in flight, never a row the journal claims done, and a
     sweep that dies at configuration *k* leaves its first *k* rows
-    resumable.  ``store`` and ``journal`` are each optional (a bare
+    resumable.  Before any of that the row's trace is encoded in place
+    (:func:`_encode_trace`), and the store seals the bytes the row
+    keeps.  ``store`` and ``journal`` are each optional (a bare
     ``Campaign.run`` has neither and only tallies).  ``carrier`` says
     the store is how a row reaches the sweep at all (the fabric worker):
     there a result the store refuses -- it does not pickle -- is an
@@ -959,6 +986,12 @@ class ShardSink:
             raise
 
     def _publish(self, row: ShardRow) -> None:
+        # the row keeps its trace encoded from here on, and the store
+        # seals these same bytes: a trace is pickled once per row
+        try:
+            _encode_trace(vars(row.result))
+        except Exception:
+            pass  # the trace stays live; the store refuses the row too
         if (self.store is not None
                 and not self.store.put(self.keys[row.index], row.result)
                 and self.carrier):
@@ -1223,11 +1256,14 @@ def run_sweep(spec: Any, *, workers: Union[int, str] = 1,
     backend's flight record is written by the same code and reads the
     same.  Results come back in input order, each trace with no clock
     bound (:meth:`~repro.netsim.trace.TraceRecorder.bind_clock` one to
-    record more), whichever transport ran it.  A row that arrived
-    pickled -- from the pool, a fabric worker or the store (every held
-    row of a resume) -- keeps its trace encoded until ``result.trace``
-    is first read (:class:`RunResult`), so a sweep that is only scored
-    never decodes a trace it did not run here.
+    record more), whichever transport ran it.  Every row keeps its
+    trace encoded until ``result.trace`` is first read
+    (:class:`RunResult`): one run here was encoded as the sink published
+    it, one from the pool, a fabric worker or the store (every held row
+    of a resume) arrived pickled.  A returned row therefore holds its
+    trace's pickle, not a live recorder with an attrs dict per entry,
+    and a sweep that is only scored never decodes a trace.  A trace
+    that does not pickle stays live.
 
     ``workers`` (:func:`_resolve_workers`) and ``backend``
     (:data:`BACKENDS`) choose the transport, and nothing else.

@@ -80,9 +80,11 @@ class Link:
         #: checkpoint layer refuses to reseed a link that already drew
         self.rng_draws = 0
 
-    def reseed(self, rng: random.Random) -> None:
-        """Swap in a fresh RNG stream (checkpoint restore path)."""
-        self._rng = rng
+    def reseed(self, seed: str) -> None:
+        """Restart this link's RNG stream from ``seed``, in place
+        (checkpoint restore path): the stream ``random.Random(seed)``
+        draws."""
+        self._rng.seed(seed)
         self.rng_draws = 0
 
     @property

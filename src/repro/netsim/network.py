@@ -107,7 +107,7 @@ class Network:
                     f"seed-portable")
         self._seed = seed
         for (src, dst), link in self._links.items():
-            link.reseed(random.Random(f"{seed}/{src}/{dst}"))
+            link.reseed(f"{seed}/{src}/{dst}")
 
     def teardown(self) -> None:
         """End the world's run: every node leaves the network

@@ -1,6 +1,8 @@
 """Unit tests for the supporting core modules: distributions, sync,
 message log, driver, and orchestrator."""
 
+import random
+
 import pytest
 
 from repro.core import (Campaign, DistributionSet, Driver, MessageLog,
@@ -69,6 +71,38 @@ class TestDistributions:
     def test_derive_seed_stable_and_label_sensitive(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
         assert derive_seed(1, "a") != derive_seed(1, "b")
+
+    @pytest.mark.parametrize("args, seed", [
+        ((0,), 0),
+        ((0, ""), 0),
+        ((1, "a", 2), 3670587678),
+        ((1995, "compsun1", "pfi"), 1328392636),
+        ((-7, "é€😀"), 3699073720),
+        ((2**40 + 3, 10**12), 2918957018),
+        ((0, "[('depth', 3), ('protocol', 'tcp'), "
+             "('target', 'SunOS 4.1.3')]"), 123911087),
+    ])
+    def test_derive_seed_is_pinned(self, args, seed):
+        # every run seed, link stream and filter stream derives from it
+        assert derive_seed(*args) == seed
+
+    def test_derive_seed_is_the_per_character_fold(self):
+        def fold(base_seed, *labels):
+            value = base_seed & 0xFFFFFFFF
+            for label in labels:
+                for ch in str(label):
+                    value = (value * 1000003 + ord(ch)) & 0xFFFFFFFF
+            return value
+
+        rng = random.Random(55)
+        alphabets = ["abc '{}()0,", "aé€😀\x00\n\x7f\x80\uffff"]
+        for _ in range(3000):
+            base = rng.choice([0, -5, rng.getrandbits(40)])
+            labels = [rng.randint(-10**9, 10**12) if rng.random() < 0.3
+                      else "".join(rng.choices(rng.choice(alphabets),
+                                               k=rng.randint(0, 300)))
+                      for _ in range(rng.randint(0, 3))]
+            assert derive_seed(base, *labels) == fold(base, *labels), labels
 
 
 class TestScriptSync:
