@@ -15,7 +15,9 @@ canonical trace dump (volatile message uids excluded, see
 
 The workload is serial and deterministic -- no worker pools, no
 CPU-count dependence -- so it gates directly in CI (>= 3x fork vs
-cold, >= 2x grouped sweep vs ungrouped serial) and prints its numbers::
+cold, >= 2x grouped sweep vs ungrouped serial) and prints its numbers,
+led by the absolute ones no gate reads: the median milliseconds one
+capture and one re-seeded fork of each stock fuzz prefix take::
 
     PYTHONPATH=src python benchmarks/bench_perf_fork.py [--quick]
 """
@@ -237,6 +239,61 @@ def run_campaign_bench(configs: int = 20, verbose: bool = True) -> dict:
     return payload
 
 
+# ----------------------------------------------------------------------
+# absolute figures: capture and fork of the stock fuzz prefixes
+# ----------------------------------------------------------------------
+
+#: the stock fuzz prefixes a sweep captures and forks (one target each)
+STOCK_PREFIXES = (("gmp", "self_death"), ("tcp", "SunOS 4.1.3"))
+
+
+def run_stock_prefix_bench(reps: int = 30, verbose: bool = True) -> dict:
+    """Median milliseconds per capture and per re-seeded fork of each
+    stock fuzz prefix (``prefixed_fuzz_body.prefix`` at its default
+    depth): the per-group and per-run envelope a sweep pays around the
+    simulation.  The prefix run itself is off the clock; a fork is
+    re-seeded as :func:`~repro.core.orchestrator.run_one` re-seeds it.
+    """
+    from statistics import median
+
+    from repro.oracle.fuzz import prefixed_fuzz_body
+
+    def timed(fn):
+        gc.disable()
+        start = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - start
+        gc.enable()
+        return result, elapsed
+
+    payload = {}
+    for protocol, target in STOCK_PREFIXES:
+        config = {"protocol": protocol, "target": target}
+        captures, forks = [], []
+        for rep in range(reps + 1):  # the first of each is a warmup
+            env = make_env(seed=0)
+            roots = prefixed_fuzz_body.prefix(env, config)
+            checkpoint, elapsed = timed(
+                lambda: Checkpoint.capture(env, roots, label="bench"))
+            captures.append(elapsed)
+            _, elapsed = timed(lambda: checkpoint.fork(seed=rep + 1))
+            forks.append(elapsed)
+            checkpoint.teardown()
+        payload[protocol] = {
+            "target": target,
+            "objects": checkpoint.plan_stats["objects"],
+            "capture_ms": round(median(captures[1:]) * 1e3, 4),
+            "fork_ms": round(median(forks[1:]) * 1e3, 4),
+        }
+    if verbose:
+        print(f"stock fuzz prefixes, median of {reps}:")
+        for protocol, row in payload.items():
+            print(f"  {protocol} ({row['target']}, {row['objects']} "
+                  f"objects per fork): capture {row['capture_ms']:.3f} "
+                  f"ms, fork {row['fork_ms']:.3f} ms")
+    return payload
+
+
 def test_perf_fork_quick():
     """CI smoke: forked continuations must replay byte-identically."""
     payload = run_bench(trials=2, verbose=False)
@@ -256,6 +313,7 @@ if __name__ == "__main__":
     parser.add_argument("--trials", type=int, default=30)
     parser.add_argument("--configs", type=int, default=20)
     args = parser.parse_args()
+    run_stock_prefix_bench(reps=5 if args.quick else 30)
     result = run_bench(trials=3 if args.quick else args.trials)
     assert result["byte_identical"], result
     sweep_result = run_campaign_bench(

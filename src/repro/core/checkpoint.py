@@ -18,8 +18,9 @@ and compiled into a flat recipe (one slot per object: pre-filled
 container templates, ``cls.__new__`` shells, ``(key -> slot)`` patches,
 rebuilt tuples and bound methods) that every fork replays -- no
 ``__reduce_ex__``, type dispatch or memo lookup per object per fork.
-``capture`` makes its pristine snapshot by compiling and cloning the
-live world, then compiles the snapshot for the forks.  On the stock
+``capture`` adopts the live world as its pristine snapshot and
+compiles it once, for the forks; the captured world is not run again
+(its scheduler refuses).  On the stock
 fuzz prefixes a fork costs about a tenth of what ``deepcopy`` cost
 (GMP: 281 objects, 2.6 -> 0.24 ms; TCP: 62 objects, 0.35 -> 0.04 ms;
 ``docs/performance.md``); an object the compiler does not positively
@@ -93,9 +94,8 @@ class Forked:
 class Checkpoint:
     """A frozen moment of one simulation, forkable any number of times.
 
-    ``capture`` copies the live world once into a pristine snapshot (so
-    the caller may keep running the original) and compiles the snapshot
-    into a clone plan; each ``fork`` replays the plan.  ``roots``
+    ``capture`` adopts the live world as its pristine snapshot and
+    compiles it into a clone plan; each ``fork`` replays the plan.  ``roots``
     carries the rig objects a continuation needs back out of the copy
     -- a testbed, a cluster, a client connection -- anything reachable
     from them is copied consistently with the environment because it is
@@ -129,6 +129,12 @@ class Checkpoint:
                 label: str = "") -> "Checkpoint":
         """Snapshot ``env`` (plus named rig ``roots``) as of right now.
 
+        The world is adopted, not copied: it becomes the snapshot, is
+        compiled into the clone plan once, and from here on only its
+        forks run -- a run call on its scheduler raises
+        :class:`~repro.netsim.scheduler.CapturedWorldError`.  A caller
+        that wants to keep going from this moment runs a fork.
+
         The scheduler heap is compacted first so cancelled tombstones
         are not copied into every fork, and every pending callback is
         vetted by :func:`repro.staticcheck.audit_pending`, which pins
@@ -142,11 +148,19 @@ class Checkpoint:
                 + "\n  ".join(diag.format(path) for path, diag in static))
         env.scheduler.compact()
         world = {"env": env, "roots": dict(roots or {})}
-        snapshot = _world_plan(world).clone()
-        return cls(_world_plan(snapshot),
-                   label=label or f"t={env.scheduler.now:g}",
-                   identity=_identity(env, world["roots"], label),
-                   time=env.scheduler.now, position=env.trace.position)
+        # every reference to the recorder lands on a shallow
+        # TraceRecorder.fork sharing the prefix's write-once rows; it
+        # has no clock, which Checkpoint.fork binds to the copy's
+        # scheduler
+        checkpoint = cls(ClonePlan(world, {id(env.trace): env.trace.fork}),
+                         label=label or f"t={env.scheduler.now:g}",
+                         identity=_identity(env, world["roots"], label),
+                         time=env.scheduler.now,
+                         position=env.trace.position)
+        # marked after compiling: the plan's copy of the scheduler, and
+        # so every fork, is unmarked
+        env.scheduler.captured = checkpoint.label
+        return checkpoint
 
     def fork(self, *, seed: Optional[int] = None) -> Forked:
         """An independent continuation; optionally re-seeded.
@@ -238,18 +252,6 @@ class CheckpointPool:
         return (f"CheckpointPool(items={len(self._items)}, "
                 f"entries={self.entries}, hits={self.hits}, "
                 f"misses={self.misses})")
-
-
-def _world_plan(world: Dict[str, Any]) -> ClonePlan:
-    """Compile a world graph, sharing the trace prefix.
-
-    Every reference to the environment's recorder lands on a shallow
-    :meth:`TraceRecorder.fork` that reuses the prefix's write-once entry
-    objects.  The fork has no clock; :meth:`Checkpoint.fork` binds the
-    copy's scheduler (a snapshot is never run, so it needs none).
-    """
-    trace = world["env"].trace
-    return ClonePlan(world, {id(trace): trace.fork})
 
 
 def _tally(names: List[str]) -> str:

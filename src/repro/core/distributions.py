@@ -28,12 +28,17 @@ class DistributionSet:
     counts stream consumption; together they are what lets the
     checkpoint layer re-derive a forked world's streams under a new run
     seed -- and refuse to, once a stream has already been drawn from.
+
+    The stream is a seed until it is drawn from: ``random.Random(seed)``
+    is built on the first draw (or the first :attr:`rng` read), so a
+    fork of a world whose streams never drew copies a seed, and a
+    reseed stores one.
     """
 
     def __init__(self, seed: int = 0, *, labels: "tuple | None" = None):
         self._seed = seed
         self.labels = tuple(labels) if labels is not None else None
-        self._rng = random.Random(seed)
+        self._rng: "random.Random | None" = None
         self.draws = 0
 
     @property
@@ -43,6 +48,8 @@ class DistributionSet:
         Draws made directly on it bypass the ``draws`` counter, so
         prefer the ``dst_*`` wrappers inside checkpointable rigs.
         """
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
         return self._rng
 
     @property
@@ -53,7 +60,7 @@ class DistributionSet:
     def reseed(self, seed: int) -> None:
         """Restart the stream from a new seed (checkpoint restore path)."""
         self._seed = seed
-        self._rng = random.Random(seed)
+        self._rng = None
         self.draws = 0
 
     def dst_normal(self, mean: float, var: float) -> float:
@@ -61,26 +68,26 @@ class DistributionSet:
         if var < 0:
             raise ValueError("variance must be non-negative")
         self.draws += 1
-        return self._rng.gauss(mean, math.sqrt(var))
+        return self.rng.gauss(mean, math.sqrt(var))
 
     def dst_uniform(self, low: float, high: float) -> float:
         """Uniform draw in [low, high]."""
         self.draws += 1
-        return self._rng.uniform(low, high)
+        return self.rng.uniform(low, high)
 
     def dst_exponential(self, rate: float) -> float:
         """Exponential draw with the given rate (lambda)."""
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.draws += 1
-        return self._rng.expovariate(rate)
+        return self.rng.expovariate(rate)
 
     def dst_bernoulli(self, p: float) -> bool:
         """True with probability p."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must be within [0, 1], got {p}")
         self.draws += 1
-        return self._rng.random() < p
+        return self.rng.random() < p
 
     def chance(self, p: float) -> bool:
         """Alias of :meth:`dst_bernoulli` reading better in scripts."""
@@ -92,7 +99,7 @@ class DistributionSet:
             raise ValueError(f"probability must be within (0, 1], got {p}")
         count = 1
         self.draws += 1
-        while self._rng.random() >= p:
+        while self.rng.random() >= p:
             count += 1
             self.draws += 1
         return count
@@ -102,12 +109,12 @@ class DistributionSet:
         if not items:
             raise ValueError("cannot choose from an empty sequence")
         self.draws += 1
-        return self._rng.choice(items)
+        return self.rng.choice(items)
 
     def fork(self, label: str) -> "DistributionSet":
         """Derive an independent, deterministic child stream."""
         self.draws += 1
-        return DistributionSet(hash((self._rng.random(), label)) & 0x7FFFFFFF)
+        return DistributionSet(hash((self.rng.random(), label)) & 0x7FFFFFFF)
 
 
 _MULTIPLIER = 1000003

@@ -154,8 +154,8 @@ class ExperimentEnv:
         dismantles its stack (:meth:`~repro.netsim.node.Node.teardown`).
         It is called where a world ends: by :func:`run_one` once the run
         is judged (a world is built, run, judged and torn down there),
-        and by :func:`_capture_prefix` once the checkpoint holds its
-        copy of the warmed world.
+        and by :meth:`Checkpoint.teardown` once no further fork of a
+        captured world will be made.
         """
         self.scheduler.clear()
         self.trace.bind_clock(None)
@@ -719,14 +719,17 @@ def _capture_prefix(body: PrefixedBody, config: Dict[str, Any],
 
     The capture env is built at seed 0; forks re-seed to each member's
     run seed, which the checkpoint layer only permits for zero-draw
-    prefixes (the grouping contract).  Raises ``CheckpointError`` when
-    the world cannot be captured soundly -- callers fall back cold.
+    prefixes (the grouping contract).  The checkpoint adopts the warmed
+    world as its snapshot (:meth:`Checkpoint.teardown` ends it).  Raises
+    ``CheckpointError`` when the world cannot be captured soundly --
+    callers fall back cold.
     """
     env = make_env(seed=0)
     try:
         return _capture(env, body.prefix(env, dict(config)), key)
-    finally:
-        env.teardown()  # the checkpoint holds a copy
+    except BaseException:
+        env.teardown()  # not adopted: the world ends here
+        raise
 
 
 def _capture_payload(checkpoint: Any, key: Any) -> Dict[str, Any]:
@@ -739,25 +742,27 @@ def _capture_payload(checkpoint: Any, key: Any) -> Dict[str, Any]:
 
 def pool_prefix(pool: Any, body: PrefixedBody, env: ExperimentEnv,
                 state: Any, config: Dict[str, Any]
-                ) -> Optional[Dict[str, Any]]:
+                ) -> Tuple[Optional[Dict[str, Any]], ExperimentEnv]:
     """Pool a warm prefix its caller simulated itself.
 
     ``state`` is what ``body.prefix(env, config)`` returned.  The world
     is captured into ``pool`` under the key :func:`execute_shard` looks
     it up by, so a shard handed the pool forks it and simulates no
-    prefix of its own; the caller keeps running ``env``.  Returns the
-    payload of the capture event (:class:`ShardCapture`, less its
-    ``configs`` count), or ``None`` when the world cannot be captured
-    (the shard then tries, and falls back cold).
+    prefix of its own.  Returns the payload of the capture event
+    (:class:`ShardCapture`, less its ``configs`` count) and the world
+    the caller keeps running: a fork of the capture, which adopted
+    ``env``.  When the world cannot be captured the payload is ``None``
+    and the world is ``env`` (the shard then tries, and falls back
+    cold).
     """
     from repro.core.checkpoint import CheckpointError
     key = body.prefix_key(config)
     try:
         checkpoint = _capture(env, state, key)
     except CheckpointError:
-        return None
+        return None, env
     pool.put(_prefix_digest(body, key), checkpoint)
-    return _capture_payload(checkpoint, key)
+    return _capture_payload(checkpoint, key), checkpoint.fork().env
 
 
 class ShardStart(NamedTuple):

@@ -49,14 +49,17 @@ class Link:
     loss_rate:
         Independent per-payload drop probability in ``[0, 1]``.
     rng:
-        Random source used for jitter/loss; pass a seeded
-        :class:`random.Random` for reproducibility.
+        Random source used for jitter/loss, used as it is.
+    seed:
+        Without ``rng``, the stream is ``random.Random(seed)``, built on
+        the first draw: until then the link holds only its seed, which
+        is all a checkpoint fork copies and all a reseed replaces.
     """
 
     def __init__(self, scheduler: Scheduler, deliver: DeliverFn, src: int, *,
                  latency: float = 0.001, jitter: float = 0.0,
                  loss_rate: float = 0.0,
-                 rng: Optional[random.Random] = None,
+                 rng: Optional[random.Random] = None, seed: Any = 0,
                  name: str = "link"):
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be within [0, 1], got {loss_rate}")
@@ -68,7 +71,8 @@ class Link:
         self.latency = latency
         self.jitter = jitter
         self.loss_rate = loss_rate
-        self._rng = rng or random.Random(0)
+        self._rng = rng
+        self._seed = seed
         self.name = name
         self._up = True
         self._last_arrival = 0.0
@@ -81,11 +85,17 @@ class Link:
         self.rng_draws = 0
 
     def reseed(self, seed: str) -> None:
-        """Restart this link's RNG stream from ``seed``, in place
-        (checkpoint restore path): the stream ``random.Random(seed)``
-        draws."""
-        self._rng.seed(seed)
+        """Restart this link's RNG stream from ``seed`` (checkpoint
+        restore path): the stream ``random.Random(seed)`` draws, built
+        on the first draw."""
+        self._rng = None
+        self._seed = seed
         self.rng_draws = 0
+
+    def _stream(self) -> random.Random:
+        """The RNG, built from the seed on the first draw."""
+        self._rng = random.Random(self._seed)
+        return self._rng
 
     @property
     def is_up(self) -> bool:
@@ -117,13 +127,13 @@ class Link:
             return False
         if self.loss_rate > 0:
             self.rng_draws += 1
-            if self._rng.random() < self.loss_rate:
+            if (self._rng or self._stream()).random() < self.loss_rate:
                 self.dropped_count += 1
                 return False
         delay = self.latency
         if self.jitter > 0:
             self.rng_draws += 1
-            delay += self._rng.uniform(0.0, self.jitter)
+            delay += (self._rng or self._stream()).uniform(0.0, self.jitter)
         arrival = self._scheduler.now + delay
         if arrival < self._last_arrival:
             arrival = self._last_arrival  # preserve FIFO ordering

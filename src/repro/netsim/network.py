@@ -14,7 +14,6 @@ up/down state -- a link must be up *and* not cut by a partition to carry.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.link import Link
@@ -33,8 +32,8 @@ class Network:
     default_latency:
         One-way latency for lazily created links (seconds).
     seed:
-        Seed for the network's RNG, from which each link derives its own
-        stream; runs with equal seeds are bit-identical.
+        The network seed, from which each link derives the seed of its
+        own stream; runs with equal seeds are bit-identical.
     """
 
     def __init__(self, scheduler: Scheduler, *, default_latency: float = 0.001,
@@ -76,7 +75,6 @@ class Network:
         key = (src, dst)
         if key not in self._links:
             node = self._nodes[dst]
-            link_rng = random.Random(f"{self._seed}/{src}/{dst}")
             # a node with a stack anchored on it takes deliveries at
             # the anchor, which keeps the node's books itself
             anchor = node.anchor
@@ -85,7 +83,7 @@ class Network:
                 node.receive if anchor is None else anchor.deliver,
                 src,
                 latency=self.default_latency,
-                rng=link_rng,
+                seed=f"{self._seed}/{src}/{dst}",
                 name=f"{src}->{dst}",
             )
         return self._links[key]

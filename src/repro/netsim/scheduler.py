@@ -43,6 +43,16 @@ class SchedulerError(Exception):
     """Raised on scheduler misuse (negative delays, running an empty loop)."""
 
 
+class CapturedWorldError(RuntimeError):
+    """A world a checkpoint holds as its snapshot was run: only forks of
+    it may run, since every later fork would start from the moved world
+    (see :meth:`repro.core.checkpoint.Checkpoint.capture`)."""
+
+    def __init__(self, label: str):
+        super().__init__(f"this world is the snapshot of checkpoint "
+                         f"{label!r}: run a fork of it instead")
+
+
 class SchedulerClock:
     """A ``() -> now`` callable reading a scheduler's virtual clock.
 
@@ -133,6 +143,11 @@ class Scheduler:
     accidental infinite event cascades (e.g. two protocols ping-ponging
     messages with zero latency).
     """
+
+    #: the label of the checkpoint that holds this world as its snapshot;
+    #: a run call (:meth:`step`, :meth:`_drain`) then raises
+    #: :class:`CapturedWorldError`
+    captured: Optional[str] = None
 
     def __init__(self, start_time: float = 0.0):
         #: current virtual time in seconds; a plain attribute read on
@@ -266,6 +281,8 @@ class Scheduler:
 
     def step(self) -> bool:
         """Dispatch the single next event.  Returns False if none remained."""
+        if self.captured is not None:
+            raise CapturedWorldError(self.captured)
         if self._live_head() is None:
             return False
         time, _seq, callback, args, event = _heappop(self._heap)
@@ -283,6 +300,8 @@ class Scheduler:
         is left at the last dispatched event.  Raises
         :class:`SchedulerError` once ``max_events`` have fired.
         """
+        if self.captured is not None:
+            raise CapturedWorldError(self.captured)
         heap = self._heap
         pop = _heappop
         fired = 0

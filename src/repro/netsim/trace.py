@@ -18,7 +18,10 @@ index of integer positions that is advanced incrementally as new rows
 arrive, turning exact-kind scans from O(n) per query into O(matches)
 after the first; a kind-prefix query (:meth:`TraceRecorder.iter_subscribed`,
 :meth:`TraceRecorder.count_by_kind`) resolves its prefix to the concrete
-kinds in that index.
+kinds in that index.  The oracle needs neither: :func:`repro.oracle
+.invariants.evaluate` walks :meth:`TraceRecorder.rows` once against the
+set of :meth:`TraceRecorder.kinds`, building a view only for a row an
+invariant subscribed to.
 
 Two rules for code that records or reads a trace:
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Set, Tuple)
 
 _intern = sys.intern
 
@@ -214,9 +217,9 @@ class TraceRecorder:
         """Capture-ordered entries whose kind is in ``kinds`` or starts
         with one of ``prefixes``.
 
-        This is the oracle layer's subscription primitive: an invariant
-        declares the kinds it cares about and the engine walks every
-        subscribed entry exactly once.  Prefix subscriptions are resolved
+        A subscription helper for callers that want views of a few
+        kinds (the oracle's :func:`~repro.oracle.invariants.evaluate`
+        walks :meth:`rows` instead).  Prefix subscriptions are resolved
         to the concrete kinds recorded so far through the per-kind index,
         so the common cases stay cheap: an unrecorded subscription costs
         nothing, a single-kind subscription walks its index bucket
@@ -240,6 +243,11 @@ class TraceRecorder:
         for time, kind, attrs in zip(self._times, self._kinds, self._attrs):
             if kind in resolved:
                 yield TraceEntry(time, kind, attrs)
+
+    def kinds(self) -> Set[str]:
+        """The distinct kinds recorded so far (one C-level pass over the
+        kinds column; the per-kind index is not built)."""
+        return set(self._kinds)
 
     def times(self, kind: str, **attr_filter: Any) -> List[float]:
         """Timestamps of matching entries, in capture order."""

@@ -280,10 +280,11 @@ def _survey(config: Dict[str, Any], seed: int, pool: CheckpointPool
     plus the digest of the trace prefix every schedule starts with, and
     the payload of the prefix's capture into ``pool``
     (:func:`~repro.core.orchestrator.pool_prefix`): the schedules fork
-    this run's prefix, which is simulated once per exploration."""
+    this run's prefix, which is simulated once per exploration, and the
+    survey steps on through a fork of it too."""
     env = make_env(seed=seed)
     state = schedule_body.prefix(env, config)
-    capture = pool_prefix(pool, schedule_body, env, state, config)
+    capture, env = pool_prefix(pool, schedule_body, env, state, config)
     digest = _TraceDigest()
     digest.absorb(env.trace)
     steps: List[Tuple[str, str]] = []

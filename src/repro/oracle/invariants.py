@@ -5,9 +5,9 @@ violations" -- is mechanized here: an :class:`Invariant` subscribes to
 trace kinds (exact names or dotted prefixes), consumes every subscribed
 entry in capture order, and yields structured :class:`Violation` objects.
 :func:`evaluate` runs a whole pack of invariants in **one pass** over the
-trace, dispatching each entry to its subscribers through a kind-keyed
-table resolved against the recorder's per-kind index
-(:meth:`~repro.netsim.trace.TraceRecorder.iter_subscribed`).
+trace's rows, dispatching each subscribed entry to its subscribers
+through a kind-keyed table resolved against the kinds the trace
+recorded (:meth:`~repro.netsim.trace.TraceRecorder.kinds`).
 
 Invariants are stateful (they fold trace history per connection / per
 node), so a pack is always a *factory* returning fresh instances --
@@ -177,27 +177,31 @@ def evaluate(trace: TraceRecorder,
              invariants: Iterable[Invariant]) -> OracleReport:
     """Run an invariant pack over a trace in one pass.
 
-    Builds a kind -> subscribers dispatch table (prefix subscriptions are
-    resolved against the kinds the trace actually recorded), walks the
-    subscribed entries once in capture order, and collects every
-    violation, ending with each invariant's :meth:`~Invariant.finish`.
+    Builds a kind -> subscribers dispatch table over the kinds the trace
+    recorded (prefix subscriptions resolved against them), walks the
+    rows once in capture order -- one table lookup per row, and an
+    entry view only for a row someone subscribed to -- and collects
+    every violation, ending with each invariant's
+    :meth:`~Invariant.finish`.
     """
     pack = list(invariants)
-    recorded = trace.count_by_kind()
     dispatch: Dict[str, List[Invariant]] = {}
-    for invariant in pack:
-        subscribed = set(invariant.kinds)
-        for prefix in invariant.prefixes:
-            subscribed.update(kind for kind in recorded
-                              if kind.startswith(prefix))
-        for kind in subscribed:
-            dispatch.setdefault(kind, []).append(invariant)
+    for kind in trace.kinds():
+        for invariant in pack:
+            if (kind in invariant.kinds
+                    or kind.startswith(tuple(invariant.prefixes))):
+                dispatch.setdefault(kind, []).append(invariant)
 
+    subscribed = dispatch.get
     violations: List[Violation] = []
     scanned = 0
-    for entry in trace.iter_subscribed(dispatch):
+    for time, kind, attrs in trace.rows():
+        subscribers = subscribed(kind)
+        if subscribers is None:
+            continue
         scanned += 1
-        for invariant in dispatch[entry.kind]:
+        entry = TraceEntry(time, kind, attrs)
+        for invariant in subscribers:
             found = invariant.on_entry(entry)
             if found:
                 violations.extend(found)

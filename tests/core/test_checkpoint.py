@@ -1,9 +1,14 @@
 """Unit tests for the checkpoint/fork engine (repro.core.checkpoint)."""
 
+import random
+
 import pytest
 
 from repro.core.checkpoint import Checkpoint, CheckpointError, CheckpointPool
 from repro.core.orchestrator import make_env
+from repro.netsim.scheduler import CapturedWorldError
+from repro.oracle.fuzz import _continue_body, _fuzz_prefix
+from tests.props.test_checkpoint_props import canon
 
 
 class Counter:
@@ -41,17 +46,42 @@ def test_fork_continues_where_capture_left_off():
     assert forked["counter"].fired == 10
 
 
-def test_capture_leaves_the_original_running():
+def test_running_a_captured_world_raises():
     env, counter = warmed_env(5.0)
     cp = Checkpoint.capture(env, {"counter": counter})
     forked = cp.fork()
     forked.env.run_until(10.0)
-    # the original world never moved
+    # the captured world is the snapshot: every run call refuses it
+    for run in (lambda: env.run_until(10.0), env.run_until_quiet,
+                env.scheduler.run, env.scheduler.step):
+        with pytest.raises(CapturedWorldError, match="'t=5'.*run a fork"):
+            run()
     assert env.scheduler.now == 5.0
     assert counter.fired == 5
-    # ...and still runs to the same place the fork reached
-    env.run_until(10.0)
-    assert counter.fired == forked["counter"].fired == 10
+    # ...so a later fork still starts where the capture left off
+    again = cp.fork()
+    again.env.run_until(10.0)
+    assert again["counter"].fired == forked["counter"].fired == 10
+
+
+def test_a_capture_adopts_its_world_and_compiles_one_plan(monkeypatch):
+    import repro.core.checkpoint as module
+
+    plans = []
+
+    class CountingPlan(module.ClonePlan):
+        def __init__(self, *args, **kwargs):
+            plans.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(module, "ClonePlan", CountingPlan)
+    env = make_env(seed=0)
+    roots = _fuzz_prefix(env, {"protocol": "gmp", "target": "self_death"})
+    cp = Checkpoint.capture(env, roots)
+    cp.fork(seed=3)
+    cp.fork(seed=4)
+    assert len(plans) == 1
+    assert plans[0]["env"] is env
 
 
 def test_forks_are_mutually_independent():
@@ -186,6 +216,63 @@ def test_fork_reseed_refuses_consumed_streams():
     cp = Checkpoint.capture(env)
     with pytest.raises(CheckpointError, match="re-seeded"):
         cp.fork(seed=9)
+
+
+# ----------------------------------------------------------------------
+# a stream is a seed until it is drawn from
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("protocol,target", [("gmp", "self_death"),
+                                             ("tcp", "SunOS 4.1.3")])
+def test_a_reseeded_fork_of_a_stock_prefix_builds_no_generator(
+        monkeypatch, protocol, target):
+    calls = []
+    init, setstate = random.Random.__init__, random.Random.setstate
+
+    def counting_init(rng, *args):
+        calls.append("init")
+        init(rng, *args)
+
+    def counting_setstate(rng, state):
+        calls.append("setstate")
+        setstate(rng, state)
+
+    monkeypatch.setattr(random.Random, "__init__", counting_init)
+    monkeypatch.setattr(random.Random, "setstate", counting_setstate)
+    env = make_env(seed=0)
+    checkpoint = Checkpoint.capture(
+        env, _fuzz_prefix(env, {"protocol": protocol, "target": target}))
+    forks = [checkpoint.fork(seed=seed) for seed in (7, 123456789)]
+    # neither the cold prefix, its capture nor a re-seeded fork built one
+    assert calls == []
+    # the first draw does
+    forks[0].env.dists[0].dst_uniform(0, 1)
+    assert calls == ["init"]
+
+
+def test_a_lossy_link_and_a_dst_script_draw_alike_after_a_fork():
+    config = {"protocol": "gmp", "target": "self_death",
+              "direction": "send", "init_script": "",
+              "script": "if {[dst_uniform 0 1] < 0.3} { xDrop cur_msg }"}
+
+    def continue_lossy(env, state):
+        link = env.network.link(1, 2)
+        link.loss_rate, link.jitter = 0.2, 0.002
+        return _continue_body(env, state, dict(config)), link
+
+    cold_env = make_env(seed=7)
+    cold, cold_link = continue_lossy(cold_env,
+                                     _fuzz_prefix(cold_env, config))
+    env = make_env(seed=0)
+    forked = Checkpoint.capture(env, _fuzz_prefix(env, config)).fork(seed=7)
+    result, link = continue_lossy(forked.env, forked.roots)
+    assert link.rng_draws == cold_link.rng_draws > 0
+    assert link.dropped_count == cold_link.dropped_count > 0
+    assert [d.draws for d in forked.env.dists] \
+        == [d.draws for d in cold_env.dists]
+    assert sum(d.draws for d in forked.env.dists) > 0
+    assert result == cold
+    assert canon(forked.env.trace) == canon(cold_env.trace)
 
 
 # ----------------------------------------------------------------------

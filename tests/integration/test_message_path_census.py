@@ -34,26 +34,30 @@ WIRE_MESSAGES = 18_074
 
 #: the same ratio over Table 2's 3 s column, every vendor's run followed
 #: by the tcp pack's verdict on its trace, counted on a second pass
-#: (71.59 with a ``Segment`` built in one frame and links delivering
-#: into the anchored stack in one call; 73.61 with the PFI layer's
-#: actions counted only as trace entries, whatever ran before in the
-#: process; 75.58 with per-layer counter handles, 82.43 before the PFI
-#: verdict was applied in ``_process`` and the anchor called the
-#: network, 152.50 when segment arithmetic and invariants went through
-#: one-line helpers per field), rounded up
-TCP_CALLS_PER_WIRE_MESSAGE_CEILING = 72
+#: (69.43 with the verdict walking the trace's rows and building an
+#: entry view only for a subscribed row; 71.59 with a ``Segment`` built
+#: in one frame and links delivering into the anchored stack in one
+#: call; 73.61 with the PFI layer's actions counted only as trace
+#: entries, whatever ran before in the process; 75.58 with per-layer
+#: counter handles, 82.43 before the PFI verdict was applied in
+#: ``_process`` and the anchor called the network, 152.50 when segment
+#: arithmetic and invariants went through one-line helpers per field),
+#: rounded up
+TCP_CALLS_PER_WIRE_MESSAGE_CEILING = 70
 
 #: wire messages those four runs send
 TCP_WIRE_MESSAGES = 315
 
 #: the same ratio over one ``gmp_sweep`` pass (the e2e benchmark's GMP
-#: battery at seed 0, oracle included): 36.12 with links delivering
-#: into the anchored stack in one call and every world torn down as its
-#: run ends; 36.68 with the PFI layer's actions counted only as trace
+#: battery at seed 0, oracle included): 34.02 with RNG streams built
+#: only when drawn from, one clone plan per capture and the verdict
+#: walking the trace's rows; 36.12 with links delivering into the
+#: anchored stack in one call and every world torn down as its run
+#: ends; 36.68 with the PFI layer's actions counted only as trace
 #: entries, 37.46 with per-layer counter handles, 47.63 before tclish
 #: filter verdicts, heartbeat re-arms and the wire hop were shed of
 #: their glue frames, rounded up
-SWEEP_CALLS_PER_WIRE_MESSAGE_CEILING = 37
+SWEEP_CALLS_PER_WIRE_MESSAGE_CEILING = 35
 
 #: wire messages that pass sends
 SWEEP_WIRE_MESSAGES = 13_797

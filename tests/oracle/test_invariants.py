@@ -83,6 +83,32 @@ def test_entries_scanned_counts_subscribed_entries_once():
     assert report.entries_scanned == 2  # tcp.state + tcp.send
 
 
+def test_one_walk_of_the_rows_views_only_subscribed_ones(monkeypatch):
+    import repro.oracle.invariants as engine
+
+    viewed = []
+
+    class CountingEntry(engine.TraceEntry):
+        __slots__ = ()
+
+        def __init__(self, time, kind, attrs):
+            viewed.append(kind)
+            super().__init__(time, kind, attrs)
+
+    monkeypatch.setattr(engine, "TraceEntry", CountingEntry)
+    trace = make_trace()
+    # two subscribers of one kind share its view; a list of prefixes
+    # subscribes like a tuple
+    inv = PrefixInvariant()
+    inv.prefixes = ["gmp."]
+    report = evaluate(trace, [CountingInvariant(), PrefixInvariant(), inv])
+    assert viewed == ["tcp.state", "tcp.send", "gmp.send"]
+    assert report.entries_scanned == 3
+    assert inv.seen == ["gmp.send"]
+    # the walk reads the rows: the trace's per-kind query index is unbuilt
+    assert trace._kind_upto == 0
+
+
 def test_finish_violations_carry_the_anchor_entry():
     report = evaluate(make_trace(), [FinishInvariant()])
     assert not report.ok()
